@@ -119,9 +119,11 @@ enum Response {
     Shutdown,
 }
 
+/// One number operand, in the grammar the journal writes (`inf`, the
+/// bit-exact `x<16 hex>` form, or decimal), so a journal record body is
+/// also a valid protocol line.
 fn num(tok: &str, what: &str) -> Result<f64, String> {
-    tok.parse::<f64>()
-        .map_err(|_| format!("bad {what} `{tok}`"))
+    osr_core::journal::parse_number(tok).ok_or_else(|| format!("bad {what} `{tok}`"))
 }
 
 /// Parses and applies one protocol line against the session. `next_id`

@@ -139,6 +139,29 @@ fn serve_replay_is_byte_identical_to_offline_run_for_all_schedulers() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// Journal records share the protocol's number grammar: with the
+/// header and checksum tokens stripped, a v2 journal (hex sizes) is a
+/// serve script that reproduces the same log.
+#[test]
+fn journal_bodies_replay_as_a_serve_script() {
+    let (dir, script, offline_flag) = churn_fixture("bodies");
+    let oracle = offline_oracle(&dir, "flow:0.25");
+    let journal = dir.join("bodies.journal");
+    let args = format!("serve --algo flow:0.25 --machines 5 {offline_flag} --once");
+    let served = serve_once(&format!("{args} --journal {}", journal.display()), &script);
+    assert_eq!(served, oracle);
+
+    let text = fs::read_to_string(&journal).unwrap();
+    let mut lines = text.lines();
+    assert!(lines.next().unwrap().starts_with("#osr-journal v2 "));
+    let bodies: String = lines
+        .map(|l| format!("{}\n", &l[..l.rfind(" #h").unwrap()]))
+        .collect();
+    assert!(bodies.contains(" x"), "sizes are journaled as hex bits");
+    assert_eq!(serve_once(&args, &bodies), oracle);
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// The kill–recover–diff contract, end to end through the real binary:
 /// a journaled serve killed at an armed failpoint (exit 17) must, after
 /// `--recover` over the same journal plus a re-feed of the full script,

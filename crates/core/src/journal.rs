@@ -20,20 +20,54 @@
 //! a trailing FNV-1a checksum token:
 //!
 //! ```text
-//! #osr-journal v1 fp=00498c2a1f6d9e03
-//! arrive 0 @0.125 w=1 2.5 inf 3 #h93ad2f6b01c44e17
+//! #osr-journal v2 fp=00498c2a1f6d9e03
+//! arrive 0 @0.125 w=1 x4004000000000000 inf x4008000000000000 #h93ad2f6b01c44e17
 //! drain 3 @1.5 #h5b0e9cc2d1a07f28
 //! advance 7 #h0ac1...
 //! ```
 //!
+//! Number tokens follow one grammar, shared with the serve protocol
+//! ([`parse_number`]):
+//!
+//! ```text
+//! number := "inf" | "x" hex{16} | <any decimal f64::from_str accepts>
+//! hex    := [0-9a-f]
+//! ```
+//!
+//! An arrive record writes each finite size as `x` + the 16 lowercase
+//! hex digits of [`f64::to_bits`] and each ineligible machine as `inf`.
+//! Sizes are the bulk of a record (one per machine), and the journal
+//! only needs them back bit-exactly: a nibble-table copy of the bits
+//! costs ≈13 ns per size where shortest-round-trip decimal formatting
+//! costs 100–180 ns. The release time, the weight and capacity/advance
+//! times stay decimal, one or two per record, so an operator can still
+//! read a journal by time. Because the grammar accepts decimal sizes too, a
+//! v2 record body is also a valid serve-script line.
+//!
+//! **Versions.** `v1` journals (every size in shortest decimal) still
+//! recover: the parser reads both forms. Recovery rewrites a `v1`
+//! header to `v2` in place before it appends the first hex record, so
+//! a binary that only knows `v1` refuses the file at its header instead
+//! of failing on a hex token halfway through replay.
+//!
 //! The checksum exists because a torn tail can truncate a decimal
 //! literal into a *different valid number* (`3.7310627019737903` →
-//! `3.73`); newline-termination alone cannot catch that. A record is
+//! `3.73`), or cut a record at a token boundary into a shorter valid
+//! record; newline-termination alone cannot catch that. A record is
 //! valid iff it is newline-terminated **and** its checksum verifies;
 //! on recovery, invalid records are accepted only as a suffix (the
 //! torn tail — dropped and physically truncated, never half-applied),
 //! while an invalid record *followed by a valid one* means mid-file
 //! corruption and recovery refuses.
+//!
+//! # Framing
+//!
+//! Every append — one record or a whole ingest batch — goes through one
+//! path: record bodies are written straight into the journal's reusable
+//! line buffer, each followed by its checksum token and newline, and the
+//! buffer goes out as one write and one fsync. [`JournaledSession`]
+//! encodes arrivals directly into that buffer, so an arrival's record
+//! exists once, already framed, on its way to disk.
 //!
 //! # Snapshots
 //!
@@ -126,16 +160,88 @@ pub enum Record {
     },
 }
 
-/// Encodes an arrive record body (no checksum suffix). `{}` formatting
-/// is Rust's shortest round-trip for `f64`, so replay re-parses every
-/// value bit-exactly; `inf` marks ineligible machines as in the wire
-/// protocol.
-pub fn encode_arrive(id: usize, release: f64, weight: f64, sizes: &[f64]) -> String {
-    use std::fmt::Write as _;
-    let mut s = format!("arrive {id} @{release} w={weight}");
-    for sz in sizes {
-        let _ = write!(s, " {sz}");
+const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+
+/// Bytes of the longest size token, ` x` + 16 hex digits.
+const SIZE_TOKEN_MAX: usize = 18;
+
+/// Appends `prefix` and then the 16 lowercase hex digits of `bits`,
+/// read from a nibble table (no `fmt` machinery).
+fn push_hex(out: &mut String, prefix: &str, bits: u64) {
+    let mut digits = [0u8; 16];
+    for (i, d) in digits.iter_mut().enumerate() {
+        *d = NIBBLES[(bits >> (60 - 4 * i)) as usize & 0xf];
     }
+    out.push_str(prefix);
+    out.push_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"));
+}
+
+/// Digit value of each byte: `0..=15` for `[0-9a-f]`, `0xff` for
+/// every other byte.
+const HEX_VALUE: [u8; 256] = {
+    let mut t = [0xffu8; 256];
+    let mut i = 0;
+    while i < 16 {
+        t[NIBBLES[i] as usize] = i as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Parses exactly 16 lowercase hex digits. Stricter than
+/// `u64::from_str_radix`, which also takes a leading `+`, upper case
+/// and shorter strings. Branch-free over the digits: a non-hex byte
+/// sets a high bit in `bad` instead of returning early.
+fn parse_hex16(hex: &str) -> Option<u64> {
+    let digits: &[u8; 16] = hex.as_bytes().try_into().ok()?;
+    let (mut bits, mut bad) = (0u64, 0u8);
+    for &b in digits {
+        let v = HEX_VALUE[b as usize];
+        bad |= v;
+        bits = bits << 4 | (v & 0xf) as u64;
+    }
+    (bad & 0xf0 == 0).then_some(bits)
+}
+
+/// Parses one number token of the serve-script dialect, for the
+/// journal and the serve protocol alike: `inf` (checked first — almost
+/// every token of a restricted row is `inf`), then the bit-exact `x` +
+/// 16 lowercase hex digits of [`f64::to_bits`], then any decimal
+/// `f64::from_str` accepts. `None` for anything else, including a
+/// malformed hex token (a sign, a wrong digit count, a non-hex digit).
+pub fn parse_number(tok: &str) -> Option<f64> {
+    if tok == "inf" {
+        return Some(f64::INFINITY);
+    }
+    if let Some(hex) = tok.strip_prefix('x') {
+        return parse_hex16(hex).map(f64::from_bits);
+    }
+    tok.parse().ok()
+}
+
+/// Appends an arrive record body (no checksum suffix) to `out`. The
+/// release and weight are decimal (Rust's shortest round-trip); each
+/// size is `inf` for an ineligible machine and otherwise `x` + the hex
+/// bits of the `f64`, so [`parse_record`] gets every size back
+/// bit-exactly — `-0.0`, subnormals and NaN payloads included.
+pub fn encode_arrive_into(out: &mut String, id: usize, release: f64, weight: f64, sizes: &[f64]) {
+    use std::fmt::Write as _;
+    out.reserve(SIZE_TOKEN_MAX * sizes.len() + 48);
+    let _ = write!(out, "arrive {id} @{release} w={weight}");
+    for &sz in sizes {
+        if sz == f64::INFINITY {
+            out.push_str(" inf");
+        } else {
+            push_hex(out, " x", sz.to_bits());
+        }
+    }
+}
+
+/// Encodes an arrive record body into a new string; see
+/// [`encode_arrive_into`] for the format.
+pub fn encode_arrive(id: usize, release: f64, weight: f64, sizes: &[f64]) -> String {
+    let mut s = String::new();
+    encode_arrive_into(&mut s, id, release, weight, sizes);
     s
 }
 
@@ -155,13 +261,14 @@ pub fn encode_advance(time: f64) -> String {
 }
 
 fn parse_f64(tok: &str, what: &str) -> Result<f64, String> {
-    tok.parse::<f64>()
-        .map_err(|_| format!("journal record has bad {what} `{tok}`"))
+    parse_number(tok).ok_or_else(|| format!("journal record has bad {what} `{tok}`"))
 }
 
 /// Parses a record body (checksum already stripped and verified).
 pub fn parse_record(body: &str) -> Result<Record, String> {
-    let mut toks = body.split_whitespace();
+    // Records are ASCII by construction (checksummed output of the
+    // encoders above); the ASCII splitter is about twice as fast.
+    let mut toks = body.split_ascii_whitespace();
     let cmd = toks.next().ok_or("empty journal record")?;
     match cmd {
         "arrive" => {
@@ -218,11 +325,43 @@ pub fn parse_record(body: &str) -> Result<Record, String> {
     }
 }
 
-const HEADER_PREFIX: &str = "#osr-journal v1 fp=";
+const HEADER_PREFIX: &str = "#osr-journal v2 fp=";
+/// The header of journals whose sizes are all decimal. Same length as
+/// [`HEADER_PREFIX`], so recovery can upgrade it in place.
+const HEADER_PREFIX_V1: &str = "#osr-journal v1 fp=";
 const CHECK_SEP: &str = " #h";
 
-fn raw_line(body: &str) -> String {
-    format!("{body}{CHECK_SEP}{:016x}\n", fnv1a(body.as_bytes()))
+fn header_line(fingerprint: u64) -> String {
+    format!("{HEADER_PREFIX}{fingerprint:016x}\n")
+}
+
+/// Largest line buffer a [`Journal`] keeps between appends.
+const FRAMES_RETAIN_BYTES: usize = 8 << 20;
+
+/// Journal lines framed in one buffer, ready for a single write: each
+/// record body, then ` #h`, the FNV-1a of that body, and a newline.
+#[derive(Default)]
+struct Frames {
+    buf: String,
+    /// Start of each line within `buf`.
+    starts: Vec<usize>,
+}
+
+impl Frames {
+    /// Frames one record whose body `write_body` appends to the buffer.
+    fn push_with(&mut self, write_body: impl FnOnce(&mut String)) {
+        let start = self.buf.len();
+        self.starts.push(start);
+        write_body(&mut self.buf);
+        let sum = fnv1a(&self.buf.as_bytes()[start..]);
+        push_hex(&mut self.buf, CHECK_SEP, sum);
+        self.buf.push('\n');
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.starts.clear();
+    }
 }
 
 /// Splits a complete (newline-stripped) journal line into its body if
@@ -231,11 +370,7 @@ fn validate_line(line: &[u8]) -> Option<&str> {
     let line = std::str::from_utf8(line).ok()?;
     let at = line.rfind(CHECK_SEP)?;
     let (body, suffix) = line.split_at(at);
-    let hex = &suffix[CHECK_SEP.len()..];
-    if hex.len() != 16 {
-        return None;
-    }
-    let sum = u64::from_str_radix(hex, 16).ok()?;
+    let sum = parse_hex16(&suffix[CHECK_SEP.len()..])?;
     (sum == fnv1a(body.as_bytes())).then_some(body)
 }
 
@@ -260,6 +395,8 @@ pub struct Journal {
     records: u64,
     snap_every: u64,
     fingerprint: u64,
+    /// The reusable line buffer every append frames its records into.
+    frames: Frames,
 }
 
 /// Everything [`Journal::recover`] reconstructs from disk.
@@ -301,7 +438,7 @@ impl Journal {
             .append(true)
             .open(path)
             .map_err(|e| Self::io_err(path, "open", e))?;
-        let header = format!("{HEADER_PREFIX}{fingerprint:016x}\n");
+        let header = header_line(fingerprint);
         file.write_all(header.as_bytes())
             .map_err(|e| Self::io_err(path, "write header", e))?;
         file.sync_data()
@@ -313,6 +450,7 @@ impl Journal {
             records: 0,
             snap_every,
             fingerprint,
+            frames: Frames::default(),
         })
     }
 
@@ -326,15 +464,22 @@ impl Journal {
 
         // Header: everything up to the first newline. A file torn
         // inside its own header holds no records — start fresh.
+        let mut v1_header = false;
         let (header_end, mut records, mut dropped) = match data.iter().position(|&b| b == b'\n') {
             Some(nl) => {
                 let header = std::str::from_utf8(&data[..nl])
                     .map_err(|_| format!("journal {}: header is not UTF-8", path.display()))?;
-                let hex = header
-                    .strip_prefix(HEADER_PREFIX)
-                    .ok_or_else(|| format!("journal {}: bad header `{header}`", path.display()))?;
-                let fp = u64::from_str_radix(hex, 16)
-                    .map_err(|_| format!("journal {}: bad header fingerprint", path.display()))?;
+                let hex = match header.strip_prefix(HEADER_PREFIX) {
+                    Some(hex) => hex,
+                    None => {
+                        v1_header = true;
+                        header.strip_prefix(HEADER_PREFIX_V1).ok_or_else(|| {
+                            format!("journal {}: bad header `{header}`", path.display())
+                        })?
+                    }
+                };
+                let fp = parse_hex16(hex)
+                    .ok_or_else(|| format!("journal {}: bad header fingerprint", path.display()))?;
                 if fp != fingerprint {
                     return Err(format!(
                         "journal {} was written for a different configuration \
@@ -400,14 +545,23 @@ impl Journal {
             records: records.len() as u64,
             snap_every,
             fingerprint,
+            frames: Frames::default(),
         };
+        let header = header_line(fingerprint);
         if header_end == 0 {
-            let header = format!("{HEADER_PREFIX}{fingerprint:016x}\n");
             journal
                 .file
                 .write_all(header.as_bytes())
                 .map_err(|e| Self::io_err(path, "write header", e))?;
             journal.len = header.len() as u64;
+        } else if v1_header {
+            // Appends from here on write hex sizes: mark the file v2
+            // (same length, rewritten in place) before the first one.
+            OpenOptions::new()
+                .write(true)
+                .open(path)
+                .and_then(|mut f| f.write_all(header.as_bytes()))
+                .map_err(|e| Self::io_err(path, "upgrade v1 header", e))?;
         }
         journal
             .file
@@ -507,7 +661,7 @@ impl Journal {
     /// Appends one record (write, `pre-fsync` failpoint, fsync).
     /// Returns the byte offset the record starts at.
     pub fn append(&mut self, body: &str) -> Result<u64, String> {
-        self.append_batch(std::slice::from_ref(&body.to_string()))
+        self.append_with(|f| f.push_with(|buf| buf.push_str(body)))
             .map(|offs| offs[0])
     }
 
@@ -516,20 +670,36 @@ impl Journal {
     /// record's start offset, for [`Self::truncate_to`] on a partial
     /// batch failure.
     pub fn append_batch(&mut self, bodies: &[String]) -> Result<Vec<u64>, String> {
-        if bodies.is_empty() {
+        self.append_with(|f| {
+            for body in bodies {
+                f.push_with(|buf| buf.push_str(body));
+            }
+        })
+    }
+
+    /// The one append path: `frame` fills the reusable line buffer with
+    /// framed records, which then go out as one write, the `pre-fsync`
+    /// failpoint, and one fsync. Returns each record's start offset.
+    fn append_with(&mut self, frame: impl FnOnce(&mut Frames)) -> Result<Vec<u64>, String> {
+        let mut frames = std::mem::take(&mut self.frames);
+        frames.clear();
+        frame(&mut frames);
+        let res = self.write_frames(&frames);
+        // Keep the buffer warm for the next append, but do not pin the
+        // memory of one outsized burst for the rest of the run.
+        if frames.buf.capacity() <= FRAMES_RETAIN_BYTES {
+            self.frames = frames;
+        }
+        res
+    }
+
+    fn write_frames(&mut self, frames: &Frames) -> Result<Vec<u64>, String> {
+        let Some(&last) = frames.starts.last() else {
             return Ok(Vec::new());
-        }
-        let mut offsets = Vec::with_capacity(bodies.len());
-        let mut buf = String::new();
-        let mut at = self.len;
-        for body in bodies {
-            offsets.push(at);
-            let line = raw_line(body);
-            at += line.len() as u64;
-            buf.push_str(&line);
-        }
+        };
+        let offsets: Vec<u64> = frames.starts.iter().map(|&s| self.len + s as u64).collect();
         self.file
-            .write_all(buf.as_bytes())
+            .write_all(frames.buf.as_bytes())
             .map_err(|e| Self::io_err(&self.path, "append", e))?;
         match failpoint::hit("pre-fsync") {
             FailHit::Proceed => {}
@@ -544,10 +714,9 @@ impl Journal {
             FailHit::Torn => {
                 // Manufacture the torn tail deterministically: rewind
                 // to the last record's start, leave half of it, die.
-                let last = *offsets.last().expect("non-empty batch");
-                let line = raw_line(bodies.last().expect("non-empty batch"));
-                let _ = self.file.set_len(last);
-                let _ = self.file.write_all(&line.as_bytes()[..line.len() / 2]);
+                let line = &frames.buf.as_bytes()[last..];
+                let _ = self.file.set_len(self.len + last as u64);
+                let _ = self.file.write_all(&line[..line.len() / 2]);
                 let _ = self.file.sync_data();
                 failpoint::kill_now("pre-fsync");
             }
@@ -555,8 +724,8 @@ impl Journal {
         self.file
             .sync_data()
             .map_err(|e| Self::io_err(&self.path, "fsync", e))?;
-        self.len = at;
-        self.records += bodies.len() as u64;
+        self.len += frames.buf.len() as u64;
+        self.records += frames.starts.len() as u64;
         Ok(offsets)
     }
 
@@ -854,8 +1023,10 @@ impl ServeSession for JournaledSession {
     }
 
     fn arrive(&mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Result<JobId, String> {
-        let body = encode_arrive(self.next_id, release, weight, &sizes);
-        self.journal.append(&body)?;
+        let next = self.next_id;
+        self.journal.append_with(|f| {
+            f.push_with(|buf| encode_arrive_into(buf, next, release, weight, &sizes))
+        })?;
         // Write-ahead: if the session rejects, the record stays —
         // replay reproduces the rejection without mutating state.
         let id = self.inner.arrive(release, weight, sizes)?;
@@ -869,18 +1040,23 @@ impl ServeSession for JournaledSession {
         if batch.is_empty() {
             return self.inner.arrive_batch(batch);
         }
-        let bodies: Vec<String> = batch
-            .iter()
-            .enumerate()
-            .map(|(k, a)| encode_arrive(self.next_id + k, a.release, a.weight, &a.sizes))
-            .collect();
-        let offsets = self.journal.append_batch(&bodies).map_err(|e| (0, e))?;
+        let (first_id, n) = (self.next_id, batch.len());
+        let offsets = self
+            .journal
+            .append_with(|f| {
+                for (k, a) in batch.iter().enumerate() {
+                    f.push_with(|buf| {
+                        encode_arrive_into(buf, first_id + k, a.release, a.weight, &a.sizes)
+                    });
+                }
+            })
+            .map_err(|e| (0, e))?;
         match failpoint::hit("mid-batch") {
             FailHit::Proceed => {}
             FailHit::Error(e) => {
                 // Nothing was applied; un-journal the whole batch so
                 // the serial re-feed does not double-journal it.
-                let _ = self.journal.truncate_to(offsets[0], bodies.len() as u64);
+                let _ = self.journal.truncate_to(offsets[0], n as u64);
                 return Err((0, e));
             }
             FailHit::Torn => failpoint::kill_now("mid-batch"),
@@ -888,21 +1064,18 @@ impl ServeSession for JournaledSession {
         let releases: Vec<f64> = batch.iter().map(|a| a.release).collect();
         match self.inner.arrive_batch(batch) {
             Ok(()) => {
-                self.next_id += releases.len();
+                self.next_id += n;
                 self.clock = *releases.last().expect("non-empty batch");
                 self.journal
                     .maybe_snapshot(self.next_id, self.clock)
-                    .map_err(|e| (releases.len(), e))?;
+                    .map_err(|e| (n, e))?;
                 Ok(())
             }
             Err((k, e)) => {
                 // Entries k.. were never attempted; the serve loop will
                 // replay k+1.. serially (journaling each), so drop them
                 // here to keep the journal an exact mirror.
-                if let Err(te) = self
-                    .journal
-                    .truncate_to(offsets[k], (bodies.len() - k) as u64)
-                {
+                if let Err(te) = self.journal.truncate_to(offsets[k], (n - k) as u64) {
                     return Err((k, format!("{e} (and journal truncate failed: {te})")));
                 }
                 self.next_id += k;
@@ -960,6 +1133,7 @@ mod tests {
     use crate::flowtime::FlowParams;
     use crate::session::FlowSession;
     use osr_model::io as model_io;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp(tag: &str) -> PathBuf {
@@ -973,6 +1147,13 @@ mod tests {
 
     fn sess(m: usize) -> Box<dyn ServeSession> {
         Box::new(FlowSession::new(FlowParams::new(0.5), m).unwrap())
+    }
+
+    /// One framed journal line (body, checksum token, newline).
+    fn framed(body: &str) -> String {
+        let mut f = Frames::default();
+        f.push_with(|buf| buf.push_str(body));
+        f.buf
     }
 
     /// Feed a small deterministic stream through a journaled session.
@@ -1017,6 +1198,129 @@ mod tests {
         assert!(parse_record("explode 1 2").is_err());
     }
 
+    /// Bit patterns a uniform `u64` almost never hits: ±0, ±inf,
+    /// subnormals and NaNs with arbitrary payloads and either sign.
+    fn f64_bits() -> impl Strategy<Value = u64> {
+        const SIGN: u64 = 1 << 63;
+        const EXP: u64 = 0x7ff0_0000_0000_0000;
+        prop_oneof![
+            any::<u64>(),
+            prop_oneof![Just(0), Just(SIGN), Just(EXP), Just(SIGN | EXP)],
+            (1..EXP >> 12, any::<bool>()).prop_map(|(m, neg)| m | if neg { SIGN } else { 0 }),
+            (EXP + 1..=EXP | (EXP >> 12), any::<bool>())
+                .prop_map(|(nan, neg)| nan | if neg { SIGN } else { 0 }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn arrive_sizes_round_trip_bit_exactly(
+            bits in prop::collection::vec(f64_bits(), 1..12),
+            id in 0usize..1_000_000,
+            release in 0.0f64..1e6,
+        ) {
+            let sizes: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let body = encode_arrive(id, release, 2.5, &sizes);
+            let Record::Arrive { id: got_id, arrival } = parse_record(&body).unwrap() else {
+                panic!("not an arrive record: {body}");
+            };
+            prop_assert_eq!((got_id, arrival.release, arrival.weight), (id, release, 2.5));
+            let got: Vec<u64> = arrival.sizes.iter().map(|s| s.to_bits()).collect();
+            prop_assert_eq!(got, bits, "{}", body);
+        }
+    }
+
+    #[test]
+    fn number_tokens_parse_strictly_and_malformed_hex_errors() {
+        assert_eq!(parse_number("inf"), Some(f64::INFINITY));
+        assert_eq!(parse_number("x3ff8000000000000"), Some(1.5));
+        assert_eq!(parse_number("xfff0000000000000"), Some(f64::NEG_INFINITY));
+        assert_eq!(parse_number(""), None);
+        // Every decimal form `f64::from_str` takes still parses.
+        for (tok, v) in [
+            ("2.5", 2.5),
+            ("1e3", 1e3),
+            ("-0", -0.0),
+            ("infinity", f64::INFINITY),
+        ] {
+            assert_eq!(
+                parse_number(tok).map(f64::to_bits),
+                Some(v.to_bits()),
+                "{tok}"
+            );
+        }
+        for bad in [
+            "x+ff8000000000000", // from_str_radix alone would take the sign
+            "x-ff8000000000000",
+            "x3ff800000000000",   // 15 digits
+            "x3ff80000000000000", // 17 digits
+            "x3FF8000000000000",  // upper case is not the canonical form
+            "x3ff800000000000g",
+            "x 3ff8000000000000",
+            "x",
+            "1.5.",
+        ] {
+            assert_eq!(parse_number(bad), None, "{bad}");
+            let body = format!("arrive 0 @1 w=1 {bad}");
+            let err = parse_record(&body).unwrap_err();
+            assert!(err.contains("bad size"), "{bad}: {err}");
+        }
+    }
+
+    /// A journal as a `v1` binary wrote it (every size in shortest
+    /// decimal) must still recover to the log of an uninterrupted run,
+    /// and recovery marks the file `v2` before appending hex records.
+    #[test]
+    fn v1_decimal_journal_recovers_to_the_fresh_run_log() {
+        const V1: &str = "\
+#osr-journal v1 fp=e027f4498ba5eed7
+arrive 0 @0.125 w=1 2.5 inf #hd03bc0d97ab5432d
+arrive 1 @0.5 w=2 1.3 0.7000000000000001 #h64dfe3d6e85c3572
+drain 1 @0.75 #hb602e7bb02e72d2c
+arrive 2 @1 w=1 3.7310627019737903 inf #h42c0217388b0c9d3
+join 1 @1.5 #h2747e20e801ab8a4
+arrive 3 @2 w=1 0.1 4 #h8bdab2080b6dd551
+advance 3 #h111adf285e162cdc
+";
+        let fp = fingerprint("flow:0.5", 2, &[]);
+        let inf = f64::INFINITY;
+        let mut fresh = sess(2);
+        fresh.arrive(0.125, 1.0, vec![2.5, inf]).unwrap();
+        fresh
+            .arrive(0.5, 2.0, vec![1.3, 0.7000000000000001])
+            .unwrap();
+        fresh.capacity(CapacityChange::Drain, 1, 0.75).unwrap();
+        fresh
+            .arrive(1.0, 1.0, vec![3.7310627019737903, inf])
+            .unwrap();
+        fresh.capacity(CapacityChange::Join, 1, 1.5).unwrap();
+        fresh.arrive(2.0, 1.0, vec![0.1, 4.0]).unwrap();
+        fresh.advance(3.0).unwrap();
+        fresh.arrive(3.5, 1.0, vec![0.3, 5.0e-324]).unwrap();
+        let oracle = model_io::log_to_string(&fresh.finish().unwrap());
+
+        let path = tmp("v1");
+        std::fs::write(&path, V1).unwrap();
+        let (mut js, report, warnings) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!((report.records_replayed, report.rejected_replays), (7, 0));
+        assert_eq!(js.cursor(), (4, 3.0));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, V1.replacen("v1", "v2", 1), "header upgraded in place");
+
+        // A hex record after the decimal ones; a second crash and
+        // recovery over the mixed file still reproduces the fresh run.
+        js.arrive(3.5, 1.0, vec![0.3, 5.0e-324]).unwrap();
+        drop(js);
+        let (js, report, _w) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
+        assert_eq!(report.records_replayed, 8);
+        assert_eq!(
+            model_io::log_to_string(&Box::new(js).finish().unwrap()),
+            oracle
+        );
+    }
+
     #[test]
     fn recover_replays_to_identical_cursor_and_rejects_fingerprint_drift() {
         let path = tmp("roundtrip");
@@ -1055,10 +1359,12 @@ mod tests {
         // truncated literal still parses as a (different) f64, so only
         // the checksum can catch it.
         let intact = std::fs::read_to_string(&path).unwrap();
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        let torn = raw_line("arrive 4 @2.7310627019737903 w=1 1 2");
-        f.write_all(&torn.as_bytes()[..torn.len() - 20]).unwrap();
-        drop(f);
+        let tear = |bytes: &[u8]| {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(bytes).unwrap();
+        };
+        let torn = framed("arrive 4 @2.7310627019737903 w=1 1 2");
+        tear(&torn.as_bytes()[..torn.len() - 20]);
 
         let rec = Journal::recover(&path, fp, 0).unwrap();
         assert_eq!(rec.dropped, 1);
@@ -1066,10 +1372,27 @@ mod tests {
         // Physically truncated back to the intact prefix.
         assert_eq!(std::fs::read_to_string(&path).unwrap(), intact);
 
+        // A hex record cut mid-token, and one cut right after a whole
+        // size token. Both are newline-terminated here, and the second
+        // still parses as a valid record with fewer sizes: only the
+        // checksum rejects them.
+        let body = encode_arrive(4, 2.5, 1.0, &[0.1, 3.0]);
+        let cut_at = body.find(" x").unwrap() + SIZE_TOKEN_MAX;
+        assert!(
+            parse_record(&body[..cut_at]).is_ok(),
+            "cut after a whole token"
+        );
+        for cut in [cut_at - 7, cut_at] {
+            tear(format!("{}\n", &body[..cut]).as_bytes());
+            let rec = Journal::recover(&path, fp, 0).unwrap();
+            assert_eq!((rec.dropped, rec.records.len()), (1, 5), "cut at {cut}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), intact);
+        }
+
         // Mid-file corruption (a valid record *after* garbage) is not
         // a torn tail and must refuse.
         let mut text = std::fs::read_to_string(&path).unwrap();
-        let good_line = raw_line("advance 99");
+        let good_line = framed("advance 99");
         let lines: Vec<&str> = intact.lines().collect();
         let corrupt_at = lines[3].len(); // inside record territory
         text.insert_str(text.len() - corrupt_at, "XX");
