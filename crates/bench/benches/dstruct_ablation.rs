@@ -46,40 +46,55 @@ fn backend_ablation(c: &mut Criterion) {
 }
 
 /// The machine-count sweep of the dispatch argmin: full §2 scheduler
-/// on identical machines with Poisson arrivals ∝ m, pruned
-/// (tournament-index) vs linear dispatch. Linear is capped at
-/// m ≤ 1024 — beyond that its `n·m` exact `λ_ij` evaluations take the
-/// suite from seconds to minutes (the `m_scale` experiment records the
-/// full-mode numbers).
+/// with Poisson arrivals ∝ m, pruned (tournament-index) vs linear
+/// dispatch, under two machine models:
+///
+/// * **identical** machines (`pruned_m{m}` / `linear_m{m}`): uniform
+///   rows, which keep the global `p̂` and no rack layer;
+/// * **unrelated** machines (`pruned_unrelated_m{m}` /
+///   `linear_unrelated_m{m}`, sizes × U[1, 4] per machine, the model
+///   of servebench's `dense-m1024`): fully eligible non-uniform rows,
+///   whose heap descent bounds subtrees with rack-local `p̂` minima.
+///   With only the global `p̂` this row lost to the linear scan.
+///
+/// Linear is capped at m ≤ 1024 — beyond that its `n·m` exact `λ_ij`
+/// evaluations take the suite from seconds to minutes (the `m_scale`
+/// experiment records the full-mode numbers).
 fn dispatch_m_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_m_sweep");
-    for &(m, n) in &[
-        (4usize, 2_000usize),
-        (64, 2_000),
-        (1_024, 4_096),
-        (16_384, 2_048),
-    ] {
-        let mut w = FlowWorkload::standard(n, m, 42);
-        w.machine_model = MachineSpec::Identical;
-        let inst = w.generate(InstanceKind::FlowTime);
-        for dispatch in [DispatchIndex::Pruned, DispatchIndex::Linear] {
-            if dispatch == DispatchIndex::Linear && m > 1_024 {
-                continue;
-            }
-            let mut params = FlowParams::new(0.25);
-            params.dispatch = dispatch;
-            let label = match dispatch {
-                DispatchIndex::Pruned => "pruned",
-                DispatchIndex::Linear => "linear",
+    let identical: &[(usize, usize)] = &[(4, 2_000), (64, 2_000), (1_024, 4_096), (16_384, 2_048)];
+    let unrelated: &[(usize, usize)] = &[(64, 2_000), (1_024, 4_096), (16_384, 2_048)];
+    for (model, sizes) in [("", identical), ("unrelated_", unrelated)] {
+        for &(m, n) in sizes {
+            let mut w = FlowWorkload::standard(n, m, 42);
+            w.machine_model = if model.is_empty() {
+                MachineSpec::Identical
+            } else {
+                MachineSpec::Unrelated {
+                    lo_factor: 1.0,
+                    hi_factor: 4.0,
+                }
             };
-            group.bench_with_input(
-                BenchmarkId::new(format!("{label}_m{m}"), n),
-                &inst,
-                |b, inst| {
-                    let sched = FlowScheduler::new(params).unwrap();
-                    b.iter(|| sched.run(inst).log.rejected_count());
-                },
-            );
+            let inst = w.generate(InstanceKind::FlowTime);
+            for dispatch in [DispatchIndex::Pruned, DispatchIndex::Linear] {
+                if dispatch == DispatchIndex::Linear && m > 1_024 {
+                    continue;
+                }
+                let mut params = FlowParams::new(0.25);
+                params.dispatch = dispatch;
+                let label = match dispatch {
+                    DispatchIndex::Pruned => "pruned",
+                    DispatchIndex::Linear => "linear",
+                };
+                group.bench_with_input(
+                    BenchmarkId::new(format!("{label}_{model}m{m}"), n),
+                    &inst,
+                    |b, inst| {
+                        let sched = FlowScheduler::new(params).unwrap();
+                        b.iter(|| sched.run(inst).log.rejected_count());
+                    },
+                );
+            }
         }
     }
     group.finish();

@@ -26,6 +26,14 @@
 //! next dense job id (a cheap end-to-end check that producer and
 //! server agree on the stream position).
 //!
+//! Tokens are separated by runs of **ASCII whitespace** only: space,
+//! tab, line feed, form feed and carriage return (Rust's
+//! `split_ascii_whitespace`, the same set the journal parser uses).
+//! Any other character, including Unicode spaces such as U+00A0 or
+//! U+3000 and the vertical tab, is part of a token, so a line that
+//! uses one as a separator fails to parse and gets an `err` reply; it
+//! is never silently accepted as a different row.
+//!
 //! `top` is the other side of the socket: it polls `stats` and renders
 //! an ANSI frame — queue depths, flow-time percentiles, reject counts
 //! by reason, redispatch totals, and dispatch-index stats — with no
@@ -136,7 +144,7 @@ fn handle_line(
     last_t: &mut f64,
     line: &str,
 ) -> Result<Response, String> {
-    let mut toks = line.split_whitespace();
+    let mut toks = line.split_ascii_whitespace();
     let Some(cmd) = toks.next() else {
         return Ok(Response::Quiet); // blank line
     };
@@ -229,7 +237,7 @@ fn parse_arrive<'a>(
 /// Whether a protocol line is an `arrive` line (the only kind the
 /// serve loop coalesces).
 fn is_arrive(line: &str) -> bool {
-    line.split_whitespace().next() == Some("arrive")
+    line.split_ascii_whitespace().next() == Some("arrive")
 }
 
 /// Applies a coalesced burst of `arrive` lines as **one** ingest epoch
@@ -260,7 +268,7 @@ fn process_arrive_batch(
     let mut tagged: Vec<(String, Option<Sender<String>>, Tag)> = Vec::new();
     let (mut tid, mut tt) = (*next_id, *last_t);
     for (line, reply) in lines {
-        match parse_arrive(line.split_whitespace().skip(1), tid, tt) {
+        match parse_arrive(line.split_ascii_whitespace().skip(1), tid, tt) {
             Ok(a) => {
                 tid += 1;
                 tt = a.release;
@@ -350,6 +358,7 @@ fn render_stats(sess: &dyn ServeSession) -> String {
         let _ = writeln!(out, "index_flat {}", ix.flat_searches);
         let _ = writeln!(out, "index_sparse {}", ix.sparse_searches);
         let _ = writeln!(out, "index_heap {}", ix.heap_searches);
+        let _ = writeln!(out, "index_heap_evals {}", ix.heap_evals);
         let _ = writeln!(out, "index_dirty {}", ix.dirty_leaves);
         let _ = writeln!(out, "index_live {}", ix.live);
         let _ = writeln!(out, "index_tombstones {}", ix.tombstones);
@@ -791,10 +800,11 @@ fn render_frame(stats: &BTreeMap<String, String>) -> String {
     if stats.contains_key("index_flat") {
         let _ = writeln!(
             out,
-            "  index   flat {}  sparse {}  heap {}  dirty {}  live {}  tombstones {}",
+            "  index   flat {}  sparse {}  heap {} ({} evals)  dirty {}  live {}  tombstones {}",
             get("index_flat"),
             get("index_sparse"),
             get("index_heap"),
+            get("index_heap_evals"),
             get("index_dirty"),
             get("index_live"),
             get("index_tombstones"),
@@ -1056,6 +1066,49 @@ shutdown
         ));
     }
 
+    /// The separator set is ASCII whitespace: a line that separates
+    /// tokens with anything else (a no-break space, an ideographic
+    /// space, a vertical tab) is refused with an error on the serial
+    /// and the coalesced path alike — never accepted as some other row.
+    #[test]
+    fn non_ascii_separators_are_refused() {
+        let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+        let (mut id, mut t) = (0usize, 0.0f64);
+        for bad in [
+            "arrive 0 @1 2\u{a0}3",
+            "arrive\u{a0}0 @1 2 3",
+            "arrive 0 @1 2 3\u{3000}",
+            "arrive 0 @1 2\u{0b}3",
+            "advance\u{a0}5",
+        ] {
+            let err = handle_line(&mut sess, &mut id, &mut t, bad)
+                .err()
+                .unwrap_or_else(|| panic!("{bad:?} must be refused"));
+            assert!(err.contains("bad") || err.contains("unknown"), "{err}");
+            assert_eq!((id, t), (0, 0.0), "{bad:?} moved the cursor");
+        }
+        assert_eq!(sess.snapshot().arrived, 0);
+
+        // The burst coalescer answers the same line with `err` too.
+        let mut boxed: Box<dyn ServeSession> =
+            Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
+        let (tx, rx) = mpsc::channel();
+        let burst = vec![
+            ("arrive 0 @1 2\u{a0}3".to_string(), Some(tx.clone())),
+            ("arrive 0 @1 2 3".to_string(), Some(tx)),
+        ];
+        process_arrive_batch(boxed.as_mut(), &mut id, &mut t, burst);
+        let replies: Vec<String> = rx.try_iter().collect();
+        assert!(replies[0].starts_with("err bad size"), "{replies:?}");
+        assert_eq!(replies[1], "ok\n");
+        assert_eq!((id, t), (1, 1.0));
+        assert_eq!(boxed.snapshot().arrived, 1);
+
+        // Every ASCII separator still works: tab, form feed, CR.
+        assert!(handle_line(boxed.as_mut(), &mut id, &mut t, "arrive\t1\x0c@2 2\t3\r").is_ok());
+        assert_eq!((id, t), (2, 2.0));
+    }
+
     #[test]
     fn offline_lists_parse() {
         assert_eq!(parse_offline("1,3,7").unwrap(), vec![1, 3, 7]);
@@ -1085,6 +1138,8 @@ shutdown
             ("flow_p95", "3.5"),
             ("flow_p99", "4.2"),
             ("index_flat", "120"),
+            ("index_heap", "5"),
+            ("index_heap_evals", "40"),
             ("index_live", "7"),
         ] {
             map.insert(k.to_string(), v.to_string());
@@ -1095,6 +1150,7 @@ shutdown
         assert!(frame.contains("p95 3.500"), "{frame}");
         assert!(frame.contains("rule-1 2"), "{frame}");
         assert!(frame.contains("flat 120"), "{frame}");
+        assert!(frame.contains("heap 5 (40 evals)"), "{frame}");
         assert!(frame.contains('█'), "{frame}");
         // No load_* keys — no load pane.
         assert!(!frame.contains("load"), "{frame}");
@@ -1141,6 +1197,28 @@ shutdown
         }
         // One job runs, one is pending behind it on the same machine.
         assert!(block.contains("load_0 1"), "{block}");
+    }
+
+    /// Past the flat crossover the heap descent answers dense rows, and
+    /// the stats block reports how many exact evaluations it made.
+    #[test]
+    fn stats_block_reports_heap_evals() {
+        let m = 256;
+        let mut sess = FlowSession::new(FlowParams::new(0.5), m).unwrap();
+        for k in 0..4 {
+            let row: Vec<f64> = (0..m).map(|i| 1.0 + ((i + k) % 5) as f64).collect();
+            sess.arrive(k as f64, 1.0, row).unwrap();
+        }
+        let block = render_stats(&sess);
+        let value = |key: &str| -> u64 {
+            block
+                .lines()
+                .find_map(|l| l.strip_prefix(key)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("no {key} in {block}"))
+        };
+        let (searches, evals) = (value("index_heap"), value("index_heap_evals"));
+        assert_eq!(searches, 4, "{block}");
+        assert!(evals >= searches && evals < 4 * m as u64, "{block}");
     }
 
     #[test]

@@ -57,18 +57,26 @@
 //! locked by the `tests/dispatch_equivalence` proptests and the CI
 //! experiment-suite diffs.
 //!
-//! Since PR 5 restricted jobs additionally carry **rack-local minima**
-//! ([`osr_model::RackPHat`]: per-64-machine-word and per-4096-machine
-//! layers mirroring the mask words), and the tournament search hands
-//! every node bound its machine range, so `PHatView::for_range`
-//! substitutes the *range's own* cheapest eligible size for the global
-//! `p̂`. Every bound formula below is monotone non-decreasing in `p`
-//! and the rack value is still `≤ p_ij` for every eligible machine in
-//! the range (it is the minimum over a containing superset), so the
-//! bounds stay sound lower bounds — they are merely *tighter*, which
-//! prunes more subtrees without ever changing the argmin. On
-//! rack-affinity workloads with heterogeneous sizes this is what keeps
-//! the masked heap descent from exactly-probing every rack whose
+//! Every job whose row is not uniform additionally carries
+//! **rack-local minima** ([`osr_model::RackPHat`]: per-64-machine-word
+//! and per-4096-machine layers mirroring the mask words), and the
+//! tournament search hands every node bound its machine range, so
+//! `PHatView::for_range` substitutes the *range's own* cheapest
+//! eligible size for the global `p̂`. Every bound formula below is
+//! monotone non-decreasing in `p` and the rack value is still `≤ p_ij`
+//! for every eligible machine in the range (it is the minimum over a
+//! containing superset), so the bounds stay sound lower bounds — they
+//! are merely *tighter*, which prunes more subtrees without ever
+//! changing the argmin.
+//!
+//! Since PR 5 restricted rows built the layers; fully eligible rows
+//! used to keep only the global `p̂`, and on dense unrelated machines
+//! that bound was too loose to prune, so the heap descent lost to the
+//! linear scan (`dispatch_m_sweep`'s `unrelated` rows record the gap).
+//! Now only uniform rows (every size finite and bit-equal: identical
+//! machines) skip the layers, since there every rack minimum equals
+//! the global one. On rack-affinity and unrelated workloads alike this
+//! keeps the heap descent from exactly-probing every subtree whose
 //! global-`p̂` bound looked attractive.
 //!
 //! ## The job-side input: the eligibility mask
@@ -157,8 +165,8 @@ pub(crate) fn mask_view(elig: &EligMask) -> MaskView<'_> {
 }
 
 /// Borrowed view of a job's `p̂` inputs for the subtree bounds: the
-/// global minimum plus, for restricted rows, the rack-local layers
-/// (see the module docs for the soundness argument).
+/// global minimum plus, for every non-uniform row, the rack-local
+/// layers (see the module docs for the soundness argument).
 #[derive(Clone, Copy)]
 pub(crate) struct PHatView<'a> {
     global: f64,
@@ -177,7 +185,7 @@ pub(crate) fn p_hat_view(job: &Job) -> PHatView<'_> {
 impl PHatView<'_> {
     /// The cheapest eligible size the bound for machine range
     /// `[lo, lo + span)` may assume: the rack-local minimum when the
-    /// job caches one (restricted rows), the global `p̂` otherwise.
+    /// job caches one (non-uniform rows), the global `p̂` otherwise.
     #[inline]
     pub(crate) fn for_range(&self, lo: usize, span: usize) -> f64 {
         match self.racks {
@@ -536,11 +544,22 @@ mod tests {
 
     #[test]
     fn p_hat_view_resolves_rack_minima() {
-        // Dense row: every range resolves to the global p̂.
-        let dense = Job::new(0, 0.0, vec![3.0, 1.0, 2.0]);
+        // Uniform row: no rack layer, every range resolves to the
+        // global p̂.
+        let uniform = Job::new(0, 0.0, vec![2.0; 130]);
+        let v = p_hat_view(&uniform);
+        assert_eq!(v.for_range(0, 64), 2.0);
+        assert_eq!(v.for_range(128, 64), 2.0);
+        // Dense unrelated row: each rack resolves to its own minimum.
+        let mut sizes = vec![5.0; 130];
+        sizes[10] = 1.0;
+        sizes[100] = 3.0;
+        let dense = Job::new(0, 0.0, sizes);
         let v = p_hat_view(&dense);
-        assert_eq!(v.for_range(0, 2), 1.0);
-        assert_eq!(v.for_range(2, 2), 1.0);
+        assert_eq!(v.for_range(0, 64), 1.0);
+        assert_eq!(v.for_range(64, 64), 3.0);
+        assert_eq!(v.for_range(128, 64), 5.0);
+        assert_eq!(v.for_range(0, 256), 1.0);
         // Restricted row across a word boundary: ranges resolve to
         // their own rack's minimum, which tightens (raises) the bound
         // input away from the cheap rack.

@@ -423,6 +423,10 @@ pub struct IndexStats {
     pub sparse_searches: u64,
     /// Searches answered by the best-first heap descent.
     pub heap_searches: u64,
+    /// Exact leaf evaluations (`eval` calls) made inside heap
+    /// descents — divided by `heap_searches`, how many machines a
+    /// descent probes exactly, i.e. how well the subtree bounds prune.
+    pub heap_evals: u64,
     /// Dirty leaves whose ancestors await the next batched repair
     /// sweep (the lazy-propagation backlog; always 0 under eager
     /// propagation and in flat mode).
@@ -446,6 +450,7 @@ impl IndexStats {
         self.flat_searches += other.flat_searches;
         self.sparse_searches += other.sparse_searches;
         self.heap_searches += other.heap_searches;
+        self.heap_evals += other.heap_evals;
         self.dirty_leaves += other.dirty_leaves;
         self.live += other.live;
         self.tombstones += other.tombstones;
@@ -506,6 +511,8 @@ pub struct MachineIndex {
     flat_searches: u64,
     sparse_searches: u64,
     heap_searches: u64,
+    /// Exact `eval` calls made by heap descents (see [`IndexStats`]).
+    heap_evals: u64,
 }
 
 impl MachineIndex {
@@ -586,6 +593,7 @@ impl MachineIndex {
             flat_searches: 0,
             sparse_searches: 0,
             heap_searches: 0,
+            heap_evals: 0,
         };
         if mode == SearchMode::Heap {
             ix.rebuild_all();
@@ -652,6 +660,7 @@ impl MachineIndex {
             flat_searches: self.flat_searches,
             sparse_searches: self.sparse_searches,
             heap_searches: self.heap_searches,
+            heap_evals: self.heap_evals,
             dirty_leaves: self.dirty.iter().map(|w| w.count_ones() as usize).sum(),
             live: self.live_count(),
             tombstones: self.tombstones,
@@ -1236,6 +1245,7 @@ impl MachineIndex {
                 if !beats(lb, idx, &best) {
                     continue;
                 }
+                self.heap_evals += 1;
                 if let Some(val) = eval(idx) {
                     if beats(val, idx, &best) {
                         best = Some((val, idx));
@@ -2118,6 +2128,83 @@ mod tests {
         merged.merge(&s);
         assert_eq!(merged.searches(), 3);
         assert_eq!(merged.live, 16 + m);
+    }
+
+    /// `heap_evals` counts exactly the `eval` calls heap descents make:
+    /// randomized stats, slack bounds and a mix of dense and sparse
+    /// masks, with the flat and sparse arms contributing nothing.
+    #[test]
+    fn heap_evals_count_every_heap_eval_call() {
+        let mut state = 0xBADC0DEu64;
+        for (m, mode) in [
+            (48usize, SearchMode::Flat),
+            (200, SearchMode::Heap),
+            (1_024, SearchMode::Heap),
+        ] {
+            let mut ix = MachineIndex::with_config(m, mode, Propagation::Lazy);
+            let mut calls = 0u64;
+            for round in 0..40 {
+                for _ in 0..8 {
+                    let i = (xorshift(&mut state) % m as u64) as usize;
+                    let c = xorshift(&mut state) % 4;
+                    ix.update(
+                        i,
+                        if c == 0 {
+                            MachineStats::EMPTY
+                        } else {
+                            busy(c, c as f64, 1.0 + (c % 3) as f64)
+                        },
+                    );
+                }
+                let slack = (round % 3) as f64;
+                let value = |i: usize, s: &MachineStats| 1.0 + s.count as f64 + (i % 5) as f64;
+                let stats: Vec<MachineStats> = (0..m).map(|i| *ix.stats(i)).collect();
+                let before = ix.index_stats();
+                let dense = round % 4 != 0;
+                let (words, summary) = stride_mask(m, 96, round % 96);
+                let mask = if dense {
+                    MaskView::All
+                } else {
+                    MaskView::Words {
+                        words: &words,
+                        summary: &summary,
+                    }
+                };
+                let mut evals = 0u64;
+                let _ = ix.search_masked(
+                    mask,
+                    |ns, _, _| 1.0 + ns.min_count as f64 - slack,
+                    |_, s| 1.0 + s.count as f64 - slack,
+                    |i| {
+                        evals += 1;
+                        Some(value(i, &stats[i]))
+                    },
+                );
+                let after = ix.index_stats();
+                if after.heap_searches > before.heap_searches {
+                    calls += evals;
+                } else {
+                    assert_eq!(after.heap_evals, before.heap_evals, "m={m}");
+                }
+            }
+            let s = ix.index_stats();
+            assert_eq!(s.heap_evals, calls, "m={m}");
+            if mode == SearchMode::Flat {
+                assert_eq!(s.heap_evals, 0);
+            } else {
+                assert!(s.heap_searches > 0 && s.heap_evals >= s.heap_searches);
+            }
+        }
+        // Merging sums the counter like the others.
+        let mut a = IndexStats {
+            heap_evals: 3,
+            ..IndexStats::default()
+        };
+        a.merge(&IndexStats {
+            heap_evals: 4,
+            ..IndexStats::default()
+        });
+        assert_eq!(a.heap_evals, 7);
     }
 
     /// A mask with no bits set short-circuits to `None` without work.

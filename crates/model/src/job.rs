@@ -12,12 +12,13 @@
 //!   machines have finite `p_ij`, so restricted-assignment consumers can
 //!   test/count eligibility without touching the float row.
 //! * **rack-local `p̂` minima** ([`Job::rack_p_hat`], [`RackPHat`]) —
-//!   for restricted rows, the finite-size minimum per 64-machine rack
-//!   (one entry per [`EligMask`] word) plus a coarser per-4096-machine
-//!   layer. The pruned dispatch search bounds each subtree with the
-//!   *range's own* cheapest eligible size instead of the global `p̂`,
-//!   which is what makes the bounds bite on rack-affinity workloads
-//!   where a job's sizes vary across its rack.
+//!   for every non-uniform row, the finite-size minimum per 64-machine
+//!   rack (one entry per [`EligMask`] word) plus a coarser
+//!   per-4096-machine layer. The pruned dispatch search bounds each
+//!   subtree with the *range's own* cheapest eligible size instead of
+//!   the global `p̂`, which is what makes the bounds bite wherever a
+//!   job's sizes vary across machines: rack-affinity rows and dense
+//!   unrelated-machine rows alike.
 //!
 //! The caches are pure functions of `sizes`; [`Job::validate`] (and
 //! therefore [`crate::Instance::new`]) rejects a job whose caches have
@@ -147,11 +148,14 @@ impl EligMask {
 /// the range — a sound bound input, merely looser when the span is
 /// smaller than its container.
 ///
-/// Built only for restricted rows ([`EligMask::Words`]); dense rows
-/// keep the allocation-free global `p̂`, for which every rack minimum
-/// would be recomputed anyway. Like the other caches this is a pure
-/// function of `sizes`, and [`Job::validate`] rejects a desynchronized
-/// instance (bit-exact comparison).
+/// Built for every row whose sizes are not all finite and bit-equal:
+/// restricted rows and dense unrelated rows alike. Only a uniform row
+/// (identical machines) keeps the allocation-free global `p̂`, since
+/// there every rack minimum *is* the global one. The cost is
+/// `m/64 + m/4096` floats per job (136 B at m = 1 024, beside an 8 KB
+/// row). Like the other caches this is a pure function of `sizes`, and
+/// [`Job::validate`] rejects a desynchronized instance (bit-exact
+/// comparison).
 #[derive(Debug, Clone)]
 pub struct RackPHat {
     word_min: Box<[f64]>,
@@ -170,10 +174,14 @@ impl PartialEq for RackPHat {
 }
 
 impl RackPHat {
-    /// Derives the two layers from a size row; `None` for fully
-    /// eligible rows (the global `p̂` covers those without allocation).
+    /// Derives the two layers from a size row; `None` for uniform rows
+    /// (every size finite and bit-equal), whose racks all share the
+    /// global `p̂` — that path stays allocation-free.
     pub fn from_sizes(sizes: &[f64]) -> Option<Self> {
-        if sizes.iter().all(|p| p.is_finite()) {
+        if sizes
+            .iter()
+            .all(|p| p.is_finite() && p.to_bits() == sizes[0].to_bits())
+        {
             return None;
         }
         let mut word_min = vec![f64::INFINITY; sizes.len().div_ceil(64)].into_boxed_slice();
@@ -309,8 +317,8 @@ pub struct Job {
     p_hat: f64,
     /// Cached eligibility bitmask; same consistency contract.
     elig: EligMask,
-    /// Cached rack-local `p̂` minima (`None` for fully eligible rows);
-    /// same consistency contract.
+    /// Cached rack-local `p̂` minima (`None` for uniform rows, every
+    /// size finite and bit-equal); same consistency contract.
     rack: Option<RackPHat>,
 }
 
@@ -381,8 +389,8 @@ impl Job {
         &self.elig
     }
 
-    /// The cached rack-local `p̂` minima, or `None` for fully eligible
-    /// rows (whose racks all share the global [`Job::p_hat`]).
+    /// The cached rack-local `p̂` minima, or `None` for uniform rows
+    /// (whose racks all share the global [`Job::p_hat`]).
     #[inline]
     pub fn rack_p_hat(&self) -> Option<&RackPHat> {
         self.rack.as_ref()
@@ -686,8 +694,67 @@ mod tests {
         assert_eq!(rack.range_min(4096, 4096), f64::INFINITY); // padding
         assert_eq!(j.p_hat(), 1.5);
         assert!(j.validate(200).is_ok());
-        // Dense rows keep the allocation-free representation.
+        // Uniform rows (identical machines) keep the allocation-free
+        // representation.
         assert!(Job::new(1, 0.0, vec![1.0; 130]).rack_p_hat().is_none());
+        assert!(Job::new(1, 0.0, Vec::new()).rack_p_hat().is_none());
+        // A restricted row whose finite sizes are all equal is not
+        // uniform: its empty racks must still resolve to ∞.
+        let mut equal_restricted = vec![2.0; 130];
+        equal_restricted[64..128].fill(f64::INFINITY);
+        let rack = Job::new(1, 0.0, equal_restricted);
+        let rack = rack.rack_p_hat().expect("restricted row caches racks");
+        assert_eq!(rack.word_min(), &[2.0, f64::INFINITY, 2.0]);
+    }
+
+    #[test]
+    fn dense_non_uniform_rows_build_racks_matching_brute_force() {
+        // Fully eligible unrelated rows: every size finite, values
+        // varying per machine. Widths cover one word, a ragged tail and
+        // more than one 4096-machine block.
+        for m in [3usize, 64, 130, 1_000, 5_000] {
+            let sizes: Vec<f64> = (0..m)
+                .map(|i| 1.0 + ((i * 7919 + 13) % 101) as f64 / 8.0)
+                .collect();
+            let j = Job::new(0, 0.0, sizes.clone());
+            assert!(matches!(j.elig(), EligMask::All));
+            let rack = j.rack_p_hat().expect("non-uniform dense row caches racks");
+            let words: Vec<f64> = sizes
+                .chunks(64)
+                .map(|c| c.iter().copied().fold(f64::INFINITY, f64::min))
+                .collect();
+            let blocks: Vec<f64> = words
+                .chunks(64)
+                .map(|c| c.iter().copied().fold(f64::INFINITY, f64::min))
+                .collect();
+            assert_eq!(rack.word_min(), &words[..], "m={m}");
+            assert_eq!(rack.block_min(), &blocks[..], "m={m}");
+            // Every aligned range resolves to a value ≤ each of its
+            // sizes (sound), and word-aligned spans to the exact min.
+            let cap = m.next_power_of_two();
+            let mut span = 1;
+            while span <= cap {
+                for lo in (0..cap).step_by(span) {
+                    let got = rack.range_min(lo, span);
+                    let exact = sizes[lo.min(m)..(lo + span).min(m)]
+                        .iter()
+                        .copied()
+                        .fold(f64::INFINITY, f64::min);
+                    assert!(got <= exact, "m={m} lo={lo} span={span}");
+                    if span == 64 {
+                        assert_eq!(got, exact, "m={m} lo={lo}");
+                    }
+                }
+                span *= 2;
+            }
+            assert_eq!(rack.range_min(0, cap), j.p_hat(), "m={m}");
+            assert!(j.validate(m).is_ok());
+        }
+        // One differing machine is enough to make a row non-uniform.
+        let mut almost = vec![3.0; 130];
+        almost[129] = 2.0;
+        let j = Job::new(0, 0.0, almost);
+        assert_eq!(j.rack_p_hat().unwrap().word_min(), &[3.0, 3.0, 2.0]);
     }
 
     #[test]
@@ -707,6 +774,23 @@ mod tests {
         let err = j.validate(130).unwrap_err();
         assert!(err.contains("rack-p̂"), "{err}");
         // Rebuilt through a constructor the row is fine again.
+        let ok = Job::new(0, 0.0, j.sizes.clone());
+        assert!(ok.validate(130).is_ok());
+        assert_eq!(ok.rack_p_hat().unwrap().word_min()[1], 7.0);
+
+        // The same drift on a fully eligible unrelated row: the mask
+        // stays `All` and p̂ stays 1.0, so again only the rack layer
+        // can see that rack 1's minimum moved from 5.0 to 7.0.
+        let mut sizes = vec![9.0; 130];
+        sizes[0] = 1.0;
+        sizes[70] = 5.0;
+        let mut j = Job::new(0, 0.0, sizes);
+        assert!(j.validate(130).is_ok());
+        assert!(matches!(j.elig(), EligMask::All));
+        assert_eq!(j.rack_p_hat().unwrap().word_min(), &[1.0, 5.0, 9.0]);
+        j.sizes[70] = 7.0;
+        let err = j.validate(130).unwrap_err();
+        assert!(err.contains("rack-p̂"), "{err}");
         let ok = Job::new(0, 0.0, j.sizes.clone());
         assert!(ok.validate(130).is_ok());
         assert_eq!(ok.rack_p_hat().unwrap().word_min()[1], 7.0);

@@ -20,6 +20,14 @@
 //! too: the pruned side runs the chunked `[f64;4]` hot-loop kernels,
 //! the linear side the scalar oracle, so a tie-break or summation
 //! regression in either layer breaks bit-identity here.
+//!
+//! A third family generates **dense unrelated** instances past the flat
+//! crossover (m ∈ 65..=300), so the heap descent runs and every
+//! non-uniform fully eligible row bounds its subtrees with rack-local
+//! `p̂` minima (`osr_model::RackPHat`). Rows mix non-uniform sizes,
+//! uniform rows (which keep the global `p̂`) and rows whose minimum
+//! repeats on both sides of 64-machine rack boundaries, the tie
+//! pattern a sloppy rack bound would break.
 
 use online_sched_rejection::prelude::*;
 use osr_core::{DispatchIndex, KernelMode, PRUNED_MIN_MACHINES};
@@ -117,6 +125,48 @@ fn eligibility_instance() -> impl Strategy<Value = Instance> {
     })
 }
 
+/// A dense unrelated instance at m ∈ 65..=300: every size finite,
+/// weights in {1, 2, 3}. Each job draws one of three row shapes:
+/// * non-uniform — sizes from a small value set, so ties are common;
+/// * uniform — one size on every machine (no rack layer is built);
+/// * repeated minima — a costlier background with the row's minimum
+///   placed on both sides of every 64-machine rack boundary (and on the
+///   last machine), so equal rack minima compete across racks.
+fn dense_unrelated_instance() -> impl Strategy<Value = Instance> {
+    (65usize..=300, 12usize..=60, any::<u64>()).prop_map(|(m, n, seed)| {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut b = InstanceBuilder::new(m, InstanceKind::FlowEnergy);
+        let mut t = 0.0;
+        for _ in 0..n {
+            t += (next() % 4) as f64 / 4.0;
+            let weight = 1.0 + (next() % 3) as f64;
+            let base = 1.0 + (next() % 3) as f64;
+            let sizes: Vec<f64> = match next() % 3 {
+                0 => (0..m).map(|_| base + (next() % 4) as f64 / 2.0).collect(),
+                1 => vec![base; m],
+                _ => {
+                    let mut row: Vec<f64> =
+                        (0..m).map(|_| base + 1.0 + (next() % 3) as f64).collect();
+                    for k in (64..m).step_by(64) {
+                        row[k - 1] = base;
+                        row[k] = base;
+                    }
+                    row[m - 1] = base;
+                    row
+                }
+            };
+            b = b.weighted_job(t, weight, sizes);
+        }
+        b.build().unwrap()
+    })
+}
+
 fn flow_with(
     inst: &Instance,
     eps: f64,
@@ -203,6 +253,46 @@ proptest! {
         let b = osr_core::EnergyFlowScheduler::new(el).unwrap().run(&inst);
         prop_assert_eq!(a.log, b.log);
         prop_assert_eq!(a.sum_lambda(), b.sum_lambda());
+    }
+
+    #[test]
+    fn rack_bounds_are_bit_identical_on_dense_unrelated_rows(
+        inst in dense_unrelated_instance(),
+        eps in 0.1f64..1.0,
+    ) {
+        // The generator's rows really take the new path: non-uniform
+        // dense rows carry rack minima, uniform ones do not.
+        for job in inst.jobs() {
+            let uniform = job.sizes.iter().all(|p| *p == job.sizes[0]);
+            prop_assert_eq!(job.rack_p_hat().is_none(), uniform);
+        }
+        let a = flow_with(&inst, eps, DispatchIndex::Pruned, KernelMode::Chunked);
+        let b = flow_with(&inst, eps, DispatchIndex::Linear, KernelMode::Scalar);
+        prop_assert_eq!(&a.dual.machine_of, &b.dual.machine_of);
+        prop_assert_eq!(&a.dual.lambda, &b.dual.lambda);
+        prop_assert_eq!(&a.dual.c_tilde, &b.dual.c_tilde);
+        prop_assert_eq!(&a.log, &b.log);
+
+        let mut wp = osr_core::flowtime::WeightedFlowParams::new(eps);
+        wp.dispatch = DispatchIndex::Pruned;
+        wp.kernels = KernelMode::Chunked;
+        let mut wl = osr_core::flowtime::WeightedFlowParams::new(eps);
+        wl.dispatch = DispatchIndex::Linear;
+        wl.kernels = KernelMode::Scalar;
+        let a = osr_core::flowtime::WeightedFlowScheduler::new(wp).unwrap().run(&inst);
+        let b = osr_core::flowtime::WeightedFlowScheduler::new(wl).unwrap().run(&inst);
+        prop_assert_eq!(a.log, b.log);
+
+        let mut ep = osr_core::EnergyFlowParams::new(eps, 2.2);
+        ep.dispatch = DispatchIndex::Pruned;
+        ep.kernels = KernelMode::Chunked;
+        let mut el = osr_core::EnergyFlowParams::new(eps, 2.2);
+        el.dispatch = DispatchIndex::Linear;
+        el.kernels = KernelMode::Scalar;
+        let a = osr_core::EnergyFlowScheduler::new(ep).unwrap().run(&inst);
+        let b = osr_core::EnergyFlowScheduler::new(el).unwrap().run(&inst);
+        prop_assert_eq!(a.log, b.log);
+        prop_assert_eq!(a.sum_lambda().to_bits(), b.sum_lambda().to_bits());
     }
 
     #[test]
