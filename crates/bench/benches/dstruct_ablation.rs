@@ -1,19 +1,14 @@
 //! EXP-SCALE (part 2): the data-structure ablation DESIGN.md calls out
 //! — the full §2 algorithm with the `O(log n)` treap backend vs the
 //! `O(n)` sorted-vector backend, on a single hot machine (worst case
-//! for queue length), plus raw structure microbenchmarks.
-//!
-//! The raw group also runs the **arena vs boxed** treap head-to-head:
-//! the superseded `Box`-per-node implementation is kept in
-//! `osr_dstruct::treap_boxed` precisely so this bench can keep
-//! quantifying what the allocation-free arena buys (see BENCH.md for
-//! recorded baselines).
+//! for queue length), plus raw structure microbenchmarks (see BENCH.md
+//! for recorded baselines).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use osr_core::dispatch::rebuild_capacity_index;
+use osr_core::dispatch::rebuild_shard_index;
 use osr_core::{DispatchIndex, FlowParams, FlowScheduler, QueueBackend};
 use osr_dstruct::{
-    AggTreap, BoxedAggTreap, MachineIndex, MachineStats, MaskView, NaiveAggQueue, NodeStats,
+    AggTreap, KernelMode, MachineIndex, MachineStats, MaskView, NaiveAggQueue, NodeStats,
     Propagation, SearchMode,
 };
 use osr_model::{EligMask, InstanceKind, Job, OnlineSet};
@@ -456,13 +451,14 @@ fn rack_phat(c: &mut Criterion) {
 /// The PR 6 elastic-pool resize ablation: absorbing a rack-sized
 /// capacity incident (8 machines crash, the pool runs degraded, the
 /// rack rejoins) with the **incremental** tombstone/join path vs the
-/// **rebuild-from-scratch oracle** of `CapacityIndexMode::Rebuild`,
+/// **rebuild-from-scratch reference** of `CapacityIndexMode::Rebuild`,
 /// which reconstructs the whole index after *every* capacity event —
-/// exactly what `sync_capacity_index` does per event in the
-/// schedulers. A dispatch search runs after each burst (degraded and
-/// recovered), so both variants pay the search they exist to serve.
-/// The oracle's job is bit-identical answers (CI diffs the CSVs);
-/// this group prices what the incremental path saves.
+/// exactly what `sync_shard_index` does per event in the schedulers
+/// under `SchedulerConfig::reference()`. A dispatch search runs after
+/// each burst (degraded and recovered), so both variants pay the search
+/// they exist to serve. The reference's job is bit-identical answers
+/// (`reference_equivalence` diffs the CSVs); this group prices what the
+/// incremental path saves.
 fn elastic_resize(c: &mut Criterion) {
     let mut group = c.benchmark_group("elastic_resize");
     let m = 1_024usize;
@@ -471,6 +467,11 @@ fn elastic_resize(c: &mut Criterion) {
         count: 3 + (i % 3) as u64,
         wsum: 14.0 + (i % 5) as f64,
         min_size: 3.0 + (i % 7) as f64 * 0.25,
+    };
+    // The whole-pool rebuild, as the schedulers' production index
+    // settings would run it.
+    let rebuild = |online: &OnlineSet| {
+        rebuild_shard_index(0, m, online, Propagation::Lazy, KernelMode::Chunked, stats)
     };
     fn probe(ix: &mut MachineIndex) -> Option<(usize, f64)> {
         // Busy-everywhere bounds: the descent does real comparisons on
@@ -494,7 +495,7 @@ fn elastic_resize(c: &mut Criterion) {
             ix.tombstone(i);
             online.set_offline(i);
         }
-        let mut oracle = rebuild_capacity_index(m, &online, stats);
+        let mut oracle = rebuild(&online);
         assert_eq!(
             probe(&mut ix),
             probe(&mut oracle),
@@ -504,7 +505,7 @@ fn elastic_resize(c: &mut Criterion) {
             ix.join(i, stats(i));
             online.set_online(i);
         }
-        let mut oracle = rebuild_capacity_index(m, &online, stats);
+        let mut oracle = rebuild(&online);
         assert_eq!(
             probe(&mut ix),
             probe(&mut oracle),
@@ -535,7 +536,7 @@ fn elastic_resize(c: &mut Criterion) {
 
     group.bench_function(format!("rebuild_m{m}"), |b| {
         let mut online = OnlineSet::all_online(m);
-        let mut ix = rebuild_capacity_index(m, &online, stats);
+        let mut ix = rebuild(&online);
         let mut base = 0usize;
         b.iter(|| {
             // The same incident, but the oracle rebuilds after every
@@ -543,12 +544,12 @@ fn elastic_resize(c: &mut Criterion) {
             // `CapacityIndexMode::Rebuild`.
             for i in base..base + rack {
                 online.set_offline(i);
-                ix = rebuild_capacity_index(m, &online, stats);
+                ix = rebuild(&online);
             }
             let degraded = probe(&mut ix);
             for i in base..base + rack {
                 online.set_online(i);
-                ix = rebuild_capacity_index(m, &online, stats);
+                ix = rebuild(&online);
             }
             base = (base + rack) % (m - rack);
             (degraded, probe(&mut ix))
@@ -557,21 +558,18 @@ fn elastic_resize(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR 9 kernel ablation: the four chunked `[T;4]` hot-loop
-/// kernels against their scalar oracle twins, isolated from the
-/// schedulers, at the three pool sizes the acceptance gate names.
-/// Each pair runs the *same* inputs through `KernelMode::Chunked` and
-/// `KernelMode::Scalar`; the scalar twin is the bit-exact oracle the
-/// equivalence suites pin, so the only degree of freedom here is
-/// speed. Honest expectations (recorded in BENCH.md "PR 9"):
-/// `flat_scan` and `dirty_sweep` are the real lane wins; `agg_pass`
-/// is dependency-serialized in both modes (treap parent-child chains)
-/// and sits at ≈ 1×; `mask_walk` chunks only the word-math half
-/// around the inherently serial set-bit walk.
+/// The PR 9 kernel ablation: the chunked `[T;4]` hot-loop kernels
+/// against their scalar twins, isolated from the schedulers, at the
+/// three pool sizes the acceptance gate names. Each pair runs the
+/// *same* inputs through `KernelMode::Chunked` and `KernelMode::Scalar`;
+/// the scalar twin is the bit-exact reference the equivalence suites
+/// pin, so the only degree of freedom here is speed. Expectations
+/// (recorded in BENCH.md "PR 9"): `flat_scan` is the real lane win;
+/// `mask_walk` chunks only the word-math half around the inherently
+/// serial set-bit walk.
 fn kernel_ablation(c: &mut Criterion) {
     use osr_dstruct::kernel::{
-        agg_fix4, bound_min4, intersect_words4, node_fix4, popcount_capped4, summarize_words4,
-        walk_set_bits, AggFix, AggRow, KernelMode, LANES,
+        bound_min4, intersect_words4, popcount_capped4, summarize_words4, walk_set_bits, LANES,
     };
     let mut group = c.benchmark_group("kernel_ablation");
     for &m in &[64usize, 1_024, 16_384] {
@@ -612,63 +610,7 @@ fn kernel_ablation(c: &mut Criterion) {
                 });
             });
 
-            // 2. The dirty-leaf sweep: the full per-level ancestor
-            // recompute cascade (leaves → root), i.e. the worst-case
-            // batched repair the lazy propagation path pays at a
-            // search after every leaf went dirty.
-            let leaves: Vec<NodeStats> = rows
-                .iter()
-                .map(|s| NodeStats {
-                    min_count: s.count,
-                    min_wsum: s.wsum,
-                    max_wsum: s.wsum,
-                    min_size: s.min_size,
-                })
-                .collect();
-            group.bench_function(format!("dirty_sweep_{label}_m{m}"), |b| {
-                let mut levels: Vec<Vec<NodeStats>> = Vec::new();
-                let mut w = m / 2;
-                while w >= 1 {
-                    levels.push(vec![leaves[0]; w]);
-                    if w == 1 {
-                        break;
-                    }
-                    w /= 2;
-                }
-                b.iter(|| {
-                    node_fix4(mode, &leaves, &mut levels[0]);
-                    for i in 1..levels.len() {
-                        let (lo, hi) = levels.split_at_mut(i);
-                        node_fix4(mode, &lo[i - 1], &mut hi[0]);
-                    }
-                    levels.last().unwrap()[0].min_size
-                });
-            });
-
-            // 3. The treap aggregate pass: a full bottom-up rebuild of
-            // a heap-shaped arena through `AggFix` batches — the
-            // `fix_path_rev` shape at maximal batch size. Dependency-
-            // serialized in BOTH modes (entry k+1 reads what entry k
-            // wrote), so the honest expectation is ≈ 1×.
-            let nil = u32::MAX;
-            let batch: Vec<AggFix> = (0..m as u32)
-                .rev()
-                .map(|n| AggFix {
-                    node: n,
-                    left: if 2 * n + 1 < m as u32 { 2 * n + 1 } else { nil },
-                    right: if 2 * n + 2 < m as u32 { 2 * n + 2 } else { nil },
-                    weight: 1.0 + (n % 7) as f64,
-                })
-                .collect();
-            group.bench_function(format!("agg_pass_{label}_m{m}"), |b| {
-                let mut aggs = vec![AggRow::ZERO; m];
-                b.iter(|| {
-                    agg_fix4(mode, &mut aggs, nil, &batch);
-                    aggs[0].sum
-                });
-            });
-
-            // 4. The mask word walk: the sparse-search admission path
+            // 2. The mask word walk: the sparse-search admission path
             // exactly as the consumer runs it — EligMask ∩ OnlineSet
             // intersect (with summary maintenance), the capped
             // popcount admission test, a summary rebuild of the
@@ -737,16 +679,6 @@ fn raw_structures(c: &mut Criterion) {
                 )
             });
         });
-        group.bench_with_input(BenchmarkId::new("boxed_treap", n), &n, |b, &n| {
-            b.iter(|| {
-                insert_query(
-                    n,
-                    |t: &mut BoxedAggTreap<u32>, k, w| t.insert(k, w),
-                    |t, k| t.agg_le(&k).count,
-                    BoxedAggTreap::new(),
-                )
-            });
-        });
         // The naive baseline is O(n) per op — cap it at the smaller size
         // to keep the suite's wall clock sane.
         if n <= 10_000 {
@@ -810,19 +742,6 @@ fn steady_state_churn(c: &mut Criterion) {
     for &live in &[1_000u32, 10_000] {
         group.bench_with_input(BenchmarkId::new("arena", live), &live, |b, &live| {
             let mut t = AggTreap::from_sorted((0..live).map(|k| (k, 1.0)));
-            let mut next_key = live;
-            b.iter(|| {
-                let popped = t.pop_first().unwrap().0;
-                t.insert(next_key, 1.0);
-                next_key = next_key.wrapping_add(1);
-                popped
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("boxed", live), &live, |b, &live| {
-            let mut t = BoxedAggTreap::new();
-            for k in 0..live {
-                t.insert(k, 1.0);
-            }
             let mut next_key = live;
             b.iter(|| {
                 let popped = t.pop_first().unwrap().0;

@@ -16,8 +16,8 @@
 //! BENCH.md trajectory exists to protect. The tolerance (default 0.30,
 //! i.e. "fail on >30% regression") absorbs quick-mode sampling noise;
 //! the tracked ratios are chosen with wide speedup margins, and the
-//! two allocation-heavy pairs whose measured run-to-run wobble
-//! approaches the default gate carry wider per-ratio tolerances (see
+//! pairs whose measured run-to-run wobble approaches the default gate
+//! carry wider per-ratio tolerances (see
 //! `KEY_RATIOS`). `--tolerance` raises the floor for every pair.
 //!
 //! Pairs present in the fresh run but missing from the baseline are
@@ -36,8 +36,8 @@ use std::process::ExitCode;
 /// 100k-element microbenches swing ±25% run to run on an idle
 /// container — measured across three committed/fresh snapshots — so a
 /// default-tolerance gate on them would flake). The wider tolerances
-/// still catch the regressions that matter: both guarded ratios sit at
-/// 2–6×, so a 50% gate fires long before the optimized structure
+/// still catch the regressions that matter: the bulk-build ratio sits
+/// at 2–6×, so a 50% gate fires long before the optimized structure
 /// actually loses to its ablation.
 const KEY_RATIOS: &[(&str, &str, &str, &str, Option<f64>)] = &[
     (
@@ -46,13 +46,6 @@ const KEY_RATIOS: &[(&str, &str, &str, &str, Option<f64>)] = &[
         "Naive/10000",
         "Treap/10000",
         None,
-    ),
-    (
-        "arena-vs-boxed treap raw (n=100k)",
-        "agg_structures_raw",
-        "boxed_treap/100000",
-        "arena_treap/100000",
-        Some(0.50),
     ),
     (
         "pruned-vs-linear dispatch (m=1024)",
@@ -67,13 +60,6 @@ const KEY_RATIOS: &[(&str, &str, &str, &str, Option<f64>)] = &[
         "incremental/100000",
         "from_sorted/100000",
         Some(0.50),
-    ),
-    (
-        "binary-vs-pairing event queue (n=100k)",
-        "event_queue_backends",
-        "pairing_heap/100000",
-        "binary_heap/100000",
-        None,
     ),
     (
         "cached-vs-scanned p-hat (m=1024)",
@@ -144,9 +130,9 @@ const KEY_RATIOS: &[(&str, &str, &str, &str, Option<f64>)] = &[
     ),
     // PR 6: the elastic-pool resize path. Incremental
     // tombstone/join absorption of a rack-sized incident vs the
-    // rebuild-from-scratch oracle that reconstructs the index after
+    // rebuild-from-scratch reference that reconstructs the index after
     // every capacity event (the `CapacityIndexMode::Rebuild`
-    // contract). The oracle exists for bit-identical CI diffs, not
+    // contract). The reference exists for bit-identical diffs, not
     // speed — the margin is wide (per-event rebuilds are O(m·events))
     // — so the widened 50% gate guards the incremental path without
     // flaking on quick-mode noise.
@@ -189,28 +175,16 @@ const KEY_RATIOS: &[(&str, &str, &str, &str, Option<f64>)] = &[
         "sharded8_m4096/20480",
         Some(0.50),
     ),
-    // PR 9: the chunked `[T;4]` kernel layer vs its scalar oracle,
+    // PR 9: the chunked `[T;4]` kernel layer vs its scalar twin,
     // isolated from the schedulers at the acceptance size m = 1024.
-    // `flat_scan` (fused bound eval + argmin) and `dirty_sweep`
-    // (per-level ancestor recompute) are the lane wins the gate
+    // `flat_scan` (fused bound eval + argmin) is the lane win the gate
     // protects; `mask_walk` chunks only the word math around the
-    // serial set-bit walk; `agg_pass` is dependency-serialized in
-    // both modes (treap parent-child chains), so its ratio sits at
-    // ≈ 1× by construction and is recorded but deliberately NOT
-    // gated — a 50% gate on an exactly-1.0 pair would only ever
-    // measure container noise.
+    // serial set-bit walk.
     (
         "chunked-vs-scalar flat bound scan (m=1024)",
         "kernel_ablation",
         "flat_scan_scalar_m1024",
         "flat_scan_chunked_m1024",
-        Some(0.50),
-    ),
-    (
-        "chunked-vs-scalar dirty-leaf sweep (m=1024)",
-        "kernel_ablation",
-        "dirty_sweep_scalar_m1024",
-        "dirty_sweep_chunked_m1024",
         Some(0.50),
     ),
     (

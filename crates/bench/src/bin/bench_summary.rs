@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Mechanism: invokes `cargo bench` for the `dstruct_ablation`,
-//! `event_queue`, and `epoch_shard` suites with `OSR_BENCH_QUICK=1`
+//! `epoch_shard`, and `serve_journal` suites with `OSR_BENCH_QUICK=1`
 //! (5 samples × ~5 ms —
 //! seconds, not minutes) and `OSR_BENCH_JSON` pointed at a temp file the
 //! criterion shim appends one JSON line per benchmark to; those lines
@@ -18,12 +18,7 @@
 use std::fs;
 use std::process::Command;
 
-const SUITES: &[&str] = &[
-    "dstruct_ablation",
-    "event_queue",
-    "epoch_shard",
-    "serve_journal",
-];
+const SUITES: &[&str] = &["dstruct_ablation", "epoch_shard", "serve_journal"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p osr-bench --bin run_experiments -- \
-//!     [--quick] [--jobs N] [--dispatch-index linear|pruned] \
-//!     [--capacity-index incremental|rebuild] [--propagation eager|lazy] \
-//!     [--shards N] [--kernels chunked|scalar] [ids…]
+//!     [--quick] [--jobs N] [--shards N] [ids…]
 //! ```
 //!
 //! With no ids, runs all experiments. `--quick` uses the reduced sizes
@@ -14,14 +12,14 @@
 //! (see `osr_bench::experiments` for the determinism contract), so
 //! `--jobs` trades wall-clock only.
 //!
-//! The five runtime knobs are the shared [`osr_core::RuntimeDefaults`]
-//! vocabulary (same spellings and parsers as `osr run` / `osr serve`;
-//! the pre-unification spellings `--dispatch` and `--capacity` are kept
-//! as aliases). Every knob is **result-neutral** — the pruned index is
-//! exact, lazy repair reproduces the eager aggregates, incremental
-//! resize matches the rebuild oracle, and the sharded driver reconciles
-//! cross-shard argmin candidates with the serial tie-break — so CSVs
-//! are byte-identical across all of them; CI diffs each one.
+//! `--shards N` is the one runtime knob (same spelling and parser as
+//! `osr run` / `osr serve`): it sets the process-default
+//! [`osr_core::SchedulerConfig`] to the production configuration with
+//! `N` shards. It is **result-neutral** — the sharded driver reconciles
+//! cross-shard argmin candidates with the serial tie-break — so CSVs are
+//! byte-identical at any `N`; CI diffs `--shards 4` against the default.
+//! The other knobs' reference settings are diffed in-process by the
+//! `reference_equivalence` test.
 
 use std::fs;
 use std::io::Write as _;
@@ -33,7 +31,7 @@ fn main() {
 
     let mut wanted: Vec<String> = Vec::new();
     let mut jobs: Option<usize> = None;
-    let mut defaults = osr_core::RuntimeDefaults::default();
+    let mut config = osr_core::SchedulerConfig::production();
     let mut iter = args.iter();
     // Takes the flag's value token or dies with the shared usage text.
     fn value<'a>(iter: &mut std::slice::Iter<'a, String>, flag: &str) -> &'a str {
@@ -52,33 +50,8 @@ fn main() {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => {}
-            "--dispatch-index" | "--dispatch" => {
-                defaults.dispatch = Some(parsed(osr_core::parse_dispatch(value(
-                    &mut iter,
-                    "--dispatch-index",
-                ))));
-            }
-            "--capacity-index" | "--capacity" => {
-                defaults.capacity_index = Some(parsed(osr_core::parse_capacity_index(value(
-                    &mut iter,
-                    "--capacity-index",
-                ))));
-            }
-            "--propagation" => {
-                defaults.propagation = Some(parsed(osr_core::parse_propagation(value(
-                    &mut iter,
-                    "--propagation",
-                ))));
-            }
             "--shards" => {
-                defaults.shards =
-                    Some(parsed(osr_core::parse_shards(value(&mut iter, "--shards"))));
-            }
-            "--kernels" => {
-                defaults.kernels = Some(parsed(osr_core::parse_kernels(value(
-                    &mut iter,
-                    "--kernels",
-                ))));
+                config.shards = parsed(osr_core::parse_shards(value(&mut iter, "--shards")));
             }
             "--jobs" => {
                 let v = iter.next().unwrap_or_else(|| {
@@ -101,7 +74,7 @@ fn main() {
             s => wanted.push(s.to_string()),
         }
     }
-    defaults.apply();
+    osr_core::set_default_config(config);
 
     if let Some(n) = jobs {
         rayon::ThreadPoolBuilder::new()

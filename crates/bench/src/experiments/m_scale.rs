@@ -16,8 +16,8 @@
 //!    **effective** dispatch index of the Pruned-requested run
 //!    (`linear` below `PRUNED_MIN_MACHINES` — recorded so ablation
 //!    CSVs cannot mislabel themselves), so it is byte-identical across
-//!    `--jobs` *and* across `--dispatch pruned|linear` (CI diffs
-//!    both).
+//!    `--jobs` (a CI diff) *and* across a `Linear` process default
+//!    (the `reference_equivalence` test).
 //! 2. **wall-clock m-sweep** (`--full` only) — pruned vs linear
 //!    medians-of-one; timing columns are exempt from the determinism
 //!    contract exactly like `scale`'s, which is why they are not

@@ -5,8 +5,9 @@
 //! runs the full policy lineup — the paper's three algorithms plus the
 //! no-rejection greedy baselines and the speed-augmentation reference —
 //! over that grid and reports schedule facts only (no wall-clock), so
-//! its tables are byte-identical across `--jobs` and `--dispatch`
-//! (both CI determinism diffs include them).
+//! its tables are byte-identical across `--jobs` and every
+//! `SchedulerConfig` (the CI `--jobs` diff and the
+//! `reference_equivalence` test include them).
 //!
 //! Quick mode runs a curated sub-grid that covers every grammar token
 //! at least once; full mode sweeps the **entire** named grid (all

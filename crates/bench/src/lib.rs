@@ -24,8 +24,9 @@
 //! ## Perf baselines
 //!
 //! The Criterion suites under `benches/` track the dispatch hot path
-//! (`dstruct_ablation`, `dispatch_scaling`) and the event queue
-//! (`event_queue`). `src/bin/bench_summary.rs` runs the dispatch suites
+//! (`dstruct_ablation`, `dispatch_scaling`), the sharded driver
+//! (`epoch_shard`) and the journaled serve loop (`serve_journal`).
+//! `src/bin/bench_summary.rs` runs the dispatch suites
 //! and distills `BENCH_dispatch.json`; BENCH.md explains how to record
 //! a new baseline and keeps the narrative history.
 

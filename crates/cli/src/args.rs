@@ -81,6 +81,17 @@ impl Args {
     pub fn flag(&self, name: &str) -> bool {
         self.flags.contains(name)
     }
+
+    /// The alphabetically first option or flag given that is not in
+    /// `known`, if any.
+    pub fn unknown_option(&self, known: &[&str]) -> Option<&str> {
+        self.options
+            .keys()
+            .chain(self.flags.iter())
+            .map(String::as_str)
+            .filter(|name| !known.contains(name))
+            .min()
+    }
 }
 
 /// Splits a `name:a:b:c` spec into its head and numeric tail.
@@ -127,6 +138,14 @@ mod tests {
         assert!(a.opt_parse::<usize>("n", 0).is_ok());
         let b = parse("gen --n abc", &[]).unwrap();
         assert!(b.opt_parse::<usize>("n", 0).is_err());
+    }
+
+    #[test]
+    fn unknown_option_names_the_first_stray() {
+        let a = parse("run --algo x --zeta 1 --beta 2 --gantt", &["gantt"]).unwrap();
+        assert_eq!(a.unknown_option(&["algo", "gantt"]), Some("beta"));
+        assert_eq!(a.unknown_option(&["algo", "beta", "zeta"]), Some("gantt"));
+        assert_eq!(a.unknown_option(&["algo", "beta", "zeta", "gantt"]), None);
     }
 
     #[test]

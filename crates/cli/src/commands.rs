@@ -17,11 +17,9 @@ use osr_core::bounds;
 use osr_core::energyflow::{EnergyFlowParams, EnergyFlowScheduler};
 use osr_core::energymin::{EnergyMinParams, EnergyMinScheduler};
 use osr_core::flowtime::{WeightedFlowParams, WeightedFlowScheduler};
-use osr_core::{CapacityIndexMode, DispatchIndex, FlowParams, FlowScheduler, QueueBackend};
+use osr_core::{FlowParams, FlowScheduler};
 use osr_model::{io, FinishedLog, Instance, InstanceKind, Metrics};
-use osr_sim::{
-    render_gantt, validate_log, CapacityPlan, EventBackend, OnlineScheduler, ValidationConfig,
-};
+use osr_sim::{render_gantt, validate_log, CapacityPlan, OnlineScheduler, ValidationConfig};
 use osr_workload::{
     parse_failure_trace, ArrivalSpec, ChurnSpec, EnergyWorkload, FlowWorkload, MachineSpec,
     SizeSpec, TraceImport, WeightSpec,
@@ -32,7 +30,27 @@ use crate::args::{split_spec, Args};
 /// Boolean flags (options that take no value) across all subcommands —
 /// the single list `main` and the tests both register with
 /// [`Args::parse`].
-pub const FLAGS: &[&str] = &["gantt", "once", "recover"];
+pub const FLAGS: &[&str] = &["gantt", "help", "once", "recover"];
+
+/// The options (flags included) a subcommand accepts: the `--name`
+/// tokens of its [`USAGE`] entry, plus the runtime knobs
+/// ([`osr_core::KNOBS`]) for `run` and `serve`. Read from the usage
+/// text itself, so the check cannot drift from the help. Anything else
+/// is an error that names the option, so a misspelled or removed flag
+/// cannot silently run the default. `None` for an unknown subcommand.
+fn known_options(subcommand: &str) -> Option<Vec<&'static str>> {
+    let head = format!("\n  osr {subcommand} ");
+    let entry = &USAGE[USAGE.find(&head)? + head.len()..];
+    let entry = &entry[..entry.find("\n  osr ").unwrap_or(entry.len())];
+    let mut names: Vec<&str> = entry
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter_map(|token| token.strip_prefix("--"))
+        .collect();
+    if matches!(subcommand, "run" | "serve") {
+        names.extend(osr_core::KNOBS.iter().map(|k| &k.flag[2..]));
+    }
+    Some(names)
+}
 
 /// A command's result: the stdout payload plus informational notices
 /// destined for stderr. Keeping the two apart is a contract — stdout
@@ -55,12 +73,12 @@ impl From<String> for CmdOutput {
     }
 }
 
-/// Usage text printed on errors and `osr help`: the static command
-/// grammar plus the runtime-knob table generated from
+/// Usage text printed on errors, `osr help` and `osr --help`: the
+/// static command grammar plus the runtime-knob table generated from
 /// [`osr_core::KNOBS`], so the help can never drift from the parsers.
 pub fn usage() -> String {
     format!(
-        "{USAGE}\nRUNTIME KNOBS (run/serve/run_experiments; all result-neutral):\n{}\
+        "{USAGE}\nRUNTIME KNOBS (run/serve/run_experiments; result-neutral):\n{}\
          \nSERVE DURABILITY (serve only; recovery reproduces the log byte-identically):\n{}",
         osr_core::knob_help("  "),
         osr_core::serve_knob_help("  ")
@@ -92,19 +110,8 @@ USAGE:
                [--capacity FILE]     (replay a `time,machine,kind` failure trace:
                                       machines join/drain/crash mid-run —
                                       flow/wflow/energyflow only)
-               [--capacity-index incremental|rebuild] (elastic index maintenance:
-                                      grow/tombstone vs rebuild-from-scratch oracle)
-               [--queue-backend treap|naive]      (flow only: pending-queue structure)
-               [--event-backend binary|pairing]   (flow/wflow/energyflow)
-               [--dispatch-index pruned|linear]   (flow/wflow/energyflow)
-               [--propagation lazy|eager]         (flow/wflow/energyflow: tournament
-                                                   ancestor repair — lazy default)
-               [--shards N]                       (flow/wflow/energyflow: epoch-sharded
-                                                   driver; 1 = serial oracle, results
-                                                   byte-identical at any N)
-               [--kernels chunked|scalar]         (flow/wflow/energyflow: SoA hot-loop
-                                                   kernel layer — scalar is the
-                                                   bit-exact oracle)
+               [--shards N]          (flow/wflow/energyflow: epoch-sharded
+                                      driver; results byte-identical at any N)
                SPEC: flow:EPS | wflow:EPS | energyflow:EPS:ALPHA | energymin:ALPHA
                      | greedy:spt | greedy:fifo | speedaug:EPS_S:EPS_R
   osr serve    --algo flow:EPS|wflow:EPS|energyflow:EPS:ALPHA --machines M
@@ -139,11 +146,23 @@ USAGE:
                                       online windows)
   osr compare  --input FILE [--eps E]
   osr bounds   [--eps E] [--alpha A]
-  osr help
+  osr help | --help | -h
 ";
 
-/// Routes a parsed command line to its implementation.
+/// Routes a parsed command line to its implementation, after checking
+/// its options against those the subcommand's usage entry lists.
+/// `--help` anywhere, `-h` and `help` print the usage.
 pub fn dispatch(args: &Args) -> Result<CmdOutput, String> {
+    if args.flag("help") {
+        return Ok(CmdOutput::from(usage()));
+    }
+    if let Some((sub, known)) = args.subcommand().and_then(|s| Some((s, known_options(s)?))) {
+        if let Some(name) = args.unknown_option(&known) {
+            return Err(format!(
+                "unknown option --{name} for `osr {sub}` (see `osr help`)"
+            ));
+        }
+    }
     match args.subcommand() {
         Some("gen") => cmd_gen(args).map(CmdOutput::from),
         Some("run") => cmd_run(args),
@@ -152,7 +171,7 @@ pub fn dispatch(args: &Args) -> Result<CmdOutput, String> {
         Some("validate") => cmd_validate(args).map(CmdOutput::from),
         Some("compare") => cmd_compare(args).map(CmdOutput::from),
         Some("bounds") => cmd_bounds(args).map(CmdOutput::from),
-        Some("help") | None => Ok(CmdOutput::from(usage())),
+        Some("help" | "-h") | None => Ok(CmdOutput::from(usage())),
         Some(other) => Err(format!("unknown subcommand `{other}`\n\n{}", usage())),
     }
 }
@@ -258,121 +277,36 @@ fn parse_weights(spec: &str) -> Result<WeightSpec, String> {
     }
 }
 
-/// Backend selections for `osr run` / `osr serve`, parsed once from
-/// the options so bad values surface through the command's error path
-/// (exit code 1), never a panic. The four shared runtime knobs parse
-/// through the [`osr_core`] knob vocabulary, so their error messages
-/// match `run_experiments` and the generated help exactly.
+/// The runtime knobs of `osr run` / `osr serve`, parsed once from the
+/// options so bad values surface through the command's error path
+/// (exit code 1), never a panic. `--shards` is the only one: every
+/// other [`osr_core::SchedulerConfig`] knob runs its production setting
+/// here, and its reference setting is reachable from tests only.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct BackendOpts {
-    queue: Option<QueueBackend>,
-    events: Option<EventBackend>,
-    pub(crate) dispatch: Option<DispatchIndex>,
-    propagation: Option<osr_core::Propagation>,
-    capacity_index: Option<CapacityIndexMode>,
+pub(crate) struct RuntimeOpts {
     pub(crate) shards: Option<usize>,
-    kernels: Option<osr_core::KernelMode>,
 }
 
-impl BackendOpts {
+impl RuntimeOpts {
     pub(crate) fn parse(args: &Args) -> Result<Self, String> {
-        fn knob<T>(
-            args: &Args,
-            name: &str,
-            parse: fn(&str) -> Result<T, String>,
-        ) -> Result<Option<T>, String> {
-            args.opt(name).map(parse).transpose()
-        }
-        let queue = match args.opt("queue-backend") {
-            None => None,
-            Some("treap") => Some(QueueBackend::Treap),
-            Some("naive") => Some(QueueBackend::Naive),
-            Some(other) => {
-                return Err(format!(
-                    "bad value `{other}` for --queue-backend (want treap|naive)"
-                ))
-            }
-        };
-        let events = match args.opt("event-backend") {
-            None => None,
-            Some("binary") => Some(EventBackend::BinaryHeap),
-            Some("pairing") => Some(EventBackend::PairingHeap),
-            Some(other) => {
-                return Err(format!(
-                    "bad value `{other}` for --event-backend (want binary|pairing)"
-                ))
-            }
-        };
-        Ok(BackendOpts {
-            queue,
-            events,
-            dispatch: knob(args, "dispatch-index", osr_core::parse_dispatch)?,
-            propagation: knob(args, "propagation", osr_core::parse_propagation)?,
-            capacity_index: knob(args, "capacity-index", osr_core::parse_capacity_index)?,
-            shards: knob(args, "shards", osr_core::parse_shards)?,
-            kernels: knob(args, "kernels", osr_core::parse_kernels)?,
-        })
+        let shards = args.opt("shards").map(osr_core::parse_shards).transpose()?;
+        Ok(RuntimeOpts { shards })
     }
 
-    /// The propagation and kernel toggles are process-wide defaults
-    /// (like `run_experiments --propagation/--kernels`); apply them
-    /// before any scheduler builds its dispatch index.
-    pub(crate) fn apply_propagation(&self) {
-        if let Some(p) = self.propagation {
-            osr_core::set_default_propagation(p);
-        }
-        if let Some(k) = self.kernels {
-            osr_core::set_default_kernel_mode(k);
-        }
-    }
-
-    /// Overlays every explicit selection onto a params struct's
-    /// embedded [`osr_core::SchedulerConfig`] block (unset options keep
-    /// the process defaults).
+    /// Overlays the explicit selections onto a params struct's embedded
+    /// [`osr_core::SchedulerConfig`] block (unset options keep the
+    /// process default).
     pub(crate) fn apply_to(&self, config: &mut osr_core::SchedulerConfig) {
-        if let Some(q) = self.queue {
-            config.backend = q;
-        }
-        if let Some(e) = self.events {
-            config.events = e;
-        }
-        if let Some(d) = self.dispatch {
-            config.dispatch = d;
-        }
-        if let Some(ci) = self.capacity_index {
-            config.capacity_index = ci;
-        }
         if let Some(s) = self.shards {
             config.shards = s;
         }
-        if let Some(k) = self.kernels {
-            config.kernels = k;
-        }
     }
 
-    /// Errors when an option was given but the chosen algorithm cannot
-    /// honor it — silent drops would defeat the ablation's point.
-    pub(crate) fn reject_unsupported(
-        &self,
-        spec: &str,
-        queue_ok: bool,
-        rest_ok: bool,
-    ) -> Result<(), String> {
-        if self.queue.is_some() && !queue_ok {
-            return Err(format!("--queue-backend does not apply to `{spec}`"));
-        }
-        if (self.events.is_some()
-            || self.dispatch.is_some()
-            || self.propagation.is_some()
-            || self.capacity_index.is_some()
-            || self.shards.is_some()
-            || self.kernels.is_some())
-            && !rest_ok
-        {
-            return Err(format!(
-                "--event-backend/--dispatch-index/--propagation/--capacity-index/--shards/\
-                 --kernels do not apply to `{spec}`"
-            ));
+    /// Errors when `--shards` was given but the chosen algorithm has no
+    /// sharded driver — a silent drop would mislabel the run.
+    pub(crate) fn reject_unsupported(&self, spec: &str) -> Result<(), String> {
+        if self.shards.is_some() {
+            return Err(format!("--shards does not apply to `{spec}`"));
         }
         Ok(())
     }
@@ -538,7 +472,7 @@ fn config_for(instance: &Instance, speeds_vary: bool) -> ValidationConfig {
 fn run_algo(
     spec: &str,
     instance: &Instance,
-    opts: BackendOpts,
+    opts: RuntimeOpts,
     capacity: &CapacityPlan,
 ) -> Result<(FinishedLog, String, bool, Option<f64>), String> {
     let reject_capacity = |ok: bool| {
@@ -553,7 +487,6 @@ fn run_algo(
     let (head, v) = split_spec(spec);
     match (head.as_str(), v.as_slice()) {
         ("flow", [eps]) => {
-            opts.apply_propagation();
             let mut params = FlowParams::new(*eps);
             opts.apply_to(&mut params.config);
             let sched = FlowScheduler::new(params)?.with_capacity(capacity.clone());
@@ -561,8 +494,6 @@ fn run_algo(
             Ok((out.log, sched.name(), false, Some(out.dual.objective())))
         }
         ("wflow", [eps]) => {
-            opts.reject_unsupported(spec, false, true)?;
-            opts.apply_propagation();
             let mut params = WeightedFlowParams::new(*eps);
             opts.apply_to(&mut params.config);
             let sched = WeightedFlowScheduler::new(params)?.with_capacity(capacity.clone());
@@ -570,8 +501,6 @@ fn run_algo(
             Ok((sched.run(instance).log, name, false, None))
         }
         ("energyflow", [eps, alpha]) => {
-            opts.reject_unsupported(spec, false, true)?;
-            opts.apply_propagation();
             let mut params = EnergyFlowParams::new(*eps, *alpha);
             opts.apply_to(&mut params.config);
             let sched = EnergyFlowScheduler::new(params)?.with_capacity(capacity.clone());
@@ -579,14 +508,14 @@ fn run_algo(
             Ok((sched.run(instance).log, name, true, None))
         }
         ("energymin", [alpha]) => {
-            opts.reject_unsupported(spec, false, false)?;
+            opts.reject_unsupported(spec)?;
             reject_capacity(false)?;
             let sched = EnergyMinScheduler::new(EnergyMinParams::new(*alpha))?;
             let name = sched.name();
             Ok((sched.run(instance).log, name, true, None))
         }
         ("greedy", _) => {
-            opts.reject_unsupported(spec, false, false)?;
+            opts.reject_unsupported(spec)?;
             reject_capacity(false)?;
             let mut sched = match spec {
                 "greedy:spt" => GreedyScheduler::ect_spt(),
@@ -597,7 +526,7 @@ fn run_algo(
             Ok((sched.schedule(instance), name, false, None))
         }
         ("speedaug", [eps_s, eps_r]) => {
-            opts.reject_unsupported(spec, false, false)?;
+            opts.reject_unsupported(spec)?;
             reject_capacity(false)?;
             let sched = SpeedAugScheduler::new(*eps_s, *eps_r)?;
             let name = sched.name();
@@ -620,27 +549,15 @@ fn load_capacity(args: &Args, machines: usize) -> Result<CapacityPlan, String> {
     Ok(plan)
 }
 
-/// Informational notices for explicitly requested knobs that the run
-/// could not honor at this machine count. They go to stderr (via
-/// [`CmdOutput::notices`]) so stdout stays a clean report, but they
-/// must be said *somewhere* — otherwise ablation runs label their
-/// results with a strategy that never executed.
-pub(crate) fn ineffective_knob_notices(opts: &BackendOpts, machines: usize) -> Vec<String> {
+/// Informational notices for an explicitly requested `--shards` that
+/// the run could not honor at this machine count: a shard owns at least
+/// one 64-machine rack, so below that a multi-shard request collapses
+/// to the serial loop. They go to stderr (via [`CmdOutput::notices`])
+/// so stdout stays a clean report, but they must be said *somewhere* —
+/// otherwise runs label their results with a strategy that never
+/// executed.
+pub(crate) fn ineffective_knob_notices(opts: &RuntimeOpts, machines: usize) -> Vec<String> {
     let mut notices = Vec::new();
-    if let Some(req) = opts.dispatch {
-        let eff = osr_core::effective_dispatch_index(req, machines);
-        if eff != req {
-            notices.push(format!(
-                "note: --dispatch-index {req} is ineffective at m={machines} \
-                 (below PRUNED_MIN_MACHINES={}); the {eff} scan ran — label ablation \
-                 results accordingly",
-                osr_core::PRUNED_MIN_MACHINES,
-            ));
-        }
-    }
-    // Same discipline for the shard toggle: below the sharding crossover
-    // (a shard owns at least one 64-machine rack) a multi-shard request
-    // collapses to the serial loop.
     if let Some(req) = opts.shards {
         let eff = osr_core::effective_shards(req, machines);
         if req > 1 && eff == 1 {
@@ -659,7 +576,7 @@ pub fn cmd_run(args: &Args) -> Result<CmdOutput, String> {
     let instance = load_instance(args)?;
     let spec = args.opt("algo").unwrap_or("flow:0.25");
     let alpha: f64 = args.opt_parse("alpha", 2.0)?;
-    let opts = BackendOpts::parse(args)?;
+    let opts = RuntimeOpts::parse(args)?;
     let capacity = load_capacity(args, instance.machines())?;
 
     let (log, name, speeds_vary, dual) = run_algo(spec, &instance, opts, &capacity)?;
@@ -797,7 +714,7 @@ pub fn cmd_compare(args: &Args) -> Result<String, String> {
         let (log, name, speeds_vary, _) = run_algo(
             spec,
             &instance,
-            BackendOpts::default(),
+            RuntimeOpts::default(),
             &CapacityPlan::empty(),
         )?;
         let report = validate_log(&instance, &log, &config_for(&instance, speeds_vary));
@@ -1057,6 +974,53 @@ mod tests {
         }
         assert!(dispatch(&args("nonsense")).is_err());
         assert!(dispatch(&args("bounds")).is_ok());
+        // `--help` and `-h` print the same usage as `osr help`, with or
+        // without a subcommand.
+        for line in ["--help", "-h", "run --help", "help"] {
+            assert_eq!(dispatch(&args(line)).unwrap().stdout, help, "{line}");
+        }
+        // The accepted options come from the usage text; every option
+        // the serve benchmark and CI pass must be among them.
+        let known = |sub: &str, want: &[&str]| {
+            let got = known_options(sub).unwrap();
+            for o in want {
+                assert!(got.contains(o), "`osr {sub}` does not accept --{o}");
+            }
+        };
+        known(
+            "run",
+            &[
+                "algo", "input", "log", "capacity", "gantt", "alpha", "shards",
+            ],
+        );
+        known(
+            "serve",
+            &[
+                "algo",
+                "machines",
+                "offline",
+                "journal",
+                "recover",
+                "socket",
+                "once",
+                "snap-every",
+                "failpoint",
+                "ingest-buffer",
+                "log",
+                "shards",
+            ],
+        );
+        known(
+            "gen",
+            &["n", "kind", "serve-script", "capacity-out", "from-trace"],
+        );
+        known("top", &["socket", "frames", "interval-ms", "retries"]);
+        assert!(!known_options("validate").unwrap().contains(&"shards"));
+        assert!(known_options("nonsense").is_none());
+        let err = dispatch(&args("bounds --epsilon 0.5")).unwrap_err();
+        assert!(err.contains("unknown option --epsilon"), "{err}");
+        let err = dispatch(&args("nonsense --x 1")).unwrap_err();
+        assert!(err.contains("unknown subcommand"), "{err}");
     }
 
     #[test]
@@ -1072,42 +1036,6 @@ mod tests {
         )))
         .unwrap();
         assert!(out.stdout.contains("0 rejected"));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn run_backend_options_select_and_agree() {
-        let dir = std::env::temp_dir().join(format!("osr-cli-bk-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let inst_path = dir.join("inst.csv");
-        // ≥ PRUNED_MIN_MACHINES machines so `--dispatch-index pruned`
-        // actually engages the tournament index (a smaller m would test
-        // the linear fallback against itself).
-        let text = cmd_gen(&args("gen --kind flowtime --n 80 --machines 12 --seed 11")).unwrap();
-        fs::write(&inst_path, text).unwrap();
-        // Every backend combination must run and report identical
-        // schedules (they are all exact implementations of the same
-        // algorithm).
-        let mut outs = Vec::new();
-        for extra in [
-            "",
-            "--queue-backend naive",
-            "--event-backend pairing",
-            "--dispatch-index linear",
-            "--propagation eager",
-            "--kernels scalar",
-            "--queue-backend treap --event-backend binary --dispatch-index pruned --propagation lazy",
-        ] {
-            let out = cmd_run(&args(&format!(
-                "run --algo flow:0.25 --input {} {extra}",
-                inst_path.display()
-            )))
-            .unwrap();
-            outs.push(out);
-        }
-        for o in &outs[1..] {
-            assert_eq!(o, &outs[0], "backend choice changed the schedule report");
-        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1147,90 +1075,38 @@ mod tests {
         let inst_path = dir.join("inst.csv");
         let text = cmd_gen(&args("gen --kind flowtime --n 10 --machines 2 --seed 1")).unwrap();
         fs::write(&inst_path, text).unwrap();
-        let run = |extra: &str| {
-            cmd_run(&args(&format!(
-                "run --algo flow:0.25 --input {} {extra}",
+        let run = |algo: &str, extra: &str| {
+            dispatch(&args(&format!(
+                "run --algo {algo} --input {} {extra}",
                 inst_path.display()
             )))
         };
+        // Bad `--shards` values, and the removed reference knobs, which
+        // are now unknown options: each error names its option.
         for (extra, needle) in [
-            ("--queue-backend quantum", "--queue-backend"),
-            ("--event-backend fibonacci", "--event-backend"),
-            ("--dispatch-index psychic", "--dispatch-index"),
-            ("--propagation clairvoyant", "--propagation"),
-            ("--kernels quantum", "--kernels"),
             ("--shards zero", "--shards"),
             ("--shards 0", "--shards"),
+            ("--queue-backend naive", "unknown option --queue-backend"),
+            ("--event-backend pairing", "unknown option --event-backend"),
+            ("--dispatch-index linear", "unknown option --dispatch-index"),
+            ("--propagation eager", "unknown option --propagation"),
+            (
+                "--capacity-index rebuild",
+                "unknown option --capacity-index",
+            ),
+            ("--kernels scalar", "unknown option --kernels"),
+            ("--shard 4", "unknown option --shard"),
         ] {
-            let err = run(extra).unwrap_err();
+            let err = run("flow:0.25", extra).unwrap_err();
             assert!(err.contains(needle), "{extra}: {err}");
         }
-        // Options that an algorithm cannot honor are an error, not a
-        // silent no-op.
-        let err = cmd_run(&args(&format!(
-            "run --algo greedy:spt --input {} --dispatch-index linear",
-            inst_path.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("do not apply"), "{err}");
-        let err = cmd_run(&args(&format!(
-            "run --algo energymin:2.0 --input {} --shards 4",
-            inst_path.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("do not apply"), "{err}");
-        let err = cmd_run(&args(&format!(
-            "run --algo wflow:0.25 --input {} --queue-backend naive",
-            inst_path.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("--queue-backend"), "{err}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn run_warns_when_requested_dispatch_index_is_ineffective() {
-        let dir = std::env::temp_dir().join(format!("osr-cli-eff-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let small = dir.join("small.csv");
-        let big = dir.join("big.csv");
-        fs::write(
-            &small,
-            cmd_gen(&args("gen --kind flowtime --n 10 --machines 2 --seed 1")).unwrap(),
-        )
-        .unwrap();
-        fs::write(
-            &big,
-            cmd_gen(&args("gen --kind flowtime --n 10 --machines 12 --seed 1")).unwrap(),
-        )
-        .unwrap();
-        // m = 2 < PRUNED_MIN_MACHINES: an explicit pruned request falls
-        // back to the linear scan and the run must say so — as a stderr
-        // notice, never in the machine-readable stdout report.
-        let out = cmd_run(&args(&format!(
-            "run --algo flow:0.25 --input {} --dispatch-index pruned",
-            small.display()
-        )))
-        .unwrap();
-        let notice = out.notices.join("\n");
-        assert!(notice.contains("ineffective"), "{notice}");
-        assert!(notice.contains("linear scan ran"), "{notice}");
-        assert!(!out.stdout.contains("note:"), "{}", out.stdout);
-        assert!(!out.stdout.contains("ineffective"), "{}", out.stdout);
-        // No notice when the request is honored (m >= crossover), when
-        // linear is requested (always honored), or with no request.
-        for (path, extra) in [
-            (&big, "--dispatch-index pruned"),
-            (&small, "--dispatch-index linear"),
-            (&small, ""),
-        ] {
-            let out = cmd_run(&args(&format!(
-                "run --algo flow:0.25 --input {} {extra}",
-                path.display()
-            )))
-            .unwrap();
-            assert!(out.notices.is_empty(), "{extra}: {:?}", out.notices);
+        // `--shards` on an algorithm without a sharded driver is an
+        // error, not a silent no-op.
+        for algo in ["greedy:spt", "energymin:2.0", "speedaug:0.5:0.5"] {
+            let err = run(algo, "--shards 4").unwrap_err();
+            assert!(err.contains("does not apply"), "{algo}: {err}");
         }
+        assert!(run("flow:0.25", "--shards 4").is_ok());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1312,27 +1188,20 @@ mod tests {
         .unwrap();
         assert_eq!(plain, fs::read_to_string(&inst_path).unwrap());
 
-        // Replay through all three capacity-aware schedulers; the
-        // incremental index must match the rebuild oracle bit for bit.
+        // Replay through all three capacity-aware schedulers (the
+        // incremental index's identity with the rebuild reference is
+        // locked by osr-core's churn tests and `reference_equivalence`).
         for algo in ["flow:0.25", "wflow:0.25", "energyflow:0.25:2"] {
-            let mut outs = Vec::new();
-            for ci in ["incremental", "rebuild"] {
-                let out = cmd_run(&args(&format!(
-                    "run --algo {algo} --input {} --capacity {} --capacity-index {ci}",
-                    inst_path.display(),
-                    cap_path.display()
-                )))
-                .unwrap();
-                assert!(
-                    out.stdout.contains("capacity       :"),
-                    "{algo}: {}",
-                    out.stdout
-                );
-                outs.push(out);
-            }
-            assert_eq!(
-                outs[0], outs[1],
-                "{algo}: capacity-index mode changed the run"
+            let out = cmd_run(&args(&format!(
+                "run --algo {algo} --input {} --capacity {}",
+                inst_path.display(),
+                cap_path.display()
+            )))
+            .unwrap();
+            assert!(
+                out.stdout.contains("capacity       :"),
+                "{algo}: {}",
+                out.stdout
             );
         }
         fs::remove_dir_all(&dir).ok();
@@ -1398,13 +1267,7 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("machine 9"), "{err}");
-        // Bad --capacity-index values and churn/capacity-out misuse.
-        let err = cmd_run(&args(&format!(
-            "run --algo flow:0.25 --input {} --capacity-index psychic",
-            inst_path.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("--capacity-index"), "{err}");
+        // Churn/capacity-out misuse.
         assert!(cmd_gen(&args("gen --n 10 --machines 2 --churn 0.5")).is_err());
         assert!(cmd_gen(&args(
             "gen --n 10 --machines 2 --churn -1 --capacity-out /tmp/x"

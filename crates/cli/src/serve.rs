@@ -60,7 +60,7 @@ use osr_sim::failpoint;
 use osr_sim::CapacityChange;
 
 use crate::args::{split_spec, Args};
-use crate::commands::{ineffective_knob_notices, usage, BackendOpts, CmdOutput};
+use crate::commands::{ineffective_knob_notices, usage, CmdOutput, RuntimeOpts};
 
 /// Builds the serve session for an `--algo` spec. Only the three
 /// capacity-aware schedulers have a streaming mode (deadline-based
@@ -70,9 +70,8 @@ fn build_session(
     spec: &str,
     machines: usize,
     offline: &[usize],
-    opts: &BackendOpts,
+    opts: &RuntimeOpts,
 ) -> Result<Box<dyn ServeSession>, String> {
-    opts.apply_propagation();
     let (head, v) = split_spec(spec);
     match (head.as_str(), v.as_slice()) {
         ("flow", [eps]) => {
@@ -83,7 +82,6 @@ fn build_session(
             )?))
         }
         ("wflow", [eps]) => {
-            opts.reject_unsupported(spec, false, true)?;
             let mut params = WeightedFlowParams::new(*eps);
             opts.apply_to(&mut params.config);
             Ok(Box::new(WeightedFlowSession::with_offline(
@@ -91,7 +89,6 @@ fn build_session(
             )?))
         }
         ("energyflow", [eps, alpha]) => {
-            opts.reject_unsupported(spec, false, true)?;
             let mut params = EnergyFlowParams::new(*eps, *alpha);
             opts.apply_to(&mut params.config);
             Ok(Box::new(EnergyFlowSession::with_offline(
@@ -589,7 +586,7 @@ pub fn cmd_serve(args: &Args) -> Result<CmdOutput, String> {
         Some(s) => parse_offline(s)?,
         None => Vec::new(),
     };
-    let opts = BackendOpts::parse(args)?;
+    let opts = RuntimeOpts::parse(args)?;
     let mut notices = ineffective_knob_notices(&opts, machines);
     let once = args.flag("once");
     let socket = args.opt("socket").map(PathBuf::from);

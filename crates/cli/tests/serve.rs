@@ -355,14 +355,14 @@ fn run_notices_go_to_stderr_and_stdout_stays_clean() {
     let (inst_text, _) = run_ok("gen --kind flowtime --n 10 --machines 2 --seed 1");
     fs::write(&inst_path, inst_text).unwrap();
 
-    // m=2 is below the pruned-index crossover: the explicit request
-    // must be called out on stderr while stdout stays a clean report.
+    // m=2 fits in one 64-machine rack, so a shard request collapses to
+    // the serial loop: that must be called out on stderr while stdout
+    // stays a clean report.
     let (stdout, stderr) = run_ok(&format!(
-        "run --algo flow:0.25 --input {} --dispatch-index pruned --shards 4",
+        "run --algo flow:0.25 --input {} --shards 4",
         inst_path.display()
     ));
     assert!(stderr.contains("ineffective"), "{stderr}");
-    assert!(stderr.contains("linear scan ran"), "{stderr}");
     assert!(stderr.contains("serial loop ran"), "{stderr}");
     assert!(!stdout.contains("note:"), "{stdout}");
     assert!(!stdout.contains("ineffective"), "{stdout}");
@@ -372,14 +372,17 @@ fn run_notices_go_to_stderr_and_stdout_stays_clean() {
 
 #[test]
 fn serve_validates_its_options() {
-    // Bad algo specs, machine counts, and offline lists exit 1 with an
-    // error on stderr before any stream is read.
+    // Bad algo specs, machine counts, offline lists, and unknown or
+    // removed options exit 1 with an error on stderr before any stream
+    // is read.
     for args in [
         "serve --algo energymin:2 --machines 4 --once",
         "serve --algo flow:0.25 --machines zero --once",
         "serve --algo flow:0.25 --once",
         "serve --algo flow:0.25 --machines 2 --offline 5 --once",
         "serve --algo flow:0.25 --machines 2 --queue-backend quantum --once",
+        "serve --algo flow:0.25 --machines 2 --kernels scalar --once",
+        "serve --algo flow:0.25 --machines 2 --journl j.journal --once",
         "serve --algo flow:0.25 --machines 2 --recover --once",
         "serve --algo flow:0.25 --machines 2 --failpoint explode --once",
         "serve --algo flow:0.25 --machines 2 --failpoint mid-batch:0 --once",
@@ -393,5 +396,54 @@ fn serve_validates_its_options() {
             .unwrap();
         assert!(!out.status.success(), "`osr {args}` should fail");
         assert!(!out.stderr.is_empty(), "`osr {args}` should explain");
+    }
+    // An unknown option exits 1 and names itself.
+    for (args, name) in [
+        (
+            "serve --algo flow:0.25 --machines 2 --kernels scalar --once",
+            "--kernels",
+        ),
+        (
+            "serve --algo flow:0.25 --machines 2 --journl j.journal --once",
+            "--journl",
+        ),
+    ] {
+        let out = osr()
+            .args(args.split_whitespace())
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "`osr {args}`");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {name}")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn help_flags_print_usage_and_exit_zero() {
+    let deleted = [
+        "--dispatch-index",
+        "--capacity-index",
+        "--propagation",
+        "--kernels",
+        "--queue-backend",
+        "--event-backend",
+    ];
+    for args in [&["--help"][..], &["-h"], &["help"], &["run", "--help"]] {
+        let out = osr().args(args).stdin(Stdio::null()).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "`osr {args:?}`");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("USAGE"), "{stdout}");
+        let knobs = stdout
+            .split("RUNTIME KNOBS")
+            .nth(1)
+            .expect("usage has a runtime-knob section");
+        assert!(knobs.contains("--shards"), "{knobs}");
+        for flag in deleted {
+            assert!(!stdout.contains(flag), "`osr {args:?}` lists {flag}");
+        }
     }
 }

@@ -13,8 +13,9 @@
 //! can beat (or lower-index-tie) the best exact value. Both strategies
 //! return **bit-identical** results — machine choice, `λ` value, and
 //! therefore every downstream schedule, dual variable, and experiment
-//! table — which CI pins by diffing full experiment runs under both
-//! settings. `Linear` survives as the ablation baseline
+//! table — which the `reference_equivalence` test pins by diffing full
+//! experiment runs under both settings. `Linear` survives as a test
+//! reference and as the production path below [`PRUNED_MIN_MACHINES`]
 //! (`dstruct_ablation`/`m_scale` quantify the gap).
 //!
 //! ## Bound soundness, including under floating point
@@ -54,8 +55,8 @@
 //! `job.sizes` is gone from the dispatch hot path. The cache is defined
 //! by exactly the fold the schedulers used to perform
 //! (`filter(is_finite).fold(∞, min)`), so results stay bit-identical —
-//! locked by the `tests/dispatch_equivalence` proptests and the CI
-//! experiment-suite diffs.
+//! locked by the `tests/dispatch_equivalence` proptests and the
+//! `reference_equivalence` experiment-suite diff.
 //!
 //! Every job whose row is not uniform additionally carries
 //! **rack-local minima** ([`osr_model::RackPHat`]: per-64-machine-word
@@ -97,8 +98,6 @@
 //! `m ≤ 64` (`osr_dstruct::tournament::FLAT_MAX_MACHINES`), attacking
 //! the recorded m ≈ 64 crossover where heap traffic ate the win.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 use osr_dstruct::{
     tournament::{SearchMode, FLAT_MAX_MACHINES},
     KernelMode, MachineIndex, MachineStats, MaskView, Propagation,
@@ -110,7 +109,8 @@ use osr_sim::CapacityChange;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchIndex {
     /// Exact `λ_ij` on every machine, lowest index wins ties — the
-    /// `O(m)` reference path, kept as the ablation baseline.
+    /// `O(m)` reference path, and the production path below
+    /// [`PRUNED_MIN_MACHINES`].
     Linear,
     /// Bound-pruned search over a tournament tree
     /// ([`osr_dstruct::MachineIndex`]): a flat bound scan at mid-size
@@ -140,9 +140,7 @@ pub const PRUNED_MIN_MACHINES: usize = 8;
 /// machine count: `Pruned` silently degrades to the linear scan below
 /// [`PRUNED_MIN_MACHINES`], and an ablation row labeled "pruned" at
 /// m = 4 would measure the linear path. Schedulers record this on
-/// their outcomes and the CLI warns when an explicit
-/// `--dispatch-index pruned` is ineffective, so results cannot
-/// mislabel themselves.
+/// their outcomes, so results cannot mislabel themselves.
 pub fn effective_dispatch_index(requested: DispatchIndex, machines: usize) -> DispatchIndex {
     if machines < PRUNED_MIN_MACHINES {
         DispatchIndex::Linear
@@ -199,39 +197,12 @@ impl PHatView<'_> {
 /// through incremental caches or `powf` (see module docs).
 pub(crate) const BOUND_SAFETY: f64 = 1.0 - 1e-7;
 
-const DISPATCH_LINEAR: u8 = 0;
-const DISPATCH_PRUNED: u8 = 1;
-
-/// Process-wide default consulted by the `*Params::new` constructors,
-/// so harnesses (e.g. `run_experiments --dispatch linear`) can ablate
-/// the whole experiment suite without touching every call site.
-/// Explicitly set `dispatch` fields always win.
-static DEFAULT_DISPATCH: AtomicU8 = AtomicU8::new(DISPATCH_PRUNED);
-
-/// Sets the process-wide default dispatch strategy.
-pub fn set_default_dispatch_index(d: DispatchIndex) {
-    let v = match d {
-        DispatchIndex::Linear => DISPATCH_LINEAR,
-        DispatchIndex::Pruned => DISPATCH_PRUNED,
-    };
-    DEFAULT_DISPATCH.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default dispatch strategy (`Pruned` unless
-/// overridden via [`set_default_dispatch_index`]).
-pub fn default_dispatch_index() -> DispatchIndex {
-    match DEFAULT_DISPATCH.load(Ordering::Relaxed) {
-        DISPATCH_LINEAR => DispatchIndex::Linear,
-        _ => DispatchIndex::Pruned,
-    }
-}
-
 /// How a scheduler keeps its pruned dispatch index in sync with
 /// capacity churn (`osr_sim::CapacityPlan` joins/drains/crashes).
 ///
 /// Both modes produce **bit-identical schedules** — that is the
 /// resize-correctness contract this toggle exists to audit, with the
-/// same proptest + CI byte-diff discipline as
+/// same proptest + experiment-suite diff discipline as
 /// [`DispatchIndex::Linear`] vs [`DispatchIndex::Pruned`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CapacityIndexMode {
@@ -241,82 +212,30 @@ pub enum CapacityIndexMode {
     #[default]
     Incremental,
     /// Rebuild the index from scratch after every capacity event — the
-    /// oracle the incremental paths are audited against.
+    /// reference the incremental paths are tested against.
     Rebuild,
 }
 
-impl std::fmt::Display for CapacityIndexMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CapacityIndexMode::Incremental => "incremental",
-            CapacityIndexMode::Rebuild => "rebuild",
-        })
-    }
-}
-
-const CAPACITY_INCREMENTAL: u8 = 0;
-const CAPACITY_REBUILD: u8 = 1;
-
-/// Process-wide default capacity-index mode, mirroring
-/// [`DEFAULT_DISPATCH`]: `run_experiments --capacity rebuild` flips the
-/// whole suite onto the oracle path for the byte-identity diff.
-static DEFAULT_CAPACITY: AtomicU8 = AtomicU8::new(CAPACITY_INCREMENTAL);
-
-/// Sets the process-wide default capacity-index mode.
-pub fn set_default_capacity_index(mode: CapacityIndexMode) {
-    let v = match mode {
-        CapacityIndexMode::Incremental => CAPACITY_INCREMENTAL,
-        CapacityIndexMode::Rebuild => CAPACITY_REBUILD,
-    };
-    DEFAULT_CAPACITY.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default capacity-index mode (`Incremental` unless
-/// overridden via [`set_default_capacity_index`]).
-pub fn default_capacity_index() -> CapacityIndexMode {
-    match DEFAULT_CAPACITY.load(Ordering::Relaxed) {
-        CAPACITY_REBUILD => CapacityIndexMode::Rebuild,
-        _ => CapacityIndexMode::Incremental,
-    }
-}
-
-/// Builds a dispatch index over `m` machines from scratch: online
-/// machines get their current queue stats, offline machines are
-/// tombstoned. This *is* the rebuild oracle of
-/// [`CapacityIndexMode::Rebuild`] (called after every capacity event),
-/// and also constructs every scheduler's initial index (where `stats`
-/// is constantly [`MachineStats::EMPTY`]).
+/// Builds a dispatch index over the `len` machines `base..base + len`
+/// of one driver shard from scratch, indexed **locally** (leaf `i` is
+/// global machine `base + i`): online machines get their current queue
+/// stats, offline machines are tombstoned. The `online` set and the
+/// `stats` closure stay in global coordinates. This *is* the rebuild
+/// reference of [`CapacityIndexMode::Rebuild`] (called after every
+/// capacity event), and also constructs every scheduler's initial
+/// index (where `stats` is constantly [`MachineStats::EMPTY`]); with
+/// `base = 0, len = m` it covers the whole pool.
 ///
-/// Machines are visited in ascending id order; a tombstone can trigger
-/// trailing-rack auto-compaction only on the final id (earlier leaves
-/// not yet visited are still live), so every `update` lands inside the
-/// index's current width.
-pub fn rebuild_capacity_index(
-    m: usize,
-    online: &OnlineSet,
-    stats: impl Fn(usize) -> MachineStats,
-) -> MachineIndex {
-    rebuild_shard_index(
-        0,
-        m,
-        online,
-        osr_dstruct::default_propagation(),
-        osr_dstruct::default_kernel_mode(),
-        stats,
-    )
-}
-
-/// Shard-local sibling of [`rebuild_capacity_index`]: builds an index
-/// over the `len` machines `base..base + len` of one driver shard,
-/// indexed **locally** (leaf `i` is global machine `base + i`). The
-/// `online` set and the `stats` closure stay in global coordinates.
-/// With `base = 0, len = m` this *is* the serial rebuild oracle.
 /// `prop` selects the index's ancestor-propagation mode and `kern`
 /// its kernel layer (schedulers pass their
 /// [`crate::SchedulerConfig::propagation`] /
 /// [`crate::SchedulerConfig::kernels`]); the search mode keeps
 /// [`MachineIndex::new`]'s auto-selection (flat at or below
-/// [`FLAT_MAX_MACHINES`] leaves, heap beyond).
+/// [`FLAT_MAX_MACHINES`] leaves, heap beyond). Machines are visited in
+/// ascending id order; a tombstone can trigger trailing-rack
+/// auto-compaction only on the final id (earlier leaves not yet
+/// visited are still live), so every `update` lands inside the index's
+/// current width.
 pub fn rebuild_shard_index(
     base: usize,
     len: usize,
@@ -341,40 +260,15 @@ pub fn rebuild_shard_index(
     ix
 }
 
-/// Applies one capacity change to a scheduler's dispatch index under
-/// `mode`: incremental join/tombstone, or a full rebuild. The victim
-/// machine's queue must already be emptied (drain/crash re-dispatches
-/// it) before the rebuild reads `stats`.
-pub fn sync_capacity_index(
-    dindex: &mut Option<MachineIndex>,
-    mode: CapacityIndexMode,
-    change: CapacityChange,
-    machine: usize,
-    m: usize,
-    online: &OnlineSet,
-    stats: impl Fn(usize) -> MachineStats,
-) {
-    sync_shard_index(
-        dindex,
-        mode,
-        change,
-        machine,
-        0,
-        m,
-        online,
-        osr_dstruct::default_propagation(),
-        osr_dstruct::default_kernel_mode(),
-        stats,
-    )
-}
-
-/// Shard-local sibling of [`sync_capacity_index`]: applies one
-/// capacity change for global `machine` to the index of the shard
-/// owning machines `base..base + len`. `machine` must lie in the
-/// shard's range; `stats` stays global. `prop` and `kern` are the
-/// propagation and kernel modes a [`CapacityIndexMode::Rebuild`]
-/// reconstruction carries over (the incremental arm mutates in place
-/// and never consults them).
+/// Applies one capacity change for global `machine` to the index of
+/// the shard owning machines `base..base + len` under `mode`:
+/// incremental join/tombstone, or a full rebuild. `machine` must lie
+/// in the shard's range; `stats` stays global. The victim machine's
+/// queue must already be emptied (drain/crash re-dispatches it) before
+/// the rebuild reads `stats`. `prop` and `kern` are the propagation and
+/// kernel modes a [`CapacityIndexMode::Rebuild`] reconstruction carries
+/// over (the incremental arm mutates in place and never consults
+/// them). A `Linear` run has no index, so this is a no-op there.
 #[allow(clippy::too_many_arguments)]
 pub fn sync_shard_index(
     dindex: &mut Option<MachineIndex>,
@@ -497,15 +391,6 @@ pub(crate) fn energy_lambda_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_toggle_round_trips() {
-        assert_eq!(default_dispatch_index(), DispatchIndex::Pruned);
-        set_default_dispatch_index(DispatchIndex::Linear);
-        assert_eq!(default_dispatch_index(), DispatchIndex::Linear);
-        set_default_dispatch_index(DispatchIndex::Pruned);
-        assert_eq!(default_dispatch_index(), DispatchIndex::Pruned);
-    }
 
     #[test]
     fn effective_index_degrades_below_the_crossover() {

@@ -48,11 +48,11 @@ use osr_model::{
 };
 use osr_sim::{
     driver::{EventPolicy, LogOp, Placement, ShardCtx, ShardProbe},
-    CapacityChange, CapacityPlan, DecisionEvent, DecisionTrace, EventBackend, OnlineScheduler,
+    CapacityChange, CapacityPlan, DecisionEvent, DecisionTrace, OnlineScheduler,
 };
 
 use crate::config::SchedulerConfig;
-use crate::dispatch::{self, CapacityIndexMode, DispatchIndex, PRUNED_MIN_MACHINES};
+use crate::dispatch::{self, DispatchIndex, PRUNED_MIN_MACHINES};
 
 pub use dual::{check_energyflow_dual, EnergyFlowAudit};
 
@@ -99,30 +99,6 @@ impl EnergyFlowParams {
             reject: true,
             config: SchedulerConfig::default(),
         }
-    }
-
-    /// The dispatch-strategy knob.
-    #[deprecated(note = "read `params.dispatch` (via the embedded `config`) instead")]
-    pub fn dispatch(&self) -> DispatchIndex {
-        self.config.dispatch
-    }
-
-    /// The event-queue backend knob.
-    #[deprecated(note = "read `params.events` (via the embedded `config`) instead")]
-    pub fn events(&self) -> EventBackend {
-        self.config.events
-    }
-
-    /// The capacity-index mode knob.
-    #[deprecated(note = "read `params.capacity_index` (via the embedded `config`) instead")]
-    pub fn capacity_index(&self) -> CapacityIndexMode {
-        self.config.capacity_index
-    }
-
-    /// The requested driver shard count.
-    #[deprecated(note = "read `params.shards` (via the embedded `config`) instead")]
-    pub fn shards(&self) -> usize {
-        self.config.shards
     }
 }
 
@@ -369,7 +345,6 @@ impl EnergyFlowScheduler {
             jobs,
             m,
             &self.capacity,
-            self.params.events,
             self.params.shards,
             &mut records,
         );

@@ -48,11 +48,11 @@ use osr_model::{
 };
 use osr_sim::{
     driver::{EventPolicy, LogOp, Placement, ShardCtx, ShardProbe},
-    CapacityChange, CapacityPlan, DecisionEvent, DecisionTrace, EventBackend, OnlineScheduler,
+    CapacityChange, CapacityPlan, DecisionEvent, DecisionTrace, OnlineScheduler,
 };
 
 use crate::config::SchedulerConfig;
-use crate::dispatch::{self, CapacityIndexMode, DispatchIndex, PRUNED_MIN_MACHINES};
+use crate::dispatch::{self, DispatchIndex, PRUNED_MIN_MACHINES};
 use crate::epsilon::Thresholds;
 pub use dual::{check_dual_feasibility, DualAudit, FlowDual};
 pub use queue::QueueBackend;
@@ -61,8 +61,8 @@ pub use weighted::{WeightedFlowOutcome, WeightedFlowParams, WeightedFlowSchedule
 
 /// Parameters of the §2 algorithm.
 ///
-/// The runtime knobs (queue backend, dispatch strategy, event backend,
-/// capacity-index mode, propagation, shards) live in the embedded
+/// The runtime knobs (queue backend, dispatch strategy, capacity-index
+/// mode, propagation, kernels, shards) live in the embedded
 /// [`SchedulerConfig`]; `FlowParams` derefs to it, so
 /// `params.dispatch`, `params.backend` etc. keep reading and writing
 /// as plain fields.
@@ -110,36 +110,6 @@ impl FlowParams {
             rule2,
             ..FlowParams::new(eps)
         }
-    }
-
-    /// The pending-queue backend knob.
-    #[deprecated(note = "read `params.backend` (via the embedded `config`) instead")]
-    pub fn backend(&self) -> QueueBackend {
-        self.config.backend
-    }
-
-    /// The dispatch-strategy knob.
-    #[deprecated(note = "read `params.dispatch` (via the embedded `config`) instead")]
-    pub fn dispatch(&self) -> DispatchIndex {
-        self.config.dispatch
-    }
-
-    /// The event-queue backend knob.
-    #[deprecated(note = "read `params.events` (via the embedded `config`) instead")]
-    pub fn events(&self) -> EventBackend {
-        self.config.events
-    }
-
-    /// The capacity-index mode knob.
-    #[deprecated(note = "read `params.capacity_index` (via the embedded `config`) instead")]
-    pub fn capacity_index(&self) -> CapacityIndexMode {
-        self.config.capacity_index
-    }
-
-    /// The requested driver shard count.
-    #[deprecated(note = "read `params.shards` (via the embedded `config`) instead")]
-    pub fn shards(&self) -> usize {
-        self.config.shards
     }
 }
 
@@ -300,7 +270,6 @@ impl FlowScheduler {
             jobs,
             m,
             &self.capacity,
-            self.params.events,
             self.params.shards,
             &mut global,
         );
@@ -1223,25 +1192,6 @@ mod tests {
             sched.run(&small).effective_dispatch,
             crate::DispatchIndex::Linear
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_knob_accessors_pass_through_the_config() {
-        // Old-style field access (now routed through the embedded
-        // `SchedulerConfig` by Deref) and the deprecated accessor
-        // methods must observe the same knobs.
-        let mut p = FlowParams::new(0.5);
-        p.dispatch = crate::DispatchIndex::Linear;
-        p.backend = QueueBackend::Naive;
-        p.shards = 3;
-        assert_eq!(p.dispatch(), crate::DispatchIndex::Linear);
-        assert_eq!(p.backend(), QueueBackend::Naive);
-        assert_eq!(p.shards(), 3);
-        assert_eq!(p.events(), p.config.events);
-        assert_eq!(p.capacity_index(), p.config.capacity_index);
-        // The embedded config is the single source of truth.
-        assert_eq!(p.config.dispatch, crate::DispatchIndex::Linear);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! An append-only text file. The first line is a header carrying a
 //! config [`fingerprint`] (algorithm spec + machine count + initial
 //! offline set — deliberately *not* the result-neutral runtime knobs,
-//! so recovery may flip `--shards`/`--kernels` and stay byte-exact).
+//! so recovery may run with a different `--shards` count, or a
+//! different [`crate::SchedulerConfig`] in tests, and stay byte-exact).
 //! Every subsequent line is one event in the serve-script dialect plus
 //! a trailing FNV-1a checksum token:
 //!
@@ -118,8 +119,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// The configuration fingerprint stored in journal headers and
 /// snapshots: algorithm spec, machine-universe size, and the initial
 /// offline set. Runtime knobs are excluded on purpose — they are
-/// result-neutral, so a recovery may run with different
-/// `--shards`/`--kernels`/… and still reproduce the log byte-exactly.
+/// result-neutral, so a recovery may run with a different `--shards`
+/// count or [`crate::SchedulerConfig`] and still reproduce the log
+/// byte-exactly.
 pub fn fingerprint(algo_spec: &str, machines: usize, offline: &[usize]) -> u64 {
     let mut s = format!("algo={algo_spec} machines={machines} offline=");
     for (i, m) in offline.iter().enumerate() {

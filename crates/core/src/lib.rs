@@ -56,14 +56,11 @@ pub use bounds::{
     flowtime_competitive_bound, flowtime_rejection_budget, immediate_rejection_lower_bound,
 };
 pub use config::{
-    knob_help, parse_capacity_index, parse_dispatch, parse_ingest_buffer, parse_kernels,
-    parse_propagation, parse_shards, parse_snap_every, serve_knob_help, KnobSpec, RuntimeDefaults,
-    SchedulerConfig, KNOBS, SERVE_KNOBS,
+    knob_help, parse_ingest_buffer, parse_shards, parse_snap_every, serve_knob_help,
+    set_default_config, KnobSpec, SchedulerConfig, KNOBS, SERVE_KNOBS,
 };
 pub use dispatch::{
-    default_capacity_index, default_dispatch_index, effective_dispatch_index,
-    set_default_capacity_index, set_default_dispatch_index, CapacityIndexMode, DispatchIndex,
-    PRUNED_MIN_MACHINES,
+    effective_dispatch_index, CapacityIndexMode, DispatchIndex, PRUNED_MIN_MACHINES,
 };
 pub use energyflow::{EnergyFlowOutcome, EnergyFlowParams, EnergyFlowScheduler};
 pub use energymin::{
@@ -78,16 +75,8 @@ pub use journal::{
 pub use session::{
     Arrival, EnergyFlowSession, FlowSession, ServeSession, ServeSnapshot, WeightedFlowSession,
 };
-// The ancestor-propagation toggle of the tournament index, re-exported
-// so harnesses can ablate it beside the dispatch toggle
-// (`run_experiments --propagation eager|lazy`).
-pub use osr_dstruct::tournament::{default_propagation, set_default_propagation, Propagation};
-// The chunked-kernel toggle of the SoA hot loops, re-exported so
-// harnesses can ablate it beside the other knobs
-// (`run_experiments --kernels chunked|scalar`; scalar is the bit-exact
-// oracle).
-pub use osr_dstruct::{default_kernel_mode, set_default_kernel_mode, KernelMode};
-// The epoch-sharded driver's shard toggle, re-exported so harnesses can
-// ablate it beside the other toggles (`run_experiments --shards N`;
-// `1` = the serial oracle, byte-identical at any value).
-pub use osr_sim::{default_shards, effective_shards, set_default_shards};
+// The index and kernel knob types of `SchedulerConfig`, re-exported so
+// callers can name them without depending on `osr-dstruct`.
+pub use osr_dstruct::{KernelMode, Propagation};
+// The shard count a `--shards` request yields at a machine count.
+pub use osr_sim::effective_shards;

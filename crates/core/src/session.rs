@@ -330,8 +330,7 @@ impl FlowSession {
         let th = Thresholds::new(params.eps)?;
         let online = initial_pool(machines, offline)?;
         let policy = flow_policy(&[], th, params, machines);
-        let driver =
-            DriverSession::with_online(&policy, machines, online, params.events, params.shards);
+        let driver = DriverSession::with_online(&policy, machines, online, params.shards);
         Ok(FlowSession {
             jobs: Vec::new(),
             th,
@@ -482,8 +481,7 @@ impl WeightedFlowSession {
             m: machines,
             budget: Mutex::new(WeightBudget::default()),
         };
-        let driver =
-            DriverSession::with_online(&policy, machines, online, params.events, params.shards);
+        let driver = DriverSession::with_online(&policy, machines, online, params.shards);
         Ok(WeightedFlowSession {
             jobs: Vec::new(),
             policy,
@@ -625,8 +623,7 @@ impl EnergyFlowSession {
         let gamma = EnergyFlowScheduler::new(params)?.gamma();
         let online = initial_pool(machines, offline)?;
         let policy = energy_policy(&[], params, gamma, machines);
-        let driver =
-            DriverSession::with_online(&policy, machines, online, params.events, params.shards);
+        let driver = DriverSession::with_online(&policy, machines, online, params.shards);
         Ok(EnergyFlowSession {
             jobs: Vec::new(),
             params,

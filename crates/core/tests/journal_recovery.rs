@@ -4,8 +4,8 @@
 //! replaying the journal (+ snapshot cross-check), and fed the rest of
 //! the stream must finish with a log **byte-identical** to the
 //! uninterrupted run — for all three schedulers, and with the
-//! result-neutral execution knobs (`--shards {1,4}` ×
-//! `--kernels {chunked,scalar}`) *flipped* between the crashed run and
+//! result-neutral execution knobs (`shards {1,4}` ×
+//! `kernels {chunked,scalar}`) *flipped* between the crashed run and
 //! the recovery, pinning "recovery is replay" and "sharding/kernels are
 //! pure execution strategy" in one stroke.
 //!
@@ -369,7 +369,7 @@ fn kill_recover_diff_across_every_knob_combo_m130() {
 }
 
 /// Recovering under a *different* configuration (fingerprint drift)
-/// must be refused — flipping `--shards`/`--kernels` is allowed, but
+/// must be refused — flipping `shards`/`kernels` is allowed, but
 /// the algorithm spec and machine count are load-bearing.
 #[test]
 fn recovery_refuses_a_configuration_change() {

@@ -1,41 +1,40 @@
 //! Chunked lane-parallel kernels over the SoA hot structures — with
 //! bit-exact scalar twins.
 //!
-//! PRs 2–7 laid out every dispatch-side hot structure as dense
-//! struct-of-arrays (24-byte [`MachineStats`] leaf rows, 16-byte
-//! [`AggRow`] treap aggregates, two-layer `u64` masks) precisely so
-//! that lane-parallel kernels could eventually run over them. This
+//! The dispatch-side hot structures are laid out as dense
+//! struct-of-arrays (24-byte [`MachineStats`] leaf rows, two-layer
+//! `u64` masks) so that lane-parallel kernels can run over them. This
 //! module is those kernels: each hot loop's min-reduce / intersect /
 //! popcount idiom extracted once, processing `[f64; 4]` / `[u64; 4]`
 //! chunks that the optimizer autovectorizes — no intrinsics, no
 //! feature gates, no new dependencies.
 //!
-//! ## The scalar oracle
+//! ## The scalar twin
 //!
 //! Every kernel takes a [`KernelMode`] and ships a scalar twin
 //! (`KernelMode::Scalar`) that performs the original element-at-a-time
 //! loop. The twins are **bit-exact**: chunking only ever regroups
 //! *independent* lanes — it never reassociates a floating-point sum,
 //! never reorders a dependent chain, and resolves min ties back to the
-//! lowest index in a serial epilogue — so `--kernels scalar` and
-//! `--kernels chunked` produce byte-identical schedules (locked by the
-//! kernel proptests, the scheduler equivalence suites, and a CI
-//! byte-diff of full experiment runs).
+//! lowest index in a serial epilogue — so a scheduler configured with
+//! `kernels: Scalar` (as `SchedulerConfig::reference()` is) produces
+//! byte-identical schedules to the chunked default (locked by the
+//! kernel proptests, the scheduler equivalence suites, and the
+//! `reference_equivalence` experiment-suite diff).
 //!
 //! ## Why the arithmetic order is pinned
 //!
-//! The repo's standing contract is that every runtime knob is
-//! result-neutral. For `f64` that means the kernels must evaluate the
-//! *same expression shape* as their scalar twins: IEEE-754 addition is
-//! not associative, so a chunked sum that regrouped `a + b + c` would
-//! drift from the scalar oracle by ulps and break the byte-identity
-//! gate. The kernels therefore vectorize only across **independent**
-//! elements (lanes = different machines / words / tree nodes) and keep
-//! every per-element expression intact. Where elements are *not*
-//! independent — the treap's parent-child aggregate chain
-//! ([`agg_fix4`]) — only the operand gather chunks and the combine
-//! stays serial; that kernel is kept for uniformity and honesty, not
-//! speed (see BENCH.md "PR 9").
+//! Every runtime knob in this repo is result-neutral. For `f64` that
+//! means the kernels must evaluate the *same expression shape* as their
+//! scalar twins: IEEE-754 addition is not associative, so a chunked sum
+//! that regrouped `a + b + c` would drift from the scalar twin by ulps
+//! and break byte-identity. The kernels therefore vectorize only across
+//! **independent** elements (lanes = different machines / words) and
+//! keep every per-element expression intact. Loops whose elements are
+//! *not* independent — the treap's parent-child aggregate chain — and
+//! loops where chunking measured ≈ 1× — the tournament's ancestor
+//! repair — stay plain scalar code in their own modules (BENCH.md
+//! "PR 9" has the measurements).
 //!
 //! ## Tie-break epilogue contract
 //!
@@ -53,9 +52,7 @@
 //! equal value at a lower index) is the bug this contract exists to
 //! rule out; `min4_tie_in_a_later_lane_resolves_low` pins it.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use crate::tournament::{MachineStats, NodeStats};
+use crate::tournament::MachineStats;
 
 /// Lane width of the chunked kernels. Four `f64`s fill a 256-bit
 /// vector register and four 24-byte stat rows stay within two cache
@@ -65,14 +62,14 @@ pub const LANES: usize = 4;
 /// Whether the SoA hot paths run the chunked lane-parallel kernels or
 /// their scalar twins. Results are **bit-identical** either way (the
 /// repo's standing knob contract; see the module docs) — the modes
-/// trade constant factors only, and `Scalar` is the oracle the chunked
-/// kernels are audited against.
+/// trade constant factors only, and `Scalar` is the reference the
+/// chunked kernels are tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// `[T; 4]`-chunked kernels (autovectorized; the default).
     #[default]
     Chunked,
-    /// Element-at-a-time scalar twins — the bit-exact oracle.
+    /// Element-at-a-time scalar twins — the bit-exact reference.
     Scalar,
 }
 
@@ -82,35 +79,6 @@ impl std::fmt::Display for KernelMode {
             KernelMode::Chunked => "chunked",
             KernelMode::Scalar => "scalar",
         })
-    }
-}
-
-const KERN_CHUNKED: u8 = 0;
-const KERN_SCALAR: u8 = 1;
-
-/// Process-wide default consulted by [`crate::MachineIndex`] and
-/// [`crate::AggTreap`] construction (and by the mask helpers that have
-/// no per-structure mode), so harnesses (`run_experiments --kernels
-/// scalar`) can flip every hot path onto the scalar oracle without
-/// touching call sites — the same pattern as
-/// [`crate::tournament::set_default_propagation`].
-static DEFAULT_KERNEL: AtomicU8 = AtomicU8::new(KERN_CHUNKED);
-
-/// Sets the process-wide default [`KernelMode`].
-pub fn set_default_kernel_mode(k: KernelMode) {
-    let v = match k {
-        KernelMode::Chunked => KERN_CHUNKED,
-        KernelMode::Scalar => KERN_SCALAR,
-    };
-    DEFAULT_KERNEL.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default [`KernelMode`] (`Chunked` unless overridden
-/// via [`set_default_kernel_mode`]).
-pub fn default_kernel_mode() -> KernelMode {
-    match DEFAULT_KERNEL.load(Ordering::Relaxed) {
-        KERN_SCALAR => KernelMode::Scalar,
-        _ => KernelMode::Chunked,
     }
 }
 
@@ -249,110 +217,6 @@ where
         }
     }
     best
-}
-
-/// Per-level aggregate recompute of the tournament tree: rebuilds each
-/// parent in `parents` from its two children (`children[2k]` /
-/// `children[2k + 1]` feed `parents[k]`; `children.len()` must be
-/// `2 * parents.len()`). Every pair combines independently, so
-/// `Chunked` processes four parents (eight contiguous children) per
-/// iteration with per-field lane arrays; the combine is componentwise
-/// min/max, identical per lane to [`NodeStats`]'s scalar combine —
-/// bit-identity needs no epilogue here.
-pub fn node_fix4(mode: KernelMode, children: &[NodeStats], parents: &mut [NodeStats]) {
-    debug_assert_eq!(children.len(), 2 * parents.len());
-    let mut i = 0;
-    if mode == KernelMode::Chunked {
-        while i + LANES <= parents.len() {
-            let c = &children[2 * i..2 * i + 2 * LANES];
-            let mut min_count = [0u64; LANES];
-            let mut min_wsum = [0.0f64; LANES];
-            let mut max_wsum = [0.0f64; LANES];
-            let mut min_size = [0.0f64; LANES];
-            for k in 0..LANES {
-                let (a, b) = (&c[2 * k], &c[2 * k + 1]);
-                min_count[k] = a.min_count.min(b.min_count);
-                min_wsum[k] = a.min_wsum.min(b.min_wsum);
-                max_wsum[k] = a.max_wsum.max(b.max_wsum);
-                min_size[k] = a.min_size.min(b.min_size);
-            }
-            for k in 0..LANES {
-                parents[i + k] = NodeStats {
-                    min_count: min_count[k],
-                    min_wsum: min_wsum[k],
-                    max_wsum: max_wsum[k],
-                    min_size: min_size[k],
-                };
-            }
-            i += LANES;
-        }
-    }
-    for k in i..parents.len() {
-        parents[k] = NodeStats::combine(children[2 * k], children[2 * k + 1]);
-    }
-}
-
-/// One packed subtree-aggregate row of the treap's struct-of-arrays
-/// layout: 16 bytes, four to a cache line, indexed by arena slot id.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AggRow {
-    /// Sum of entry weights in the subtree.
-    pub sum: f64,
-    /// Number of entries in the subtree.
-    pub count: u32,
-}
-
-impl AggRow {
-    /// The empty-subtree aggregate (the `NIL` child's row).
-    pub const ZERO: AggRow = AggRow { sum: 0.0, count: 0 };
-}
-
-/// One pending aggregate fix of a treap path: recompute `node`'s row
-/// from its children's rows and its own weight.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AggFix {
-    /// Arena slot to recompute.
-    pub node: u32,
-    /// Left child slot (`nil` for none).
-    pub left: u32,
-    /// Right child slot (`nil` for none).
-    pub right: u32,
-    /// The node's own entry weight.
-    pub weight: f64,
-}
-
-/// Two-child-read/one-write aggregate recompute over the packed
-/// 16-byte treap rows, applied in `batch` order (callers pass paths
-/// bottom-up, leaf-to-root).
-///
-/// The arithmetic order is pinned to the original per-node expression
-/// (`weight + left.sum + right.sum`) so sums stay bit-identical to a
-/// fresh build. **The combine itself cannot chunk**: a treap path is a
-/// parent-child chain, so entry `k + 1` must read the row entry `k`
-/// just wrote — pre-gathering four child rows would read stale
-/// aggregates. `Chunked` therefore lane-loads only the *independent*
-/// operands (child links and weights, prepared by the caller in
-/// [`AggFix`] quads) and keeps the dependent combine serial; it is
-/// retained as a kernel for uniformity and benchmarked honestly
-/// (expect ≈ 1×, see BENCH.md "PR 9"), not as a vector win.
-pub fn agg_fix4(mode: KernelMode, aggs: &mut [AggRow], nil: u32, batch: &[AggFix]) {
-    let _ = mode; // both modes share the dependency-serialized combine
-    for fix in batch {
-        let la = if fix.left == nil {
-            AggRow::ZERO
-        } else {
-            aggs[fix.left as usize]
-        };
-        let ra = if fix.right == nil {
-            AggRow::ZERO
-        } else {
-            aggs[fix.right as usize]
-        };
-        aggs[fix.node as usize] = AggRow {
-            sum: fix.weight + la.sum + ra.sum,
-            count: 1 + la.count + ra.count,
-        };
-    }
 }
 
 /// Aligned word intersect `a & b` into `out_words`, maintaining the
@@ -540,17 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_round_trips() {
-        assert_eq!(default_kernel_mode(), KernelMode::Chunked);
-        set_default_kernel_mode(KernelMode::Scalar);
-        assert_eq!(default_kernel_mode(), KernelMode::Scalar);
-        set_default_kernel_mode(KernelMode::Chunked);
-        assert_eq!(default_kernel_mode(), KernelMode::Chunked);
-        assert_eq!(KernelMode::Chunked.to_string(), "chunked");
-        assert_eq!(KernelMode::Scalar.to_string(), "scalar");
-    }
-
-    #[test]
     fn min4_matches_scalar_at_lane_boundaries() {
         for &m in &SIZES {
             for ties in [false, true] {
@@ -629,57 +482,6 @@ mod tests {
                 bound_min4(mode, &rows, &mut out, eval4, eval1),
                 Some((2.5, 0))
             );
-        }
-    }
-
-    #[test]
-    fn node_fix4_matches_scalar_twin() {
-        for &pairs in &SIZES {
-            let mut s = 0xF1u64 | pairs as u64;
-            let children: Vec<NodeStats> = (0..2 * pairs)
-                .map(|_| NodeStats {
-                    min_count: xorshift(&mut s) % 7,
-                    min_wsum: (xorshift(&mut s) % 30) as f64 * 0.5,
-                    max_wsum: (xorshift(&mut s) % 50) as f64 * 0.5,
-                    min_size: (1 + xorshift(&mut s) % 16) as f64,
-                })
-                .collect();
-            let mut chunked = vec![NodeStats::leaf(MachineStats::EMPTY); pairs];
-            let mut scalar = chunked.clone();
-            node_fix4(KernelMode::Chunked, &children, &mut chunked);
-            node_fix4(KernelMode::Scalar, &children, &mut scalar);
-            assert_eq!(chunked, scalar, "pairs={pairs}");
-        }
-    }
-
-    #[test]
-    fn agg_fix4_is_order_exact_on_chains() {
-        // A parent-child chain (node k's left child is node k+1): the
-        // combine must read fresh rows written earlier in the batch.
-        let nil = u32::MAX;
-        for &n in &SIZES {
-            let weights: Vec<f64> = (0..n).map(|i| (i % 7) as f64 + 0.5).collect();
-            let batch: Vec<AggFix> = (0..n)
-                .rev()
-                .map(|i| AggFix {
-                    node: i as u32,
-                    left: if i + 1 < n { (i + 1) as u32 } else { nil },
-                    right: nil,
-                    weight: weights[i],
-                })
-                .collect();
-            let mut a = vec![AggRow::ZERO; n];
-            let mut b = vec![AggRow::ZERO; n];
-            agg_fix4(KernelMode::Chunked, &mut a, nil, &batch);
-            agg_fix4(KernelMode::Scalar, &mut b, nil, &batch);
-            assert_eq!(a, b, "n={n}");
-            assert_eq!(a[0].count as usize, n);
-            // Root sum equals the right-to-left serial accumulation.
-            let mut expect = 0.0;
-            for i in (0..n).rev() {
-                expect = weights[i] + expect + 0.0;
-            }
-            assert_eq!(a[0].sum.to_bits(), expect.to_bits());
         }
     }
 

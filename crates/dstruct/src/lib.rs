@@ -28,11 +28,6 @@
 //!   space (used for time-slot aggregation in the §4 energy search);
 //! * [`treap::AggTreap`] — arena-allocated randomized balanced BST
 //!   augmented with subtree `(count, weight-sum)` aggregates;
-//! * [`treap_boxed::BoxedAggTreap`] — the superseded `Box`-per-node
-//!   treap, kept only as the `dstruct_ablation` bench baseline;
-//! * [`pairing::PairingHeap`] — amortized-O(1)-meld min-heap, an
-//!   alternative event queue backend (selectable in `osr-sim` and
-//!   benchmarked against `std::collections::BinaryHeap`);
 //! * [`naive::NaiveAggQueue`] — sorted-`Vec` reference implementation with
 //!   the same API as `AggTreap`, used for differential testing and as the
 //!   ablation baseline;
@@ -50,7 +45,11 @@
 //!   in one batched sweep only when a heap descent actually reads
 //!   them — leaf-only search paths (flat scan, sparse set-bit walk)
 //!   never rebuild the tree at all. See `crates/dstruct/README.md`
-//!   for the search-side vs update-side design tour.
+//!   for the search-side vs update-side design tour;
+//! * [`kernel`] — the `[f64; 4]`/`[u64; 4]` chunked kernels under the
+//!   index's flat scan and the mask word math, each with a bit-exact
+//!   scalar twin ([`KernelMode::Scalar`], the reference the chunked
+//!   forms are tested against).
 
 // Stylistic lints intentionally not followed:
 // - `needless_range_loop`: machine loops index several parallel state
@@ -63,20 +62,16 @@
 pub mod fenwick;
 pub mod kernel;
 pub mod naive;
-pub mod pairing;
 pub mod total;
 pub mod tournament;
 pub mod treap;
-pub mod treap_boxed;
 
 pub use fenwick::Fenwick;
-pub use kernel::{default_kernel_mode, set_default_kernel_mode, KernelMode};
+pub use kernel::KernelMode;
 pub use naive::NaiveAggQueue;
-pub use pairing::PairingHeap;
 pub use total::TotalF64;
 pub use tournament::{
-    default_propagation, set_default_propagation, IndexStats, MachineIndex, MachineStats, MaskView,
-    NodeStats, Propagation, SearchMode, ShardMaskScratch,
+    IndexStats, MachineIndex, MachineStats, MaskView, NodeStats, Propagation, SearchMode,
+    ShardMaskScratch,
 };
 pub use treap::AggTreap;
-pub use treap_boxed::BoxedAggTreap;

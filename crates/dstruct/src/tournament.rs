@@ -40,10 +40,10 @@
 //! repair entirely, so under [`SearchMode::Flat`] ancestors are never
 //! allocated, written, or read at all.
 //!
-//! The eager behaviour survives as [`Propagation::Eager`]
-//! (process-default selectable via [`set_default_propagation`], like
-//! `osr-core`'s dispatch toggle) for the `update_churn` ablation bench
-//! and the CI equivalence diff; results are bit-identical either way —
+//! The eager behaviour survives as [`Propagation::Eager`] (selected
+//! per scheduler by `osr-core`'s reference configuration) for the
+//! `update_churn` ablation bench and the `reference_equivalence`
+//! experiment-suite diff; results are bit-identical either way —
 //! a search observes exactly the aggregates a from-scratch rebuild
 //! would produce, a property the interleaving proptests lock.
 //!
@@ -129,9 +129,8 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::kernel::{self, default_kernel_mode, KernelMode, LANES};
+use crate::kernel::{self, KernelMode, LANES};
 use crate::total::TotalF64;
 
 /// Borrowed view of a per-job machine-eligibility bitmask, as consumed
@@ -241,7 +240,7 @@ impl ShardMaskScratch {
                 let local = &words[first..last];
                 self.summary.clear();
                 self.summary.resize(local.len().div_ceil(64), 0);
-                kernel::summarize_words4(default_kernel_mode(), local, &mut self.summary);
+                kernel::summarize_words4(KernelMode::Chunked, local, &mut self.summary);
                 MaskView::Words {
                     words: local,
                     summary: &self.summary,
@@ -269,13 +268,13 @@ pub enum SearchMode {
 /// When ancestor aggregates are rebuilt after a leaf mutation. Results
 /// are bit-identical either way — a search always observes the
 /// aggregates a from-scratch rebuild would produce (locked by the
-/// interleaving proptests and the CI `--propagation` diff); the modes
-/// trade update-side work.
+/// interleaving proptests and the `reference_equivalence` diff); the
+/// modes trade update-side work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Propagation {
     /// Rebuild the `O(log m)` ancestor path on every
     /// [`MachineIndex::update`] — the pre-PR-5 behaviour, kept as the
-    /// `update_churn` ablation baseline and the CI compat mode.
+    /// `update_churn` ablation baseline and the reference mode.
     Eager,
     /// Mutations write the leaf table and a dirty bit only; ancestors
     /// are repaired in one batched bottom-up sweep at the next search
@@ -283,34 +282,6 @@ pub enum Propagation {
     /// writes for leaf-only search paths).
     #[default]
     Lazy,
-}
-
-const PROP_EAGER: u8 = 0;
-const PROP_LAZY: u8 = 1;
-
-/// Process-wide default consulted by [`MachineIndex::new`] and
-/// [`MachineIndex::with_mode`], so harnesses (e.g. `run_experiments
-/// --propagation eager`) can ablate every index the schedulers build
-/// without touching call sites — the same pattern as `osr-core`'s
-/// dispatch-index default.
-static DEFAULT_PROPAGATION: AtomicU8 = AtomicU8::new(PROP_LAZY);
-
-/// Sets the process-wide default [`Propagation`].
-pub fn set_default_propagation(p: Propagation) {
-    let v = match p {
-        Propagation::Eager => PROP_EAGER,
-        Propagation::Lazy => PROP_LAZY,
-    };
-    DEFAULT_PROPAGATION.store(v, Ordering::Relaxed);
-}
-
-/// The process-wide default [`Propagation`] (`Lazy` unless overridden
-/// via [`set_default_propagation`]).
-pub fn default_propagation() -> Propagation {
-    match DEFAULT_PROPAGATION.load(Ordering::Relaxed) {
-        PROP_EAGER => Propagation::Eager,
-        _ => Propagation::Lazy,
-    }
 }
 
 /// Largest machine count for which [`MachineIndex::new`] picks
@@ -518,8 +489,8 @@ pub struct MachineIndex {
 impl MachineIndex {
     /// Index over `m` machines, all starting with empty queues, in the
     /// search mode best for `m` (flat at or below
-    /// [`FLAT_MAX_MACHINES`], heap above) and the process-default
-    /// [`Propagation`].
+    /// [`FLAT_MAX_MACHINES`], heap above), with lazy propagation and
+    /// the chunked kernels.
     ///
     /// # Panics
     /// Panics when `m == 0` (instances always have a machine).
@@ -532,30 +503,29 @@ impl MachineIndex {
         Self::with_mode(m, mode)
     }
 
-    /// Index over `m` machines with an explicit [`SearchMode`] (and the
-    /// process-default [`Propagation`]) — for the ablation benches and
+    /// Index over `m` machines with an explicit [`SearchMode`] (lazy
+    /// propagation, chunked kernels) — for the ablation benches and
     /// the crossover-boundary tests; production callers want
     /// [`MachineIndex::new`].
     ///
     /// # Panics
     /// Panics when `m == 0` (instances always have a machine).
     pub fn with_mode(m: usize, mode: SearchMode) -> Self {
-        Self::with_config(m, mode, default_propagation())
+        Self::with_config(m, mode, Propagation::Lazy)
     }
 
-    /// Explicit search mode *and* propagation mode, with the
-    /// process-default [`KernelMode`].
+    /// Explicit search mode *and* propagation mode, with the chunked
+    /// kernels.
     ///
     /// # Panics
     /// Panics when `m == 0` (instances always have a machine).
     pub fn with_config(m: usize, mode: SearchMode, prop: Propagation) -> Self {
-        Self::with_kernels(m, mode, prop, default_kernel_mode())
+        Self::with_kernels(m, mode, prop, KernelMode::Chunked)
     }
 
     /// Fully explicit constructor: search mode, propagation mode *and*
     /// kernel mode (the latter for the kernel ablation benches and the
-    /// chunked-vs-scalar equivalence tests; production callers inherit
-    /// the process default via the other constructors).
+    /// chunked-vs-scalar equivalence tests).
     ///
     /// # Panics
     /// Panics when `m == 0` (instances always have a machine).
@@ -703,55 +673,10 @@ impl MachineIndex {
     }
 
     /// Rebuilds every internal node from the leaf table, bottom-up
-    /// level by level — equivalent to recomputing nodes `cap-1..=1` in
-    /// order, but the fully-internal levels run through
-    /// [`kernel::node_fix4`] (four parents, eight contiguous children
-    /// per chunk). Only the leaf-parent level reads [`Self::leaf_ns`]
-    /// (tombstone/padding resolution); everything above is a pure
-    /// `inner`-to-`inner` sweep.
+    /// (nodes `cap-1..=1` in order).
     fn rebuild_all(&mut self) {
-        if self.cap == 1 {
-            return; // a single leaf has no internal nodes
-        }
-        for k in (self.cap / 2..self.cap).rev() {
+        for k in (1..self.cap).rev() {
             self.recompute(k as u32);
-        }
-        // Child level starts at `half`; its parents fill [half/2, half).
-        let mut half = self.cap / 2;
-        while half >= 2 {
-            let lvl = half / 2;
-            let (lo, hi) = self.inner.split_at_mut(half);
-            kernel::node_fix4(self.kern, &hi[..half], &mut lo[lvl..]);
-            half = lvl;
-        }
-    }
-
-    /// Recomputes one repair-sweep level: `ids` are node ids on a
-    /// single tree level, strictly increasing. Runs of four
-    /// *consecutive* fully-internal parents (children `2k..2k+8` all
-    /// internal, disjoint from the parent run — needs `k ≥ 4`) chunk
-    /// through [`kernel::node_fix4`]; everything else falls back to the
-    /// scalar [`Self::recompute`].
-    fn recompute_run(&mut self, ids: &[u32]) {
-        let mut i = 0;
-        while i < ids.len() {
-            let k = ids[i] as usize;
-            if self.kern == KernelMode::Chunked
-                && k >= LANES
-                && i + LANES <= ids.len()
-                && ids[i + LANES - 1] as usize == k + LANES - 1
-                && 2 * (k + LANES) <= self.cap
-            {
-                // `ids` is strictly increasing, so ids[i+3] == k+3
-                // implies the run is consecutive; `k ≥ 4` keeps the
-                // child slice [2k, 2k+8) disjoint from the parents.
-                let (lo, hi) = self.inner.split_at_mut(2 * k);
-                kernel::node_fix4(KernelMode::Chunked, &hi[..2 * LANES], &mut lo[k..k + LANES]);
-                i += LANES;
-            } else {
-                self.recompute(ids[i]);
-                i += 1;
-            }
         }
     }
 
@@ -826,7 +751,9 @@ impl MachineIndex {
         // All frontier nodes sit on one level; walk levels up to the
         // root, recomputing each dirty node once.
         loop {
-            self.recompute_run(&frontier);
+            for &k in &frontier {
+                self.recompute(k);
+            }
             if frontier[0] == 1 {
                 break; // just recomputed the root
             }
@@ -1654,12 +1581,8 @@ mod tests {
             MachineIndex::new(FLAT_MAX_MACHINES + 1).mode(),
             SearchMode::Heap
         );
-        // The propagation default round-trips like the dispatch one.
         assert_eq!(MachineIndex::new(8).propagation(), Propagation::Lazy);
-        set_default_propagation(Propagation::Eager);
-        assert_eq!(MachineIndex::new(8).propagation(), Propagation::Eager);
-        set_default_propagation(Propagation::Lazy);
-        assert_eq!(default_propagation(), Propagation::Lazy);
+        assert_eq!(MachineIndex::new(8).kernels(), KernelMode::Chunked);
     }
 
     /// Deterministic xorshift for the randomized cross-checks below.

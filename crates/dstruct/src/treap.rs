@@ -27,17 +27,15 @@
 //! ## Packed aggregate rows (struct-of-arrays)
 //!
 //! The `(count, sum)` subtree aggregates live in their **own parallel
-//! array** of packed 16-byte rows ([`crate::kernel::AggRow`]), not
+//! array** of packed 16-byte rows ([`AggRow`]), not
 //! inside the node struct. The bottom-up aggregate fix after every
 //! mutation — two child-agg reads plus one write per level, which
 //! `treap_steady_churn` shows is the churn cost — therefore walks a
 //! dense array where four rows share a cache line, instead of pulling
 //! in each child's full node (key, priority, links) just to read 12
-//! bytes of aggregate. Since PR 9 the fix runs through
-//! [`crate::kernel::agg_fix4`]: the path's operands (child links, own
-//! weights) gather in quads under [`crate::kernel::KernelMode::Chunked`],
-//! but the combine itself stays serial in both modes — each level reads
-//! the aggregate the level below just wrote, a true dependency chain.
+//! bytes of aggregate. The fix is a plain serial loop: each level reads
+//! the aggregate the level below just wrote, a true dependency chain
+//! that no lane kernel can chunk (BENCH.md "PR 9").
 //! The arithmetic is unchanged expression for expression
 //! (`weight + left.sum + right.sum`), so aggregate sums stay
 //! bit-identical to the previous layout and to a fresh build — the
@@ -49,9 +47,9 @@
 //! stack. Insert descends once to the priority-determined attachment
 //! point and splits only the subtree below it; remove descends once to
 //! the victim and merges only its two subtrees — cheaper than the
-//! classic full split + merge at the root, which the superseded
-//! implementation (preserved as [`crate::treap_boxed::BoxedAggTreap`]
-//! for the `dstruct_ablation` bench) still does.
+//! classic full split + merge at the root that the superseded
+//! `Box`-per-node implementation did (BENCH.md "PR 1" records the
+//! arena-vs-boxed comparison).
 //!
 //! [`AggTreap::from_sorted`] bulk-builds from pre-sorted entries in
 //! `O(n)` via the rightmost-spine construction.
@@ -64,7 +62,20 @@
 //! `(p, r, id)` keys used by the schedulers, but the structure does not
 //! rely on uniqueness).
 
-use crate::kernel::{self, default_kernel_mode, AggFix, AggRow, KernelMode, LANES};
+/// One packed subtree-aggregate row of the treap's struct-of-arrays
+/// layout: 16 bytes, four to a cache line, indexed by arena slot id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AggRow {
+    /// Sum of entry weights in the subtree.
+    pub sum: f64,
+    /// Number of entries in the subtree.
+    pub count: u32,
+}
+
+impl AggRow {
+    /// The empty-subtree aggregate (the `NIL` child's row).
+    pub const ZERO: AggRow = AggRow { sum: 0.0, count: 0 };
+}
 
 /// Aggregate over a set of entries: how many, and their total weight.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -102,7 +113,7 @@ struct Node<K> {
 pub struct AggTreap<K: Ord> {
     nodes: Vec<Node<K>>,
     /// Subtree aggregates, parallel to `nodes` (packed
-    /// [`kernel::AggRow`]s — the child-agg update pass reads this
+    /// [`AggRow`]s — the child-agg update pass reads this
     /// array only).
     aggs: Vec<AggRow>,
     free: Vec<u32>,
@@ -113,10 +124,6 @@ pub struct AggTreap<K: Ord> {
     /// Reusable stack for descent paths (insert/remove/pop may run a
     /// split or merge mid-operation, which owns `scratch`).
     descent: Vec<u32>,
-    /// Which kernel layer the aggregate fix pass runs (captured from
-    /// the process default at construction); results are bit-identical
-    /// either way.
-    kern: KernelMode,
 }
 
 impl<K: Ord> Default for AggTreap<K> {
@@ -141,7 +148,6 @@ impl<K: Ord> AggTreap<K> {
             rng: seed | 1,
             scratch: Vec::new(),
             descent: Vec::new(),
-            kern: default_kernel_mode(),
         }
     }
 
@@ -273,36 +279,11 @@ impl<K: Ord> AggTreap<K> {
     }
 
     /// Recomputes aggregates along a stored walk `path` bottom-up (the
-    /// stack is pushed root-first, so fixes run in reverse). This is
-    /// the treap's child-agg update pass, routed through
-    /// [`kernel::agg_fix4`]: under [`KernelMode::Chunked`] the
-    /// independent operands (child links and own weights) gather into
-    /// [`AggFix`] quads, but the combine itself is a parent-child
-    /// dependency chain and stays serial in both modes — bit-identical
-    /// by construction (and honestly ≈ 1× in the kernel ablation; see
-    /// BENCH.md "PR 9").
+    /// stack is pushed root-first, so fixes run in reverse) — the
+    /// treap's child-agg update pass.
     fn fix_path_rev(&mut self, path: &[u32]) {
-        match self.kern {
-            KernelMode::Scalar => {
-                for &i in path.iter().rev() {
-                    self.update(i);
-                }
-            }
-            KernelMode::Chunked => {
-                let mut batch = [AggFix::default(); LANES];
-                for chunk in path.rchunks(LANES) {
-                    for (k, &i) in chunk.iter().rev().enumerate() {
-                        let n = &self.nodes[i as usize];
-                        batch[k] = AggFix {
-                            node: i,
-                            left: n.left,
-                            right: n.right,
-                            weight: n.weight,
-                        };
-                    }
-                    kernel::agg_fix4(self.kern, &mut self.aggs, NIL, &batch[..chunk.len()]);
-                }
-            }
+        for &i in path.iter().rev() {
+            self.update(i);
         }
     }
 

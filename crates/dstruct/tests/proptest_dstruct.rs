@@ -1,12 +1,12 @@
-//! Property-based differential tests: the treap and pairing heap must
+//! Property-based differential tests: the treap and Fenwick tree must
 //! agree with simple reference implementations on arbitrary operation
 //! sequences — and the lazily-propagated tournament index must agree
 //! with its eager twin and a from-scratch rebuild on arbitrary
 //! interleavings of mutations and searches.
 
 use osr_dstruct::{
-    AggTreap, BoxedAggTreap, Fenwick, KernelMode, MachineIndex, MachineStats, MaskView,
-    NaiveAggQueue, PairingHeap, Propagation, SearchMode, TotalF64,
+    AggTreap, Fenwick, KernelMode, MachineIndex, MachineStats, MaskView, NaiveAggQueue,
+    Propagation, SearchMode, TotalF64,
 };
 use proptest::prelude::*;
 
@@ -89,16 +89,12 @@ proptest! {
         // Heavy pop/insert churn over a bounded live set: by the end of
         // warm-up the arena has its high-water mark of slots, so almost
         // every later insert lands on a freed slot — the reuse path the
-        // dispatch loop runs in steady state. The boxed treap (fresh
-        // allocation per insert, no arena) rides along as a second
-        // reference with identical ordering semantics.
+        // dispatch loop runs in steady state.
         let mut arena = AggTreap::with_capacity(warmup.len());
-        let mut boxed = BoxedAggTreap::new();
         let mut naive = NaiveAggQueue::new();
         for &k in &warmup {
             let w = (k.rem_euclid(5)) as f64 + 1.0;
             arena.insert(k, w);
-            boxed.insert(k, w);
             naive.insert(k, w);
         }
         for (op, k) in churn {
@@ -106,29 +102,18 @@ proptest! {
                 0 => {
                     let w = (k.rem_euclid(5)) as f64 + 1.0;
                     arena.insert(k, w);
-                    boxed.insert(k, w);
                     naive.insert(k, w);
                 }
                 1 => {
-                    let a = arena.pop_first();
-                    let b = boxed.pop_first();
-                    let c = naive.pop_first();
-                    prop_assert_eq!(a, b);
-                    prop_assert_eq!(a, c);
+                    prop_assert_eq!(arena.pop_first(), naive.pop_first());
                 }
                 2 => {
-                    let a = arena.pop_last();
-                    let b = boxed.pop_last();
-                    let c = naive.pop_last();
-                    prop_assert_eq!(a, b);
-                    prop_assert_eq!(a, c);
+                    prop_assert_eq!(arena.pop_last(), naive.pop_last());
                 }
                 _ => {
                     let a = arena.remove(&k);
-                    let b = boxed.remove(&k);
                     let c = naive.remove(&k);
                     prop_assert_eq!(a.is_some(), c.is_some());
-                    prop_assert_eq!(b.is_some(), c.is_some());
                     let q = arena.agg_le(&k);
                     let r = naive.agg_le(&k);
                     prop_assert_eq!(q.count, r.count);
@@ -265,20 +250,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pairing_heap_sorts_arbitrary_input(mut xs in prop::collection::vec(any::<i64>(), 0..500)) {
-        let mut h = PairingHeap::new();
-        for &x in &xs {
-            h.push(x);
-        }
-        let mut out = Vec::with_capacity(xs.len());
-        while let Some(x) = h.pop() {
-            out.push(x);
-        }
-        xs.sort_unstable();
-        prop_assert_eq!(out, xs);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! been desynchronized by direct mutation of the public `sizes` field.
 
 use crate::time::{valid_magnitude, valid_positive};
-use osr_dstruct::kernel::{self, default_kernel_mode};
+use osr_dstruct::kernel::{self, KernelMode};
 
 /// Machine-eligibility bitmask cached on a [`Job`].
 ///
@@ -67,7 +67,7 @@ impl EligMask {
             }
         }
         let mut summary = vec![0u64; words.len().div_ceil(64)];
-        kernel::summarize_words4(default_kernel_mode(), &words, &mut summary);
+        kernel::summarize_words4(KernelMode::Chunked, &words, &mut summary);
         EligMask::Words {
             words: words.into_boxed_slice(),
             summary: summary.into_boxed_slice(),
@@ -87,7 +87,7 @@ impl EligMask {
     pub fn count(&self, machines: usize) -> usize {
         match self {
             EligMask::All => machines,
-            EligMask::Words { words, .. } => kernel::popcount_words4(default_kernel_mode(), words),
+            EligMask::Words { words, .. } => kernel::popcount_words4(KernelMode::Chunked, words),
         }
     }
 
@@ -237,7 +237,7 @@ impl RackPHat {
             // Entries are positive-or-∞ (never NaN, never -0.0), so the
             // chunked lane regrouping returns the scalar fold's minimum
             // bit for bit.
-            kernel::min4_with_index(default_kernel_mode(), &self.block_min[first..last])
+            kernel::min4_with_index(KernelMode::Chunked, &self.block_min[first..last])
                 .map_or(f64::INFINITY, |(v, _)| v)
         }
     }

@@ -161,7 +161,7 @@ impl OnlineSet {
             Some((jw, _)) => {
                 scratch.words.resize(self.words.len(), 0);
                 osr_dstruct::kernel::intersect_words4(
-                    osr_dstruct::default_kernel_mode(),
+                    osr_dstruct::KernelMode::Chunked,
                     jw,
                     &self.words,
                     &mut scratch.words,

@@ -40,15 +40,13 @@
 //! `shards == 1` *is* the serial oracle: the same driver code runs with
 //! one shard covering all racks.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use osr_model::{
     Job, JobId, MachineId, OnlineSet, PartialRun, RejectReason, Rejection, ScheduleLog,
 };
 use rayon::prelude::*;
 
 use crate::capacity::{CapacityChange, CapacityEvent, CapacityPlan};
-use crate::event::{EventBackend, EventQueue};
+use crate::event::EventQueue;
 use crate::trace::{DecisionEvent, DecisionTrace};
 
 /// Machines per rack: the word width of every bitmask layer.
@@ -59,21 +57,6 @@ pub const RACK: usize = 64;
 /// (the outputs are identical either way — this is purely an overhead
 /// crossover).
 pub const EPOCH_PAR_MIN_ARRIVALS: usize = 256;
-
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-default shard count picked up by scheduler params
-/// constructed after this call (`1` = serial oracle). Values below 1
-/// are clamped to 1. Mirrors
-/// [`set_default_propagation`](osr_dstruct::tournament::set_default_propagation).
-pub fn set_default_shards(n: usize) {
-    DEFAULT_SHARDS.store(n.max(1), Ordering::Relaxed);
-}
-
-/// The current process-default shard count (see [`set_default_shards`]).
-pub fn default_shards() -> usize {
-    DEFAULT_SHARDS.load(Ordering::Relaxed)
-}
 
 /// The shard count a request actually yields at `m` machines: requests
 /// are clamped to the rack count (a shard owns at least one 64-machine
@@ -405,15 +388,9 @@ pub struct DriverSession<S> {
 }
 
 impl<S: Send> DriverSession<S> {
-    /// Opens a session over `machines` machines, all online, with
-    /// per-shard completion queues on `backend` and at most
-    /// `shards_requested` shards.
-    pub fn new<P>(
-        policy: &P,
-        machines: usize,
-        backend: EventBackend,
-        shards_requested: usize,
-    ) -> Self
+    /// Opens a session over `machines` machines, all online, with at
+    /// most `shards_requested` shards.
+    pub fn new<P>(policy: &P, machines: usize, shards_requested: usize) -> Self
     where
         P: EventPolicy<Shard = S>,
     {
@@ -421,7 +398,6 @@ impl<S: Send> DriverSession<S> {
             policy,
             machines,
             OnlineSet::all_online(machines),
-            backend,
             shards_requested,
         )
     }
@@ -433,7 +409,6 @@ impl<S: Send> DriverSession<S> {
         policy: &P,
         machines: usize,
         online: OnlineSet,
-        backend: EventBackend,
         shards_requested: usize,
     ) -> Self
     where
@@ -443,7 +418,7 @@ impl<S: Send> DriverSession<S> {
         let slots = (0..layout.shards())
             .map(|s| ShardSlot {
                 shard: policy.make_shard(layout.base(s), layout.len(s), &online),
-                completions: EventQueue::with_backend(backend),
+                completions: EventQueue::new(),
                 io: ShardIo::default(),
                 arrivals: Vec::new(),
             })
@@ -791,8 +766,7 @@ impl<S: Send> DriverSession<S> {
 }
 
 /// Runs the full event loop for `jobs` over `machines` machines under
-/// `plan`, with per-shard completion queues on `backend` and at most
-/// `shards_requested` shards. Returns the completed log (caller calls
+/// `plan`, with at most `shards_requested` shards. Returns the completed log (caller calls
 /// `finish`), the merged decision trace, and the effective shard count.
 ///
 /// This is now a thin batch wrapper over [`DriverSession`]: capacity
@@ -803,15 +777,13 @@ pub fn drive<P: EventPolicy>(
     jobs: &[Job],
     machines: usize,
     plan: &CapacityPlan,
-    backend: EventBackend,
     shards_requested: usize,
     global: &mut P::Global,
 ) -> (ScheduleLog, DecisionTrace, usize) {
     plan.check_machines(machines)
         .expect("capacity plan fits the instance");
     let online = plan.initial_online(machines);
-    let mut session =
-        DriverSession::with_online(policy, machines, online, backend, shards_requested);
+    let mut session = DriverSession::with_online(policy, machines, online, shards_requested);
     for ev in plan.events() {
         session.ingest_until(policy, jobs, ev.time, global);
         session.capacity(policy, jobs, *ev, global);

@@ -1,10 +1,7 @@
-//! Time-ordered event queue with deterministic tie-breaking and a
-//! selectable heap backend.
+//! Time-ordered event queue with deterministic tie-breaking.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-
-use osr_dstruct::PairingHeap;
 
 /// One scheduled event.
 #[derive(Debug, Clone)]
@@ -33,39 +30,16 @@ impl<P> Ord for Entry<P> {
     }
 }
 
-/// Which heap implementation backs an [`EventQueue`].
-///
-/// Both backends observe the identical ordering contract (min time,
-/// FIFO within a time), so simulations are bit-identical across them;
-/// the `event_queue` Criterion bench compares their throughput on the
-/// push/pop burst pattern event-driven schedulers produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventBackend {
-    /// `std::collections::BinaryHeap` (implicit d-ary array heap).
-    #[default]
-    BinaryHeap,
-    /// `osr_dstruct::PairingHeap` (O(1) insert/meld, amortized
-    /// O(log n) pop).
-    PairingHeap,
-}
-
-#[derive(Debug)]
-enum Heap<P> {
-    Binary(BinaryHeap<Reverse<Entry<P>>>),
-    Pairing(PairingHeap<Entry<P>>),
-}
-
 /// Min-queue of `(time, payload)` events.
 ///
 /// Events at equal times pop in **insertion order** (FIFO), which makes
 /// every simulation in the workspace deterministic — a requirement both
 /// for reproducible experiments and for the adaptive adversaries of
 /// Lemma 1/Lemma 2, whose constructions reason about the exact order in
-/// which the algorithm observes events. The guarantee holds for every
-/// [`EventBackend`].
+/// which the algorithm observes events.
 #[derive(Debug)]
 pub struct EventQueue<P> {
-    heap: Heap<P>,
+    heap: BinaryHeap<Reverse<Entry<P>>>,
     seq: u64,
 }
 
@@ -76,48 +50,30 @@ impl<P> Default for EventQueue<P> {
 }
 
 impl<P> EventQueue<P> {
-    /// Empty queue on the default backend.
+    /// Empty queue.
     pub fn new() -> Self {
-        Self::with_backend(EventBackend::default())
-    }
-
-    /// Empty queue on an explicit backend.
-    pub fn with_backend(backend: EventBackend) -> Self {
-        let heap = match backend {
-            EventBackend::BinaryHeap => Heap::Binary(BinaryHeap::new()),
-            EventBackend::PairingHeap => Heap::Pairing(PairingHeap::new()),
-        };
-        EventQueue { heap, seq: 0 }
-    }
-
-    /// Empty queue with reserved capacity (meaningful for the binary
-    /// backend; the pairing heap allocates per node).
-    pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: Heap::Binary(BinaryHeap::with_capacity(cap)),
+            heap: BinaryHeap::new(),
             seq: 0,
         }
     }
 
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> EventBackend {
-        match self.heap {
-            Heap::Binary(_) => EventBackend::BinaryHeap,
-            Heap::Pairing(_) => EventBackend::PairingHeap,
+    /// Empty queue with reserved capacity.
+    pub fn with_capacity(cap: usize) -> Self {
+        EventQueue {
+            heap: BinaryHeap::with_capacity(cap),
+            seq: 0,
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.heap {
-            Heap::Binary(h) => h.len(),
-            Heap::Pairing(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `payload` at `time`. Panics on NaN times (programming
@@ -126,36 +82,23 @@ impl<P> EventQueue<P> {
         assert!(!time.is_nan(), "event time is NaN");
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry { time, seq, payload };
-        match &mut self.heap {
-            Heap::Binary(h) => h.push(Reverse(entry)),
-            Heap::Pairing(h) => h.push(entry),
-        }
+        self.heap.push(Reverse(Entry { time, seq, payload }));
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<f64> {
-        match &self.heap {
-            Heap::Binary(h) => h.peek().map(|Reverse(e)| e.time),
-            Heap::Pairing(h) => h.peek().map(|e| e.time),
-        }
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Pops the earliest event as `(time, payload)`.
     pub fn pop(&mut self) -> Option<(f64, P)> {
-        let entry = match &mut self.heap {
-            Heap::Binary(h) => h.pop().map(|Reverse(e)| e),
-            Heap::Pairing(h) => h.pop(),
-        }?;
+        let Reverse(entry) = self.heap.pop()?;
         Some((entry.time, entry.payload))
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
-        match &mut self.heap {
-            Heap::Binary(h) => h.clear(),
-            Heap::Pairing(h) => h.clear(),
-        }
+        self.heap.clear();
     }
 }
 
@@ -163,82 +106,48 @@ impl<P> EventQueue<P> {
 mod tests {
     use super::*;
 
-    const BACKENDS: [EventBackend; 2] = [EventBackend::BinaryHeap, EventBackend::PairingHeap];
-
     #[test]
     fn pops_in_time_order() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(3.0, "c");
-            q.push(1.0, "a");
-            q.push(2.0, "b");
-            assert_eq!(q.pop(), Some((1.0, "a")), "{backend:?}");
-            assert_eq!(q.pop(), Some((2.0, "b")), "{backend:?}");
-            assert_eq!(q.pop(), Some((3.0, "c")), "{backend:?}");
-            assert_eq!(q.pop(), None, "{backend:?}");
-        }
+        let mut q = EventQueue::new();
+        q.push(3.0, "c");
+        q.push(1.0, "a");
+        q.push(2.0, "b");
+        assert_eq!(q.pop(), Some((1.0, "a")));
+        assert_eq!(q.pop(), Some((2.0, "b")));
+        assert_eq!(q.pop(), Some((3.0, "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn equal_times_pop_fifo() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..10 {
-                q.push(5.0, i);
-            }
-            for i in 0..10 {
-                assert_eq!(q.pop(), Some((5.0, i)), "{backend:?}");
-            }
+        let mut q = EventQueue::new();
+        for i in 0..10 {
+            q.push(5.0, i);
+        }
+        for i in 0..10 {
+            assert_eq!(q.pop(), Some((5.0, i)));
         }
     }
 
     #[test]
     fn peek_time_sees_min() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            assert_eq!(q.peek_time(), None);
-            q.push(7.0, ());
-            q.push(2.0, ());
-            assert_eq!(q.peek_time(), Some(2.0), "{backend:?}");
-            assert_eq!(q.len(), 2, "{backend:?}");
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(7.0, ());
+        q.push(2.0, ());
+        assert_eq!(q.peek_time(), Some(2.0));
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn interleaving_preserves_fifo_within_time() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(1.0, "first@1");
-            q.push(0.5, "only@0.5");
-            q.push(1.0, "second@1");
-            assert_eq!(q.pop().unwrap().1, "only@0.5", "{backend:?}");
-            assert_eq!(q.pop().unwrap().1, "first@1", "{backend:?}");
-            assert_eq!(q.pop().unwrap().1, "second@1", "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn backends_agree_on_random_streams() {
-        let mut a = EventQueue::with_backend(EventBackend::BinaryHeap);
-        let mut b = EventQueue::with_backend(EventBackend::PairingHeap);
-        let mut state = 0xFEEDu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for step in 0..5000 {
-            if next() % 3 != 0 {
-                let t = (next() % 1000) as f64 / 8.0;
-                a.push(t, step);
-                b.push(t, step);
-            } else {
-                assert_eq!(a.pop(), b.pop(), "step {step}");
-            }
-            assert_eq!(a.len(), b.len(), "step {step}");
-            assert_eq!(a.peek_time(), b.peek_time(), "step {step}");
-        }
+        let mut q = EventQueue::new();
+        q.push(1.0, "first@1");
+        q.push(0.5, "only@0.5");
+        q.push(1.0, "second@1");
+        assert_eq!(q.pop().unwrap().1, "only@0.5");
+        assert_eq!(q.pop().unwrap().1, "first@1");
+        assert_eq!(q.pop().unwrap().1, "second@1");
     }
 
     #[test]
@@ -250,17 +159,9 @@ mod tests {
 
     #[test]
     fn clear_empties() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.push(1.0, ());
-            q.clear();
-            assert!(q.is_empty(), "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn default_backend_is_binary() {
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), EventBackend::BinaryHeap);
+        let mut q = EventQueue::new();
+        q.push(1.0, ());
+        q.clear();
+        assert!(q.is_empty());
     }
 }

@@ -6,11 +6,9 @@
 //! independent correctness layer that makes experiment results
 //! trustworthy:
 //!
-//! * [`event::EventQueue`] — time-ordered queue with deterministic FIFO
-//!   tie-breaking and a selectable backend ([`event::EventBackend`]:
-//!   `std::collections::BinaryHeap` by default, the `osr-dstruct`
-//!   pairing heap as a benchmarked alternative — both observe the same
-//!   ordering contract, so simulations are backend-independent);
+//! * [`event::EventQueue`] — time-ordered queue over
+//!   `std::collections::BinaryHeap` with deterministic FIFO
+//!   tie-breaking;
 //! * [`scheduler::OnlineScheduler`] — the trait every policy implements
 //!   (`osr-core` algorithms and `osr-baselines` comparators alike);
 //! * [`driver`] — the generic epoch-sharded event loop all `osr-core`
@@ -58,10 +56,10 @@ pub mod validate;
 
 pub use capacity::{CapacityChange, CapacityEvent, CapacityPlan, OnlineWindow};
 pub use driver::{
-    default_shards, drive, effective_shards, set_default_shards, DriverSession, EventPolicy, LogOp,
-    SessionStats, ShardCtx, ShardIo, ShardLayout, ShardProbe,
+    drive, effective_shards, DriverSession, EventPolicy, LogOp, SessionStats, ShardCtx, ShardIo,
+    ShardLayout, ShardProbe,
 };
-pub use event::{EventBackend, EventQueue};
+pub use event::EventQueue;
 pub use failpoint::{FailAction, FailHit, KILL_EXIT_CODE};
 pub use gantt::render_gantt;
 pub use scheduler::{

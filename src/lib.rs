@@ -9,7 +9,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`model`] | `osr-model` | jobs, instances, schedule logs, metrics, I/O |
-//! | [`dstruct`] | `osr-dstruct` | augmented treap, Fenwick tree, pairing heap |
+//! | [`dstruct`] | `osr-dstruct` | augmented treap, Fenwick tree, tournament dispatch index |
 //! | [`sim`] | `osr-sim` | event queue, scheduler trait, validator, Gantt, stats |
 //! | [`core`] | `osr-core` | the paper's three algorithms + dual accounting |
 //! | [`workload`] | `osr-workload` | generators and the Lemma 1/2 adversaries |
