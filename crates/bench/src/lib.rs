@@ -3,7 +3,7 @@
 //! One module per experiment from DESIGN.md §3; each produces a
 //! [`table::Table`] that prints aligned to the console and serializes
 //! to CSV. `src/bin/run_experiments.rs` runs them all and writes the
-//! CSVs into `results/`; individual `exp_*` binaries run one each.
+//! CSVs into `results/`; `run_experiments [--quick] <id>` runs one.
 //!
 //! All experiments run in **quick** mode (seconds, used by integration
 //! tests and CI) or **full** mode (the numbers recorded in

@@ -356,6 +356,7 @@ fn render_stats(sess: &dyn ServeSession) -> String {
         let _ = writeln!(out, "index_sparse {}", ix.sparse_searches);
         let _ = writeln!(out, "index_heap {}", ix.heap_searches);
         let _ = writeln!(out, "index_heap_evals {}", ix.heap_evals);
+        let _ = writeln!(out, "index_heap_expansions {}", ix.heap_expansions);
         let _ = writeln!(out, "index_dirty {}", ix.dirty_leaves);
         let _ = writeln!(out, "index_live {}", ix.live);
         let _ = writeln!(out, "index_tombstones {}", ix.tombstones);
@@ -797,11 +798,12 @@ fn render_frame(stats: &BTreeMap<String, String>) -> String {
     if stats.contains_key("index_flat") {
         let _ = writeln!(
             out,
-            "  index   flat {}  sparse {}  heap {} ({} evals)  dirty {}  live {}  tombstones {}",
+            "  index   flat {}  sparse {}  heap {} ({} evals)  expanded {}  dirty {}  live {}  tombstones {}",
             get("index_flat"),
             get("index_sparse"),
             get("index_heap"),
             get("index_heap_evals"),
+            get("index_heap_expansions"),
             get("index_dirty"),
             get("index_live"),
             get("index_tombstones"),
@@ -1137,6 +1139,7 @@ shutdown
             ("index_flat", "120"),
             ("index_heap", "5"),
             ("index_heap_evals", "40"),
+            ("index_heap_expansions", "12"),
             ("index_live", "7"),
         ] {
             map.insert(k.to_string(), v.to_string());
@@ -1148,6 +1151,7 @@ shutdown
         assert!(frame.contains("rule-1 2"), "{frame}");
         assert!(frame.contains("flat 120"), "{frame}");
         assert!(frame.contains("heap 5 (40 evals)"), "{frame}");
+        assert!(frame.contains("expanded 12"), "{frame}");
         assert!(frame.contains('█'), "{frame}");
         // No load_* keys — no load pane.
         assert!(!frame.contains("load"), "{frame}");
@@ -1197,7 +1201,8 @@ shutdown
     }
 
     /// Past the flat crossover the heap descent answers dense rows, and
-    /// the stats block reports how many exact evaluations it made.
+    /// the stats block reports how many exact evaluations and internal
+    /// node expansions it made.
     #[test]
     fn stats_block_reports_heap_evals() {
         let m = 256;
@@ -1216,6 +1221,13 @@ shutdown
         let (searches, evals) = (value("index_heap"), value("index_heap_evals"));
         assert_eq!(searches, 4, "{block}");
         assert!(evals >= searches && evals < 4 * m as u64, "{block}");
+        // Every descent expands at least the root; no descent expands
+        // more than the tree's internal nodes.
+        let expansions = value("index_heap_expansions");
+        assert!(
+            expansions >= searches && expansions < 4 * m as u64,
+            "{block}"
+        );
     }
 
     #[test]

@@ -3,6 +3,14 @@
 //! that drive the pruned best-first search
 //! ([`osr_dstruct::MachineIndex`]).
 //!
+//! The search itself is written once, as the flow-family skeleton's
+//! `candidate` (`crate::family`): the pruned arm with its node,
+//! row-quad and leaf bounds, and the linear scan. Each scheduler
+//! supplies only its bound (one of the three below, read from a
+//! subtree's aggregate stats or, for a leaf, one machine's row) and its
+//! exact `λ_ij`; the index setup and capacity sync below serve all
+//! three.
+//!
 //! ## Why a toggle
 //!
 //! Every scheduler dispatches an arriving job to `argmin_i λ_ij`. The
@@ -335,7 +343,7 @@ pub(crate) fn weighted_lambda_bound(
     eps: f64,
 ) -> f64 {
     if min_count == 0 {
-        // Mirrors `WeightedFlowScheduler::lambda_ij` on an empty queue.
+        // Mirrors the weighted policy's exact `λ_ij` on an empty queue.
         let mut lam = w * p / eps;
         lam += w * (0.0 + p);
         lam += 0.0 * p;
@@ -377,7 +385,7 @@ pub(crate) fn energy_lambda_bound(
     gamma: f64,
     alpha: f64,
 ) -> f64 {
-    // Mirrors `EnergyFlowScheduler::lambda_ij`'s empty-queue shape when
+    // Mirrors the §3 policy's exact `λ_ij` empty-queue shape when
     // `min_wsum == 0`: `w_j = 0.0 + w`, `term_pre = 0.0 + p/(γ·w_j^{1/α})`.
     let own = p / (gamma * (0.0 + w).powf(1.0 / alpha));
     let a = w * p / eps + w * (0.0 + own) + min_wsum * own;

@@ -41,19 +41,18 @@
 
 pub mod dual;
 
-use osr_dstruct::{MachineIndex, MachineStats, ShardMaskScratch};
-use osr_model::{
-    Execution, FinishedLog, Instance, Job, JobId, MachineId, OnlineSet, PartialRun, RejectReason,
-    Rejection,
-};
+use osr_dstruct::NodeStats;
+use osr_model::{FinishedLog, Instance, Job, JobId};
 use osr_sim::{
-    driver::{EventPolicy, LogOp, Placement, ShardCtx, ShardProbe},
-    CapacityChange, CapacityPlan, DecisionEvent, DecisionTrace, OnlineScheduler,
+    driver::{Placement, ShardCtx},
+    CapacityPlan, DecisionTrace, OnlineScheduler,
 };
 
 use crate::config::SchedulerConfig;
-use crate::dispatch::{self, DispatchIndex, PRUNED_MIN_MACHINES};
+use crate::dispatch::{self, DispatchIndex};
+use crate::family::{reject_running, DensityQueue, Family, FamilyPolicy, FamilyShard, PendD};
 
+pub use crate::family::JobRecord as EnergyFlowJobRecord;
 pub use dual::{check_energyflow_dual, EnergyFlowAudit};
 
 /// Parameters of the §3 algorithm.
@@ -102,23 +101,6 @@ impl EnergyFlowParams {
     }
 }
 
-/// Per-job record kept for the dual audit and experiments.
-#[derive(Debug, Clone, Copy)]
-pub struct EnergyFlowJobRecord {
-    /// Machine the job was dispatched to.
-    pub machine: u32,
-    /// `λ_j = ε/(1+ε)·min_i λ_ij`.
-    pub lambda: f64,
-    /// Execution start (NaN if never started).
-    pub start: f64,
-    /// Constant execution speed (NaN if never started).
-    pub speed: f64,
-    /// Exit: completion or rejection time.
-    pub exit: f64,
-    /// Definitive finish time (≥ exit; §3's `Q_i` retention).
-    pub def_finish: f64,
-}
-
 /// Full outcome of a §3 run.
 #[derive(Debug)]
 pub struct EnergyFlowOutcome {
@@ -133,8 +115,8 @@ pub struct EnergyFlowOutcome {
     /// The parameters.
     pub params: EnergyFlowParams,
     /// The dispatch strategy that actually ran (`Pruned` degrades to
-    /// `Linear` below [`PRUNED_MIN_MACHINES`]; label ablations by
-    /// this).
+    /// `Linear` below [`crate::PRUNED_MIN_MACHINES`]; label ablations
+    /// by this).
     pub effective_dispatch: DispatchIndex,
     /// The driver shard count that actually ran (requests clamp to the
     /// rack count; `1` = the serial oracle path).
@@ -168,116 +150,6 @@ pub struct EnergyFlowScheduler {
     params: EnergyFlowParams,
     gamma: f64,
     capacity: CapacityPlan,
-}
-
-/// A pending job on a machine, in density order.
-#[derive(Debug, Clone, Copy)]
-struct PendE {
-    job: JobId,
-    /// Volume on this machine.
-    p: f64,
-    w: f64,
-    /// Density `w/p` on this machine.
-    d: f64,
-    r: f64,
-}
-
-impl PendE {
-    /// `true` when `self` precedes `other` in the §3 order
-    /// (higher density first; ties earliest release, then id).
-    fn precedes(&self, other: &PendE) -> bool {
-        match self.d.total_cmp(&other.d) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => match self.r.total_cmp(&other.r) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => self.job < other.job,
-            },
-        }
-    }
-}
-
-struct RunningE {
-    job: JobId,
-    start: f64,
-    completion: f64,
-    speed: f64,
-    /// Weight counter `v_k`.
-    v: f64,
-    w: f64,
-}
-
-struct MachineE {
-    /// Pending jobs sorted by `precedes` (highest density first).
-    pending: Vec<PendE>,
-    /// Cached Σ of pending weights (reset to exactly 0 when the queue
-    /// empties so incremental drift cannot accumulate across busy
-    /// periods).
-    pending_weight: f64,
-    /// Lazy lower bound on the smallest pending volume (see the
-    /// weighted twin); feeds the pruned dispatch bound.
-    pending_min_p: f64,
-    running: Option<RunningE>,
-    /// Rejection events `(time, q_ik(t)/s_k)` for definitive-finish
-    /// accounting, with prefix sums.
-    rej_times: Vec<f64>,
-    rej_prefix: Vec<f64>,
-}
-
-impl MachineE {
-    fn new() -> Self {
-        MachineE {
-            pending: Vec::new(),
-            pending_weight: 0.0,
-            pending_min_p: f64::INFINITY,
-            running: None,
-            rej_times: Vec::new(),
-            rej_prefix: vec![0.0],
-        }
-    }
-
-    fn insert(&mut self, e: PendE) {
-        let pos = self.pending.partition_point(|x| x.precedes(&e));
-        self.pending.insert(pos, e);
-        self.pending_weight += e.w;
-        self.pending_min_p = self.pending_min_p.min(e.p);
-    }
-
-    fn pop_first(&mut self) -> Option<PendE> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            let e = self.pending.remove(0);
-            self.pending_weight -= e.w;
-            if self.pending.is_empty() {
-                self.pending_weight = 0.0;
-                self.pending_min_p = f64::INFINITY;
-            }
-            Some(e)
-        }
-    }
-
-    fn stats(&self) -> MachineStats {
-        MachineStats {
-            count: self.pending.len() as u64,
-            wsum: self.pending_weight,
-            min_size: self.pending_min_p,
-        }
-    }
-
-    fn push_rejection(&mut self, time: f64, delay: f64) {
-        self.rej_times.push(time);
-        let last = *self.rej_prefix.last().unwrap();
-        self.rej_prefix.push(last + delay);
-    }
-
-    /// Sum of rejection delays in `[lo, hi]`.
-    fn rejection_window(&self, lo: f64, hi: f64) -> f64 {
-        let a = self.rej_times.partition_point(|&t| t < lo);
-        let b = self.rej_times.partition_point(|&t| t <= hi);
-        self.rej_prefix[b] - self.rej_prefix[a]
-    }
 }
 
 impl EnergyFlowScheduler {
@@ -314,32 +186,26 @@ impl EnergyFlowScheduler {
         self.gamma
     }
 
-    /// Runs the algorithm, producing the full outcome.
-    ///
-    /// The event loop lives in [`osr_sim::driver`]; this method supplies
-    /// the §3 policy (`EnergyPolicy`) and collects the per-job records
-    /// the driver folds in at every barrier.
-    pub fn run(&self, instance: &Instance) -> EnergyFlowOutcome {
-        let m = instance.machines();
-        let n = instance.len();
-        let jobs = instance.jobs();
-        let policy = EnergyPolicy {
-            jobs,
+    /// The §3 rules under these parameters and `γ`.
+    fn policy(&self) -> EnergyPolicy {
+        EnergyPolicy {
             params: self.params,
             gamma: self.gamma,
-            m,
-        };
-        let mut records = vec![
-            EnergyFlowJobRecord {
-                machine: u32::MAX,
-                lambda: 0.0,
-                start: f64::NAN,
-                speed: f64::NAN,
-                exit: f64::NAN,
-                def_finish: f64::NAN,
-            };
-            n
-        ];
+        }
+    }
+
+    /// Runs the algorithm, producing the full outcome.
+    ///
+    /// The event loop lives in [`osr_sim::driver`] and the dispatch
+    /// search and per-job records in the flow-family skeleton
+    /// (`crate::family`); this method supplies the §3 rules
+    /// (`EnergyPolicy`) and returns the records the driver folds in at
+    /// every barrier.
+    pub fn run(&self, instance: &Instance) -> EnergyFlowOutcome {
+        let m = instance.machines();
+        let jobs = instance.jobs();
+        let policy = FamilyPolicy::new(self.policy(), self.params.config, m);
+        let mut records = vec![EnergyFlowJobRecord::EMPTY; jobs.len()];
         let (log, trace, effective_shards) = osr_sim::drive(
             &policy,
             jobs,
@@ -361,53 +227,51 @@ impl EnergyFlowScheduler {
     }
 }
 
-/// A deferred, job-keyed write into the [`EnergyFlowJobRecord`] array,
-/// buffered per-shard and folded in at every driver barrier.
-enum EnergyOp {
-    /// Final placement (overwritten by later re-dispatches).
-    Machine(JobId, u32),
-    /// First-arrival dual price `λ_j` (never re-set on redispatch).
-    Lambda(JobId, f64),
-    /// Execution start and its fixed speed.
-    Start { job: JobId, start: f64, speed: f64 },
-    /// Exit instant and definitive finish.
-    Exit {
-        job: JobId,
-        exit: f64,
-        def_finish: f64,
-    },
+/// The §3 rules as one algorithm of the flow family: the speed-scaled
+/// `λ_ij` over the density-ordered queue, densest-first starts at
+/// speed `γ·W^{1/α}`, and the weight-counter rejection rule.
+/// [`EnergyFlowScheduler`] and [`crate::EnergyFlowSession`] run it.
+pub struct EnergyPolicy {
+    params: EnergyFlowParams,
+    gamma: f64,
 }
 
-/// One driver shard's §3 state: locally indexed machines plus its slice
-/// of the pruned dispatch index and the buffered record writes.
-pub(crate) struct EnergyShard {
-    base: usize,
-    len: usize,
-    machines: Vec<MachineE>,
-    dindex: Option<MachineIndex>,
-    scratch: ShardMaskScratch,
-    ops: Vec<EnergyOp>,
+impl EnergyPolicy {
+    /// The resolved speed factor `γ`.
+    pub(crate) fn gamma(&self) -> f64 {
+        self.gamma
+    }
 }
 
-/// The §3 algorithm as an [`EventPolicy`]: density-order dispatch,
-/// speed scaling, and the weight-counter rejection rule. `pub(crate)`
-/// with open fields so [`crate::session`] can rebuild the (cheap,
-/// borrow-carrying) policy per ingest call.
-pub(crate) struct EnergyPolicy<'a> {
-    pub(crate) jobs: &'a [Job],
-    pub(crate) params: EnergyFlowParams,
-    pub(crate) gamma: f64,
-    /// Global machine count (pruned-index crossover and the trace's
-    /// `candidates` field are defined on the whole pool).
-    pub(crate) m: usize,
-}
+impl Family for EnergyPolicy {
+    type Params = EnergyFlowParams;
+    type Queue = DensityQueue;
+    const NAME: &'static str = "energy";
 
-impl EnergyPolicy<'_> {
-    /// Computes `λ_ij` for job `(p, w)` against machine state `ms`.
-    fn lambda_ij(&self, ms: &MachineE, p: f64, w: f64, r: f64, id: JobId) -> f64 {
+    fn open(params: EnergyFlowParams) -> Result<Self, String> {
+        Ok(EnergyFlowScheduler::new(params)?.policy())
+    }
+
+    fn eps(&self) -> f64 {
+        self.params.eps
+    }
+
+    fn queue(&self) -> DensityQueue {
+        DensityQueue::new()
+    }
+
+    #[inline]
+    fn bound(&self, s: &NodeStats, p: f64, w: f64) -> f64 {
+        let (eps, alpha) = (self.params.eps, self.params.alpha);
+        dispatch::energy_lambda_bound(
+            s.min_wsum, s.max_wsum, s.min_size, p, w, eps, self.gamma, alpha,
+        )
+    }
+
+    fn lambda(&self, q: &DensityQueue, p: f64, w: f64, r: f64, id: JobId) -> f64 {
         let alpha = self.params.alpha;
         let gamma = self.gamma;
-        let probe = PendE {
+        let probe = PendD {
             job: id,
             p,
             w,
@@ -418,7 +282,7 @@ impl EnergyPolicy<'_> {
         let mut prefix_w = 0.0;
         let mut term_pre = 0.0;
         let mut succ_w = 0.0;
-        for e in &ms.pending {
+        for e in q.items() {
             if e.precedes(&probe) {
                 prefix_w += e.w;
                 term_pre += e.p / (gamma * prefix_w.powf(1.0 / alpha));
@@ -433,383 +297,39 @@ impl EnergyPolicy<'_> {
         lam
     }
 
-    fn sync_index(dindex: &mut Option<MachineIndex>, li: usize, ms: &MachineE) {
-        if let Some(ix) = dindex {
-            ix.update(li, ms.stats());
-        }
-    }
-
-    /// Starts the highest-density pending job if the machine is idle
-    /// (and still in the pool).
-    fn start_next(&self, sh: &mut EnergyShard, cx: &mut ShardCtx<'_>, li: usize, t: f64) {
-        let mi = sh.base + li;
-        let ms = &mut sh.machines[li];
-        if ms.running.is_some() || ms.pending.is_empty() || !cx.online.is_online(mi) {
-            return;
+    fn pop_next(&self, q: &mut DensityQueue) -> Option<(JobId, f64, f64, f64)> {
+        if q.items().is_empty() {
+            return None;
         }
         // Speed uses the total pending weight *including* the job about
         // to start (it is in U_i(t) at this instant).
-        let speed = self.gamma * ms.pending_weight.powf(1.0 / self.params.alpha);
-        let e = ms.pop_first().expect("non-empty");
-        let completion = t + e.p / speed;
-        ms.running = Some(RunningE {
-            job: e.job,
-            start: t,
-            completion,
-            speed,
-            v: 0.0,
-            w: e.w,
-        });
-        cx.completions.push(completion, (mi, e.job));
-        sh.ops.push(EnergyOp::Start {
-            job: e.job,
-            start: t,
-            speed,
-        });
-        cx.io.trace.push(DecisionEvent::Start {
-            time: t,
-            job: e.job,
-            machine: MachineId(mi as u32),
-            speed,
-        });
-        Self::sync_index(&mut sh.dindex, li, &sh.machines[li]);
-    }
-}
-
-impl EventPolicy for EnergyPolicy<'_> {
-    type Shard = EnergyShard;
-    type Global = Vec<EnergyFlowJobRecord>;
-
-    fn make_shard(&self, base: usize, len: usize, online: &OnlineSet) -> EnergyShard {
-        let dindex = (self.params.dispatch == DispatchIndex::Pruned
-            && self.m >= PRUNED_MIN_MACHINES)
-            .then(|| {
-                dispatch::rebuild_shard_index(
-                    base,
-                    len,
-                    online,
-                    self.params.propagation,
-                    self.params.kernels,
-                    |_| MachineStats::EMPTY,
-                )
-            });
-        EnergyShard {
-            base,
-            len,
-            machines: (0..len).map(|_| MachineE::new()).collect(),
-            dindex,
-            scratch: ShardMaskScratch::new(),
-            ops: Vec::new(),
-        }
+        let speed = self.gamma * q.weight().powf(1.0 / self.params.alpha);
+        q.pop_first().map(|e| (e.job, e.p, e.w, speed))
     }
 
-    fn candidate(
+    fn rules(
         &self,
-        sh: &mut EnergyShard,
+        sh: &mut FamilyShard<DensityQueue>,
+        cx: &mut ShardCtx<'_>,
         job: &Job,
-        t: f64,
-        online: &OnlineSet,
-    ) -> Option<(usize, f64)> {
-        // `p̂` and the eligibility mask (the subtree-bound and
-        // subtree-skip inputs) are precomputed on the job at generation
-        // time — no per-arrival O(m) rescan.
-        let EnergyShard {
-            base,
-            len,
-            machines,
-            dindex,
-            scratch,
-            ..
-        } = sh;
-        let (base, len) = (*base, *len);
-        let j = job.id;
-        let (eps, alpha, gamma) = (self.params.eps, self.params.alpha, self.gamma);
-        let best = match dindex.as_mut() {
-            Some(ix) => {
-                let ph = dispatch::p_hat_view(job);
-                let w = job.weight;
-                let mask = scratch.rebase(dispatch::mask_view(job.elig()), base, len);
-                ix.search_masked_rows(
-                    mask,
-                    |s, lo, span| {
-                        dispatch::energy_lambda_bound(
-                            s.min_wsum,
-                            s.max_wsum,
-                            s.min_size,
-                            ph.for_range(base + lo, span),
-                            w,
-                            eps,
-                            gamma,
-                            alpha,
-                        )
-                    },
-                    // Leaf-row-slice form: the scalar bound below, one
-                    // lane per stat row (bit-identical by construction).
-                    |lo, rows, out| {
-                        for k in 0..osr_dstruct::kernel::LANES {
-                            let p = job.sizes[base + lo + k];
-                            out[k] = if p.is_finite() {
-                                dispatch::energy_lambda_bound(
-                                    rows[k].wsum,
-                                    rows[k].wsum,
-                                    rows[k].min_size,
-                                    p,
-                                    w,
-                                    eps,
-                                    gamma,
-                                    alpha,
-                                )
-                            } else {
-                                f64::INFINITY
-                            };
-                        }
-                    },
-                    |li, s| {
-                        let p = job.sizes[base + li];
-                        if p.is_finite() {
-                            dispatch::energy_lambda_bound(
-                                s.wsum, s.wsum, s.min_size, p, w, eps, gamma, alpha,
-                            )
-                        } else {
-                            f64::INFINITY
-                        }
-                    },
-                    |li| {
-                        let p = job.sizes[base + li];
-                        p.is_finite()
-                            .then(|| self.lambda_ij(&machines[li], p, w, t, j))
-                    },
-                )
-            }
-            None => {
-                let mut best: Option<(usize, f64)> = None;
-                for (li, ms) in machines.iter().enumerate().take(len) {
-                    let p = job.sizes[base + li];
-                    if !p.is_finite() || !online.is_online(base + li) {
-                        continue;
-                    }
-                    let lam = self.lambda_ij(ms, p, job.weight, t, j);
-                    if best.is_none_or(|(_, bl)| lam < bl) {
-                        best = Some((li, lam));
-                    }
-                }
-                best
-            }
-        };
-        best.map(|(li, lam)| (base + li, lam))
-    }
-
-    fn dispatch(&self, sh: &mut EnergyShard, cx: &mut ShardCtx<'_>, job: &Job, p: &Placement) {
-        let Placement {
-            time: t,
-            machine: mi,
-            lambda: lam,
-            redispatch,
-        } = *p;
-        let j = job.id;
-        // Re-dispatches keep the job's first-arrival λ_j (the dual
-        // prices the original arrival); `machine` tracks the final
-        // placement.
-        sh.ops.push(EnergyOp::Machine(j, mi as u32));
-        if !redispatch {
-            let eps = self.params.eps;
-            sh.ops.push(EnergyOp::Lambda(j, eps / (1.0 + eps) * lam));
-        }
-        let li = mi - sh.base;
-
-        let p_ij = job.sizes[mi];
-        sh.machines[li].insert(PendE {
-            job: j,
-            p: p_ij,
-            w: job.weight,
-            d: job.weight / p_ij,
-            r: t,
-        });
-        Self::sync_index(&mut sh.dindex, li, &sh.machines[li]);
-
+        p: &Placement,
+        li: usize,
+    ) {
+        let (t, mi) = (p.time, p.machine);
         // Rejection rule: charge the arriving weight to the running
         // job; reject it when the counter exceeds w_k/ε.
-        if let Some(run) = sh.machines[li].running.as_mut() {
-            run.v += job.weight;
-            if self.params.reject && run.v > run.w / self.params.eps {
-                let run = sh.machines[li].running.take().expect("present");
-                let k = run.job;
-                let delay = (run.completion - t).max(0.0); // q_ik(t)/s_k
-                cx.io.ops.push(LogOp::Reject(
-                    k,
-                    Rejection {
-                        time: t,
-                        reason: RejectReason::RuleOne,
-                        partial: Some(PartialRun {
-                            machine: MachineId(mi as u32),
-                            start: run.start,
-                            end: t,
-                            speed: run.speed,
-                        }),
-                    },
-                ));
-                cx.io.trace.push(DecisionEvent::Reject {
-                    time: t,
-                    job: k,
-                    machine: MachineId(mi as u32),
-                    reason: RejectReason::RuleOne,
-                    counter: run.v,
-                });
-                sh.machines[li].push_rejection(t, delay);
-                let rk = self.jobs[k.idx()].release;
-                let def_finish = t + sh.machines[li].rejection_window(rk, t);
-                sh.ops.push(EnergyOp::Exit {
-                    job: k,
-                    exit: t,
-                    def_finish,
-                });
-            }
-        }
-
-        self.start_next(sh, cx, li, t);
-    }
-
-    fn note_unplaced(&self, sh: &mut EnergyShard, job: &Job, t: f64) {
-        // Eligible nowhere (or nowhere still in the pool); the driver
-        // has recorded the rejection. λ_j = 0 (machine-lost keeps any λ
-        // from the first arrival), and the job (re-)enters no U_i.
-        sh.ops.push(EnergyOp::Exit {
-            job: job.id,
-            exit: t,
-            def_finish: t,
-        });
-    }
-
-    fn complete(&self, sh: &mut EnergyShard, cx: &mut ShardCtx<'_>, mi: usize, job: JobId, t: f64) {
-        let li = mi - sh.base;
-        // Stale if the job was rejected mid-run or crash-killed and
-        // re-dispatched (the completion-time check catches a re-dispatch
-        // back onto the same machine).
-        let matches = sh.machines[li]
-            .running
-            .as_ref()
-            .is_some_and(|r| r.job == job && r.completion == t);
-        if !matches {
+        let ms = &mut sh.machines[li];
+        let Some(run) = ms.running.as_mut() else {
             return;
+        };
+        run.v += job.weight;
+        if self.params.reject && run.v > run.w / self.params.eps {
+            let run = ms.running.take().expect("present");
+            reject_running(cx, mi, &run, t);
+            ms.ledger.push(t, (run.completion - t).max(0.0)); // q_ik(t)/s_k
+            let def_finish = sh.settle(cx.jobs, li, run.job, t);
+            sh.exit(run.job, t, def_finish);
         }
-        let r = sh.machines[li].running.take().expect("matched");
-        cx.io.ops.push(LogOp::Complete(
-            job,
-            Execution {
-                machine: MachineId(mi as u32),
-                start: r.start,
-                completion: r.completion,
-                speed: r.speed,
-            },
-        ));
-        cx.io.trace.push(DecisionEvent::Complete {
-            time: t,
-            job,
-            machine: MachineId(mi as u32),
-        });
-        let rj = self.jobs[job.idx()].release;
-        let def_finish = t + sh.machines[li].rejection_window(rj, t);
-        sh.ops.push(EnergyOp::Exit {
-            job,
-            exit: t,
-            def_finish,
-        });
-        self.start_next(sh, cx, li, t);
-    }
-
-    fn capacity_sync(
-        &self,
-        sh: &mut EnergyShard,
-        change: CapacityChange,
-        mi: usize,
-        online: &OnlineSet,
-    ) {
-        let EnergyShard {
-            base,
-            len,
-            machines,
-            dindex,
-            ..
-        } = sh;
-        let base = *base;
-        dispatch::sync_shard_index(
-            dindex,
-            self.params.capacity_index,
-            change,
-            mi,
-            base,
-            *len,
-            online,
-            self.params.propagation,
-            self.params.kernels,
-            |i| machines[i - base].stats(),
-        );
-    }
-
-    fn evict(
-        &self,
-        sh: &mut EnergyShard,
-        _cx: &mut ShardCtx<'_>,
-        change: CapacityChange,
-        mi: usize,
-        t: f64,
-        victims: &mut Vec<(JobId, Option<PartialRun>)>,
-    ) {
-        let li = mi - sh.base;
-        if change == CapacityChange::Crash {
-            if let Some(run) = sh.machines[li].running.take() {
-                victims.push((
-                    run.job,
-                    Some(PartialRun {
-                        machine: MachineId(mi as u32),
-                        start: run.start,
-                        end: t,
-                        speed: run.speed,
-                    }),
-                ));
-            }
-        }
-        while let Some(e) = sh.machines[li].pop_first() {
-            victims.push((e.job, None));
-        }
-    }
-
-    fn drain(&self, sh: &mut EnergyShard, records: &mut Vec<EnergyFlowJobRecord>) {
-        for op in sh.ops.drain(..) {
-            match op {
-                EnergyOp::Machine(j, mi) => records[j.idx()].machine = mi,
-                EnergyOp::Lambda(j, v) => records[j.idx()].lambda = v,
-                EnergyOp::Start { job, start, speed } => {
-                    records[job.idx()].start = start;
-                    records[job.idx()].speed = speed;
-                }
-                EnergyOp::Exit {
-                    job,
-                    exit,
-                    def_finish,
-                } => {
-                    records[job.idx()].exit = exit;
-                    records[job.idx()].def_finish = def_finish;
-                }
-            }
-        }
-    }
-
-    fn probe(&self, sh: &EnergyShard) -> ShardProbe {
-        ShardProbe {
-            queued: sh.machines.iter().map(|ms| ms.pending.len()).sum(),
-            running: sh.machines.iter().filter(|ms| ms.running.is_some()).count(),
-            index: sh.dindex.as_ref().map(|ix| ix.index_stats()),
-        }
-    }
-
-    fn probe_machines(&self, sh: &EnergyShard, out: &mut Vec<(usize, usize)>) {
-        out.extend(
-            sh.machines
-                .iter()
-                .enumerate()
-                .map(|(li, ms)| (sh.base + li, ms.pending.len())),
-        );
     }
 }
 
@@ -863,7 +383,7 @@ pub fn optimal_gamma(eps: f64, alpha: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osr_model::{InstanceBuilder, InstanceKind, Metrics};
+    use osr_model::{InstanceBuilder, InstanceKind, MachineId, Metrics, RejectReason};
     use osr_sim::{validate_log, ValidationConfig};
 
     fn assert_valid(inst: &Instance, out: &EnergyFlowOutcome) {

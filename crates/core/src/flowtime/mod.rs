@@ -41,19 +41,17 @@ pub mod dual;
 pub mod queue;
 pub mod weighted;
 
-use osr_dstruct::{MachineIndex, MachineStats, ShardMaskScratch, TotalF64};
-use osr_model::{
-    Execution, FinishedLog, Instance, Job, JobId, MachineId, OnlineSet, PartialRun, RejectReason,
-    Rejection,
-};
+use osr_dstruct::{NodeStats, TotalF64};
+use osr_model::{FinishedLog, Instance, Job, JobId};
 use osr_sim::{
-    driver::{EventPolicy, LogOp, Placement, ShardCtx, ShardProbe},
-    CapacityChange, CapacityPlan, DecisionEvent, DecisionTrace, OnlineScheduler,
+    driver::{Placement, ShardCtx},
+    CapacityPlan, DecisionTrace, OnlineScheduler,
 };
 
 use crate::config::SchedulerConfig;
-use crate::dispatch::{self, DispatchIndex, PRUNED_MIN_MACHINES};
+use crate::dispatch::{self, DispatchIndex};
 use crate::epsilon::Thresholds;
+use crate::family::{reject_pending, reject_running, Family, FamilyPolicy, FamilyShard, JobRecord};
 pub use dual::{check_dual_feasibility, DualAudit, FlowDual};
 pub use queue::QueueBackend;
 use queue::{lambda_ij, pend_key, PendKey, PendQueue};
@@ -124,8 +122,8 @@ pub struct FlowOutcome {
     /// Decision audit trail.
     pub trace: DecisionTrace,
     /// The dispatch strategy that actually ran: `Pruned` degrades to
-    /// `Linear` below [`PRUNED_MIN_MACHINES`], and ablation harnesses
-    /// must label rows by *this*, not the request
+    /// `Linear` below [`crate::PRUNED_MIN_MACHINES`], and ablation
+    /// harnesses must label rows by *this*, not the request
     /// (see [`crate::dispatch::effective_dispatch_index`]).
     pub effective_dispatch: DispatchIndex,
     /// The shard count the driver actually ran with (requests are
@@ -158,54 +156,6 @@ pub struct FlowScheduler {
     capacity: CapacityPlan,
 }
 
-/// The job currently executing on a machine.
-struct Running {
-    job: JobId,
-    start: f64,
-    completion: f64,
-    /// Rule 1 counter `v_k`.
-    v: u64,
-}
-
-/// Per-machine online state.
-struct MachineState {
-    pending: PendQueue,
-    running: Option<Running>,
-    /// Rule 2 counter `c_i`.
-    c: u64,
-    /// Rule 1 rejection events `(time, remaining q_ik(r_{j_k}))`, in
-    /// time order, with a running prefix sum for `O(log)` window
-    /// queries when finalizing `C̃_j`.
-    rule1_times: Vec<f64>,
-    rule1_prefix: Vec<f64>,
-}
-
-impl MachineState {
-    fn new(backend: QueueBackend, cap_hint: usize) -> Self {
-        MachineState {
-            pending: PendQueue::with_capacity(backend, cap_hint),
-            running: None,
-            c: 0,
-            rule1_times: Vec::new(),
-            rule1_prefix: vec![0.0],
-        }
-    }
-
-    fn push_rule1_event(&mut self, time: f64, remaining: f64) {
-        debug_assert!(self.rule1_times.last().is_none_or(|&t| t <= time));
-        self.rule1_times.push(time);
-        let last = *self.rule1_prefix.last().unwrap();
-        self.rule1_prefix.push(last + remaining);
-    }
-
-    /// Sum of remaining-times of Rule-1 rejections in `[lo, hi]`.
-    fn rule1_window(&self, lo: f64, hi: f64) -> f64 {
-        let a = self.rule1_times.partition_point(|&t| t < lo);
-        let b = self.rule1_times.partition_point(|&t| t <= hi);
-        self.rule1_prefix[b] - self.rule1_prefix[a]
-    }
-}
-
 impl FlowScheduler {
     /// Validates `params` and builds the scheduler.
     pub fn new(params: FlowParams) -> Result<Self, String> {
@@ -235,53 +185,51 @@ impl FlowScheduler {
         self.thresholds
     }
 
+    /// The §2 rules for a run whose machines preallocate `cap_hint`
+    /// pending slots each.
+    fn policy(&self, cap_hint: usize) -> FlowPolicy {
+        FlowPolicy {
+            th: self.thresholds,
+            params: self.params,
+            cap_hint,
+        }
+    }
+
     /// Runs the algorithm over `instance`, producing the full outcome.
     ///
     /// The event loop itself — the three-way arrival/completion/capacity
     /// merge, the re-dispatch discipline, the shared reject accounting —
-    /// lives in [`osr_sim::driver`]; this method supplies the §2 policy
-    /// (`FlowPolicy`) and assembles the dual from the driver's
-    /// whole-run state.
+    /// lives in [`osr_sim::driver`], and the flow-family skeleton
+    /// (`crate::family`) supplies the dispatch search and the per-job
+    /// records; this method adds the §2 rules (`FlowPolicy`) and
+    /// assembles the dual from the records.
     pub fn run(&self, instance: &Instance) -> FlowOutcome {
-        let th = self.thresholds;
         let m = instance.machines();
         let n = instance.len();
         let jobs = instance.jobs();
-
         // Preallocate each machine's pending arena for an even share of
         // the jobs (clamped: adversarial instances can pile everything
         // onto one machine, which then grows once past the hint).
-        let cap_hint = (n / m + 1).min(1 << 16);
-        let policy = FlowPolicy {
-            jobs,
-            th,
-            params: self.params,
-            m,
-            cap_hint,
-        };
-        let mut global = FlowGlobal {
-            lambda: vec![0.0f64; n],
-            exit: vec![f64::NAN; n],
-            c_tilde: vec![f64::NAN; n],
-            machine_of: vec![u32::MAX; n],
-        };
+        let policy =
+            FamilyPolicy::new(self.policy((n / m + 1).min(1 << 16)), self.params.config, m);
+        let mut records = vec![JobRecord::EMPTY; n];
         let (log, trace, effective_shards) = osr_sim::drive(
             &policy,
             jobs,
             m,
             &self.capacity,
             self.params.shards,
-            &mut global,
+            &mut records,
         );
         let log = log.finish().expect("every job completed or rejected");
-        let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
+        let field = |f: fn(&JobRecord) -> f64| records.iter().map(f).collect();
         let dual = FlowDual::assemble(
-            th,
-            global.lambda,
-            releases,
-            global.exit,
-            global.c_tilde,
-            global.machine_of,
+            self.thresholds,
+            field(|r| r.lambda),
+            jobs.iter().map(|j| j.release).collect(),
+            field(|r| r.exit),
+            field(|r| r.def_finish),
+            records.iter().map(|r| r.machine).collect(),
         );
         FlowOutcome {
             log,
@@ -293,317 +241,91 @@ impl FlowScheduler {
     }
 }
 
-/// A deferred, job-keyed write into the §2 dual arrays, buffered
-/// per-shard and folded into [`FlowGlobal`] at every driver barrier.
-enum FlowOp {
-    /// First-arrival dual price `λ_j` (never re-set on redispatch).
-    Lambda(JobId, f64),
-    /// Final placement (overwritten by later re-dispatches).
-    Machine(JobId, u32),
-    /// Exit instant and definitive finish `C̃_j`.
-    Exit { job: JobId, exit: f64, c_tilde: f64 },
+/// Pending-arena preallocation per machine in serve mode. Offline runs
+/// size the hint from `n / m`, but a stream's length is unknown up
+/// front; any value is schedule-neutral (the hint only pre-reserves
+/// arena space — treap shapes depend on the insertion sequence alone),
+/// so serve uses a small constant and lets hot machines grow.
+const SERVE_CAP_HINT: usize = 64;
+
+/// The §2 rules as one algorithm of the flow family: `λ_ij` over the
+/// SPT-ordered queue, SPT starts at unit speed, Rules 1 and 2, and the
+/// `C̃_j` charges. [`FlowScheduler`] and [`crate::FlowSession`] run it.
+pub struct FlowPolicy {
+    th: Thresholds,
+    params: FlowParams,
+    /// Pending slots each machine's queue preallocates.
+    cap_hint: usize,
 }
 
-/// Whole-run dual state the driver folds shard results into.
-/// `pub(crate)` with open fields so [`crate::session`] can grow it one
-/// arrival at a time in serve mode.
-pub(crate) struct FlowGlobal {
-    pub(crate) lambda: Vec<f64>,
-    pub(crate) exit: Vec<f64>,
-    pub(crate) c_tilde: Vec<f64>,
-    pub(crate) machine_of: Vec<u32>,
-}
+impl Family for FlowPolicy {
+    type Params = FlowParams;
+    type Queue = PendQueue;
+    const NAME: &'static str = "flow";
 
-/// One driver shard's §2 state: the machines it owns (locally
-/// indexed — machine `li` is global `base + li`), its slice of the
-/// pruned dispatch index, and the buffered dual writes.
-pub(crate) struct FlowShard {
-    base: usize,
-    len: usize,
-    machines: Vec<MachineState>,
-    dindex: Option<MachineIndex>,
-    scratch: ShardMaskScratch,
-    ops: Vec<FlowOp>,
-}
-
-/// The §2 algorithm as an [`EventPolicy`]: dispatch argmin + both
-/// rejection rules + dual bookkeeping. The driver owns event ordering
-/// and re-dispatch. `pub(crate)` with open fields so
-/// [`crate::session`] can rebuild the (cheap, borrow-carrying) policy
-/// per ingest call.
-pub(crate) struct FlowPolicy<'a> {
-    pub(crate) jobs: &'a [Job],
-    pub(crate) th: Thresholds,
-    pub(crate) params: FlowParams,
-    /// Global machine count (the pruned-index crossover and the trace's
-    /// `candidates` field are defined on the whole pool, not a shard).
-    pub(crate) m: usize,
-    pub(crate) cap_hint: usize,
-}
-
-/// Machine `q`'s current stats row for the dispatch index.
-fn stats_of(q: &PendQueue) -> MachineStats {
-    MachineStats {
-        count: q.len() as u64,
-        wsum: q.total().sum,
-        min_size: q.min_size(),
-    }
-}
-
-impl FlowPolicy<'_> {
-    /// Pushes machine `li`'s refreshed queue stats into the shard
-    /// index; call after every pending-queue mutation.
-    fn sync_index(dindex: &mut Option<MachineIndex>, li: usize, q: &PendQueue) {
-        if let Some(ix) = dindex {
-            ix.update(li, stats_of(q));
-        }
+    fn open(params: FlowParams) -> Result<Self, String> {
+        Ok(FlowScheduler::new(params)?.policy(SERVE_CAP_HINT))
     }
 
-    /// Starts the shortest pending job on local machine `li` if idle
-    /// (and still in the pool — a draining machine finishes its running
-    /// job but starts nothing new).
-    fn start_next(&self, sh: &mut FlowShard, cx: &mut ShardCtx<'_>, li: usize, t: f64) {
-        let mi = sh.base + li;
-        let ms = &mut sh.machines[li];
-        if ms.running.is_some() || !cx.online.is_online(mi) {
-            return;
-        }
-        if let Some(((p, _r, id), _w)) = ms.pending.pop_first() {
-            let job = JobId(id);
-            let completion = t + p.get();
-            ms.running = Some(Running {
-                job,
-                start: t,
-                completion,
-                v: 0,
-            });
-            cx.completions.push(completion, (mi, job));
-            cx.io.trace.push(DecisionEvent::Start {
-                time: t,
-                job,
-                machine: MachineId(mi as u32),
-                speed: 1.0,
-            });
-            Self::sync_index(&mut sh.dindex, li, &ms.pending);
-        }
-    }
-}
-
-impl EventPolicy for FlowPolicy<'_> {
-    type Shard = FlowShard;
-    type Global = FlowGlobal;
-
-    fn make_shard(&self, base: usize, len: usize, online: &OnlineSet) -> FlowShard {
-        // Pruned dispatch: a tournament tree over per-machine stats,
-        // with offline machines tombstoned. Below the crossover the
-        // plain scan is cheaper than any bookkeeping (results are
-        // identical either way). The crossover is defined on the
-        // *global* pool so shard counts never change the strategy.
-        let dindex = (self.params.dispatch == DispatchIndex::Pruned
-            && self.m >= PRUNED_MIN_MACHINES)
-            .then(|| {
-                dispatch::rebuild_shard_index(
-                    base,
-                    len,
-                    online,
-                    self.params.propagation,
-                    self.params.kernels,
-                    |_| MachineStats::EMPTY,
-                )
-            });
-        FlowShard {
-            base,
-            len,
-            machines: (0..len)
-                .map(|_| MachineState::new(self.params.backend, self.cap_hint))
-                .collect(),
-            dindex,
-            scratch: ShardMaskScratch::new(),
-            ops: Vec::new(),
-        }
+    fn eps(&self) -> f64 {
+        self.th.eps
     }
 
-    fn candidate(
+    fn queue(&self) -> PendQueue {
+        PendQueue::with_capacity(self.params.backend, self.cap_hint)
+    }
+
+    #[inline]
+    fn bound(&self, s: &NodeStats, p: f64, _w: f64) -> f64 {
+        dispatch::flow_lambda_bound(s.min_count, s.min_size, p, self.th.inv_eps)
+    }
+
+    #[inline]
+    fn lambda(&self, q: &PendQueue, p: f64, _w: f64, t: f64, id: JobId) -> f64 {
+        lambda_ij(q, &pend_key(p, t, id), p, self.th.inv_eps)
+    }
+
+    fn pop_next(&self, q: &mut PendQueue) -> Option<(JobId, f64, f64, f64)> {
+        q.pop_first()
+            .map(|((p, _r, id), _w)| (JobId(id), p.get(), p.get(), 1.0))
+    }
+
+    fn rules(
         &self,
-        sh: &mut FlowShard,
+        sh: &mut FamilyShard<PendQueue>,
+        cx: &mut ShardCtx<'_>,
         job: &Job,
-        t: f64,
-        online: &OnlineSet,
-    ) -> Option<(usize, f64)> {
-        // Dispatch: argmin over this shard's eligible *online* machines
-        // of λ_ij (lowest index on ties). The pruned path and the
-        // linear scan are bit-identical; see `crate::dispatch` for the
-        // bound soundness argument. Offline machines are tombstoned in
-        // the index and skipped by the scan. `p̂` (global + rack-local
-        // layers) and the eligibility mask (the job-side inputs to the
-        // subtree bounds and the subtree skip) are precomputed at
-        // generation time — no per-arrival rescan of `job.sizes`.
-        let FlowShard {
-            base,
-            len,
-            machines,
-            dindex,
-            scratch,
-            ..
-        } = sh;
-        let (base, len) = (*base, *len);
-        let j = job.id;
-        let inv_eps = self.th.inv_eps;
-        let best = match dindex.as_mut() {
-            Some(ix) => {
-                let ph = dispatch::p_hat_view(job);
-                let mask = scratch.rebase(dispatch::mask_view(job.elig()), base, len);
-                ix.search_masked_rows(
-                    mask,
-                    |s, lo, span| {
-                        dispatch::flow_lambda_bound(
-                            s.min_count,
-                            s.min_size,
-                            ph.for_range(base + lo, span),
-                            inv_eps,
-                        )
-                    },
-                    // Leaf-row-slice form of the bound below: the same
-                    // per-lane expression over an aligned quad of stat
-                    // rows (bit-identical by construction), which is
-                    // what the chunked flat scan autovectorizes.
-                    |lo, rows, out| {
-                        for k in 0..osr_dstruct::kernel::LANES {
-                            let p = job.sizes[base + lo + k];
-                            out[k] = if p.is_finite() {
-                                dispatch::flow_lambda_bound(
-                                    rows[k].count,
-                                    rows[k].min_size,
-                                    p,
-                                    inv_eps,
-                                )
-                            } else {
-                                f64::INFINITY
-                            };
-                        }
-                    },
-                    |li, s| {
-                        let p = job.sizes[base + li];
-                        if p.is_finite() {
-                            dispatch::flow_lambda_bound(s.count, s.min_size, p, inv_eps)
-                        } else {
-                            f64::INFINITY
-                        }
-                    },
-                    |li| {
-                        let p = job.sizes[base + li];
-                        p.is_finite().then(|| {
-                            lambda_ij(&machines[li].pending, &pend_key(p, t, j), p, inv_eps)
-                        })
-                    },
-                )
-            }
-            None => {
-                let mut best: Option<(usize, f64)> = None;
-                for li in 0..len {
-                    let p = job.sizes[base + li];
-                    if !p.is_finite() || !online.is_online(base + li) {
-                        continue;
-                    }
-                    let key = pend_key(p, t, j);
-                    let l = lambda_ij(&machines[li].pending, &key, p, inv_eps);
-                    if best.is_none_or(|(_, bl)| l < bl) {
-                        best = Some((li, l));
-                    }
-                }
-                best
-            }
-        };
-        best.map(|(li, lam)| (base + li, lam))
-    }
-
-    fn dispatch(&self, sh: &mut FlowShard, cx: &mut ShardCtx<'_>, job: &Job, p: &Placement) {
-        let Placement {
-            time: t,
-            machine: mi,
-            lambda: lam,
-            redispatch,
-        } = *p;
-        let j = job.id;
-        // The dual λ_j keeps its first-arrival value on capacity-churn
-        // re-dispatch (the lower bound prices the original arrival; the
-        // churn is the adversary's doing), while `machine_of` tracks
-        // the final placement.
-        if !redispatch {
-            sh.ops.push(FlowOp::Lambda(j, self.th.lambda_scale() * lam));
-        }
-        sh.ops.push(FlowOp::Machine(j, mi as u32));
-        let li = mi - sh.base;
-
-        let p_ij = job.sizes[mi];
-        sh.machines[li].pending.insert(pend_key(p_ij, t, j), p_ij);
-        Self::sync_index(&mut sh.dindex, li, &sh.machines[li].pending);
-
+        p: &Placement,
+        li: usize,
+    ) {
+        let (t, mi) = (p.time, p.machine);
         // Rule 1: the dispatch counts against the running job.
-        if let Some(run) = sh.machines[li].running.as_mut() {
-            run.v += 1;
-            if self.params.rule1 && run.v >= self.th.rule1_at {
-                let run = sh.machines[li].running.take().expect("present");
-                let k = run.job;
-                let remaining = run.completion - t;
-                cx.io.ops.push(LogOp::Reject(
-                    k,
-                    Rejection {
-                        time: t,
-                        reason: RejectReason::RuleOne,
-                        partial: Some(PartialRun {
-                            machine: MachineId(mi as u32),
-                            start: run.start,
-                            end: t,
-                            speed: 1.0,
-                        }),
-                    },
-                ));
-                cx.io.trace.push(DecisionEvent::Reject {
-                    time: t,
-                    job: k,
-                    machine: MachineId(mi as u32),
-                    reason: RejectReason::RuleOne,
-                    counter: run.v as f64,
-                });
+        let ms = &mut sh.machines[li];
+        if let Some(run) = ms.running.as_mut() {
+            run.v += 1.0;
+            if self.params.rule1 && run.v >= self.th.rule1_at as f64 {
+                let run = ms.running.take().expect("present");
+                reject_running(cx, mi, &run, t);
                 // Dual bookkeeping: the rejected job's remaining time is
                 // charged to every job whose [r, C] window covers t —
                 // including k itself ("including j in case it is
                 // rejected"): push the event before finalizing C̃_k.
-                sh.machines[li].push_rule1_event(t, remaining);
-                let rk = self.jobs[k.idx()].release;
-                let c_tilde = t + sh.machines[li].rule1_window(rk, t);
-                sh.ops.push(FlowOp::Exit {
-                    job: k,
-                    exit: t,
-                    c_tilde,
-                });
+                ms.ledger.push(t, run.completion - t);
+                let c_tilde = sh.settle(cx.jobs, li, run.job, t);
+                sh.exit(run.job, t, c_tilde);
             }
         }
 
         // Rule 2: every `1 + ⌈1/ε⌉` dispatches, drop the largest
         // pending job.
-        sh.machines[li].c += 1;
-        if self.params.rule2 && sh.machines[li].c >= self.th.rule2_at {
-            sh.machines[li].c = 0;
-            if let Some(((p_max, _r, id), _w)) = sh.machines[li].pending.pop_last() {
-                Self::sync_index(&mut sh.dindex, li, &sh.machines[li].pending);
+        let ms = &mut sh.machines[li];
+        ms.c += 1.0;
+        if self.params.rule2 && ms.c >= self.th.rule2_at as f64 {
+            ms.c = 0.0;
+            if let Some(((p_max, _r, id), _w)) = ms.pending.pop_last() {
+                sh.sync(li);
                 let jmax = JobId(id);
-                cx.io.ops.push(LogOp::Reject(
-                    jmax,
-                    Rejection {
-                        time: t,
-                        reason: RejectReason::RuleTwo,
-                        partial: None,
-                    },
-                ));
-                cx.io.trace.push(DecisionEvent::Reject {
-                    time: t,
-                    job: jmax,
-                    machine: MachineId(mi as u32),
-                    reason: RejectReason::RuleTwo,
-                    counter: self.th.rule2_at as f64,
-                });
+                reject_pending(cx, mi, jmax, t, self.th.rule2_at as f64);
                 // C̃ for a Rule-2 rejection adds the estimated
                 // completion had it stayed: remaining of the running
                 // job + pending work except the triggering arrival +
@@ -611,163 +333,16 @@ impl EventPolicy for FlowPolicy<'_> {
                 let ms = &sh.machines[li];
                 let rem_running = ms.running.as_ref().map_or(0.0, |r| r.completion - t);
                 let mut pend_sum = ms.pending.total().sum;
-                if jmax != j {
+                if jmax != job.id {
                     // The triggering arrival j is still pending;
                     // exclude it (`ℓ ≠ j_j` in the paper's formula).
-                    pend_sum -= p_ij;
+                    pend_sum -= job.sizes[mi];
                 }
                 let term = rem_running + pend_sum + p_max.get();
-                let rjmax = self.jobs[jmax.idx()].release;
-                let c_tilde = t + ms.rule1_window(rjmax, t) + term;
-                sh.ops.push(FlowOp::Exit {
-                    job: jmax,
-                    exit: t,
-                    c_tilde,
-                });
+                let c_tilde = sh.settle(cx.jobs, li, jmax, t) + term;
+                sh.exit(jmax, t, c_tilde);
             }
         }
-
-        self.start_next(sh, cx, li, t);
-    }
-
-    fn note_unplaced(&self, sh: &mut FlowShard, job: &Job, t: f64) {
-        // No machine can take j (the driver has recorded the standard
-        // rejection): it contributes nothing to the dual
-        // (λ_j = 0, C̃_j = t).
-        sh.ops.push(FlowOp::Exit {
-            job: job.id,
-            exit: t,
-            c_tilde: t,
-        });
-    }
-
-    fn complete(&self, sh: &mut FlowShard, cx: &mut ShardCtx<'_>, mi: usize, job: JobId, t: f64) {
-        let li = mi - sh.base;
-        let ms = &mut sh.machines[li];
-        // Stale events: the job was Rule-1-rejected mid-run, or
-        // crash-killed and re-dispatched (possibly back onto the same
-        // machine — hence the completion-time check too).
-        let matches = ms
-            .running
-            .as_ref()
-            .is_some_and(|r| r.job == job && r.completion == t);
-        if !matches {
-            return;
-        }
-        let r = ms.running.take().expect("matched");
-        cx.io.ops.push(LogOp::Complete(
-            job,
-            Execution {
-                machine: MachineId(mi as u32),
-                start: r.start,
-                completion: r.completion,
-                speed: 1.0,
-            },
-        ));
-        cx.io.trace.push(DecisionEvent::Complete {
-            time: t,
-            job,
-            machine: MachineId(mi as u32),
-        });
-        // Finalize dual bookkeeping for the completed job: all Rule-1
-        // events in [r_j, C_j] are in the past.
-        let rj = self.jobs[job.idx()].release;
-        let c_tilde = t + sh.machines[li].rule1_window(rj, t);
-        sh.ops.push(FlowOp::Exit {
-            job,
-            exit: t,
-            c_tilde,
-        });
-        self.start_next(sh, cx, li, t);
-    }
-
-    fn capacity_sync(
-        &self,
-        sh: &mut FlowShard,
-        change: CapacityChange,
-        mi: usize,
-        online: &OnlineSet,
-    ) {
-        let FlowShard {
-            base,
-            len,
-            machines,
-            dindex,
-            ..
-        } = sh;
-        let base = *base;
-        dispatch::sync_shard_index(
-            dindex,
-            self.params.capacity_index,
-            change,
-            mi,
-            base,
-            *len,
-            online,
-            self.params.propagation,
-            self.params.kernels,
-            |i| stats_of(&machines[i - base].pending),
-        );
-    }
-
-    fn evict(
-        &self,
-        sh: &mut FlowShard,
-        _cx: &mut ShardCtx<'_>,
-        change: CapacityChange,
-        mi: usize,
-        t: f64,
-        victims: &mut Vec<(JobId, Option<PartialRun>)>,
-    ) {
-        // A crash kills the running job at `t` (a drain lets it
-        // finish); either way every queued job leaves with the machine.
-        let li = mi - sh.base;
-        if change == CapacityChange::Crash {
-            if let Some(run) = sh.machines[li].running.take() {
-                victims.push((
-                    run.job,
-                    Some(PartialRun {
-                        machine: MachineId(mi as u32),
-                        start: run.start,
-                        end: t,
-                        speed: 1.0,
-                    }),
-                ));
-            }
-        }
-        while let Some(((_p, _r, id), _w)) = sh.machines[li].pending.pop_first() {
-            victims.push((JobId(id), None));
-        }
-    }
-
-    fn drain(&self, sh: &mut FlowShard, global: &mut FlowGlobal) {
-        for op in sh.ops.drain(..) {
-            match op {
-                FlowOp::Lambda(j, v) => global.lambda[j.idx()] = v,
-                FlowOp::Machine(j, mi) => global.machine_of[j.idx()] = mi,
-                FlowOp::Exit { job, exit, c_tilde } => {
-                    global.exit[job.idx()] = exit;
-                    global.c_tilde[job.idx()] = c_tilde;
-                }
-            }
-        }
-    }
-
-    fn probe(&self, sh: &FlowShard) -> ShardProbe {
-        ShardProbe {
-            queued: sh.machines.iter().map(|ms| ms.pending.len()).sum(),
-            running: sh.machines.iter().filter(|ms| ms.running.is_some()).count(),
-            index: sh.dindex.as_ref().map(|ix| ix.index_stats()),
-        }
-    }
-
-    fn probe_machines(&self, sh: &FlowShard, out: &mut Vec<(usize, usize)>) {
-        out.extend(
-            sh.machines
-                .iter()
-                .enumerate()
-                .map(|(li, ms)| (sh.base + li, ms.pending.len())),
-        );
     }
 }
 
@@ -797,7 +372,8 @@ pub fn make_pend_key(p: f64, release: f64, id: JobId) -> PendKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osr_model::{InstanceBuilder, InstanceKind, JobFate, Metrics};
+    use crate::PRUNED_MIN_MACHINES;
+    use osr_model::{InstanceBuilder, InstanceKind, JobFate, MachineId, Metrics, RejectReason};
     use osr_sim::{validate_log, ValidationConfig};
 
     fn run_eps(inst: &Instance, eps: f64) -> FlowOutcome {

@@ -13,8 +13,10 @@
 //! [`osr_dstruct::NaiveAggQueue`].
 
 use osr_dstruct::treap::Agg;
-use osr_dstruct::{AggTreap, NaiveAggQueue, TotalF64};
+use osr_dstruct::{AggTreap, MachineStats, NaiveAggQueue, TotalF64};
 use osr_model::JobId;
+
+use crate::family::Pending;
 
 /// Queue key: `(p_ij, r_j, id)` — the paper's `≺` order.
 pub type PendKey = (TotalF64, TotalF64, u32);
@@ -135,6 +137,28 @@ impl PendQueue {
             PendQueue::Naive(q) => q.first(),
         };
         first.map_or(f64::INFINITY, |k| k.0 .0)
+    }
+}
+
+impl Pending for PendQueue {
+    fn queued(&self) -> usize {
+        self.len()
+    }
+
+    fn stats(&self) -> MachineStats {
+        MachineStats {
+            count: self.len() as u64,
+            wsum: self.total().sum,
+            min_size: self.min_size(),
+        }
+    }
+
+    fn push(&mut self, job: JobId, p: f64, _w: f64, r: f64) {
+        self.insert(pend_key(p, r, job), p);
+    }
+
+    fn pop_front(&mut self) -> Option<JobId> {
+        self.pop_first().map(|((_p, _r, id), _w)| JobId(id))
     }
 }
 

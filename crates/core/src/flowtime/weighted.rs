@@ -32,18 +32,20 @@
 
 use std::sync::Mutex;
 
-use osr_dstruct::{MachineIndex, MachineStats, ShardMaskScratch};
-use osr_model::{
-    Execution, FinishedLog, Instance, Job, JobId, MachineId, OnlineSet, PartialRun, RejectReason,
-    Rejection,
-};
+use osr_dstruct::NodeStats;
+use osr_model::{FinishedLog, Instance, Job, JobId};
 use osr_sim::{
-    driver::{EventPolicy, LogOp, Placement, ShardCtx, ShardProbe},
-    CapacityChange, CapacityPlan, DecisionEvent, DecisionTrace, OnlineScheduler,
+    driver::{Placement, ShardCtx},
+    CapacityPlan, DecisionTrace, OnlineScheduler,
 };
 
 use crate::config::SchedulerConfig;
-use crate::dispatch::{self, DispatchIndex, PRUNED_MIN_MACHINES};
+use crate::dispatch::{self, DispatchIndex};
+use crate::epsilon::Thresholds;
+use crate::family::{
+    reject_pending, reject_running, DensityQueue, Family, FamilyPolicy, FamilyShard, JobRecord,
+    PendD,
+};
 
 /// Parameters for the weighted variant.
 ///
@@ -94,8 +96,8 @@ pub struct WeightedFlowOutcome {
     /// Decision trail.
     pub trace: DecisionTrace,
     /// The dispatch strategy that actually ran (`Pruned` degrades to
-    /// `Linear` below [`PRUNED_MIN_MACHINES`]; label ablations by
-    /// this).
+    /// `Linear` below [`crate::PRUNED_MIN_MACHINES`]; label ablations
+    /// by this).
     pub effective_dispatch: DispatchIndex,
     /// The driver shard count that actually ran (requests clamp to the
     /// rack count; `1` = the serial oracle path).
@@ -109,87 +111,10 @@ pub struct WeightedFlowScheduler {
     capacity: CapacityPlan,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendW {
-    job: JobId,
-    p: f64,
-    w: f64,
-    d: f64,
-    r: f64,
-}
-
-impl PendW {
-    /// Higher density first; ties earliest release then id.
-    fn precedes(&self, other: &PendW) -> bool {
-        match self.d.total_cmp(&other.d) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => match self.r.total_cmp(&other.r) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => self.job < other.job,
-            },
-        }
-    }
-}
-
-struct RunningW {
-    job: JobId,
-    start: f64,
-    completion: f64,
-    v: f64,
-    w: f64,
-}
-
-struct MachW {
-    /// Sorted by `precedes` (densest first).
-    pending: Vec<PendW>,
-    running: Option<RunningW>,
-    /// Rule-2 weight counter.
-    c: f64,
-    /// Cached Σ of pending weights (reset to exactly 0 when the queue
-    /// empties so incremental `±` drift cannot accumulate across busy
-    /// periods).
-    pend_wsum: f64,
-    /// Lazy lower bound on the smallest pending size: tightened on
-    /// insert, left alone on removal (a stale-low value only loosens
-    /// the dispatch bound, never breaks it), reset to `∞` on empty.
-    pend_min_p: f64,
-}
-
-impl MachW {
-    fn insert(&mut self, e: PendW) {
-        let pos = self.pending.partition_point(|x| x.precedes(&e));
-        self.pending.insert(pos, e);
-        self.pend_wsum += e.w;
-        self.pend_min_p = self.pend_min_p.min(e.p);
-    }
-
-    fn remove_at(&mut self, pos: usize) -> PendW {
-        let e = self.pending.remove(pos);
-        self.pend_wsum -= e.w;
-        if self.pending.is_empty() {
-            self.pend_wsum = 0.0;
-            self.pend_min_p = f64::INFINITY;
-        }
-        e
-    }
-
-    fn stats(&self) -> MachineStats {
-        MachineStats {
-            count: self.pending.len() as u64,
-            wsum: self.pend_wsum,
-            min_size: self.pend_min_p,
-        }
-    }
-}
-
 impl WeightedFlowScheduler {
     /// Validates `eps` and constructs the scheduler.
     pub fn new(params: WeightedFlowParams) -> Result<Self, String> {
-        if !(params.eps > 0.0 && params.eps <= 1.0 && params.eps.is_finite()) {
-            return Err(format!("eps must be in (0, 1], got {}", params.eps));
-        }
+        Thresholds::new(params.eps)?;
         Ok(WeightedFlowScheduler {
             params,
             capacity: CapacityPlan::empty(),
@@ -209,29 +134,33 @@ impl WeightedFlowScheduler {
         self
     }
 
+    /// The weighted rules with a fresh rejection budget.
+    fn policy(&self) -> WeightedPolicy {
+        WeightedPolicy {
+            eps: self.params.eps,
+            budget: Mutex::new(WeightBudget::default()),
+        }
+    }
+
     /// Runs the variant over `instance`.
     ///
-    /// The event loop lives in [`osr_sim::driver`]; this method supplies
-    /// the weighted policy (`WeightedPolicy`). Because dispatch reads
-    /// the global rejection budget, the policy opts into
+    /// The event loop lives in [`osr_sim::driver`] and the dispatch
+    /// search in the flow-family skeleton (`crate::family`); this
+    /// method supplies the weighted rules (`WeightedPolicy`). Because
+    /// dispatch reads the global rejection budget, the policy opts into
     /// `serial_arrivals` — every arrival is a barrier, and sharding only
     /// parallelizes completion drains.
     pub fn run(&self, instance: &Instance) -> WeightedFlowOutcome {
         let m = instance.machines();
         let jobs = instance.jobs();
-        let policy = WeightedPolicy {
-            eps: self.params.eps,
-            params: self.params,
-            m,
-            budget: Mutex::new(WeightBudget::default()),
-        };
+        let policy = FamilyPolicy::new(self.policy(), self.params.config, m);
         let (log, trace, effective_shards) = osr_sim::drive(
             &policy,
             jobs,
             m,
             &self.capacity,
             self.params.shards,
-            &mut (),
+            &mut vec![JobRecord::EMPTY; jobs.len()],
         );
         WeightedFlowOutcome {
             log: log.finish().expect("all decided"),
@@ -260,34 +189,46 @@ impl WeightBudget {
     }
 }
 
-/// One driver shard's weighted state: locally indexed machines plus its
-/// slice of the pruned dispatch index.
-pub(crate) struct WeightedShard {
-    base: usize,
-    len: usize,
-    machines: Vec<MachW>,
-    dindex: Option<MachineIndex>,
-    scratch: ShardMaskScratch,
+/// The weighted rules as one algorithm of the flow family: the
+/// unit-speed `λ_ij` over the density-ordered queue, densest-first
+/// starts, and the weighted Rules 1 and 2 under the hard budget. The
+/// budget sits behind a mutex, but it is only touched from `rules` —
+/// and `serial_arrivals` guarantees dispatches run serially in the
+/// driver's phase 2, so the lock is never contended.
+/// [`WeightedFlowScheduler`] and [`crate::WeightedFlowSession`] run it.
+pub struct WeightedPolicy {
+    eps: f64,
+    budget: Mutex<WeightBudget>,
 }
 
-/// The weighted variant as an [`EventPolicy`]. The global rejection
-/// budget sits behind a mutex, but it is only touched from `dispatch`
-/// — and `serial_arrivals` guarantees dispatches run serially in the
-/// driver's phase 2, so the lock is never contended. `pub(crate)` with
-/// open fields so [`crate::session`] can host the (job-independent,
-/// state-carrying) policy across serve-mode arrivals.
-pub(crate) struct WeightedPolicy {
-    pub(crate) eps: f64,
-    pub(crate) params: WeightedFlowParams,
-    /// Global machine count (pruned-index crossover is defined on the
-    /// whole pool).
-    pub(crate) m: usize,
-    pub(crate) budget: Mutex<WeightBudget>,
-}
+impl Family for WeightedPolicy {
+    type Params = WeightedFlowParams;
+    type Queue = DensityQueue;
+    const NAME: &'static str = "weighted";
 
-impl WeightedPolicy {
-    fn lambda_ij(&self, ms: &MachW, p: f64, w: f64, r: f64, id: JobId) -> f64 {
-        let probe = PendW {
+    fn open(params: WeightedFlowParams) -> Result<Self, String> {
+        Ok(WeightedFlowScheduler::new(params)?.policy())
+    }
+
+    fn eps(&self) -> f64 {
+        self.eps
+    }
+
+    fn queue(&self) -> DensityQueue {
+        DensityQueue::new()
+    }
+
+    fn serial_arrivals(&self) -> bool {
+        true
+    }
+
+    #[inline]
+    fn bound(&self, s: &NodeStats, p: f64, w: f64) -> f64 {
+        dispatch::weighted_lambda_bound(s.min_count, s.min_wsum, s.min_size, p, w, self.eps)
+    }
+
+    fn lambda(&self, q: &DensityQueue, p: f64, w: f64, r: f64, id: JobId) -> f64 {
+        let probe = PendD {
             job: id,
             p,
             w,
@@ -297,7 +238,7 @@ impl WeightedPolicy {
         let mut lam = w * p / self.eps;
         let mut pre_p = 0.0;
         let mut succ_w = 0.0;
-        for e in &ms.pending {
+        for e in q.items() {
             if e.precedes(&probe) {
                 pre_p += e.p;
             } else {
@@ -309,373 +250,55 @@ impl WeightedPolicy {
         lam
     }
 
-    fn sync_index(dindex: &mut Option<MachineIndex>, li: usize, ms: &MachW) {
-        if let Some(ix) = dindex {
-            ix.update(li, ms.stats());
-        }
+    fn pop_next(&self, q: &mut DensityQueue) -> Option<(JobId, f64, f64, f64)> {
+        q.pop_first().map(|e| (e.job, e.p, e.w, 1.0))
     }
 
-    fn start_next(&self, sh: &mut WeightedShard, cx: &mut ShardCtx<'_>, li: usize, t: f64) {
-        let mi = sh.base + li;
-        let ms = &mut sh.machines[li];
-        if ms.running.is_some() || ms.pending.is_empty() || !cx.online.is_online(mi) {
-            return;
-        }
-        let e = ms.remove_at(0);
-        let completion = t + e.p;
-        ms.running = Some(RunningW {
-            job: e.job,
-            start: t,
-            completion,
-            v: 0.0,
-            w: e.w,
-        });
-        cx.completions.push(completion, (mi, e.job));
-        cx.io.trace.push(DecisionEvent::Start {
-            time: t,
-            job: e.job,
-            machine: MachineId(mi as u32),
-            speed: 1.0,
-        });
-        Self::sync_index(&mut sh.dindex, li, &sh.machines[li]);
-    }
-}
-
-impl EventPolicy for WeightedPolicy {
-    type Shard = WeightedShard;
-    type Global = ();
-
-    fn serial_arrivals(&self) -> bool {
-        true
-    }
-
-    fn make_shard(&self, base: usize, len: usize, online: &OnlineSet) -> WeightedShard {
-        let dindex = (self.params.dispatch == DispatchIndex::Pruned
-            && self.m >= PRUNED_MIN_MACHINES)
-            .then(|| {
-                dispatch::rebuild_shard_index(
-                    base,
-                    len,
-                    online,
-                    self.params.propagation,
-                    self.params.kernels,
-                    |_| MachineStats::EMPTY,
-                )
-            });
-        WeightedShard {
-            base,
-            len,
-            machines: (0..len)
-                .map(|_| MachW {
-                    pending: Vec::new(),
-                    running: None,
-                    c: 0.0,
-                    pend_wsum: 0.0,
-                    pend_min_p: f64::INFINITY,
-                })
-                .collect(),
-            dindex,
-            scratch: ShardMaskScratch::new(),
-        }
-    }
-
-    fn candidate(
+    fn rules(
         &self,
-        sh: &mut WeightedShard,
+        sh: &mut FamilyShard<DensityQueue>,
+        cx: &mut ShardCtx<'_>,
         job: &Job,
-        t: f64,
-        online: &OnlineSet,
-    ) -> Option<(usize, f64)> {
-        // `p̂` comes precomputed from the model (no per-arrival O(m)
-        // rescan of `job.sizes`).
-        let WeightedShard {
-            base,
-            len,
-            machines,
-            dindex,
-            scratch,
-        } = sh;
-        let (base, len) = (*base, *len);
-        let eps = self.eps;
-        let best = match dindex.as_mut() {
-            Some(ix) => {
-                let ph = dispatch::p_hat_view(job);
-                let w = job.weight;
-                let mask = scratch.rebase(dispatch::mask_view(job.elig()), base, len);
-                ix.search_masked_rows(
-                    mask,
-                    |s, lo, span| {
-                        dispatch::weighted_lambda_bound(
-                            s.min_count,
-                            s.min_wsum,
-                            s.min_size,
-                            ph.for_range(base + lo, span),
-                            w,
-                            eps,
-                        )
-                    },
-                    // Leaf-row-slice form: the scalar bound below, one
-                    // lane per stat row (bit-identical by construction).
-                    |lo, rows, out| {
-                        for k in 0..osr_dstruct::kernel::LANES {
-                            let p = job.sizes[base + lo + k];
-                            out[k] = if p.is_finite() {
-                                dispatch::weighted_lambda_bound(
-                                    rows[k].count,
-                                    rows[k].wsum,
-                                    rows[k].min_size,
-                                    p,
-                                    w,
-                                    eps,
-                                )
-                            } else {
-                                f64::INFINITY
-                            };
-                        }
-                    },
-                    |li, s| {
-                        let p = job.sizes[base + li];
-                        if p.is_finite() {
-                            dispatch::weighted_lambda_bound(s.count, s.wsum, s.min_size, p, w, eps)
-                        } else {
-                            f64::INFINITY
-                        }
-                    },
-                    |li| {
-                        let p = job.sizes[base + li];
-                        p.is_finite()
-                            .then(|| self.lambda_ij(&machines[li], p, w, t, job.id))
-                    },
-                )
-            }
-            None => {
-                let mut best: Option<(usize, f64)> = None;
-                for (li, ms) in machines.iter().enumerate().take(len) {
-                    let p = job.sizes[base + li];
-                    if !p.is_finite() || !online.is_online(base + li) {
-                        continue;
-                    }
-                    let lam = self.lambda_ij(ms, p, job.weight, t, job.id);
-                    if best.is_none_or(|(_, bl)| lam < bl) {
-                        best = Some((li, lam));
-                    }
-                }
-                best
-            }
-        };
-        best.map(|(li, lam)| (base + li, lam))
-    }
-
-    fn dispatch(&self, sh: &mut WeightedShard, cx: &mut ShardCtx<'_>, job: &Job, p: &Placement) {
-        let Placement {
-            time: t,
-            machine: mi,
-            redispatch,
-            ..
-        } = *p;
+        p: &Placement,
+        li: usize,
+    ) {
+        let (t, mi) = (p.time, p.machine);
         // Re-dispatches skip the arrived-weight accounting — the job's
         // weight was counted at its first arrival, and double-counting
         // would widen the 2ε rejected-weight budget.
         let mut budget = self.budget.lock().expect("budget lock");
-        if !redispatch {
+        if !p.redispatch {
             budget.arrived_weight += job.weight;
             budget.dispatched_jobs += 1;
         }
         let mean_weight = budget.arrived_weight / budget.dispatched_jobs.max(1) as f64;
-        let li = mi - sh.base;
-        let p_ij = job.sizes[mi];
-        sh.machines[li].insert(PendW {
-            job: job.id,
-            p: p_ij,
-            w: job.weight,
-            d: job.weight / p_ij,
-            r: t,
-        });
-        Self::sync_index(&mut sh.dindex, li, &sh.machines[li]);
 
         // Weighted Rule 1.
-        if let Some(run) = sh.machines[li].running.as_mut() {
+        let ms = &mut sh.machines[li];
+        if let Some(run) = ms.running.as_mut() {
             run.v += job.weight;
             if run.v > run.w / self.eps && budget.allows(self.eps, run.w) {
-                let run = sh.machines[li].running.take().expect("present");
+                let run = ms.running.take().expect("present");
                 budget.rejected_weight += run.w;
-                cx.io.ops.push(LogOp::Reject(
-                    run.job,
-                    Rejection {
-                        time: t,
-                        reason: RejectReason::RuleOne,
-                        partial: Some(PartialRun {
-                            machine: MachineId(mi as u32),
-                            start: run.start,
-                            end: t,
-                            speed: 1.0,
-                        }),
-                    },
-                ));
-                cx.io.trace.push(DecisionEvent::Reject {
-                    time: t,
-                    job: run.job,
-                    machine: MachineId(mi as u32),
-                    reason: RejectReason::RuleOne,
-                    counter: run.v,
-                });
+                reject_running(cx, mi, &run, t);
             }
         }
 
-        // Weighted Rule 2: fire on weight cadence; victim = lowest
-        // density pending.
-        sh.machines[li].c += job.weight;
+        // Weighted Rule 2: fire on weight cadence; the victim is the
+        // lowest-density pending job, last in the density order.
+        ms.c += job.weight;
         let threshold = (1.0 + (1.0 / self.eps).ceil()) * mean_weight;
-        if sh.machines[li].c >= threshold {
-            sh.machines[li].c = 0.0;
-            // Victim is the last in the density order.
-            if let Some(victim) = sh.machines[li].pending.last().copied() {
+        if ms.c >= threshold {
+            ms.c = 0.0;
+            if let Some(&victim) = ms.pending.items().last() {
                 if budget.allows(self.eps, victim.w) {
-                    let last = sh.machines[li].pending.len() - 1;
-                    sh.machines[li].remove_at(last);
-                    Self::sync_index(&mut sh.dindex, li, &sh.machines[li]);
+                    ms.pending.pop_last();
+                    sh.sync(li);
                     budget.rejected_weight += victim.w;
-                    cx.io.ops.push(LogOp::Reject(
-                        victim.job,
-                        Rejection {
-                            time: t,
-                            reason: RejectReason::RuleTwo,
-                            partial: None,
-                        },
-                    ));
-                    cx.io.trace.push(DecisionEvent::Reject {
-                        time: t,
-                        job: victim.job,
-                        machine: MachineId(mi as u32),
-                        reason: RejectReason::RuleTwo,
-                        counter: threshold,
-                    });
+                    reject_pending(cx, mi, victim.job, t, threshold);
                 }
             }
         }
-        drop(budget);
-
-        self.start_next(sh, cx, li, t);
-    }
-
-    fn note_unplaced(&self, _sh: &mut WeightedShard, _job: &Job, _t: f64) {
-        // An undispatchable job must not inflate `arrived_weight` (that
-        // would let the rules reject extra servable weight past the
-        // documented 2ε cap); a machine-lost drop likewise leaves
-        // `rejected_weight` alone: it counts against no rule.
-    }
-
-    fn complete(
-        &self,
-        sh: &mut WeightedShard,
-        cx: &mut ShardCtx<'_>,
-        mi: usize,
-        job: JobId,
-        t: f64,
-    ) {
-        let li = mi - sh.base;
-        // Completion-time check too: a crash victim re-dispatched onto
-        // the same machine must not match its stale event.
-        let matches = sh.machines[li]
-            .running
-            .as_ref()
-            .is_some_and(|r| r.job == job && r.completion == t);
-        if !matches {
-            return;
-        }
-        let r = sh.machines[li].running.take().expect("matched");
-        cx.io.ops.push(LogOp::Complete(
-            job,
-            Execution {
-                machine: MachineId(mi as u32),
-                start: r.start,
-                completion: r.completion,
-                speed: 1.0,
-            },
-        ));
-        cx.io.trace.push(DecisionEvent::Complete {
-            time: t,
-            job,
-            machine: MachineId(mi as u32),
-        });
-        self.start_next(sh, cx, li, t);
-    }
-
-    fn capacity_sync(
-        &self,
-        sh: &mut WeightedShard,
-        change: CapacityChange,
-        mi: usize,
-        online: &OnlineSet,
-    ) {
-        let WeightedShard {
-            base,
-            len,
-            machines,
-            dindex,
-            ..
-        } = sh;
-        let base = *base;
-        dispatch::sync_shard_index(
-            dindex,
-            self.params.capacity_index,
-            change,
-            mi,
-            base,
-            *len,
-            online,
-            self.params.propagation,
-            self.params.kernels,
-            |i| machines[i - base].stats(),
-        );
-    }
-
-    fn evict(
-        &self,
-        sh: &mut WeightedShard,
-        _cx: &mut ShardCtx<'_>,
-        change: CapacityChange,
-        mi: usize,
-        t: f64,
-        victims: &mut Vec<(JobId, Option<PartialRun>)>,
-    ) {
-        let li = mi - sh.base;
-        if change == CapacityChange::Crash {
-            if let Some(run) = sh.machines[li].running.take() {
-                victims.push((
-                    run.job,
-                    Some(PartialRun {
-                        machine: MachineId(mi as u32),
-                        start: run.start,
-                        end: t,
-                        speed: 1.0,
-                    }),
-                ));
-            }
-        }
-        while !sh.machines[li].pending.is_empty() {
-            let e = sh.machines[li].remove_at(0);
-            victims.push((e.job, None));
-        }
-    }
-
-    fn drain(&self, _sh: &mut WeightedShard, _global: &mut ()) {}
-
-    fn probe(&self, sh: &WeightedShard) -> ShardProbe {
-        ShardProbe {
-            queued: sh.machines.iter().map(|ms| ms.pending.len()).sum(),
-            running: sh.machines.iter().filter(|ms| ms.running.is_some()).count(),
-            index: sh.dindex.as_ref().map(|ix| ix.index_stats()),
-        }
-    }
-
-    fn probe_machines(&self, sh: &WeightedShard, out: &mut Vec<(usize, usize)>) {
-        out.extend(
-            sh.machines
-                .iter()
-                .enumerate()
-                .map(|(li, ms)| (sh.base + li, ms.pending.len())),
-        );
     }
 }
 
@@ -692,7 +315,7 @@ impl OnlineScheduler for WeightedFlowScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osr_model::{InstanceBuilder, InstanceKind, Metrics};
+    use osr_model::{InstanceBuilder, InstanceKind, Metrics, RejectReason};
     use osr_sim::{validate_log, ValidationConfig};
 
     fn weighted_instance(n: usize, m: usize, seed: u64) -> Instance {

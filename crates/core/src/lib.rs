@@ -46,6 +46,7 @@ pub mod dispatch;
 pub mod energyflow;
 pub mod energymin;
 pub mod epsilon;
+mod family;
 pub mod flowtime;
 pub mod journal;
 pub mod session;

@@ -5,10 +5,11 @@
 //! and hands the whole batch to [`osr_sim::drive`]. A serve session
 //! inverts that: it owns a growable job list and a resumable
 //! [`DriverSession`], and each [`ServeSession::arrive`] pushes one job
-//! and ingests it immediately. The *policies* are unchanged — flow and
-//! energy policies (which borrow the jobs slice) are rebuilt per call
-//! around the long-lived driver state; the weighted policy (which owns
-//! the global rejection budget) lives inside the session.
+//! and ingests it immediately. One generic [`FamilySession`] serves
+//! all three algorithms: it owns the algorithm's policy (built once,
+//! like the offline run's) next to the driver, so the weighted
+//! variant's rejection budget and every algorithm's per-job dual
+//! records live as long as the stream.
 //!
 //! # Determinism contract (online = offline)
 //!
@@ -27,26 +28,15 @@
 //! against the session's high-water clock (out-of-order input would
 //! silently break the offline equivalence, so it is rejected loudly).
 
-use std::sync::Mutex;
-
 use osr_model::{
     FinishedLog, Job, JobFate, JobId, MachineId, OnlineSet, RejectReason, ScheduleLog,
 };
 use osr_sim::{CapacityChange, CapacityEvent, DriverSession, SessionStats, SummaryStats};
 
-use crate::energyflow::{
-    EnergyFlowJobRecord, EnergyFlowParams, EnergyFlowScheduler, EnergyPolicy, EnergyShard,
-};
-use crate::epsilon::Thresholds;
-use crate::flowtime::weighted::{WeightBudget, WeightedFlowParams, WeightedPolicy, WeightedShard};
-use crate::flowtime::{FlowGlobal, FlowParams, FlowPolicy, FlowShard};
-
-/// Pending-arena preallocation per machine in serve mode. Offline runs
-/// size the hint from `n / m`, but a stream's length is unknown up
-/// front; any value is schedule-neutral (the hint only pre-reserves
-/// arena space — treap shapes depend on the insertion sequence alone),
-/// so serve uses a small constant and lets hot machines grow.
-const SERVE_CAP_HINT: usize = 64;
+use crate::energyflow::EnergyPolicy;
+use crate::family::{Family, FamilyPolicy, FamilyShard, JobRecord};
+use crate::flowtime::weighted::WeightedPolicy;
+use crate::flowtime::FlowPolicy;
 
 /// Point-in-time ops snapshot of a live serve session: driver counters
 /// ([`SessionStats`]) merged with fate totals and flow-time percentiles
@@ -116,9 +106,10 @@ pub struct Arrival {
 }
 
 /// A scheduler running as a long-lived, incrementally-fed instance —
-/// the object-safe surface `osr serve` drives. One implementation per
-/// algorithm: [`FlowSession`] (§2), [`WeightedFlowSession`] (§3 weight
-/// rule on unit speeds), [`EnergyFlowSession`] (§3 speed scaling).
+/// the object-safe surface `osr serve` drives. Implemented once, by
+/// [`FamilySession`], whose instances are [`FlowSession`] (§2),
+/// [`WeightedFlowSession`] (§3 weight rule on unit speeds) and
+/// [`EnergyFlowSession`] (§3 speed scaling).
 ///
 /// Event times must be non-decreasing across *all* calls (`arrive`,
 /// `capacity`, `advance` share one high-water clock); violations are
@@ -260,122 +251,92 @@ fn compose_snapshot(stats: SessionStats, log: &ScheduleLog, jobs: &[Job]) -> Ser
     snap
 }
 
-/// Validates an incoming arrival and appends it to the session's job
-/// list, returning its id. Shared by all three sessions; callers grow
-/// their global state and ingest on `Ok`.
-fn push_arrival(
-    jobs: &mut Vec<Job>,
-    machines: usize,
-    clock: &mut f64,
-    release: f64,
-    weight: f64,
-    sizes: Vec<f64>,
-) -> Result<JobId, String> {
-    check_clock(*clock, release, "arrival")?;
-    if jobs.len() > u32::MAX as usize {
-        return Err("job id space exhausted".into());
-    }
-    let job = Job::weighted(jobs.len() as u32, release, weight, sizes);
-    job.validate(machines)?;
-    *clock = release;
-    let id = job.id;
-    jobs.push(job);
-    Ok(id)
-}
-
-/// Rebuilds the (cheap, borrow-carrying) §2 policy around the session's
-/// current job list. Free function so the borrow stays on the `jobs`
-/// field alone, leaving the driver free for a simultaneous `&mut`.
-fn flow_policy<'a>(
-    jobs: &'a [Job],
-    th: Thresholds,
-    params: FlowParams,
-    m: usize,
-) -> FlowPolicy<'a> {
-    FlowPolicy {
-        jobs,
-        th,
-        params,
-        m,
-        cap_hint: SERVE_CAP_HINT,
-    }
-}
-
-/// The §2 flow-time scheduler as a serve session.
-pub struct FlowSession {
+/// A flow-family scheduler as a serve session: the §2 scheduler
+/// ([`FlowSession`]), the weighted extension ([`WeightedFlowSession`])
+/// and §3 ([`EnergyFlowSession`]) are this one type over their own
+/// rules.
+pub struct FamilySession<F: Family> {
     jobs: Vec<Job>,
-    th: Thresholds,
-    params: FlowParams,
+    policy: FamilyPolicy<F>,
     m: usize,
-    driver: DriverSession<FlowShard>,
-    global: FlowGlobal,
+    driver: DriverSession<FamilyShard<F::Queue>>,
+    records: Vec<JobRecord>,
     clock: f64,
 }
 
-impl FlowSession {
+/// The §2 flow-time scheduler as a serve session.
+pub type FlowSession = FamilySession<FlowPolicy>;
+
+/// The weighted extension (unit speeds, weight-budget rejection) as a
+/// serve session.
+pub type WeightedFlowSession = FamilySession<WeightedPolicy>;
+
+/// The §3 energy scheduler (speed scaling `s = γ·W^{1/α}`) as a serve
+/// session.
+pub type EnergyFlowSession = FamilySession<EnergyPolicy>;
+
+impl<F: Family> FamilySession<F> {
     /// Opens a session over `machines` machines, all online.
-    pub fn new(params: FlowParams, machines: usize) -> Result<Self, String> {
+    pub fn new(params: F::Params, machines: usize) -> Result<Self, String> {
         Self::with_offline(params, machines, &[])
     }
 
     /// Opens a session with the listed machines starting offline.
     pub fn with_offline(
-        params: FlowParams,
+        params: F::Params,
         machines: usize,
         offline: &[usize],
     ) -> Result<Self, String> {
         if machines == 0 {
             return Err("pool must have at least one machine".into());
         }
-        let th = Thresholds::new(params.eps)?;
+        // The offline scheduler's validation (and, for §3, γ).
+        let fam = F::open(params)?;
         let online = initial_pool(machines, offline)?;
-        let policy = flow_policy(&[], th, params, machines);
+        let policy = FamilyPolicy::new(fam, *params, machines);
         let driver = DriverSession::with_online(&policy, machines, online, params.shards);
-        Ok(FlowSession {
+        Ok(FamilySession {
             jobs: Vec::new(),
-            th,
-            params,
+            policy,
             m: machines,
             driver,
-            global: FlowGlobal {
-                lambda: Vec::new(),
-                exit: Vec::new(),
-                c_tilde: Vec::new(),
-                machine_of: Vec::new(),
-            },
+            records: Vec::new(),
             clock: 0.0,
         })
     }
 
-    /// Validates and appends one arrival (job row plus its global-state
-    /// rows) without ingesting; callers ingest once per batch.
+    /// Validates and appends one arrival (job row plus its record row)
+    /// without ingesting; callers ingest once per batch.
     fn push_one(&mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Result<JobId, String> {
-        let id = push_arrival(
-            &mut self.jobs,
-            self.m,
-            &mut self.clock,
-            release,
-            weight,
-            sizes,
-        )?;
-        self.global.lambda.push(0.0);
-        self.global.exit.push(f64::NAN);
-        self.global.c_tilde.push(f64::NAN);
-        self.global.machine_of.push(u32::MAX);
-        Ok(id)
+        check_clock(self.clock, release, "arrival")?;
+        if self.jobs.len() > u32::MAX as usize {
+            return Err("job id space exhausted".into());
+        }
+        let job = Job::weighted(self.jobs.len() as u32, release, weight, sizes);
+        job.validate(self.m)?;
+        self.clock = release;
+        self.jobs.push(job);
+        self.records.push(JobRecord::EMPTY);
+        Ok(JobId(self.jobs.len() as u32 - 1))
     }
 
     /// Ingests every pushed-but-uningested arrival as one epoch batch.
     fn ingest(&mut self) {
-        let policy = flow_policy(&self.jobs, self.th, self.params, self.m);
         self.driver
-            .ingest_all(&policy, &self.jobs, &mut self.global);
+            .ingest_all(&self.policy, &self.jobs, &mut self.records);
     }
 }
 
-impl ServeSession for FlowSession {
+impl EnergyFlowSession {
+    /// The resolved speed-scaling coefficient `γ`.
+    pub fn gamma(&self) -> f64 {
+        self.policy.fam.gamma()
+    }
+}
+
+impl<F: Family> ServeSession for FamilySession<F> {
     fn algorithm(&self) -> &'static str {
-        "flow"
+        F::NAME
     }
 
     fn machines(&self) -> usize {
@@ -417,147 +378,16 @@ impl ServeSession for FlowSession {
             machine: MachineId(machine as u32),
             change,
         };
-        let policy = flow_policy(&self.jobs, self.th, self.params, self.m);
         self.driver
-            .capacity(&policy, &self.jobs, ev, &mut self.global);
+            .capacity(&self.policy, &self.jobs, ev, &mut self.records);
         Ok(())
     }
 
     fn advance(&mut self, time: f64) -> Result<(), String> {
         check_clock(self.clock, time, "advance")?;
         self.clock = time;
-        let policy = flow_policy(&self.jobs, self.th, self.params, self.m);
-        self.driver.advance(&policy, time, &mut self.global);
-        Ok(())
-    }
-
-    fn snapshot(&self) -> ServeSnapshot {
-        let policy = flow_policy(&self.jobs, self.th, self.params, self.m);
-        compose_snapshot(self.driver.probe(&policy), self.driver.log(), &self.jobs)
-    }
-
-    fn finish(self: Box<Self>) -> Result<FinishedLog, String> {
-        let mut s = *self;
-        let policy = flow_policy(&s.jobs, s.th, s.params, s.m);
-        let (log, _trace, _shards) = s.driver.into_finished(&policy, &mut s.global);
-        log.finish()
-    }
-}
-
-/// The §3 weighted scheduler (unit speeds, weight-budget rejection) as
-/// a serve session. The policy is job-independent and state-carrying
-/// (it owns the global rejection budget), so it lives inside the
-/// session rather than being rebuilt per call.
-pub struct WeightedFlowSession {
-    jobs: Vec<Job>,
-    policy: WeightedPolicy,
-    m: usize,
-    driver: DriverSession<WeightedShard>,
-    clock: f64,
-}
-
-impl WeightedFlowSession {
-    /// Opens a session over `machines` machines, all online.
-    pub fn new(params: WeightedFlowParams, machines: usize) -> Result<Self, String> {
-        Self::with_offline(params, machines, &[])
-    }
-
-    /// Opens a session with the listed machines starting offline.
-    pub fn with_offline(
-        params: WeightedFlowParams,
-        machines: usize,
-        offline: &[usize],
-    ) -> Result<Self, String> {
-        if machines == 0 {
-            return Err("pool must have at least one machine".into());
-        }
-        if !(params.eps > 0.0 && params.eps <= 1.0 && params.eps.is_finite()) {
-            return Err(format!("eps must be in (0, 1], got {}", params.eps));
-        }
-        let online = initial_pool(machines, offline)?;
-        let policy = WeightedPolicy {
-            eps: params.eps,
-            params,
-            m: machines,
-            budget: Mutex::new(WeightBudget::default()),
-        };
-        let driver = DriverSession::with_online(&policy, machines, online, params.shards);
-        Ok(WeightedFlowSession {
-            jobs: Vec::new(),
-            policy,
-            m: machines,
-            driver,
-            clock: 0.0,
-        })
-    }
-}
-
-impl ServeSession for WeightedFlowSession {
-    fn algorithm(&self) -> &'static str {
-        "weighted"
-    }
-
-    fn machines(&self) -> usize {
-        self.m
-    }
-
-    fn arrive(&mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Result<JobId, String> {
-        let id = push_arrival(
-            &mut self.jobs,
-            self.m,
-            &mut self.clock,
-            release,
-            weight,
-            sizes,
-        )?;
-        self.driver.ingest_all(&self.policy, &self.jobs, &mut ());
-        Ok(id)
-    }
-
-    fn arrive_batch(&mut self, batch: Vec<Arrival>) -> Result<(), (usize, String)> {
-        let mut err = None;
-        for (k, a) in batch.into_iter().enumerate() {
-            if let Err(e) = push_arrival(
-                &mut self.jobs,
-                self.m,
-                &mut self.clock,
-                a.release,
-                a.weight,
-                a.sizes,
-            ) {
-                err = Some((k, e));
-                break;
-            }
-        }
-        self.driver.ingest_all(&self.policy, &self.jobs, &mut ());
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn capacity(
-        &mut self,
-        change: CapacityChange,
-        machine: usize,
-        time: f64,
-    ) -> Result<(), String> {
-        check_machine(self.m, machine)?;
-        check_clock(self.clock, time, "capacity event")?;
-        self.clock = time;
-        let ev = CapacityEvent {
-            time,
-            machine: MachineId(machine as u32),
-            change,
-        };
-        self.driver.capacity(&self.policy, &self.jobs, ev, &mut ());
-        Ok(())
-    }
-
-    fn advance(&mut self, time: f64) -> Result<(), String> {
-        check_clock(self.clock, time, "advance")?;
-        self.clock = time;
-        self.driver.advance(&self.policy, time, &mut ());
+        self.driver
+            .advance(&self.policy, &self.jobs, time, &mut self.records);
         Ok(())
     }
 
@@ -570,173 +400,8 @@ impl ServeSession for WeightedFlowSession {
     }
 
     fn finish(self: Box<Self>) -> Result<FinishedLog, String> {
-        let s = *self;
-        let (log, _trace, _shards) = s.driver.into_finished(&s.policy, &mut ());
-        log.finish()
-    }
-}
-
-/// Rebuilds the §3 speed-scaling policy around the session's current
-/// job list (see [`flow_policy`] for the borrow-splitting rationale).
-fn energy_policy<'a>(
-    jobs: &'a [Job],
-    params: EnergyFlowParams,
-    gamma: f64,
-    m: usize,
-) -> EnergyPolicy<'a> {
-    EnergyPolicy {
-        jobs,
-        params,
-        gamma,
-        m,
-    }
-}
-
-/// The §3 energy scheduler (speed scaling `s = γ·W^{1/α}`) as a serve
-/// session.
-pub struct EnergyFlowSession {
-    jobs: Vec<Job>,
-    params: EnergyFlowParams,
-    gamma: f64,
-    m: usize,
-    driver: DriverSession<EnergyShard>,
-    records: Vec<EnergyFlowJobRecord>,
-    clock: f64,
-}
-
-impl EnergyFlowSession {
-    /// Opens a session over `machines` machines, all online.
-    pub fn new(params: EnergyFlowParams, machines: usize) -> Result<Self, String> {
-        Self::with_offline(params, machines, &[])
-    }
-
-    /// Opens a session with the listed machines starting offline.
-    pub fn with_offline(
-        params: EnergyFlowParams,
-        machines: usize,
-        offline: &[usize],
-    ) -> Result<Self, String> {
-        if machines == 0 {
-            return Err("pool must have at least one machine".into());
-        }
-        // Reuse the offline scheduler's validation and γ resolution.
-        let gamma = EnergyFlowScheduler::new(params)?.gamma();
-        let online = initial_pool(machines, offline)?;
-        let policy = energy_policy(&[], params, gamma, machines);
-        let driver = DriverSession::with_online(&policy, machines, online, params.shards);
-        Ok(EnergyFlowSession {
-            jobs: Vec::new(),
-            params,
-            gamma,
-            m: machines,
-            driver,
-            records: Vec::new(),
-            clock: 0.0,
-        })
-    }
-
-    /// The resolved speed-scaling coefficient `γ`.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
-    /// Validates and appends one arrival (job row plus its record row)
-    /// without ingesting; callers ingest once per batch.
-    fn push_one(&mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Result<JobId, String> {
-        let id = push_arrival(
-            &mut self.jobs,
-            self.m,
-            &mut self.clock,
-            release,
-            weight,
-            sizes,
-        )?;
-        self.records.push(EnergyFlowJobRecord {
-            machine: u32::MAX,
-            lambda: 0.0,
-            start: f64::NAN,
-            speed: f64::NAN,
-            exit: f64::NAN,
-            def_finish: f64::NAN,
-        });
-        Ok(id)
-    }
-
-    /// Ingests every pushed-but-uningested arrival as one epoch batch.
-    fn ingest(&mut self) {
-        let policy = energy_policy(&self.jobs, self.params, self.gamma, self.m);
-        self.driver
-            .ingest_all(&policy, &self.jobs, &mut self.records);
-    }
-}
-
-impl ServeSession for EnergyFlowSession {
-    fn algorithm(&self) -> &'static str {
-        "energy"
-    }
-
-    fn machines(&self) -> usize {
-        self.m
-    }
-
-    fn arrive(&mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Result<JobId, String> {
-        let id = self.push_one(release, weight, sizes)?;
-        self.ingest();
-        Ok(id)
-    }
-
-    fn arrive_batch(&mut self, batch: Vec<Arrival>) -> Result<(), (usize, String)> {
-        let mut err = None;
-        for (k, a) in batch.into_iter().enumerate() {
-            if let Err(e) = self.push_one(a.release, a.weight, a.sizes) {
-                err = Some((k, e));
-                break;
-            }
-        }
-        self.ingest();
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn capacity(
-        &mut self,
-        change: CapacityChange,
-        machine: usize,
-        time: f64,
-    ) -> Result<(), String> {
-        check_machine(self.m, machine)?;
-        check_clock(self.clock, time, "capacity event")?;
-        self.clock = time;
-        let ev = CapacityEvent {
-            time,
-            machine: MachineId(machine as u32),
-            change,
-        };
-        let policy = energy_policy(&self.jobs, self.params, self.gamma, self.m);
-        self.driver
-            .capacity(&policy, &self.jobs, ev, &mut self.records);
-        Ok(())
-    }
-
-    fn advance(&mut self, time: f64) -> Result<(), String> {
-        check_clock(self.clock, time, "advance")?;
-        self.clock = time;
-        let policy = energy_policy(&self.jobs, self.params, self.gamma, self.m);
-        self.driver.advance(&policy, time, &mut self.records);
-        Ok(())
-    }
-
-    fn snapshot(&self) -> ServeSnapshot {
-        let policy = energy_policy(&self.jobs, self.params, self.gamma, self.m);
-        compose_snapshot(self.driver.probe(&policy), self.driver.log(), &self.jobs)
-    }
-
-    fn finish(self: Box<Self>) -> Result<FinishedLog, String> {
         let mut s = *self;
-        let policy = energy_policy(&s.jobs, s.params, s.gamma, s.m);
-        let (log, _trace, _shards) = s.driver.into_finished(&policy, &mut s.records);
+        let (log, _trace, _shards) = s.driver.into_finished(&s.policy, &s.jobs, &mut s.records);
         log.finish()
     }
 }
@@ -745,8 +410,9 @@ impl ServeSession for EnergyFlowSession {
 mod tests {
     use super::*;
     use crate::dispatch::DispatchIndex;
-    use crate::flowtime::weighted::WeightedFlowScheduler;
-    use crate::flowtime::FlowScheduler;
+    use crate::energyflow::{EnergyFlowParams, EnergyFlowScheduler};
+    use crate::flowtime::weighted::{WeightedFlowParams, WeightedFlowScheduler};
+    use crate::flowtime::{FlowParams, FlowScheduler};
     use osr_model::io::log_to_string;
     use osr_model::{Instance, InstanceKind};
     use osr_sim::CapacityPlan;
@@ -852,35 +518,70 @@ mod tests {
     #[test]
     fn flow_replay_matches_on_the_pruned_index_path() {
         // Enough machines to clear PRUNED_MIN_MACHINES so the dispatch
-        // index (with its drain tombstones) is actually exercised.
-        let m = 12;
-        let jobs = gen_jobs(80, m, 21);
-        let plan = CapacityPlan::new(vec![
-            CapacityEvent {
-                time: 5.0,
-                machine: MachineId(2),
-                change: CapacityChange::Crash,
-            },
-            CapacityEvent {
-                time: 11.0,
-                machine: MachineId(8),
-                change: CapacityChange::Drain,
-            },
-        ])
-        .unwrap();
-        let mut params = FlowParams::new(0.4);
-        params.dispatch = DispatchIndex::Pruned;
-        let inst = Instance::new(m, jobs.clone(), InstanceKind::FlowTime).unwrap();
-        let offline = FlowScheduler::new(params)
-            .unwrap()
-            .with_capacity(plan.clone())
-            .run(&inst);
-        let sess = FlowSession::new(params, m).unwrap();
-        let served = replay(Box::new(sess), &jobs, &plan);
-        assert_eq!(log_to_string(&offline.log), log_to_string(&served));
-        // The probe surface reports a live index on this path.
-        let sess2 = FlowSession::new(params, m).unwrap();
-        assert!(sess2.snapshot().index.is_some());
+        // index (with its drain tombstones) is actually exercised, for
+        // all three sessions: the flat scan at m = 12 and the heap
+        // descent at m = 130 (one shard wider than FLAT_MAX_MACHINES).
+        for m in [12usize, 130] {
+            let jobs = gen_jobs(80, m, 21);
+            let plan = CapacityPlan::new(vec![
+                CapacityEvent {
+                    time: 5.0,
+                    machine: MachineId(2),
+                    change: CapacityChange::Crash,
+                },
+                CapacityEvent {
+                    time: 11.0,
+                    machine: MachineId(8),
+                    change: CapacityChange::Drain,
+                },
+            ])
+            .unwrap();
+            let mut fp = FlowParams::new(0.4);
+            fp.dispatch = DispatchIndex::Pruned;
+            let mut wp = WeightedFlowParams::new(0.4);
+            wp.dispatch = DispatchIndex::Pruned;
+            let mut ep = EnergyFlowParams::new(0.4, 2.0);
+            ep.dispatch = DispatchIndex::Pruned;
+            let flow_inst = Instance::new(m, jobs.clone(), InstanceKind::FlowTime).unwrap();
+            let inst = Instance::new(m, jobs.clone(), InstanceKind::FlowEnergy).unwrap();
+            let cases: [(FinishedLog, Box<dyn ServeSession>); 3] = [
+                (
+                    FlowScheduler::new(fp)
+                        .unwrap()
+                        .with_capacity(plan.clone())
+                        .run(&flow_inst)
+                        .log,
+                    Box::new(FlowSession::new(fp, m).unwrap()),
+                ),
+                (
+                    WeightedFlowScheduler::new(wp)
+                        .unwrap()
+                        .with_capacity(plan.clone())
+                        .run(&inst)
+                        .log,
+                    Box::new(WeightedFlowSession::new(wp, m).unwrap()),
+                ),
+                (
+                    EnergyFlowScheduler::new(ep)
+                        .unwrap()
+                        .with_capacity(plan.clone())
+                        .run(&inst)
+                        .log,
+                    Box::new(EnergyFlowSession::new(ep, m).unwrap()),
+                ),
+            ];
+            for (offline, sess) in cases {
+                let name = sess.algorithm();
+                // The probe surface reports a live index on this path.
+                assert!(sess.snapshot().index.is_some(), "{name} m={m}");
+                let served = replay(sess, &jobs, &plan);
+                assert_eq!(
+                    log_to_string(&offline),
+                    log_to_string(&served),
+                    "{name} m={m}"
+                );
+            }
+        }
     }
 
     #[test]

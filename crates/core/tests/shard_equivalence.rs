@@ -12,13 +12,19 @@
 //! end to end — schedule logs (fates, executions, redispatch counts)
 //! and the §2 dual vectors must match to the last bit.
 //!
-//! PR 9 makes each comparison straddle the **kernel** toggle too: the
-//! serial baseline runs the scalar oracle kernels, every sharded run
-//! the chunked `[f64;4]` layer, so shard reconciliation and the hot-loop
-//! kernels are pinned bit-identical in one stroke.
+//! Each comparison straddles the **reference configuration** too: the
+//! serial baseline runs [`baseline`] (eager ancestor repair,
+//! rebuild-from-scratch capacity index, scalar kernels), every sharded
+//! run the production knobs. So shard reconciliation and the
+//! production index and kernel paths are pinned bit-identical to the
+//! reference paths in one stroke — including the eager heap descent on
+//! the dense unrelated m ∈ {130, 200} pools under churn, which the
+//! quick experiment suite reaches only at m = 256.
 
 use osr_core::flowtime::{WeightedFlowParams, WeightedFlowScheduler};
-use osr_core::{EnergyFlowParams, EnergyFlowScheduler, FlowParams, FlowScheduler, KernelMode};
+use osr_core::{
+    EnergyFlowParams, EnergyFlowScheduler, FlowParams, FlowScheduler, QueueBackend, SchedulerConfig,
+};
 use osr_model::{Instance, InstanceBuilder, InstanceKind, MachineId};
 use osr_sim::{CapacityChange, CapacityEvent, CapacityPlan};
 use proptest::prelude::*;
@@ -35,6 +41,20 @@ type ChurnSpec = (f64, u64, u8);
 /// exactly one rack, one rack plus one (the smallest pool where a
 /// second shard can engage), and two genuinely multi-shard sizes.
 const POOLS: [usize; 5] = [63, 64, 65, 130, 200];
+
+/// The serial baseline: `SchedulerConfig::reference()` with the
+/// production treap queue. The naive queue sums pending sizes left to
+/// right while the treap sums them along its tree, so with three or
+/// more pending jobs their aggregate sums (and the §2 `C̃_j` of a
+/// Rule-2 victim built from one) can differ in the last bit; that
+/// backend pair is compared on schedules by the flow-time unit tests
+/// and `reference_equivalence` instead.
+fn baseline() -> SchedulerConfig {
+    SchedulerConfig {
+        backend: QueueBackend::Treap,
+        ..SchedulerConfig::reference()
+    }
+}
 
 /// SplitMix64 — deterministic per-machine size jitter and mask bits.
 fn mix(mut z: u64) -> u64 {
@@ -149,19 +169,18 @@ proptest! {
         let m = POOLS[pool];
         let inst = build_instance(m, InstanceKind::FlowTime, &jobs);
         let plan = build_plan(m, inst.horizon() * 1.2, &churn);
-        let run = |shards: usize, kern: KernelMode| {
+        let run = |config: SchedulerConfig| {
             let mut p = FlowParams::new(0.25);
-            p.shards = shards;
-            p.kernels = kern;
+            p.config = config;
             FlowScheduler::new(p)
                 .unwrap()
                 .with_capacity(plan.clone())
                 .run(&inst)
         };
-        let serial = run(1, KernelMode::Scalar);
+        let serial = run(baseline());
         prop_assert_eq!(serial.effective_shards, 1);
         for shards in [2usize, 4] {
-            let out = run(shards, KernelMode::Chunked);
+            let out = run(SchedulerConfig { shards, ..SchedulerConfig::production() });
             prop_assert_eq!(
                 osr_core::effective_shards(shards, m),
                 out.effective_shards
@@ -183,18 +202,17 @@ proptest! {
         let m = POOLS[pool];
         let inst = build_instance(m, InstanceKind::FlowEnergy, &jobs);
         let plan = build_plan(m, inst.horizon() * 1.2, &churn);
-        let run = |shards: usize, kern: KernelMode| {
+        let run = |config: SchedulerConfig| {
             let mut p = WeightedFlowParams::new(0.25);
-            p.shards = shards;
-            p.kernels = kern;
+            p.config = config;
             WeightedFlowScheduler::new(p)
                 .unwrap()
                 .with_capacity(plan.clone())
                 .run(&inst)
         };
-        let serial = run(1, KernelMode::Scalar);
+        let serial = run(baseline());
         for shards in [2usize, 4] {
-            let out = run(shards, KernelMode::Chunked);
+            let out = run(SchedulerConfig { shards, ..SchedulerConfig::production() });
             prop_assert_eq!(&out.log, &serial.log, "log diverged at m={} shards={}", m, shards);
         }
     }
@@ -208,24 +226,81 @@ proptest! {
         let m = POOLS[pool];
         let inst = build_instance(m, InstanceKind::FlowEnergy, &jobs);
         let plan = build_plan(m, inst.horizon() * 1.2, &churn);
-        let run = |shards: usize, kern: KernelMode| {
+        let run = |config: SchedulerConfig| {
             let mut p = EnergyFlowParams::new(0.5, 3.0);
-            p.shards = shards;
-            p.kernels = kern;
+            p.config = config;
             EnergyFlowScheduler::new(p)
                 .unwrap()
                 .with_capacity(plan.clone())
                 .run(&inst)
         };
-        let serial = run(1, KernelMode::Scalar);
+        let serial = run(baseline());
         for shards in [2usize, 4] {
-            let out = run(shards, KernelMode::Chunked);
+            let out = run(SchedulerConfig { shards, ..SchedulerConfig::production() });
             prop_assert_eq!(&out.log, &serial.log, "log diverged at m={} shards={}", m, shards);
             prop_assert_eq!(out.records.len(), serial.records.len());
             for (a, b) in out.records.iter().zip(&serial.records) {
                 prop_assert_eq!(a.machine, b.machine);
                 prop_assert!(bits_eq(&[a.lambda, a.start, a.speed, a.exit, a.def_finish],
                                      &[b.lambda, b.start, b.speed, b.exit, b.def_finish]));
+            }
+        }
+    }
+}
+
+/// A loaded dense unrelated stream on a heap-mode pool (one shard
+/// holds more than 64 machines), with churn every few time units:
+/// queues build up, capacity events rebuild the reference index with
+/// busy stats, and later drains must reach every ancestor before the
+/// next descent trusts them. The reference paths (eager repair,
+/// rebuild index, scalar kernels) must match production bit for bit,
+/// serially and on two shards.
+#[test]
+fn loaded_dense_pools_match_the_reference_paths() {
+    for m in [130usize, 200] {
+        let jobs: Vec<JobSpec> = (0..1_200u64)
+            .map(|k| {
+                let r = mix(k ^ (m as u64) << 20);
+                let gap = (r % 1000) as f64 / 40_000.0;
+                let base = 0.5 + (r >> 10) as f64 % 3.5;
+                let weight = 1.0 + (r >> 20) as f64 % 4.0;
+                (gap, base, weight, 0, r >> 32)
+            })
+            .collect();
+        let churn: Vec<ChurnSpec> = (0..24u64)
+            .map(|k| ((k as f64 + 0.5) / 24.0, mix(k + m as u64), (k % 3) as u8))
+            .collect();
+        for kind in [InstanceKind::FlowTime, InstanceKind::FlowEnergy] {
+            let inst = build_instance(m, kind, &jobs);
+            let plan = build_plan(m, inst.horizon(), &churn);
+            for shards in [1usize, 2] {
+                let prod = SchedulerConfig {
+                    shards,
+                    ..SchedulerConfig::production()
+                };
+                let flow = |config: SchedulerConfig| {
+                    let mut p = FlowParams::new(0.25);
+                    p.config = config;
+                    let sched = FlowScheduler::new(p).unwrap();
+                    sched.with_capacity(plan.clone()).run(&inst)
+                };
+                let (a, b) = (flow(baseline()), flow(prod));
+                assert_eq!(a.log, b.log, "flow m={m} shards={shards}");
+                assert!(bits_eq(&a.dual.c_tilde, &b.dual.c_tilde));
+                let weighted = |config: SchedulerConfig| {
+                    let mut p = WeightedFlowParams::new(0.25);
+                    p.config = config;
+                    let sched = WeightedFlowScheduler::new(p).unwrap();
+                    sched.with_capacity(plan.clone()).run(&inst).log
+                };
+                assert_eq!(weighted(baseline()), weighted(prod), "wflow m={m}");
+                let energy = |config: SchedulerConfig| {
+                    let mut p = EnergyFlowParams::new(0.5, 3.0);
+                    p.config = config;
+                    let sched = EnergyFlowScheduler::new(p).unwrap();
+                    sched.with_capacity(plan.clone()).run(&inst).log
+                };
+                assert_eq!(energy(baseline()), energy(prod), "energy m={m}");
             }
         }
     }

@@ -359,6 +359,7 @@ impl NodeStats {
     };
 
     /// The degenerate aggregate of a single machine's stats row.
+    #[inline]
     pub fn leaf(s: MachineStats) -> NodeStats {
         NodeStats {
             min_count: s.count,
@@ -398,6 +399,10 @@ pub struct IndexStats {
     /// descents — divided by `heap_searches`, how many machines a
     /// descent probes exactly, i.e. how well the subtree bounds prune.
     pub heap_evals: u64,
+    /// Internal frontier nodes heap descents popped and expanded (each
+    /// expansion bounds up to two children): the descent's tree work,
+    /// which a loose bound inflates even when `heap_evals` stays low.
+    pub heap_expansions: u64,
     /// Dirty leaves whose ancestors await the next batched repair
     /// sweep (the lazy-propagation backlog; always 0 under eager
     /// propagation and in flat mode).
@@ -422,6 +427,7 @@ impl IndexStats {
         self.sparse_searches += other.sparse_searches;
         self.heap_searches += other.heap_searches;
         self.heap_evals += other.heap_evals;
+        self.heap_expansions += other.heap_expansions;
         self.dirty_leaves += other.dirty_leaves;
         self.live += other.live;
         self.tombstones += other.tombstones;
@@ -484,6 +490,8 @@ pub struct MachineIndex {
     heap_searches: u64,
     /// Exact `eval` calls made by heap descents (see [`IndexStats`]).
     heap_evals: u64,
+    /// Internal nodes heap descents expanded (see [`IndexStats`]).
+    heap_expansions: u64,
 }
 
 impl MachineIndex {
@@ -564,6 +572,7 @@ impl MachineIndex {
             sparse_searches: 0,
             heap_searches: 0,
             heap_evals: 0,
+            heap_expansions: 0,
         };
         if mode == SearchMode::Heap {
             ix.rebuild_all();
@@ -631,6 +640,7 @@ impl MachineIndex {
             sparse_searches: self.sparse_searches,
             heap_searches: self.heap_searches,
             heap_evals: self.heap_evals,
+            heap_expansions: self.heap_expansions,
             dirty_leaves: self.dirty.iter().map(|w| w.count_ones() as usize).sum(),
             live: self.live_count(),
             tombstones: self.tombstones,
@@ -1179,6 +1189,7 @@ impl MachineIndex {
                     }
                 }
             } else {
+                self.heap_expansions += 1;
                 let half = e.span / 2;
                 for (child, lo) in [(2 * e.node, e.lo), (2 * e.node + 1, e.lo + half)] {
                     // Mask first: a range with no eligible machine is
@@ -2128,6 +2139,74 @@ mod tests {
             ..IndexStats::default()
         });
         assert_eq!(a.heap_evals, 7);
+    }
+
+    /// `heap_expansions` counts exactly the internal nodes heap descents
+    /// expand: every child bound names its parent `(lo, span)`, each
+    /// node is expanded at most once, so the distinct parents of one
+    /// descent's child-bound calls are its expansions.
+    #[test]
+    fn heap_expansions_count_every_expanded_node() {
+        use std::cell::RefCell;
+        use std::collections::BTreeSet;
+        let mut state = 0xE4A9u64;
+        for (m, mode) in [
+            (48usize, SearchMode::Flat),
+            (200, SearchMode::Heap),
+            (1_024, SearchMode::Heap),
+        ] {
+            let mut ix = MachineIndex::with_config(m, mode, Propagation::Lazy);
+            let mut expected = 0u64;
+            for round in 0..40 {
+                for _ in 0..8 {
+                    let i = (xorshift(&mut state) % m as u64) as usize;
+                    let c = xorshift(&mut state) % 4;
+                    ix.update(i, busy(c, c as f64, 1.0 + (c % 3) as f64));
+                }
+                let slack = (round % 3) as f64;
+                let calls = RefCell::new(Vec::new());
+                let before = ix.index_stats();
+                let _ = ix.search_masked(
+                    MaskView::All,
+                    |ns, lo, span| {
+                        calls.borrow_mut().push((lo, span));
+                        1.0 + ns.min_count as f64 - slack
+                    },
+                    |_, s| 1.0 + s.count as f64 - slack,
+                    |i| Some(1.0 + (i % 5) as f64),
+                );
+                let after = ix.index_stats();
+                let calls = calls.into_inner();
+                let root = calls.iter().map(|&(_, span)| span).max().unwrap_or(0);
+                let parents: BTreeSet<(usize, usize)> = calls
+                    .iter()
+                    .filter(|&&(_, span)| span < root)
+                    .map(|&(lo, span)| (lo - lo % (2 * span), 2 * span))
+                    .collect();
+                if after.heap_searches > before.heap_searches {
+                    expected += parents.len() as u64;
+                } else {
+                    assert!(calls.is_empty(), "m={m}");
+                }
+            }
+            let s = ix.index_stats();
+            assert_eq!(s.heap_expansions, expected, "m={m}");
+            if mode == SearchMode::Flat {
+                assert_eq!(s.heap_expansions, 0);
+            } else {
+                assert!(s.heap_expansions >= s.heap_searches, "m={m}");
+            }
+        }
+        // Merging sums the counter like the others.
+        let mut a = IndexStats {
+            heap_expansions: 5,
+            ..IndexStats::default()
+        };
+        a.merge(&IndexStats {
+            heap_expansions: 6,
+            ..IndexStats::default()
+        });
+        assert_eq!(a.heap_expansions, 11);
     }
 
     /// A mask with no bits set short-circuits to `None` without work.

@@ -172,6 +172,9 @@ pub struct ShardCtx<'a> {
     /// Pool membership. Frozen during an epoch — capacity events are
     /// barriers, so phase-1 code may treat it as immutable.
     pub online: &'a OnlineSet,
+    /// The run's jobs, indexed by id (every job a callback names has
+    /// been ingested, so its row is here).
+    pub jobs: &'a [Job],
 }
 
 /// Live queue depths one shard reports to ops surfaces (`osr serve`
@@ -307,9 +310,8 @@ pub trait EventPolicy: Sync {
 
 /// One shard's complete runtime state, moved by value through the
 /// parallel phase-1 map. Parameterized over the policy's shard type
-/// (not the policy) so a [`DriverSession`] can own slots without
-/// dragging the policy's lifetime along — streaming callers rebuild
-/// short-lived policy values around a long-lived session.
+/// (not the policy), so a [`DriverSession`] and the policy it is
+/// driven with can sit side by side in one owner.
 struct ShardSlot<S> {
     shard: S,
     completions: EventQueue<(usize, JobId)>,
@@ -354,10 +356,10 @@ pub struct SessionStats {
 ///
 /// A session owns everything that outlives one epoch: the shard slots,
 /// the pool membership, the growable [`ScheduleLog`], and the merged
-/// [`DecisionTrace`]. The *policy* is passed into every call (policies
-/// that borrow the jobs slice are rebuilt per call; the jobs slice
-/// itself may grow between calls as long as already-ingested prefixes
-/// are never mutated).
+/// [`DecisionTrace`]. The policy and the jobs slice are passed into
+/// every call (callbacks read jobs through [`ShardCtx::jobs`]); the
+/// slice may grow between calls as long as already-ingested prefixes
+/// are never mutated.
 ///
 /// # Determinism contract (online = offline)
 ///
@@ -533,6 +535,7 @@ impl<S: Send> DriverSession<S> {
                         policy,
                         &self.layout,
                         &mut self.slots,
+                        jobs,
                         job,
                         job.release,
                         false,
@@ -574,7 +577,7 @@ impl<S: Send> DriverSession<S> {
     ) where
         P: EventPolicy<Shard = S>,
     {
-        self.drain_to(policy, ev.time);
+        self.drain_to(policy, jobs, ev.time);
         self.flush_io(policy, global);
         self.now = self.now.max(ev.time);
         let mi = ev.machine.idx();
@@ -593,6 +596,7 @@ impl<S: Send> DriverSession<S> {
                             io: &mut slot.io,
                             completions: &mut slot.completions,
                             online: &self.online,
+                            jobs,
                         };
                         policy.evict(
                             &mut slot.shard,
@@ -616,6 +620,7 @@ impl<S: Send> DriverSession<S> {
                             policy,
                             &self.layout,
                             &mut self.slots,
+                            jobs,
                             &jobs[vid.idx()],
                             ev.time,
                             true,
@@ -636,11 +641,11 @@ impl<S: Send> DriverSession<S> {
     /// exceed the release of any arrival ingested later (stay at or
     /// below the stream's high-water time and this holds by
     /// construction).
-    pub fn advance<P>(&mut self, policy: &P, t: f64, global: &mut P::Global)
+    pub fn advance<P>(&mut self, policy: &P, jobs: &[Job], t: f64, global: &mut P::Global)
     where
         P: EventPolicy<Shard = S>,
     {
-        self.drain_to(policy, t);
+        self.drain_to(policy, jobs, t);
         self.flush_io(policy, global);
         self.now = self.now.max(t);
     }
@@ -652,12 +657,13 @@ impl<S: Send> DriverSession<S> {
     pub fn into_finished<P>(
         mut self,
         policy: &P,
+        jobs: &[Job],
         global: &mut P::Global,
     ) -> (ScheduleLog, DecisionTrace, usize)
     where
         P: EventPolicy<Shard = S>,
     {
-        self.drain_to(policy, f64::INFINITY);
+        self.drain_to(policy, jobs, f64::INFINITY);
         self.flush_io(policy, global);
         (self.log, self.trace, self.layout.shards())
     }
@@ -722,7 +728,7 @@ impl<S: Send> DriverSession<S> {
     }
 
     /// Fires completions at or before `t` on every shard (no flush).
-    fn drain_to<P>(&mut self, policy: &P, t: f64)
+    fn drain_to<P>(&mut self, policy: &P, jobs: &[Job], t: f64)
     where
         P: EventPolicy<Shard = S>,
     {
@@ -742,6 +748,7 @@ impl<S: Send> DriverSession<S> {
                     io,
                     completions,
                     online: &self.online,
+                    jobs,
                 };
                 policy.complete(shard, &mut cx, mi, jid, tc);
             }
@@ -789,7 +796,7 @@ pub fn drive<P: EventPolicy>(
         session.capacity(policy, jobs, *ev, global);
     }
     session.ingest_all(policy, jobs, global);
-    session.into_finished(policy, global)
+    session.into_finished(policy, jobs, global)
 }
 
 /// Classifies an arrival: `Some(s)` if every eligible machine lies in
@@ -852,6 +859,7 @@ fn run_shard<P: EventPolicy>(
                 io,
                 completions,
                 online,
+                jobs,
             };
             policy.complete(shard, &mut cx, mi, jid, tc);
         }
@@ -864,6 +872,7 @@ fn run_shard<P: EventPolicy>(
             io,
             completions,
             online,
+            jobs,
         };
         commit(policy, shard, &mut cx, job, t, false, None, cand, m);
     }
@@ -877,6 +886,7 @@ fn run_shard<P: EventPolicy>(
             io,
             completions,
             online,
+            jobs,
         };
         policy.complete(shard, &mut cx, mi, jid, tc);
     }
@@ -934,6 +944,7 @@ fn place_global<P: EventPolicy>(
     policy: &P,
     layout: &ShardLayout,
     slots: &mut [ShardSlot<P::Shard>],
+    jobs: &[Job],
     job: &Job,
     t: f64,
     redispatch: bool,
@@ -960,6 +971,7 @@ fn place_global<P: EventPolicy>(
         io: &mut slot.io,
         completions: &mut slot.completions,
         online,
+        jobs,
     };
     commit(
         policy,
