@@ -32,11 +32,7 @@ impl AvrScheduler {
             let r = job.release;
             let d = job.deadline.expect("energy instance");
             let mut best: Option<(usize, f64, f64)> = None; // (machine, speed, marginal)
-            for mi in 0..m {
-                let p = job.sizes[mi];
-                if !p.is_finite() {
-                    continue;
-                }
+            for (mi, p) in job.sizes.iter_finite() {
                 let v = p / (d - r);
                 let marginal = profiles[mi].marginal_energy(r, d, v, self.alpha);
                 if best.is_none_or(|(_, _, bm)| marginal < bm) {

@@ -146,11 +146,7 @@ impl GreedyScheduler {
             let t = job.release;
 
             let mut best: Option<(usize, f64)> = None;
-            for mi in 0..m {
-                let p = job.sizes[mi];
-                if !p.is_finite() {
-                    continue;
-                }
+            for (mi, p) in job.sizes.iter_finite() {
                 let score = match self.dispatch {
                     DispatchRule::EarliestCompletion => queue_volume(&machines[mi], t) + p,
                     DispatchRule::LeastLoaded => queue_volume(&machines[mi], t) + 1e-9 * p,

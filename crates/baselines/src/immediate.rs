@@ -171,11 +171,7 @@ impl ImmediateRejectScheduler {
 
             // Otherwise dispatch by ECT, serve SPT.
             let mut best: Option<(usize, f64)> = None;
-            for mi in 0..m {
-                let p = job.sizes[mi];
-                if !p.is_finite() {
-                    continue;
-                }
+            for (mi, p) in job.sizes.iter_finite() {
                 let pend: f64 = machines[mi].pending.iter().map(|&(_, _, q)| q).sum();
                 let rem = machines[mi]
                     .running

@@ -77,7 +77,7 @@ pub fn optimal_flow(instance: &Instance) -> f64 {
         }
     }
 
-    let sizes: Vec<Vec<f64>> = jobs.iter().map(|j| j.sizes.clone()).collect();
+    let sizes: Vec<Vec<f64>> = jobs.iter().map(|j| j.sizes.to_vec()).collect();
 
     let minflow = |mi: usize, set: u32, memo: &mut HashMap<(usize, u32), f64>| -> f64 {
         if set == 0 {

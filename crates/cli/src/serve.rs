@@ -16,6 +16,8 @@
 //!
 //! ```text
 //! arrive <id> [@T] [w=W] <size>...   # one size per machine; inf = ineligible
+//! arrive <id> [@T] [w=W] m=<width> <machine>:<size>...
+//!                                    # finite sizes only; ids increasing
 //! join|drain|crash <machine> [@T]    # pool membership change
 //! advance <T>                        # fire completions up to T
 //! stats                              # key/value snapshot, ends with `end`
@@ -24,7 +26,10 @@
 //!
 //! Omitted `@T` default to the last event's time; `<id>` must be the
 //! next dense job id (a cheap end-to-end check that producer and
-//! server agree on the stream position).
+//! server agree on the stream position). The second `arrive` form is
+//! the sparse row a v3 journal writes (O(eligible) bytes); both forms
+//! go through `osr_core::journal::parse_arrive`, which documents the
+//! grammar and its errors.
 //!
 //! Tokens are separated by runs of **ASCII whitespace** only: space,
 //! tab, line feed, form feed and carriage return (Rust's
@@ -193,10 +198,12 @@ fn handle_line(
 }
 
 /// Parse-only twin of [`handle_line`]'s `arrive` arm: validates the id
-/// against the stream cursor and resolves defaulted operands without
-/// touching the session. `toks` holds the operands after the `arrive`
-/// keyword. Shared with the burst coalescer in [`serve_loop`], which
-/// must parse a whole burst before ingesting any of it.
+/// against the stream cursor, then hands the operands to the one arrive
+/// parser ([`osr_core::journal::parse_arrive`], dense or sparse rows)
+/// with `last_t` as the default `@T`, without touching the session.
+/// `toks` holds the operands after the `arrive` keyword. Shared with
+/// the burst coalescer in [`serve_loop`], which must parse a whole
+/// burst before ingesting any of it.
 fn parse_arrive<'a>(
     toks: impl Iterator<Item = &'a str>,
     next_id: usize,
@@ -212,23 +219,7 @@ fn parse_arrive<'a>(
             "arrive id {id} out of order (expected {next_id}; ids are dense)"
         ));
     }
-    let mut release = last_t;
-    let mut weight = 1.0;
-    let mut sizes = Vec::new();
-    for t in toks {
-        if let Some(v) = t.strip_prefix('@') {
-            release = num(v, "release time")?;
-        } else if let Some(v) = t.strip_prefix("w=") {
-            weight = num(v, "weight")?;
-        } else {
-            sizes.push(num(t, "size")?);
-        }
-    }
-    Ok(Arrival {
-        release,
-        weight,
-        sizes,
-    })
+    osr_core::journal::parse_arrive(toks, Some(last_t))
 }
 
 /// Whether a protocol line is an `arrive` line (the only kind the
@@ -1012,6 +1003,97 @@ shutdown
         assert_eq!(model_io::log_to_string(&log), oracle);
     }
 
+    /// The recorded trace (m = 6) holds restricted rows with up to
+    /// three eligible machines and wider ones, so its replay in CI
+    /// builds rows in both forms.
+    #[test]
+    fn recorded_trace_builds_rows_in_both_forms() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/serve");
+        let script = std::fs::read_to_string(root.join("trace.script")).unwrap();
+        let (mut sparse, mut dense) = (0, 0);
+        for (id, line) in script.lines().filter(|l| is_arrive(l)).enumerate() {
+            let a = parse_arrive(line.split_ascii_whitespace().skip(1), id, 0.0).unwrap();
+            assert_eq!(a.sizes.len(), 6);
+            match a.sizes.as_dense() {
+                Some(_) => dense += 1,
+                None => sparse += 1,
+            }
+        }
+        assert!(sparse > 0 && dense > 0, "sparse {sparse}, dense {dense}");
+    }
+
+    /// Sparse `m=`/`machine:size` arrive lines serve the same log as
+    /// their dense twins, alone and coalesced.
+    #[test]
+    fn sparse_arrive_lines_serve_the_dense_lines_log() {
+        let dense = "arrive 0 @0 w=1 2 4\narrive 1 @1 w=2 3 1\narrive 2 @2.5 w=1 inf inf\n\
+                     arrive 3 @4 w=1 inf 2.5\narrive 4 @4 w=1 x3ff8000000000000 inf\n";
+        let sparse = "arrive 0 @0 w=1 2 4\narrive 1 @1 w=2 3 1\narrive 2 @2.5 w=1 m=2\n\
+                      arrive 3 @4 w=1 m=2 1:2.5\narrive 4 @4 w=1 m=2 0:x3ff8000000000000\n";
+        let logs: Vec<String> = [(dense, false), (sparse, false), (sparse, true)]
+            .into_iter()
+            .map(|(script, once)| {
+                let sess = Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
+                let log = serve_loop(
+                    sess,
+                    Cursor::new(script.to_string()),
+                    None,
+                    once,
+                    (0, 0.0),
+                    1024,
+                )
+                .unwrap();
+                model_io::log_to_string(&log)
+            })
+            .collect();
+        assert_eq!(logs[0], logs[1]);
+        assert_eq!(logs[0], logs[2]);
+        assert_eq!(model_io::log_from_str(&logs[0]).unwrap().len(), 5);
+    }
+
+    /// Malformed sparse rows get an error reply (never a panic) and
+    /// leave the stream cursor and the session untouched, whether they
+    /// arrive alone or inside a coalesced burst.
+    #[test]
+    fn malformed_sparse_arrive_lines_are_errors() {
+        let bad = [
+            "arrive 0 @1 m=2 1:1 0:1", // unsorted ids
+            "arrive 0 @1 m=2 1:1 1:2", // duplicate id
+            "arrive 0 @1 m=2 2:1",     // id ≥ width
+            "arrive 0 @1 1:1",         // missing m=
+            "arrive 0 @1 m=3 0:1",     // width ≠ the pool's 2 machines
+            "arrive 0 @1 m=two 0:1",   // unparsable width
+            "arrive 0 @1 m=2 m=2 0:1", // second m=
+            "arrive 0 @1 1 m=2 1:1",   // dense token mixed with pairs
+            "arrive 0 @1 m=2 0:1 inf", // pair mixed with a dense token
+            "arrive 0 @1 m=2 0:inf",   // inf inside a pair
+            "arrive 0 @1 m=2 0:0",     // zero size inside a pair
+            "arrive 0 @1 m=2 0:-1.5",  // negative size inside a pair
+        ];
+        for line in bad {
+            let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+            let (mut id, mut t) = (0usize, 0.0f64);
+            let err = match handle_line(&mut sess, &mut id, &mut t, line) {
+                Err(e) => e,
+                Ok(_) => panic!("`{line}` was accepted"),
+            };
+            assert!(!err.is_empty(), "{line}");
+            assert_eq!((id, t), (0, 0.0), "{line}");
+            assert_eq!(sess.snapshot().arrived, 0, "{line}");
+
+            let mut batched: Box<dyn ServeSession> =
+                Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
+            let (mut bid, mut bt) = (0usize, 0.0f64);
+            let (tx, rx) = mpsc::channel();
+            let burst = vec![(line.to_string(), Some(tx))];
+            assert!(process_arrive_batch(batched.as_mut(), &mut bid, &mut bt, burst).is_none());
+            let replies: Vec<String> = rx.try_iter().collect();
+            assert!(replies[0].starts_with("err "), "{line}: {replies:?}");
+            assert_eq!((bid, bt), (0, 0.0), "{line}");
+            assert_eq!(batched.snapshot().arrived, 0, "{line}");
+        }
+    }
+
     #[test]
     fn serve_loop_finishes_at_eof_without_shutdown() {
         // `--once` semantics: EOF ends the stream; defaulted times and
@@ -1190,8 +1272,8 @@ shutdown
     #[test]
     fn stats_block_reports_per_machine_loads() {
         let mut sess = FlowSession::new(FlowParams::new(0.5), 3).unwrap();
-        sess.arrive(0.0, 1.0, vec![1.0, 5.0, 5.0]).unwrap();
-        sess.arrive(0.0, 1.0, vec![1.0, 5.0, 5.0]).unwrap();
+        sess.arrive(0.0, 1.0, vec![1.0, 5.0, 5.0].into()).unwrap();
+        sess.arrive(0.0, 1.0, vec![1.0, 5.0, 5.0].into()).unwrap();
         let block = render_stats(&sess);
         for m in 0..3 {
             assert!(block.contains(&format!("load_{m} ")), "{block}");
@@ -1209,7 +1291,7 @@ shutdown
         let mut sess = FlowSession::new(FlowParams::new(0.5), m).unwrap();
         for k in 0..4 {
             let row: Vec<f64> = (0..m).map(|i| 1.0 + ((i + k) % 5) as f64).collect();
-            sess.arrive(k as f64, 1.0, row).unwrap();
+            sess.arrive(k as f64, 1.0, row.into()).unwrap();
         }
         let block = render_stats(&sess);
         let value = |key: &str| -> u64 {

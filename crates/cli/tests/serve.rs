@@ -139,9 +139,10 @@ fn serve_replay_is_byte_identical_to_offline_run_for_all_schedulers() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Journal records share the protocol's number grammar: with the
-/// header and checksum tokens stripped, a v2 journal (hex sizes) is a
-/// serve script that reproduces the same log.
+/// Journal records share the protocol's grammar: with the header and
+/// checksum tokens stripped, a v3 journal (hex sizes, dense rows and
+/// sparse `m=`/`machine:size` rows alike) is a serve script that
+/// reproduces the same log.
 #[test]
 fn journal_bodies_replay_as_a_serve_script() {
     let (dir, script, offline_flag) = churn_fixture("bodies");
@@ -153,11 +154,22 @@ fn journal_bodies_replay_as_a_serve_script() {
 
     let text = fs::read_to_string(&journal).unwrap();
     let mut lines = text.lines();
-    assert!(lines.next().unwrap().starts_with("#osr-journal v2 "));
+    assert!(lines.next().unwrap().starts_with("#osr-journal v3 "));
     let bodies: String = lines
-        .map(|l| format!("{}\n", &l[..l.rfind(" #h").unwrap()]))
+        .map(|l| format!("{}\n", &l[..l.rfind(" #w").unwrap()]))
         .collect();
     assert!(bodies.contains(" x"), "sizes are journaled as hex bits");
+    let arrives: Vec<&str> = bodies.lines().filter(|l| l.starts_with("arrive")).collect();
+    assert!(
+        arrives
+            .iter()
+            .any(|l| l.contains(" m=5 ") && l.contains(":x")),
+        "restricted rows are journaled sparse"
+    );
+    assert!(
+        arrives.iter().any(|l| !l.contains(" m=")),
+        "rows with many eligible machines stay dense"
+    );
     assert_eq!(serve_once(&args, &bodies), oracle);
     fs::remove_dir_all(&dir).ok();
 }

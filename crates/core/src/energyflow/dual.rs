@@ -137,11 +137,7 @@ pub fn check_energyflow_dual(
         let job = &instance.jobs()[jx];
         let rj = job.release;
         let lam = out.records[jx].lambda;
-        for mi in 0..m {
-            let p = job.sizes[mi];
-            if !p.is_finite() {
-                continue;
-            }
+        for (mi, p) in job.sizes.iter_finite() {
             let delta = job.weight / p;
             let mut times: Vec<f64> = (0..=grid)
                 .map(|k| rj + (horizon - rj) * k as f64 / grid as f64)

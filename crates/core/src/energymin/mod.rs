@@ -149,11 +149,8 @@ impl EnergyMinOnline {
         assert!(window > 0.0, "deadline before release");
 
         let mut best: Option<Assignment> = None;
-        for (mi, prof) in self.profiles.iter().enumerate() {
-            let p = job.sizes[mi];
-            if !p.is_finite() {
-                continue;
-            }
+        for (mi, p) in job.sizes.iter_finite() {
+            let prof = &self.profiles[mi];
             let v_min = p / window;
             let mut v = v_min;
             for _ in 0..self.params.max_speeds {

@@ -23,7 +23,9 @@ use std::ops::Deref;
 
 use osr_dstruct::kernel::LANES;
 use osr_dstruct::{MachineIndex, MachineStats, NodeStats, ShardMaskScratch};
-use osr_model::{Execution, Job, JobId, MachineId, OnlineSet, PartialRun, RejectReason, Rejection};
+use osr_model::{
+    Execution, Job, JobId, MachineId, OnlineSet, PartialRun, RejectReason, Rejection, RowForm,
+};
 use osr_sim::{
     driver::{EventPolicy, LogOp, Placement, ShardCtx, ShardProbe},
     CapacityChange, DecisionEvent,
@@ -411,6 +413,56 @@ impl<F: Family> FamilyPolicy<F> {
         FamilyPolicy { fam, config, m }
     }
 
+    /// The pruned candidate search over a shard's index; `sizes` reads
+    /// the job's row over this shard's machines (local index → `p_ij`).
+    fn pruned(
+        &self,
+        sh: &mut FamilyShard<F::Queue>,
+        job: &Job,
+        t: f64,
+        sizes: impl Fn(usize) -> f64,
+    ) -> Option<(usize, f64)> {
+        let FamilyShard {
+            base,
+            len,
+            machines,
+            dindex,
+            scratch,
+            ..
+        } = sh;
+        let (base, len) = (*base, *len);
+        let ix = dindex.as_mut().expect("pruned search needs an index");
+        let (fam, w, id) = (&self.fam, job.weight, job.id);
+        let leaf = |p: f64, s: &MachineStats| {
+            if p.is_finite() {
+                fam.bound(&NodeStats::leaf(*s), p, w)
+            } else {
+                f64::INFINITY
+            }
+        };
+        let ph = dispatch::p_hat_view(job);
+        let mask = scratch.rebase(dispatch::mask_view(job.elig()), base, len);
+        ix.search_masked_rows(
+            mask,
+            |s, lo, span| fam.bound(s, ph.for_range(base + lo, span), w),
+            // Leaf-row-slice form of the leaf bound: the same per-lane
+            // expression over an aligned quad of stat rows
+            // (bit-identical by construction), which is what the
+            // chunked flat scan autovectorizes.
+            |lo, rows, out| {
+                for k in 0..LANES {
+                    out[k] = leaf(sizes(lo + k), &rows[k]);
+                }
+            },
+            |li, s| leaf(sizes(li), s),
+            |li| {
+                let p = sizes(li);
+                p.is_finite()
+                    .then(|| fam.lambda(&machines[li].pending, p, w, t, id))
+            },
+        )
+    }
+
     /// Starts the next pending job on local machine `li` if it is idle
     /// and still in the pool (a draining machine finishes its running
     /// job but starts nothing new).
@@ -494,58 +546,44 @@ impl<F: Family> EventPolicy for FamilyPolicy<F> {
         // bound soundness argument. Offline machines are tombstoned in
         // the index and skipped by the scan. `p̂` (global + rack-local
         // layers) and the eligibility mask are precomputed on the job,
-        // so no per-arrival rescan of `job.sizes`.
-        let FamilyShard {
-            base,
-            len,
-            machines,
-            dindex,
-            scratch,
-            ..
-        } = sh;
-        let (base, len) = (*base, *len);
-        let (fam, w, id) = (&self.fam, job.weight, job.id);
-        let leaf = |p: f64, s: &MachineStats| {
-            if p.is_finite() {
-                fam.bound(&NodeStats::leaf(*s), p, w)
-            } else {
-                f64::INFINITY
+        // so no per-arrival rescan of `job.sizes`. The row's form is
+        // matched once per search, not once per leaf: each arm runs the
+        // search with its own lookup (a slice read, or a binary search
+        // of a sparse row's ids), and the linear scan walks only the
+        // finite entries.
+        let (base, len) = (sh.base, sh.len);
+        let best = match job.sizes.form() {
+            RowForm::Dense(row) if sh.dindex.is_some() => {
+                self.pruned(sh, job, t, |li| row[base + li])
             }
-        };
-        let best = match dindex.as_mut() {
-            Some(ix) => {
-                let ph = dispatch::p_hat_view(job);
-                let mask = scratch.rebase(dispatch::mask_view(job.elig()), base, len);
-                ix.search_masked_rows(
-                    mask,
-                    |s, lo, span| fam.bound(s, ph.for_range(base + lo, span), w),
-                    // Leaf-row-slice form of the leaf bound: the same
-                    // per-lane expression over an aligned quad of stat
-                    // rows (bit-identical by construction), which is
-                    // what the chunked flat scan autovectorizes.
-                    |lo, rows, out| {
-                        for k in 0..LANES {
-                            out[k] = leaf(job.sizes[base + lo + k], &rows[k]);
-                        }
-                    },
-                    |li, s| leaf(job.sizes[base + li], s),
-                    |li| {
-                        let p = job.sizes[base + li];
-                        p.is_finite()
-                            .then(|| fam.lambda(&machines[li].pending, p, w, t, id))
-                    },
-                )
+            RowForm::Sparse(row) if sh.dindex.is_some() => {
+                self.pruned(sh, job, t, |li| row.get(base + li))
             }
-            None => {
+            form => {
+                let (fam, w, id) = (&self.fam, job.weight, job.id);
                 let mut best: Option<(usize, f64)> = None;
-                for (li, ms) in machines.iter().enumerate().take(len) {
-                    let p = job.sizes[base + li];
-                    if !p.is_finite() || !online.is_online(base + li) {
-                        continue;
+                let mut consider = |li: usize, p: f64| {
+                    if !online.is_online(base + li) {
+                        return;
                     }
-                    let lam = fam.lambda(&ms.pending, p, w, t, id);
+                    let lam = fam.lambda(&sh.machines[li].pending, p, w, t, id);
                     if best.is_none_or(|(_, bl)| lam < bl) {
                         best = Some((li, lam));
+                    }
+                };
+                // Finite entries in increasing machine order, either form.
+                match form {
+                    RowForm::Dense(row) => {
+                        for (li, &p) in row[base..base + len].iter().enumerate() {
+                            if p.is_finite() {
+                                consider(li, p);
+                            }
+                        }
+                    }
+                    RowForm::Sparse(row) => {
+                        for (i, p) in row.range(base, base + len) {
+                            consider(i - base, p);
+                        }
                     }
                 }
                 best

@@ -213,11 +213,7 @@ pub fn check_dual_feasibility(instance: &Instance, dual: &FlowDual, max_jobs: us
         let job = instance.job(osr_model::JobId(j as u32));
         let rj = dual.release[j];
         let lam = dual.lambda[j];
-        for mi in 0..m {
-            let p = job.sizes[mi];
-            if !p.is_finite() {
-                continue;
-            }
+        for (mi, p) in job.sizes.iter_finite() {
             // Candidate worst times: r_j itself plus every β breakpoint
             // at or after r_j on this machine.
             let s = &steps[mi];

@@ -18,48 +18,78 @@
 //! so recovery may run with a different `--shards` count, or a
 //! different [`crate::SchedulerConfig`] in tests, and stay byte-exact).
 //! Every subsequent line is one event in the serve-script dialect plus
-//! a trailing FNV-1a checksum token:
+//! a trailing checksum token, ` #` + a one-letter tag naming the
+//! checksum + its 16 lowercase hex digits:
 //!
 //! ```text
-//! #osr-journal v2 fp=00498c2a1f6d9e03
-//! arrive 0 @0.125 w=1 x4004000000000000 inf x4008000000000000 #h93ad2f6b01c44e17
-//! drain 3 @1.5 #h5b0e9cc2d1a07f28
-//! advance 7 #h0ac1...
+//! #osr-journal v3 fp=00498c2a1f6d9e03
+//! arrive 0 @0.125 w=1 x4004000000000000 inf x4008000000000000 #w93ad2f6b01c44e17
+//! arrive 1 @0.5 w=2 m=16384 17:x3ff8000000000000 9001:x4000000000000000 #w0c1d...
+//! drain 3 @1.5 #w5b0e9cc2d1a07f28
+//! advance 7 #w0ac1...
 //! ```
 //!
-//! Number tokens follow one grammar, shared with the serve protocol
-//! ([`parse_number`]):
+//! The record grammar, shared with the serve protocol ([`parse_record`]
+//! and [`parse_arrive`] are the protocol's parsers too):
 //!
 //! ```text
-//! number := "inf" | "x" hex{16} | <any decimal f64::from_str accepts>
-//! hex    := [0-9a-f]
+//! record   := arrive | capacity | advance
+//! arrive   := "arrive" id "@" number "w=" number row
+//! row      := (" " number)*                            # dense: one per machine
+//!           | " m=" width (" " machine ":" number)*    # sparse (v3)
+//! capacity := ("join" | "drain" | "crash") machine "@" number
+//! advance  := "advance" number
+//! number   := "inf" | "x" hex{16} | <any decimal f64::from_str accepts>
+//! hex      := [0-9a-f]
+//! check    := " #" tag hex{16}
+//! tag      := "w"     # word_sum64 of the body (v3 appends)
+//!           | "h"     # fnv1a of the body (v1 and v2 records)
 //! ```
 //!
-//! An arrive record writes each finite size as `x` + the 16 lowercase
-//! hex digits of [`f64::to_bits`] and each ineligible machine as `inf`.
-//! Sizes are the bulk of a record (one per machine), and the journal
-//! only needs them back bit-exactly: a nibble-table copy of the bits
-//! costs ≈13 ns per size where shortest-round-trip decimal formatting
-//! costs 100–180 ns. The release time, the weight and capacity/advance
-//! times stay decimal, one or two per record, so an operator can still
-//! read a journal by time. Because the grammar accepts decimal sizes too, a
-//! v2 record body is also a valid serve-script line.
-//!
-//! **Versions.** `v1` journals (every size in shortest decimal) still
-//! recover: the parser reads both forms. Recovery rewrites a `v1`
-//! header to `v2` in place before it appends the first hex record, so
-//! a binary that only knows `v1` refuses the file at its header instead
-//! of failing on a hex token halfway through replay.
+//! An arrive record writes its row in the row's own [`SizeRow`] form.
+//! A dense row writes each finite size as `x` + the 16 lowercase hex
+//! digits of [`f64::to_bits`] and each ineligible machine as `inf`. A
+//! sparse row (a restricted-assignment row with few eligible machines)
+//! writes its width once and one `machine:x<hex>` pair per finite size,
+//! machine ids strictly increasing, so its record is O(eligible) bytes
+//! rather than O(m): about 135 bytes, checksum included, instead of
+//! 65 KB for three eligible machines among 16 384. Sizes are the bulk of a record, and the
+//! journal only needs them back bit-exactly: a nibble-table copy of the
+//! bits costs ≈13 ns per size where shortest-round-trip decimal
+//! formatting costs 100–180 ns. The release time, the weight and
+//! capacity/advance times stay decimal, one or two per record, so an
+//! operator can still read a journal by time. Because the protocol
+//! accepts every one of these forms, a record body is also a valid
+//! serve-script line.
 //!
 //! The checksum exists because a torn tail can truncate a decimal
 //! literal into a *different valid number* (`3.7310627019737903` →
 //! `3.73`), or cut a record at a token boundary into a shorter valid
 //! record; newline-termination alone cannot catch that. A record is
-//! valid iff it is newline-terminated **and** its checksum verifies;
-//! on recovery, invalid records are accepted only as a suffix (the
-//! torn tail — dropped and physically truncated, never half-applied),
-//! while an invalid record *followed by a valid one* means mid-file
-//! corruption and recovery refuses.
+//! valid iff it is newline-terminated **and** the checksum its tag
+//! names verifies; on recovery, invalid records are accepted only as a
+//! suffix (the torn tail — dropped and physically truncated, never
+//! half-applied), while an invalid record *followed by a valid one*
+//! means mid-file corruption and recovery refuses. v3 appends use
+//! [`word_sum64`], which reads the body a 64-bit word at a time;
+//! byte-serial [`fnv1a`] cost more than encoding a dense record. The
+//! snapshot sidecar and the header fingerprint keep FNV-1a.
+//!
+//! **Versions.** Recovery reads every version and verifies each record
+//! by its own tag, so a file that an older binary wrote and this one
+//! appended to verifies record by record:
+//!
+//! | header | sizes in arrive records | record checksum |
+//! |---|---|---|
+//! | `v1` | shortest decimal, `inf` | `#h` FNV-1a |
+//! | `v2` | `x` + hex bits, `inf` | `#h` FNV-1a |
+//! | `v3` | v2's dense tokens, or `m=` + `machine:x<hex>` pairs | `#w` [`word_sum64`] |
+//!
+//! Recovery rewrites a `v1` or `v2` header to `v3` in place (all three
+//! have the same length) before it appends the first v3 record, so a
+//! binary that knows only an older version refuses the file at its
+//! header instead of failing on a pair or a `#w` tag halfway through
+//! replay.
 //!
 //! # Framing
 //!
@@ -98,15 +128,16 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use osr_model::{FinishedLog, JobId};
+use osr_model::{FinishedLog, JobId, RowForm, SizeRow};
 use osr_sim::failpoint::{self, FailHit};
 use osr_sim::CapacityChange;
 
 use crate::session::{Arrival, ServeSession, ServeSnapshot};
 
-/// FNV-1a 64-bit hash — the record and snapshot checksum. Not
-/// cryptographic; it guards against torn writes and bit rot, not
-/// adversaries.
+/// FNV-1a 64-bit hash — the checksum of v1 and v2 records (tag `#h`),
+/// of the snapshot sidecar and of [`fingerprint`]. Not cryptographic;
+/// it guards against torn writes and bit rot, not adversaries. It reads
+/// one byte per multiply, so v3 records use [`word_sum64`] instead.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
@@ -114,6 +145,40 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// The v3 record checksum (tag `#w`): a 64-bit hash that reads the
+/// body eight bytes (one little-endian word) per step. Like
+/// [`fnv1a`] it guards against torn writes and bit rot, not
+/// adversaries.
+///
+/// Each step `h ← rotl((h ⊕ word) · K, 29)` is a bijection of `h` for
+/// a fixed word and of the word for a fixed `h`, so two bodies of the
+/// same length that differ in exactly one word (any single flipped
+/// bit, say) always hash differently; the length seeds the state, so
+/// a truncated body starts from a different state; a final
+/// avalanche (MurmurHash3's `fmix64`, also a bijection) spreads every
+/// input bit over the whole result. The short tail is zero-padded into
+/// one last word.
+pub fn word_sum64(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut h = 0x243f_6a88_85a3_08d3 ^ (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// The configuration fingerprint stored in journal headers and
@@ -221,30 +286,226 @@ pub fn parse_number(tok: &str) -> Option<f64> {
     tok.parse().ok()
 }
 
+/// Appends the decimal digits of `n` (no `fmt` machinery).
+fn push_decimal(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
 /// Appends an arrive record body (no checksum suffix) to `out`. The
-/// release and weight are decimal (Rust's shortest round-trip); each
-/// size is `inf` for an ineligible machine and otherwise `x` + the hex
-/// bits of the `f64`, so [`parse_record`] gets every size back
-/// bit-exactly — `-0.0`, subnormals and NaN payloads included.
-pub fn encode_arrive_into(out: &mut String, id: usize, release: f64, weight: f64, sizes: &[f64]) {
+/// release and weight are decimal (Rust's shortest round-trip); sizes
+/// take the row's own form. A dense row writes one token per machine:
+/// `inf` for an ineligible machine and otherwise `x` + the hex bits of
+/// the `f64`. A sparse row writes `m=<width>` and one `<i>:x<hex>` pair
+/// per finite size, so its record is O(eligible) bytes. Either way
+/// [`parse_record`] gets every size back bit-exactly — `-0.0`,
+/// subnormals and NaN payloads of a dense row included — in the same
+/// form.
+pub fn encode_arrive_into(out: &mut String, id: usize, release: f64, weight: f64, sizes: &SizeRow) {
     use std::fmt::Write as _;
-    out.reserve(SIZE_TOKEN_MAX * sizes.len() + 48);
     let _ = write!(out, "arrive {id} @{release} w={weight}");
-    for &sz in sizes {
-        if sz == f64::INFINITY {
-            out.push_str(" inf");
-        } else {
-            push_hex(out, " x", sz.to_bits());
+    match sizes.form() {
+        RowForm::Dense(row) => {
+            out.reserve(SIZE_TOKEN_MAX * row.len());
+            for &sz in row {
+                if sz == f64::INFINITY {
+                    out.push_str(" inf");
+                } else {
+                    push_hex(out, " x", sz.to_bits());
+                }
+            }
+        }
+        RowForm::Sparse(row) => {
+            out.push_str(" m=");
+            push_decimal(out, row.width());
+            // A pair is a size token plus up to 10 id digits and `:`.
+            out.reserve((SIZE_TOKEN_MAX + 11) * row.ids().len());
+            for (&i, &sz) in row.ids().iter().zip(row.vals()) {
+                out.push(' ');
+                push_decimal(out, i as usize);
+                push_hex(out, ":x", sz.to_bits());
+            }
         }
     }
 }
 
 /// Encodes an arrive record body into a new string; see
 /// [`encode_arrive_into`] for the format.
-pub fn encode_arrive(id: usize, release: f64, weight: f64, sizes: &[f64]) -> String {
+pub fn encode_arrive(id: usize, release: f64, weight: f64, sizes: &SizeRow) -> String {
     let mut s = String::new();
     encode_arrive_into(&mut s, id, release, weight, sizes);
     s
+}
+
+/// Dense size tokens a row reads as pairs before it may switch to a
+/// full vector: below this a row is cheap in either form.
+const DENSE_SWITCH_MIN: usize = 64;
+
+/// The size operands of one arrive line as they come in, in either
+/// form (see [`parse_arrive`]).
+#[derive(Default)]
+struct RowTokens {
+    /// Whether an `m=` token or a pair was seen (the sparse form).
+    sparse: bool,
+    /// The `m=<width>` operand.
+    width: Option<usize>,
+    /// Dense tokens seen.
+    dense_len: usize,
+    /// The finite entries: every pair, or the dense tokens' finite
+    /// sizes while the row still looks sparse.
+    ids: Vec<u32>,
+    vals: Vec<f64>,
+    /// Every dense token, once the row stopped looking sparse.
+    dense: Option<Vec<f64>>,
+}
+
+impl RowTokens {
+    const MIXED: &'static str = "arrive mixes dense size tokens with m=/<i>:<size> pairs";
+
+    fn width(&mut self, tok: &str) -> Result<(), String> {
+        if self.dense_len > 0 {
+            return Err(Self::MIXED.into());
+        }
+        if self.width.is_some() {
+            return Err("arrive has more than one m=<width>".into());
+        }
+        let width = tok
+            .parse()
+            .map_err(|_| format!("bad row width `m={tok}`"))?;
+        self.sparse = true;
+        self.width = Some(width);
+        Ok(())
+    }
+
+    fn pair(&mut self, id: &str, size: &str) -> Result<(), String> {
+        if self.dense_len > 0 {
+            return Err(Self::MIXED.into());
+        }
+        self.sparse = true;
+        self.ids.push(
+            id.parse()
+                .map_err(|_| format!("bad machine id `{id}` in `{id}:{size}`"))?,
+        );
+        self.vals
+            .push(parse_number(size).ok_or_else(|| format!("bad size `{size}` in `{id}:{size}`"))?);
+        Ok(())
+    }
+
+    /// One dense token. Finite sizes are kept as pairs while they are
+    /// few enough for the sparse form, so a restricted row never
+    /// materializes its `∞` entries; past that the row becomes a plain
+    /// vector.
+    fn dense(&mut self, size: f64) -> Result<(), String> {
+        if self.sparse {
+            return Err(Self::MIXED.into());
+        }
+        let i = self.dense_len;
+        self.dense_len += 1;
+        if let Some(row) = &mut self.dense {
+            row.push(size);
+            return Ok(());
+        }
+        if size == f64::INFINITY {
+            return Ok(());
+        }
+        let as_pair = size.is_finite()
+            && size > 0.0
+            && i <= u32::MAX as usize
+            && (self.dense_len < DENSE_SWITCH_MIN
+                || 12 * (self.ids.len() + 1) < 8 * self.dense_len);
+        if as_pair {
+            self.ids.push(i as u32);
+            self.vals.push(size);
+        } else {
+            let mut row = vec![f64::INFINITY; i];
+            for (&k, &p) in self.ids.iter().zip(&self.vals) {
+                row[k as usize] = p;
+            }
+            row.push(size);
+            self.ids = Vec::new();
+            self.vals = Vec::new();
+            self.dense = Some(row);
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<SizeRow, String> {
+        if let Some(row) = self.dense {
+            return Ok(row.into());
+        }
+        let width = match (self.sparse, self.width) {
+            (false, _) => self.dense_len,
+            (true, Some(width)) => width,
+            (true, None) => return Err("arrive has <i>:<size> pairs but no m=<width>".into()),
+        };
+        SizeRow::from_pairs(width, self.ids, self.vals).map_err(|e| format!("bad sparse row: {e}"))
+    }
+}
+
+/// Parses the operands of an `arrive` protocol line or journal record
+/// that follow the job id, into an [`Arrival`] whose row is built
+/// straight in its final form (no dense intermediate for a sparse
+/// row). The one arrive parser: [`parse_record`] and `osr serve` both
+/// call it.
+///
+/// ```text
+/// operands := ("@" number | "w=" number | size)*            # dense
+///           | ("@" number | "w=" number | "m=" width | pair)* # sparse
+/// pair     := machine ":" number                               # finite, > 0
+/// ```
+///
+/// A dense row has one `size` token per machine (`inf` = ineligible).
+/// A sparse row names its width once with `m=` and lists the finite
+/// sizes as pairs with strictly increasing machine ids below the
+/// width; every other machine is `∞`. Errors, never panics, on: an
+/// unparsable token, dense tokens mixed with `m=` or pairs, pairs
+/// without `m=`, a second `m=`, unsorted or repeated ids, an id at or
+/// past the width, and a pair whose size is not finite and positive.
+/// An omitted `@T` takes `default_release`; with `None` it is an error.
+pub fn parse_arrive<'a>(
+    toks: impl IntoIterator<Item = &'a str>,
+    default_release: Option<f64>,
+) -> Result<Arrival, String> {
+    let num =
+        |tok: &str, what: &str| parse_number(tok).ok_or_else(|| format!("bad {what} `{tok}`"));
+    let mut release = default_release;
+    let mut weight = 1.0;
+    let mut row = RowTokens::default();
+    for t in toks {
+        // Almost every token of a dense restricted row is `inf`, and
+        // of any other dense row a hex size.
+        if t == "inf" {
+            row.dense(f64::INFINITY)?;
+        } else if t.starts_with('x') {
+            row.dense(num(t, "size")?)?;
+        } else if let Some(v) = t.strip_prefix('@') {
+            release = Some(num(v, "release time")?);
+        } else if let Some(v) = t.strip_prefix("w=") {
+            weight = num(v, "weight")?;
+        } else if let Some(v) = t.strip_prefix("m=") {
+            row.width(v)?;
+        } else if let Some(size) = parse_number(t) {
+            row.dense(size)?;
+        } else if let Some((id, size)) = t.split_once(':') {
+            row.pair(id, size)?;
+        } else {
+            return Err(format!("bad size `{t}`"));
+        }
+    }
+    Ok(Arrival {
+        release: release.ok_or("arrive is missing @T")?,
+        weight,
+        sizes: row.finish()?,
+    })
 }
 
 /// Encodes a capacity record body.
@@ -278,27 +539,8 @@ pub fn parse_record(body: &str) -> Result<Record, String> {
             let id: usize = id_tok
                 .parse()
                 .map_err(|_| format!("journal record has bad id `{id_tok}`"))?;
-            let mut release = None;
-            let mut weight = 1.0;
-            let mut sizes = Vec::new();
-            for t in toks {
-                if let Some(v) = t.strip_prefix('@') {
-                    release = Some(parse_f64(v, "release")?);
-                } else if let Some(v) = t.strip_prefix("w=") {
-                    weight = parse_f64(v, "weight")?;
-                } else {
-                    sizes.push(parse_f64(t, "size")?);
-                }
-            }
-            let release = release.ok_or("arrive record missing @T")?;
-            Ok(Record::Arrive {
-                id,
-                arrival: Arrival {
-                    release,
-                    weight,
-                    sizes,
-                },
-            })
+            let arrival = parse_arrive(toks, None).map_err(|e| format!("journal record: {e}"))?;
+            Ok(Record::Arrive { id, arrival })
         }
         "join" | "drain" | "crash" => {
             let change = match cmd {
@@ -327,11 +569,17 @@ pub fn parse_record(body: &str) -> Result<Record, String> {
     }
 }
 
-const HEADER_PREFIX: &str = "#osr-journal v2 fp=";
-/// The header of journals whose sizes are all decimal. Same length as
-/// [`HEADER_PREFIX`], so recovery can upgrade it in place.
-const HEADER_PREFIX_V1: &str = "#osr-journal v1 fp=";
-const CHECK_SEP: &str = " #h";
+const HEADER_PREFIX: &str = "#osr-journal v3 fp=";
+/// Headers of the older versions this binary still recovers, each the
+/// same length as [`HEADER_PREFIX`] so recovery can upgrade it in
+/// place.
+const OLDER_HEADER_PREFIXES: [&str; 2] = ["#osr-journal v1 fp=", "#osr-journal v2 fp="];
+/// What starts a record's checksum token; the next byte is the tag.
+const CHECK_SEP: &str = " #";
+/// Tag of a [`word_sum64`] checksum, the one v3 appends write.
+const TAG_WORD: u8 = b'w';
+/// Tag of an [`fnv1a`] checksum (v1 and v2 records).
+const TAG_FNV: u8 = b'h';
 
 fn header_line(fingerprint: u64) -> String {
     format!("{HEADER_PREFIX}{fingerprint:016x}\n")
@@ -341,7 +589,8 @@ fn header_line(fingerprint: u64) -> String {
 const FRAMES_RETAIN_BYTES: usize = 8 << 20;
 
 /// Journal lines framed in one buffer, ready for a single write: each
-/// record body, then ` #h`, the FNV-1a of that body, and a newline.
+/// record body, then ` #w`, the [`word_sum64`] of that body, and a
+/// newline.
 #[derive(Default)]
 struct Frames {
     buf: String,
@@ -355,8 +604,8 @@ impl Frames {
         let start = self.buf.len();
         self.starts.push(start);
         write_body(&mut self.buf);
-        let sum = fnv1a(&self.buf.as_bytes()[start..]);
-        push_hex(&mut self.buf, CHECK_SEP, sum);
+        let sum = word_sum64(&self.buf.as_bytes()[start..]);
+        push_hex(&mut self.buf, " #w", sum);
         self.buf.push('\n');
     }
 
@@ -367,13 +616,19 @@ impl Frames {
 }
 
 /// Splits a complete (newline-stripped) journal line into its body if
-/// the checksum token verifies.
+/// the checksum token verifies under the checksum its tag names, so a
+/// file holding v2 records and v3 appends verifies record by record.
 fn validate_line(line: &[u8]) -> Option<&str> {
     let line = std::str::from_utf8(line).ok()?;
     let at = line.rfind(CHECK_SEP)?;
     let (body, suffix) = line.split_at(at);
-    let sum = parse_hex16(&suffix[CHECK_SEP.len()..])?;
-    (sum == fnv1a(body.as_bytes())).then_some(body)
+    let checksum: fn(&[u8]) -> u64 = match *suffix.as_bytes().get(CHECK_SEP.len())? {
+        TAG_WORD => word_sum64,
+        TAG_FNV => fnv1a,
+        _ => return None,
+    };
+    let sum = parse_hex16(&suffix[CHECK_SEP.len() + 1..])?;
+    (sum == checksum(body.as_bytes())).then_some(body)
 }
 
 /// Cursor metadata from a `<path>.snap` sidecar.
@@ -466,7 +721,7 @@ impl Journal {
 
         // Header: everything up to the first newline. A file torn
         // inside its own header holds no records — start fresh.
-        let mut v1_header = false;
+        let mut older_header = false;
         let (header_end, mut records, mut dropped) = match data.iter().position(|&b| b == b'\n') {
             Some(nl) => {
                 let header = std::str::from_utf8(&data[..nl])
@@ -474,10 +729,13 @@ impl Journal {
                 let hex = match header.strip_prefix(HEADER_PREFIX) {
                     Some(hex) => hex,
                     None => {
-                        v1_header = true;
-                        header.strip_prefix(HEADER_PREFIX_V1).ok_or_else(|| {
-                            format!("journal {}: bad header `{header}`", path.display())
-                        })?
+                        older_header = true;
+                        OLDER_HEADER_PREFIXES
+                            .iter()
+                            .find_map(|p| header.strip_prefix(p))
+                            .ok_or_else(|| {
+                                format!("journal {}: bad header `{header}`", path.display())
+                            })?
                     }
                 };
                 let fp = parse_hex16(hex)
@@ -556,14 +814,15 @@ impl Journal {
                 .write_all(header.as_bytes())
                 .map_err(|e| Self::io_err(path, "write header", e))?;
             journal.len = header.len() as u64;
-        } else if v1_header {
-            // Appends from here on write hex sizes: mark the file v2
-            // (same length, rewritten in place) before the first one.
+        } else if older_header {
+            // Appends from here on write v3 records (hex and sparse
+            // sizes, `#w` checksums): mark the file v3 (same length,
+            // rewritten in place) before the first one.
             OpenOptions::new()
                 .write(true)
                 .open(path)
                 .and_then(|mut f| f.write_all(header.as_bytes()))
-                .map_err(|e| Self::io_err(path, "upgrade v1 header", e))?;
+                .map_err(|e| Self::io_err(path, "upgrade header", e))?;
         }
         journal
             .file
@@ -1024,7 +1283,7 @@ impl ServeSession for JournaledSession {
         self.inner.machines()
     }
 
-    fn arrive(&mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Result<JobId, String> {
+    fn arrive(&mut self, release: f64, weight: f64, sizes: SizeRow) -> Result<JobId, String> {
         let next = self.next_id;
         self.journal.append_with(|f| {
             f.push_with(|buf| encode_arrive_into(buf, next, release, weight, &sizes))
@@ -1162,7 +1421,8 @@ mod tests {
     fn feed(js: &mut JournaledSession, n: usize) {
         for k in 0..n {
             let t = k as f64 * 0.5;
-            js.arrive(t, 1.0, vec![1.0 + k as f64 % 3.0, 2.0]).unwrap();
+            js.arrive(t, 1.0, vec![1.0 + k as f64 % 3.0, 2.0].into())
+                .unwrap();
             if k == 2 {
                 js.capacity(CapacityChange::Drain, 1, t).unwrap();
             }
@@ -1177,7 +1437,7 @@ mod tests {
         let a = Arrival {
             release: 3.7310627019737903,
             weight: 0.125,
-            sizes: vec![1.5, f64::INFINITY, 0.1],
+            sizes: vec![1.5, f64::INFINITY, 0.1].into(),
         };
         let body = encode_arrive(7, a.release, a.weight, &a.sizes);
         assert_eq!(
@@ -1222,7 +1482,7 @@ mod tests {
             id in 0usize..1_000_000,
             release in 0.0f64..1e6,
         ) {
-            let sizes: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let sizes: SizeRow = bits.iter().map(|&b| f64::from_bits(b)).collect();
             let body = encode_arrive(id, release, 2.5, &sizes);
             let Record::Arrive { id: got_id, arrival } = parse_record(&body).unwrap() else {
                 panic!("not an arrive record: {body}");
@@ -1230,6 +1490,38 @@ mod tests {
             prop_assert_eq!((got_id, arrival.release, arrival.weight), (id, release, 2.5));
             let got: Vec<u64> = arrival.sizes.iter().map(|s| s.to_bits()).collect();
             prop_assert_eq!(got, bits, "{}", body);
+        }
+
+        /// Restricted rows (a few finite sizes among many `inf`) take
+        /// the sparse record and come back bit-exactly, in the same
+        /// form; the record holds one pair per finite size.
+        #[test]
+        fn sparse_arrive_records_round_trip_bit_exactly(
+            width in 4usize..300,
+            picks in prop::collection::vec((any::<u64>(), 1u64..0x7ff0_0000_0000_0000), 0..8),
+            id in 0usize..1_000_000,
+        ) {
+            let mut dense = vec![f64::INFINITY; width];
+            for &(at, bits) in &picks {
+                // Positive finite bit patterns, subnormals included.
+                dense[at as usize % width] = f64::from_bits(bits);
+            }
+            let sizes = SizeRow::from(dense.clone());
+            let finite = dense.iter().filter(|p| p.is_finite()).count();
+            prop_assert_eq!(sizes.as_dense().is_none(), 12 * finite < 8 * width);
+            let body = encode_arrive(id, 1.5, 1.0, &sizes);
+            if sizes.as_dense().is_none() {
+                prop_assert!(body.contains(&format!(" m={width}")), "{}", body);
+                prop_assert_eq!(body.matches(':').count(), finite, "{}", body);
+            }
+            let Record::Arrive { id: got_id, arrival } = parse_record(&body).unwrap() else {
+                panic!("not an arrive record: {body}");
+            };
+            prop_assert_eq!(got_id, id);
+            prop_assert_eq!(arrival.sizes.as_dense().is_none(), sizes.as_dense().is_none());
+            let got: Vec<u64> = arrival.sizes.iter().map(|s| s.to_bits()).collect();
+            let want: Vec<u64> = dense.iter().map(|s| s.to_bits()).collect();
+            prop_assert_eq!(got, want, "{}", body);
         }
     }
 
@@ -1272,7 +1564,7 @@ mod tests {
 
     /// A journal as a `v1` binary wrote it (every size in shortest
     /// decimal) must still recover to the log of an uninterrupted run,
-    /// and recovery marks the file `v2` before appending hex records.
+    /// and recovery marks the file `v3` before appending v3 records.
     #[test]
     fn v1_decimal_journal_recovers_to_the_fresh_run_log() {
         const V1: &str = "\
@@ -1288,18 +1580,18 @@ advance 3 #h111adf285e162cdc
         let fp = fingerprint("flow:0.5", 2, &[]);
         let inf = f64::INFINITY;
         let mut fresh = sess(2);
-        fresh.arrive(0.125, 1.0, vec![2.5, inf]).unwrap();
+        fresh.arrive(0.125, 1.0, vec![2.5, inf].into()).unwrap();
         fresh
-            .arrive(0.5, 2.0, vec![1.3, 0.7000000000000001])
+            .arrive(0.5, 2.0, vec![1.3, 0.7000000000000001].into())
             .unwrap();
         fresh.capacity(CapacityChange::Drain, 1, 0.75).unwrap();
         fresh
-            .arrive(1.0, 1.0, vec![3.7310627019737903, inf])
+            .arrive(1.0, 1.0, vec![3.7310627019737903, inf].into())
             .unwrap();
         fresh.capacity(CapacityChange::Join, 1, 1.5).unwrap();
-        fresh.arrive(2.0, 1.0, vec![0.1, 4.0]).unwrap();
+        fresh.arrive(2.0, 1.0, vec![0.1, 4.0].into()).unwrap();
         fresh.advance(3.0).unwrap();
-        fresh.arrive(3.5, 1.0, vec![0.3, 5.0e-324]).unwrap();
+        fresh.arrive(3.5, 1.0, vec![0.3, 5.0e-324].into()).unwrap();
         let oracle = model_io::log_to_string(&fresh.finish().unwrap());
 
         let path = tmp("v1");
@@ -1309,11 +1601,11 @@ advance 3 #h111adf285e162cdc
         assert_eq!((report.records_replayed, report.rejected_replays), (7, 0));
         assert_eq!(js.cursor(), (4, 3.0));
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, V1.replacen("v1", "v2", 1), "header upgraded in place");
+        assert_eq!(text, V1.replacen("v1", "v3", 1), "header upgraded in place");
 
         // A hex record after the decimal ones; a second crash and
         // recovery over the mixed file still reproduces the fresh run.
-        js.arrive(3.5, 1.0, vec![0.3, 5.0e-324]).unwrap();
+        js.arrive(3.5, 1.0, vec![0.3, 5.0e-324].into()).unwrap();
         drop(js);
         let (js, report, _w) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
         assert_eq!(report.records_replayed, 8);
@@ -1321,6 +1613,220 @@ advance 3 #h111adf285e162cdc
             model_io::log_to_string(&Box::new(js).finish().unwrap()),
             oracle
         );
+    }
+
+    /// A journal as a `v2` binary wrote it (hex sizes, FNV-1a `#h`
+    /// checksums) recovers under v3 to the fresh-run log, takes v3
+    /// appends (`#w` checksums, a sparse row) behind its `#h` records,
+    /// and the mixed file recovers again record by record.
+    #[test]
+    fn v2_journal_recovers_and_takes_v3_appends() {
+        const V2: &str = "\
+#osr-journal v2 fp=e027f4498ba5eed7
+arrive 0 @0.125 w=1 x4004000000000000 inf #h244b938f85f91c16
+arrive 1 @0.5 w=2 x3ff4cccccccccccd x3fe6666666666667 #heee421f1812926c7
+drain 1 @0.75 #hb602e7bb02e72d2c
+arrive 2 @1 w=1 x400dd93766e26c2f inf #h98e4b30afa85eee6
+join 1 @1.5 #h2747e20e801ab8a4
+arrive 3 @2 w=1 x3fb999999999999a x4010000000000000 #he83a2169e47a7711
+advance 3 #h111adf285e162cdc
+";
+        let fp = fingerprint("flow:0.5", 2, &[]);
+        let inf = f64::INFINITY;
+        let mut fresh = sess(2);
+        fresh.arrive(0.125, 1.0, vec![2.5, inf].into()).unwrap();
+        fresh
+            .arrive(0.5, 2.0, vec![1.3, 0.7000000000000001].into())
+            .unwrap();
+        fresh.capacity(CapacityChange::Drain, 1, 0.75).unwrap();
+        fresh
+            .arrive(1.0, 1.0, vec![3.7310627019737903, inf].into())
+            .unwrap();
+        fresh.capacity(CapacityChange::Join, 1, 1.5).unwrap();
+        fresh.arrive(2.0, 1.0, vec![0.1, 4.0].into()).unwrap();
+        fresh.advance(3.0).unwrap();
+        fresh.arrive(3.5, 1.0, vec![inf, 0.3].into()).unwrap();
+        let oracle = model_io::log_to_string(&fresh.finish().unwrap());
+
+        let path = tmp("v2");
+        std::fs::write(&path, V2).unwrap();
+        let (mut js, report, warnings) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!((report.records_replayed, report.rejected_replays), (7, 0));
+        assert_eq!(js.cursor(), (4, 3.0));
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, V2.replacen("v2", "v3", 1), "header upgraded in place");
+
+        // One finite size among two machines: the sparse form.
+        let row: SizeRow = vec![inf, 0.3].into();
+        assert!(row.as_dense().is_none());
+        js.arrive(3.5, 1.0, row).unwrap();
+        drop(js);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let last = text.lines().last().unwrap();
+        assert!(
+            last.starts_with("arrive 4 @3.5 w=1 m=2 1:x3fd3333333333333 #w"),
+            "{last}"
+        );
+        let (js, report, _w) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
+        assert_eq!(report.records_replayed, 8);
+        assert_eq!(
+            model_io::log_to_string(&Box::new(js).finish().unwrap()),
+            oracle
+        );
+    }
+
+    /// Every single-bit flip in a record's body or checksum fails
+    /// verification under both tags, and recovery treats a flipped
+    /// last record as a torn tail and a flipped middle one as mid-file
+    /// corruption.
+    #[test]
+    fn bit_flips_fail_the_record_checksum_under_both_tags() {
+        let v3 = framed("arrive 12 @0.5 w=1 m=9 2:x3ff8000000000000 7:x4000000000000000");
+        let v2 = "arrive 0 @0.125 w=1 x4004000000000000 inf #h244b938f85f91c16\n";
+        for line in [v3.as_str(), v2] {
+            let line = line.trim_end().as_bytes();
+            assert!(validate_line(line).is_some());
+            for at in 0..line.len() {
+                for bit in 0..8 {
+                    let mut flipped = line.to_vec();
+                    flipped[at] ^= 1 << bit;
+                    assert!(
+                        validate_line(&flipped).is_none(),
+                        "flip of bit {bit} at byte {at} verified: {}",
+                        String::from_utf8_lossy(&flipped)
+                    );
+                }
+            }
+        }
+        // Truncation and zero padding change the word checksum too:
+        // the length seeds it.
+        let body = b"arrive 3 @1 w=1 m=9 2:x3ff8000000000000\0\0";
+        for len in 1..body.len() {
+            assert_ne!(
+                word_sum64(&body[..len]),
+                word_sum64(&body[..len - 1]),
+                "{len}"
+            );
+        }
+
+        let path = tmp("flip");
+        let fp = fingerprint("flow:0.5", 2, &[]);
+        let mut js = JournaledSession::create(sess(2), &path, fp, 0).unwrap();
+        feed(&mut js, 4);
+        drop(js);
+        let intact = std::fs::read(&path).unwrap();
+        let flip_at = |at: usize| {
+            let mut bytes = intact.clone();
+            bytes[at] ^= 0x04;
+            std::fs::write(&path, bytes).unwrap();
+        };
+        flip_at(intact.len() - 30); // inside the last record
+        let rec = Journal::recover(&path, fp, 0).unwrap();
+        assert_eq!((rec.dropped, rec.records.len()), (1, 4));
+        std::fs::write(&path, &intact).unwrap();
+        let second = intact.iter().position(|&b| b == b'\n').unwrap() + 10;
+        flip_at(second); // inside the first record
+        let err = Journal::recover(&path, fp, 0).err().unwrap();
+        assert!(err.contains("mid-file corruption"), "{err}");
+    }
+
+    /// Malformed arrive operands are errors, never panics, through the
+    /// one arrive parser — as journal records here and as protocol
+    /// lines in `osr serve`'s tests.
+    #[test]
+    fn malformed_arrive_rows_are_errors() {
+        for (operands, why) in [
+            (
+                "m=8 5:x3ff0000000000000 2:x3ff0000000000000",
+                "strictly increasing",
+            ),
+            ("m=8 2:1 2:1", "strictly increasing"),
+            ("m=8 8:1", "out of range"),
+            ("m=8 9:1.5", "out of range"),
+            ("3:1.5", "no m="),
+            ("m=8 m=8 3:1.5", "more than one m="),
+            ("m=x 3:1.5", "bad row width"),
+            ("m=-1", "bad row width"),
+            ("m= 3:1.5", "bad row width"),
+            ("1 inf m=2", "mixes"),
+            ("m=2 1 inf", "mixes"),
+            ("1 0:1.5", "mixes"),
+            ("0:1.5 inf", "mixes"),
+            ("m=8 3:inf", "finite and positive"),
+            ("m=8 3:0", "finite and positive"),
+            ("m=8 3:-2", "finite and positive"),
+            ("m=8 3:-0", "finite and positive"),
+            ("m=8 3:xfff8000000000000", "finite and positive"),
+            ("m=8 3:", "bad size"),
+            ("m=8 :1.5", "bad machine id"),
+            ("m=8 -3:1.5", "bad machine id"),
+            ("m=8 99999999999:1.5", "bad machine id"),
+            ("m=8 3:1:5", "bad size"),
+            ("m=8 3:x3ff", "bad size"),
+            ("m=99999999999999999999 3:1.5", "bad row width"),
+        ] {
+            let body = format!("arrive 0 @1 w=1 {operands}");
+            let err = parse_record(&body).expect_err(&body);
+            assert!(err.contains(why), "{body}: {err}");
+            let err = parse_arrive(operands.split_ascii_whitespace(), Some(1.0)).expect_err(&body);
+            assert!(err.contains(why), "{body}: {err}");
+        }
+        // A width past the u32 id space is refused before any row is
+        // allocated for it.
+        let huge = format!("m={} 0:1 1:1", u64::MAX);
+        assert!(parse_arrive(huge.split_ascii_whitespace(), Some(0.0)).is_err());
+        // Well-formed rows in both forms read the same values.
+        let sparse = parse_arrive("m=8 2:1.5 5:x4000000000000000".split(' '), Some(0.0)).unwrap();
+        let dense = parse_arrive("inf inf 1.5 inf inf 2 inf inf".split(' '), Some(0.0)).unwrap();
+        assert_eq!(sparse, dense);
+        assert!(sparse.sizes.as_dense().is_none() && dense.sizes.as_dense().is_none());
+        let empty = parse_arrive("m=3".split(' '), Some(0.0)).unwrap();
+        assert_eq!(empty.sizes, vec![f64::INFINITY; 3]);
+        assert!(parse_arrive(["w=2"], None)
+            .unwrap_err()
+            .contains("missing @T"));
+    }
+
+    /// A dense protocol row of a restricted job parses straight into
+    /// pairs (no dense vector), and a wide fully eligible one into a
+    /// dense row, whatever order its finite sizes come in.
+    #[test]
+    fn dense_tokens_build_the_form_the_rule_picks() {
+        let inf = f64::INFINITY;
+        for (m, finite) in [
+            (16_384usize, vec![0usize, 9_001, 16_383]),
+            (200, (0..200).collect()),
+            (200, (100..200).collect()),
+            (200, (0..100).collect()),
+            (6, vec![4]),
+        ] {
+            let mut row = vec![inf; m];
+            for &i in &finite {
+                row[i] = 1.0 + i as f64;
+            }
+            let line: Vec<String> = row
+                .iter()
+                .map(|p| {
+                    if p.is_finite() {
+                        p.to_string()
+                    } else {
+                        "inf".into()
+                    }
+                })
+                .collect();
+            let got = parse_arrive(line.iter().map(String::as_str), Some(0.0))
+                .unwrap()
+                .sizes;
+            let want = SizeRow::from(row.clone());
+            assert_eq!(
+                got.as_dense().is_some(),
+                want.as_dense().is_some(),
+                "m={m} finite={}",
+                finite.len()
+            );
+            assert_eq!(got, row);
+        }
     }
 
     #[test]
@@ -1378,13 +1884,35 @@ advance 3 #h111adf285e162cdc
         // size token. Both are newline-terminated here, and the second
         // still parses as a valid record with fewer sizes: only the
         // checksum rejects them.
-        let body = encode_arrive(4, 2.5, 1.0, &[0.1, 3.0]);
+        let body = encode_arrive(4, 2.5, 1.0, &vec![0.1, 3.0].into());
         let cut_at = body.find(" x").unwrap() + SIZE_TOKEN_MAX;
         assert!(
             parse_record(&body[..cut_at]).is_ok(),
             "cut after a whole token"
         );
         for cut in [cut_at - 7, cut_at] {
+            tear(format!("{}\n", &body[..cut]).as_bytes());
+            let rec = Journal::recover(&path, fp, 0).unwrap();
+            assert_eq!((rec.dropped, rec.records.len()), (1, 5), "cut at {cut}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), intact);
+        }
+
+        // A sparse record cut inside an `i:x…` pair: mid-id, right
+        // after the colon, mid-hex, and right after a whole pair (which
+        // still parses, as a row with one pair fewer).
+        let inf = f64::INFINITY;
+        let row: SizeRow = vec![inf, 0.1, inf, inf, inf, inf, 3.0, inf, inf, inf, 2.5, inf].into();
+        let body = encode_arrive(4, 2.5, 1.0, &row);
+        assert!(
+            body.ends_with(" 1:x3fb999999999999a 6:x4008000000000000 10:x4004000000000000"),
+            "{body}"
+        );
+        let pair = body.rfind(" 10:").unwrap();
+        assert!(
+            parse_record(&body[..pair]).is_ok(),
+            "cut after a whole pair"
+        );
+        for cut in [pair + 2, pair + 4, pair + 9, pair] {
             tear(format!("{}\n", &body[..cut]).as_bytes());
             let rec = Journal::recover(&path, fp, 0).unwrap();
             assert_eq!((rec.dropped, rec.records.len()), (1, 5), "cut at {cut}");
@@ -1443,11 +1971,11 @@ advance 3 #h111adf285e162cdc
         let path = tmp("reject");
         let fp = fingerprint("flow:0.5", 2, &[]);
         let mut js = JournaledSession::create(sess(2), &path, fp, 0).unwrap();
-        js.arrive(1.0, 1.0, vec![1.0, 2.0]).unwrap();
+        js.arrive(1.0, 1.0, vec![1.0, 2.0].into()).unwrap();
         // Clock regression: journaled, then rejected by the session.
         assert!(js.capacity(CapacityChange::Drain, 0, 0.5).is_err());
-        assert!(js.arrive(0.25, 1.0, vec![1.0, 1.0]).is_err());
-        js.arrive(2.0, 1.0, vec![1.0, 2.0]).unwrap();
+        assert!(js.arrive(0.25, 1.0, vec![1.0, 1.0].into()).is_err());
+        js.arrive(2.0, 1.0, vec![1.0, 2.0].into()).unwrap();
         let cursor = js.cursor();
         let oracle = model_io::log_to_string(&Box::new(js).finish().unwrap());
 
@@ -1468,7 +1996,7 @@ advance 3 #h111adf285e162cdc
         let a = |release: f64| Arrival {
             release,
             weight: 1.0,
-            sizes: vec![1.0, 2.0],
+            sizes: vec![1.0, 2.0].into(),
         };
         // Entry 1 regresses the clock → batch fails at k=1; entry 2
         // was never attempted and must not stay journaled.
@@ -1477,7 +2005,7 @@ advance 3 #h111adf285e162cdc
         assert_eq!(js.journal.records(), 1);
         assert_eq!(js.cursor(), (1, 1.0));
         // The serial re-feed path the serve loop uses: entry 2 again.
-        js.arrive(2.0, 1.0, vec![1.0, 2.0]).unwrap();
+        js.arrive(2.0, 1.0, vec![1.0, 2.0].into()).unwrap();
         let cursor = js.cursor();
         drop(js);
         let (js2, report, _w) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();

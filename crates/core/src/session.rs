@@ -29,7 +29,7 @@
 //! silently break the offline equivalence, so it is rejected loudly).
 
 use osr_model::{
-    FinishedLog, Job, JobFate, JobId, MachineId, OnlineSet, RejectReason, ScheduleLog,
+    FinishedLog, Job, JobFate, JobId, MachineId, OnlineSet, RejectReason, ScheduleLog, SizeRow,
 };
 use osr_sim::{CapacityChange, CapacityEvent, DriverSession, SessionStats, SummaryStats};
 
@@ -101,8 +101,9 @@ pub struct Arrival {
     pub release: f64,
     /// Job weight.
     pub weight: f64,
-    /// One processing time per machine (`f64::INFINITY` = ineligible).
-    pub sizes: Vec<f64>,
+    /// One processing time per machine (`f64::INFINITY` = ineligible),
+    /// dense or sparse.
+    pub sizes: SizeRow,
 }
 
 /// A scheduler running as a long-lived, incrementally-fed instance —
@@ -124,7 +125,7 @@ pub trait ServeSession: Send {
     /// Feeds one arrival: a job released at `release` with `weight` and
     /// one processing time per machine (`f64::INFINITY` = ineligible),
     /// dispatched online immediately. Returns the assigned dense id.
-    fn arrive(&mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Result<JobId, String>;
+    fn arrive(&mut self, release: f64, weight: f64, sizes: SizeRow) -> Result<JobId, String>;
 
     /// Feeds a burst of arrivals as **one** ingest epoch. By the
     /// determinism contract, ingesting a batch at once produces the
@@ -307,10 +308,20 @@ impl<F: Family> FamilySession<F> {
 
     /// Validates and appends one arrival (job row plus its record row)
     /// without ingesting; callers ingest once per batch.
-    fn push_one(&mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Result<JobId, String> {
+    fn push_one(&mut self, release: f64, weight: f64, sizes: SizeRow) -> Result<JobId, String> {
         check_clock(self.clock, release, "arrival")?;
         if self.jobs.len() > u32::MAX as usize {
             return Err("job id space exhausted".into());
+        }
+        // Width first: the job's caches are sized by its row, so a row
+        // claiming a huge width must not get as far as building them.
+        if sizes.len() != self.m {
+            return Err(format!(
+                "j{}: has {} sizes, instance has {} machines",
+                self.jobs.len(),
+                sizes.len(),
+                self.m
+            ));
         }
         let job = Job::weighted(self.jobs.len() as u32, release, weight, sizes);
         job.validate(self.m)?;
@@ -343,7 +354,7 @@ impl<F: Family> ServeSession for FamilySession<F> {
         self.m
     }
 
-    fn arrive(&mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Result<JobId, String> {
+    fn arrive(&mut self, release: f64, weight: f64, sizes: SizeRow) -> Result<JobId, String> {
         let id = self.push_one(release, weight, sizes)?;
         self.ingest();
         Ok(id)
@@ -665,7 +676,7 @@ mod tests {
         let a = |release: f64, sizes: Vec<f64>| Arrival {
             release,
             weight: 1.0,
-            sizes,
+            sizes: sizes.into(),
         };
         let (k, e) = sess
             .arrive_batch(vec![
@@ -680,7 +691,7 @@ mod tests {
         let snap = sess.snapshot();
         assert_eq!(snap.arrived, 2);
         // The stream continues past the rejected entry.
-        sess.arrive(3.0, 1.0, vec![1.0, 1.0]).unwrap();
+        sess.arrive(3.0, 1.0, vec![1.0, 1.0].into()).unwrap();
         assert_eq!(Box::new(sess).finish().unwrap().len(), 3);
     }
 
@@ -688,9 +699,10 @@ mod tests {
     fn snapshot_counts_fates_and_percentiles() {
         let m = 3;
         let mut sess = FlowSession::new(FlowParams::new(0.5), m).unwrap();
-        sess.arrive(0.0, 1.0, vec![1.0, 2.0, 3.0]).unwrap();
-        sess.arrive(0.5, 1.0, vec![f64::INFINITY; 3]).unwrap(); // ineligible
-        sess.arrive(1.0, 1.0, vec![2.0, 1.0, 2.0]).unwrap();
+        sess.arrive(0.0, 1.0, vec![1.0, 2.0, 3.0].into()).unwrap();
+        sess.arrive(0.5, 1.0, vec![f64::INFINITY; 3].into())
+            .unwrap(); // ineligible
+        sess.arrive(1.0, 1.0, vec![2.0, 1.0, 2.0].into()).unwrap();
         sess.advance(100.0).unwrap();
         let snap = sess.snapshot();
         assert_eq!(snap.arrived, 3);
@@ -707,19 +719,19 @@ mod tests {
     fn streams_are_validated() {
         let m = 2;
         let mut sess = FlowSession::new(FlowParams::new(0.5), m).unwrap();
-        sess.arrive(5.0, 1.0, vec![1.0, 1.0]).unwrap();
+        sess.arrive(5.0, 1.0, vec![1.0, 1.0].into()).unwrap();
         // Time regression.
-        assert!(sess.arrive(4.0, 1.0, vec![1.0, 1.0]).is_err());
+        assert!(sess.arrive(4.0, 1.0, vec![1.0, 1.0].into()).is_err());
         assert!(sess.capacity(CapacityChange::Drain, 0, 4.0).is_err());
         // Wrong row width.
-        assert!(sess.arrive(6.0, 1.0, vec![1.0]).is_err());
+        assert!(sess.arrive(6.0, 1.0, vec![1.0].into()).is_err());
         // Bad weight / NaN size.
-        assert!(sess.arrive(6.0, 0.0, vec![1.0, 1.0]).is_err());
-        assert!(sess.arrive(6.0, 1.0, vec![f64::NAN, 1.0]).is_err());
+        assert!(sess.arrive(6.0, 0.0, vec![1.0, 1.0].into()).is_err());
+        assert!(sess.arrive(6.0, 1.0, vec![f64::NAN, 1.0].into()).is_err());
         // Machine out of range.
         assert!(sess.capacity(CapacityChange::Join, 2, 6.0).is_err());
         // A failed call leaves the stream usable.
-        sess.arrive(6.0, 1.0, vec![1.0, 1.0]).unwrap();
+        sess.arrive(6.0, 1.0, vec![1.0, 1.0].into()).unwrap();
         assert!(Box::new(sess).finish().is_ok());
         // Zero machines and out-of-range offline lists are rejected.
         assert!(FlowSession::new(FlowParams::new(0.5), 0).is_err());

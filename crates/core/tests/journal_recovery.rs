@@ -183,7 +183,9 @@ fn feed(sess: &mut dyn ServeSession, events: &[Event]) -> usize {
                 release,
                 weight,
                 sizes,
-            } => sess.arrive(*release, *weight, sizes.clone()).map(|_| ()),
+            } => sess
+                .arrive(*release, *weight, sizes.clone().into())
+                .map(|_| ()),
             Event::Capacity {
                 change,
                 machine,

@@ -1,7 +1,7 @@
 //! Problem instances: a machine count plus a release-ordered job list.
 
 use crate::error::ModelError;
-use crate::job::{Job, JobId, MachineId};
+use crate::job::{Job, JobId, MachineId, SizeRow};
 
 /// Which of the paper's three problems an instance is intended for.
 ///
@@ -122,11 +122,9 @@ impl Instance {
         let mut lo = f64::INFINITY;
         let mut hi = 0.0f64;
         for j in &self.jobs {
-            for &p in &j.sizes {
-                if p.is_finite() {
-                    lo = lo.min(p);
-                    hi = hi.max(p);
-                }
+            for (_, p) in j.sizes.iter_finite() {
+                lo = lo.min(p);
+                hi = hi.max(p);
             }
         }
         if lo.is_finite() && lo > 0.0 {
@@ -197,7 +195,7 @@ pub struct InstanceBuilder {
     machines: usize,
     kind: InstanceKind,
     // (release, weight, deadline, sizes); ids assigned at build time.
-    pending: Vec<(f64, f64, Option<f64>, Vec<f64>)>,
+    pending: Vec<(f64, f64, Option<f64>, SizeRow)>,
 }
 
 impl InstanceBuilder {
@@ -211,20 +209,21 @@ impl InstanceBuilder {
     }
 
     /// Adds an unweighted, deadline-free job.
-    pub fn job(mut self, release: f64, sizes: Vec<f64>) -> Self {
-        self.pending.push((release, 1.0, None, sizes));
+    pub fn job(mut self, release: f64, sizes: impl Into<SizeRow>) -> Self {
+        self.pending.push((release, 1.0, None, sizes.into()));
         self
     }
 
     /// Adds a weighted job.
-    pub fn weighted_job(mut self, release: f64, weight: f64, sizes: Vec<f64>) -> Self {
-        self.pending.push((release, weight, None, sizes));
+    pub fn weighted_job(mut self, release: f64, weight: f64, sizes: impl Into<SizeRow>) -> Self {
+        self.pending.push((release, weight, None, sizes.into()));
         self
     }
 
     /// Adds a job with a deadline.
-    pub fn deadline_job(mut self, release: f64, deadline: f64, sizes: Vec<f64>) -> Self {
-        self.pending.push((release, 1.0, Some(deadline), sizes));
+    pub fn deadline_job(mut self, release: f64, deadline: f64, sizes: impl Into<SizeRow>) -> Self {
+        self.pending
+            .push((release, 1.0, Some(deadline), sizes.into()));
         self
     }
 
@@ -234,16 +233,16 @@ impl InstanceBuilder {
         release: f64,
         weight: f64,
         deadline: Option<f64>,
-        sizes: Vec<f64>,
+        sizes: impl Into<SizeRow>,
     ) -> Self {
-        self.pending.push((release, weight, deadline, sizes));
+        self.pending.push((release, weight, deadline, sizes.into()));
         self
     }
 
     /// Adds a job identical on all machines (identical-machines shortcut).
     pub fn identical_job(mut self, release: f64, size: f64) -> Self {
         let sizes = vec![size; self.machines];
-        self.pending.push((release, 1.0, None, sizes));
+        self.pending.push((release, 1.0, None, sizes.into()));
         self
     }
 

@@ -1,6 +1,37 @@
-//! Jobs and identifiers.
+//! Jobs, size rows and identifiers.
 //!
-//! Besides the raw `p_ij` row, every [`Job`] carries three **derived
+//! # Size rows
+//!
+//! A job's `p_ij` row is a [`SizeRow`]: one size per machine, with
+//! `f64::INFINITY` marking a machine the job cannot use. A row is
+//! stored in one of two forms, picked when it is built by one fixed
+//! rule that compares their byte sizes:
+//!
+//! * **dense** — a `Box<[f64]>`, 8 bytes per machine;
+//! * **sparse** — the row width `m` plus the sorted machine ids
+//!   (`u32`) of its finite entries and their sizes, 12 bytes per
+//!   finite entry. Every absent machine reads `∞`.
+//!
+//! A row is sparse iff `12 · finite < 8 · m` and every non-`∞` entry
+//! is finite and positive (the only sizes a sparse record can carry;
+//! a row holding `NaN`, `-∞` or a non-positive size stays dense so it
+//! reaches [`Job::validate`] unchanged). A restricted-assignment row
+//! with three finite sizes among 16 384 machines therefore costs 36
+//! bytes instead of 128 KiB, while a fully eligible row stays a plain
+//! slice. There is no knob: the same values always build the same
+//! form, so [`SizeRow::form`] is a pure function of the row.
+//!
+//! Every accessor reads the same bits from either form: [`SizeRow::get`]
+//! and `Index<usize>` (`∞` off the sparse set), [`SizeRow::iter`] over
+//! all `m` entries (yielding a static `∞` for absent ones),
+//! [`SizeRow::iter_finite`] over the finite entries only, and
+//! [`SizeRow::as_dense`] for the dense slice. Hot loops that read many
+//! entries match on [`SizeRow::form`] once and monomorphize per form
+//! instead of branching per entry.
+//!
+//! # Derived caches
+//!
+//! Besides the size row, every [`Job`] carries three **derived
 //! caches** computed once at construction time:
 //!
 //! * `p̂_j = min_i { p_ij : p_ij < ∞ }` ([`Job::p_hat`]) — the cheapest
@@ -20,12 +51,463 @@
 //!   job's sizes vary across machines: rack-affinity rows and dense
 //!   unrelated-machine rows alike.
 //!
-//! The caches are pure functions of `sizes`; [`Job::validate`] (and
-//! therefore [`crate::Instance::new`]) rejects a job whose caches have
-//! been desynchronized by direct mutation of the public `sizes` field.
+//! All three come out of one scan of the row: a dense row is read once,
+//! 64 machines (one mask word) at a time, and a sparse row costs
+//! `O(finite + m/64)`. The caches are pure functions of the row's
+//! values, not of its form, so schedulers read the same bits either
+//! way. [`Job::validate`] (and therefore [`crate::Instance::new`])
+//! rejects a job whose caches were desynchronized by replacing the
+//! public `sizes` field.
+
+use std::fmt;
+use std::ops::Index;
 
 use crate::time::{valid_magnitude, valid_positive};
 use osr_dstruct::kernel::{self, KernelMode};
+
+/// What every absent entry of a sparse [`SizeRow`] reads as.
+static INF: f64 = f64::INFINITY;
+
+/// Widest row whose machine ids fit the sparse form's `u32`.
+const MAX_WIDTH: usize = u32::MAX as usize + 1;
+
+/// Whether `finite` stored entries over `width` machines take fewer
+/// bytes sparse (a `u32` id plus an `f64` each) than dense (an `f64`
+/// per machine). The one rule that picks a [`SizeRow`]'s form.
+#[inline]
+fn sparse_is_smaller(finite: usize, width: usize) -> bool {
+    width <= MAX_WIDTH && 12 * finite < 8 * width
+}
+
+/// Whether a sparse row may store size `p` (see the module docs).
+#[inline]
+fn storable(p: f64) -> bool {
+    p.is_finite() && p > 0.0
+}
+
+/// A job's size row `p_ij` over `m` machines, dense or sparse (see the
+/// module docs for the form rule and the accessors).
+#[derive(Clone)]
+pub struct SizeRow(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Dense(Box<[f64]>),
+    Sparse {
+        width: usize,
+        ids: Box<[u32]>,
+        vals: Box<[f64]>,
+    },
+}
+
+/// A borrowed [`SizeRow`] in its stored form, for loops that read many
+/// entries: match once, then index the form directly.
+#[derive(Debug, Clone, Copy)]
+pub enum RowForm<'a> {
+    /// One size per machine.
+    Dense(&'a [f64]),
+    /// Finite entries only; every other machine is `∞`.
+    Sparse(SparseRow<'a>),
+}
+
+/// The sparse form of a [`SizeRow`]: machine ids in increasing order
+/// and their finite, positive sizes.
+#[derive(Debug, Clone, Copy)]
+pub struct SparseRow<'a> {
+    width: usize,
+    ids: &'a [u32],
+    vals: &'a [f64],
+}
+
+impl<'a> SparseRow<'a> {
+    /// Row width `m` (machines, present or not).
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Machine ids of the finite entries, strictly increasing.
+    #[inline]
+    pub fn ids(&self) -> &'a [u32] {
+        self.ids
+    }
+
+    /// Sizes of the finite entries, parallel to [`Self::ids`].
+    #[inline]
+    pub fn vals(&self) -> &'a [f64] {
+        self.vals
+    }
+
+    /// Size on machine `i` (`∞` off the stored set). Panics if
+    /// `i ≥ width`, like slice indexing.
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        self.slot(i).map_or(f64::INFINITY, |k| self.vals[k])
+    }
+
+    /// Position of machine `i` among the stored entries.
+    #[inline]
+    fn slot(&self, i: usize) -> Option<usize> {
+        assert!(
+            i < self.width,
+            "machine {i} out of range for a row of width {}",
+            self.width
+        );
+        self.ids.binary_search(&(i as u32)).ok()
+    }
+
+    /// The stored `(machine, size)` pairs whose machine lies in
+    /// `[lo, hi)`, in increasing machine order.
+    pub fn range(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let from = self.ids.partition_point(|&i| (i as usize) < lo);
+        let to = self.ids.partition_point(|&i| (i as usize) < hi);
+        self.ids[from..to]
+            .iter()
+            .zip(&self.vals[from..to])
+            .map(|(&i, &p)| (i as usize, p))
+    }
+}
+
+impl SizeRow {
+    /// Builds a row from its finite entries: `ids` strictly increasing
+    /// and below `width`, each size finite and positive. Every other
+    /// machine is `∞`. The form follows the byte-size rule, so a pair
+    /// list that would be larger than the dense row builds a dense row.
+    pub fn from_pairs(width: usize, ids: Vec<u32>, vals: Vec<f64>) -> Result<SizeRow, String> {
+        if width > MAX_WIDTH {
+            return Err(format!("row width {width} exceeds the u32 machine ids"));
+        }
+        if ids.len() != vals.len() {
+            return Err(format!(
+                "{} machine ids but {} sizes",
+                ids.len(),
+                vals.len()
+            ));
+        }
+        if let Some(w) = ids.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!(
+                "machine ids must be strictly increasing, got {} then {}",
+                w[0], w[1]
+            ));
+        }
+        if let Some(&last) = ids.last() {
+            if last as usize >= width {
+                return Err(format!("machine id {last} out of range for m={width}"));
+            }
+        }
+        if let Some((&i, &p)) = ids.iter().zip(&vals).find(|(_, &p)| !storable(p)) {
+            return Err(format!(
+                "size {p} on machine {i} must be finite and positive"
+            ));
+        }
+        if sparse_is_smaller(ids.len(), width) {
+            return Ok(SizeRow(Repr::Sparse {
+                width,
+                ids: ids.into_boxed_slice(),
+                vals: vals.into_boxed_slice(),
+            }));
+        }
+        let mut dense = vec![f64::INFINITY; width];
+        for (&i, &p) in ids.iter().zip(&vals) {
+            dense[i as usize] = p;
+        }
+        Ok(SizeRow(Repr::Dense(dense.into_boxed_slice())))
+    }
+
+    /// Number of machines `m` (the row width, in either form).
+    #[inline]
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::Dense(row) => row.len(),
+            Repr::Sparse { width, .. } => *width,
+        }
+    }
+
+    /// Whether the row covers no machine at all.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Size on machine `i` (`∞` where the job cannot run). Panics if
+    /// `i ≥ len()`, like slice indexing.
+    #[inline]
+    pub fn get(&self, i: usize) -> f64 {
+        self[i]
+    }
+
+    /// The row in its stored form.
+    #[inline]
+    pub fn form(&self) -> RowForm<'_> {
+        match &self.0 {
+            Repr::Dense(row) => RowForm::Dense(row),
+            Repr::Sparse { width, ids, vals } => RowForm::Sparse(SparseRow {
+                width: *width,
+                ids,
+                vals,
+            }),
+        }
+    }
+
+    /// The dense slice, or `None` for a sparse row.
+    #[inline]
+    pub fn as_dense(&self) -> Option<&[f64]> {
+        match &self.0 {
+            Repr::Dense(row) => Some(row),
+            Repr::Sparse { .. } => None,
+        }
+    }
+
+    /// Every entry, one per machine, in machine order. A sparse row
+    /// yields a static `∞` for each absent machine.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(match self.form() {
+            RowForm::Dense(row) => IterRepr::Dense(row.iter()),
+            RowForm::Sparse(sp) => IterRepr::Sparse { next: 0, row: sp },
+        })
+    }
+
+    /// The finite entries as `(machine, size)`, in machine order.
+    /// `O(finite)` for a sparse row.
+    pub fn iter_finite(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.stored().filter(|(_, p)| p.is_finite())
+    }
+
+    /// Every entry a row stores, as `(machine, size)` in machine order:
+    /// all of a dense row, the pairs of a sparse one (every other entry
+    /// of which is `∞`).
+    fn stored(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        // One part is empty: the dense slice or the stored pairs.
+        let (row, ids, vals): (&[f64], &[u32], &[f64]) = match self.form() {
+            RowForm::Dense(row) => (row, &[], &[]),
+            RowForm::Sparse(sp) => (&[], sp.ids, sp.vals),
+        };
+        row.iter()
+            .copied()
+            .enumerate()
+            .chain(ids.iter().zip(vals).map(|(&i, &p)| (i as usize, p)))
+    }
+
+    /// The row as a dense vector.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.iter().copied().collect()
+    }
+}
+
+impl From<Vec<f64>> for SizeRow {
+    /// Builds the row in the form the byte-size rule picks.
+    fn from(sizes: Vec<f64>) -> Self {
+        let mut finite = 0;
+        let mut fits = true;
+        for &p in &sizes {
+            if p != f64::INFINITY {
+                finite += 1;
+                fits &= storable(p);
+            }
+        }
+        if !(fits && sparse_is_smaller(finite, sizes.len())) {
+            return SizeRow(Repr::Dense(sizes.into_boxed_slice()));
+        }
+        let (mut ids, mut vals) = (Vec::with_capacity(finite), Vec::with_capacity(finite));
+        for (i, &p) in sizes.iter().enumerate() {
+            if p != f64::INFINITY {
+                ids.push(i as u32);
+                vals.push(p);
+            }
+        }
+        SizeRow(Repr::Sparse {
+            width: sizes.len(),
+            ids: ids.into_boxed_slice(),
+            vals: vals.into_boxed_slice(),
+        })
+    }
+}
+
+impl FromIterator<f64> for SizeRow {
+    /// Collects one size per machine, then picks the form.
+    fn from_iter<I: IntoIterator<Item = f64>>(sizes: I) -> Self {
+        sizes.into_iter().collect::<Vec<f64>>().into()
+    }
+}
+
+impl Index<usize> for SizeRow {
+    type Output = f64;
+
+    #[inline]
+    fn index(&self, i: usize) -> &f64 {
+        match self.form() {
+            RowForm::Dense(row) => &row[i],
+            RowForm::Sparse(sp) => sp.slot(i).map_or(&INF, |k| &sp.vals[k]),
+        }
+    }
+}
+
+impl PartialEq for SizeRow {
+    /// Entry-wise `==`, as `Vec<f64>` compares, whatever the forms.
+    fn eq(&self, other: &Self) -> bool {
+        match (self.form(), other.form()) {
+            (RowForm::Dense(a), RowForm::Dense(b)) => a == b,
+            (RowForm::Sparse(a), RowForm::Sparse(b)) => {
+                a.width == b.width && a.ids == b.ids && a.vals == b.vals
+            }
+            _ => self.len() == other.len() && self.iter().eq(other.iter()),
+        }
+    }
+}
+
+impl PartialEq<Vec<f64>> for SizeRow {
+    fn eq(&self, other: &Vec<f64>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for SizeRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.form() {
+            RowForm::Dense(row) => f.debug_tuple("Dense").field(&row).finish(),
+            RowForm::Sparse(sp) => f
+                .debug_struct("Sparse")
+                .field("width", &sp.width)
+                .field("finite", &sp.range(0, sp.width).collect::<Vec<_>>())
+                .finish(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a SizeRow {
+    type Item = &'a f64;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over every entry of a [`SizeRow`]; see [`SizeRow::iter`].
+#[derive(Debug, Clone)]
+pub struct Iter<'a>(IterRepr<'a>);
+
+#[derive(Debug, Clone)]
+enum IterRepr<'a> {
+    Dense(std::slice::Iter<'a, f64>),
+    /// `row` shrinks from the front as its entries are yielded.
+    Sparse {
+        next: usize,
+        row: SparseRow<'a>,
+    },
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a f64;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a f64> {
+        match &mut self.0 {
+            IterRepr::Dense(it) => it.next(),
+            IterRepr::Sparse { next, row } => {
+                if *next == row.width {
+                    return None;
+                }
+                let i = *next;
+                *next += 1;
+                match row.ids.first() {
+                    Some(&id) if id as usize == i => {
+                        let v = &row.vals[0];
+                        row.ids = &row.ids[1..];
+                        row.vals = &row.vals[1..];
+                        Some(v)
+                    }
+                    _ => Some(&INF),
+                }
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            IterRepr::Dense(it) => it.len(),
+            IterRepr::Sparse { next, row } => row.width - next,
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+/// The derived caches of one row, built in one scan (see the module
+/// docs): `(p̂, mask, rack minima)`.
+fn derive_caches(sizes: RowForm<'_>) -> (f64, EligMask, Option<RackPHat>) {
+    let width = match sizes {
+        RowForm::Dense(row) => row.len(),
+        RowForm::Sparse(sp) => sp.width,
+    };
+    let n_words = width.div_ceil(64);
+    let mut words = vec![0u64; n_words];
+    let mut word_min = vec![f64::INFINITY; n_words];
+    let mut p_hat = f64::INFINITY;
+    // `uniform`: every size finite and bit-equal (only then do the
+    // racks all share the global p̂).
+    let (all_finite, uniform) = match sizes {
+        RowForm::Dense(row) => {
+            let first = row.first().map_or(0, |p| p.to_bits());
+            let (mut all, mut same) = (true, true);
+            for ((chunk, word), wmin) in row.chunks(64).zip(&mut words).zip(&mut word_min) {
+                let mut bits = 0u64;
+                for (b, &p) in chunk.iter().enumerate() {
+                    same &= p.to_bits() == first;
+                    if p.is_finite() {
+                        bits |= 1 << b;
+                        if p < *wmin {
+                            *wmin = p;
+                        }
+                        p_hat = p_hat.min(p);
+                    }
+                }
+                all &= bits == u64::MAX >> (64 - chunk.len());
+                *word = bits;
+            }
+            (all, all && same)
+        }
+        RowForm::Sparse(sp) => {
+            for (&i, &p) in sp.ids.iter().zip(sp.vals) {
+                let (k, b) = (i as usize / 64, i % 64);
+                words[k] |= 1 << b;
+                if p < word_min[k] {
+                    word_min[k] = p;
+                }
+                p_hat = p_hat.min(p);
+            }
+            // The form rule never builds a full sparse row, but the
+            // caches must not depend on the form.
+            let all = sp.ids.len() == width;
+            let first = sp.vals.first().map_or(0, |p| p.to_bits());
+            (all, all && sp.vals.iter().all(|p| p.to_bits() == first))
+        }
+    };
+    let elig = if all_finite {
+        EligMask::All
+    } else {
+        let mut summary = vec![0u64; n_words.div_ceil(64)];
+        kernel::summarize_words4(KernelMode::Chunked, &words, &mut summary);
+        EligMask::Words {
+            words: words.into_boxed_slice(),
+            summary: summary.into_boxed_slice(),
+        }
+    };
+    let rack = (!uniform).then(|| {
+        let mut block_min = vec![f64::INFINITY; n_words.div_ceil(64)].into_boxed_slice();
+        for (k, w) in word_min.iter().enumerate() {
+            if *w < block_min[k / 64] {
+                block_min[k / 64] = *w;
+            }
+        }
+        RackPHat {
+            word_min: word_min.into_boxed_slice(),
+            block_min,
+        }
+    });
+    (p_hat, elig, rack)
+}
 
 /// Machine-eligibility bitmask cached on a [`Job`].
 ///
@@ -55,23 +537,9 @@ pub enum EligMask {
 }
 
 impl EligMask {
-    /// Derives the canonical mask from a size row.
+    /// Derives the canonical mask from a dense size row.
     pub fn from_sizes(sizes: &[f64]) -> Self {
-        if sizes.iter().all(|p| p.is_finite()) {
-            return EligMask::All;
-        }
-        let mut words = vec![0u64; sizes.len().div_ceil(64)];
-        for (i, p) in sizes.iter().enumerate() {
-            if p.is_finite() {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        let mut summary = vec![0u64; words.len().div_ceil(64)];
-        kernel::summarize_words4(KernelMode::Chunked, &words, &mut summary);
-        EligMask::Words {
-            words: words.into_boxed_slice(),
-            summary: summary.into_boxed_slice(),
-        }
+        derive_caches(RowForm::Dense(sizes)).1
     }
 
     /// Whether machine `i` is eligible.
@@ -174,34 +642,6 @@ impl PartialEq for RackPHat {
 }
 
 impl RackPHat {
-    /// Derives the two layers from a size row; `None` for uniform rows
-    /// (every size finite and bit-equal), whose racks all share the
-    /// global `p̂` — that path stays allocation-free.
-    pub fn from_sizes(sizes: &[f64]) -> Option<Self> {
-        if sizes
-            .iter()
-            .all(|p| p.is_finite() && p.to_bits() == sizes[0].to_bits())
-        {
-            return None;
-        }
-        let mut word_min = vec![f64::INFINITY; sizes.len().div_ceil(64)].into_boxed_slice();
-        for (i, p) in sizes.iter().enumerate() {
-            if p.is_finite() && *p < word_min[i / 64] {
-                word_min[i / 64] = *p;
-            }
-        }
-        let mut block_min = vec![f64::INFINITY; word_min.len().div_ceil(64)].into_boxed_slice();
-        for (k, w) in word_min.iter().enumerate() {
-            if *w < block_min[k / 64] {
-                block_min[k / 64] = *w;
-            }
-        }
-        Some(RackPHat {
-            word_min,
-            block_min,
-        })
-    }
-
     /// Per-64-machine-rack minima (one entry per [`EligMask`] word).
     #[inline]
     pub fn word_min(&self) -> &[f64] {
@@ -309,8 +749,9 @@ pub struct Job {
     pub weight: f64,
     /// Deadline `d_j` (§4 only). `None` for flow-time workloads.
     pub deadline: Option<f64>,
-    /// Machine-dependent size `p_ij`, one entry per machine.
-    pub sizes: Vec<f64>,
+    /// Machine-dependent size `p_ij`, one entry per machine (dense or
+    /// sparse; see the module docs).
+    pub sizes: SizeRow,
     /// Cached `min_i { p_ij finite }` (∞ when eligible nowhere); see
     /// module docs. Kept private so it cannot drift from `sizes`
     /// except through direct `sizes` mutation, which `validate` catches.
@@ -323,20 +764,6 @@ pub struct Job {
 }
 
 impl Job {
-    /// Computes the derived caches from a size row.
-    fn derive(sizes: &[f64]) -> (f64, EligMask, Option<RackPHat>) {
-        let p_hat = sizes
-            .iter()
-            .copied()
-            .filter(|p| p.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        (
-            p_hat,
-            EligMask::from_sizes(sizes),
-            RackPHat::from_sizes(sizes),
-        )
-    }
-
     /// Constructor with every field explicit (used by
     /// [`crate::InstanceBuilder`]); computes the derived caches.
     pub fn full(
@@ -344,9 +771,10 @@ impl Job {
         release: f64,
         weight: f64,
         deadline: Option<f64>,
-        sizes: Vec<f64>,
+        sizes: impl Into<SizeRow>,
     ) -> Self {
-        let (p_hat, elig, rack) = Self::derive(&sizes);
+        let sizes = sizes.into();
+        let (p_hat, elig, rack) = derive_caches(sizes.form());
         Job {
             id: JobId(id),
             release,
@@ -360,17 +788,17 @@ impl Job {
     }
 
     /// Convenience constructor for an unweighted, deadline-free job.
-    pub fn new(id: u32, release: f64, sizes: Vec<f64>) -> Self {
+    pub fn new(id: u32, release: f64, sizes: impl Into<SizeRow>) -> Self {
         Self::full(id, release, 1.0, None, sizes)
     }
 
     /// Constructor with a weight (for §3 workloads).
-    pub fn weighted(id: u32, release: f64, weight: f64, sizes: Vec<f64>) -> Self {
+    pub fn weighted(id: u32, release: f64, weight: f64, sizes: impl Into<SizeRow>) -> Self {
         Self::full(id, release, weight, None, sizes)
     }
 
     /// Constructor with a deadline (for §4 workloads).
-    pub fn with_deadline(id: u32, release: f64, deadline: f64, sizes: Vec<f64>) -> Self {
+    pub fn with_deadline(id: u32, release: f64, deadline: f64, sizes: impl Into<SizeRow>) -> Self {
         Self::full(id, release, 1.0, Some(deadline), sizes)
     }
 
@@ -412,7 +840,7 @@ impl Job {
     /// Size `p_ij` of this job on machine `i`.
     #[inline]
     pub fn size_on(&self, machine: MachineId) -> f64 {
-        self.sizes[machine.idx()]
+        self.sizes.get(machine.idx())
     }
 
     /// Whether the job may run on `machine` (finite size).
@@ -431,19 +859,25 @@ impl Job {
 
     /// Machine achieving [`Job::min_size`].
     pub fn fastest_machine(&self) -> MachineId {
-        let (i, _) = self
-            .sizes
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("job has at least one machine entry");
-        MachineId(i as u32)
+        assert!(!self.sizes.is_empty(), "job has at least one machine entry");
+        // The first total-order minimum. Absent sparse entries are +∞,
+        // which no stored size exceeds, so machine 0 wins only when
+        // nothing is stored.
+        let first_min = match self.sizes.form() {
+            RowForm::Dense(row) => row
+                .iter()
+                .copied()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(&b.1)),
+            RowForm::Sparse(sp) => sp.range(0, sp.width).min_by(|a, b| a.1.total_cmp(&b.1)),
+        };
+        MachineId(first_min.map_or(0, |(i, _)| i) as u32)
     }
 
     /// Density `δ_ij = w_j / p_ij` on machine `i` (§3 ordering key).
     #[inline]
     pub fn density_on(&self, machine: MachineId) -> f64 {
-        self.weight / self.sizes[machine.idx()]
+        self.weight / self.sizes.get(machine.idx())
     }
 
     /// Deadline window length `d_j - r_j`; `None` when no deadline.
@@ -475,7 +909,9 @@ impl Job {
                 machines
             ));
         }
-        for (i, &p) in self.sizes.iter().enumerate() {
+        // Absent sparse entries are +∞ (valid); only stored ones need
+        // the check.
+        for (i, p) in self.sizes.stored() {
             if p.is_nan() || p < 0.0 {
                 return Err(format!("{}: invalid size {} on m{}", self.id, p, i));
             }
@@ -506,7 +942,7 @@ impl Job {
         }
         // The derived caches are pure functions of `sizes`; a mismatch
         // means `sizes` was mutated behind the constructors' back.
-        let (p_hat, elig, rack) = Self::derive(&self.sizes);
+        let (p_hat, elig, rack) = derive_caches(self.sizes.form());
         if p_hat.to_bits() != self.p_hat.to_bits() || elig != self.elig {
             return Err(format!(
                 "{}: stale p̂/eligibility cache (sizes mutated after construction)",
@@ -531,6 +967,7 @@ impl Job {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ids_display_and_index() {
@@ -621,7 +1058,7 @@ mod tests {
     fn validate_catches_stale_caches() {
         let mut j = Job::new(0, 0.0, vec![2.0, 3.0]);
         assert!(j.validate(2).is_ok());
-        j.sizes[0] = 1.0; // desync: p̂ still 2.0
+        j.sizes = vec![1.0, 3.0].into(); // desync: p̂ still 2.0
         let err = j.validate(2).unwrap_err();
         assert!(err.contains("stale"), "{err}");
     }
@@ -637,7 +1074,7 @@ mod tests {
         assert!(matches!(j.elig(), EligMask::Words { .. }));
         let mut wide = vec![1.0; 130];
         wide[70] = f64::INFINITY;
-        j.sizes = wide;
+        j.sizes = wide.into();
         let err = j.validate(130).unwrap_err();
         assert!(err.contains("mask width"), "{err}");
         // The same row rebuilt through a constructor is fine.
@@ -767,10 +1204,12 @@ mod tests {
         let mut sizes = vec![f64::INFINITY; 130];
         sizes[0] = 1.0;
         sizes[70] = 5.0;
-        let mut j = Job::new(0, 0.0, sizes);
+        let mut j = Job::new(0, 0.0, sizes.clone());
         assert!(j.validate(130).is_ok());
         assert_eq!(j.rack_p_hat().unwrap().word_min()[1], 5.0);
-        j.sizes[70] = 7.0; // same word, same eligibility, same global p̂
+        let mut moved = sizes;
+        moved[70] = 7.0; // same word, same eligibility, same global p̂
+        j.sizes = moved.into();
         let err = j.validate(130).unwrap_err();
         assert!(err.contains("rack-p̂"), "{err}");
         // Rebuilt through a constructor the row is fine again.
@@ -784,16 +1223,154 @@ mod tests {
         let mut sizes = vec![9.0; 130];
         sizes[0] = 1.0;
         sizes[70] = 5.0;
-        let mut j = Job::new(0, 0.0, sizes);
+        let mut j = Job::new(0, 0.0, sizes.clone());
         assert!(j.validate(130).is_ok());
         assert!(matches!(j.elig(), EligMask::All));
         assert_eq!(j.rack_p_hat().unwrap().word_min(), &[1.0, 5.0, 9.0]);
-        j.sizes[70] = 7.0;
+        let mut moved = sizes;
+        moved[70] = 7.0;
+        j.sizes = moved.into();
         let err = j.validate(130).unwrap_err();
         assert!(err.contains("rack-p̂"), "{err}");
         let ok = Job::new(0, 0.0, j.sizes.clone());
         assert!(ok.validate(130).is_ok());
         assert_eq!(ok.rack_p_hat().unwrap().word_min()[1], 7.0);
+    }
+
+    /// The same row in both stored forms, whatever the form rule
+    /// would pick.
+    fn both_forms(dense: &[f64]) -> (SizeRow, SizeRow) {
+        let (ids, vals): (Vec<u32>, Vec<f64>) = dense
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.is_finite())
+            .map(|(i, &p)| (i as u32, p))
+            .unzip();
+        (
+            SizeRow(Repr::Dense(dense.into())),
+            SizeRow(Repr::Sparse {
+                width: dense.len(),
+                ids: ids.into(),
+                vals: vals.into(),
+            }),
+        )
+    }
+
+    fn bits(xs: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        xs.into_iter().map(f64::to_bits).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Dense and sparse forms of one row agree bit for bit on every
+        /// accessor, on the derived caches (p̂, mask, rack minima) and
+        /// on `fastest_machine`, at widths around one mask word and one
+        /// 4096-machine block.
+        #[test]
+        fn dense_and_sparse_forms_agree_bit_for_bit(
+            width in prop_oneof![56usize..72, 4088usize..4104],
+            seed in any::<u64>(),
+            per_mille in 0u64..1001,
+            distinct in 1u64..6,
+        ) {
+            let mut st = seed;
+            let mut next = || {
+                st = st.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (st ^ (st >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z ^ (z >> 29)
+            };
+            // Few distinct values, so `fastest_machine` meets ties.
+            let dense: Vec<f64> = (0..width)
+                .map(|_| {
+                    let r = next();
+                    if r % 1000 < per_mille {
+                        1.0 + ((r >> 20) % distinct) as f64 * 0.375
+                    } else {
+                        f64::INFINITY
+                    }
+                })
+                .collect();
+            let (d, sp) = both_forms(&dense);
+            prop_assert!(d.as_dense().is_some() && sp.as_dense().is_none());
+            prop_assert_eq!(d.len(), sp.len());
+            prop_assert_eq!(&d, &sp);
+            prop_assert!(sp == dense);
+            for i in 0..width {
+                prop_assert_eq!(d.get(i).to_bits(), sp.get(i).to_bits());
+                prop_assert_eq!(d[i].to_bits(), sp[i].to_bits());
+            }
+            prop_assert_eq!(bits(d.iter().copied()), bits(dense.iter().copied()));
+            prop_assert_eq!(bits(sp.iter().copied()), bits(dense.iter().copied()));
+            prop_assert_eq!(sp.iter().len(), width);
+            prop_assert_eq!(bits(sp.to_vec()), bits(dense.iter().copied()));
+            let fin = |r: &SizeRow| r.iter_finite().map(|(i, p)| (i, p.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(fin(&d), fin(&sp));
+            // The canonical form carries the same values again.
+            let canon = SizeRow::from(dense.clone());
+            prop_assert_eq!(fin(&canon), fin(&d));
+
+            let (jd, js) = (Job::new(0, 0.0, d), Job::new(0, 0.0, sp));
+            prop_assert_eq!(jd.p_hat().to_bits(), js.p_hat().to_bits());
+            prop_assert_eq!(jd.elig(), js.elig());
+            prop_assert_eq!(jd.rack_p_hat(), js.rack_p_hat());
+            prop_assert_eq!(jd.eligible_count(), js.eligible_count());
+            prop_assert_eq!(jd.fastest_machine(), js.fastest_machine());
+            prop_assert!(jd.validate(width).is_ok() && js.validate(width).is_ok());
+            // And they equal the canonical form's and the slice-built mask.
+            let jc = Job::new(0, 0.0, canon);
+            prop_assert_eq!(jc.fastest_machine(), js.fastest_machine());
+            prop_assert_eq!(jc.rack_p_hat(), js.rack_p_hat());
+            prop_assert_eq!(jc.elig(), js.elig());
+            prop_assert_eq!(&EligMask::from_sizes(&dense), js.elig());
+        }
+    }
+
+    #[test]
+    fn form_rule_compares_byte_sizes() {
+        let inf = f64::INFINITY;
+        // m = 6: sparse while 12·finite < 48, i.e. up to 3 finite sizes.
+        let row = |finite: usize| -> SizeRow {
+            (0..6)
+                .map(|i| if i < finite { 1.0 + i as f64 } else { inf })
+                .collect()
+        };
+        for finite in 0..=6 {
+            assert_eq!(row(finite).as_dense().is_none(), finite <= 3, "{finite}");
+        }
+        // Sizes a sparse row cannot carry keep the row dense.
+        for odd in [f64::NAN, -1.0, 0.0, -0.0, f64::NEG_INFINITY] {
+            let r = SizeRow::from(vec![odd, inf, inf, inf, inf, inf]);
+            assert!(r.as_dense().is_some(), "{odd}");
+        }
+        assert!(SizeRow::from(Vec::new()).as_dense().is_some());
+        // from_pairs applies the same rule and validates its input.
+        assert!(SizeRow::from_pairs(6, vec![1, 4], vec![2.0, 3.0])
+            .unwrap()
+            .as_dense()
+            .is_none());
+        let full = SizeRow::from_pairs(2, vec![0, 1], vec![2.0, 3.0]).unwrap();
+        assert_eq!(full.as_dense(), Some(&[2.0, 3.0][..]));
+        for (ids, vals) in [
+            (vec![3, 1], vec![1.0, 1.0]),
+            (vec![1, 1], vec![1.0, 1.0]),
+            (vec![6], vec![1.0]),
+            (vec![1], vec![inf]),
+            (vec![1], vec![0.0]),
+            (vec![1], vec![f64::NAN]),
+            (vec![1, 2], vec![1.0]),
+        ] {
+            assert!(
+                SizeRow::from_pairs(6, ids.clone(), vals).is_err(),
+                "{ids:?}"
+            );
+        }
+        let sp = row(2);
+        assert_eq!(sp[5], inf);
+        assert_eq!(sp.get(1), 2.0);
+        assert_eq!(
+            format!("{sp:?}"),
+            "Sparse { width: 6, finite: [(0, 1.0), (1, 2.0)] }"
+        );
     }
 
     #[test]
