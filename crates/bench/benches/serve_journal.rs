@@ -12,7 +12,9 @@
 //! with the widened 50% tolerance and the honest framing in BENCH.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use osr_core::{fingerprint, Arrival, FlowParams, FlowSession, JournaledSession, ServeSession};
+use osr_core::{
+    fingerprint, Arrival, Event, FlowParams, FlowSession, JournaledSession, ServeSession,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SplitMix64 — deterministic job sizes.
@@ -45,7 +47,8 @@ fn drive(mut sess: Box<dyn ServeSession>) -> usize {
             })
             .collect();
         sess.arrive_batch(batch).expect("valid batch");
-        sess.advance(t).expect("monotone advance");
+        sess.apply(&mut vec![Event::Advance { time: t }])
+            .expect("monotone advance");
     }
     sess.finish().expect("finish").len()
 }

@@ -27,9 +27,18 @@
 //! Omitted `@T` default to the last event's time; `<id>` must be the
 //! next dense job id (a cheap end-to-end check that producer and
 //! server agree on the stream position). The second `arrive` form is
-//! the sparse row a v3 journal writes (O(eligible) bytes); both forms
-//! go through `osr_core::journal::parse_arrive`, which documents the
-//! grammar and its errors.
+//! the sparse row a v3 journal writes (O(eligible) bytes). Every event
+//! line goes through `osr_core::journal::parse_line`, the journal's own
+//! record parser, which documents the grammar and its errors.
+//!
+//! Event lines (`arrive`, `join`/`drain`/`crash`, `advance`, and any
+//! blank or comment lines among them) that are already queued behind
+//! one another coalesce into a burst of at most `--ingest-buffer`
+//! lines, applied through one `ServeSession::apply`: each run of
+//! arrivals is one ingest epoch, and under `--journal` the whole burst
+//! is one write and one fsync. `stats` and `shutdown` end a burst.
+//! Replies, the cursor and the log do not depend on how lines
+//! coalesce.
 //!
 //! Tokens are separated by runs of **ASCII whitespace** only: space,
 //! tab, line feed, form feed and carriage return (Rust's
@@ -44,25 +53,24 @@
 //! by reason, redispatch totals, and dispatch-index stats — with no
 //! dependency beyond a VT100 terminal.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write as _};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
 use osr_core::energyflow::EnergyFlowParams;
 use osr_core::flowtime::WeightedFlowParams;
 use osr_core::{
-    Arrival, EnergyFlowSession, FlowParams, FlowSession, JournaledSession, ServeSession,
+    EnergyFlowSession, Event, FlowParams, FlowSession, JournaledSession, ServeSession,
     WeightedFlowSession,
 };
 use osr_model::{io as model_io, FinishedLog};
 use osr_sim::failpoint;
-use osr_sim::CapacityChange;
 
 use crate::args::{split_spec, Args};
 use crate::commands::{ineffective_knob_notices, usage, CmdOutput, RuntimeOpts};
@@ -119,196 +127,129 @@ fn parse_offline(s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-/// What a protocol line asks the server to do next.
-enum Response {
-    /// Processed; nothing to show (socket clients get `ok`).
-    Quiet,
-    /// A stats block to send back to the asking producer.
-    Stats(String),
-    /// End the stream and emit the finished log.
-    Shutdown,
+/// The first token of a protocol line (`""` for a blank line).
+fn verb(line: &str) -> &str {
+    line.split_ascii_whitespace().next().unwrap_or("")
 }
 
-/// One number operand, in the grammar the journal writes (`inf`, the
-/// bit-exact `x<16 hex>` form, or decimal), so a journal record body is
-/// also a valid protocol line.
-fn num(tok: &str, what: &str) -> Result<f64, String> {
-    osr_core::journal::parse_number(tok).ok_or_else(|| format!("bad {what} `{tok}`"))
+/// Whether a line is a control verb, which the serve loop answers
+/// itself and which ends a burst.
+fn is_control(line: &str) -> bool {
+    matches!(verb(line), "stats" | "shutdown")
 }
 
-/// Parses and applies one protocol line against the session. `next_id`
-/// and `last_t` are the stream cursor: the expected dense job id and
-/// the default timestamp for lines that omit `@T`. Failed lines leave
-/// the session untouched (the sessions validate before mutating).
-fn handle_line(
-    sess: &mut dyn ServeSession,
-    next_id: &mut usize,
-    last_t: &mut f64,
-    line: &str,
-) -> Result<Response, String> {
-    let mut toks = line.split_ascii_whitespace();
-    let Some(cmd) = toks.next() else {
-        return Ok(Response::Quiet); // blank line
-    };
-    if cmd.starts_with('#') {
-        return Ok(Response::Quiet);
+/// Parses one event line against the session cursor `(next_id,
+/// last_t)` through the one event parser
+/// ([`osr_core::journal::parse_line`], which documents the grammar and
+/// its errors): `last_t` is the default `@T`, and an arrive id must be
+/// `next_id`. `None` for a blank or comment line.
+fn parse_event(line: &str, (next_id, last_t): (usize, f64)) -> Result<Option<Event>, String> {
+    let verb = verb(line);
+    if verb.is_empty() || verb.starts_with('#') {
+        return Ok(None);
     }
-    match cmd {
-        "arrive" => {
-            let a = parse_arrive(toks, *next_id, *last_t)?;
-            let release = a.release;
-            sess.arrive(a.release, a.weight, a.sizes)?;
-            *next_id += 1;
-            *last_t = release;
-            Ok(Response::Quiet)
-        }
-        "join" | "drain" | "crash" => {
-            let change = match cmd {
-                "join" => CapacityChange::Join,
-                "drain" => CapacityChange::Drain,
-                _ => CapacityChange::Crash,
-            };
-            let m_tok = toks
-                .next()
-                .ok_or_else(|| format!("{cmd} needs a machine"))?;
-            let machine: usize = m_tok
-                .parse()
-                .map_err(|_| format!("bad machine `{m_tok}`"))?;
-            let time = match toks.next() {
-                Some(t) => num(t.strip_prefix('@').unwrap_or(t), "event time")?,
-                None => *last_t,
-            };
-            sess.capacity(change, machine, time)?;
-            *last_t = time;
-            Ok(Response::Quiet)
-        }
-        "advance" => {
-            let t_tok = toks.next().ok_or("advance needs a time")?;
-            let time = num(t_tok.strip_prefix('@').unwrap_or(t_tok), "advance time")?;
-            sess.advance(time)?;
-            *last_t = time;
-            Ok(Response::Quiet)
-        }
-        "stats" => Ok(Response::Stats(render_stats(sess))),
-        "shutdown" => Ok(Response::Shutdown),
-        other => Err(format!(
-            "unknown serve command `{other}` (want arrive|join|drain|crash|advance|stats|shutdown)"
-        )),
-    }
-}
-
-/// Parse-only twin of [`handle_line`]'s `arrive` arm: validates the id
-/// against the stream cursor, then hands the operands to the one arrive
-/// parser ([`osr_core::journal::parse_arrive`], dense or sparse rows)
-/// with `last_t` as the default `@T`, without touching the session.
-/// `toks` holds the operands after the `arrive` keyword. Shared with
-/// the burst coalescer in [`serve_loop`], which must parse a whole
-/// burst before ingesting any of it.
-fn parse_arrive<'a>(
-    toks: impl Iterator<Item = &'a str>,
-    next_id: usize,
-    last_t: f64,
-) -> Result<Arrival, String> {
-    let mut toks = toks;
-    let id_tok = toks.next().ok_or("arrive needs a job id")?;
-    let id: usize = id_tok
-        .parse()
-        .map_err(|_| format!("bad job id `{id_tok}`"))?;
-    if id != next_id {
-        return Err(format!(
+    match osr_core::journal::parse_line(line, Some(last_t))?.into_event() {
+        (Some(id), _) if id != next_id => Err(format!(
             "arrive id {id} out of order (expected {next_id}; ids are dense)"
-        ));
+        )),
+        (_, ev) => Ok(Some(ev)),
     }
-    osr_core::journal::parse_arrive(toks, Some(last_t))
 }
 
-/// Whether a protocol line is an `arrive` line (the only kind the
-/// serve loop coalesces).
-fn is_arrive(line: &str) -> bool {
-    line.split_ascii_whitespace().next() == Some("arrive")
+/// A protocol line with the reply channel of its producer (`None` for
+/// stdin, whose errors print to stderr instead).
+type Pending = (String, Option<Sender<String>>);
+
+/// Answers one line: `ok` or `err <msg>` to a socket client, errors
+/// only (on stderr) for stdin.
+fn reply(to: &Option<Sender<String>>, res: Result<(), String>) {
+    match (to, res) {
+        (Some(tx), res) => {
+            let _ = tx.send(res.map_or_else(|e| format!("err {e}\n"), |()| "ok\n".into()));
+        }
+        (None, Err(e)) => eprintln!("serve: {e}"),
+        (None, Ok(())) => {}
+    }
 }
 
-/// Applies a coalesced burst of `arrive` lines as **one** ingest epoch
-/// (via [`ServeSession::arrive_batch`]), replying per line exactly as
-/// the serial loop would.
+/// Applies a burst of event lines (blank and comment lines may sit
+/// among them), replying per line in order. The burst parses against
+/// the session cursor and goes through **one** [`ServeSession::apply`],
+/// so its arrivals land as one ingest epoch and a journaled session
+/// commits it under one fsync. If the session rejects a line, the lines
+/// behind it re-parse against the updated cursor and apply one at a
+/// time, so no line parses more than twice and every reply, the cursor
+/// and the log are what one-line bursts would give.
 ///
-/// Parsing mirrors serial processing: each line parses against the
-/// running cursor, and a bad line leaves the cursor untouched — so a
-/// later dense id fails the same way it would one-by-one. If the
-/// session rejects the batch mid-way, the surviving prefix is
-/// committed and every later batch entry is replayed through the
-/// serial path, keeping replies and state line-for-line identical to
-/// the uncoalesced loop.
-/// Returns `Some(message)` when a failpoint's `error` action fired
-/// inside the batch: the batch was neither journaled nor applied, and
-/// the serve loop must shut down gracefully (flush + final log).
-fn process_arrive_batch(
-    sess: &mut dyn ServeSession,
-    next_id: &mut usize,
-    last_t: &mut f64,
-    lines: Vec<(String, Option<Sender<String>>)>,
-) -> Option<String> {
-    enum Tag {
-        Parsed(usize),
-        Bad(String),
-    }
-    let mut batch: Vec<Arrival> = Vec::new();
-    let mut tagged: Vec<(String, Option<Sender<String>>, Tag)> = Vec::new();
-    let (mut tid, mut tt) = (*next_id, *last_t);
-    for (line, reply) in lines {
-        match parse_arrive(line.split_ascii_whitespace().skip(1), tid, tt) {
-            Ok(a) => {
-                tid += 1;
-                tt = a.release;
-                tagged.push((line, reply, Tag::Parsed(batch.len())));
-                batch.push(a);
+/// Returns `Some(message)` when a failpoint's `error` action fired: the
+/// failing line and every line behind it get that error, and the serve
+/// loop must shut down gracefully (flush + final log).
+fn apply_burst(sess: &mut dyn ServeSession, lines: &[Pending]) -> Option<String> {
+    let (mut at, mut whole) = (0, true);
+    while at < lines.len() {
+        let end = if whole { lines.len() } else { at + 1 };
+        let (mut id, mut t) = sess.cursor();
+        let mut events = Vec::new();
+        // The line each event came from, relative to `at`.
+        let mut owners = Vec::new();
+        let mut replies: Vec<Result<(), String>> = lines[at..end]
+            .iter()
+            .enumerate()
+            .map(|(i, (line, _))| {
+                let ev = parse_event(line, (id, t))?;
+                if let Some(ev) = ev {
+                    id += usize::from(matches!(ev, Event::Arrive(_)));
+                    t = ev.time();
+                    owners.push(i);
+                    events.push(ev);
+                }
+                Ok(())
+            })
+            .collect();
+        let (answered, injected) = match sess.apply(&mut events) {
+            Ok(()) => (replies.len(), None),
+            Err((k, e)) => {
+                whole = false;
+                let injected = failpoint::is_failpoint_error(&e).then(|| e.clone());
+                replies[owners[k]] = Err(e);
+                (owners[k] + 1, injected)
             }
-            Err(e) => tagged.push((line, reply, Tag::Bad(e))),
-        }
-    }
-    let releases: Vec<f64> = batch.iter().map(|a| a.release).collect();
-    let (ok_count, fail) = match sess.arrive_batch(batch) {
-        Ok(()) => (releases.len(), None),
-        Err((k, e)) => (k, Some(e)),
-    };
-    *next_id += ok_count;
-    if ok_count > 0 {
-        *last_t = releases[ok_count - 1];
-    }
-    // An injected failure leaves the whole batch unapplied (and
-    // un-journaled); answer every pending line with it instead of
-    // replaying the tail, and hand it up as a shutdown request.
-    let injected = fail
-        .as_deref()
-        .filter(|e| failpoint::is_failpoint_error(e))
-        .map(str::to_string);
-    let mut failed = fail;
-    for (line, reply, tag) in tagged {
-        let res = match tag {
-            Tag::Bad(e) => Err(e),
-            Tag::Parsed(i) if i < ok_count => Ok(()),
-            Tag::Parsed(_) if injected.is_some() => Err(injected.clone().expect("checked is_some")),
-            Tag::Parsed(i) if i == ok_count && failed.is_some() => {
-                Err(failed.take().expect("checked is_some"))
-            }
-            // Batch entries past a mid-batch failure replay serially.
-            Tag::Parsed(_) => handle_line(sess, next_id, last_t, &line).map(|_| ()),
         };
-        match res {
-            Ok(()) => {
-                if let Some(tx) = reply {
-                    let _ = tx.send("ok\n".into());
-                }
+        for ((_, to), res) in lines[at..].iter().zip(replies.drain(..answered)) {
+            reply(to, res);
+        }
+        at += answered;
+        if let Some(e) = injected {
+            for (_, to) in &lines[at..] {
+                reply(to, Err(e.clone()));
             }
-            Err(e) => match reply {
-                Some(tx) => {
-                    let _ = tx.send(format!("err {e}\n"));
-                }
-                None => eprintln!("serve: {e}"),
-            },
+            return Some(e);
         }
     }
-    injected
+    None
+}
+
+/// Collects one burst: `first` plus the lines already queued behind it,
+/// at most `cap` lines in all. A control line or the end of stdin ends
+/// the burst and is parked for the serve loop.
+fn collect_burst(
+    first: Pending,
+    rx: &Receiver<Inbound>,
+    cap: usize,
+    parked: &mut Option<Inbound>,
+) -> Vec<Pending> {
+    let mut burst = vec![first];
+    while burst.len() < cap {
+        match rx.try_recv() {
+            Ok(Inbound::Line(line, to)) if !is_control(&line) => burst.push((line, to)),
+            Ok(other) => {
+                *parked = Some(other);
+                break;
+            }
+            Err(_) => break,
+        }
+    }
+    burst
 }
 
 /// Renders a [`osr_core::ServeSnapshot`] as the wire stats block: one
@@ -419,10 +360,13 @@ fn handle_conn(stream: UnixStream, tx: SyncSender<Inbound>, shed: Arc<AtomicU64>
 /// stream ends — via `shutdown`, or at reader EOF when `once` is set
 /// or no socket keeps the server reachable.
 ///
-/// `cursor` is the starting stream position (`(0, 0.0)` for a fresh
-/// run; the recovered high-water mark after `--recover`). `buffer`
-/// bounds the producer→consumer channel: stdin blocks when it is full
-/// (backpressure), socket lines are shed with `err overloaded`.
+/// Event lines already queued behind one another coalesce into bursts
+/// of at most `buffer` lines ([`apply_burst`]); `buffer` also bounds the
+/// producer→consumer channel: stdin blocks when it is full
+/// (backpressure), socket lines are shed with `err overloaded`. The
+/// stream cursor (the expected job id and the default `@T`) is the
+/// session's own, so a recovered session resumes where its journal
+/// ended.
 ///
 /// A failpoint `error` action anywhere in line handling is a graceful
 /// shutdown request: the loop stops ingesting and finishes exactly as
@@ -433,7 +377,6 @@ fn serve_loop<R: BufRead + Send + 'static>(
     input: R,
     socket: Option<&Path>,
     once: bool,
-    cursor: (usize, f64),
     buffer: usize,
 ) -> Result<FinishedLog, String> {
     let (tx, rx) = mpsc::sync_channel::<Inbound>(buffer.max(1));
@@ -475,12 +418,10 @@ fn serve_loop<R: BufRead + Send + 'static>(
     drop(tx);
 
     let has_socket = socket.is_some();
-    let (mut next_id, mut last_t) = cursor;
-    // Non-arrive messages drained while collecting a burst park here
-    // and are processed before blocking on the channel again.
-    let mut parked: VecDeque<Inbound> = VecDeque::new();
+    // A line that ended a burst waits here for the next turn.
+    let mut parked: Option<Inbound> = None;
     loop {
-        let msg = match parked.pop_front() {
+        let msg = match parked.take() {
             Some(m) => m,
             None => match rx.recv() {
                 Ok(m) => m,
@@ -496,67 +437,29 @@ fn serve_loop<R: BufRead + Send + 'static>(
                     break;
                 }
             }
-            Inbound::Line(line, reply) => {
-                if is_arrive(&line) {
-                    // Coalesce the already-queued tail of an arrival
-                    // burst into one ingest epoch. Result-neutral: the
-                    // determinism contract makes the batched log
-                    // byte-identical to per-line ingest, so this trades
-                    // ingest overhead only.
-                    let mut burst = vec![(line, reply)];
-                    while let Ok(next) = rx.try_recv() {
-                        match next {
-                            Inbound::Line(l, r) if is_arrive(&l) => burst.push((l, r)),
-                            other => {
-                                parked.push_back(other);
-                                break;
-                            }
-                        }
-                    }
-                    if let Some(e) =
-                        process_arrive_batch(sess.as_mut(), &mut next_id, &mut last_t, burst)
-                    {
-                        eprintln!("serve: {e}; shutting down gracefully");
-                        break;
-                    }
-                    continue;
-                }
-                match handle_line(sess.as_mut(), &mut next_id, &mut last_t, &line) {
-                    Ok(Response::Quiet) => {
-                        if let Some(tx) = reply {
-                            let _ = tx.send("ok\n".into());
-                        }
-                    }
-                    Ok(Response::Stats(block)) => {
-                        let block = with_shed_line(block, shed.load(Ordering::Relaxed));
-                        match reply {
-                            Some(tx) => {
-                                let _ = tx.send(block);
-                            }
-                            None => eprint!("{block}"),
-                        }
-                    }
-                    Ok(Response::Shutdown) => {
-                        if let Some(tx) = reply {
-                            let _ = tx.send("ok\n".into());
-                        }
-                        break;
-                    }
-                    Err(e) if failpoint::is_failpoint_error(&e) => {
-                        if let Some(tx) = reply {
-                            let _ = tx.send(format!("err {e}\n"));
-                        }
-                        eprintln!("serve: {e}; shutting down gracefully");
-                        break;
-                    }
-                    Err(e) => match reply {
+            Inbound::Line(line, to) => match verb(&line) {
+                "stats" => {
+                    let block =
+                        with_shed_line(render_stats(sess.as_ref()), shed.load(Ordering::Relaxed));
+                    match to {
                         Some(tx) => {
-                            let _ = tx.send(format!("err {e}\n"));
+                            let _ = tx.send(block);
                         }
-                        None => eprintln!("serve: {e}"),
-                    },
+                        None => eprint!("{block}"),
+                    }
                 }
-            }
+                "shutdown" => {
+                    reply(&to, Ok(()));
+                    break;
+                }
+                _ => {
+                    let burst = collect_burst((line, to), &rx, buffer, &mut parked);
+                    if let Some(e) = apply_burst(sess.as_mut(), &burst) {
+                        eprintln!("serve: {e}; shutting down gracefully");
+                        break;
+                    }
+                }
+            },
         }
     }
     if let Some(path) = socket {
@@ -604,7 +507,6 @@ pub fn cmd_serve(args: &Args) -> Result<CmdOutput, String> {
     }
 
     let sess = build_session(spec, machines, &offline, &opts)?;
-    let mut cursor = (0usize, 0.0f64);
     let sess: Box<dyn ServeSession> = match &journal_path {
         Some(path) => {
             let fp = osr_core::fingerprint(spec, machines, &offline);
@@ -626,10 +528,9 @@ pub fn cmd_serve(args: &Args) -> Result<CmdOutput, String> {
                     } else {
                         ""
                     },
-                    report.next_id,
-                    report.clock
+                    js.cursor().0,
+                    js.cursor().1
                 );
-                cursor = js.cursor();
                 Box::new(js)
             } else {
                 Box::new(JournaledSession::create(sess, path, fp, snap_every)?)
@@ -642,7 +543,6 @@ pub fn cmd_serve(args: &Args) -> Result<CmdOutput, String> {
         BufReader::new(std::io::stdin()),
         socket.as_deref(),
         once,
-        cursor,
         buffer,
     )?;
     let text = model_io::log_to_string(&log);
@@ -870,7 +770,7 @@ mod tests {
     use super::*;
     use osr_core::FlowScheduler;
     use osr_model::{Instance, InstanceKind, Job};
-    use osr_sim::{CapacityEvent, CapacityPlan};
+    use osr_sim::{CapacityChange, CapacityEvent, CapacityPlan};
     use std::io::Cursor;
 
     fn jobs() -> Vec<Job> {
@@ -924,69 +824,118 @@ arrive 3 @4 w=1 1.5 2.5
 shutdown
 ";
         let sess = Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
-        let log = serve_loop(
-            sess,
-            Cursor::new(script.to_string()),
-            None,
-            false,
-            (0, 0.0),
-            1024,
-        )
-        .unwrap();
+        let log = serve_loop(sess, Cursor::new(script.to_string()), None, false, 1024).unwrap();
         assert_eq!(
             model_io::log_to_string(&offline.log),
             model_io::log_to_string(&log)
         );
     }
 
-    /// Deterministic maximal coalescing: group every run of consecutive
-    /// `arrive` lines into one batch (what `serve_loop` converges to
-    /// when producers outpace ingest) and compare against the serial
-    /// line-at-a-time loop — cursors and final logs must be identical,
-    /// bad lines included.
+    /// Runs `bursts` of lines through [`apply_burst`], returning every
+    /// reply in order.
+    fn run_bursts<'a>(
+        sess: &mut dyn ServeSession,
+        bursts: impl IntoIterator<Item = &'a [&'a str]>,
+    ) -> Vec<String> {
+        let (tx, rx) = mpsc::channel();
+        for burst in bursts {
+            let lines: Vec<Pending> = burst
+                .iter()
+                .map(|l| (l.to_string(), Some(tx.clone())))
+                .collect();
+            assert!(apply_burst(sess, &lines).is_none());
+        }
+        drop(tx);
+        rx.try_iter().collect()
+    }
+
+    /// Deterministic maximal coalescing: one burst holding the whole
+    /// script (what `serve_loop` converges to when producers outpace
+    /// ingest) against one-line bursts — replies, cursors and final
+    /// logs must be identical, bad lines included. The script mixes
+    /// capacity and advance lines into the arrivals, with lines the
+    /// parser refuses and lines the session rejects after parsing.
     #[test]
     fn coalesced_arrive_bursts_match_serial_lines() {
         let script = [
             "arrive 0 @0 w=1 2 4",
             "arrive 1 @1 w=2 3 1",
-            "arrive 7 @1.5 w=1 1 1", // out-of-order id: rejected either way
+            "arrive 7 @1.5 w=1 1 1", // out-of-order id: refused either way
+            "drain 0 @1.5",
             "arrive 2 @2.5 w=1 inf inf",
-            "arrive 3 @x 1 1", // malformed release: rejected either way
+            "# a comment",
+            "arrive 3 @x 1 1", // malformed release: refused either way
+            "drain 5 @2.6",    // machine out of range: session-level reject
             "drain 1 @3",
+            "advance 3.5",
+            "join 0",
             "arrive 3 @4 w=1 1.5 2.5",
             "arrive 4 @3 w=1 1 1", // time regression: session-level reject
-            "arrive 5 @5 w=1 2 2",
+            "join 1 @4.5",
+            "arrive 4 @5 w=1 2 2",
+            "arrive 5 @5 w=1 m=3 0:1", // wrong width: session-level reject
+            "arrive 5 m=2 1:1.5",      // defaulted @T, after a reject
+            "advance 9",
         ];
         let mut serial = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
-        let (mut sid, mut st) = (0usize, 0.0f64);
-        for line in script {
-            let _ = handle_line(&mut serial, &mut sid, &mut st, line);
-        }
+        let one_line = run_bursts(&mut serial, script.iter().map(std::slice::from_ref));
+        let mut batched = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+        let maximal = run_bursts(&mut batched, [&script[..]]);
 
-        let mut batched: Box<dyn ServeSession> =
-            Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
-        let (mut bid, mut bt) = (0usize, 0.0f64);
-        let mut burst: Vec<(String, Option<Sender<String>>)> = Vec::new();
-        for line in script {
-            if is_arrive(line) {
-                burst.push((line.to_string(), None));
-                continue;
-            }
-            process_arrive_batch(
-                batched.as_mut(),
-                &mut bid,
-                &mut bt,
-                std::mem::take(&mut burst),
-            );
-            handle_line(batched.as_mut(), &mut bid, &mut bt, line).unwrap();
-        }
-        process_arrive_batch(batched.as_mut(), &mut bid, &mut bt, burst);
-
-        assert_eq!((sid, st), (bid, bt), "stream cursors diverged");
+        assert_eq!(one_line, maximal);
+        let errs = maximal.iter().filter(|r| r.starts_with("err ")).count();
+        assert_eq!((maximal.len(), errs), (script.len(), 5), "{maximal:?}");
+        assert_eq!(serial.cursor(), (6, 9.0));
+        assert_eq!(serial.cursor(), batched.cursor(), "stream cursors diverged");
         assert_eq!(
             model_io::log_to_string(&Box::new(serial).finish().unwrap()),
-            model_io::log_to_string(&batched.finish().unwrap()),
+            model_io::log_to_string(&Box::new(batched).finish().unwrap()),
         );
+
+        // A line behind one the session rejects parses against the
+        // cursor the rejection left, not against the guess that the
+        // rejected line would land.
+        let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+        let burst = ["arrive 0 @1 m=3 0:1", "arrive 0 @1 m=2 1:1.5"];
+        let replies = run_bursts(&mut sess, [&burst[..]]);
+        assert!(replies[0].starts_with("err "), "{replies:?}");
+        assert_eq!(replies[1], "ok\n");
+        assert_eq!(sess.cursor(), (1, 1.0));
+    }
+
+    /// A burst holds at most `cap` lines, and a control line or the end
+    /// of stdin ends it and is parked for the loop.
+    #[test]
+    fn bursts_stop_at_the_cap_and_at_control_lines() {
+        let (tx, rx) = mpsc::sync_channel::<Inbound>(16);
+        for k in 0..=5 {
+            tx.send(Inbound::Line(format!("arrive {k} 1"), None))
+                .unwrap();
+        }
+        for line in ["stats", "advance 9", "advance 10"] {
+            tx.send(Inbound::Line(line.into(), None)).unwrap();
+        }
+        tx.send(Inbound::Eof).unwrap();
+        // What the serve loop does: take one line, collect behind it.
+        let mut parked = None;
+        let burst = |cap: usize, parked: &mut Option<Inbound>| -> Vec<String> {
+            let Ok(Inbound::Line(line, to)) = rx.recv() else {
+                panic!("a line is queued");
+            };
+            let burst = collect_burst((line, to), &rx, cap, parked);
+            burst.into_iter().map(|(l, _)| l).collect()
+        };
+        assert_eq!(
+            burst(4, &mut parked),
+            ["arrive 0 1", "arrive 1 1", "arrive 2 1", "arrive 3 1"]
+        );
+        assert!(parked.is_none(), "a full burst parks nothing");
+        assert_eq!(burst(4, &mut parked), ["arrive 4 1", "arrive 5 1"]);
+        assert!(matches!(parked.take(), Some(Inbound::Line(l, _)) if l == "stats"));
+        assert_eq!(burst(1, &mut parked), ["advance 9"]);
+        assert!(parked.is_none());
+        assert_eq!(burst(4, &mut parked), ["advance 10"]);
+        assert!(matches!(parked, Some(Inbound::Eof)));
     }
 
     /// The recorded `examples/serve` trace replays byte-identically to
@@ -999,7 +948,7 @@ shutdown
         let script = std::fs::read_to_string(root.join("trace.script")).unwrap();
         let oracle = std::fs::read_to_string(root.join("offline-flow-0.25.csv")).unwrap();
         let sess = Box::new(FlowSession::new(FlowParams::new(0.25), 6).unwrap());
-        let log = serve_loop(sess, Cursor::new(script), None, true, (0, 0.0), 1024).unwrap();
+        let log = serve_loop(sess, Cursor::new(script), None, true, 1024).unwrap();
         assert_eq!(model_io::log_to_string(&log), oracle);
     }
 
@@ -1011,8 +960,11 @@ shutdown
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/serve");
         let script = std::fs::read_to_string(root.join("trace.script")).unwrap();
         let (mut sparse, mut dense) = (0, 0);
-        for (id, line) in script.lines().filter(|l| is_arrive(l)).enumerate() {
-            let a = parse_arrive(line.split_ascii_whitespace().skip(1), id, 0.0).unwrap();
+        let arrives = script.lines().filter(|l| verb(l) == "arrive");
+        for (id, line) in arrives.enumerate() {
+            let Some(Event::Arrive(a)) = parse_event(line, (id, 0.0)).unwrap() else {
+                panic!("not an arrival: {line}");
+            };
             assert_eq!(a.sizes.len(), 6);
             match a.sizes.as_dense() {
                 Some(_) => dense += 1,
@@ -1034,15 +986,8 @@ shutdown
             .into_iter()
             .map(|(script, once)| {
                 let sess = Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
-                let log = serve_loop(
-                    sess,
-                    Cursor::new(script.to_string()),
-                    None,
-                    once,
-                    (0, 0.0),
-                    1024,
-                )
-                .unwrap();
+                let log =
+                    serve_loop(sess, Cursor::new(script.to_string()), None, once, 1024).unwrap();
                 model_io::log_to_string(&log)
             })
             .collect();
@@ -1052,8 +997,8 @@ shutdown
     }
 
     /// Malformed sparse rows get an error reply (never a panic) and
-    /// leave the stream cursor and the session untouched, whether they
-    /// arrive alone or inside a coalesced burst.
+    /// leave the stream cursor and the session untouched, so the valid
+    /// line behind one in the same burst still lands.
     #[test]
     fn malformed_sparse_arrive_lines_are_errors() {
         let bad = [
@@ -1072,25 +1017,16 @@ shutdown
         ];
         for line in bad {
             let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
-            let (mut id, mut t) = (0usize, 0.0f64);
-            let err = match handle_line(&mut sess, &mut id, &mut t, line) {
-                Err(e) => e,
-                Ok(_) => panic!("`{line}` was accepted"),
-            };
-            assert!(!err.is_empty(), "{line}");
-            assert_eq!((id, t), (0, 0.0), "{line}");
+            let replies = run_bursts(&mut sess, [&[line][..]]);
+            assert!(replies[0].starts_with("err "), "{line}: {replies:?}");
+            assert_eq!(sess.cursor(), (0, 0.0), "{line}");
             assert_eq!(sess.snapshot().arrived, 0, "{line}");
 
-            let mut batched: Box<dyn ServeSession> =
-                Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
-            let (mut bid, mut bt) = (0usize, 0.0f64);
-            let (tx, rx) = mpsc::channel();
-            let burst = vec![(line.to_string(), Some(tx))];
-            assert!(process_arrive_batch(batched.as_mut(), &mut bid, &mut bt, burst).is_none());
-            let replies: Vec<String> = rx.try_iter().collect();
+            let burst = [line, "arrive 0 @1 m=2 1:1.5"];
+            let replies = run_bursts(&mut sess, [&burst[..]]);
             assert!(replies[0].starts_with("err "), "{line}: {replies:?}");
-            assert_eq!((bid, bt), (0, 0.0), "{line}");
-            assert_eq!(batched.snapshot().arrived, 0, "{line}");
+            assert_eq!(replies[1], "ok\n", "{line}");
+            assert_eq!(sess.cursor(), (1, 1.0), "{line}");
         }
     }
 
@@ -1104,7 +1040,6 @@ shutdown
             Cursor::new("arrive 0 1 1\n".to_string()),
             None,
             true,
-            (0, 0.0),
             1024,
         )
         .unwrap();
@@ -1114,47 +1049,42 @@ shutdown
     #[test]
     fn protocol_lines_validate() {
         let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
-        let (mut id, mut t) = (0usize, 0.0f64);
-        let line =
-            |s: &mut FlowSession, id: &mut usize, t: &mut f64, l: &str| handle_line(s, id, t, l);
-        assert!(line(&mut sess, &mut id, &mut t, "arrive 0 @1 w=2 3 inf").is_ok());
-        assert_eq!((id, t), (1, 1.0));
+        let mut line = |l: &str| run_bursts(&mut sess, [&[l][..]]).remove(0);
+        assert_eq!(line("arrive 0 @1 w=2 3 inf"), "ok\n");
         // Unknown command, malformed numbers, missing operands.
-        assert!(line(&mut sess, &mut id, &mut t, "explode").is_err());
-        assert!(line(&mut sess, &mut id, &mut t, "arrive one @2 1 1").is_err());
-        assert!(line(&mut sess, &mut id, &mut t, "arrive 1 @x 1 1").is_err());
-        assert!(line(&mut sess, &mut id, &mut t, "join").is_err());
-        assert!(line(&mut sess, &mut id, &mut t, "advance").is_err());
-        // Defaulted capacity time = the last event time.
-        assert!(line(&mut sess, &mut id, &mut t, "drain 1").is_ok());
-        // Stats renders the wire block.
-        match line(&mut sess, &mut id, &mut t, "stats").unwrap() {
-            Response::Stats(block) => {
-                assert!(block.contains("algo flow"), "{block}");
-                assert!(block.contains("arrived 1"), "{block}");
-                assert!(block.ends_with("end\n"), "{block}");
-            }
-            _ => panic!("stats must reply with a block"),
+        for bad in [
+            "explode",
+            "arrive one @2 1 1",
+            "arrive 1 @x 1 1",
+            "join",
+            "join x",
+            "advance",
+            "advance @soon",
+        ] {
+            assert!(line(bad).starts_with("err "), "{bad}");
         }
-        // Shutdown and comment/blank handling.
-        assert!(matches!(
-            line(&mut sess, &mut id, &mut t, "shutdown").unwrap(),
-            Response::Shutdown
-        ));
-        assert!(matches!(
-            line(&mut sess, &mut id, &mut t, "# note").unwrap(),
-            Response::Quiet
-        ));
+        // Defaulted capacity time = the last event time; comments and
+        // blank lines are quiet.
+        assert_eq!(line("drain 1"), "ok\n");
+        assert_eq!(line("# note"), "ok\n");
+        assert_eq!(line(""), "ok\n");
+        assert_eq!(sess.cursor(), (1, 1.0));
+        // Stats renders the wire block.
+        let block = render_stats(&sess);
+        assert!(block.contains("algo flow"), "{block}");
+        assert!(block.contains("arrived 1"), "{block}");
+        assert!(block.ends_with("end\n"), "{block}");
+        assert!(is_control("stats") && is_control("shutdown now"));
+        assert!(!is_control("advance 3"));
     }
 
     /// The separator set is ASCII whitespace: a line that separates
     /// tokens with anything else (a no-break space, an ideographic
-    /// space, a vertical tab) is refused with an error on the serial
-    /// and the coalesced path alike — never accepted as some other row.
+    /// space, a vertical tab) is refused with an error, alone or inside
+    /// a burst — never accepted as some other row.
     #[test]
     fn non_ascii_separators_are_refused() {
         let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
-        let (mut id, mut t) = (0usize, 0.0f64);
         for bad in [
             "arrive 0 @1 2\u{a0}3",
             "arrive\u{a0}0 @1 2 3",
@@ -1162,32 +1092,26 @@ shutdown
             "arrive 0 @1 2\u{0b}3",
             "advance\u{a0}5",
         ] {
-            let err = handle_line(&mut sess, &mut id, &mut t, bad)
+            let err = parse_event(bad, (0, 0.0))
                 .err()
                 .unwrap_or_else(|| panic!("{bad:?} must be refused"));
             assert!(err.contains("bad") || err.contains("unknown"), "{err}");
-            assert_eq!((id, t), (0, 0.0), "{bad:?} moved the cursor");
+            let replies = run_bursts(&mut sess, [&[bad][..]]);
+            assert!(replies[0].starts_with("err "), "{replies:?}");
+            assert_eq!(sess.cursor(), (0, 0.0), "{bad:?} moved the cursor");
         }
         assert_eq!(sess.snapshot().arrived, 0);
 
-        // The burst coalescer answers the same line with `err` too.
-        let mut boxed: Box<dyn ServeSession> =
-            Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
-        let (tx, rx) = mpsc::channel();
-        let burst = vec![
-            ("arrive 0 @1 2\u{a0}3".to_string(), Some(tx.clone())),
-            ("arrive 0 @1 2 3".to_string(), Some(tx)),
-        ];
-        process_arrive_batch(boxed.as_mut(), &mut id, &mut t, burst);
-        let replies: Vec<String> = rx.try_iter().collect();
+        let burst = ["arrive 0 @1 2\u{a0}3", "arrive 0 @1 2 3"];
+        let replies = run_bursts(&mut sess, [&burst[..]]);
         assert!(replies[0].starts_with("err bad size"), "{replies:?}");
         assert_eq!(replies[1], "ok\n");
-        assert_eq!((id, t), (1, 1.0));
-        assert_eq!(boxed.snapshot().arrived, 1);
+        assert_eq!(sess.cursor(), (1, 1.0));
 
         // Every ASCII separator still works: tab, form feed, CR.
-        assert!(handle_line(boxed.as_mut(), &mut id, &mut t, "arrive\t1\x0c@2 2\t3\r").is_ok());
-        assert_eq!((id, t), (2, 2.0));
+        let replies = run_bursts(&mut sess, [&["arrive\t1\x0c@2 2\t3\r"][..]]);
+        assert_eq!(replies, ["ok\n"]);
+        assert_eq!(sess.cursor(), (2, 2.0));
     }
 
     #[test]
@@ -1365,10 +1289,10 @@ shutdown
     }
 
     /// A failpoint `error` action mid-batch is a graceful shutdown
-    /// request: the batch is rejected wholesale (nothing journaled or
-    /// applied), `process_arrive_batch` hands the message up, and the
-    /// session still finishes cleanly — identical to a run that never
-    /// saw the doomed batch.
+    /// request: the burst is rejected wholesale (nothing journaled or
+    /// applied), `apply_burst` hands the message up, and the session
+    /// still finishes cleanly — identical to a run that never saw the
+    /// doomed burst.
     #[test]
     fn failpoint_error_in_a_batch_requests_graceful_shutdown() {
         let dir = std::env::temp_dir().join(format!("osr-serve-fp-{}", std::process::id()));
@@ -1379,30 +1303,34 @@ shutdown
         let inner = Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
         let mut sess: Box<dyn ServeSession> =
             Box::new(JournaledSession::create(inner, &jpath, fp, 0).unwrap());
-        let (mut id, mut t) = (0usize, 0.0f64);
+        let burst = |lines: &[&str]| -> Vec<Pending> {
+            lines.iter().map(|l| (l.to_string(), None)).collect()
+        };
 
-        // First batch lands normally.
+        // First burst lands normally.
         failpoint::disarm();
-        let burst = vec![
-            ("arrive 0 @0 w=1 2 4".to_string(), None),
-            ("arrive 1 @1 w=2 3 1".to_string(), None),
-        ];
-        assert!(process_arrive_batch(sess.as_mut(), &mut id, &mut t, burst).is_none());
-        assert_eq!((id, t), (2, 1.0));
+        let first = burst(&["arrive 0 @0 w=1 2 4", "drain 1 @0.5", "arrive 1 @1 w=2 3 1"]);
+        assert!(apply_burst(sess.as_mut(), &first).is_none());
+        assert_eq!(sess.cursor(), (2, 1.0));
 
-        // Second batch trips the injected error: nothing applies, the
+        // Second burst trips the injected error: nothing applies, the
         // cursor stays put, and the shutdown request comes back.
         failpoint::arm("mid-batch:1:error").unwrap();
-        let burst = vec![("arrive 2 @2 w=1 1 1".to_string(), None)];
-        let msg = process_arrive_batch(sess.as_mut(), &mut id, &mut t, burst)
+        let msg = apply_burst(sess.as_mut(), &burst(&["join 1 @2", "arrive 2 @2 w=1 1 1"]))
             .expect("injected failure must request shutdown");
         assert!(failpoint::is_failpoint_error(&msg), "{msg}");
         failpoint::disarm();
-        assert_eq!((id, t), (2, 1.0), "doomed batch must not move the cursor");
+        assert_eq!(
+            sess.cursor(),
+            (2, 1.0),
+            "doomed burst must not move the cursor"
+        );
 
-        // Graceful finish still works and reflects only the first batch.
+        // Graceful finish still works and reflects only the first burst.
         let log = sess.finish().unwrap();
         assert_eq!(log.len(), 2);
+        let text = std::fs::read_to_string(&jpath).unwrap();
+        assert_eq!(text.lines().count(), 4, "header and the first burst only");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

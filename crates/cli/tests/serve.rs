@@ -179,7 +179,9 @@ fn journal_bodies_replay_as_a_serve_script() {
 /// `--recover` over the same journal plus a re-feed of the full script,
 /// produce a log byte-identical to the offline oracle. Every failpoint
 /// window is exercised (kill and torn actions), the torn leg relying on
-/// recovery to detect and drop the manufactured partial record.
+/// recovery to detect and drop the manufactured partial record. Bursts
+/// are capped at 8 lines so the piped script takes many group commits
+/// and the later `pre-fsync` and `mid-batch` hits are reached.
 #[test]
 fn killed_serve_recovers_to_byte_identical_logs_at_every_failpoint() {
     let (dir, script, offline_flag) = churn_fixture("kill");
@@ -208,7 +210,7 @@ fn killed_serve_recovers_to_byte_identical_logs_at_every_failpoint() {
             let out = serve_raw(
                 &format!(
                     "serve --algo {algo} --machines 5 {offline_flag} --once \
-                     --journal {} --snap-every 4 --failpoint {fp}",
+                     --journal {} --snap-every 4 --ingest-buffer 8 --failpoint {fp}",
                     journal.display()
                 ),
                 &script,

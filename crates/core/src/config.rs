@@ -172,7 +172,7 @@ pub const SERVE_KNOBS: [KnobSpec; 5] = [
         flag: "--ingest-buffer",
         values: "N (>= 1)",
         default_value: "1024",
-        summary: "bounded ingest channel depth (stdin blocks, socket lines shed `err overloaded`)",
+        summary: "ingest channel depth and largest coalesced burst (stdin blocks, socket lines shed `err overloaded`)",
     },
     KnobSpec {
         flag: "--failpoint",

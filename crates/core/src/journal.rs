@@ -3,11 +3,10 @@
 //! The serve stack (PR 8) keeps every accepted arrival, capacity event,
 //! and the clock in memory; a crash loses the run. Because the whole
 //! stack is bit-deterministic under every runtime knob, durability is
-//! recovery-by-replay: journal each accepted event *before* applying it
+//! recovery-by-replay: journal each event *before* applying it
 //! (write-ahead + fsync), and after a crash rebuild the session by
-//! replaying the journal through the normal
-//! [`ServeSession::arrive_batch`]/[`ServeSession::capacity`]/
-//! [`ServeSession::advance`] path — the rebuilt [`FinishedLog`] is
+//! replaying the journal through the one ingest path,
+//! [`ServeSession::apply`] — the rebuilt [`FinishedLog`] is
 //! byte-identical to an uninterrupted run.
 //!
 //! # Journal format
@@ -97,8 +96,10 @@
 //! path: record bodies are written straight into the journal's reusable
 //! line buffer, each followed by its checksum token and newline, and the
 //! buffer goes out as one write and one fsync. [`JournaledSession`]
-//! encodes arrivals directly into that buffer, so an arrival's record
-//! exists once, already framed, on its way to disk.
+//! encodes each batch's events directly into that buffer, so a record
+//! exists once, already framed, on its way to disk, and a batch that
+//! mixes arrivals with capacity and advance events still costs one
+//! fsync (group commit).
 //!
 //! # Snapshots
 //!
@@ -116,23 +117,25 @@
 //!
 //! # Write-ahead ordering
 //!
-//! [`JournaledSession`] journals first, then applies. An event the
-//! session then *rejects* (clock regression, bad operand) stays in the
-//! journal: replaying it reproduces the identical rejection without
-//! mutating state, so recovery stays exact. The one exception is a
-//! batch failing at entry `k`: entries `k..` were never attempted, the
-//! serve loop will re-feed `k+1..` one by one (journaling each), so the
-//! journal is truncated back to entry `k` to keep it an exact mirror.
+//! [`JournaledSession`] journals a whole batch first, then applies it.
+//! An event the session then *rejects* (clock regression, bad operand)
+//! stays in the journal: replaying it reproduces the identical rejection
+//! without mutating state, so recovery stays exact. [`ServeSession::apply`]
+//! stops at the rejected event `k`, so the events after it were never
+//! attempted: their records are truncated away (the caller resubmits
+//! them, journaling each again), keeping the journal an exact mirror of
+//! what the session saw. Replay applies the records the same way, so it
+//! counts one rejection per rejected record.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use osr_model::{FinishedLog, JobId, RowForm, SizeRow};
+use osr_model::{FinishedLog, RowForm, SizeRow};
 use osr_sim::failpoint::{self, FailHit};
 use osr_sim::CapacityChange;
 
-use crate::session::{Arrival, ServeSession, ServeSnapshot};
+use crate::session::{Arrival, Event, ServeSession, ServeSnapshot};
 
 /// FNV-1a 64-bit hash — the checksum of v1 and v2 records (tag `#h`),
 /// of the snapshot sidecar and of [`fingerprint`]. Not cryptographic;
@@ -225,6 +228,29 @@ pub enum Record {
         /// Completion high-water time.
         time: f64,
     },
+}
+
+impl Record {
+    /// Splits the record into its arrive id (`None` for capacity and
+    /// advance records) and the [`Event`] it applies.
+    pub fn into_event(self) -> (Option<usize>, Event) {
+        match self {
+            Record::Arrive { id, arrival } => (Some(id), Event::Arrive(arrival)),
+            Record::Capacity {
+                change,
+                machine,
+                time,
+            } => (
+                None,
+                Event::Capacity {
+                    change,
+                    machine,
+                    time,
+                },
+            ),
+            Record::Advance { time } => (None, Event::Advance { time }),
+        }
+    }
 }
 
 const NIBBLES: &[u8; 16] = b"0123456789abcdef";
@@ -508,38 +534,67 @@ pub fn parse_arrive<'a>(
     })
 }
 
+/// Appends the record body of `ev` to `out`; `id` is the arrive id
+/// and is ignored for capacity and advance events. Capacity and advance
+/// times are decimal.
+fn encode_event_into(out: &mut String, id: usize, ev: &Event) {
+    use std::fmt::Write as _;
+    match ev {
+        Event::Arrive(a) => encode_arrive_into(out, id, a.release, a.weight, &a.sizes),
+        Event::Capacity {
+            change,
+            machine,
+            time,
+        } => {
+            let _ = write!(out, "{change} {machine} @{time}");
+        }
+        Event::Advance { time } => {
+            let _ = write!(out, "advance {time}");
+        }
+    }
+}
+
 /// Encodes a capacity record body.
 pub fn encode_capacity(change: CapacityChange, machine: usize, time: f64) -> String {
-    let kind = match change {
-        CapacityChange::Join => "join",
-        CapacityChange::Drain => "drain",
-        CapacityChange::Crash => "crash",
+    let mut s = String::new();
+    let ev = Event::Capacity {
+        change,
+        machine,
+        time,
     };
-    format!("{kind} {machine} @{time}")
+    encode_event_into(&mut s, 0, &ev);
+    s
 }
 
-/// Encodes an advance record body.
-pub fn encode_advance(time: f64) -> String {
-    format!("advance {time}")
-}
-
-fn parse_f64(tok: &str, what: &str) -> Result<f64, String> {
-    parse_number(tok).ok_or_else(|| format!("journal record has bad {what} `{tok}`"))
-}
-
-/// Parses a record body (checksum already stripped and verified).
+/// Parses a record body (checksum already stripped and verified):
+/// [`parse_line`] with every time explicit.
 pub fn parse_record(body: &str) -> Result<Record, String> {
-    // Records are ASCII by construction (checksummed output of the
-    // encoders above); the ASCII splitter is about twice as fast.
-    let mut toks = body.split_ascii_whitespace();
-    let cmd = toks.next().ok_or("empty journal record")?;
+    parse_line(body, None)
+}
+
+/// Parses one event line of the serve-script dialect: a journal record
+/// body, or an `osr serve` protocol line. The one event parser of both.
+/// An arrive or capacity event that omits `@T` takes `default_time`;
+/// with `None` (a journal record) that is an error. Tokens split on
+/// ASCII whitespace only (records are ASCII by construction, and the
+/// ASCII splitter is about twice as fast).
+pub fn parse_line(line: &str, default_time: Option<f64>) -> Result<Record, String> {
+    let mut toks = line.split_ascii_whitespace();
+    let cmd = toks.next().ok_or("empty event line")?;
+    let event_time = |tok: Option<&str>, what: &str| -> Result<f64, String> {
+        let Some(tok) = tok else {
+            return default_time.ok_or_else(|| format!("{what} needs a time"));
+        };
+        let v = tok.strip_prefix('@').unwrap_or(tok);
+        parse_number(v).ok_or_else(|| format!("bad {what} time `{v}`"))
+    };
     match cmd {
         "arrive" => {
-            let id_tok = toks.next().ok_or("arrive record missing id")?;
+            let id_tok = toks.next().ok_or("arrive needs a job id")?;
             let id: usize = id_tok
                 .parse()
-                .map_err(|_| format!("journal record has bad id `{id_tok}`"))?;
-            let arrival = parse_arrive(toks, None).map_err(|e| format!("journal record: {e}"))?;
+                .map_err(|_| format!("bad job id `{id_tok}`"))?;
+            let arrival = parse_arrive(toks, default_time)?;
             Ok(Record::Arrive { id, arrival })
         }
         "join" | "drain" | "crash" => {
@@ -548,12 +603,13 @@ pub fn parse_record(body: &str) -> Result<Record, String> {
                 "drain" => CapacityChange::Drain,
                 _ => CapacityChange::Crash,
             };
-            let m_tok = toks.next().ok_or("capacity record missing machine")?;
+            let m_tok = toks
+                .next()
+                .ok_or_else(|| format!("{cmd} needs a machine"))?;
             let machine: usize = m_tok
                 .parse()
-                .map_err(|_| format!("journal record has bad machine `{m_tok}`"))?;
-            let t_tok = toks.next().ok_or("capacity record missing @T")?;
-            let time = parse_f64(t_tok.strip_prefix('@').unwrap_or(t_tok), "time")?;
+                .map_err(|_| format!("bad machine `{m_tok}`"))?;
+            let time = event_time(toks.next(), cmd)?;
             Ok(Record::Capacity {
                 change,
                 machine,
@@ -561,11 +617,14 @@ pub fn parse_record(body: &str) -> Result<Record, String> {
             })
         }
         "advance" => {
-            let t_tok = toks.next().ok_or("advance record missing time")?;
-            let time = parse_f64(t_tok.strip_prefix('@').unwrap_or(t_tok), "time")?;
-            Ok(Record::Advance { time })
+            let t = toks.next().ok_or("advance needs a time")?;
+            Ok(Record::Advance {
+                time: event_time(Some(t), cmd)?,
+            })
         }
-        other => Err(format!("unknown journal record `{other}`")),
+        other => Err(format!(
+            "unknown event `{other}` (want arrive|join|drain|crash|advance)"
+        )),
     }
 }
 
@@ -992,8 +1051,8 @@ impl Journal {
 
     /// Truncates the journal back to `offset`, un-appending
     /// `records_dropped` records — used when a batch fails mid-way so
-    /// the never-attempted suffix does not get journaled twice when
-    /// the serve loop replays it serially.
+    /// the never-attempted suffix is not journaled twice when the
+    /// caller resubmits it.
     pub fn truncate_to(&mut self, offset: u64, records_dropped: u64) -> Result<(), String> {
         self.file
             .set_len(offset)
@@ -1083,107 +1142,73 @@ pub struct ReplayOutcome {
     pub rejected: usize,
 }
 
-/// Replays recovered record bodies into a fresh session through the
-/// normal ingest path: runs of dense-id arrives go through
-/// [`ServeSession::arrive_batch`], everything else through
-/// [`ServeSession::capacity`]/[`ServeSession::advance`]. If `snapshot`
-/// is given, the cursor is cross-checked when replay passes its
-/// high-water record.
+/// Replays recovered record bodies into a fresh session through
+/// [`ServeSession::apply`]. Each record is parsed once and queued; the
+/// queue is applied when an arrive id breaks density (the previous
+/// arrive with that id was rejected, so the cursor must be exact before
+/// the id can be checked), at the snapshot's high-water record, and at
+/// the end. A rejected record counts once and replay resumes with the
+/// records after it. If `snapshot` is given, the cursor is
+/// cross-checked when replay passes its high-water record.
 pub fn replay(
     sess: &mut dyn ServeSession,
     records: &[String],
     snapshot: Option<&Snapshot>,
 ) -> Result<ReplayOutcome, String> {
-    let mut out = ReplayOutcome {
-        next_id: 0,
-        clock: 0.0,
-        rejected: 0,
-    };
     let boundary = snapshot.map(|s| s.records as usize);
-    let mut pending: Vec<Arrival> = Vec::new();
-
-    fn flush(sess: &mut dyn ServeSession, pending: &mut Vec<Arrival>, out: &mut ReplayOutcome) {
-        let mut rest = std::mem::take(pending);
-        while !rest.is_empty() {
-            let releases: Vec<f64> = rest.iter().map(|a| a.release).collect();
-            match sess.arrive_batch(rest.clone()) {
-                Ok(()) => {
-                    out.next_id += releases.len();
-                    out.clock = *releases.last().expect("non-empty");
-                    rest.clear();
-                }
-                Err((k, _e)) => {
-                    // Entry k re-rejects exactly as in the original
-                    // run (state untouched); the prefix landed.
-                    out.next_id += k;
-                    if k > 0 {
-                        out.clock = releases[k - 1];
-                    }
-                    out.rejected += 1;
-                    rest.drain(..=k);
-                }
+    let mut rejected = 0;
+    let mut queue: Vec<Event> = Vec::new();
+    let mut queued_arrivals = 0;
+    let mut parsed = records.iter().enumerate().map(|(i, body)| {
+        parse_record(body)
+            .map(Record::into_event)
+            .map_err(|e| format!("journal record {i}: {e}"))
+    });
+    for i in 0..=records.len() {
+        let next = parsed.next().transpose()?;
+        let density_break =
+            matches!(next, Some((Some(id), _)) if id != sess.cursor().0 + queued_arrivals);
+        if next.is_none() || boundary == Some(i) || density_break {
+            // Each rejection re-runs one the original run produced (state
+            // untouched); `apply` hands back the records after it.
+            while sess.apply(&mut queue).is_err() {
+                rejected += 1;
             }
+            queued_arrivals = 0;
         }
-    }
-
-    for (i, body) in records.iter().enumerate() {
         if boundary == Some(i) {
-            flush(sess, &mut pending, &mut out);
-            check_snapshot_cursor(snapshot.expect("boundary set"), &out, i)?;
+            check_snapshot_cursor(snapshot.expect("boundary set"), sess.cursor(), i)?;
         }
-        let rec = parse_record(body)?;
-        match rec {
-            Record::Arrive { id, arrival } => {
-                if id != out.next_id + pending.len() {
-                    // Density break: the previous same-id record was an
-                    // apply-rejected arrive. Resolve it, then re-check.
-                    flush(sess, &mut pending, &mut out);
-                    if id != out.next_id {
-                        return Err(format!(
-                            "journal record {i} carries id {id} but the replay cursor is {} — \
-                             journal does not mirror a single session stream",
-                            out.next_id
-                        ));
-                    }
-                }
-                pending.push(arrival);
+        let Some((id, ev)) = next else { break };
+        if let Some(id) = id {
+            if id != sess.cursor().0 + queued_arrivals {
+                return Err(format!(
+                    "journal record {i} carries id {id} but the replay cursor is {} — \
+                     journal does not mirror a single session stream",
+                    sess.cursor().0
+                ));
             }
-            Record::Capacity {
-                change,
-                machine,
-                time,
-            } => {
-                flush(sess, &mut pending, &mut out);
-                match sess.capacity(change, machine, time) {
-                    Ok(()) => out.clock = time,
-                    Err(_) => out.rejected += 1,
-                }
-            }
-            Record::Advance { time } => {
-                flush(sess, &mut pending, &mut out);
-                match sess.advance(time) {
-                    Ok(()) => out.clock = time,
-                    Err(_) => out.rejected += 1,
-                }
-            }
+            queued_arrivals += 1;
         }
+        queue.push(ev);
     }
-    flush(sess, &mut pending, &mut out);
-    if boundary == Some(records.len()) {
-        check_snapshot_cursor(snapshot.expect("boundary set"), &out, records.len())?;
-    }
-    Ok(out)
+    let (next_id, clock) = sess.cursor();
+    Ok(ReplayOutcome {
+        next_id,
+        clock,
+        rejected,
+    })
 }
 
-fn check_snapshot_cursor(snap: &Snapshot, out: &ReplayOutcome, at: usize) -> Result<(), String> {
+fn check_snapshot_cursor(snap: &Snapshot, cursor: (usize, f64), at: usize) -> Result<(), String> {
     // Exact f64 equality is correct here: replay is bit-deterministic,
     // so any drift means the journal and snapshot disagree.
-    if snap.next_id != out.next_id || snap.clock != out.clock {
+    if (snap.next_id, snap.clock) != cursor {
         return Err(format!(
             "snapshot cross-check failed after {at} record(s): snapshot cursor \
              (next_id {}, clock {}) vs replayed (next_id {}, clock {}) — \
              journal and snapshot disagree, refusing to recover",
-            snap.next_id, snap.clock, out.next_id, out.clock
+            snap.next_id, snap.clock, cursor.0, cursor.1
         ));
     }
     Ok(())
@@ -1200,10 +1225,6 @@ pub struct RecoveryReport {
     pub rejected_replays: usize,
     /// Whether a snapshot sidecar cross-checked the replay cursor.
     pub snapshot_checked: bool,
-    /// The recovered dense-id cursor.
-    pub next_id: usize,
-    /// The recovered event-time cursor.
-    pub clock: f64,
 }
 
 /// A [`ServeSession`] decorator that write-ahead journals every event
@@ -1213,8 +1234,6 @@ pub struct RecoveryReport {
 pub struct JournaledSession {
     inner: Box<dyn ServeSession>,
     journal: Journal,
-    next_id: usize,
-    clock: f64,
 }
 
 impl JournaledSession {
@@ -1228,8 +1247,6 @@ impl JournaledSession {
         Ok(JournaledSession {
             inner,
             journal: Journal::create(path, fingerprint, snap_every)?,
-            next_id: 0,
-            clock: 0.0,
         })
     }
 
@@ -1237,7 +1254,8 @@ impl JournaledSession {
     /// `path`, replays every surviving record into `inner` (which must
     /// be freshly built with the fingerprinted configuration), and
     /// returns the journaling session positioned to accept the rest of
-    /// the stream, plus the report and any non-fatal warnings.
+    /// the stream (its [`ServeSession::cursor`] is the recovered
+    /// position), plus the report and any non-fatal warnings.
     pub fn recover(
         inner: Box<dyn ServeSession>,
         path: &Path,
@@ -1252,25 +1270,15 @@ impl JournaledSession {
             dropped_torn: rec.dropped,
             rejected_replays: outcome.rejected,
             snapshot_checked: rec.snapshot.is_some(),
-            next_id: outcome.next_id,
-            clock: outcome.clock,
         };
         Ok((
             JournaledSession {
                 inner,
                 journal: rec.journal,
-                next_id: outcome.next_id,
-                clock: outcome.clock,
             },
             report,
             rec.warnings,
         ))
-    }
-
-    /// The stream cursor `(next_id, clock)` the serve loop should
-    /// resume from (equals the replay outcome after recovery).
-    pub fn cursor(&self) -> (usize, f64) {
-        (self.next_id, self.clock)
     }
 }
 
@@ -1283,92 +1291,54 @@ impl ServeSession for JournaledSession {
         self.inner.machines()
     }
 
-    fn arrive(&mut self, release: f64, weight: f64, sizes: SizeRow) -> Result<JobId, String> {
-        let next = self.next_id;
-        self.journal.append_with(|f| {
-            f.push_with(|buf| encode_arrive_into(buf, next, release, weight, &sizes))
-        })?;
-        // Write-ahead: if the session rejects, the record stays —
-        // replay reproduces the rejection without mutating state.
-        let id = self.inner.arrive(release, weight, sizes)?;
-        self.next_id += 1;
-        self.clock = release;
-        self.journal.maybe_snapshot(self.next_id, self.clock)?;
-        Ok(id)
+    fn cursor(&self) -> (usize, f64) {
+        self.inner.cursor()
     }
 
-    fn arrive_batch(&mut self, batch: Vec<Arrival>) -> Result<(), (usize, String)> {
-        if batch.is_empty() {
-            return self.inner.arrive_batch(batch);
+    /// Group commit: frames every event of the batch (arrive ids from
+    /// the cursor on), writes and fsyncs them once, then applies the
+    /// batch. A rejected event's record stays, the unattempted records
+    /// after it are truncated away.
+    fn apply(&mut self, events: &mut Vec<Event>) -> Result<(), (usize, String)> {
+        if events.is_empty() {
+            return Ok(());
         }
-        let (first_id, n) = (self.next_id, batch.len());
-        let offsets = self
-            .journal
-            .append_with(|f| {
-                for (k, a) in batch.iter().enumerate() {
-                    f.push_with(|buf| {
-                        encode_arrive_into(buf, first_id + k, a.release, a.weight, &a.sizes)
-                    });
-                }
-            })
-            .map_err(|e| (0, e))?;
-        match failpoint::hit("mid-batch") {
-            FailHit::Proceed => {}
+        let n = events.len();
+        let mut id = self.inner.cursor().0;
+        let appended = self.journal.append_with(|f| {
+            for ev in events.iter() {
+                f.push_with(|buf| encode_event_into(buf, id, ev));
+                id += usize::from(matches!(ev, Event::Arrive(_)));
+            }
+        });
+        let durable = appended.and_then(|offsets| match failpoint::hit("mid-batch") {
+            FailHit::Proceed => Ok(offsets),
             FailHit::Error(e) => {
-                // Nothing was applied; un-journal the whole batch so
-                // the serial re-feed does not double-journal it.
+                // Nothing was applied: un-journal the whole batch.
                 let _ = self.journal.truncate_to(offsets[0], n as u64);
-                return Err((0, e));
+                Err(e)
             }
             FailHit::Torn => failpoint::kill_now("mid-batch"),
-        }
-        let releases: Vec<f64> = batch.iter().map(|a| a.release).collect();
-        match self.inner.arrive_batch(batch) {
-            Ok(()) => {
-                self.next_id += n;
-                self.clock = *releases.last().expect("non-empty batch");
-                self.journal
-                    .maybe_snapshot(self.next_id, self.clock)
-                    .map_err(|e| (n, e))?;
-                Ok(())
-            }
-            Err((k, e)) => {
-                // Entries k.. were never attempted; the serve loop will
-                // replay k+1.. serially (journaling each), so drop them
-                // here to keep the journal an exact mirror.
-                if let Err(te) = self.journal.truncate_to(offsets[k], (n - k) as u64) {
-                    return Err((k, format!("{e} (and journal truncate failed: {te})")));
+        });
+        let offsets = durable.map_err(|e| {
+            // Nothing was applied: event 0 fails.
+            events.remove(0);
+            (0, e)
+        })?;
+        let mut res = self.inner.apply(events);
+        if let Err((k, e)) = &mut res {
+            // Record k re-rejects on replay; k+1.. were never attempted.
+            if let Some(&at) = offsets.get(*k + 1) {
+                if let Err(te) = self.journal.truncate_to(at, (n - *k - 1) as u64) {
+                    e.push_str(&format!(" (and journal truncate failed: {te})"));
                 }
-                self.next_id += k;
-                if k > 0 {
-                    self.clock = releases[k - 1];
-                }
-                Err((k, e))
             }
         }
-    }
-
-    fn capacity(
-        &mut self,
-        change: CapacityChange,
-        machine: usize,
-        time: f64,
-    ) -> Result<(), String> {
-        let body = encode_capacity(change, machine, time);
-        self.journal.append(&body)?;
-        self.inner.capacity(change, machine, time)?;
-        self.clock = time;
-        self.journal.maybe_snapshot(self.next_id, self.clock)?;
-        Ok(())
-    }
-
-    fn advance(&mut self, time: f64) -> Result<(), String> {
-        let body = encode_advance(time);
-        self.journal.append(&body)?;
-        self.inner.advance(time)?;
-        self.clock = time;
-        self.journal.maybe_snapshot(self.next_id, self.clock)?;
-        Ok(())
+        let (next_id, clock) = self.inner.cursor();
+        self.journal
+            .maybe_snapshot(next_id, clock)
+            .map_err(|e| (n - events.len() - 1, e))?;
+        res
     }
 
     fn snapshot(&self) -> ServeSnapshot {
@@ -1382,7 +1352,8 @@ impl ServeSession for JournaledSession {
         // no partially-written record is ever observable here.
         s.journal.sync()?;
         if s.journal.records() > 0 {
-            s.journal.write_snapshot(s.next_id, s.clock)?;
+            let (next_id, clock) = s.inner.cursor();
+            s.journal.write_snapshot(next_id, clock)?;
         }
         s.inner.finish()
     }
@@ -1454,10 +1425,18 @@ mod tests {
             } if time == 1.25
         ));
         assert!(matches!(
-            parse_record(&encode_advance(9.5)).unwrap(),
+            parse_record("advance 9.5").unwrap(),
             Record::Advance { time } if time == 9.5
         ));
         assert!(parse_record("explode 1 2").is_err());
+        // Only a protocol line may omit `@T`.
+        assert!(parse_record("drain 1")
+            .unwrap_err()
+            .contains("needs a time"));
+        assert!(matches!(
+            parse_line("drain 1", Some(2.5)).unwrap(),
+            Record::Capacity { machine: 1, time, .. } if time == 2.5
+        ));
     }
 
     /// Bit patterns a uniform `u64` almost never hits: ±0, ±inf,
@@ -1562,6 +1541,28 @@ mod tests {
         }
     }
 
+    /// The log of the stream the v1 and v2 fixtures below hold, plus
+    /// one more arrival at 3.5 with `last` sizes.
+    fn fresh_run_log(last: Vec<f64>) -> String {
+        let inf = f64::INFINITY;
+        let mut fresh = sess(2);
+        fresh.arrive(0.125, 1.0, vec![2.5, inf].into()).unwrap();
+        fresh
+            .arrive(0.5, 2.0, vec![1.3, 0.7000000000000001].into())
+            .unwrap();
+        fresh.capacity(CapacityChange::Drain, 1, 0.75).unwrap();
+        fresh
+            .arrive(1.0, 1.0, vec![3.7310627019737903, inf].into())
+            .unwrap();
+        fresh.capacity(CapacityChange::Join, 1, 1.5).unwrap();
+        fresh.arrive(2.0, 1.0, vec![0.1, 4.0].into()).unwrap();
+        fresh
+            .apply(&mut vec![Event::Advance { time: 3.0 }])
+            .unwrap();
+        fresh.arrive(3.5, 1.0, last.into()).unwrap();
+        model_io::log_to_string(&fresh.finish().unwrap())
+    }
+
     /// A journal as a `v1` binary wrote it (every size in shortest
     /// decimal) must still recover to the log of an uninterrupted run,
     /// and recovery marks the file `v3` before appending v3 records.
@@ -1578,21 +1579,7 @@ arrive 3 @2 w=1 0.1 4 #h8bdab2080b6dd551
 advance 3 #h111adf285e162cdc
 ";
         let fp = fingerprint("flow:0.5", 2, &[]);
-        let inf = f64::INFINITY;
-        let mut fresh = sess(2);
-        fresh.arrive(0.125, 1.0, vec![2.5, inf].into()).unwrap();
-        fresh
-            .arrive(0.5, 2.0, vec![1.3, 0.7000000000000001].into())
-            .unwrap();
-        fresh.capacity(CapacityChange::Drain, 1, 0.75).unwrap();
-        fresh
-            .arrive(1.0, 1.0, vec![3.7310627019737903, inf].into())
-            .unwrap();
-        fresh.capacity(CapacityChange::Join, 1, 1.5).unwrap();
-        fresh.arrive(2.0, 1.0, vec![0.1, 4.0].into()).unwrap();
-        fresh.advance(3.0).unwrap();
-        fresh.arrive(3.5, 1.0, vec![0.3, 5.0e-324].into()).unwrap();
-        let oracle = model_io::log_to_string(&fresh.finish().unwrap());
+        let oracle = fresh_run_log(vec![0.3, 5.0e-324]);
 
         let path = tmp("v1");
         std::fs::write(&path, V1).unwrap();
@@ -1633,20 +1620,7 @@ advance 3 #h111adf285e162cdc
 ";
         let fp = fingerprint("flow:0.5", 2, &[]);
         let inf = f64::INFINITY;
-        let mut fresh = sess(2);
-        fresh.arrive(0.125, 1.0, vec![2.5, inf].into()).unwrap();
-        fresh
-            .arrive(0.5, 2.0, vec![1.3, 0.7000000000000001].into())
-            .unwrap();
-        fresh.capacity(CapacityChange::Drain, 1, 0.75).unwrap();
-        fresh
-            .arrive(1.0, 1.0, vec![3.7310627019737903, inf].into())
-            .unwrap();
-        fresh.capacity(CapacityChange::Join, 1, 1.5).unwrap();
-        fresh.arrive(2.0, 1.0, vec![0.1, 4.0].into()).unwrap();
-        fresh.advance(3.0).unwrap();
-        fresh.arrive(3.5, 1.0, vec![inf, 0.3].into()).unwrap();
-        let oracle = model_io::log_to_string(&fresh.finish().unwrap());
+        let oracle = fresh_run_log(vec![inf, 0.3]);
 
         let path = tmp("v2");
         std::fs::write(&path, V2).unwrap();
@@ -1998,20 +1972,30 @@ advance 3 #h111adf285e162cdc
             weight: 1.0,
             sizes: vec![1.0, 2.0].into(),
         };
-        // Entry 1 regresses the clock → batch fails at k=1; entry 2
-        // was never attempted and must not stay journaled.
-        let (k, _e) = js.arrive_batch(vec![a(1.0), a(0.5), a(2.0)]).unwrap_err();
+        // Entry 1 regresses the clock → batch fails at k=1. Its record
+        // stays (replay re-rejects it); entry 2 was never attempted and
+        // must not stay journaled.
+        let mut batch = vec![
+            Event::Arrive(a(1.0)),
+            Event::Arrive(a(0.5)),
+            Event::Arrive(a(2.0)),
+        ];
+        let (k, _e) = js.apply(&mut batch).unwrap_err();
         assert_eq!(k, 1);
-        assert_eq!(js.journal.records(), 1);
+        assert_eq!(batch, vec![Event::Arrive(a(2.0))], "the unattempted tail");
+        assert_eq!(js.journal.records(), 2);
         assert_eq!(js.cursor(), (1, 1.0));
-        // The serial re-feed path the serve loop uses: entry 2 again.
-        js.arrive(2.0, 1.0, vec![1.0, 2.0].into()).unwrap();
+        // The caller resubmits the tail: entry 2 again, under id 1.
+        js.apply(&mut batch).unwrap();
         let cursor = js.cursor();
         drop(js);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let ids: Vec<&str> = text.lines().skip(1).map(|l| &l[..8]).collect();
+        assert_eq!(ids, ["arrive 0", "arrive 1", "arrive 1"]);
         let (js2, report, _w) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
         assert_eq!(js2.cursor(), cursor);
-        assert_eq!(report.records_replayed, 2);
-        assert_eq!(report.rejected_replays, 0);
+        assert_eq!(report.records_replayed, 3);
+        assert_eq!(report.rejected_replays, 1);
     }
 
     #[test]

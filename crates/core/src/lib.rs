@@ -74,7 +74,8 @@ pub use journal::{
     Snapshot,
 };
 pub use session::{
-    Arrival, EnergyFlowSession, FlowSession, ServeSession, ServeSnapshot, WeightedFlowSession,
+    Arrival, EnergyFlowSession, Event, FlowSession, ServeSession, ServeSnapshot,
+    WeightedFlowSession,
 };
 // The index and kernel knob types of `SchedulerConfig`, re-exported so
 // callers can name them without depending on `osr-dstruct`.

@@ -4,9 +4,10 @@
 //! Offline, a scheduler's `run(&Instance)` sees every arrival up front
 //! and hands the whole batch to [`osr_sim::drive`]. A serve session
 //! inverts that: it owns a growable job list and a resumable
-//! [`DriverSession`], and each [`ServeSession::arrive`] pushes one job
-//! and ingests it immediately. One generic [`FamilySession`] serves
-//! all three algorithms: it owns the algorithm's policy (built once,
+//! [`DriverSession`], and [`ServeSession::apply`], its one mutating
+//! entry point, pushes each arriving job and ingests every run of
+//! arrivals as one epoch when it lands. One generic [`FamilySession`]
+//! serves all three algorithms: it owns the algorithm's policy (built once,
 //! like the offline run's) next to the driver, so the weighted
 //! variant's rejection budget and every algorithm's per-job dual
 //! records live as long as the stream.
@@ -92,9 +93,8 @@ pub struct ServeSnapshot {
     pub machine_depths: Vec<(usize, usize)>,
 }
 
-/// One queued arrival for [`ServeSession::arrive_batch`]: the operands
-/// of a single [`ServeSession::arrive`] call, with any stream defaults
-/// (omitted `@T`) already resolved by the caller.
+/// The operands of one arrival, with any stream defaults (an omitted
+/// `@T`) already resolved by the caller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Arrival {
     /// Release time (must respect the session's monotone clock).
@@ -106,15 +106,53 @@ pub struct Arrival {
     pub sizes: SizeRow,
 }
 
+/// One stream event for [`ServeSession::apply`]: the three ops of a
+/// journal record, without the arrive id (the session hands out dense
+/// ids in arrival order).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Event {
+    /// A job released at `release`, dispatched online when it lands.
+    Arrive(Arrival),
+    /// A pool-membership change at `time`: joins bring the machine
+    /// back; drains and crashes evict its jobs and re-dispatch them.
+    /// No-ops (joining an online machine, draining an offline one) are
+    /// accepted silently, mirroring offline replay.
+    Capacity {
+        /// Pool change kind.
+        change: CapacityChange,
+        /// Machine index.
+        machine: usize,
+        /// Event time.
+        time: f64,
+    },
+    /// Fires every completion at or before `time` without ingesting
+    /// anything, so stats surfaces stay current between arrivals.
+    Advance {
+        /// Completion high-water time.
+        time: f64,
+    },
+}
+
+impl Event {
+    /// The event's time: an arrival's release, or the stated time.
+    pub fn time(&self) -> f64 {
+        match self {
+            Event::Arrive(a) => a.release,
+            Event::Capacity { time, .. } | Event::Advance { time } => *time,
+        }
+    }
+}
+
 /// A scheduler running as a long-lived, incrementally-fed instance —
-/// the object-safe surface `osr serve` drives. Implemented once, by
+/// the object-safe surface `osr serve` drives. Implemented by
 /// [`FamilySession`], whose instances are [`FlowSession`] (§2),
 /// [`WeightedFlowSession`] (§3 weight rule on unit speeds) and
-/// [`EnergyFlowSession`] (§3 speed scaling).
+/// [`EnergyFlowSession`] (§3 speed scaling), and by the write-ahead
+/// [`crate::JournaledSession`] around any of them.
 ///
-/// Event times must be non-decreasing across *all* calls (`arrive`,
-/// `capacity`, `advance` share one high-water clock); violations are
-/// rejected with an error and leave the session state untouched.
+/// Event times must be non-decreasing across the whole stream (every
+/// event shares one high-water clock); a violation is rejected with an
+/// error and leaves the session state untouched.
 pub trait ServeSession: Send {
     /// Short algorithm name (`"flow"`, `"weighted"`, `"energy"`).
     fn algorithm(&self) -> &'static str;
@@ -122,41 +160,54 @@ pub trait ServeSession: Send {
     /// Machine-universe size of the pool.
     fn machines(&self) -> usize;
 
-    /// Feeds one arrival: a job released at `release` with `weight` and
-    /// one processing time per machine (`f64::INFINITY` = ineligible),
-    /// dispatched online immediately. Returns the assigned dense id.
-    fn arrive(&mut self, release: f64, weight: f64, sizes: SizeRow) -> Result<JobId, String>;
+    /// The stream cursor `(next_id, clock)`: the dense id the next
+    /// accepted arrival gets, and the time of the last accepted event
+    /// (`0` before any).
+    fn cursor(&self) -> (usize, f64);
 
-    /// Feeds a burst of arrivals as **one** ingest epoch. By the
-    /// determinism contract, ingesting a batch at once produces the
-    /// same log bytes as feeding its members through [`Self::arrive`]
-    /// one by one (epoch boundaries only add flush points), so
-    /// coalescing trades ingest overhead only — `osr serve` uses it to
-    /// absorb queued stdin/socket bursts.
+    /// The one mutating entry point: applies `events` in stream order,
+    /// each run of arrivals as **one** ingest epoch. By the determinism
+    /// contract, how a stream is cut into calls changes no log byte
+    /// (epoch boundaries only add flush points), so batching trades
+    /// ingest overhead only.
     ///
-    /// On `Err((k, e))`, arrivals before index `k` were validated and
-    /// ingested, arrival `k` failed with `e`, and later entries were
-    /// not attempted (the caller still holds their data and can replay
-    /// them individually).
-    fn arrive_batch(&mut self, batch: Vec<Arrival>) -> Result<(), (usize, String)> {
-        for (k, a) in batch.into_iter().enumerate() {
-            self.arrive(a.release, a.weight, a.sizes)
-                .map_err(|e| (k, e))?;
-        }
-        Ok(())
+    /// Stops at the first rejected event: on `Err((k, e))`, events
+    /// before `k` were applied, event `k` failed with `e` and left the
+    /// state untouched, and `events` holds the unattempted `k+1..` for
+    /// the caller to resubmit. On `Ok`, `events` is empty.
+    fn apply(&mut self, events: &mut Vec<Event>) -> Result<(), (usize, String)>;
+
+    /// Feeds one arrival through [`Self::apply`].
+    fn arrive(&mut self, release: f64, weight: f64, sizes: SizeRow) -> Result<(), String> {
+        let arrival = Arrival {
+            release,
+            weight,
+            sizes,
+        };
+        self.apply(&mut vec![Event::Arrive(arrival)])
+            .map_err(|(_, e)| e)
     }
 
-    /// Applies a pool-membership change at `time`: joins bring the
-    /// machine back; drains and crashes evict its jobs and re-dispatch
-    /// them. No-ops (joining an online machine, draining an offline
-    /// one) are accepted silently, mirroring offline replay.
-    fn capacity(&mut self, change: CapacityChange, machine: usize, time: f64)
-        -> Result<(), String>;
+    /// Feeds a burst of arrivals through [`Self::apply`] as one ingest
+    /// epoch, with its error contract.
+    fn arrive_batch(&mut self, batch: Vec<Arrival>) -> Result<(), (usize, String)> {
+        self.apply(&mut batch.into_iter().map(Event::Arrive).collect())
+    }
 
-    /// Fires every completion at or before `time` without ingesting
-    /// anything, so stats surfaces stay current between arrivals.
-    /// Afterwards no event may carry a timestamp below `time`.
-    fn advance(&mut self, time: f64) -> Result<(), String>;
+    /// Feeds one pool-membership change through [`Self::apply`].
+    fn capacity(
+        &mut self,
+        change: CapacityChange,
+        machine: usize,
+        time: f64,
+    ) -> Result<(), String> {
+        let ev = Event::Capacity {
+            change,
+            machine,
+            time,
+        };
+        self.apply(&mut vec![ev]).map_err(|(_, e)| e)
+    }
 
     /// Read-only ops snapshot (never mutates scheduler state).
     fn snapshot(&self) -> ServeSnapshot;
@@ -191,16 +242,6 @@ fn check_clock(clock: f64, time: f64, what: &str) -> Result<(), String> {
     if time < clock {
         return Err(format!(
             "{what} at t={time} behind the stream high-water t={clock}; serve input must be time-ordered"
-        ));
-    }
-    Ok(())
-}
-
-/// Shared bounds check for capacity targets.
-fn check_machine(machines: usize, machine: usize) -> Result<(), String> {
-    if machine >= machines {
-        return Err(format!(
-            "machine m{machine} out of range (pool has {machines} machines)"
         ));
     }
     Ok(())
@@ -306,32 +347,65 @@ impl<F: Family> FamilySession<F> {
         })
     }
 
-    /// Validates and appends one arrival (job row plus its record row)
-    /// without ingesting; callers ingest once per batch.
-    fn push_one(&mut self, release: f64, weight: f64, sizes: SizeRow) -> Result<JobId, String> {
-        check_clock(self.clock, release, "arrival")?;
-        if self.jobs.len() > u32::MAX as usize {
-            return Err("job id space exhausted".into());
+    /// Applies one event. An arrival is validated and appended (job
+    /// row plus its record row) but not ingested: its epoch is ingested
+    /// before the next capacity or advance event, or at the end of the
+    /// batch. Fails before mutating anything.
+    fn apply_one(&mut self, ev: Event) -> Result<(), String> {
+        let time = ev.time();
+        match ev {
+            Event::Arrive(a) => {
+                check_clock(self.clock, time, "arrival")?;
+                if self.jobs.len() > u32::MAX as usize {
+                    return Err("job id space exhausted".into());
+                }
+                // Width first: the job's caches are sized by its row, so
+                // a row claiming a huge width must not get as far as
+                // building them.
+                if a.sizes.len() != self.m {
+                    return Err(format!(
+                        "j{}: has {} sizes, instance has {} machines",
+                        self.jobs.len(),
+                        a.sizes.len(),
+                        self.m
+                    ));
+                }
+                let job = Job::weighted(self.jobs.len() as u32, time, a.weight, a.sizes);
+                job.validate(self.m)?;
+                self.jobs.push(job);
+                self.records.push(JobRecord::EMPTY);
+            }
+            Event::Capacity {
+                change, machine, ..
+            } => {
+                if machine >= self.m {
+                    let m = self.m;
+                    return Err(format!(
+                        "machine m{machine} out of range (pool has {m} machines)"
+                    ));
+                }
+                check_clock(self.clock, time, "capacity event")?;
+                self.ingest();
+                let ev = CapacityEvent {
+                    time,
+                    machine: MachineId(machine as u32),
+                    change,
+                };
+                self.driver
+                    .capacity(&self.policy, &self.jobs, ev, &mut self.records);
+            }
+            Event::Advance { .. } => {
+                check_clock(self.clock, time, "advance")?;
+                self.ingest();
+                self.driver
+                    .advance(&self.policy, &self.jobs, time, &mut self.records);
+            }
         }
-        // Width first: the job's caches are sized by its row, so a row
-        // claiming a huge width must not get as far as building them.
-        if sizes.len() != self.m {
-            return Err(format!(
-                "j{}: has {} sizes, instance has {} machines",
-                self.jobs.len(),
-                sizes.len(),
-                self.m
-            ));
-        }
-        let job = Job::weighted(self.jobs.len() as u32, release, weight, sizes);
-        job.validate(self.m)?;
-        self.clock = release;
-        self.jobs.push(job);
-        self.records.push(JobRecord::EMPTY);
-        Ok(JobId(self.jobs.len() as u32 - 1))
+        self.clock = time;
+        Ok(())
     }
 
-    /// Ingests every pushed-but-uningested arrival as one epoch batch.
+    /// Ingests every appended-but-uningested arrival as one epoch batch.
     fn ingest(&mut self) {
         self.driver
             .ingest_all(&self.policy, &self.jobs, &mut self.records);
@@ -354,52 +428,22 @@ impl<F: Family> ServeSession for FamilySession<F> {
         self.m
     }
 
-    fn arrive(&mut self, release: f64, weight: f64, sizes: SizeRow) -> Result<JobId, String> {
-        let id = self.push_one(release, weight, sizes)?;
-        self.ingest();
-        Ok(id)
+    fn cursor(&self) -> (usize, f64) {
+        (self.jobs.len(), self.clock)
     }
 
-    fn arrive_batch(&mut self, batch: Vec<Arrival>) -> Result<(), (usize, String)> {
-        let mut err = None;
-        for (k, a) in batch.into_iter().enumerate() {
-            if let Err(e) = self.push_one(a.release, a.weight, a.sizes) {
-                err = Some((k, e));
+    fn apply(&mut self, events: &mut Vec<Event>) -> Result<(), (usize, String)> {
+        let mut res = Ok(());
+        let mut rest = std::mem::take(events).into_iter();
+        for (k, ev) in rest.by_ref().enumerate() {
+            if let Err(e) = self.apply_one(ev) {
+                res = Err((k, e));
                 break;
             }
         }
         self.ingest();
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn capacity(
-        &mut self,
-        change: CapacityChange,
-        machine: usize,
-        time: f64,
-    ) -> Result<(), String> {
-        check_machine(self.m, machine)?;
-        check_clock(self.clock, time, "capacity event")?;
-        self.clock = time;
-        let ev = CapacityEvent {
-            time,
-            machine: MachineId(machine as u32),
-            change,
-        };
-        self.driver
-            .capacity(&self.policy, &self.jobs, ev, &mut self.records);
-        Ok(())
-    }
-
-    fn advance(&mut self, time: f64) -> Result<(), String> {
-        check_clock(self.clock, time, "advance")?;
-        self.clock = time;
-        self.driver
-            .advance(&self.policy, &self.jobs, time, &mut self.records);
-        Ok(())
+        *events = rest.collect();
+        res
     }
 
     fn snapshot(&self) -> ServeSnapshot {
@@ -460,26 +504,42 @@ mod tests {
     }
 
     /// Feeds an offline instance through a serve session in the batch
-    /// loop's order (capacity before arrivals at equal instants).
-    fn replay(mut sess: Box<dyn ServeSession>, jobs: &[Job], plan: &CapacityPlan) -> FinishedLog {
-        let mut evs = plan.events().iter().peekable();
+    /// loop's order (capacity before arrivals at equal instants), in
+    /// `apply` batches of `len` events that mix arrivals with capacity
+    /// events.
+    fn replay(
+        mut sess: Box<dyn ServeSession>,
+        jobs: &[Job],
+        plan: &CapacityPlan,
+        len: usize,
+    ) -> FinishedLog {
+        let capacity = |e: &CapacityEvent| Event::Capacity {
+            change: e.change,
+            machine: e.machine.idx(),
+            time: e.time,
+        };
+        let mut caps = plan.events().iter().peekable();
+        let mut events = Vec::new();
         for job in jobs {
-            while let Some(e) = evs.peek() {
-                if e.time <= job.release {
-                    sess.capacity(e.change, e.machine.idx(), e.time).unwrap();
-                    evs.next();
-                } else {
-                    break;
-                }
-            }
-            sess.arrive(job.release, job.weight, job.sizes.clone())
-                .unwrap();
+            events.extend(
+                std::iter::from_fn(|| caps.next_if(|e| e.time <= job.release)).map(capacity),
+            );
+            events.push(Event::Arrive(Arrival {
+                release: job.release,
+                weight: job.weight,
+                sizes: job.sizes.clone(),
+            }));
         }
-        for e in evs {
-            sess.capacity(e.change, e.machine.idx(), e.time).unwrap();
+        events.extend(caps.map(capacity));
+        for chunk in events.chunks(len) {
+            sess.apply(&mut chunk.to_vec()).unwrap();
         }
         sess.finish().unwrap()
     }
+
+    /// Batch lengths every offline-equivalence test replays with: one
+    /// event per call, short mixed runs, and the whole stream at once.
+    const LENS: [usize; 3] = [1, 7, usize::MAX];
 
     fn churn_plan() -> CapacityPlan {
         CapacityPlan::new(vec![
@@ -521,9 +581,11 @@ mod tests {
             .unwrap()
             .with_capacity(plan.clone())
             .run(&inst);
-        let sess = FlowSession::with_offline(FlowParams::new(0.5), m, CHURN_OFFLINE).unwrap();
-        let served = replay(Box::new(sess), &jobs, &plan);
-        assert_eq!(log_to_string(&offline.log), log_to_string(&served));
+        for len in LENS {
+            let sess = FlowSession::with_offline(FlowParams::new(0.5), m, CHURN_OFFLINE).unwrap();
+            let served = replay(Box::new(sess), &jobs, &plan, len);
+            assert_eq!(log_to_string(&offline.log), log_to_string(&served), "{len}");
+        }
     }
 
     #[test]
@@ -585,7 +647,7 @@ mod tests {
                 let name = sess.algorithm();
                 // The probe surface reports a live index on this path.
                 assert!(sess.snapshot().index.is_some(), "{name} m={m}");
-                let served = replay(sess, &jobs, &plan);
+                let served = replay(sess, &jobs, &plan, 16);
                 assert_eq!(
                     log_to_string(&offline),
                     log_to_string(&served),
@@ -606,9 +668,11 @@ mod tests {
             .unwrap()
             .with_capacity(plan.clone())
             .run(&inst);
-        let sess = WeightedFlowSession::with_offline(params, m, CHURN_OFFLINE).unwrap();
-        let served = replay(Box::new(sess), &jobs, &plan);
-        assert_eq!(log_to_string(&offline.log), log_to_string(&served));
+        for len in LENS {
+            let sess = WeightedFlowSession::with_offline(params, m, CHURN_OFFLINE).unwrap();
+            let served = replay(Box::new(sess), &jobs, &plan, len);
+            assert_eq!(log_to_string(&offline.log), log_to_string(&served), "{len}");
+        }
     }
 
     #[test]
@@ -622,53 +686,16 @@ mod tests {
             .unwrap()
             .with_capacity(plan.clone())
             .run(&inst);
-        let sess = EnergyFlowSession::with_offline(params, m, CHURN_OFFLINE).unwrap();
-        let served = replay(Box::new(sess), &jobs, &plan);
-        assert_eq!(log_to_string(&offline.log), log_to_string(&served));
-    }
-
-    /// Coalesced ingest: feeding bursts through `arrive_batch` must
-    /// reproduce the one-by-one `arrive` log byte-for-byte for all
-    /// three sessions (epoch boundaries only add flush points).
-    #[test]
-    fn arrive_batch_matches_serial_arrivals_byte_identically() {
-        let m = 5;
-        let jobs = gen_jobs(60, m, 41);
-        let build: [fn(usize) -> Box<dyn ServeSession>; 3] = [
-            |m| Box::new(FlowSession::new(FlowParams::new(0.5), m).unwrap()),
-            |m| Box::new(WeightedFlowSession::new(WeightedFlowParams::new(0.5), m).unwrap()),
-            |m| Box::new(EnergyFlowSession::new(EnergyFlowParams::new(0.5, 2.0), m).unwrap()),
-        ];
-        for mk in build {
-            let mut serial = mk(m);
-            for j in &jobs {
-                serial.arrive(j.release, j.weight, j.sizes.clone()).unwrap();
-            }
-            let mut batched = mk(m);
-            // Uneven burst sizes so batches straddle several epochs.
-            for chunk in jobs.chunks(7) {
-                batched
-                    .arrive_batch(
-                        chunk
-                            .iter()
-                            .map(|j| Arrival {
-                                release: j.release,
-                                weight: j.weight,
-                                sizes: j.sizes.clone(),
-                            })
-                            .collect(),
-                    )
-                    .unwrap();
-            }
-            assert_eq!(
-                log_to_string(&serial.finish().unwrap()),
-                log_to_string(&batched.finish().unwrap()),
-            );
+        for len in LENS {
+            let sess = EnergyFlowSession::with_offline(params, m, CHURN_OFFLINE).unwrap();
+            let served = replay(Box::new(sess), &jobs, &plan, len);
+            assert_eq!(log_to_string(&offline.log), log_to_string(&served), "{len}");
         }
     }
 
     /// A mid-batch validation failure ingests the prefix, reports the
-    /// failing index, and leaves the session usable.
+    /// failing index, hands back the unattempted tail, and leaves the
+    /// session usable.
     #[test]
     fn arrive_batch_reports_failure_index_and_keeps_prefix() {
         let m = 2;
@@ -690,8 +717,22 @@ mod tests {
         assert!(e.contains("time-ordered"), "{e}");
         let snap = sess.snapshot();
         assert_eq!(snap.arrived, 2);
-        // The stream continues past the rejected entry.
-        sess.arrive(3.0, 1.0, vec![1.0, 1.0].into()).unwrap();
+        // The stream continues past the rejected entry. A mixed batch
+        // stops at its rejected capacity event and hands back the
+        // events behind it.
+        let mut batch = vec![
+            Event::Arrive(a(3.0, vec![1.0, 1.0])),
+            Event::Capacity {
+                change: CapacityChange::Drain,
+                machine: m,
+                time: 3.5,
+            },
+            Event::Advance { time: 4.0 },
+        ];
+        assert_eq!(sess.apply(&mut batch).unwrap_err().0, 1);
+        assert_eq!(batch, vec![Event::Advance { time: 4.0 }]);
+        sess.apply(&mut batch).unwrap();
+        assert_eq!(sess.cursor(), (3, 4.0));
         assert_eq!(Box::new(sess).finish().unwrap().len(), 3);
     }
 
@@ -703,7 +744,8 @@ mod tests {
         sess.arrive(0.5, 1.0, vec![f64::INFINITY; 3].into())
             .unwrap(); // ineligible
         sess.arrive(1.0, 1.0, vec![2.0, 1.0, 2.0].into()).unwrap();
-        sess.advance(100.0).unwrap();
+        sess.apply(&mut vec![Event::Advance { time: 100.0 }])
+            .unwrap();
         let snap = sess.snapshot();
         assert_eq!(snap.arrived, 3);
         assert_eq!(snap.machines, m);

@@ -12,37 +12,32 @@
 //! The streams deliberately include events the session rejects
 //! (wrong-arity size rows, out-of-range capacity targets): write-ahead
 //! journaling keeps those records, and replay must reproduce each
-//! rejection deterministically without drifting the cursor.
+//! rejection deterministically without drifting the cursor. The
+//! crashed and the recovered run feed the stream in batches of
+//! proptest-chosen lengths through `ServeSession::apply`, so batches
+//! mix arrivals, capacity events, advances and rejected events; the
+//! oracle takes one event per call.
 
 use osr_core::flowtime::WeightedFlowParams;
+use osr_core::journal::parse_record;
 use osr_core::{
-    fingerprint, EnergyFlowParams, EnergyFlowSession, FlowParams, FlowSession, JournaledSession,
-    KernelMode, ServeSession, WeightedFlowSession,
+    fingerprint, Arrival, EnergyFlowParams, EnergyFlowSession, Event, FlowParams, FlowSession,
+    JournaledSession, KernelMode, ServeSession, WeightedFlowSession,
 };
 use osr_model::io::log_to_string;
-use osr_sim::CapacityChange;
+use osr_sim::{failpoint, CapacityChange};
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// One serve-stream event, pre-resolved to the [`ServeSession`] call it
-/// becomes (times are non-decreasing across the whole stream).
-#[derive(Debug, Clone)]
-enum Event {
-    Arrive {
-        release: f64,
-        weight: f64,
-        sizes: Vec<f64>,
-    },
-    Capacity {
-        change: CapacityChange,
-        machine: usize,
-        time: f64,
-    },
-    Advance {
-        time: f64,
-    },
+/// Serializes the tests' journal appends: the fsync-count test arms the
+/// process-wide `pre-fsync` failpoint, which any concurrent append
+/// would hit.
+fn journal_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// SplitMix64 — the repo's deterministic test-stream generator.
@@ -80,11 +75,11 @@ fn gen_events(seed: u64, n: usize, m: usize) -> Vec<Event> {
             2 => events.push(Event::Advance { time: t }),
             3 => {
                 // Deterministically rejected: one size too many.
-                events.push(Event::Arrive {
+                events.push(Event::Arrive(Arrival {
                     release: t,
                     weight: 1.0,
-                    sizes: vec![1.0; m + 1],
-                });
+                    sizes: vec![1.0; m + 1].into(),
+                }));
             }
             4 => {
                 // Deterministically rejected: machine out of range.
@@ -110,11 +105,11 @@ fn gen_events(seed: u64, n: usize, m: usize) -> Vec<Event> {
                 if sizes[forced].is_infinite() {
                     sizes[forced] = 1.0 + (r % 100) as f64 / 50.0;
                 }
-                events.push(Event::Arrive {
+                events.push(Event::Arrive(Arrival {
                     release: t,
                     weight: 1.0 + (r >> 24 & 7) as f64,
-                    sizes,
-                });
+                    sizes: sizes.into(),
+                }));
             }
         }
     }
@@ -172,39 +167,33 @@ fn build(algo: Algo, m: usize, shards: usize, kernels: KernelMode) -> Box<dyn Se
     }
 }
 
-/// Feeds events through the normal one-by-one ingest path, returning
-/// how many the session rejected (rejections leave state untouched and
-/// must reproduce identically on replay).
-fn feed(sess: &mut dyn ServeSession, events: &[Event]) -> usize {
+/// Feeds events through [`ServeSession::apply`] in batches whose
+/// lengths cycle through `batches` (each at least 1; `&[1]` is one
+/// event per call), resubmitting the tail after each rejection.
+/// Returns how many events the session rejected (rejections leave
+/// state untouched and must reproduce identically on replay).
+fn feed(sess: &mut dyn ServeSession, events: &[Event], batches: &[usize]) -> usize {
     let mut rejected = 0;
-    for ev in events {
-        let r = match ev {
-            Event::Arrive {
-                release,
-                weight,
-                sizes,
-            } => sess
-                .arrive(*release, *weight, sizes.clone().into())
-                .map(|_| ()),
-            Event::Capacity {
-                change,
-                machine,
-                time,
-            } => sess.capacity(*change, *machine, *time),
-            Event::Advance { time } => sess.advance(*time),
-        };
-        if r.is_err() {
+    let mut rest = events;
+    for &len in batches.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (now, later) = rest.split_at(len.min(rest.len()));
+        let mut batch = now.to_vec();
+        while sess.apply(&mut batch).is_err() {
             rejected += 1;
         }
+        rest = later;
     }
     rejected
 }
 
-/// The uninterrupted-run oracle: same events, no journal, serial scalar
-/// execution, finished to bytes.
+/// The uninterrupted-run oracle: same events, one per call, no journal,
+/// serial scalar execution, finished to bytes.
 fn oracle(algo: Algo, m: usize, events: &[Event]) -> String {
     let mut sess = build(algo, m, 1, KernelMode::Scalar);
-    feed(sess.as_mut(), events);
+    feed(sess.as_mut(), events, &[1]);
     log_to_string(&sess.finish().expect("oracle finish"))
 }
 
@@ -227,13 +216,14 @@ fn cleanup(path: &Path) {
 
 /// One full kill–recover cycle:
 ///
-/// 1. journal a fresh session (knob combo `a`) through `events[..cut]`
-///    and drop it without `finish` — the simulated crash;
+/// 1. journal a fresh session (knob combo `a`) through `events[..cut]`,
+///    fed in `batches`, and drop it without `finish` — the simulated
+///    crash;
 /// 2. optionally append a torn half-record to the journal tail;
 /// 3. recover into a fresh session with knob combo `b`, asserting the
 ///    replay reproduced every pre-crash rejection;
-/// 4. feed `events[cut..]` and finish — the caller diffs the bytes
-///    against the uninterrupted oracle;
+/// 4. feed `events[cut..]` in `batches` and finish — the caller diffs
+///    the bytes against the uninterrupted oracle;
 /// 5. re-recover the now-complete journal into yet another fresh
 ///    session and finish immediately — same bytes again.
 #[allow(clippy::too_many_arguments)] // a test harness, not an API
@@ -246,8 +236,10 @@ fn kill_recover(
     b: (usize, KernelMode),
     snap_every: u64,
     torn_tail: bool,
+    batches: &[usize],
     tag: &str,
 ) -> Result<(String, String), String> {
+    let _journal = journal_lock();
     let path = tmp_journal(tag);
     cleanup(&path);
     let fp = fingerprint(algo.spec(), m, &[]);
@@ -255,7 +247,7 @@ fn kill_recover(
     let rejected_before_crash = {
         let inner = build(algo, m, a.0, a.1);
         let mut js = JournaledSession::create(inner, &path, fp, snap_every)?;
-        feed(&mut js, &events[..cut])
+        feed(&mut js, &events[..cut], batches)
         // Dropped without finish: the crash. Every accepted event was
         // journaled and fsynced before it mutated state.
     };
@@ -284,7 +276,7 @@ fn kill_recover(
             report.dropped_torn
         ));
     }
-    feed(&mut js, &events[cut..]);
+    feed(&mut js, &events[cut..], batches);
     let recovered = log_to_string(&Box::new(js).finish()?);
 
     // The journal now mirrors the complete stream: recovering it again
@@ -302,16 +294,17 @@ fn kill_recover(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The eighth byte-identity diff, randomized: kill after a random
-    /// prefix, recover under flipped execution knobs, finish the
-    /// stream — bytes must match the uninterrupted run for all three
-    /// schedulers. Half the cases also tear the journal tail.
+    /// Kill after a random prefix fed in random-length mixed batches,
+    /// recover under flipped execution knobs, finish the stream — bytes
+    /// must match the uninterrupted one-event-per-call run for all
+    /// three schedulers. Half the cases also tear the journal tail.
     #[test]
     fn kill_recover_diff_is_byte_identical(
         seed in proptest::arbitrary::any::<u64>(),
         cut_frac in 0.0..1.0f64,
         combo in 0usize..COMBOS.len(),
         torn in proptest::arbitrary::any::<bool>(),
+        batches in prop::collection::vec(1usize..16, 1..5),
     ) {
         let m = 65; // one rack plus one: 4 requested shards engage 2
         let events = gen_events(seed, 84, m);
@@ -322,7 +315,7 @@ proptest! {
             let want = oracle(algo, m, &events);
             let (recovered, replayed) = kill_recover(
                 algo, m, &events, cut, crash_knobs, recover_knobs,
-                7, torn, "prop",
+                7, torn, &batches, "prop",
             ).unwrap_or_else(|e| panic!("{algo:?}: {e}"));
             prop_assert_eq!(
                 &recovered, &want,
@@ -358,6 +351,7 @@ fn kill_recover_diff_across_every_knob_combo_m130() {
                 knobs,
                 5,
                 i % 2 == 1,
+                &[3, 1, 8, 2],
                 "m130",
             )
             .unwrap_or_else(|e| panic!("{algo:?} knobs {knobs:?}: {e}"));
@@ -382,8 +376,9 @@ fn recovery_refuses_a_configuration_change() {
     let fp = fingerprint(Algo::Flow.spec(), m, &[]);
     {
         let inner = build(Algo::Flow, m, 1, KernelMode::Scalar);
+        let _journal = journal_lock();
         let mut js = JournaledSession::create(inner, &path, fp, 0).unwrap();
-        feed(&mut js, &events);
+        feed(&mut js, &events, &[5]);
     }
     let wrong = fingerprint(Algo::WFlow.spec(), m, &[]);
     let err = JournaledSession::recover(
@@ -397,6 +392,49 @@ fn recovery_refuses_a_configuration_change() {
     assert!(
         err.contains("different configuration"),
         "unhelpful refusal: {err}"
+    );
+    cleanup(&path);
+}
+
+/// Group commit: a burst that mixes arrivals with capacity and advance
+/// events goes to disk as one write and one fsync, counted here by the
+/// hits of the `pre-fsync` failpoint armed at its second hit.
+#[test]
+fn a_mixed_burst_costs_one_fsync() {
+    let m = 4;
+    let mut burst: Vec<Event> = [
+        "arrive 0 @0 w=1 1 2 3 4",
+        "arrive 1 @0.5 w=1 1 2 3 4",
+        "drain 1 @0.75",
+        "advance 1",
+        "arrive 2 @1 w=2 m=4 0:1 3:4",
+        "join 1 @1.5",
+        "arrive 3 @2 w=1 1 2 3 4",
+    ]
+    .iter()
+    .map(|line| parse_record(line).unwrap().into_event().1)
+    .collect();
+    let path = tmp_journal("fsync");
+    cleanup(&path);
+    let fp = fingerprint(Algo::Flow.spec(), m, &[]);
+    let _journal = journal_lock();
+    let inner = build(Algo::Flow, m, 1, KernelMode::Scalar);
+    let mut js = JournaledSession::create(inner, &path, fp, 0).unwrap();
+    failpoint::arm("pre-fsync:2:error").unwrap();
+    let first = js.apply(&mut burst);
+    let second = js.apply(&mut vec![Event::Advance { time: 3.0 }]);
+    failpoint::disarm();
+    first.expect("the whole burst is the first fsync");
+    let (k, e) = second.expect_err("the next apply is the second fsync");
+    assert_eq!(k, 0);
+    assert!(failpoint::is_failpoint_error(&e), "{e}");
+    assert_eq!(js.cursor(), (4, 2.0));
+    drop(js);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(
+        text.lines().count(),
+        8,
+        "header and the seven burst records"
     );
     cleanup(&path);
 }
