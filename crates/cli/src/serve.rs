@@ -41,12 +41,27 @@
 //! coalesce.
 //!
 //! Tokens are separated by runs of **ASCII whitespace** only: space,
-//! tab, line feed, form feed and carriage return (Rust's
-//! `split_ascii_whitespace`, the same set the journal parser uses).
-//! Any other character, including Unicode spaces such as U+00A0 or
-//! U+3000 and the vertical tab, is part of a token, so a line that
-//! uses one as a separator fails to parse and gets an `err` reply; it
-//! is never silently accepted as a different row.
+//! tab, line feed, form feed and carriage return
+//! ([`u8::is_ascii_whitespace`]). Any other character, including
+//! Unicode spaces such as U+00A0 or U+3000 and the vertical tab, is
+//! part of a token, so a line that uses one as a separator fails to
+//! parse and gets an `err` reply; it is never silently accepted as a
+//! different row. One byte tokenizer in `osr_core::journal` splits
+//! every line, verb included. It walks the line once and takes a run
+//! of `inf ` tokens (each followed by one space, as a restricted row
+//! writes them) eight bytes at a time, so a 16 384-machine line of
+//! almost all `inf` costs about one compare per two machines; any
+//! other token takes the plain token path. Every event time is finite
+//! (`advance inf`, `@nan` and `@1e309` get `err`), only the literal
+//! `inf` means an ineligible machine, and a line with an operand the
+//! grammar does not name (`advance 2 9`, `stats extra`, `shutdown
+//! now`) gets `err`.
+//!
+//! Stdin and each socket connection are read through one helper with
+//! a 1 MiB buffer, larger than one pipe's default capacity (64 KiB)
+//! and a unix socket's default receive buffer, so one `read` takes all
+//! the kernel holds: a 65 KB line costs one or two reads, not the
+//! eight that an 8 KiB buffer needs.
 //!
 //! `top` is the other side of the socket: it polls `stats` and renders
 //! an ANSI frame — queue depths, flow-time percentiles, reject counts
@@ -54,7 +69,7 @@
 //! dependency beyond a VT100 terminal.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read, Write as _};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -129,7 +144,21 @@ fn parse_offline(s: &str) -> Result<Vec<usize>, String> {
 
 /// The first token of a protocol line (`""` for a blank line).
 fn verb(line: &str) -> &str {
-    line.split_ascii_whitespace().next().unwrap_or("")
+    osr_core::journal::split_verb(line).0
+}
+
+/// Bytes each protocol reader asks the kernel for per `read`. See the
+/// module docs.
+const READ_BUF_BYTES: usize = 1 << 20;
+
+/// The protocol lines of one producer (stdin or a socket connection),
+/// without their line ends, read through a [`READ_BUF_BYTES`] buffer.
+/// They end at EOF, or at the first read error or line that is not
+/// UTF-8.
+fn protocol_lines(input: impl Read) -> impl Iterator<Item = String> {
+    BufReader::with_capacity(READ_BUF_BYTES, input)
+        .lines()
+        .map_while(Result::ok)
 }
 
 /// Whether a line is a control verb, which the serve loop answers
@@ -333,8 +362,7 @@ fn handle_conn(stream: UnixStream, tx: SyncSender<Inbound>, shed: Arc<AtomicU64>
         return;
     };
     let mut writer = stream;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
+    for line in protocol_lines(read_half) {
         let (rtx, rrx) = mpsc::channel::<String>();
         match tx.try_send(Inbound::Line(line, Some(rtx))) {
             Ok(()) => {}
@@ -354,7 +382,7 @@ fn handle_conn(stream: UnixStream, tx: SyncSender<Inbound>, shed: Arc<AtomicU64>
     }
 }
 
-/// The serve event loop: merges producer streams (an owned line reader
+/// The serve event loop: merges producer streams (an owned reader
 /// standing in for stdin, plus socket connections), applies each line
 /// to the session in arrival order, and finishes the log when the
 /// stream ends — via `shutdown`, or at reader EOF when `once` is set
@@ -372,7 +400,7 @@ fn handle_conn(stream: UnixStream, tx: SyncSender<Inbound>, shed: Arc<AtomicU64>
 /// shutdown request: the loop stops ingesting and finishes exactly as
 /// `shutdown` would, so the journal is flushed and the final log still
 /// comes out.
-fn serve_loop<R: BufRead + Send + 'static>(
+fn serve_loop<R: Read + Send + 'static>(
     mut sess: Box<dyn ServeSession>,
     input: R,
     socket: Option<&Path>,
@@ -384,8 +412,7 @@ fn serve_loop<R: BufRead + Send + 'static>(
 
     let stdin_tx = tx.clone();
     std::thread::spawn(move || {
-        for line in input.lines() {
-            let Ok(line) = line else { break };
+        for line in protocol_lines(input) {
             // Blocking send on the bounded channel: stdin producers
             // are backpressured, never shed.
             if stdin_tx.send(Inbound::Line(line, None)).is_err() {
@@ -437,8 +464,11 @@ fn serve_loop<R: BufRead + Send + 'static>(
                     break;
                 }
             }
-            Inbound::Line(line, to) => match verb(&line) {
-                "stats" => {
+            Inbound::Line(line, to) => match osr_core::journal::split_verb(&line) {
+                (verb @ ("stats" | "shutdown"), rest) if !rest.trim_ascii().is_empty() => {
+                    reply(&to, Err(format!("`{verb}` takes no operands")));
+                }
+                ("stats", _) => {
                     let block =
                         with_shed_line(render_stats(sess.as_ref()), shed.load(Ordering::Relaxed));
                     match to {
@@ -448,7 +478,7 @@ fn serve_loop<R: BufRead + Send + 'static>(
                         None => eprint!("{block}"),
                     }
                 }
-                "shutdown" => {
+                ("shutdown", _) => {
                     reply(&to, Ok(()));
                     break;
                 }
@@ -538,13 +568,7 @@ pub fn cmd_serve(args: &Args) -> Result<CmdOutput, String> {
         }
         None => sess,
     };
-    let log = serve_loop(
-        sess,
-        BufReader::new(std::io::stdin()),
-        socket.as_deref(),
-        once,
-        buffer,
-    )?;
+    let log = serve_loop(sess, std::io::stdin(), socket.as_deref(), once, buffer)?;
     let text = model_io::log_to_string(&log);
     if let Some(path) = args.opt("log") {
         std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
@@ -1076,6 +1100,43 @@ shutdown
         assert!(block.ends_with("end\n"), "{block}");
         assert!(is_control("stats") && is_control("shutdown now"));
         assert!(!is_control("advance 3"));
+
+        // Operands the grammar does not name are errors, and so are
+        // event times that are not finite (which used to move the clock
+        // to +∞ and brick every later event). None of them moves the
+        // cursor, and the stream stays usable.
+        let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+        let mut line = |l: &str| run_bursts(&mut sess, [&[l][..]]).remove(0);
+        assert_eq!(line("arrive 0 @1 w=2 3 inf"), "ok\n");
+        for bad in [
+            "drain 1 @1.5 junk",
+            "advance 2 9",
+            "advance @inf",
+            "advance inf",
+            "advance nan",
+            "advance 1e309",
+            "drain 0 @inf",
+            "join 1 @NaN",
+            "arrive 1 @inf w=1 1 1",
+            "arrive 1 @nan w=1 1 1",
+            "arrive 1 @2 w=1 1e309 2",
+            "arrive 1 @2 w=1 infinity 2",
+            "arrive 1 @2 w=1 NaN 2",
+        ] {
+            let reply = line(bad);
+            assert!(reply.starts_with("err "), "{bad}: {reply}");
+        }
+        assert_eq!(line("advance 2"), "ok\n");
+        assert_eq!(line("arrive 1 @3 w=1 1 1"), "ok\n");
+        assert_eq!(sess.cursor(), (2, 3.0));
+
+        // `stats extra` and `shutdown now` are refused by the serve loop
+        // (see `serve_socket_feeds_stats_and_top_renders` for the `err`
+        // replies): neither ends the stream, so both arrivals land.
+        let script = "arrive 0 @0 w=1 1 1\nstats extra\nshutdown now\narrive 1 @1 w=1 1 1\n";
+        let sess = Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
+        let log = serve_loop(sess, Cursor::new(script.to_string()), None, true, 1024).unwrap();
+        assert_eq!(log.len(), 2);
     }
 
     /// The separator set is ASCII whitespace: a line that separates

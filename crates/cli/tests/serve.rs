@@ -347,6 +347,28 @@ fn serve_socket_feeds_stats_and_top_renders() {
     assert!(frame.contains("arrived"), "{frame}");
     assert!(frame.contains("p95"), "{frame}");
 
+    // Control verbs take no operands, and an infinite time is refused:
+    // each gets an `err` reply, and the server keeps serving.
+    {
+        use std::io::{BufRead, BufReader};
+        let conn = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+        let mut replies = BufReader::new(conn.try_clone().unwrap()).lines();
+        let mut send = |line: &str| -> String {
+            (&conn).write_all(format!("{line}\n").as_bytes()).unwrap();
+            replies.next().unwrap().unwrap()
+        };
+        for (line, want) in [
+            ("stats extra", "err `stats` takes no operands"),
+            ("shutdown now", "err `shutdown` takes no operands"),
+            ("advance @inf", "err bad advance time `inf`"),
+            ("drain 1 @1.5 junk", "err drain takes no operand"),
+        ] {
+            let reply = send(line);
+            assert!(reply.starts_with(want), "{line}: {reply}");
+        }
+        assert_eq!(send("stats"), "algo flow");
+    }
+
     // Clean shutdown: the final log lands on serve's stdout and parses.
     stdin.write_all(b"shutdown\n").unwrap();
     drop(stdin);

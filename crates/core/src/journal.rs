@@ -33,17 +33,43 @@
 //!
 //! ```text
 //! record   := arrive | capacity | advance
-//! arrive   := "arrive" id "@" number "w=" number row
+//! arrive   := "arrive" id "@" time "w=" finite row
 //! row      := (" " number)*                            # dense: one per machine
 //!           | " m=" width (" " machine ":" number)*    # sparse (v3)
-//! capacity := ("join" | "drain" | "crash") machine "@" number
-//! advance  := "advance" number
-//! number   := "inf" | "x" hex{16} | <any decimal f64::from_str accepts>
+//! capacity := ("join" | "drain" | "crash") machine "@" time
+//! advance  := "advance" time
+//! time     := finite
+//! finite   := number                 # whose value is finite
+//! number   := "inf" | "x" hex{16} | decimal
+//! decimal  := <any f64::from_str accepts whose value is finite>
 //! hex      := [0-9a-f]
 //! check    := " #" tag hex{16}
 //! tag      := "w"     # word_sum64 of the body (v3 appends)
 //!           | "h"     # fnv1a of the body (v1 and v2 records)
 //! ```
+//!
+//! The journal writes one space between tokens; the parser takes any
+//! run of ASCII whitespace (space, tab, line feed, form feed, carriage
+//! return), so a protocol line may use tabs or CRLF ends. One byte
+//! tokenizer splits every token of a line. It takes runs of `inf ` (an
+//! `inf` followed by one space, as a dense restricted row is written)
+//! eight or four bytes at a time and adds each run to the row in one
+//! step, so the 16 384 tokens of such a row cost a few microseconds.
+//! A capacity or advance line with a token after its time is an error.
+//!
+//! **Finite domain.** Event times and weights are finite, and so is a
+//! decimal size. Only the literal `inf` means an ineligible machine:
+//! `infinity`, `NaN` and an overflowing decimal such as `1e309` are
+//! errors, not `∞`. The `x` + hex form keeps every bit pattern, so a
+//! dense row still round-trips NaN payloads and `-∞` (the session
+//! rejects such a row). An infinite time would move the session clock
+//! past every later event, and a `NaN` or `-∞` weight is journaled in
+//! a decimal form that could not be read back. A journal that an older
+//! binary wrote may hold such a record (`advance inf`, or an arrival the
+//! session rejected); recovery then fails with `journal record <i>: …`,
+//! naming the record, instead of resuming a session stuck at `t = ∞`.
+//! Every other record keeps its own checksum, so with that line (and a
+//! snapshot sidecar that counts it) removed by hand, the rest recovers.
 //!
 //! An arrive record writes its row in the row's own [`SizeRow`] form.
 //! A dense row writes each finite size as `x` + the 16 lowercase hex
@@ -297,11 +323,13 @@ fn parse_hex16(hex: &str) -> Option<u64> {
 }
 
 /// Parses one number token of the serve-script dialect, for the
-/// journal and the serve protocol alike: `inf` (checked first — almost
-/// every token of a restricted row is `inf`), then the bit-exact `x` +
-/// 16 lowercase hex digits of [`f64::to_bits`], then any decimal
-/// `f64::from_str` accepts. `None` for anything else, including a
-/// malformed hex token (a sign, a wrong digit count, a non-hex digit).
+/// journal and the serve protocol alike: the literal `inf`, then the
+/// bit-exact `x` + 16 lowercase hex digits of [`f64::to_bits`], then a
+/// decimal `f64::from_str` accepts **whose value is finite**. `None`
+/// for anything else: a malformed hex token (a sign, a wrong digit
+/// count, a non-hex digit), and a decimal that is not finite
+/// (`infinity`, `NaN`, or `1e309`, which overflows), so that only the
+/// literal `inf` ever means an ineligible machine.
 pub fn parse_number(tok: &str) -> Option<f64> {
     if tok == "inf" {
         return Some(f64::INFINITY);
@@ -309,7 +337,127 @@ pub fn parse_number(tok: &str) -> Option<f64> {
     if let Some(hex) = tok.strip_prefix('x') {
         return parse_hex16(hex).map(f64::from_bits);
     }
-    tok.parse().ok()
+    tok.parse().ok().filter(|v: &f64| v.is_finite())
+}
+
+/// Parses an event time (`@T`, or the operand of `advance`) or a
+/// weight: a [`parse_number`] token whose value is finite. An infinite
+/// or NaN time would move the session clock past every later event, and
+/// a weight is journaled in decimal, where `NaN` or `-inf` would not
+/// read back.
+fn parse_finite(tok: &str, what: std::fmt::Arguments) -> Result<f64, String> {
+    parse_number(tok)
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| format!("bad {what} `{tok}` (must be finite)"))
+}
+
+/// `"inf inf "` as one native-endian word.
+const INF_PAIR: u64 = u64::from_ne_bytes(*b"inf inf ");
+/// `"inf "` as one native-endian word.
+const INF_ONE: u32 = u32::from_ne_bytes(*b"inf ");
+
+/// The one tokenizer of the serve-script dialect, for journal records
+/// and protocol lines alike. A token is a maximal run of bytes that are
+/// not ASCII whitespace (space, tab, line feed, form feed, carriage
+/// return: [`u8::is_ascii_whitespace`]). Every other byte, a non-ASCII
+/// one included, belongs to a token. Tokens end on ASCII bytes, so
+/// every token is a `&str` slice of the line.
+struct Tokens<'a> {
+    line: &'a str,
+    /// Byte offset of the first byte not yet taken.
+    at: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(line: &'a str) -> Self {
+        Tokens { line, at: 0 }
+    }
+
+    fn skip_space(&mut self) {
+        let b = self.line.as_bytes();
+        while b.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+    }
+
+    /// The rest of the line after the tokens taken so far.
+    fn rest(&self) -> &'a str {
+        &self.line[self.at..]
+    }
+
+    /// Takes the run of `inf` tokens at the cursor that are each
+    /// followed by one space, and returns how many it took. It compares
+    /// eight bytes (`"inf inf "`) at a time, then four (`"inf "`), so a
+    /// dense row of a restricted job, almost all `inf`, costs about one
+    /// compare per two machines. The run stops at anything else: an
+    /// `inf` before a tab, a CR, a form feed or the end of the line, an
+    /// `inf` glued to more token bytes (`infx`), and a second space are
+    /// left for [`Iterator::next`].
+    fn inf_run(&mut self) -> usize {
+        self.skip_space();
+        let b = self.line.as_bytes();
+        let from = self.at;
+        while let Some(w) = b[self.at..].first_chunk::<8>() {
+            if u64::from_ne_bytes(*w) != INF_PAIR {
+                break;
+            }
+            self.at += 8;
+        }
+        if let Some(w) = b[self.at..].first_chunk::<4>() {
+            if u32::from_ne_bytes(*w) == INF_ONE {
+                self.at += 4;
+            }
+        }
+        (self.at - from) / 4
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.skip_space();
+        let start = self.at;
+        self.at = token_end(self.line.as_bytes(), start);
+        (self.at > start).then(|| &self.line[start..self.at])
+    }
+}
+
+/// The first index at or after `at` that holds ASCII whitespace, or
+/// `b.len()`. It reads eight bytes (one little-endian word) per step:
+/// `(w - 0x21…21) & !w & 0x80…80` flags the bytes at or below `b' '`,
+/// and the lowest flag is exact (a borrow can only flag bytes above a
+/// true one). Every ASCII whitespace byte is below `0x21`; a flagged
+/// byte that is not whitespace (a control byte, say) is part of the
+/// token, and the scan goes on after it.
+fn token_end(b: &[u8], mut at: usize) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    while let Some(w) = b[at..].first_chunk::<8>() {
+        let w = u64::from_le_bytes(*w);
+        let low = w.wrapping_sub(ONES * 0x21) & !w & HIGH;
+        if low == 0 {
+            at += 8;
+            continue;
+        }
+        at += (low.trailing_zeros() / 8) as usize;
+        if b[at].is_ascii_whitespace() {
+            return at;
+        }
+        at += 1;
+    }
+    while b.get(at).is_some_and(|c| !c.is_ascii_whitespace()) {
+        at += 1;
+    }
+    at
+}
+
+/// Splits a protocol line into its first token (`""` for a blank line)
+/// and the rest of the line, with the tokenizer [`parse_line`] uses.
+pub fn split_verb(line: &str) -> (&str, &str) {
+    let mut toks = Tokens::new(line);
+    let verb = toks.next().unwrap_or("");
+    (verb, toks.rest())
 }
 
 /// Appends the decimal digits of `n` (no `fmt` machinery).
@@ -426,11 +574,26 @@ impl RowTokens {
         Ok(())
     }
 
+    /// `n` dense `inf` tokens in a row, taken in one call.
+    fn infs(&mut self, n: usize) -> Result<(), String> {
+        if self.sparse {
+            return Err(Self::MIXED.into());
+        }
+        self.dense_len += n;
+        if let Some(row) = &mut self.dense {
+            row.resize(row.len() + n, f64::INFINITY);
+        }
+        Ok(())
+    }
+
     /// One dense token. Finite sizes are kept as pairs while they are
     /// few enough for the sparse form, so a restricted row never
     /// materializes its `∞` entries; past that the row becomes a plain
     /// vector.
     fn dense(&mut self, size: f64) -> Result<(), String> {
+        if size == f64::INFINITY {
+            return self.infs(1);
+        }
         if self.sparse {
             return Err(Self::MIXED.into());
         }
@@ -438,9 +601,6 @@ impl RowTokens {
         self.dense_len += 1;
         if let Some(row) = &mut self.dense {
             row.push(size);
-            return Ok(());
-        }
-        if size == f64::INFINITY {
             return Ok(());
         }
         let as_pair = size.is_finite()
@@ -478,45 +638,55 @@ impl RowTokens {
 }
 
 /// Parses the operands of an `arrive` protocol line or journal record
-/// that follow the job id, into an [`Arrival`] whose row is built
-/// straight in its final form (no dense intermediate for a sparse
-/// row). The one arrive parser: [`parse_record`] and `osr serve` both
-/// call it.
+/// (the rest of the line after the job id) into an [`Arrival`] whose
+/// row is built straight in its final form (no dense intermediate for a
+/// sparse row). The one arrive parser: [`parse_line`] calls it for
+/// journal records and `osr serve` lines alike.
 ///
 /// ```text
-/// operands := ("@" number | "w=" number | size)*            # dense
-///           | ("@" number | "w=" number | "m=" width | pair)* # sparse
-/// pair     := machine ":" number                               # finite, > 0
+/// operands := ("@" time | "w=" number | size)*            # dense
+///           | ("@" time | "w=" number | "m=" width | pair)* # sparse
+/// pair     := machine ":" number                             # finite, > 0
 /// ```
 ///
 /// A dense row has one `size` token per machine (`inf` = ineligible).
 /// A sparse row names its width once with `m=` and lists the finite
 /// sizes as pairs with strictly increasing machine ids below the
 /// width; every other machine is `∞`. Errors, never panics, on: an
-/// unparsable token, dense tokens mixed with `m=` or pairs, pairs
-/// without `m=`, a second `m=`, unsorted or repeated ids, an id at or
-/// past the width, and a pair whose size is not finite and positive.
-/// An omitted `@T` takes `default_release`; with `None` it is an error.
-pub fn parse_arrive<'a>(
-    toks: impl IntoIterator<Item = &'a str>,
-    default_release: Option<f64>,
-) -> Result<Arrival, String> {
+/// unparsable token (a decimal that is not finite included), a release
+/// time that is not finite, dense tokens mixed with `m=` or pairs,
+/// pairs without `m=`, a second `m=`, unsorted or repeated ids, an id
+/// at or past the width, and a pair whose size is not finite and
+/// positive. An omitted `@T` takes `default_release`; with `None` it is
+/// an error.
+///
+/// Runs of `inf` tokens each followed by one space are taken a word at
+/// a time and added to the row in one step; every other token goes
+/// through the token path below.
+pub fn parse_arrive(operands: &str, default_release: Option<f64>) -> Result<Arrival, String> {
     let num =
         |tok: &str, what: &str| parse_number(tok).ok_or_else(|| format!("bad {what} `{tok}`"));
     let mut release = default_release;
     let mut weight = 1.0;
     let mut row = RowTokens::default();
-    for t in toks {
-        // Almost every token of a dense restricted row is `inf`, and
-        // of any other dense row a hex size.
+    let mut toks = Tokens::new(operands);
+    loop {
+        let infs = toks.inf_run();
+        if infs > 0 {
+            row.infs(infs)?;
+        }
+        let Some(t) = toks.next() else { break };
+        // An `inf` the run left (one before a tab, a CR or the end of
+        // the line) is still ineligible. Of a dense row that is not
+        // restricted, almost every token is a hex size.
         if t == "inf" {
             row.dense(f64::INFINITY)?;
         } else if t.starts_with('x') {
             row.dense(num(t, "size")?)?;
         } else if let Some(v) = t.strip_prefix('@') {
-            release = Some(num(v, "release time")?);
+            release = Some(parse_finite(v, format_args!("release time"))?);
         } else if let Some(v) = t.strip_prefix("w=") {
-            weight = num(v, "weight")?;
+            weight = parse_finite(v, format_args!("weight"))?;
         } else if let Some(v) = t.strip_prefix("m=") {
             row.width(v)?;
         } else if let Some(size) = parse_number(t) {
@@ -575,27 +745,32 @@ pub fn parse_record(body: &str) -> Result<Record, String> {
 /// Parses one event line of the serve-script dialect: a journal record
 /// body, or an `osr serve` protocol line. The one event parser of both.
 /// An arrive or capacity event that omits `@T` takes `default_time`;
-/// with `None` (a journal record) that is an error. Tokens split on
-/// ASCII whitespace only (records are ASCII by construction, and the
-/// ASCII splitter is about twice as fast).
+/// with `None` (a journal record) that is an error. Every event time
+/// must be finite, and a capacity or advance line with an operand after
+/// its time is an error.
+///
+/// Every token goes through one byte tokenizer that splits on ASCII
+/// whitespace only (see [`parse_arrive`] for its `inf` fast path).
 pub fn parse_line(line: &str, default_time: Option<f64>) -> Result<Record, String> {
-    let mut toks = line.split_ascii_whitespace();
+    let mut toks = Tokens::new(line);
     let cmd = toks.next().ok_or("empty event line")?;
     let event_time = |tok: Option<&str>, what: &str| -> Result<f64, String> {
         let Some(tok) = tok else {
             return default_time.ok_or_else(|| format!("{what} needs a time"));
         };
-        let v = tok.strip_prefix('@').unwrap_or(tok);
-        parse_number(v).ok_or_else(|| format!("bad {what} time `{v}`"))
+        parse_finite(
+            tok.strip_prefix('@').unwrap_or(tok),
+            format_args!("{what} time"),
+        )
     };
-    match cmd {
+    let record = match cmd {
         "arrive" => {
             let id_tok = toks.next().ok_or("arrive needs a job id")?;
             let id: usize = id_tok
                 .parse()
                 .map_err(|_| format!("bad job id `{id_tok}`"))?;
-            let arrival = parse_arrive(toks, default_time)?;
-            Ok(Record::Arrive { id, arrival })
+            let arrival = parse_arrive(toks.rest(), default_time)?;
+            return Ok(Record::Arrive { id, arrival });
         }
         "join" | "drain" | "crash" => {
             let change = match cmd {
@@ -610,20 +785,28 @@ pub fn parse_line(line: &str, default_time: Option<f64>) -> Result<Record, Strin
                 .parse()
                 .map_err(|_| format!("bad machine `{m_tok}`"))?;
             let time = event_time(toks.next(), cmd)?;
-            Ok(Record::Capacity {
+            Record::Capacity {
                 change,
                 machine,
                 time,
-            })
+            }
         }
         "advance" => {
             let t = toks.next().ok_or("advance needs a time")?;
-            Ok(Record::Advance {
+            Record::Advance {
                 time: event_time(Some(t), cmd)?,
-            })
+            }
         }
-        other => Err(format!(
-            "unknown event `{other}` (want arrive|join|drain|crash|advance)"
+        other => {
+            return Err(format!(
+                "unknown event `{other}` (want arrive|join|drain|crash|advance)"
+            ))
+        }
+    };
+    match toks.next() {
+        None => Ok(record),
+        Some(extra) => Err(format!(
+            "{cmd} takes no operand after its time, got `{extra}`"
         )),
     }
 }
@@ -1437,6 +1620,89 @@ mod tests {
             parse_line("drain 1", Some(2.5)).unwrap(),
             Record::Capacity { machine: 1, time, .. } if time == 2.5
         ));
+        // An operand after a capacity or advance time is an error.
+        for bad in [
+            "drain 1 @1.5 junk",
+            "crash 0 @2 @3",
+            "join 1 @1 inf",
+            "advance 2 9",
+            "advance @2 #c",
+        ] {
+            let err = parse_record(bad).unwrap_err();
+            assert!(err.contains("no operand after its time"), "{bad}: {err}");
+            assert!(parse_line(bad, Some(0.0)).is_err(), "{bad}");
+        }
+    }
+
+    /// Event times are finite: `inf`, a hex infinity and a decimal that
+    /// is not finite are refused in every time slot, so no line can move
+    /// the session clock to `+∞`.
+    #[test]
+    fn non_finite_event_times_are_errors() {
+        for bad in [
+            "advance inf",
+            "advance @inf",
+            "advance nan",
+            "advance NaN",
+            "advance -inf",
+            "advance 1e309",
+            "advance x7ff0000000000000",
+            "advance x7ff8000000000000",
+            "drain 0 @inf",
+            "join 0 @nan",
+            "crash 0 @x7ff0000000000000",
+            "arrive 0 @inf w=1 1 2",
+            "arrive 0 @nan w=1 1 2",
+            "arrive 0 @1e309 w=1 1 2",
+            "arrive 0 w=1 m=2 0:1 @-inf",
+        ] {
+            let err = parse_line(bad, Some(1.0)).unwrap_err();
+            assert!(
+                err.contains("time") && err.contains("finite"),
+                "{bad}: {err}"
+            );
+        }
+        // A size that overflows is a bad size, not an ineligible machine.
+        let err = parse_record("arrive 0 @1 w=1 1e309 2").unwrap_err();
+        assert!(err.contains("bad size `1e309`"), "{err}");
+        // Negative and large finite times still parse; the session
+        // judges their order.
+        assert!(parse_record("advance -1").is_ok());
+        assert!(parse_record("advance 1e300").is_ok());
+    }
+
+    /// A hand-written journal that holds a checksum-valid `advance inf`
+    /// record does not recover into a session stuck at `t = ∞`: recovery
+    /// fails and names the record.
+    #[test]
+    fn recovery_refuses_a_journaled_infinite_time() {
+        let fp = fingerprint("flow:0.5", 2, &[]);
+        let path = tmp("advance-inf");
+        let mut text = header_line(fp);
+        for body in [
+            "arrive 0 @0.5 w=1 1 2",
+            "advance inf",
+            "arrive 1 @1 w=1 1 2",
+        ] {
+            text.push_str(&framed(body));
+        }
+        std::fs::write(&path, text).unwrap();
+        assert_eq!(Journal::recover(&path, fp, 0).unwrap().records.len(), 3);
+        let err = JournaledSession::recover(sess(2), &path, fp, 0)
+            .err()
+            .expect("an infinite advance must not recover");
+        assert!(err.contains("journal record 1:"), "{err}");
+        assert!(err.contains("bad advance time `inf`"), "{err}");
+        // Without that record the rest recovers: the other records keep
+        // their checksums.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let kept: String = text
+            .split_inclusive('\n')
+            .filter(|l| !l.starts_with("advance inf"))
+            .collect();
+        std::fs::write(&path, kept).unwrap();
+        let (js, report, _) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
+        assert_eq!((report.records_replayed, js.cursor()), (2, (2, 1.0)));
     }
 
     /// Bit patterns a uniform `u64` almost never hits: ±0, ±inf,
@@ -1510,12 +1776,12 @@ mod tests {
         assert_eq!(parse_number("x3ff8000000000000"), Some(1.5));
         assert_eq!(parse_number("xfff0000000000000"), Some(f64::NEG_INFINITY));
         assert_eq!(parse_number(""), None);
-        // Every decimal form `f64::from_str` takes still parses.
+        // Every finite decimal `f64::from_str` takes still parses.
         for (tok, v) in [
-            ("2.5", 2.5),
+            ("2.5", 2.5f64),
             ("1e3", 1e3),
             ("-0", -0.0),
-            ("infinity", f64::INFINITY),
+            ("1e308", 1e308),
         ] {
             assert_eq!(
                 parse_number(tok).map(f64::to_bits),
@@ -1524,6 +1790,16 @@ mod tests {
             );
         }
         for bad in [
+            // Only the literal `inf` is infinite: no decimal that is not
+            // finite, an overflowing one included.
+            "infinity",
+            "Inf",
+            "-inf",
+            "+inf",
+            "NaN",
+            "nan",
+            "1e309",
+            "-1e309",
             "x+ff8000000000000", // from_str_radix alone would take the sign
             "x-ff8000000000000",
             "x3ff800000000000",   // 15 digits
@@ -1743,21 +2019,21 @@ advance 3 #h111adf285e162cdc
             let body = format!("arrive 0 @1 w=1 {operands}");
             let err = parse_record(&body).expect_err(&body);
             assert!(err.contains(why), "{body}: {err}");
-            let err = parse_arrive(operands.split_ascii_whitespace(), Some(1.0)).expect_err(&body);
+            let err = parse_arrive(operands, Some(1.0)).expect_err(&body);
             assert!(err.contains(why), "{body}: {err}");
         }
         // A width past the u32 id space is refused before any row is
         // allocated for it.
         let huge = format!("m={} 0:1 1:1", u64::MAX);
-        assert!(parse_arrive(huge.split_ascii_whitespace(), Some(0.0)).is_err());
+        assert!(parse_arrive(&huge, Some(0.0)).is_err());
         // Well-formed rows in both forms read the same values.
-        let sparse = parse_arrive("m=8 2:1.5 5:x4000000000000000".split(' '), Some(0.0)).unwrap();
-        let dense = parse_arrive("inf inf 1.5 inf inf 2 inf inf".split(' '), Some(0.0)).unwrap();
+        let sparse = parse_arrive("m=8 2:1.5 5:x4000000000000000", Some(0.0)).unwrap();
+        let dense = parse_arrive("inf inf 1.5 inf inf 2 inf inf", Some(0.0)).unwrap();
         assert_eq!(sparse, dense);
         assert!(sparse.sizes.as_dense().is_none() && dense.sizes.as_dense().is_none());
-        let empty = parse_arrive("m=3".split(' '), Some(0.0)).unwrap();
+        let empty = parse_arrive("m=3", Some(0.0)).unwrap();
         assert_eq!(empty.sizes, vec![f64::INFINITY; 3]);
-        assert!(parse_arrive(["w=2"], None)
+        assert!(parse_arrive("w=2", None)
             .unwrap_err()
             .contains("missing @T"));
     }
@@ -1789,9 +2065,7 @@ advance 3 #h111adf285e162cdc
                     }
                 })
                 .collect();
-            let got = parse_arrive(line.iter().map(String::as_str), Some(0.0))
-                .unwrap()
-                .sizes;
+            let got = parse_arrive(&line.join(" "), Some(0.0)).unwrap().sizes;
             let want = SizeRow::from(row.clone());
             assert_eq!(
                 got.as_dense().is_some(),

@@ -234,10 +234,11 @@ fn initial_pool(machines: usize, offline: &[usize]) -> Result<OnlineSet, String>
     Ok(online)
 }
 
-/// Shared stream validation: a session-wide monotone clock.
+/// Shared stream validation: a session-wide monotone clock over finite
+/// times (an infinite time would put every later event behind it).
 fn check_clock(clock: f64, time: f64, what: &str) -> Result<(), String> {
-    if time.is_nan() {
-        return Err(format!("{what} time is NaN"));
+    if !time.is_finite() {
+        return Err(format!("{what} time {time} is not finite"));
     }
     if time < clock {
         return Err(format!(
@@ -772,6 +773,11 @@ mod tests {
         assert!(sess.arrive(6.0, 1.0, vec![f64::NAN, 1.0].into()).is_err());
         // Machine out of range.
         assert!(sess.capacity(CapacityChange::Join, 2, 6.0).is_err());
+        // Times that are not finite, which would brick the clock.
+        for t in [f64::INFINITY, f64::NAN] {
+            assert!(sess.apply(&mut vec![Event::Advance { time: t }]).is_err());
+            assert!(sess.capacity(CapacityChange::Drain, 0, t).is_err());
+        }
         // A failed call leaves the stream usable.
         sess.arrive(6.0, 1.0, vec![1.0, 1.0].into()).unwrap();
         assert!(Box::new(sess).finish().is_ok());
