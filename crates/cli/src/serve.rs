@@ -31,13 +31,33 @@
 //! line goes through `osr_core::journal::parse_line`, the journal's own
 //! record parser, which documents the grammar and its errors.
 //!
+//! **Who does what.** Each producer thread (the stdin reader, and one
+//! thread per socket connection) reads its input through a 1 MiB
+//! buffer, larger than one pipe's default capacity (64 KiB) and a unix
+//! socket's default receive buffer, so one `read` takes all the kernel
+//! holds; a 65 KB line costs one or two reads, not the eight that an
+//! 8 KiB buffer needs. Lines land in one reused byte buffer, and the
+//! producer parses each on its own thread: it sends the serve loop
+//! `stats`, `shutdown`, or a parsed event line (or a blank or comment
+//! line, or the error to reply with), never the line's text. The serve
+//! loop only resolves and commits: it gives an omitted `@T` the
+//! session's last event time and checks the arrive id against the
+//! session cursor, then hands the burst to `ServeSession::apply`, which
+//! under `--journal` encodes the records, writes and fsyncs them, and
+//! applies the events, all on the loop thread. So parsing, the largest
+//! cost of a dense row, runs beside the loop on another core.
+//!
+//! A line that is not UTF-8 gets `err line is not UTF-8 (bad byte at
+//! column N)`, a comment line included, and the producer goes on with
+//! the next line; it no longer ends the stream there.
+//!
 //! Event lines (`arrive`, `join`/`drain`/`crash`, `advance`, and any
-//! blank or comment lines among them) that are already queued behind
-//! one another coalesce into a burst of at most `--ingest-buffer`
-//! lines, applied through one `ServeSession::apply`: each run of
-//! arrivals is one ingest epoch, and under `--journal` the whole burst
-//! is one write and one fsync. `stats` and `shutdown` end a burst.
-//! Replies, the cursor and the log do not depend on how lines
+//! blank, comment or unparsable lines among them) that are already
+//! queued behind one another coalesce into a burst of at most
+//! `--ingest-buffer` lines, applied through one `ServeSession::apply`:
+//! each run of arrivals is one ingest epoch, and under `--journal` the
+//! whole burst is one write and one fsync. `stats` and `shutdown` end a
+//! burst. Replies, the cursor and the log do not depend on how lines
 //! coalesce.
 //!
 //! Tokens are separated by runs of **ASCII whitespace** only: space,
@@ -57,12 +77,6 @@
 //! grammar does not name (`advance 2 9`, `stats extra`, `shutdown
 //! now`) gets `err`.
 //!
-//! Stdin and each socket connection are read through one helper with
-//! a 1 MiB buffer, larger than one pipe's default capacity (64 KiB)
-//! and a unix socket's default receive buffer, so one `read` takes all
-//! the kernel holds: a 65 KB line costs one or two reads, not the
-//! eight that an 8 KiB buffer needs.
-//!
 //! `top` is the other side of the socket: it polls `stats` and renders
 //! an ANSI frame — queue depths, flow-time percentiles, reject counts
 //! by reason, redispatch totals, and dispatch-index stats — with no
@@ -80,9 +94,9 @@ use std::time::Duration;
 
 use osr_core::energyflow::EnergyFlowParams;
 use osr_core::flowtime::WeightedFlowParams;
+use osr_core::journal::EventLine;
 use osr_core::{
-    EnergyFlowSession, Event, FlowParams, FlowSession, JournaledSession, ServeSession,
-    WeightedFlowSession,
+    EnergyFlowSession, FlowParams, FlowSession, JournaledSession, ServeSession, WeightedFlowSession,
 };
 use osr_model::{io as model_io, FinishedLog};
 use osr_sim::failpoint;
@@ -142,52 +156,91 @@ fn parse_offline(s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-/// The first token of a protocol line (`""` for a blank line).
-fn verb(line: &str) -> &str {
-    osr_core::journal::split_verb(line).0
-}
-
 /// Bytes each protocol reader asks the kernel for per `read`. See the
 /// module docs.
 const READ_BUF_BYTES: usize = 1 << 20;
 
-/// The protocol lines of one producer (stdin or a socket connection),
-/// without their line ends, read through a [`READ_BUF_BYTES`] buffer.
-/// They end at EOF, or at the first read error or line that is not
-/// UTF-8.
-fn protocol_lines(input: impl Read) -> impl Iterator<Item = String> {
-    BufReader::with_capacity(READ_BUF_BYTES, input)
-        .lines()
-        .map_while(Result::ok)
+/// What a producer thread makes of one protocol line.
+enum Parsed {
+    /// `stats`: the serve loop answers it, and it ends a burst.
+    Stats,
+    /// `shutdown`: finishes the stream.
+    Shutdown,
+    /// An event line, parsed but not yet resolved against the session
+    /// cursor (`None` for a blank or comment line), or the error to
+    /// reply with.
+    Event(Result<Option<EventLine>, String>),
 }
 
-/// Whether a line is a control verb, which the serve loop answers
-/// itself and which ends a burst.
-fn is_control(line: &str) -> bool {
-    matches!(verb(line), "stats" | "shutdown")
-}
-
-/// Parses one event line against the session cursor `(next_id,
-/// last_t)` through the one event parser
+/// Parses one protocol line (its line end stripped) on the producer
+/// thread that read it, through the one event parser
 /// ([`osr_core::journal::parse_line`], which documents the grammar and
-/// its errors): `last_t` is the default `@T`, and an arrive id must be
-/// `next_id`. `None` for a blank or comment line.
-fn parse_event(line: &str, (next_id, last_t): (usize, f64)) -> Result<Option<Event>, String> {
-    let verb = verb(line);
-    if verb.is_empty() || verb.starts_with('#') {
-        return Ok(None);
+/// its errors). A line that is not UTF-8 is an error, not the end of
+/// the stream.
+fn parse_protocol_line(line: &[u8]) -> Parsed {
+    let line = match std::str::from_utf8(line) {
+        Ok(line) => line,
+        Err(e) => {
+            return Parsed::Event(Err(format!(
+                "line is not UTF-8 (bad byte at column {})",
+                e.valid_up_to() + 1
+            )))
+        }
+    };
+    match osr_core::journal::split_verb(line) {
+        ("", _) => Parsed::Event(Ok(None)),
+        (verb, _) if verb.starts_with('#') => Parsed::Event(Ok(None)),
+        (verb @ ("stats" | "shutdown"), rest) if !rest.trim_ascii().is_empty() => {
+            Parsed::Event(Err(format!("`{verb}` takes no operands")))
+        }
+        ("stats", _) => Parsed::Stats,
+        ("shutdown", _) => Parsed::Shutdown,
+        _ => Parsed::Event(osr_core::journal::parse_line(line).map(Some)),
     }
-    match osr_core::journal::parse_line(line, Some(last_t))?.into_event() {
-        (Some(id), _) if id != next_id => Err(format!(
+}
+
+/// Reads the protocol lines of one producer (stdin or a socket
+/// connection) through a [`READ_BUF_BYTES`] buffer into one reused line
+/// buffer, parses each on this thread and hands it to `sink`, until EOF,
+/// a read error, or `sink` returns `false`.
+fn produce(input: impl Read, mut sink: impl FnMut(Parsed) -> bool) {
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, input);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        // The line end, `\n` or `\r\n`, as `BufRead::lines` strips it.
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        }
+        if !sink(parse_protocol_line(&line)) {
+            return;
+        }
+    }
+}
+
+/// Completes a parsed event line against the session cursor `(next_id,
+/// last_t)`: an omitted `@T` takes `last_t`, and an arrive id must be
+/// `next_id`. The cheap half of parsing, the one that needs the session.
+fn resolve(line: &mut EventLine, (next_id, last_t): (usize, f64)) -> Result<(), String> {
+    line.resolve(Some(last_t))?;
+    match line.id {
+        Some(id) if id != next_id => Err(format!(
             "arrive id {id} out of order (expected {next_id}; ids are dense)"
         )),
-        (_, ev) => Ok(Some(ev)),
+        _ => Ok(()),
     }
 }
 
-/// A protocol line with the reply channel of its producer (`None` for
-/// stdin, whose errors print to stderr instead).
-type Pending = (String, Option<Sender<String>>);
+/// A parsed event line with the reply channel of its producer (`None`
+/// for stdin, whose errors print to stderr instead).
+type Pending = (Result<Option<EventLine>, String>, Option<Sender<String>>);
 
 /// Answers one line: `ok` or `err <msg>` to a socket client, errors
 /// only (on stderr) for stdin.
@@ -201,37 +254,41 @@ fn reply(to: &Option<Sender<String>>, res: Result<(), String>) {
     }
 }
 
-/// Applies a burst of event lines (blank and comment lines may sit
-/// among them), replying per line in order. The burst parses against
-/// the session cursor and goes through **one** [`ServeSession::apply`],
-/// so its arrivals land as one ingest epoch and a journaled session
-/// commits it under one fsync. If the session rejects a line, the lines
-/// behind it re-parse against the updated cursor and apply one at a
-/// time, so no line parses more than twice and every reply, the cursor
-/// and the log are what one-line bursts would give.
+/// Applies a burst of parsed event lines (blank and comment lines may
+/// sit among them), replying per line in order. The burst resolves
+/// against the session cursor and goes through **one**
+/// [`ServeSession::apply`], so its arrivals land as one ingest epoch and
+/// a journaled session commits it under one fsync. If the session
+/// rejects a line, the events behind it go back on their lines, which
+/// resolve again against the updated cursor and apply one at a time, so
+/// no line is parsed twice and every reply, the cursor and the log are
+/// what one-line bursts would give.
 ///
 /// Returns `Some(message)` when a failpoint's `error` action fired: the
 /// failing line and every line behind it get that error, and the serve
 /// loop must shut down gracefully (flush + final log).
-fn apply_burst(sess: &mut dyn ServeSession, lines: &[Pending]) -> Option<String> {
+fn apply_burst(sess: &mut dyn ServeSession, lines: &mut [Pending]) -> Option<String> {
     let (mut at, mut whole) = (0, true);
     while at < lines.len() {
         let end = if whole { lines.len() } else { at + 1 };
-        let (mut id, mut t) = sess.cursor();
+        let mut cursor = sess.cursor();
         let mut events = Vec::new();
-        // The line each event came from, relative to `at`.
+        // Per event: its line, relative to `at`, and what it needs to
+        // go back on that line.
         let mut owners = Vec::new();
         let mut replies: Vec<Result<(), String>> = lines[at..end]
-            .iter()
+            .iter_mut()
             .enumerate()
-            .map(|(i, (line, _))| {
-                let ev = parse_event(line, (id, t))?;
-                if let Some(ev) = ev {
-                    id += usize::from(matches!(ev, Event::Arrive(_)));
-                    t = ev.time();
-                    owners.push(i);
-                    events.push(ev);
-                }
+            .map(|(i, (item, _))| {
+                let slot = item.as_mut().map_err(|e| e.clone())?;
+                let Some(line) = slot.as_mut() else {
+                    return Ok(());
+                };
+                resolve(line, cursor)?;
+                let EventLine { id, event, timed } = slot.take().expect("resolved above");
+                cursor = (cursor.0 + usize::from(id.is_some()), event.time());
+                owners.push((i, id, timed));
+                events.push(event);
                 Ok(())
             })
             .collect();
@@ -239,9 +296,14 @@ fn apply_burst(sess: &mut dyn ServeSession, lines: &[Pending]) -> Option<String>
             Ok(()) => (replies.len(), None),
             Err((k, e)) => {
                 whole = false;
+                // The events never attempted go back on their lines, to
+                // resolve again against the cursor the rejection left.
+                for (&(i, id, timed), event) in owners[k + 1..].iter().zip(events.drain(..)) {
+                    lines[at + i].0 = Ok(Some(EventLine { id, event, timed }));
+                }
                 let injected = failpoint::is_failpoint_error(&e).then(|| e.clone());
-                replies[owners[k]] = Err(e);
-                (owners[k] + 1, injected)
+                replies[owners[k].0] = Err(e);
+                (owners[k].0 + 1, injected)
             }
         };
         for ((_, to), res) in lines[at..].iter().zip(replies.drain(..answered)) {
@@ -258,9 +320,9 @@ fn apply_burst(sess: &mut dyn ServeSession, lines: &[Pending]) -> Option<String>
     None
 }
 
-/// Collects one burst: `first` plus the lines already queued behind it,
-/// at most `cap` lines in all. A control line or the end of stdin ends
-/// the burst and is parked for the serve loop.
+/// Collects one burst: `first` plus the event lines already queued
+/// behind it, at most `cap` lines in all. A control line or the end of
+/// stdin ends the burst and is parked for the serve loop.
 fn collect_burst(
     first: Pending,
     rx: &Receiver<Inbound>,
@@ -270,7 +332,7 @@ fn collect_burst(
     let mut burst = vec![first];
     while burst.len() < cap {
         match rx.try_recv() {
-            Ok(Inbound::Line(line, to)) if !is_control(&line) => burst.push((line, to)),
+            Ok(Inbound::Line(Parsed::Event(item), to)) => burst.push((item, to)),
             Ok(other) => {
                 *parked = Some(other);
                 break;
@@ -341,9 +403,10 @@ fn with_shed_line(block: String, shed: u64) -> String {
 
 /// One message from a producer thread to the serve loop.
 enum Inbound {
-    /// A protocol line, with a reply channel for socket clients (`None`
-    /// for stdin — its errors and stats print to stderr instead).
-    Line(String, Option<Sender<String>>),
+    /// A parsed protocol line, with a reply channel for socket clients
+    /// (`None` for stdin — its errors and stats print to stderr
+    /// instead).
+    Line(Parsed, Option<Sender<String>>),
     /// The stdin stream ended.
     Eof,
 }
@@ -362,24 +425,21 @@ fn handle_conn(stream: UnixStream, tx: SyncSender<Inbound>, shed: Arc<AtomicU64>
         return;
     };
     let mut writer = stream;
-    for line in protocol_lines(read_half) {
+    produce(read_half, |parsed| {
         let (rtx, rrx) = mpsc::channel::<String>();
-        match tx.try_send(Inbound::Line(line, Some(rtx))) {
-            Ok(()) => {}
+        let reply = match tx.try_send(Inbound::Line(parsed, Some(rtx))) {
+            Ok(()) => match rrx.recv() {
+                Ok(reply) => reply,
+                Err(_) => return false,
+            },
             Err(mpsc::TrySendError::Full(_)) => {
                 shed.fetch_add(1, Ordering::Relaxed);
-                if writer.write_all(b"err overloaded\n").is_err() {
-                    break;
-                }
-                continue;
+                "err overloaded\n".into()
             }
-            Err(mpsc::TrySendError::Disconnected(_)) => break, // server shut down
-        }
-        let Ok(reply) = rrx.recv() else { break };
-        if writer.write_all(reply.as_bytes()).is_err() {
-            break;
-        }
-    }
+            Err(mpsc::TrySendError::Disconnected(_)) => return false, // server shut down
+        };
+        writer.write_all(reply.as_bytes()).is_ok()
+    });
 }
 
 /// The serve event loop: merges producer streams (an owned reader
@@ -412,13 +472,11 @@ fn serve_loop<R: Read + Send + 'static>(
 
     let stdin_tx = tx.clone();
     std::thread::spawn(move || {
-        for line in protocol_lines(input) {
-            // Blocking send on the bounded channel: stdin producers
-            // are backpressured, never shed.
-            if stdin_tx.send(Inbound::Line(line, None)).is_err() {
-                return;
-            }
-        }
+        // Blocking send on the bounded channel: stdin producers are
+        // backpressured, never shed.
+        produce(input, |parsed| {
+            stdin_tx.send(Inbound::Line(parsed, None)).is_ok()
+        });
         let _ = stdin_tx.send(Inbound::Eof);
     });
 
@@ -464,32 +522,27 @@ fn serve_loop<R: Read + Send + 'static>(
                     break;
                 }
             }
-            Inbound::Line(line, to) => match osr_core::journal::split_verb(&line) {
-                (verb @ ("stats" | "shutdown"), rest) if !rest.trim_ascii().is_empty() => {
-                    reply(&to, Err(format!("`{verb}` takes no operands")));
-                }
-                ("stats", _) => {
-                    let block =
-                        with_shed_line(render_stats(sess.as_ref()), shed.load(Ordering::Relaxed));
-                    match to {
-                        Some(tx) => {
-                            let _ = tx.send(block);
-                        }
-                        None => eprint!("{block}"),
+            Inbound::Line(Parsed::Stats, to) => {
+                let block =
+                    with_shed_line(render_stats(sess.as_ref()), shed.load(Ordering::Relaxed));
+                match to {
+                    Some(tx) => {
+                        let _ = tx.send(block);
                     }
+                    None => eprint!("{block}"),
                 }
-                ("shutdown", _) => {
-                    reply(&to, Ok(()));
+            }
+            Inbound::Line(Parsed::Shutdown, to) => {
+                reply(&to, Ok(()));
+                break;
+            }
+            Inbound::Line(Parsed::Event(item), to) => {
+                let mut burst = collect_burst((item, to), &rx, buffer, &mut parked);
+                if let Some(e) = apply_burst(sess.as_mut(), &mut burst) {
+                    eprintln!("serve: {e}; shutting down gracefully");
                     break;
                 }
-                _ => {
-                    let burst = collect_burst((line, to), &rx, buffer, &mut parked);
-                    if let Some(e) = apply_burst(sess.as_mut(), &burst) {
-                        eprintln!("serve: {e}; shutting down gracefully");
-                        break;
-                    }
-                }
-            },
+            }
         }
     }
     if let Some(path) = socket {
@@ -792,7 +845,7 @@ pub fn cmd_top(args: &Args) -> Result<CmdOutput, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osr_core::FlowScheduler;
+    use osr_core::{Event, FlowScheduler};
     use osr_model::{Instance, InstanceKind, Job};
     use osr_sim::{CapacityChange, CapacityEvent, CapacityPlan};
     use std::io::Cursor;
@@ -855,6 +908,14 @@ shutdown
         );
     }
 
+    /// What a producer makes of the event line `line`.
+    fn event(line: &str) -> Result<Option<EventLine>, String> {
+        match parse_protocol_line(line.as_bytes()) {
+            Parsed::Event(item) => item,
+            _ => panic!("{line:?} is a control line"),
+        }
+    }
+
     /// Runs `bursts` of lines through [`apply_burst`], returning every
     /// reply in order.
     fn run_bursts<'a>(
@@ -863,11 +924,9 @@ shutdown
     ) -> Vec<String> {
         let (tx, rx) = mpsc::channel();
         for burst in bursts {
-            let lines: Vec<Pending> = burst
-                .iter()
-                .map(|l| (l.to_string(), Some(tx.clone())))
-                .collect();
-            assert!(apply_burst(sess, &lines).is_none());
+            let mut lines: Vec<Pending> =
+                burst.iter().map(|l| (event(l), Some(tx.clone()))).collect();
+            assert!(apply_burst(sess, &mut lines).is_none());
         }
         drop(tx);
         rx.try_iter().collect()
@@ -879,6 +938,9 @@ shutdown
     /// logs must be identical, bad lines included. The script mixes
     /// capacity and advance lines into the arrivals, with lines the
     /// parser refuses and lines the session rejects after parsing.
+    /// Lines behind a rejected one (omitted `@T`, stale ids) resolve
+    /// again against the cursor the rejection left, and two producers
+    /// interleaved in one burst each get their own replies in order.
     #[test]
     fn coalesced_arrive_bursts_match_serial_lines() {
         let script = [
@@ -916,7 +978,7 @@ shutdown
             model_io::log_to_string(&Box::new(batched).finish().unwrap()),
         );
 
-        // A line behind one the session rejects parses against the
+        // A line behind one the session rejects resolves against the
         // cursor the rejection left, not against the guess that the
         // rejected line would land.
         let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
@@ -925,6 +987,90 @@ shutdown
         assert!(replies[0].starts_with("err "), "{replies:?}");
         assert_eq!(replies[1], "ok\n");
         assert_eq!(sess.cursor(), (1, 1.0));
+
+        // The re-resolve path: behind a line the session rejects come
+        // arrive and capacity lines that omit `@T` (their default is the
+        // time the rejection left, not the rejected line's) and lines
+        // whose ids are stale under one guess or the other. The lines
+        // are parsed once; only their resolution is redone.
+        let script = [
+            "arrive 0 @1 w=1 2 4",
+            "arrive 1 @2 w=1 m=3 0:1", // wrong width: session-level reject
+            "arrive 1 w=1 1 1",        // stale if line 1 had landed
+            "drain 1",
+            "arrive 2 w=2 m=2 0:1.5",
+            "arrive 2 @3 1 1", // stale id
+            "join 1",
+            "arrive 3 @0.5 1 1", // time regression: session-level reject
+            "arrive 3 @4 3 3",
+            "arrive 3 2 2", // stale id, defaulted time
+            "advance 6",
+            "crash 0",
+            "arrive 4 1 1",
+        ];
+        // The same stream with every default written out: t = 1 behind
+        // the rejected line, not its 2.
+        let explicit = [
+            "arrive 0 @1 w=1 2 4",
+            "arrive 1 @2 w=1 m=3 0:1",
+            "arrive 1 @1 w=1 1 1",
+            "drain 1 @1",
+            "arrive 2 @1 w=2 m=2 0:1.5",
+            "arrive 2 @3 1 1",
+            "join 1 @1",
+            "arrive 3 @0.5 1 1",
+            "arrive 3 @4 3 3",
+            "arrive 3 @4 2 2",
+            "advance 6",
+            "crash 0 @6",
+            "arrive 4 @6 1 1",
+        ];
+        let mut serial = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+        let one_line = run_bursts(&mut serial, script.iter().map(std::slice::from_ref));
+        let mut batched = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+        let maximal = run_bursts(&mut batched, [&script[..]]);
+        let mut spelled = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+        let spelled_out = run_bursts(&mut spelled, explicit.iter().map(std::slice::from_ref));
+
+        assert_eq!(one_line, maximal);
+        assert_eq!(one_line, spelled_out);
+        let errs: Vec<usize> = (0..script.len())
+            .filter(|&i| maximal[i].starts_with("err "))
+            .collect();
+        assert_eq!(errs, [1, 5, 7, 9], "{maximal:?}");
+        assert_eq!(serial.cursor(), (5, 6.0));
+        assert_eq!(serial.cursor(), batched.cursor(), "stream cursors diverged");
+        let logs: Vec<String> = [serial, batched, spelled]
+            .into_iter()
+            .map(|s| model_io::log_to_string(&Box::new(s).finish().unwrap()))
+            .collect();
+        assert_eq!(logs[0], logs[1]);
+        assert_eq!(logs[0], logs[2]);
+
+        // The script fed as stdin and socket lines together (what the
+        // serve loop collects from both producers into one burst): each
+        // producer gets its replies on its own channel, in its own
+        // order, and they are the replies one-line bursts give.
+        let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+        let (stdin_tx, stdin_rx) = mpsc::channel();
+        let (sock_tx, sock_rx) = mpsc::channel();
+        // Stdin sends the even lines, the socket the odd ones.
+        let mut burst: Vec<Pending> = script
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                let to = if i % 2 == 0 { &stdin_tx } else { &sock_tx };
+                (event(l), Some(to.clone()))
+            })
+            .collect();
+        assert!(apply_burst(&mut sess, &mut burst).is_none());
+        drop((stdin_tx, sock_tx, burst));
+        let producer = |parity: usize| -> Vec<String> {
+            one_line.iter().skip(parity).step_by(2).cloned().collect()
+        };
+        assert_eq!(stdin_rx.try_iter().collect::<Vec<_>>(), producer(0));
+        assert_eq!(sock_rx.try_iter().collect::<Vec<_>>(), producer(1));
+        assert_eq!(sess.cursor(), (5, 6.0));
     }
 
     /// A burst holds at most `cap` lines, and a control line or the end
@@ -932,33 +1078,40 @@ shutdown
     #[test]
     fn bursts_stop_at_the_cap_and_at_control_lines() {
         let (tx, rx) = mpsc::sync_channel::<Inbound>(16);
+        let send = |line: &str| {
+            tx.send(Inbound::Line(parse_protocol_line(line.as_bytes()), None))
+                .unwrap()
+        };
         for k in 0..=5 {
-            tx.send(Inbound::Line(format!("arrive {k} 1"), None))
-                .unwrap();
+            send(&format!("arrive {k} @{k} 1"));
         }
         for line in ["stats", "advance 9", "advance 10"] {
-            tx.send(Inbound::Line(line.into(), None)).unwrap();
+            send(line);
         }
         tx.send(Inbound::Eof).unwrap();
         // What the serve loop does: take one line, collect behind it.
+        // Each line is named by its event time.
         let mut parked = None;
-        let burst = |cap: usize, parked: &mut Option<Inbound>| -> Vec<String> {
-            let Ok(Inbound::Line(line, to)) = rx.recv() else {
-                panic!("a line is queued");
+        let burst = |cap: usize, parked: &mut Option<Inbound>| -> Vec<f64> {
+            let Ok(Inbound::Line(Parsed::Event(item), to)) = rx.recv() else {
+                panic!("an event line is queued");
             };
-            let burst = collect_burst((line, to), &rx, cap, parked);
-            burst.into_iter().map(|(l, _)| l).collect()
+            let burst = collect_burst((item, to), &rx, cap, parked);
+            burst
+                .into_iter()
+                .map(|(item, _)| item.unwrap().unwrap().event.time())
+                .collect()
         };
-        assert_eq!(
-            burst(4, &mut parked),
-            ["arrive 0 1", "arrive 1 1", "arrive 2 1", "arrive 3 1"]
-        );
+        assert_eq!(burst(4, &mut parked), [0.0, 1.0, 2.0, 3.0]);
         assert!(parked.is_none(), "a full burst parks nothing");
-        assert_eq!(burst(4, &mut parked), ["arrive 4 1", "arrive 5 1"]);
-        assert!(matches!(parked.take(), Some(Inbound::Line(l, _)) if l == "stats"));
-        assert_eq!(burst(1, &mut parked), ["advance 9"]);
+        assert_eq!(burst(4, &mut parked), [4.0, 5.0]);
+        assert!(matches!(
+            parked.take(),
+            Some(Inbound::Line(Parsed::Stats, _))
+        ));
+        assert_eq!(burst(1, &mut parked), [9.0]);
         assert!(parked.is_none());
-        assert_eq!(burst(4, &mut parked), ["advance 10"]);
+        assert_eq!(burst(4, &mut parked), [10.0]);
         assert!(matches!(parked, Some(Inbound::Eof)));
     }
 
@@ -984,9 +1137,9 @@ shutdown
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/serve");
         let script = std::fs::read_to_string(root.join("trace.script")).unwrap();
         let (mut sparse, mut dense) = (0, 0);
-        let arrives = script.lines().filter(|l| verb(l) == "arrive");
-        for (id, line) in arrives.enumerate() {
-            let Some(Event::Arrive(a)) = parse_event(line, (id, 0.0)).unwrap() else {
+        let arrives = script.lines().filter(|l| l.starts_with("arrive "));
+        for line in arrives {
+            let Event::Arrive(a) = osr_core::journal::parse_line(line).unwrap().event else {
                 panic!("not an arrival: {line}");
             };
             assert_eq!(a.sizes.len(), 6);
@@ -1054,6 +1207,25 @@ shutdown
         }
     }
 
+    /// A line that is not UTF-8 is answered with an error and the
+    /// lines behind it are still read; it used to end the stream there,
+    /// silently.
+    #[test]
+    fn non_utf8_lines_are_errors_not_the_end_of_the_stream() {
+        let Parsed::Event(Err(e)) = parse_protocol_line(b"# caf\xe9 comment") else {
+            panic!("a line that is not UTF-8 must be an error");
+        };
+        assert_eq!(e, "line is not UTF-8 (bad byte at column 6)");
+        let script = b"arrive 0 @0 w=1 2 4\n# caf\xe9 comment\narrive 1 @1 w=1 \xff 1\r\n\
+                       arrive 1 @1 w=1 3 1\n\xc3\n\narrive 2 @2 1 1";
+        let sess = Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
+        let log = serve_loop(sess, Cursor::new(script.to_vec()), None, true, 1024).unwrap();
+        assert_eq!(log.len(), 3);
+        let mut sess = FlowSession::new(FlowParams::new(0.5), 2).unwrap();
+        let replies = run_bursts(&mut sess, [&["arrive 0 @0 1 1", "stats extra"][..]]);
+        assert_eq!(replies, ["ok\n", "err `stats` takes no operands\n"]);
+    }
+
     #[test]
     fn serve_loop_finishes_at_eof_without_shutdown() {
         // `--once` semantics: EOF ends the stream; defaulted times and
@@ -1098,8 +1270,19 @@ shutdown
         assert!(block.contains("algo flow"), "{block}");
         assert!(block.contains("arrived 1"), "{block}");
         assert!(block.ends_with("end\n"), "{block}");
-        assert!(is_control("stats") && is_control("shutdown now"));
-        assert!(!is_control("advance 3"));
+        assert!(matches!(parse_protocol_line(b"stats"), Parsed::Stats));
+        assert!(matches!(
+            parse_protocol_line(b" shutdown\t"),
+            Parsed::Shutdown
+        ));
+        assert!(matches!(
+            parse_protocol_line(b"shutdown now"),
+            Parsed::Event(Err(_))
+        ));
+        assert!(matches!(
+            parse_protocol_line(b"advance 3"),
+            Parsed::Event(Ok(Some(_)))
+        ));
 
         // Operands the grammar does not name are errors, and so are
         // event times that are not finite (which used to move the clock
@@ -1153,7 +1336,7 @@ shutdown
             "arrive 0 @1 2\u{0b}3",
             "advance\u{a0}5",
         ] {
-            let err = parse_event(bad, (0, 0.0))
+            let err = event(bad)
                 .err()
                 .unwrap_or_else(|| panic!("{bad:?} must be refused"));
             assert!(err.contains("bad") || err.contains("unknown"), "{err}");
@@ -1364,21 +1547,23 @@ shutdown
         let inner = Box::new(FlowSession::new(FlowParams::new(0.5), 2).unwrap());
         let mut sess: Box<dyn ServeSession> =
             Box::new(JournaledSession::create(inner, &jpath, fp, 0).unwrap());
-        let burst = |lines: &[&str]| -> Vec<Pending> {
-            lines.iter().map(|l| (l.to_string(), None)).collect()
-        };
+        let burst =
+            |lines: &[&str]| -> Vec<Pending> { lines.iter().map(|l| (event(l), None)).collect() };
 
         // First burst lands normally.
         failpoint::disarm();
-        let first = burst(&["arrive 0 @0 w=1 2 4", "drain 1 @0.5", "arrive 1 @1 w=2 3 1"]);
-        assert!(apply_burst(sess.as_mut(), &first).is_none());
+        let mut first = burst(&["arrive 0 @0 w=1 2 4", "drain 1 @0.5", "arrive 1 @1 w=2 3 1"]);
+        assert!(apply_burst(sess.as_mut(), &mut first).is_none());
         assert_eq!(sess.cursor(), (2, 1.0));
 
         // Second burst trips the injected error: nothing applies, the
         // cursor stays put, and the shutdown request comes back.
         failpoint::arm("mid-batch:1:error").unwrap();
-        let msg = apply_burst(sess.as_mut(), &burst(&["join 1 @2", "arrive 2 @2 w=1 1 1"]))
-            .expect("injected failure must request shutdown");
+        let msg = apply_burst(
+            sess.as_mut(),
+            &mut burst(&["join 1 @2", "arrive 2 @2 w=1 1 1"]),
+        )
+        .expect("injected failure must request shutdown");
         assert!(failpoint::is_failpoint_error(&msg), "{msg}");
         failpoint::disarm();
         assert_eq!(

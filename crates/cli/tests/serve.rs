@@ -41,7 +41,7 @@ fn run_ok(args: &str) -> (String, String) {
 /// Pipes `script` into `osr serve`, returning the raw process output
 /// without asserting on the exit status (the kill-recover tests expect
 /// the injected death, exit code 17).
-fn serve_raw(args: &str, script: &str) -> std::process::Output {
+fn serve_raw(args: &str, script: impl AsRef<[u8]>) -> std::process::Output {
     let mut child = osr()
         .args(args.split_whitespace())
         .stdin(Stdio::piped())
@@ -53,7 +53,7 @@ fn serve_raw(args: &str, script: &str) -> std::process::Output {
         .stdin
         .take()
         .unwrap()
-        .write_all(script.as_bytes())
+        .write_all(script.as_ref())
         .unwrap();
     child.wait_with_output().unwrap()
 }
@@ -303,6 +303,31 @@ fn failpoint_error_action_shuts_down_gracefully_and_recovery_completes() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A line that is not UTF-8 gets an error, and the stream goes on: the
+/// recorded trace with a non-UTF-8 comment after its fifth line still
+/// serves the committed oracle log, and the error lands on stderr.
+#[test]
+fn a_non_utf8_line_is_an_error_not_the_end_of_the_stream() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/serve");
+    let script = fs::read(root.join("trace.script")).unwrap();
+    let oracle = fs::read_to_string(root.join("offline-flow-0.25.csv")).unwrap();
+    let mut bytes = Vec::new();
+    for (i, line) in script.split_inclusive(|&b| b == b'\n').enumerate() {
+        bytes.extend_from_slice(line);
+        if i == 4 {
+            bytes.extend_from_slice(b"# caf\xe9 comment\n");
+        }
+    }
+    let out = serve_raw("serve --algo flow:0.25 --machines 6 --once", &bytes);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), oracle);
+    assert!(
+        stderr.contains("serve: line is not UTF-8 (bad byte at column 6)"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn serve_socket_feeds_stats_and_top_renders() {
     let dir = tmpdir("top");
@@ -353,20 +378,22 @@ fn serve_socket_feeds_stats_and_top_renders() {
         use std::io::{BufRead, BufReader};
         let conn = std::os::unix::net::UnixStream::connect(&sock).unwrap();
         let mut replies = BufReader::new(conn.try_clone().unwrap()).lines();
-        let mut send = |line: &str| -> String {
-            (&conn).write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut send = |line: &[u8]| -> String {
+            (&conn).write_all(&[line, b"\n"].concat()).unwrap();
             replies.next().unwrap().unwrap()
         };
         for (line, want) in [
-            ("stats extra", "err `stats` takes no operands"),
-            ("shutdown now", "err `shutdown` takes no operands"),
-            ("advance @inf", "err bad advance time `inf`"),
-            ("drain 1 @1.5 junk", "err drain takes no operand"),
+            (&b"stats extra"[..], "err `stats` takes no operands"),
+            (b"shutdown now", "err `shutdown` takes no operands"),
+            (b"advance @inf", "err bad advance time `inf`"),
+            (b"drain 1 @1.5 junk", "err drain takes no operand"),
+            (b"# caf\xe9 comment", "err line is not UTF-8"),
+            (b"arrive 2 @1 w=1 1 \xff 1", "err line is not UTF-8"),
         ] {
             let reply = send(line);
-            assert!(reply.starts_with(want), "{line}: {reply}");
+            assert!(reply.starts_with(want), "{line:?}: {reply}");
         }
-        assert_eq!(send("stats"), "algo flow");
+        assert_eq!(send(b"stats"), "algo flow");
     }
 
     // Clean shutdown: the final log lands on serve's stdout and parses.

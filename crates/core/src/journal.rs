@@ -28,8 +28,10 @@
 //! advance 7 #w0ac1...
 //! ```
 //!
-//! The record grammar, shared with the serve protocol ([`parse_record`]
-//! and [`parse_arrive`] are the protocol's parsers too):
+//! The record grammar, shared with the serve protocol ([`parse_line`]
+//! is the protocol's parser too; a protocol line may omit `@T`, which
+//! [`EventLine::resolve`] fills in, and [`parse_record`] is
+//! [`parse_line`] resolved with no default):
 //!
 //! ```text
 //! record   := arrive | capacity | advance
@@ -78,14 +80,14 @@
 //! writes its width once and one `machine:x<hex>` pair per finite size,
 //! machine ids strictly increasing, so its record is O(eligible) bytes
 //! rather than O(m): about 135 bytes, checksum included, instead of
-//! 65 KB for three eligible machines among 16 384. Sizes are the bulk of a record, and the
-//! journal only needs them back bit-exactly: a nibble-table copy of the
-//! bits costs ≈13 ns per size where shortest-round-trip decimal
-//! formatting costs 100–180 ns. The release time, the weight and
-//! capacity/advance times stay decimal, one or two per record, so an
-//! operator can still read a journal by time. Because the protocol
-//! accepts every one of these forms, a record body is also a valid
-//! serve-script line.
+//! 65 KB for three eligible machines among 16 384. Sizes are the bulk
+//! of a record, and the journal only needs them back bit-exactly: a
+//! copy of the bits as hex, eight nibbles per 64-bit word, costs ≈7 ns
+//! per size where shortest-round-trip decimal formatting costs
+//! 100–180 ns. The release time, the weight and capacity/advance times
+//! stay decimal, one or two per record, so an operator can still read a
+//! journal by time. Because the protocol accepts every one of these
+//! forms, a record body is also a valid serve-script line.
 //!
 //! The checksum exists because a torn tail can truncate a decimal
 //! literal into a *different valid number* (`3.7310627019737903` →
@@ -284,15 +286,35 @@ const NIBBLES: &[u8; 16] = b"0123456789abcdef";
 /// Bytes of the longest size token, ` x` + 16 hex digits.
 const SIZE_TOKEN_MAX: usize = 18;
 
-/// Appends `prefix` and then the 16 lowercase hex digits of `bits`,
-/// read from a nibble table (no `fmt` machinery).
-fn push_hex(out: &mut String, prefix: &str, bits: u64) {
-    let mut digits = [0u8; 16];
-    for (i, d) in digits.iter_mut().enumerate() {
-        *d = NIBBLES[(bits >> (60 - 4 * i)) as usize & 0xf];
-    }
-    out.push_str(prefix);
-    out.push_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"));
+/// The 16 lowercase hex digits of `bits`, most significant first, made
+/// eight digits per 64-bit word: each half's nibbles are spread one per
+/// byte, then every byte gets `'0'` added at once, and `'a' - '0' - 10`
+/// more where its nibble is 10 or above (`n + 6` carries into bit 4
+/// exactly then). Every byte stays below `0x80`, so no step carries
+/// into a neighbour.
+fn hex16(bits: u64) -> [u8; 16] {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    // Nibble k of a 32-bit half lands in byte k of the word.
+    let spread = |half: u64| {
+        let x = (half | half << 16) & 0x0000_ffff_0000_ffff;
+        let x = (x | x << 8) & 0x00ff_00ff_00ff_00ff;
+        (x | x << 4) & 0x0f0f_0f0f_0f0f_0f0f
+    };
+    let ascii = |n: u64| {
+        let letters = (n + ONES * 6) >> 4 & ONES;
+        n + ONES * u64::from(b'0') + letters * u64::from(b'a' - b'0' - 10)
+    };
+    let mut out = [0u8; 16];
+    out[..8].copy_from_slice(&ascii(spread(bits >> 32)).to_be_bytes());
+    out[8..].copy_from_slice(&ascii(spread(bits & 0xffff_ffff)).to_be_bytes());
+    out
+}
+
+/// Appends `prefix` and then the 16 lowercase hex digits of `bits`
+/// ([`hex16`]; no `fmt` machinery).
+fn push_hex(out: &mut Vec<u8>, prefix: &[u8], bits: u64) {
+    out.extend_from_slice(prefix);
+    out.extend_from_slice(&hex16(bits));
 }
 
 /// Digit value of each byte: `0..=15` for `[0-9a-f]`, `0xff` for
@@ -461,7 +483,7 @@ pub fn split_verb(line: &str) -> (&str, &str) {
 }
 
 /// Appends the decimal digits of `n` (no `fmt` machinery).
-fn push_decimal(out: &mut String, mut n: usize) {
+fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -472,7 +494,7 @@ fn push_decimal(out: &mut String, mut n: usize) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Appends an arrive record body (no checksum suffix) to `out`. The
@@ -483,30 +505,35 @@ fn push_decimal(out: &mut String, mut n: usize) {
 /// per finite size, so its record is O(eligible) bytes. Either way
 /// [`parse_record`] gets every size back bit-exactly — `-0.0`,
 /// subnormals and NaN payloads of a dense row included — in the same
-/// form.
-pub fn encode_arrive_into(out: &mut String, id: usize, release: f64, weight: f64, sizes: &SizeRow) {
-    use std::fmt::Write as _;
+/// form. Every byte written is ASCII.
+pub fn encode_arrive_into(
+    out: &mut Vec<u8>,
+    id: usize,
+    release: f64,
+    weight: f64,
+    sizes: &SizeRow,
+) {
     let _ = write!(out, "arrive {id} @{release} w={weight}");
     match sizes.form() {
         RowForm::Dense(row) => {
             out.reserve(SIZE_TOKEN_MAX * row.len());
             for &sz in row {
                 if sz == f64::INFINITY {
-                    out.push_str(" inf");
+                    out.extend_from_slice(b" inf");
                 } else {
-                    push_hex(out, " x", sz.to_bits());
+                    push_hex(out, b" x", sz.to_bits());
                 }
             }
         }
         RowForm::Sparse(row) => {
-            out.push_str(" m=");
+            out.extend_from_slice(b" m=");
             push_decimal(out, row.width());
             // A pair is a size token plus up to 10 id digits and `:`.
             out.reserve((SIZE_TOKEN_MAX + 11) * row.ids().len());
             for (&i, &sz) in row.ids().iter().zip(row.vals()) {
-                out.push(' ');
+                out.push(b' ');
                 push_decimal(out, i as usize);
-                push_hex(out, ":x", sz.to_bits());
+                push_hex(out, b":x", sz.to_bits());
             }
         }
     }
@@ -515,9 +542,9 @@ pub fn encode_arrive_into(out: &mut String, id: usize, release: f64, weight: f64
 /// Encodes an arrive record body into a new string; see
 /// [`encode_arrive_into`] for the format.
 pub fn encode_arrive(id: usize, release: f64, weight: f64, sizes: &SizeRow) -> String {
-    let mut s = String::new();
-    encode_arrive_into(&mut s, id, release, weight, sizes);
-    s
+    let mut body = Vec::new();
+    encode_arrive_into(&mut body, id, release, weight, sizes);
+    String::from_utf8(body).expect("record bodies are ASCII")
 }
 
 /// Dense size tokens a row reads as pairs before it may switch to a
@@ -640,8 +667,9 @@ impl RowTokens {
 /// Parses the operands of an `arrive` protocol line or journal record
 /// (the rest of the line after the job id) into an [`Arrival`] whose
 /// row is built straight in its final form (no dense intermediate for a
-/// sparse row). The one arrive parser: [`parse_line`] calls it for
-/// journal records and `osr serve` lines alike.
+/// sparse row), and whether the operands state its `@T`. The one arrive
+/// parser: [`parse_line`] calls it for journal records and `osr serve`
+/// lines alike.
 ///
 /// ```text
 /// operands := ("@" time | "w=" number | size)*            # dense
@@ -657,16 +685,16 @@ impl RowTokens {
 /// time that is not finite, dense tokens mixed with `m=` or pairs,
 /// pairs without `m=`, a second `m=`, unsorted or repeated ids, an id
 /// at or past the width, and a pair whose size is not finite and
-/// positive. An omitted `@T` takes `default_release`; with `None` it is
-/// an error.
+/// positive. An omitted `@T` leaves the release `NaN`, for
+/// [`EventLine::resolve`] to fill in.
 ///
 /// Runs of `inf` tokens each followed by one space are taken a word at
 /// a time and added to the row in one step; every other token goes
 /// through the token path below.
-pub fn parse_arrive(operands: &str, default_release: Option<f64>) -> Result<Arrival, String> {
+fn parse_arrive(operands: &str) -> Result<(Arrival, bool), String> {
     let num =
         |tok: &str, what: &str| parse_number(tok).ok_or_else(|| format!("bad {what} `{tok}`"));
-    let mut release = default_release;
+    let mut release = None;
     let mut weight = 1.0;
     let mut row = RowTokens::default();
     let mut toks = Tokens::new(operands);
@@ -697,18 +725,18 @@ pub fn parse_arrive(operands: &str, default_release: Option<f64>) -> Result<Arri
             return Err(format!("bad size `{t}`"));
         }
     }
-    Ok(Arrival {
-        release: release.ok_or("arrive is missing @T")?,
+    let arrival = Arrival {
+        release: release.unwrap_or(f64::NAN),
         weight,
         sizes: row.finish()?,
-    })
+    };
+    Ok((arrival, release.is_some()))
 }
 
 /// Appends the record body of `ev` to `out`; `id` is the arrive id
 /// and is ignored for capacity and advance events. Capacity and advance
 /// times are decimal.
-fn encode_event_into(out: &mut String, id: usize, ev: &Event) {
-    use std::fmt::Write as _;
+fn encode_event_into(out: &mut Vec<u8>, id: usize, ev: &Event) {
     match ev {
         Event::Arrive(a) => encode_arrive_into(out, id, a.release, a.weight, &a.sizes),
         Event::Capacity {
@@ -726,51 +754,115 @@ fn encode_event_into(out: &mut String, id: usize, ev: &Event) {
 
 /// Encodes a capacity record body.
 pub fn encode_capacity(change: CapacityChange, machine: usize, time: f64) -> String {
-    let mut s = String::new();
     let ev = Event::Capacity {
         change,
         machine,
         time,
     };
-    encode_event_into(&mut s, 0, &ev);
-    s
+    let mut body = Vec::new();
+    encode_event_into(&mut body, 0, &ev);
+    String::from_utf8(body).expect("record bodies are ASCII")
+}
+
+/// One event line as [`parse_line`] reads it: the event, its arrive id,
+/// and whether the line stated its time. A line that omits `@T` is not
+/// complete until [`EventLine::resolve`] gives it the default time,
+/// which only the reader of the stream knows (the time of the event
+/// before it). Parsing needs no stream state, so `osr serve` parses on
+/// its producer threads and resolves on the thread that applies.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventLine {
+    /// The arrive id (`None` for capacity and advance lines).
+    pub id: Option<usize>,
+    /// The event. An omitted time reads `NaN` until resolved.
+    pub event: Event,
+    /// Whether the line stated its time; if not, every
+    /// [`EventLine::resolve`] sets it anew.
+    pub timed: bool,
+}
+
+impl EventLine {
+    /// Gives a line that omitted `@T` the time `default_time`; a line
+    /// that stated its time is left as it is. With `None` (a journal
+    /// record, whose times are all explicit) an omitted time is an
+    /// error. Resolving again, against another default, is exact and
+    /// costs no second parse.
+    pub fn resolve(&mut self, default_time: Option<f64>) -> Result<(), String> {
+        if self.timed {
+            return Ok(());
+        }
+        let t = default_time.ok_or_else(|| match &self.event {
+            Event::Arrive(_) => "arrive is missing @T".to_string(),
+            Event::Capacity { change, .. } => format!("{change} needs a time"),
+            Event::Advance { .. } => "advance needs a time".to_string(),
+        })?;
+        match &mut self.event {
+            Event::Arrive(a) => a.release = t,
+            Event::Capacity { time, .. } | Event::Advance { time } => *time = t,
+        }
+        Ok(())
+    }
+
+    /// The line as a [`Record`]. Resolve it first: an omitted time
+    /// reads `NaN`.
+    pub fn into_record(self) -> Record {
+        match self.event {
+            Event::Arrive(arrival) => Record::Arrive {
+                id: self.id.expect("parse_line gives every arrive its id"),
+                arrival,
+            },
+            Event::Capacity {
+                change,
+                machine,
+                time,
+            } => Record::Capacity {
+                change,
+                machine,
+                time,
+            },
+            Event::Advance { time } => Record::Advance { time },
+        }
+    }
 }
 
 /// Parses a record body (checksum already stripped and verified):
-/// [`parse_line`] with every time explicit.
+/// [`parse_line`], resolved with no default time, so a record that
+/// omits its time is an error.
 pub fn parse_record(body: &str) -> Result<Record, String> {
-    parse_line(body, None)
+    let mut line = parse_line(body)?;
+    line.resolve(None)?;
+    Ok(line.into_record())
 }
 
 /// Parses one event line of the serve-script dialect: a journal record
 /// body, or an `osr serve` protocol line. The one event parser of both.
-/// An arrive or capacity event that omits `@T` takes `default_time`;
-/// with `None` (a journal record) that is an error. Every event time
-/// must be finite, and a capacity or advance line with an operand after
-/// its time is an error.
+/// An arrive or capacity event may omit `@T`; the line then waits for
+/// [`EventLine::resolve`]. Every stated time must be finite, and a
+/// capacity or advance line with an operand after its time is an error.
 ///
 /// Every token goes through one byte tokenizer that splits on ASCII
-/// whitespace only (see [`parse_arrive`] for its `inf` fast path).
-pub fn parse_line(line: &str, default_time: Option<f64>) -> Result<Record, String> {
+/// whitespace only, and takes a run of `inf ` tokens a word at a time.
+pub fn parse_line(line: &str) -> Result<EventLine, String> {
     let mut toks = Tokens::new(line);
     let cmd = toks.next().ok_or("empty event line")?;
-    let event_time = |tok: Option<&str>, what: &str| -> Result<f64, String> {
-        let Some(tok) = tok else {
-            return default_time.ok_or_else(|| format!("{what} needs a time"));
-        };
+    let event_time = |tok: &str, what: &str| -> Result<f64, String> {
         parse_finite(
             tok.strip_prefix('@').unwrap_or(tok),
             format_args!("{what} time"),
         )
     };
-    let record = match cmd {
+    let (event, timed) = match cmd {
         "arrive" => {
             let id_tok = toks.next().ok_or("arrive needs a job id")?;
             let id: usize = id_tok
                 .parse()
                 .map_err(|_| format!("bad job id `{id_tok}`"))?;
-            let arrival = parse_arrive(toks.rest(), default_time)?;
-            return Ok(Record::Arrive { id, arrival });
+            let (arrival, timed) = parse_arrive(toks.rest())?;
+            return Ok(EventLine {
+                id: Some(id),
+                event: Event::Arrive(arrival),
+                timed,
+            });
         }
         "join" | "drain" | "crash" => {
             let change = match cmd {
@@ -784,18 +876,18 @@ pub fn parse_line(line: &str, default_time: Option<f64>) -> Result<Record, Strin
             let machine: usize = m_tok
                 .parse()
                 .map_err(|_| format!("bad machine `{m_tok}`"))?;
-            let time = event_time(toks.next(), cmd)?;
-            Record::Capacity {
+            let time = toks.next().map(|t| event_time(t, cmd)).transpose()?;
+            let event = Event::Capacity {
                 change,
                 machine,
-                time,
-            }
+                time: time.unwrap_or(f64::NAN),
+            };
+            (event, time.is_some())
         }
         "advance" => {
             let t = toks.next().ok_or("advance needs a time")?;
-            Record::Advance {
-                time: event_time(Some(t), cmd)?,
-            }
+            let time = event_time(t, cmd)?;
+            (Event::Advance { time }, true)
         }
         other => {
             return Err(format!(
@@ -804,7 +896,11 @@ pub fn parse_line(line: &str, default_time: Option<f64>) -> Result<Record, Strin
         }
     };
     match toks.next() {
-        None => Ok(record),
+        None => Ok(EventLine {
+            id: None,
+            event,
+            timed,
+        }),
         Some(extra) => Err(format!(
             "{cmd} takes no operand after its time, got `{extra}`"
         )),
@@ -835,20 +931,20 @@ const FRAMES_RETAIN_BYTES: usize = 8 << 20;
 /// newline.
 #[derive(Default)]
 struct Frames {
-    buf: String,
+    buf: Vec<u8>,
     /// Start of each line within `buf`.
     starts: Vec<usize>,
 }
 
 impl Frames {
     /// Frames one record whose body `write_body` appends to the buffer.
-    fn push_with(&mut self, write_body: impl FnOnce(&mut String)) {
+    fn push_with(&mut self, write_body: impl FnOnce(&mut Vec<u8>)) {
         let start = self.buf.len();
         self.starts.push(start);
         write_body(&mut self.buf);
-        let sum = word_sum64(&self.buf.as_bytes()[start..]);
-        push_hex(&mut self.buf, " #w", sum);
-        self.buf.push('\n');
+        let sum = word_sum64(&self.buf[start..]);
+        push_hex(&mut self.buf, b" #w", sum);
+        self.buf.push(b'\n');
     }
 
     fn clear(&mut self) {
@@ -1164,7 +1260,7 @@ impl Journal {
     /// Appends one record (write, `pre-fsync` failpoint, fsync).
     /// Returns the byte offset the record starts at.
     pub fn append(&mut self, body: &str) -> Result<u64, String> {
-        self.append_with(|f| f.push_with(|buf| buf.push_str(body)))
+        self.append_with(|f| f.push_with(|buf| buf.extend_from_slice(body.as_bytes())))
             .map(|offs| offs[0])
     }
 
@@ -1175,7 +1271,7 @@ impl Journal {
     pub fn append_batch(&mut self, bodies: &[String]) -> Result<Vec<u64>, String> {
         self.append_with(|f| {
             for body in bodies {
-                f.push_with(|buf| buf.push_str(body));
+                f.push_with(|buf| buf.extend_from_slice(body.as_bytes()));
             }
         })
     }
@@ -1202,7 +1298,7 @@ impl Journal {
         };
         let offsets: Vec<u64> = frames.starts.iter().map(|&s| self.len + s as u64).collect();
         self.file
-            .write_all(frames.buf.as_bytes())
+            .write_all(&frames.buf)
             .map_err(|e| Self::io_err(&self.path, "append", e))?;
         match failpoint::hit("pre-fsync") {
             FailHit::Proceed => {}
@@ -1217,7 +1313,7 @@ impl Journal {
             FailHit::Torn => {
                 // Manufacture the torn tail deterministically: rewind
                 // to the last record's start, leave half of it, die.
-                let line = &frames.buf.as_bytes()[last..];
+                let line = &frames.buf[last..];
                 let _ = self.file.set_len(self.len + last as u64);
                 let _ = self.file.write_all(&line[..line.len() / 2]);
                 let _ = self.file.sync_data();
@@ -1567,8 +1663,8 @@ mod tests {
     /// One framed journal line (body, checksum token, newline).
     fn framed(body: &str) -> String {
         let mut f = Frames::default();
-        f.push_with(|buf| buf.push_str(body));
-        f.buf
+        f.push_with(|buf| buf.extend_from_slice(body.as_bytes()));
+        String::from_utf8(f.buf).unwrap()
     }
 
     /// Feed a small deterministic stream through a journaled session.
@@ -1616,10 +1712,28 @@ mod tests {
         assert!(parse_record("drain 1")
             .unwrap_err()
             .contains("needs a time"));
+        let mut line = parse_line("drain 1").unwrap();
+        assert!(!line.timed && line.event.time().is_nan());
+        line.resolve(Some(2.5)).unwrap();
         assert!(matches!(
-            parse_line("drain 1", Some(2.5)).unwrap(),
+            line.clone().into_record(),
             Record::Capacity { machine: 1, time, .. } if time == 2.5
         ));
+        // Resolving again moves an omitted time, never a stated one.
+        line.resolve(Some(4.0)).unwrap();
+        assert_eq!(line.event.time(), 4.0);
+        let mut line = parse_line("arrive 3 w=2 1 1").unwrap();
+        assert_eq!((line.id, line.timed), (Some(3), false));
+        assert!(line
+            .clone()
+            .resolve(None)
+            .unwrap_err()
+            .contains("missing @T"));
+        line.resolve(Some(1.5)).unwrap();
+        assert_eq!(line.event.time(), 1.5);
+        let mut line = parse_line("join 0 @7").unwrap();
+        line.resolve(Some(1.0)).unwrap();
+        assert_eq!((line.timed, line.event.time()), (true, 7.0));
         // An operand after a capacity or advance time is an error.
         for bad in [
             "drain 1 @1.5 junk",
@@ -1630,7 +1744,7 @@ mod tests {
         ] {
             let err = parse_record(bad).unwrap_err();
             assert!(err.contains("no operand after its time"), "{bad}: {err}");
-            assert!(parse_line(bad, Some(0.0)).is_err(), "{bad}");
+            assert!(parse_line(bad).is_err(), "{bad}");
         }
     }
 
@@ -1656,7 +1770,7 @@ mod tests {
             "arrive 0 @1e309 w=1 1 2",
             "arrive 0 w=1 m=2 0:1 @-inf",
         ] {
-            let err = parse_line(bad, Some(1.0)).unwrap_err();
+            let err = parse_line(bad).unwrap_err();
             assert!(
                 err.contains("time") && err.contains("finite"),
                 "{bad}: {err}"
@@ -1767,6 +1881,22 @@ mod tests {
             let got: Vec<u64> = arrival.sizes.iter().map(|s| s.to_bits()).collect();
             let want: Vec<u64> = dense.iter().map(|s| s.to_bits()).collect();
             prop_assert_eq!(got, want, "{}", body);
+        }
+
+        /// The word-at-a-time hex kernel writes what `{:016x}` writes,
+        /// for any bit pattern, and `parse_number` reads it back.
+        #[test]
+        fn hex_digits_match_fmt_and_parse_back(bits in any::<u64>(), shift in 0u32..64) {
+            // `shift` also reaches patterns with long runs of zero
+            // nibbles, which uniform bits almost never give.
+            for bits in [bits, bits >> shift, bits << shift] {
+                let mut out = Vec::new();
+                push_hex(&mut out, b"x", bits);
+                let token = String::from_utf8(out).unwrap();
+                prop_assert_eq!(&token[1..], format!("{bits:016x}"));
+                let back = parse_number(&token).map(f64::to_bits);
+                prop_assert_eq!(back, Some(bits), "{}", token);
+            }
         }
     }
 
@@ -2019,21 +2149,22 @@ advance 3 #h111adf285e162cdc
             let body = format!("arrive 0 @1 w=1 {operands}");
             let err = parse_record(&body).expect_err(&body);
             assert!(err.contains(why), "{body}: {err}");
-            let err = parse_arrive(operands, Some(1.0)).expect_err(&body);
+            let err = parse_arrive(operands).expect_err(&body);
             assert!(err.contains(why), "{body}: {err}");
         }
         // A width past the u32 id space is refused before any row is
         // allocated for it.
         let huge = format!("m={} 0:1 1:1", u64::MAX);
-        assert!(parse_arrive(&huge, Some(0.0)).is_err());
+        assert!(parse_arrive(&huge).is_err());
         // Well-formed rows in both forms read the same values.
-        let sparse = parse_arrive("m=8 2:1.5 5:x4000000000000000", Some(0.0)).unwrap();
-        let dense = parse_arrive("inf inf 1.5 inf inf 2 inf inf", Some(0.0)).unwrap();
+        let (sparse, _) = parse_arrive("@0 m=8 2:1.5 5:x4000000000000000").unwrap();
+        let (dense, _) = parse_arrive("@0 inf inf 1.5 inf inf 2 inf inf").unwrap();
         assert_eq!(sparse, dense);
         assert!(sparse.sizes.as_dense().is_none() && dense.sizes.as_dense().is_none());
-        let empty = parse_arrive("m=3", Some(0.0)).unwrap();
+        let (empty, timed) = parse_arrive("m=3").unwrap();
         assert_eq!(empty.sizes, vec![f64::INFINITY; 3]);
-        assert!(parse_arrive("w=2", None)
+        assert!(!timed && empty.release.is_nan());
+        assert!(parse_record("arrive 0 w=2")
             .unwrap_err()
             .contains("missing @T"));
     }
@@ -2065,7 +2196,7 @@ advance 3 #h111adf285e162cdc
                     }
                 })
                 .collect();
-            let got = parse_arrive(&line.join(" "), Some(0.0)).unwrap().sizes;
+            let got = parse_arrive(&line.join(" ")).unwrap().0.sizes;
             let want = SizeRow::from(row.clone());
             assert_eq!(
                 got.as_dense().is_some(),

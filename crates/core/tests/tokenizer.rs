@@ -249,8 +249,8 @@ fn bits(rec: &Record) -> (String, Vec<u64>) {
 /// recovery cannot read.
 fn check(line: &str) {
     let _ = split_verb(line);
-    let _ = parse_line(line, None);
-    let Ok(rec) = parse_line(line, Some(0.5)) else {
+    let _ = parse_record(line);
+    let Ok(rec) = parse_at(line, 0.5) else {
         return;
     };
     let body = match &rec {
@@ -266,6 +266,13 @@ fn check(line: &str) {
     };
     let back = parse_record(&body).unwrap_or_else(|e| panic!("{line:?} -> {body:?}: {e}"));
     assert_eq!(bits(&back), bits(&rec), "{line:?} -> {body:?}");
+}
+
+/// `line` parsed, an omitted `@T` resolved to `default_time`.
+fn parse_at(line: &str, default_time: f64) -> Result<Record, String> {
+    let mut parsed = parse_line(line)?;
+    parsed.resolve(Some(default_time))?;
+    Ok(parsed.into_record())
 }
 
 /// The tokens of `line` as the tokenizer walks them (through
@@ -353,9 +360,9 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let plain = toks.join(" ");
-        let want = parse_line(&plain, None).unwrap_or_else(|e| panic!("{plain}: {e}"));
+        let want = parse_record(&plain).unwrap_or_else(|e| panic!("{plain}: {e}"));
         let mangled = mangle(&toks, seed);
-        let got = parse_line(&mangled, None).unwrap_or_else(|e| panic!("{mangled:?}: {e}"));
+        let got = parse_record(&mangled).unwrap_or_else(|e| panic!("{mangled:?}: {e}"));
         prop_assert_eq!(bits(&got), bits(&want), "{:?}", mangled);
         if let (Some(sizes), Record::Arrive { arrival, .. }) = (sizes, &got) {
             prop_assert!(arrival.sizes == sizes, "{:?}", mangled);
