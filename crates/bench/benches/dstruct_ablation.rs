@@ -5,7 +5,7 @@
 //! for recorded baselines).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use osr_core::dispatch::rebuild_shard_index;
+use osr_core::dispatch::rebuild_index;
 use osr_core::{DispatchIndex, FlowParams, FlowScheduler, QueueBackend};
 use osr_dstruct::{
     AggTreap, KernelMode, MachineIndex, MachineStats, MaskView, NaiveAggQueue, NodeStats,
@@ -453,7 +453,7 @@ fn rack_phat(c: &mut Criterion) {
 /// rack rejoins) with the **incremental** tombstone/join path vs the
 /// **rebuild-from-scratch reference** of `CapacityIndexMode::Rebuild`,
 /// which reconstructs the whole index after *every* capacity event —
-/// exactly what `sync_shard_index` does per event in the schedulers
+/// exactly what `sync_index` does per event in the schedulers
 /// under `SchedulerConfig::reference()`. A dispatch search runs after
 /// each burst (degraded and recovered), so both variants pay the search
 /// they exist to serve. The reference's job is bit-identical answers
@@ -470,9 +470,8 @@ fn elastic_resize(c: &mut Criterion) {
     };
     // The whole-pool rebuild, as the schedulers' production index
     // settings would run it.
-    let rebuild = |online: &OnlineSet| {
-        rebuild_shard_index(0, m, online, Propagation::Lazy, KernelMode::Chunked, stats)
-    };
+    let rebuild =
+        |online: &OnlineSet| rebuild_index(online, Propagation::Lazy, KernelMode::Chunked, stats);
     fn probe(ix: &mut MachineIndex) -> Option<(usize, f64)> {
         // Busy-everywhere bounds: the descent does real comparisons on
         // every level (tombstoned leaves are skipped by the search).
@@ -614,7 +613,7 @@ fn kernel_ablation(c: &mut Criterion) {
             // exactly as the consumer runs it — EligMask ∩ OnlineSet
             // intersect (with summary maintenance), the capped
             // popcount admission test, a summary rebuild of the
-            // surviving mask (the shard-rebase shape), then the
+            // surviving mask (the mask-build shape), then the
             // set-bit candidate walk. The eligibility mask is sparse
             // (16 machines scattered over the pool, restricted-
             // assignment shape) because that is the only regime where

@@ -157,24 +157,6 @@ const KEY_RATIOS: &[(&str, &str, &str, &str, Option<f64>)] = &[
         "pruned_m64_g16/2048",
         None,
     ),
-    // PR 7: the epoch-sharded event driver. This pair is an
-    // **overhead gate**, not a speedup gate: on a single-core host the
-    // rayon pool degrades to serial execution, so `serial/sharded8`
-    // measures pure sharding bookkeeping (per-shard index slices,
-    // epoch assembly, the barrier merge). The ratio sits near 1.0× by
-    // construction, and the gate fires when it *drops* — i.e. when the
-    // sharded path gets meaningfully slower than the serial loop, the
-    // regression mode that would silently tax every `--shards` run.
-    // Multi-core speedup is evaluated manually (BENCH.md, PR 7
-    // section). Widened to 50%: both medians are end-to-end scheduler
-    // runs with quick-mode sample counts.
-    (
-        "serial-vs-sharded8 epoch driver overhead (m=4096)",
-        "epoch_shard",
-        "serial_m4096/20480",
-        "sharded8_m4096/20480",
-        Some(0.50),
-    ),
     // PR 9: the chunked `[T;4]` kernel layer vs its scalar twin,
     // isolated from the schedulers at the acceptance size m = 1024.
     // `flat_scan` (fused bound eval + argmin) is the lane win the gate

@@ -6,8 +6,8 @@
 //! cargo run --release -p osr-bench --bin bench_summary [-- --out PATH]
 //! ```
 //!
-//! Mechanism: invokes `cargo bench` for the `dstruct_ablation`,
-//! `epoch_shard`, and `serve_journal` suites with `OSR_BENCH_QUICK=1`
+//! Mechanism: invokes `cargo bench` for the `dstruct_ablation` and
+//! `serve_journal` suites with `OSR_BENCH_QUICK=1`
 //! (5 samples × ~5 ms — seconds, not minutes) and `OSR_BENCH_JSON`
 //! pointed at a temp file the criterion shim appends one JSON line per
 //! benchmark to. Quick mode runs every suite [`QUICK_RUNS`] times and
@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::process::Command;
 
-const SUITES: &[&str] = &["dstruct_ablation", "epoch_shard", "serve_journal"];
+const SUITES: &[&str] = &["dstruct_ablation", "serve_journal"];
 
 /// Runs of each suite in quick mode; each bench keeps its least
 /// disturbed median.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p osr-bench --bin run_experiments -- \
-//!     [--quick] [--jobs N] [--shards N] [ids…]
+//!     [--quick] [--jobs N] [ids…]
 //! ```
 //!
 //! With no ids, runs all experiments. `--quick` uses the reduced sizes
@@ -12,18 +12,30 @@
 //! (see `osr_bench::experiments` for the determinism contract), so
 //! `--jobs` trades wall-clock only.
 //!
-//! `--shards N` is the one runtime knob (same spelling and parser as
-//! `osr run` / `osr serve`): it sets the process-default
-//! [`osr_core::SchedulerConfig`] to the production configuration with
-//! `N` shards. It is **result-neutral** — the sharded driver reconciles
-//! cross-shard argmin candidates with the serial tie-break — so CSVs are
-//! byte-identical at any `N`; CI diffs `--shards 4` against the default.
-//! The other knobs' reference settings are diffed in-process by the
+//! Every experiment runs under [`osr_core::SchedulerConfig::production`].
+//! The reference settings of its knobs are diffed in-process by the
 //! `reference_equivalence` test.
 
 use std::fs;
 use std::io::Write as _;
 use std::time::Instant;
+
+use osr_core::SchedulerConfig;
+
+/// The flags this harness accepts, printed with every usage error.
+const USAGE: &str = "\
+usage: run_experiments [--quick] [--jobs N] [ids...]
+  --quick    reduced sizes (the integration-test configuration)
+  --jobs N   worker count for replicate fan-out (N >= 1; output is
+             byte-identical at any N)
+";
+
+/// Prints `msg` and the usage text, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprint!("{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,50 +43,23 @@ fn main() {
 
     let mut wanted: Vec<String> = Vec::new();
     let mut jobs: Option<usize> = None;
-    let mut config = osr_core::SchedulerConfig::production();
     let mut iter = args.iter();
-    // Takes the flag's value token or dies with the shared usage text.
-    fn value<'a>(iter: &mut std::slice::Iter<'a, String>, flag: &str) -> &'a str {
-        iter.next().map(String::as_str).unwrap_or_else(|| {
-            eprintln!("{flag} needs a value; runtime knobs:");
-            eprint!("{}", osr_core::knob_help("  "));
-            std::process::exit(2);
-        })
-    }
-    fn parsed<T>(r: Result<T, String>) -> T {
-        r.unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    }
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => {}
-            "--shards" => {
-                config.shards = parsed(osr_core::parse_shards(value(&mut iter, "--shards")));
-            }
             "--jobs" => {
-                let v = iter.next().unwrap_or_else(|| {
-                    eprintln!("--jobs needs a value");
-                    std::process::exit(2);
-                });
+                let Some(v) = iter.next() else {
+                    usage_error("--jobs needs a value");
+                };
                 match v.parse::<usize>() {
                     Ok(n) if n >= 1 => jobs = Some(n),
-                    _ => {
-                        eprintln!("--jobs needs a positive integer, got {v:?}");
-                        std::process::exit(2);
-                    }
+                    _ => usage_error(&format!("--jobs needs a positive integer, got {v:?}")),
                 }
             }
-            s if s.starts_with("--") => {
-                eprintln!("unknown flag {s}; runtime knobs:");
-                eprint!("{}", osr_core::knob_help("  "));
-                std::process::exit(2);
-            }
+            s if s.starts_with("--") => usage_error(&format!("unknown flag {s}")),
             s => wanted.push(s.to_string()),
         }
     }
-    osr_core::set_default_config(config);
 
     if let Some(n) = jobs {
         rayon::ThreadPoolBuilder::new()
@@ -92,7 +77,7 @@ fn main() {
         }
         println!("\n### {id} — {description}\n");
         let t0 = Instant::now();
-        let tables = runner(quick);
+        let tables = runner(quick, SchedulerConfig::production());
         let dt = t0.elapsed();
         for (k, table) in tables.iter().enumerate() {
             println!("{table}");

@@ -2,16 +2,17 @@
 //! relies on holds on real runs, checked exactly (§2, at all step
 //! breakpoints) and by dense sampling (§3).
 
-use osr_core::energyflow::{check_energyflow_dual, EnergyFlowParams, EnergyFlowScheduler};
-use osr_core::flowtime::{check_dual_feasibility, FlowScheduler};
+use osr_core::energyflow::check_energyflow_dual;
+use osr_core::flowtime::check_dual_feasibility;
+use osr_core::SchedulerConfig;
 use osr_model::InstanceKind;
 use osr_workload::{FlowWorkload, WeightSpec};
 
-use super::par_replicates;
+use super::{energyflow, flow, par_replicates};
 use crate::table::{fmt_g4, Table};
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let n = if quick { 120 } else { 400 };
     let seeds: Vec<u64> = if quick {
         vec![1, 2]
@@ -42,7 +43,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
     for row in par_replicates(cells, |(eps, m, seed)| {
         let inst = FlowWorkload::standard(n, m, seed).generate(InstanceKind::FlowTime);
-        let out = FlowScheduler::with_eps(eps).unwrap().run(&inst);
+        let out = flow(eps, config).run(&inst);
         let audit = check_dual_feasibility(&inst, &out.dual, usize::MAX);
         assert!(
             audit.is_feasible(),
@@ -83,9 +84,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         let mut w = FlowWorkload::standard(n.min(150), 2, 50 + seed);
         w.weights = WeightSpec::Uniform { lo: 1.0, hi: 6.0 };
         let inst = w.generate(InstanceKind::FlowEnergy);
-        let out = EnergyFlowScheduler::new(EnergyFlowParams::new(eps, alpha))
-            .unwrap()
-            .run(&inst);
+        let out = energyflow(eps, alpha, config).run(&inst);
         let audit = check_energyflow_dual(&inst, &out, usize::MAX, grid);
         assert!(
             audit.is_feasible(),
@@ -113,7 +112,7 @@ mod tests {
 
     #[test]
     fn all_audits_pass_with_nonnegative_margins() {
-        for t in run(true) {
+        for t in run(true, SchedulerConfig::production()) {
             assert!(!t.rows.is_empty());
             for row in &t.rows {
                 let violations: usize = row[4].parse().unwrap();

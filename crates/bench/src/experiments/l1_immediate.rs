@@ -8,15 +8,15 @@
 //! instance, rerun, and normalize by the adversary's schedule cost.
 
 use osr_baselines::ImmediateRejectScheduler;
-use osr_core::FlowScheduler;
+use osr_core::SchedulerConfig;
 use osr_sim::ValidationConfig;
 use osr_workload::adversarial::{lemma1_adversary_flow, lemma1_big_jobs, lemma1_full_instance};
 
-use super::{must_validate, par_replicates};
+use super::{flow, must_validate, par_replicates};
 use crate::table::{fmt_g4, Table};
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let eps = 0.5;
     let ls: &[f64] = if quick {
         &[5.0, 10.0, 20.0]
@@ -58,7 +58,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         let imm_m = must_validate("l1", &full, &imm_log, &ValidationConfig::flow_time());
         let imm_ratio = imm_m.flow.flow_all / adv;
 
-        let spaa = FlowScheduler::with_eps(eps).unwrap().run(&full);
+        let spaa = flow(eps, config).run(&full);
         let spaa_m = must_validate("l1", &full, &spaa.log, &ValidationConfig::flow_time());
         let spaa_ratio = spaa_m.flow.flow_all / adv;
 
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn immediate_policy_grows_and_spaa_does_not() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         let t = &tables[0];
         let first_imm: f64 = t.rows.first().unwrap()[3].parse().unwrap();
         let last_imm: f64 = t.rows.last().unwrap()[3].parse().unwrap();

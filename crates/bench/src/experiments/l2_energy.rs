@@ -9,13 +9,14 @@
 
 use osr_core::bounds::{energymin_competitive_bound, energymin_lower_bound};
 use osr_core::energymin::{EnergyMinOnline, EnergyMinParams};
+use osr_core::SchedulerConfig;
 use osr_workload::adversarial::lemma2_run;
 
 use super::par_replicates;
 use crate::table::{fmt_g4, Table};
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, _config: SchedulerConfig) -> Vec<Table> {
     let alphas: &[f64] = if quick {
         &[2.0, 3.0, 4.0]
     } else {
@@ -68,7 +69,7 @@ mod tests {
 
     #[test]
     fn adversary_hurts_more_as_alpha_grows() {
-        let tables = run(false);
+        let tables = run(false, SchedulerConfig::production());
         let t = &tables[0];
         let ratios: Vec<f64> = t.rows.iter().map(|r| r[4].parse().unwrap()).collect();
         // Each round the adversary forces overlap; the ratio must
@@ -79,7 +80,7 @@ mod tests {
 
     #[test]
     fn ratio_stays_below_the_theorem_upper_bound() {
-        for t in run(true) {
+        for t in run(true, SchedulerConfig::production()) {
             for row in &t.rows {
                 let ratio: f64 = row[4].parse().unwrap();
                 let upper: f64 = row[6].parse().unwrap();

@@ -9,17 +9,16 @@
 //! load while never crossing the `2ε` budget.
 
 use osr_baselines::flow_lower_bound;
-use osr_core::flowtime::WeightedFlowScheduler;
-use osr_core::FlowScheduler;
+use osr_core::SchedulerConfig;
 use osr_model::InstanceKind;
 use osr_sim::{SummaryStats, ValidationConfig};
 use osr_workload::{ArrivalSpec, FlowWorkload, SizeSpec};
 
-use super::{must_validate, par_replicates};
+use super::{flow, must_validate, par_replicates, wflow};
 use crate::table::{fmt_g4, Table};
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let eps = 0.25;
     let n = if quick { 400 } else { 2000 };
     let machines = 4;
@@ -56,12 +55,12 @@ pub fn run(quick: bool) -> Vec<Table> {
         w.sizes = SizeSpec::Uniform { lo: 1.0, hi: 5.0 };
         let inst = w.generate(InstanceKind::FlowTime);
 
-        let out = FlowScheduler::with_eps(eps).unwrap().run(&inst);
+        let out = flow(eps, config).run(&inst);
         let m = must_validate("load", &inst, &out.log, &ValidationConfig::flow_time());
         let lb = flow_lower_bound(&inst, Some(out.dual.objective())).value;
         let stats = SummaryStats::flows(&inst, &out.log);
 
-        let wout = WeightedFlowScheduler::with_eps(eps).unwrap().run(&inst);
+        let wout = wflow(eps, config).run(&inst);
         let wm = must_validate("load", &inst, &wout.log, &ValidationConfig::flow_time());
 
         assert!(
@@ -90,7 +89,7 @@ mod tests {
 
     #[test]
     fn rejections_grow_with_load_within_budget() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         let t = &tables[0];
         let fracs: Vec<f64> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
         // Overload rejects more than underload.
@@ -105,7 +104,7 @@ mod tests {
 
     #[test]
     fn flows_stay_bounded_in_overload() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         let t = &tables[0];
         // Mean flow at rho=1.5 should be within a couple orders of
         // magnitude of rho=0.5 — rejection prevents the unbounded

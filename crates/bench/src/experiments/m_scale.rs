@@ -16,7 +16,7 @@
 //!    **effective** dispatch index of the Pruned-requested run
 //!    (`linear` below `PRUNED_MIN_MACHINES` — recorded so ablation
 //!    CSVs cannot mislabel themselves), so it is byte-identical across
-//!    `--jobs` (a CI diff) *and* across a `Linear` process default
+//!    `--jobs` (a CI diff) *and* under a `Linear` config
 //!    (the `reference_equivalence` test).
 //! 2. **wall-clock m-sweep** (`--full` only) — pruned vs linear
 //!    medians-of-one; timing columns are exempt from the determinism
@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use osr_core::{DispatchIndex, FlowParams, FlowScheduler};
+use osr_core::{DispatchIndex, FlowParams, FlowScheduler, SchedulerConfig};
 use osr_model::{FinishedLog, InstanceKind, RejectReason};
 use osr_workload::{FlowWorkload, MachineSpec};
 
@@ -35,9 +35,13 @@ use crate::table::{fmt_g4, Table};
 
 fn run_with(
     inst: &osr_model::Instance,
+    config: SchedulerConfig,
     dispatch: DispatchIndex,
 ) -> (FinishedLog, f64, f64, DispatchIndex) {
-    let mut params = FlowParams::new(0.25);
+    let mut params = FlowParams {
+        config,
+        ..FlowParams::new(0.25)
+    };
     params.dispatch = dispatch;
     let sched = FlowScheduler::new(params).unwrap();
     let _ = sched.run(inst); // warm-up
@@ -65,7 +69,7 @@ const fn sweep(m: usize, n: usize, affinity_groups: Option<usize>) -> Sweep {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     // (m, n): n scales sublinearly at the top so the size matrix
     // (n·m f64s) stays within CI memory. Affinity rows keep the
     // issue's floor of ≥ 16 groups so racks stay sparse.
@@ -132,8 +136,8 @@ pub fn run(quick: bool) -> Vec<Table> {
         };
         let inst = w.generate(InstanceKind::FlowTime);
 
-        let (log_p, lam_p, dt_p, effective) = run_with(&inst, DispatchIndex::Pruned);
-        let (log_l, lam_l, dt_l, _) = run_with(&inst, DispatchIndex::Linear);
+        let (log_p, lam_p, dt_p, effective) = run_with(&inst, config, DispatchIndex::Pruned);
+        let (log_l, lam_l, dt_l, _) = run_with(&inst, config, DispatchIndex::Linear);
         assert_eq!(
             log_p, log_l,
             "m_scale: pruned and linear dispatch diverged at m={m} ({model_label})"
@@ -186,7 +190,7 @@ mod tests {
 
     #[test]
     fn quick_mode_emits_only_the_deterministic_table() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].rows.len(), 4);
         for row in &tables[0].rows {

@@ -1,6 +1,6 @@
 //! Experiment implementations, one module per DESIGN.md entry.
 //!
-//! Every `run(quick) -> Vec<Table>` is deterministic (fixed seeds) and
+//! Every `run(quick, config) -> Vec<Table>` is deterministic (fixed seeds) and
 //! validates every schedule before measuring it — a scheduler bug
 //! yields a panic, never a silently wrong table.
 //!
@@ -37,9 +37,39 @@ pub mod t2_ratio;
 pub mod t3_ratio;
 pub mod workload_sweep;
 
+use osr_core::flowtime::{WeightedFlowParams, WeightedFlowScheduler};
+use osr_core::{EnergyFlowParams, EnergyFlowScheduler, FlowParams, FlowScheduler, SchedulerConfig};
 use osr_model::{FinishedLog, Instance, Metrics};
 use osr_sim::{validate_log, ValidationConfig};
 use rayon::prelude::*;
+
+/// The §2 scheduler at `eps`, under the experiment's `config`.
+pub(crate) fn flow(eps: f64, config: SchedulerConfig) -> FlowScheduler {
+    FlowScheduler::new(FlowParams {
+        config,
+        ..FlowParams::new(eps)
+    })
+    .expect("valid eps")
+}
+
+/// The weighted scheduler at `eps`, under the experiment's `config`.
+pub(crate) fn wflow(eps: f64, config: SchedulerConfig) -> WeightedFlowScheduler {
+    WeightedFlowScheduler::new(WeightedFlowParams {
+        config,
+        ..WeightedFlowParams::new(eps)
+    })
+    .expect("valid eps")
+}
+
+/// The §3 scheduler at `eps` and `alpha`, under the experiment's
+/// `config`.
+pub(crate) fn energyflow(eps: f64, alpha: f64, config: SchedulerConfig) -> EnergyFlowScheduler {
+    EnergyFlowScheduler::new(EnergyFlowParams {
+        config,
+        ..EnergyFlowParams::new(eps, alpha)
+    })
+    .expect("valid eps and alpha")
+}
 
 /// Runs `f` over `inputs` on the rayon pool, returning results in input
 /// order — the fan-out primitive behind every experiment's replicate

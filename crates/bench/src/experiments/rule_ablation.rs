@@ -8,13 +8,13 @@
 //! rejection usage.
 
 use osr_baselines::flow_lower_bound;
-use osr_core::{FlowParams, FlowScheduler};
+use osr_core::{FlowParams, FlowScheduler, SchedulerConfig};
 use osr_model::{Instance, InstanceKind};
 use osr_sim::ValidationConfig;
 use osr_workload::adversarial::long_job_trap;
 use osr_workload::{ArrivalSpec, FlowWorkload, SizeSpec};
 
-use super::{must_validate, par_replicates};
+use super::{flow, must_validate, par_replicates};
 use crate::table::{fmt_g4, Table};
 
 fn workloads(quick: bool) -> Vec<(String, Instance)> {
@@ -53,7 +53,7 @@ fn workloads(quick: bool) -> Vec<(String, Instance)> {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let eps = 0.25;
     let configs: [(&str, bool, bool); 4] = [
         ("both", true, true),
@@ -74,13 +74,17 @@ pub fn run(quick: bool) -> Vec<Table> {
     // share its certified LB, so they stay grouped in one replicate.
     for rows in par_replicates(workloads(quick), |(name, inst)| {
         // Certified LB from the canonical (both-rules) run.
-        let canonical = FlowScheduler::new(FlowParams::new(eps)).unwrap().run(&inst);
+        let canonical = flow(eps, config).run(&inst);
         let lb = flow_lower_bound(&inst, Some(canonical.dual.objective())).value;
 
         configs
             .iter()
             .map(|&(label, r1, r2)| {
-                let sched = FlowScheduler::new(FlowParams::with_rules(eps, r1, r2)).unwrap();
+                let sched = FlowScheduler::new(FlowParams {
+                    config,
+                    ..FlowParams::with_rules(eps, r1, r2)
+                })
+                .unwrap();
                 let out = sched.run(&inst);
                 let m = must_validate("rules", &inst, &out.log, &ValidationConfig::flow_time());
                 vec![
@@ -106,7 +110,7 @@ mod tests {
 
     #[test]
     fn both_rules_never_lose_badly_and_help_on_the_trap() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         let t = &tables[0];
         let get = |workload: &str, rules: &str| -> f64 {
             t.rows
@@ -130,7 +134,7 @@ mod tests {
 
     #[test]
     fn disabled_rules_reject_nothing() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         for row in &tables[0].rows {
             if row[1] == "none" {
                 assert_eq!(row[3], "0");

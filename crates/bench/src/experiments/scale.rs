@@ -11,14 +11,17 @@
 
 use std::time::Instant;
 
-use osr_core::{FlowParams, FlowScheduler, QueueBackend};
+use osr_core::{FlowParams, FlowScheduler, QueueBackend, SchedulerConfig};
 use osr_model::InstanceKind;
 use osr_workload::{ArrivalSpec, FlowWorkload};
 
 use crate::table::{fmt_g4, Table};
 
-fn time_run(inst: &osr_model::Instance, backend: QueueBackend) -> f64 {
-    let mut params = FlowParams::new(0.25);
+fn time_run(inst: &osr_model::Instance, config: SchedulerConfig, backend: QueueBackend) -> f64 {
+    let mut params = FlowParams {
+        config,
+        ..FlowParams::new(0.25)
+    };
     params.backend = backend;
     let sched = FlowScheduler::new(params).unwrap();
     // Warm-up, then a timed repetition.
@@ -31,7 +34,7 @@ fn time_run(inst: &osr_model::Instance, backend: QueueBackend) -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let sizes: &[usize] = if quick {
         &[1_000, 5_000]
     } else {
@@ -44,7 +47,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     );
     for &n in sizes {
         let inst = FlowWorkload::standard(n, 8, 42).generate(InstanceKind::FlowTime);
-        let dt = time_run(&inst, QueueBackend::Treap);
+        let dt = time_run(&inst, config, QueueBackend::Treap);
         scaling.row(vec![n.to_string(), fmt_g4(dt), fmt_g4(n as f64 / dt)]);
     }
 
@@ -65,8 +68,8 @@ pub fn run(quick: bool) -> Vec<Table> {
             gap: 5.0,
         };
         let inst = w.generate(InstanceKind::FlowTime);
-        let t_treap = time_run(&inst, QueueBackend::Treap);
-        let t_naive = time_run(&inst, QueueBackend::Naive);
+        let t_treap = time_run(&inst, config, QueueBackend::Treap);
+        let t_naive = time_run(&inst, config, QueueBackend::Naive);
         ablation.row(vec![
             n.to_string(),
             fmt_g4(t_treap),
@@ -84,7 +87,7 @@ mod tests {
 
     #[test]
     fn quick_scale_runs_and_reports_throughput() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         assert_eq!(tables.len(), 2);
         for row in &tables[0].rows {
             let jps: f64 = row[2].parse().unwrap();

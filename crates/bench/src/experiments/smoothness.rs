@@ -4,12 +4,13 @@
 
 use osr_core::bounds::smooth_competitive_bound;
 use osr_core::smooth::{audit_smooth_inequality, lambda_alpha, mu_alpha};
+use osr_core::SchedulerConfig;
 
 use super::par_replicates;
 use crate::table::{fmt_g4, Table};
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, _config: SchedulerConfig) -> Vec<Table> {
     let trials = if quick { 2_000 } else { 50_000 };
     let alphas = [1.2, 1.5, 2.0, 2.5, 3.0, 4.0];
 
@@ -54,7 +55,7 @@ mod tests {
 
     #[test]
     fn no_violations_found() {
-        for t in run(true) {
+        for t in run(true, SchedulerConfig::production()) {
             for row in &t.rows {
                 assert_eq!(row[4], "0", "smoothness violated: {row:?}");
                 let worst: f64 = row[5].parse().unwrap();

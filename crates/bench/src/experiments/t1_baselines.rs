@@ -7,13 +7,13 @@
 //! costs are normalized by the same certified lower bound.
 
 use osr_baselines::{flow_lower_bound, GreedyScheduler, SpeedAugScheduler};
-use osr_core::FlowScheduler;
+use osr_core::SchedulerConfig;
 use osr_model::{Instance, InstanceKind, Metrics};
 use osr_sim::ValidationConfig;
 use osr_workload::adversarial::long_job_trap;
 use osr_workload::{ArrivalSpec, FlowWorkload, SizeSpec};
 
-use super::{must_validate, par_replicates};
+use super::{flow, must_validate, par_replicates};
 use crate::table::{fmt_g4, Table};
 
 fn workloads(quick: bool) -> Vec<(String, Instance)> {
@@ -55,7 +55,7 @@ fn workloads(quick: bool) -> Vec<(String, Instance)> {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let eps = 0.2;
     let mut table = Table::new(
         "EXP-T1-BASE: SPAA'18 vs no-rejection and speed-augmented baselines",
@@ -78,7 +78,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     // Workloads fan out; each replicate runs all four policies on its
     // instance so the shared certified LB stays local.
     for row in par_replicates(workloads(quick), |(name, inst)| {
-        let out = FlowScheduler::with_eps(eps).unwrap().run(&inst);
+        let out = flow(eps, config).run(&inst);
         let spaa = must_validate("t1_base", &inst, &out.log, &ValidationConfig::flow_time());
         let lb = flow_lower_bound(&inst, Some(out.dual.objective())).value;
 
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn spaa18_beats_fifo_on_the_trap() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         let t = &tables[0];
         let trap = t
             .rows
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn all_rows_have_positive_ratios() {
-        for t in run(true) {
+        for t in run(true, SchedulerConfig::production()) {
             for row in &t.rows {
                 for cell in &row[2..6] {
                     let v: f64 = cell.parse().unwrap();

@@ -7,16 +7,16 @@
 
 use osr_baselines::{flow_lower_bound, optimal_flow};
 use osr_core::bounds::flowtime_competitive_bound;
-use osr_core::FlowScheduler;
+use osr_core::SchedulerConfig;
 use osr_model::InstanceKind;
 use osr_sim::ValidationConfig;
 use osr_workload::{FlowWorkload, SizeSpec};
 
-use super::{max, mean, must_validate, par_replicates};
+use super::{flow, max, mean, must_validate, par_replicates};
 use crate::table::{fmt_g4, Table};
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let eps_sweep: &[f64] = if quick {
         &[0.5, 1.0]
     } else {
@@ -58,7 +58,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 w.sizes = SizeSpec::Uniform { lo: 1.0, hi: 10.0 };
                 let inst = w.generate(InstanceKind::FlowTime);
                 let opt = optimal_flow(&inst);
-                let out = FlowScheduler::with_eps(eps).unwrap().run(&inst);
+                let out = flow(eps, config).run(&inst);
                 let metrics =
                     must_validate("t1_exact", &inst, &out.log, &ValidationConfig::flow_time());
                 let lb = flow_lower_bound(&inst, Some(out.dual.objective()));
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn ratios_stay_under_the_theorem_bound() {
-        for t in run(true) {
+        for t in run(true, SchedulerConfig::production()) {
             for row in &t.rows {
                 let ratio_max: f64 = row[4].parse().unwrap();
                 let bound: f64 = row[5].parse().unwrap();

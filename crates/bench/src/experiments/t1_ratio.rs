@@ -9,16 +9,16 @@
 
 use osr_baselines::flow_lower_bound;
 use osr_core::bounds::{flowtime_competitive_bound, flowtime_rejection_budget};
-use osr_core::{FlowParams, FlowScheduler};
+use osr_core::SchedulerConfig;
 use osr_model::InstanceKind;
 use osr_sim::ValidationConfig;
 use osr_workload::FlowWorkload;
 
-use super::{max, mean, must_validate, par_replicates};
+use super::{flow, max, mean, must_validate, par_replicates};
 use crate::table::{fmt_g4, Table};
 
 /// Runs the experiment; `quick` trims sizes for tests.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let eps_sweep = [0.1, 0.2, 1.0 / 3.0, 0.5, 0.75, 1.0];
     let machine_counts: &[usize] = if quick { &[1, 4] } else { &[1, 4, 10] };
     let n = if quick { 300 } else { 2000 };
@@ -53,7 +53,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             // for any worker count.
             let results: Vec<(f64, f64, &'static str)> = par_replicates(seeds.clone(), |seed| {
                 let inst = FlowWorkload::standard(n, m, seed).generate(InstanceKind::FlowTime);
-                let sched = FlowScheduler::new(FlowParams::new(eps)).unwrap();
+                let sched = flow(eps, config);
                 let out = sched.run(&inst);
                 let metrics =
                     must_validate("t1_ratio", &inst, &out.log, &ValidationConfig::flow_time());
@@ -108,7 +108,7 @@ mod tests {
 
     #[test]
     fn quick_run_produces_full_sweep() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         assert_eq!(t.rows.len(), 2 * 6); // 2 machine counts × 6 eps values

@@ -5,15 +5,16 @@
 use osr_baselines::energyflow_alone_lower_bound;
 use osr_core::bounds::energyflow_competitive_bound;
 use osr_core::energyflow::{EnergyFlowParams, EnergyFlowScheduler};
+use osr_core::SchedulerConfig;
 use osr_model::{InstanceKind, Metrics};
 use osr_sim::{validate_log, ValidationConfig};
 use osr_workload::{FlowWorkload, SizeSpec, WeightSpec};
 
-use super::{max, mean, par_replicates};
+use super::{energyflow, max, mean, par_replicates};
 use crate::table::{fmt_g4, Table};
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let eps_sweep: &[f64] = if quick {
         &[0.2, 0.5, 1.0]
     } else {
@@ -56,7 +57,7 @@ pub fn run(quick: bool) -> Vec<Table> {
                 let mut w = FlowWorkload::standard(n, 3, 100 + seed);
                 w.weights = WeightSpec::Uniform { lo: 1.0, hi: 8.0 };
                 let inst = w.generate(InstanceKind::FlowEnergy);
-                let sched = EnergyFlowScheduler::new(EnergyFlowParams::new(eps, alpha)).unwrap();
+                let sched = energyflow(eps, alpha, config);
                 let out = sched.run(&inst);
                 let report = validate_log(&inst, &out.log, &ValidationConfig::flow_energy());
                 assert!(report.is_valid(), "{:?}", report.errors.first());
@@ -93,12 +94,13 @@ pub fn run(quick: bool) -> Vec<Table> {
         let inst = w.generate(InstanceKind::FlowEnergy);
         let lb = energyflow_alone_lower_bound(&inst, alpha);
 
-        let with = EnergyFlowScheduler::new(EnergyFlowParams::new(0.2, alpha)).unwrap();
+        let with = energyflow(0.2, alpha, config);
         let out_with = with.run(&inst);
         let m_with = Metrics::compute(&inst, &out_with.log, alpha);
 
         let without = EnergyFlowScheduler::new(EnergyFlowParams {
             reject: false,
+            config,
             ..EnergyFlowParams::new(0.2, alpha)
         })
         .unwrap();
@@ -123,7 +125,7 @@ mod tests {
 
     #[test]
     fn ratios_positive_and_budget_enforced() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         for row in &tables[0].rows {
             let ratio: f64 = row[2].parse().unwrap();
             let wrej: f64 = row[5].parse().unwrap();
@@ -138,7 +140,7 @@ mod tests {
 
     #[test]
     fn rejection_does_not_hurt_much_and_often_helps() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         for row in &tables[1].rows {
             let improvement: f64 = row[3].parse().unwrap();
             // Rejection may help a lot on heavy tails and should never

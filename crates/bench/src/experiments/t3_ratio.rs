@@ -6,6 +6,7 @@
 use osr_baselines::{energy_lower_bound, yds_energy, AvrScheduler};
 use osr_core::bounds::energymin_competitive_bound;
 use osr_core::energymin::{per_job_energy_lower_bound, EnergyMinParams, EnergyMinScheduler};
+use osr_core::SchedulerConfig;
 use osr_sim::{validate_log, ValidationConfig};
 use osr_workload::EnergyWorkload;
 
@@ -13,7 +14,7 @@ use super::par_replicates;
 use crate::table::{fmt_g4, Table};
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, _config: SchedulerConfig) -> Vec<Table> {
     let alphas: &[f64] = if quick {
         &[2.0, 3.0]
     } else {
@@ -127,7 +128,7 @@ mod tests {
 
     #[test]
     fn greedy_within_bound_and_competitive_with_avr() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         for row in &tables[0].rows {
             let greedy: f64 = row[2].parse().unwrap();
             let bound: f64 = row[4].parse().unwrap();
@@ -143,7 +144,7 @@ mod tests {
 
     #[test]
     fn finer_grids_do_not_increase_energy_much() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         let grid = &tables[1];
         for row in &grid.rows {
             let vs: f64 = row[4].parse().unwrap();

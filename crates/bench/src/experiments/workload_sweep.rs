@@ -19,14 +19,12 @@
 //! an ineligible job is rejected by *every* scheduler, at arrival.
 
 use osr_baselines::{flow_lower_bound, GreedyScheduler, SpeedAugScheduler};
-use osr_core::energyflow::{EnergyFlowParams, EnergyFlowScheduler};
-use osr_core::flowtime::{WeightedFlowParams, WeightedFlowScheduler};
-use osr_core::{FlowParams, FlowScheduler};
+use osr_core::SchedulerConfig;
 use osr_model::{FinishedLog, Instance, InstanceKind, JobFate, Metrics, RejectReason};
 use osr_sim::{CapacityPlan, ValidationConfig};
 use osr_workload::Scenario;
 
-use super::{must_validate, par_replicates};
+use super::{energyflow, flow, must_validate, par_replicates, wflow};
 use crate::table::{fmt_g4, Table};
 
 /// The curated quick grid: every arrival, size, and machine token of
@@ -95,16 +93,14 @@ fn assert_no_lost_jobs(exp: &str, inst: &Instance, log: &FinishedLog) {
 fn run_churn_policies(
     inst: &Instance,
     plan: &CapacityPlan,
+    config: SchedulerConfig,
 ) -> Vec<(&'static str, Metrics, u64, usize)> {
     let eps = 0.25;
     let flow_cfg = ValidationConfig::flow_time().with_capacity(plan.clone());
     let speed_cfg = ValidationConfig::flow_energy().with_capacity(plan.clone());
     let mut rows = Vec::new();
 
-    let out = FlowScheduler::new(FlowParams::new(eps))
-        .unwrap()
-        .with_capacity(plan.clone())
-        .run(inst);
+    let out = flow(eps, config).with_capacity(plan.clone()).run(inst);
     assert_no_lost_jobs("workload_sweep/churn/flow", inst, &out.log);
     let m = must_validate("workload_sweep", inst, &out.log, &flow_cfg);
     rows.push((
@@ -114,10 +110,7 @@ fn run_churn_policies(
         machine_lost_count(&out.log),
     ));
 
-    let wout = WeightedFlowScheduler::new(WeightedFlowParams::new(eps))
-        .unwrap()
-        .with_capacity(plan.clone())
-        .run(inst);
+    let wout = wflow(eps, config).with_capacity(plan.clone()).run(inst);
     assert_no_lost_jobs("workload_sweep/churn/wflow", inst, &wout.log);
     let m = must_validate("workload_sweep", inst, &wout.log, &flow_cfg);
     rows.push((
@@ -127,8 +120,7 @@ fn run_churn_policies(
         machine_lost_count(&wout.log),
     ));
 
-    let eout = EnergyFlowScheduler::new(EnergyFlowParams::new(eps, 2.0))
-        .unwrap()
+    let eout = energyflow(eps, 2.0, config)
         .with_capacity(plan.clone())
         .run(inst);
     assert_no_lost_jobs("workload_sweep/churn/energyflow", inst, &eout.log);
@@ -153,14 +145,14 @@ struct PolicyRow {
     norm: Option<f64>,
 }
 
-fn run_policies(inst: &Instance) -> Vec<PolicyRow> {
+fn run_policies(inst: &Instance, config: SchedulerConfig) -> Vec<PolicyRow> {
     let eps = 0.25;
     let flow_cfg = ValidationConfig::flow_time();
     let speed_cfg = ValidationConfig::flow_energy();
     let mut rows = Vec::new();
 
     // The paper's §2 algorithm also certifies the shared lower bound.
-    let out = FlowScheduler::new(FlowParams::new(eps)).unwrap().run(inst);
+    let out = flow(eps, config).run(inst);
     let lb = flow_lower_bound(inst, Some(out.dual.objective())).value;
     let m = must_validate("workload_sweep", inst, &out.log, &flow_cfg);
     rows.push(PolicyRow {
@@ -170,9 +162,7 @@ fn run_policies(inst: &Instance) -> Vec<PolicyRow> {
         metrics: m,
     });
 
-    let wout = WeightedFlowScheduler::new(WeightedFlowParams::new(eps))
-        .unwrap()
-        .run(inst);
+    let wout = wflow(eps, config).run(inst);
     let m = must_validate("workload_sweep", inst, &wout.log, &flow_cfg);
     rows.push(PolicyRow {
         algo: "wflow-ext",
@@ -181,9 +171,7 @@ fn run_policies(inst: &Instance) -> Vec<PolicyRow> {
         metrics: m,
     });
 
-    let eout = EnergyFlowScheduler::new(EnergyFlowParams::new(eps, 2.0))
-        .unwrap()
-        .run(inst);
+    let eout = energyflow(eps, 2.0, config).run(inst);
     let m = must_validate("workload_sweep", inst, &eout.log, &speed_cfg);
     rows.push(PolicyRow {
         algo: "energyflow",
@@ -223,7 +211,7 @@ fn run_policies(inst: &Instance) -> Vec<PolicyRow> {
 }
 
 /// Runs the experiment.
-pub fn run(quick: bool) -> Vec<Table> {
+pub fn run(quick: bool, config: SchedulerConfig) -> Vec<Table> {
     let (grid, n, m): (Vec<String>, usize, usize) = if quick {
         (QUICK_GRID.iter().map(|s| s.to_string()).collect(), 240, 12)
     } else {
@@ -256,7 +244,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         // Everywhere-ineligible jobs are a property of the *instance*;
         // every policy must reject exactly those (and only at arrival).
         let expected_inelig = inst.jobs().iter().filter(|j| !j.has_eligible()).count();
-        let policies = run_policies(&inst);
+        let policies = run_policies(&inst, config);
         policies
             .into_iter()
             .map(|p| {
@@ -317,7 +305,7 @@ pub fn run(quick: bool) -> Vec<Table> {
             !plan.is_empty(),
             "{name}: churn scenario generated no events"
         );
-        run_churn_policies(&inst, &plan)
+        run_churn_policies(&inst, &plan, config)
             .into_iter()
             .map(|(algo, metrics, redisp, lost)| {
                 vec![
@@ -349,7 +337,7 @@ mod tests {
 
     #[test]
     fn quick_grid_covers_every_token_and_policy() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         let t = &tables[0];
         assert_eq!(t.rows.len(), QUICK_GRID.len() * 6);
         for token in osr_workload::scenario::ARRIVAL_TOKENS
@@ -366,7 +354,7 @@ mod tests {
 
     #[test]
     fn churn_scenarios_redispatch_without_losing_jobs() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         let t = &tables[1];
         // Every churn grid point produced one row per capacity-aware
         // scheduler (the no-lost-job invariant asserted inside
@@ -387,13 +375,13 @@ mod tests {
         let total_redisp: u64 = t.rows.iter().map(|r| r[7].parse::<u64>().unwrap()).sum();
         assert!(total_redisp > 0, "no re-dispatches across the churn grid");
         // Determinism: a second run reproduces the table byte-for-byte.
-        let again = run(true);
+        let again = run(true, SchedulerConfig::production());
         assert_eq!(t.rows, again[1].rows, "churn table must be deterministic");
     }
 
     #[test]
     fn affinity_scenarios_exercise_ineligible_rejections() {
-        let tables = run(true);
+        let tables = run(true, SchedulerConfig::production());
         let mut affinity_inelig = 0usize;
         for row in &tables[0].rows {
             let inelig: usize = row[5].parse().unwrap();

@@ -24,8 +24,8 @@
 //! ## Perf baselines
 //!
 //! The Criterion suites under `benches/` track the dispatch hot path
-//! (`dstruct_ablation`, `dispatch_scaling`), the sharded driver
-//! (`epoch_shard`) and the journaled serve loop (`serve_journal`).
+//! (`dstruct_ablation`, `dispatch_scaling`) and the journaled serve
+//! loop (`serve_journal`).
 //! `src/bin/bench_summary.rs` runs the dispatch suites
 //! and distills `BENCH_dispatch.json`; BENCH.md explains how to record
 //! a new baseline and keeps the narrative history.
@@ -43,8 +43,9 @@ pub mod table;
 
 pub use table::{fmt_g4, Table};
 
-/// An experiment entry point: `quick` flag in, result tables out.
-pub type ExperimentFn = fn(bool) -> Vec<Table>;
+/// An experiment entry point: the `quick` flag and the scheduler
+/// configuration every run uses in, result tables out.
+pub type ExperimentFn = fn(bool, osr_core::SchedulerConfig) -> Vec<Table>;
 
 /// Experiment registry: `(id, description, runner)`.
 pub fn all_experiments() -> Vec<(&'static str, &'static str, ExperimentFn)> {

@@ -6,6 +6,7 @@
 //! `scale` is exempt (wall-clock columns) and excluded here.
 
 use osr_bench::Table;
+use osr_core::SchedulerConfig;
 
 fn csv_dump(tables: &[Table]) -> String {
     tables
@@ -50,13 +51,13 @@ fn quick_tables_are_byte_identical_across_worker_counts() {
     with_jobs(1).unwrap();
     let serial: Vec<String> = experiments
         .iter()
-        .map(|(_, _, run)| csv_dump(&run(true)))
+        .map(|(_, _, run)| csv_dump(&run(true, SchedulerConfig::production())))
         .collect();
 
     for jobs in [2, 8] {
         with_jobs(jobs).unwrap();
         for ((id, _, run), expected) in experiments.iter().zip(&serial) {
-            let parallel = csv_dump(&run(true));
+            let parallel = csv_dump(&run(true, SchedulerConfig::production()));
             assert_eq!(
                 &parallel, expected,
                 "{id}: --jobs {jobs} output diverged from serial"

@@ -10,18 +10,14 @@
 //! the scalar twins, and the pruned index against the linear scan.
 //! [`SchedulerConfig::reference`] keeps `Pruned` dispatch, because a
 //! `Linear` run builds no index and would never reach the eager or
-//! rebuild paths; `Linear` is a separate case on top of it. A sharded
-//! reference run covers the rebuild and eager paths inside shard-local
-//! indexes.
+//! rebuild paths; `Linear` is a separate case on top of it.
 //!
-//! The experiments build their params with `*Params::new`, which reads
-//! the process default, so this file holds exactly one `#[test]`: it
-//! sets that default, and a second test in the same process could
-//! observe it mid-run. `scale` is excluded because its rows are
-//! wall-clock measurements.
+//! Every experiment takes its configuration as an argument, so the
+//! runs share no process state. `scale` is excluded because its rows
+//! are wall-clock measurements.
 
 use osr_bench::Table;
-use osr_core::{set_default_config, DispatchIndex, SchedulerConfig};
+use osr_core::{DispatchIndex, SchedulerConfig};
 
 fn csv_dump(tables: &[Table]) -> String {
     tables
@@ -32,14 +28,12 @@ fn csv_dump(tables: &[Table]) -> String {
 }
 
 /// Every quick-mode experiment but `scale`, as `(id, csv)` pairs, run
-/// under `config` as the process default.
+/// under `config`.
 fn suite_under(config: SchedulerConfig) -> Vec<(&'static str, String)> {
-    set_default_config(config);
-    assert_eq!(SchedulerConfig::default(), config);
     osr_bench::all_experiments()
         .into_iter()
         .filter(|(id, _, _)| *id != "scale")
-        .map(|(id, _, run)| (id, csv_dump(&run(true))))
+        .map(|(id, _, run)| (id, csv_dump(&run(true, config))))
         .collect()
 }
 
@@ -57,13 +51,6 @@ fn experiment_suite_is_byte_identical_under_every_reference_config() {
                 ..reference
             },
         ),
-        (
-            "reference + 4 shards",
-            SchedulerConfig {
-                shards: 4,
-                ..reference
-            },
-        ),
     ];
     for (label, config) in cases {
         let got = suite_under(config);
@@ -71,5 +58,4 @@ fn experiment_suite_is_byte_identical_under_every_reference_config() {
             assert_eq!(csv, want, "{id}: {label} diverged from production");
         }
     }
-    set_default_config(SchedulerConfig::production());
 }

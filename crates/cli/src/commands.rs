@@ -33,23 +33,19 @@ use crate::args::{split_spec, Args};
 pub const FLAGS: &[&str] = &["gantt", "help", "once", "recover"];
 
 /// The options (flags included) a subcommand accepts: the `--name`
-/// tokens of its [`USAGE`] entry, plus the runtime knobs
-/// ([`osr_core::KNOBS`]) for `run` and `serve`. Read from the usage
-/// text itself, so the check cannot drift from the help. Anything else
+/// tokens of its [`USAGE`] entry. Read from the usage text itself, so the check cannot drift from the help. Anything else
 /// is an error that names the option, so a misspelled or removed flag
 /// cannot silently run the default. `None` for an unknown subcommand.
 fn known_options(subcommand: &str) -> Option<Vec<&'static str>> {
     let head = format!("\n  osr {subcommand} ");
     let entry = &USAGE[USAGE.find(&head)? + head.len()..];
     let entry = &entry[..entry.find("\n  osr ").unwrap_or(entry.len())];
-    let mut names: Vec<&str> = entry
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-        .filter_map(|token| token.strip_prefix("--"))
-        .collect();
-    if matches!(subcommand, "run" | "serve") {
-        names.extend(osr_core::KNOBS.iter().map(|k| &k.flag[2..]));
-    }
-    Some(names)
+    Some(
+        entry
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|token| token.strip_prefix("--"))
+            .collect(),
+    )
 }
 
 /// A command's result: the stdout payload plus informational notices
@@ -74,19 +70,18 @@ impl From<String> for CmdOutput {
 }
 
 /// Usage text printed on errors, `osr help` and `osr --help`: the
-/// static command grammar plus the runtime-knob table generated from
-/// [`osr_core::KNOBS`], so the help can never drift from the parsers.
+/// static command grammar plus the serve-knob table generated from
+/// [`osr_core::SERVE_KNOBS`], so the help can never drift from the
+/// parsers.
 pub fn usage() -> String {
     format!(
-        "{USAGE}\nRUNTIME KNOBS (run/serve/run_experiments; result-neutral):\n{}\
-         \nSERVE DURABILITY (serve only; recovery reproduces the log byte-identically):\n{}",
-        osr_core::knob_help("  "),
+        "{USAGE}\nSERVE DURABILITY (serve only; recovery reproduces the log byte-identically):\n{}",
         osr_core::serve_knob_help("  ")
     )
 }
 
 /// Static usage text (command grammar only — [`usage`] appends the
-/// generated runtime-knob table).
+/// generated serve-knob table).
 pub const USAGE: &str = "\
 osr — online non-preemptive scheduling with rejections (SPAA'18)
 
@@ -110,8 +105,6 @@ USAGE:
                [--capacity FILE]     (replay a `time,machine,kind` failure trace:
                                       machines join/drain/crash mid-run —
                                       flow/wflow/energyflow only)
-               [--shards N]          (flow/wflow/energyflow: epoch-sharded
-                                      driver; results byte-identical at any N)
                SPEC: flow:EPS | wflow:EPS | energyflow:EPS:ALPHA | energymin:ALPHA
                      | greedy:spt | greedy:fifo | speedaug:EPS_S:EPS_R
   osr serve    --algo flow:EPS|wflow:EPS|energyflow:EPS:ALPHA --machines M
@@ -129,8 +122,7 @@ USAGE:
                [--ingest-buffer N]   (bounded ingest channel: stdin blocks,
                                       socket lines shed `err overloaded`)
                [--failpoint SPEC]    (fault injection, point[:nth][:action])
-               runtime knobs as `osr run`; stdout carries exactly the final
-               schedule log (byte-identical to the offline run over the same
+               stdout carries exactly the final schedule log (byte-identical to the offline run over the same
                event stream). stdin/socket lines:
                  arrive <id> [@T] [w=W] <size>...   (size `inf` = ineligible)
                  join|drain|crash <machine> [@T]
@@ -274,41 +266,6 @@ fn parse_weights(spec: &str) -> Result<WeightSpec, String> {
         ("unit", []) => Ok(WeightSpec::Unit),
         ("uniform", [lo, hi]) => Ok(WeightSpec::Uniform { lo: *lo, hi: *hi }),
         _ => Err(format!("bad weights spec `{spec}`")),
-    }
-}
-
-/// The runtime knobs of `osr run` / `osr serve`, parsed once from the
-/// options so bad values surface through the command's error path
-/// (exit code 1), never a panic. `--shards` is the only one: every
-/// other [`osr_core::SchedulerConfig`] knob runs its production setting
-/// here, and its reference setting is reachable from tests only.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RuntimeOpts {
-    pub(crate) shards: Option<usize>,
-}
-
-impl RuntimeOpts {
-    pub(crate) fn parse(args: &Args) -> Result<Self, String> {
-        let shards = args.opt("shards").map(osr_core::parse_shards).transpose()?;
-        Ok(RuntimeOpts { shards })
-    }
-
-    /// Overlays the explicit selections onto a params struct's embedded
-    /// [`osr_core::SchedulerConfig`] block (unset options keep the
-    /// process default).
-    pub(crate) fn apply_to(&self, config: &mut osr_core::SchedulerConfig) {
-        if let Some(s) = self.shards {
-            config.shards = s;
-        }
-    }
-
-    /// Errors when `--shards` was given but the chosen algorithm has no
-    /// sharded driver — a silent drop would mislabel the run.
-    pub(crate) fn reject_unsupported(&self, spec: &str) -> Result<(), String> {
-        if self.shards.is_some() {
-            return Err(format!("--shards does not apply to `{spec}`"));
-        }
-        Ok(())
     }
 }
 
@@ -472,7 +429,6 @@ fn config_for(instance: &Instance, speeds_vary: bool) -> ValidationConfig {
 fn run_algo(
     spec: &str,
     instance: &Instance,
-    opts: RuntimeOpts,
     capacity: &CapacityPlan,
 ) -> Result<(FinishedLog, String, bool, Option<f64>), String> {
     let reject_capacity = |ok: bool| {
@@ -487,35 +443,29 @@ fn run_algo(
     let (head, v) = split_spec(spec);
     match (head.as_str(), v.as_slice()) {
         ("flow", [eps]) => {
-            let mut params = FlowParams::new(*eps);
-            opts.apply_to(&mut params.config);
-            let sched = FlowScheduler::new(params)?.with_capacity(capacity.clone());
+            let sched = FlowScheduler::new(FlowParams::new(*eps))?.with_capacity(capacity.clone());
             let out = sched.run(instance);
             Ok((out.log, sched.name(), false, Some(out.dual.objective())))
         }
         ("wflow", [eps]) => {
-            let mut params = WeightedFlowParams::new(*eps);
-            opts.apply_to(&mut params.config);
-            let sched = WeightedFlowScheduler::new(params)?.with_capacity(capacity.clone());
+            let sched = WeightedFlowScheduler::new(WeightedFlowParams::new(*eps))?
+                .with_capacity(capacity.clone());
             let name = sched.name();
             Ok((sched.run(instance).log, name, false, None))
         }
         ("energyflow", [eps, alpha]) => {
-            let mut params = EnergyFlowParams::new(*eps, *alpha);
-            opts.apply_to(&mut params.config);
-            let sched = EnergyFlowScheduler::new(params)?.with_capacity(capacity.clone());
+            let sched = EnergyFlowScheduler::new(EnergyFlowParams::new(*eps, *alpha))?
+                .with_capacity(capacity.clone());
             let name = sched.name();
             Ok((sched.run(instance).log, name, true, None))
         }
         ("energymin", [alpha]) => {
-            opts.reject_unsupported(spec)?;
             reject_capacity(false)?;
             let sched = EnergyMinScheduler::new(EnergyMinParams::new(*alpha))?;
             let name = sched.name();
             Ok((sched.run(instance).log, name, true, None))
         }
         ("greedy", _) => {
-            opts.reject_unsupported(spec)?;
             reject_capacity(false)?;
             let mut sched = match spec {
                 "greedy:spt" => GreedyScheduler::ect_spt(),
@@ -526,7 +476,6 @@ fn run_algo(
             Ok((sched.schedule(instance), name, false, None))
         }
         ("speedaug", [eps_s, eps_r]) => {
-            opts.reject_unsupported(spec)?;
             reject_capacity(false)?;
             let sched = SpeedAugScheduler::new(*eps_s, *eps_r)?;
             let name = sched.name();
@@ -549,38 +498,14 @@ fn load_capacity(args: &Args, machines: usize) -> Result<CapacityPlan, String> {
     Ok(plan)
 }
 
-/// Informational notices for an explicitly requested `--shards` that
-/// the run could not honor at this machine count: a shard owns at least
-/// one 64-machine rack, so below that a multi-shard request collapses
-/// to the serial loop. They go to stderr (via [`CmdOutput::notices`])
-/// so stdout stays a clean report, but they must be said *somewhere* —
-/// otherwise runs label their results with a strategy that never
-/// executed.
-pub(crate) fn ineffective_knob_notices(opts: &RuntimeOpts, machines: usize) -> Vec<String> {
-    let mut notices = Vec::new();
-    if let Some(req) = opts.shards {
-        let eff = osr_core::effective_shards(req, machines);
-        if req > 1 && eff == 1 {
-            notices.push(format!(
-                "note: --shards {req} is ineffective at m={machines} (a shard owns at \
-                 least one 64-machine rack); the serial loop ran — label ablation \
-                 results accordingly"
-            ));
-        }
-    }
-    notices
-}
-
 /// `osr run` — run one scheduler on an instance.
 pub fn cmd_run(args: &Args) -> Result<CmdOutput, String> {
     let instance = load_instance(args)?;
     let spec = args.opt("algo").unwrap_or("flow:0.25");
     let alpha: f64 = args.opt_parse("alpha", 2.0)?;
-    let opts = RuntimeOpts::parse(args)?;
     let capacity = load_capacity(args, instance.machines())?;
 
-    let (log, name, speeds_vary, dual) = run_algo(spec, &instance, opts, &capacity)?;
-    let notices = ineffective_knob_notices(&opts, instance.machines());
+    let (log, name, speeds_vary, dual) = run_algo(spec, &instance, &capacity)?;
     let config = config_for(&instance, speeds_vary).with_capacity(capacity.clone());
     let report = validate_log(&instance, &log, &config);
     if !report.is_valid() {
@@ -648,10 +573,7 @@ pub fn cmd_run(args: &Args) -> Result<CmdOutput, String> {
         fs::write(path, io::log_to_string(&log)).map_err(|e| format!("writing {path}: {e}"))?;
         let _ = writeln!(out, "log written to {path}");
     }
-    Ok(CmdOutput {
-        stdout: out,
-        notices,
-    })
+    Ok(CmdOutput::from(out))
 }
 
 /// `osr validate` — validate a schedule log against its instance.
@@ -711,12 +633,7 @@ pub fn cmd_compare(args: &Args) -> Result<String, String> {
         format!("speedaug:{eps}:{eps}"),
     ];
     for spec in &specs {
-        let (log, name, speeds_vary, _) = run_algo(
-            spec,
-            &instance,
-            RuntimeOpts::default(),
-            &CapacityPlan::empty(),
-        )?;
+        let (log, name, speeds_vary, _) = run_algo(spec, &instance, &CapacityPlan::empty())?;
         let report = validate_log(&instance, &log, &config_for(&instance, speeds_vary));
         if !report.is_valid() {
             return Err(format!("{name}: invalid schedule"));
@@ -963,11 +880,8 @@ mod tests {
         assert!(help.contains("USAGE"));
         assert!(help.contains("osr serve"));
         assert!(help.contains("osr top"));
-        // The runtime-knob section is generated from the shared table.
-        for k in &osr_core::KNOBS {
-            assert!(help.contains(k.flag), "help misses {}", k.flag);
-        }
-        // So is the serve-durability section.
+        // The serve-durability section is generated from the shared
+        // table.
         assert!(help.contains("SERVE DURABILITY"), "{help}");
         for k in &osr_core::SERVE_KNOBS {
             assert!(help.contains(k.flag), "help misses {}", k.flag);
@@ -989,9 +903,7 @@ mod tests {
         };
         known(
             "run",
-            &[
-                "algo", "input", "log", "capacity", "gantt", "alpha", "shards",
-            ],
+            &["algo", "input", "log", "capacity", "gantt", "alpha"],
         );
         known(
             "serve",
@@ -1007,7 +919,6 @@ mod tests {
                 "failpoint",
                 "ingest-buffer",
                 "log",
-                "shards",
             ],
         );
         known(
@@ -1015,7 +926,9 @@ mod tests {
             &["n", "kind", "serve-script", "capacity-out", "from-trace"],
         );
         known("top", &["socket", "frames", "interval-ms", "retries"]);
-        assert!(!known_options("validate").unwrap().contains(&"shards"));
+        for sub in ["run", "serve", "validate"] {
+            assert!(!known_options(sub).unwrap().contains(&"shards"), "{sub}");
+        }
         assert!(known_options("nonsense").is_none());
         let err = dispatch(&args("bounds --epsilon 0.5")).unwrap_err();
         assert!(err.contains("unknown option --epsilon"), "{err}");
@@ -1040,35 +953,6 @@ mod tests {
     }
 
     #[test]
-    fn run_shard_counts_agree_with_serial_loop() {
-        let dir = std::env::temp_dir().join(format!("osr-cli-shag-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let inst_path = dir.join("inst.csv");
-        // > 64 machines so a shard count of 2 actually splits the pool
-        // into two rack shards instead of collapsing to the serial loop.
-        let text = cmd_gen(&args("gen --kind flowtime --n 60 --machines 80 --seed 7")).unwrap();
-        fs::write(&inst_path, text).unwrap();
-        for algo in ["flow:0.25", "wflow:0.25", "energyflow:0.5:3.0"] {
-            let mut outs = Vec::new();
-            for extra in ["--shards 1", "--shards 2", "--shards 4"] {
-                let out = cmd_run(&args(&format!(
-                    "run --algo {algo} --input {} {extra}",
-                    inst_path.display()
-                )))
-                .unwrap();
-                outs.push(out);
-            }
-            for o in &outs[1..] {
-                assert_eq!(
-                    o, &outs[0],
-                    "{algo}: shard count changed the schedule report"
-                );
-            }
-        }
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn run_backend_options_report_bad_values_and_misuse() {
         let dir = std::env::temp_dir().join(format!("osr-cli-bkerr-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
@@ -1081,11 +965,9 @@ mod tests {
                 inst_path.display()
             )))
         };
-        // Bad `--shards` values, and the removed reference knobs, which
-        // are now unknown options: each error names its option.
+        // The removed runtime knobs are unknown options: each error
+        // names its option.
         for (extra, needle) in [
-            ("--shards zero", "--shards"),
-            ("--shards 0", "--shards"),
             ("--queue-backend naive", "unknown option --queue-backend"),
             ("--event-backend pairing", "unknown option --event-backend"),
             ("--dispatch-index linear", "unknown option --dispatch-index"),
@@ -1100,53 +982,33 @@ mod tests {
             let err = run("flow:0.25", extra).unwrap_err();
             assert!(err.contains(needle), "{extra}: {err}");
         }
-        // `--shards` on an algorithm without a sharded driver is an
-        // error, not a silent no-op.
-        for algo in ["greedy:spt", "energymin:2.0", "speedaug:0.5:0.5"] {
-            let err = run(algo, "--shards 4").unwrap_err();
-            assert!(err.contains("does not apply"), "{algo}: {err}");
-        }
-        assert!(run("flow:0.25", "--shards 4").is_ok());
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn run_warns_when_requested_shards_are_ineffective() {
+    fn run_and_serve_reject_the_removed_shards_flag() {
         let dir = std::env::temp_dir().join(format!("osr-cli-shards-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
-        let small = dir.join("small.csv");
-        let big = dir.join("big.csv");
+        let inst = dir.join("inst.csv");
         fs::write(
-            &small,
-            cmd_gen(&args("gen --kind flowtime --n 10 --machines 2 --seed 1")).unwrap(),
-        )
-        .unwrap();
-        fs::write(
-            &big,
+            &inst,
             cmd_gen(&args("gen --kind flowtime --n 10 --machines 80 --seed 1")).unwrap(),
         )
         .unwrap();
-        // m = 2 fits in one 64-machine rack, so any shard count collapses
-        // to the serial loop and the run must say so — on stderr.
-        let out = cmd_run(&args(&format!(
-            "run --algo flow:0.25 --input {} --shards 4",
-            small.display()
-        )))
-        .unwrap();
-        let notice = out.notices.join("\n");
-        assert!(notice.contains("ineffective"), "{notice}");
-        assert!(notice.contains("serial loop ran"), "{notice}");
-        assert!(!out.stdout.contains("ineffective"), "{}", out.stdout);
-        // No notice when sharding engages (m > 64), when the serial loop
-        // is requested explicitly, or with no request.
-        for (path, extra) in [(&big, "--shards 2"), (&small, "--shards 1"), (&small, "")] {
-            let out = cmd_run(&args(&format!(
-                "run --algo flow:0.25 --input {} {extra}",
-                path.display()
-            )))
-            .unwrap();
-            assert!(out.notices.is_empty(), "{extra}: {:?}", out.notices);
+        // The driver is serial, so `--shards` is an unknown option on
+        // every algorithm, never silently accepted.
+        for algo in ["flow:0.25", "wflow:0.25", "energyflow:0.5:2", "greedy:spt"] {
+            let line = format!("run --algo {algo} --input {} --shards 2", inst.display());
+            let err = dispatch(&args(&line)).unwrap_err();
+            assert!(err.contains("unknown option --shards"), "{algo}: {err}");
         }
+        // `serve` refuses it before reading any input.
+        let err = dispatch(&args(
+            "serve --algo flow:0.25 --machines 2 --once --shards 2",
+        ))
+        .unwrap_err();
+        assert!(err.contains("unknown option --shards"), "{err}");
+        assert!(!usage().contains("shards"));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -102,7 +102,7 @@ use osr_model::{io as model_io, FinishedLog};
 use osr_sim::failpoint;
 
 use crate::args::{split_spec, Args};
-use crate::commands::{ineffective_knob_notices, usage, CmdOutput, RuntimeOpts};
+use crate::commands::{usage, CmdOutput};
 
 /// Builds the serve session for an `--algo` spec. Only the three
 /// capacity-aware schedulers have a streaming mode (deadline-based
@@ -112,31 +112,24 @@ fn build_session(
     spec: &str,
     machines: usize,
     offline: &[usize],
-    opts: &RuntimeOpts,
 ) -> Result<Box<dyn ServeSession>, String> {
     let (head, v) = split_spec(spec);
     match (head.as_str(), v.as_slice()) {
-        ("flow", [eps]) => {
-            let mut params = FlowParams::new(*eps);
-            opts.apply_to(&mut params.config);
-            Ok(Box::new(FlowSession::with_offline(
-                params, machines, offline,
-            )?))
-        }
-        ("wflow", [eps]) => {
-            let mut params = WeightedFlowParams::new(*eps);
-            opts.apply_to(&mut params.config);
-            Ok(Box::new(WeightedFlowSession::with_offline(
-                params, machines, offline,
-            )?))
-        }
-        ("energyflow", [eps, alpha]) => {
-            let mut params = EnergyFlowParams::new(*eps, *alpha);
-            opts.apply_to(&mut params.config);
-            Ok(Box::new(EnergyFlowSession::with_offline(
-                params, machines, offline,
-            )?))
-        }
+        ("flow", [eps]) => Ok(Box::new(FlowSession::with_offline(
+            FlowParams::new(*eps),
+            machines,
+            offline,
+        )?)),
+        ("wflow", [eps]) => Ok(Box::new(WeightedFlowSession::with_offline(
+            WeightedFlowParams::new(*eps),
+            machines,
+            offline,
+        )?)),
+        ("energyflow", [eps, alpha]) => Ok(Box::new(EnergyFlowSession::with_offline(
+            EnergyFlowParams::new(*eps, *alpha),
+            machines,
+            offline,
+        )?)),
         _ => Err(format!(
             "serve supports flow:EPS | wflow:EPS | energyflow:EPS:ALPHA, got `{spec}`\n\n{}",
             usage()
@@ -354,7 +347,6 @@ fn render_stats(sess: &dyn ServeSession) -> String {
     let _ = writeln!(out, "now {}", s.now);
     let _ = writeln!(out, "machines {}", s.machines);
     let _ = writeln!(out, "online {}", s.online);
-    let _ = writeln!(out, "shards {}", s.shards);
     let _ = writeln!(out, "arrived {}", s.arrived);
     let _ = writeln!(out, "queued {}", s.queued);
     let _ = writeln!(out, "running {}", s.running);
@@ -564,8 +556,7 @@ pub fn cmd_serve(args: &Args) -> Result<CmdOutput, String> {
         Some(s) => parse_offline(s)?,
         None => Vec::new(),
     };
-    let opts = RuntimeOpts::parse(args)?;
-    let mut notices = ineffective_knob_notices(&opts, machines);
+    let mut notices = Vec::new();
     let once = args.flag("once");
     let socket = args.opt("socket").map(PathBuf::from);
 
@@ -589,7 +580,7 @@ pub fn cmd_serve(args: &Args) -> Result<CmdOutput, String> {
         }
     }
 
-    let sess = build_session(spec, machines, &offline, &opts)?;
+    let sess = build_session(spec, machines, &offline)?;
     let sess: Box<dyn ServeSession> = match &journal_path {
         Some(path) => {
             let fp = osr_core::fingerprint(spec, machines, &offline);
@@ -691,12 +682,11 @@ fn render_frame(stats: &BTreeMap<String, String>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "\x1b[1mosr top\x1b[0m — \x1b[36m{}\x1b[0m @ t={}   machines {}/{} online   {} shard(s)",
+        "\x1b[1mosr top\x1b[0m — \x1b[36m{}\x1b[0m @ t={}   machines {}/{} online",
         get("algo"),
         get("now"),
         get("online"),
         get("machines"),
-        get("shards"),
     );
     let _ = writeln!(
         out,
@@ -1373,7 +1363,6 @@ shutdown
             ("now", "12.5"),
             ("machines", "8"),
             ("online", "7"),
-            ("shards", "1"),
             ("arrived", "100"),
             ("queued", "3"),
             ("running", "5"),

@@ -328,6 +328,65 @@ fn a_non_utf8_line_is_an_error_not_the_end_of_the_stream() {
     );
 }
 
+/// A job whose release absorbs its cheapest size (`r + p̂ == r` in
+/// `f64`) would complete at its own start with flow time 0. Serve
+/// answers it with an error and journals nothing (a timed line and an
+/// untimed one resolved against the clock alike), and the offline path
+/// refuses the same job when it validates the instance.
+#[test]
+fn a_release_that_absorbs_its_size_is_refused_online_and_offline() {
+    let dir = tmpdir("absorb");
+    let journal = dir.join("j.journal");
+    let script = "arrive 0 @1e300 1 1\nadvance 1e300\narrive 0 1 1\narrive 0 @1e300 inf inf\n";
+    let out = serve_raw(
+        &format!(
+            "serve --algo flow:0.25 --machines 2 --once --journal {}",
+            journal.display()
+        ),
+        script,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(
+        stderr.matches("absorbs the cheapest size").count(),
+        2,
+        "{stderr}"
+    );
+    // Only the ineligible arrival (rejected at arrival, no size to
+    // lose) is scheduled and journaled, as job 0.
+    let log = osr_model::io::log_from_str(&String::from_utf8(out.stdout).unwrap()).unwrap();
+    assert_eq!(log.len(), 1);
+    let records = fs::read_to_string(&journal).unwrap();
+    assert_eq!(
+        records.lines().filter(|l| l.starts_with("arrive")).count(),
+        1,
+        "{records}"
+    );
+    assert!(
+        records.contains("arrive 0 @") && records.contains(" m=2 "),
+        "{records}"
+    );
+
+    let inst = dir.join("inst.csv");
+    fs::write(
+        &inst,
+        "# osr-instance v1 kind=flowtime m=2\n0.5,1,-,1,2\n1e300,1,-,1,1\n",
+    )
+    .unwrap();
+    let out = osr()
+        .args(["run", "--algo", "flow:0.25", "--input"])
+        .arg(&inst)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("j1: release 1e300 absorbs the cheapest size 1.0"),
+        "{stderr}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn serve_socket_feeds_stats_and_top_renders() {
     let dir = tmpdir("top");
@@ -418,18 +477,29 @@ fn run_notices_go_to_stderr_and_stdout_stays_clean() {
     let (inst_text, _) = run_ok("gen --kind flowtime --n 10 --machines 2 --seed 1");
     fs::write(&inst_path, inst_text).unwrap();
 
-    // m=2 fits in one 64-machine rack, so a shard request collapses to
-    // the serial loop: that must be called out on stderr while stdout
-    // stays a clean report.
+    // A plain run says nothing on stderr: the report is all stdout.
     let (stdout, stderr) = run_ok(&format!(
-        "run --algo flow:0.25 --input {} --shards 4",
+        "run --algo flow:0.25 --input {}",
         inst_path.display()
     ));
-    assert!(stderr.contains("ineffective"), "{stderr}");
-    assert!(stderr.contains("serial loop ran"), "{stderr}");
-    assert!(!stdout.contains("note:"), "{stdout}");
-    assert!(!stdout.contains("ineffective"), "{stdout}");
+    assert!(stderr.is_empty(), "{stderr}");
     assert!(stdout.contains("algorithm      :"), "{stdout}");
+    // The removed `--shards` flag is an error on stderr (exit 1), and
+    // stdout stays empty rather than carrying a half report.
+    let out = osr()
+        .args(["run", "--algo", "flow:0.25", "--input"])
+        .arg(&inst_path)
+        .args(["--shards", "4"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --shards"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     fs::remove_dir_all(&dir).ok();
 }
 
@@ -470,6 +540,10 @@ fn serve_validates_its_options() {
             "serve --algo flow:0.25 --machines 2 --journl j.journal --once",
             "--journl",
         ),
+        (
+            "serve --algo flow:0.25 --machines 2 --shards 2 --once",
+            "--shards",
+        ),
     ] {
         let out = osr()
             .args(args.split_whitespace())
@@ -494,17 +568,15 @@ fn help_flags_print_usage_and_exit_zero() {
         "--kernels",
         "--queue-backend",
         "--event-backend",
+        "--shards",
+        "RUNTIME KNOBS",
     ];
     for args in [&["--help"][..], &["-h"], &["help"], &["run", "--help"]] {
         let out = osr().args(args).stdin(Stdio::null()).output().unwrap();
         assert_eq!(out.status.code(), Some(0), "`osr {args:?}`");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("USAGE"), "{stdout}");
-        let knobs = stdout
-            .split("RUNTIME KNOBS")
-            .nth(1)
-            .expect("usage has a runtime-knob section");
-        assert!(knobs.contains("--shards"), "{knobs}");
+        assert!(stdout.contains("SERVE DURABILITY"), "{stdout}");
         for flag in deleted {
             assert!(!stdout.contains(flag), "`osr {args:?}` lists {flag}");
         }

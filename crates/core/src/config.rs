@@ -8,24 +8,20 @@
 //! a production choice or a test reference:
 //!
 //! * [`SchedulerConfig::production`] — what the CLI, the serve loop and
-//!   the experiment harness run: treap queues, pruned dispatch, lazy
-//!   ancestor repair, incremental capacity maintenance, chunked
-//!   kernels, one shard.
+//!   the experiment harness run, and what [`SchedulerConfig::default`]
+//!   returns: treap queues, pruned dispatch, lazy ancestor repair,
+//!   incremental capacity maintenance, chunked kernels.
 //! * [`SchedulerConfig::reference`] — the simplest setting of every
 //!   knob (naive queue, eager repair, the rebuild-from-scratch
-//!   capacity index, scalar kernels, serial driver). The equivalence
-//!   suites compare production runs against it; `Linear` dispatch is a
-//!   second reference, applied on top of it, because a `Linear` run
-//!   builds no index and would leave the others unexercised.
+//!   capacity index, scalar kernels). The equivalence suites compare
+//!   production runs against it; `Linear` dispatch is a second
+//!   reference, applied on top of it, because a `Linear` run builds no
+//!   index and would leave the others unexercised.
 //!
-//! [`SchedulerConfig::default`] reads one process default, set only by
-//! [`set_default_config`] (`run_experiments --shards N` and the
-//! reference-equivalence test). The knob vocabulary ([`KNOBS`],
-//! [`knob_help`], `parse_*`) that CLI help text and error messages are
-//! generated from lives here too, so the docs cannot drift from the
-//! parser.
-
-use std::sync::RwLock;
+//! None of these knobs has a CLI flag. The serve-durability vocabulary
+//! ([`SERVE_KNOBS`], [`serve_knob_help`], `parse_*`) that `osr serve`'s
+//! help text and error messages are generated from lives here too, so
+//! the docs cannot drift from the parser.
 
 use osr_dstruct::{KernelMode, Propagation};
 
@@ -35,7 +31,7 @@ use crate::flowtime::QueueBackend;
 /// The runtime knobs shared by all three schedulers.
 ///
 /// Embedded as the `config` field of every params struct; the params
-/// structs `Deref` to it, so `params.dispatch`, `params.shards` etc.
+/// structs `Deref` to it, so `params.dispatch`, `params.kernels` etc.
 /// keep working as plain field accesses. Every knob is result-neutral
 /// (schedules are byte-identical across all settings); see the field
 /// docs for what each one trades.
@@ -56,38 +52,18 @@ pub struct SchedulerConfig {
     /// Which kernel layer the SoA hot loops run (`Scalar` is the
     /// bit-exact reference; `Chunked` autovectorizes).
     pub kernels: KernelMode,
-    /// Requested shard count for the epoch-sharded driver (`1` is the
-    /// serial loop; requests clamp to one shard per 64-machine rack).
-    pub shards: usize,
-}
-
-/// The process default behind [`SchedulerConfig::default`].
-static DEFAULT_CONFIG: RwLock<SchedulerConfig> = RwLock::new(SchedulerConfig::production());
-
-/// Sets the process default every later [`SchedulerConfig::default`]
-/// (and therefore every `*Params::new`) returns. Only harness `main`s
-/// and tests call this; a shard count below 1 is clamped to 1.
-pub fn set_default_config(mut config: SchedulerConfig) {
-    config.shards = config.shards.max(1);
-    *DEFAULT_CONFIG.write().unwrap_or_else(|e| e.into_inner()) = config;
 }
 
 impl Default for SchedulerConfig {
-    /// The current process default: [`SchedulerConfig::production`]
-    /// unless [`set_default_config`] replaced it.
+    /// [`SchedulerConfig::production`].
     fn default() -> Self {
-        *DEFAULT_CONFIG.read().unwrap_or_else(|e| e.into_inner())
+        Self::production()
     }
 }
 
 impl SchedulerConfig {
-    /// The process-default configuration (alias for `Default`).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The production configuration: every knob at its fastest
-    /// setting, one shard.
+    /// setting.
     pub const fn production() -> Self {
         SchedulerConfig {
             backend: QueueBackend::Treap,
@@ -95,14 +71,13 @@ impl SchedulerConfig {
             capacity_index: CapacityIndexMode::Incremental,
             propagation: Propagation::Lazy,
             kernels: KernelMode::Chunked,
-            shards: 1,
         }
     }
 
     /// The reference configuration the equivalence tests compare
     /// production runs against: the naive pending queue, eager
-    /// ancestor repair, the rebuild-from-scratch capacity index, scalar
-    /// kernels and the serial driver. Dispatch stays `Pruned` so the
+    /// ancestor repair, the rebuild-from-scratch capacity index and
+    /// scalar kernels. Dispatch stays `Pruned` so the
     /// reference index paths actually run (a `Linear` run builds no
     /// index at all); tests apply `Linear` on top as a separate case.
     pub const fn reference() -> Self {
@@ -112,43 +87,30 @@ impl SchedulerConfig {
             capacity_index: CapacityIndexMode::Rebuild,
             propagation: Propagation::Eager,
             kernels: KernelMode::Scalar,
-            shards: 1,
         }
     }
 }
 
-/// One row of the runtime-knob vocabulary: the flag harnesses expose,
-/// its accepted values, the built-in default, and a one-line summary.
-/// CLI usage text and parse-error messages are generated from these
-/// rows so they cannot drift from the parsers below.
+/// One row of the serve-knob vocabulary: the flag `osr serve`
+/// exposes, its accepted values, the built-in default, and a one-line
+/// summary. Usage text and parse-error messages are generated from
+/// these rows so they cannot drift from the parsers below.
 #[derive(Debug, Clone, Copy)]
 pub struct KnobSpec {
-    /// Canonical long flag (as spelled by `osr run`/`osr serve`).
+    /// Canonical long flag (as spelled by `osr serve`).
     pub flag: &'static str,
     /// Accepted values, `|`-separated.
     pub values: &'static str,
-    /// The built-in process default.
+    /// The built-in default.
     pub default_value: &'static str,
     /// One-line description.
     pub summary: &'static str,
 }
 
-/// The runtime knobs harnesses expose, in display order. Only the
-/// shard count is a production choice; the reference settings of the
-/// other knobs are reachable through [`SchedulerConfig::reference`]
-/// only.
-pub const KNOBS: [KnobSpec; 1] = [KnobSpec {
-    flag: "--shards",
-    values: "N (>= 1)",
-    default_value: "1",
-    summary: "epoch-driver shard count (results byte-identical at any N; clamps to one per 64-machine rack)",
-}];
-
 /// The serve-durability knobs (`osr serve` only), in display order.
-/// Same vocabulary discipline as [`KNOBS`]: help text and parse errors
-/// are generated from these rows. Unlike the runtime knobs they are
-/// not result-neutral toggles — they add durability side effects — but
-/// the recovery contract keeps the *schedule* byte-identical.
+/// They are not result-neutral toggles — they add durability side
+/// effects — but the recovery contract keeps the *schedule*
+/// byte-identical.
 pub const SERVE_KNOBS: [KnobSpec; 5] = [
     KnobSpec {
         flag: "--journal",
@@ -182,14 +144,16 @@ pub const SERVE_KNOBS: [KnobSpec; 5] = [
     },
 ];
 
-fn render_knobs(rows: &[KnobSpec], indent: &str) -> String {
+/// Renders the serve-durability knob table ([`SERVE_KNOBS`]) as
+/// indented help lines for the `osr serve` usage section.
+pub fn serve_knob_help(indent: &str) -> String {
     let mut out = String::new();
-    let width = rows
+    let width = SERVE_KNOBS
         .iter()
         .map(|k| k.flag.len() + 1 + k.values.len())
         .max()
         .unwrap_or(0);
-    for k in rows {
+    for k in &SERVE_KNOBS {
         let head = format!("{} {}", k.flag, k.values);
         out.push_str(&format!(
             "{indent}{head:width$}  {} [default: {}]\n",
@@ -199,34 +163,12 @@ fn render_knobs(rows: &[KnobSpec], indent: &str) -> String {
     out
 }
 
-/// Renders the knob table as indented help lines, one per knob —
-/// the single source for every harness's `--help` section on runtime
-/// defaults.
-pub fn knob_help(indent: &str) -> String {
-    render_knobs(&KNOBS, indent)
-}
-
-/// Renders the serve-durability knob table ([`SERVE_KNOBS`]) as
-/// indented help lines for the `osr serve` usage section.
-pub fn serve_knob_help(indent: &str) -> String {
-    render_knobs(&SERVE_KNOBS, indent)
-}
-
 fn knob_err(flag: &str, got: &str) -> String {
-    let spec = KNOBS
+    let spec = SERVE_KNOBS
         .iter()
-        .chain(SERVE_KNOBS.iter())
         .find(|k| k.flag == flag)
-        .expect("flag is in a knob table");
+        .expect("flag is in the knob table");
     format!("{} must be {}, got '{got}'", spec.flag, spec.values)
-}
-
-/// Parses a `--shards` value (a positive integer).
-pub fn parse_shards(s: &str) -> Result<usize, String> {
-    match s.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(knob_err("--shards", s)),
-    }
 }
 
 /// Parses a `--snap-every` value (a non-negative integer; `0` disables
@@ -256,70 +198,52 @@ mod tests {
         assert_eq!(r.capacity_index, CapacityIndexMode::Rebuild);
         assert_eq!(r.propagation, Propagation::Eager);
         assert_eq!(r.kernels, KernelMode::Scalar);
-        assert_eq!(r.shards, 1);
-        // Every knob but dispatch and shards differs from production.
+        // Every knob but dispatch differs from production.
         assert_ne!(r.backend, p.backend);
         assert_ne!(r.capacity_index, p.capacity_index);
         assert_ne!(r.propagation, p.propagation);
         assert_ne!(r.kernels, p.kernels);
-        assert_eq!((r.dispatch, r.shards), (p.dispatch, p.shards));
+        assert_eq!(r.dispatch, p.dispatch);
     }
 
     #[test]
     fn runtime_defaults_apply_feeds_the_constructors() {
-        // The reference shares production's dispatch and shard count,
-        // and every knob is result-neutral, so tests running beside
-        // this one in the process observe no difference while it is
-        // set.
-        set_default_config(SchedulerConfig::reference());
-        assert_eq!(SchedulerConfig::default(), SchedulerConfig::reference());
+        // Every constructor starts from production; explicitly set
+        // fields win.
+        assert_eq!(SchedulerConfig::default(), SchedulerConfig::production());
         assert_eq!(
             crate::FlowParams::new(0.5).config,
-            SchedulerConfig::reference()
+            SchedulerConfig::production()
         );
         assert_eq!(
             crate::flowtime::WeightedFlowParams::new(0.5).config,
-            SchedulerConfig::reference()
+            SchedulerConfig::production()
         );
         assert_eq!(
             crate::EnergyFlowParams::new(0.5, 2.0).config,
-            SchedulerConfig::reference()
+            SchedulerConfig::production()
         );
-        // Explicitly set fields still win over the default.
         let mut p = crate::FlowParams::new(0.5);
-        p.shards = 3;
-        assert_eq!(p.config.shards, 3);
-        // A zero shard count clamps to the serial loop.
-        set_default_config(SchedulerConfig {
-            shards: 0,
-            ..SchedulerConfig::production()
-        });
-        assert_eq!(SchedulerConfig::default().shards, 1);
-        set_default_config(SchedulerConfig::production());
-        assert_eq!(SchedulerConfig::new(), SchedulerConfig::production());
+        p.kernels = KernelMode::Scalar;
+        assert_eq!(p.config.kernels, KernelMode::Scalar);
     }
 
     #[test]
     fn help_and_errors_come_from_the_same_table() {
-        let help = knob_help("  ");
-        for k in &KNOBS {
-            assert!(help.contains(k.flag), "help misses {}", k.flag);
-            assert!(help.contains(k.default_value));
-        }
-        // The serve-durability table feeds its parsers the same way.
         let serve_help = serve_knob_help("  ");
         for k in &SERVE_KNOBS {
             assert!(serve_help.contains(k.flag), "serve help misses {}", k.flag);
+            assert!(serve_help.contains(k.default_value));
         }
         let e = parse_snap_every("lots").unwrap_err();
         assert!(e.contains("--snap-every"), "{e}");
         assert_eq!(parse_snap_every("0").unwrap(), 0);
         assert_eq!(parse_snap_every("32").unwrap(), 32);
         let e = parse_ingest_buffer("0").unwrap_err();
-        assert!(e.contains("--ingest-buffer"), "{e}");
+        assert!(
+            e.contains("--ingest-buffer") && e.contains("N (>= 1)"),
+            "{e}"
+        );
         assert_eq!(parse_ingest_buffer("64").unwrap(), 64);
-        let e = parse_shards("0").unwrap_err();
-        assert!(e.contains("--shards") && e.contains("N (>= 1)"), "{e}");
-        assert_eq!(parse_shards("8").unwrap(), 8);
     }
 }

@@ -224,15 +224,12 @@ pub enum CapacityIndexMode {
     Rebuild,
 }
 
-/// Builds a dispatch index over the `len` machines `base..base + len`
-/// of one driver shard from scratch, indexed **locally** (leaf `i` is
-/// global machine `base + i`): online machines get their current queue
-/// stats, offline machines are tombstoned. The `online` set and the
-/// `stats` closure stay in global coordinates. This *is* the rebuild
-/// reference of [`CapacityIndexMode::Rebuild`] (called after every
-/// capacity event), and also constructs every scheduler's initial
-/// index (where `stats` is constantly [`MachineStats::EMPTY`]); with
-/// `base = 0, len = m` it covers the whole pool.
+/// Builds the dispatch index over the pool's `online.m()` machines
+/// from scratch: online machines get their current queue stats,
+/// offline machines are tombstoned. This *is* the rebuild reference of
+/// [`CapacityIndexMode::Rebuild`] (called after every capacity event),
+/// and also constructs every scheduler's initial index (where `stats`
+/// is constantly [`MachineStats::EMPTY`]).
 ///
 /// `prop` selects the index's ancestor-propagation mode and `kern`
 /// its kernel layer (schedulers pass their
@@ -244,23 +241,22 @@ pub enum CapacityIndexMode {
 /// auto-compaction only on the final id (earlier leaves not yet
 /// visited are still live), so every `update` lands inside the index's
 /// current width.
-pub fn rebuild_shard_index(
-    base: usize,
-    len: usize,
+pub fn rebuild_index(
     online: &OnlineSet,
     prop: Propagation,
     kern: KernelMode,
     stats: impl Fn(usize) -> MachineStats,
 ) -> MachineIndex {
-    let mode = if len <= FLAT_MAX_MACHINES {
+    let m = online.m();
+    let mode = if m <= FLAT_MAX_MACHINES {
         SearchMode::Flat
     } else {
         SearchMode::Heap
     };
-    let mut ix = MachineIndex::with_kernels(len, mode, prop, kern);
-    for i in 0..len {
-        if online.is_online(base + i) {
-            ix.update(i, stats(base + i));
+    let mut ix = MachineIndex::with_kernels(m, mode, prop, kern);
+    for i in 0..m {
+        if online.is_online(i) {
+            ix.update(i, stats(i));
         } else {
             ix.tombstone(i);
         }
@@ -268,40 +264,34 @@ pub fn rebuild_shard_index(
     ix
 }
 
-/// Applies one capacity change for global `machine` to the index of
-/// the shard owning machines `base..base + len` under `mode`:
-/// incremental join/tombstone, or a full rebuild. `machine` must lie
-/// in the shard's range; `stats` stays global. The victim machine's
-/// queue must already be emptied (drain/crash re-dispatches it) before
-/// the rebuild reads `stats`. `prop` and `kern` are the propagation and
-/// kernel modes a [`CapacityIndexMode::Rebuild`] reconstruction carries
-/// over (the incremental arm mutates in place and never consults
-/// them). A `Linear` run has no index, so this is a no-op there.
+/// Applies one capacity change for `machine` to the index under
+/// `mode`: incremental join/tombstone, or a full rebuild. The victim
+/// machine's queue must already be emptied (drain/crash re-dispatches
+/// it) before the rebuild reads `stats`. `prop` and `kern` are the
+/// propagation and kernel modes a [`CapacityIndexMode::Rebuild`]
+/// reconstruction carries over (the incremental arm mutates in place
+/// and never consults them). A `Linear` run has no index, so this is a
+/// no-op there.
 #[allow(clippy::too_many_arguments)]
-pub fn sync_shard_index(
+pub fn sync_index(
     dindex: &mut Option<MachineIndex>,
     mode: CapacityIndexMode,
     change: CapacityChange,
     machine: usize,
-    base: usize,
-    len: usize,
     online: &OnlineSet,
     prop: Propagation,
     kern: KernelMode,
     stats: impl Fn(usize) -> MachineStats,
 ) {
-    debug_assert!((base..base + len).contains(&machine));
     let Some(ix) = dindex.as_mut() else { return };
     match mode {
         CapacityIndexMode::Incremental => match change {
-            CapacityChange::Join => ix.join(machine - base, stats(machine)),
+            CapacityChange::Join => ix.join(machine, stats(machine)),
             CapacityChange::Drain | CapacityChange::Crash => {
-                ix.tombstone(machine - base);
+                ix.tombstone(machine);
             }
         },
-        CapacityIndexMode::Rebuild => {
-            *ix = rebuild_shard_index(base, len, online, prop, kern, stats)
-        }
+        CapacityIndexMode::Rebuild => *ix = rebuild_index(online, prop, kern, stats),
     }
 }
 

@@ -44,13 +44,13 @@ pub mod dual;
 use osr_dstruct::NodeStats;
 use osr_model::{FinishedLog, Instance, Job, JobId};
 use osr_sim::{
-    driver::{Placement, ShardCtx},
+    driver::{Ctx, Placement},
     CapacityPlan, DecisionTrace, OnlineScheduler,
 };
 
 use crate::config::SchedulerConfig;
 use crate::dispatch::{self, DispatchIndex};
-use crate::family::{reject_running, DensityQueue, Family, FamilyPolicy, FamilyShard, PendD};
+use crate::family::{reject_running, DensityQueue, Family, FamilyPolicy, FamilyState, PendD};
 
 pub use crate::family::JobRecord as EnergyFlowJobRecord;
 pub use dual::{check_energyflow_dual, EnergyFlowAudit};
@@ -89,7 +89,7 @@ impl std::ops::DerefMut for EnergyFlowParams {
 }
 
 impl EnergyFlowParams {
-    /// Standard parameters (process-default runtime knobs).
+    /// Standard parameters (production runtime knobs).
     pub fn new(eps: f64, alpha: f64) -> Self {
         EnergyFlowParams {
             eps,
@@ -118,9 +118,6 @@ pub struct EnergyFlowOutcome {
     /// `Linear` below [`crate::PRUNED_MIN_MACHINES`]; label ablations
     /// by this).
     pub effective_dispatch: DispatchIndex,
-    /// The driver shard count that actually ran (requests clamp to the
-    /// rack count; `1` = the serial oracle path).
-    pub effective_shards: usize,
 }
 
 impl EnergyFlowOutcome {
@@ -199,30 +196,19 @@ impl EnergyFlowScheduler {
     /// The event loop lives in [`osr_sim::driver`] and the dispatch
     /// search and per-job records in the flow-family skeleton
     /// (`crate::family`); this method supplies the §3 rules
-    /// (`EnergyPolicy`) and returns the records the driver folds in at
-    /// every barrier.
+    /// (`EnergyPolicy`) and returns the records of the final state.
     pub fn run(&self, instance: &Instance) -> EnergyFlowOutcome {
         let m = instance.machines();
-        let jobs = instance.jobs();
-        let policy = FamilyPolicy::new(self.policy(), self.params.config, m);
-        let mut records = vec![EnergyFlowJobRecord::EMPTY; jobs.len()];
-        let (log, trace, effective_shards) = osr_sim::drive(
-            &policy,
-            jobs,
-            m,
-            &self.capacity,
-            self.params.shards,
-            &mut records,
-        );
+        let policy = FamilyPolicy::new(self.policy(), self.params.config);
+        let (log, trace, state) = osr_sim::drive(&policy, instance.jobs(), m, &self.capacity);
         let log = log.finish().expect("all jobs decided");
         EnergyFlowOutcome {
             log,
             trace,
-            records,
+            records: state.records,
             gamma: self.gamma,
             params: self.params,
             effective_dispatch: dispatch::effective_dispatch_index(self.params.dispatch, m),
-            effective_shards,
         }
     }
 }
@@ -309,16 +295,15 @@ impl Family for EnergyPolicy {
 
     fn rules(
         &self,
-        sh: &mut FamilyShard<DensityQueue>,
-        cx: &mut ShardCtx<'_>,
+        st: &mut FamilyState<DensityQueue>,
+        cx: &mut Ctx<'_>,
         job: &Job,
         p: &Placement,
-        li: usize,
     ) {
         let (t, mi) = (p.time, p.machine);
         // Rejection rule: charge the arriving weight to the running
         // job; reject it when the counter exceeds w_k/ε.
-        let ms = &mut sh.machines[li];
+        let ms = &mut st.machines[mi];
         let Some(run) = ms.running.as_mut() else {
             return;
         };
@@ -327,8 +312,8 @@ impl Family for EnergyPolicy {
             let run = ms.running.take().expect("present");
             reject_running(cx, mi, &run, t);
             ms.ledger.push(t, (run.completion - t).max(0.0)); // q_ik(t)/s_k
-            let def_finish = sh.settle(cx.jobs, li, run.job, t);
-            sh.exit(run.job, t, def_finish);
+            let def_finish = st.settle(cx.jobs, mi, run.job, t);
+            st.exit(run.job, t, def_finish);
         }
     }
 }

@@ -22,12 +22,12 @@
 use std::ops::Deref;
 
 use osr_dstruct::kernel::LANES;
-use osr_dstruct::{MachineIndex, MachineStats, NodeStats, ShardMaskScratch};
+use osr_dstruct::{MachineIndex, MachineStats, NodeStats};
 use osr_model::{
     Execution, Job, JobId, MachineId, OnlineSet, PartialRun, RejectReason, Rejection, RowForm,
 };
 use osr_sim::{
-    driver::{EventPolicy, LogOp, Placement, ShardCtx, ShardProbe},
+    driver::{Ctx, EventPolicy, Placement, Probe},
     CapacityChange, DecisionEvent,
 };
 
@@ -36,7 +36,7 @@ use crate::dispatch::{self, DispatchIndex, PRUNED_MIN_MACHINES};
 
 /// One algorithm of the flow family: the pieces of the dispatch, start
 /// and rejection logic that depend on its `λ_ij`.
-pub trait Family: Sync + Send + Sized {
+pub trait Family: Send + Sized {
     /// The parameter struct users configure the algorithm with.
     type Params: Copy + Deref<Target = SchedulerConfig>;
     /// The per-machine pending queue, in the algorithm's order.
@@ -66,22 +66,10 @@ pub trait Family: Sync + Send + Sized {
     /// `(job, volume, weight, speed)`; it runs for `volume / speed`.
     fn pop_next(&self, q: &mut Self::Queue) -> Option<(JobId, f64, f64, f64)>;
 
-    /// Applies the rejection rules after `job` joined local machine
-    /// `li`'s queue under placement `p` (the next start follows).
-    fn rules(
-        &self,
-        sh: &mut FamilyShard<Self::Queue>,
-        cx: &mut ShardCtx<'_>,
-        job: &Job,
-        p: &Placement,
-        li: usize,
-    );
-
-    /// Whether every arrival must be a driver barrier (dispatch reads
-    /// cross-machine state).
-    fn serial_arrivals(&self) -> bool {
-        false
-    }
+    /// Applies the rejection rules after `job` joined the queue of
+    /// machine `p.machine` under placement `p` (the next start
+    /// follows).
+    fn rules(&self, st: &mut FamilyState<Self::Queue>, cx: &mut Ctx<'_>, job: &Job, p: &Placement);
 }
 
 /// A per-machine pending queue as the skeleton sees it.
@@ -304,58 +292,53 @@ impl JobRecord {
     };
 }
 
-/// A deferred, job-keyed write into the [`JobRecord`]s, buffered per
-/// shard and folded in at every driver barrier.
-pub enum DualOp {
-    /// First-arrival dual price `λ_j` (never re-set on redispatch).
-    Lambda(JobId, f64),
-    /// Placement (overwritten by later re-dispatches).
-    Machine(JobId, u32),
-    /// Execution start and its fixed speed.
-    Start(JobId, f64, f64),
-    /// Exit instant and definitive finish.
-    Exit(JobId, f64, f64),
-}
-
-/// One driver shard: the machines it owns (locally indexed — machine
-/// `li` is global `base + li`), its slice of the pruned dispatch index,
-/// and the buffered record writes.
-pub struct FamilyShard<Q> {
-    pub(crate) base: usize,
-    len: usize,
+/// The flow family's run state: every machine, the pruned dispatch
+/// index over them, and the per-job dual records.
+pub struct FamilyState<Q> {
     pub(crate) machines: Vec<Machine<Q>>,
     dindex: Option<MachineIndex>,
-    scratch: ShardMaskScratch,
-    ops: Vec<DualOp>,
+    /// Per-job records, indexed by job id; grown as jobs are placed.
+    pub(crate) records: Vec<JobRecord>,
 }
 
-impl<Q: Pending> FamilyShard<Q> {
-    /// Pushes local machine `li`'s refreshed queue stats into the
-    /// index; call after every pending-queue mutation.
-    pub(crate) fn sync(&mut self, li: usize) {
+impl<Q: Pending> FamilyState<Q> {
+    /// Pushes machine `mi`'s refreshed queue stats into the index; call
+    /// after every pending-queue mutation.
+    pub(crate) fn sync(&mut self, mi: usize) {
         if let Some(ix) = &mut self.dindex {
-            ix.update(li, self.machines[li].pending.stats());
+            ix.update(mi, self.machines[mi].pending.stats());
         }
     }
 
-    /// `t` plus the ledger charges of local machine `li` inside
-    /// `[r_job, t]`: the definitive finish of `job` leaving at `t`,
-    /// before any term its exit rule adds.
-    pub(crate) fn settle(&self, jobs: &[Job], li: usize, job: JobId, t: f64) -> f64 {
-        t + self.machines[li].ledger.window(jobs[job.idx()].release, t)
+    /// `t` plus the ledger charges of machine `mi` inside `[r_job, t]`:
+    /// the definitive finish of `job` leaving at `t`, before any term
+    /// its exit rule adds.
+    pub(crate) fn settle(&self, jobs: &[Job], mi: usize, job: JobId, t: f64) -> f64 {
+        t + self.machines[mi].ledger.window(jobs[job.idx()].release, t)
+    }
+
+    /// The record of `job`, created on first use.
+    fn record(&mut self, job: JobId) -> &mut JobRecord {
+        let k = job.idx();
+        if k >= self.records.len() {
+            self.records.resize(k + 1, JobRecord::EMPTY);
+        }
+        &mut self.records[k]
     }
 
     /// Records that `job` left at `t` with definitive finish `finish`.
     pub(crate) fn exit(&mut self, job: JobId, t: f64, finish: f64) {
-        self.ops.push(DualOp::Exit(job, t, finish));
+        let r = self.record(job);
+        r.exit = t;
+        r.def_finish = finish;
     }
 }
 
 /// Logs the interruption of the running job `run` on machine `mi` at
 /// `t` by Rule 1 (or §3's weight rule).
-pub(crate) fn reject_running(cx: &mut ShardCtx<'_>, mi: usize, run: &Running, t: f64) {
+pub(crate) fn reject_running(cx: &mut Ctx<'_>, mi: usize, run: &Running, t: f64) {
     let machine = MachineId(mi as u32);
-    cx.io.ops.push(LogOp::Reject(
+    cx.log.reject(
         run.job,
         Rejection {
             time: t,
@@ -367,8 +350,8 @@ pub(crate) fn reject_running(cx: &mut ShardCtx<'_>, mi: usize, run: &Running, t:
                 speed: run.speed,
             }),
         },
-    ));
-    cx.io.trace.push(DecisionEvent::Reject {
+    );
+    cx.trace.push(DecisionEvent::Reject {
         time: t,
         job: run.job,
         machine,
@@ -378,16 +361,16 @@ pub(crate) fn reject_running(cx: &mut ShardCtx<'_>, mi: usize, run: &Running, t:
 }
 
 /// Logs the Rule-2 rejection of pending `job` on machine `mi` at `t`.
-pub(crate) fn reject_pending(cx: &mut ShardCtx<'_>, mi: usize, job: JobId, t: f64, counter: f64) {
-    cx.io.ops.push(LogOp::Reject(
+pub(crate) fn reject_pending(cx: &mut Ctx<'_>, mi: usize, job: JobId, t: f64, counter: f64) {
+    cx.log.reject(
         job,
         Rejection {
             time: t,
             reason: RejectReason::RuleTwo,
             partial: None,
         },
-    ));
-    cx.io.trace.push(DecisionEvent::Reject {
+    );
+    cx.trace.push(DecisionEvent::Reject {
         time: t,
         job,
         machine: MachineId(mi as u32),
@@ -402,35 +385,26 @@ pub(crate) fn reject_pending(cx: &mut ShardCtx<'_>, mi: usize, job: JobId, t: f6
 pub struct FamilyPolicy<F> {
     pub(crate) fam: F,
     config: SchedulerConfig,
-    /// Global machine count (the pruned-index crossover is defined on
-    /// the whole pool, so shard counts never change the strategy).
-    m: usize,
 }
 
 impl<F: Family> FamilyPolicy<F> {
-    /// Wraps `fam` for a pool of `m` machines under `config`.
-    pub(crate) fn new(fam: F, config: SchedulerConfig, m: usize) -> Self {
-        FamilyPolicy { fam, config, m }
+    /// Wraps `fam` under `config`.
+    pub(crate) fn new(fam: F, config: SchedulerConfig) -> Self {
+        FamilyPolicy { fam, config }
     }
 
-    /// The pruned candidate search over a shard's index; `sizes` reads
-    /// the job's row over this shard's machines (local index → `p_ij`).
+    /// The pruned candidate search over the index; `sizes` reads the
+    /// job's row (machine index → `p_ij`).
     fn pruned(
         &self,
-        sh: &mut FamilyShard<F::Queue>,
+        st: &mut FamilyState<F::Queue>,
         job: &Job,
         t: f64,
         sizes: impl Fn(usize) -> f64,
     ) -> Option<(usize, f64)> {
-        let FamilyShard {
-            base,
-            len,
-            machines,
-            dindex,
-            scratch,
-            ..
-        } = sh;
-        let (base, len) = (*base, *len);
+        let FamilyState {
+            machines, dindex, ..
+        } = st;
         let ix = dindex.as_mut().expect("pruned search needs an index");
         let (fam, w, id) = (&self.fam, job.weight, job.id);
         let leaf = |p: f64, s: &MachineStats| {
@@ -441,10 +415,9 @@ impl<F: Family> FamilyPolicy<F> {
             }
         };
         let ph = dispatch::p_hat_view(job);
-        let mask = scratch.rebase(dispatch::mask_view(job.elig()), base, len);
         ix.search_masked_rows(
-            mask,
-            |s, lo, span| fam.bound(s, ph.for_range(base + lo, span), w),
+            dispatch::mask_view(job.elig()),
+            |s, lo, span| fam.bound(s, ph.for_range(lo, span), w),
             // Leaf-row-slice form of the leaf bound: the same per-lane
             // expression over an aligned quad of stat rows
             // (bit-identical by construction), which is what the
@@ -454,21 +427,20 @@ impl<F: Family> FamilyPolicy<F> {
                     out[k] = leaf(sizes(lo + k), &rows[k]);
                 }
             },
-            |li, s| leaf(sizes(li), s),
-            |li| {
-                let p = sizes(li);
+            |mi, s| leaf(sizes(mi), s),
+            |mi| {
+                let p = sizes(mi);
                 p.is_finite()
-                    .then(|| fam.lambda(&machines[li].pending, p, w, t, id))
+                    .then(|| fam.lambda(&machines[mi].pending, p, w, t, id))
             },
         )
     }
 
-    /// Starts the next pending job on local machine `li` if it is idle
-    /// and still in the pool (a draining machine finishes its running
-    /// job but starts nothing new).
-    fn start_next(&self, sh: &mut FamilyShard<F::Queue>, cx: &mut ShardCtx<'_>, li: usize, t: f64) {
-        let mi = sh.base + li;
-        let ms = &mut sh.machines[li];
+    /// Starts the next pending job on machine `mi` if it is idle and
+    /// still in the pool (a draining machine finishes its running job
+    /// but starts nothing new).
+    fn start_next(&self, st: &mut FamilyState<F::Queue>, cx: &mut Ctx<'_>, mi: usize, t: f64) {
+        let ms = &mut st.machines[mi];
         if ms.running.is_some() || !cx.online.is_online(mi) {
             return;
         }
@@ -485,37 +457,34 @@ impl<F: Family> FamilyPolicy<F> {
             w,
         });
         cx.completions.push(completion, (mi, job));
-        sh.ops.push(DualOp::Start(job, t, speed));
-        cx.io.trace.push(DecisionEvent::Start {
+        let r = st.record(job);
+        r.start = t;
+        r.speed = speed;
+        cx.trace.push(DecisionEvent::Start {
             time: t,
             job,
             machine: MachineId(mi as u32),
             speed,
         });
-        sh.sync(li);
+        st.sync(mi);
     }
 }
 
 impl<F: Family> EventPolicy for FamilyPolicy<F> {
-    type Shard = FamilyShard<F::Queue>;
-    type Global = Vec<JobRecord>;
+    type State = FamilyState<F::Queue>;
 
-    fn make_shard(&self, base: usize, len: usize, online: &OnlineSet) -> Self::Shard {
+    fn make_state(&self, machines: usize, online: &OnlineSet) -> Self::State {
         // Pruned dispatch: a tournament tree over per-machine stats,
         // offline machines tombstoned. Below the crossover the plain
         // scan is cheaper than any bookkeeping (results are identical
         // either way).
         let c = &self.config;
         let dindex =
-            (c.dispatch == DispatchIndex::Pruned && self.m >= PRUNED_MIN_MACHINES).then(|| {
-                dispatch::rebuild_shard_index(base, len, online, c.propagation, c.kernels, |_| {
-                    MachineStats::EMPTY
-                })
+            (c.dispatch == DispatchIndex::Pruned && machines >= PRUNED_MIN_MACHINES).then(|| {
+                dispatch::rebuild_index(online, c.propagation, c.kernels, |_| MachineStats::EMPTY)
             });
-        FamilyShard {
-            base,
-            len,
-            machines: (0..len)
+        FamilyState {
+            machines: (0..machines)
                 .map(|_| Machine {
                     pending: self.fam.queue(),
                     running: None,
@@ -524,108 +493,98 @@ impl<F: Family> EventPolicy for FamilyPolicy<F> {
                 })
                 .collect(),
             dindex,
-            scratch: ShardMaskScratch::new(),
-            ops: Vec::new(),
+            records: Vec::new(),
         }
-    }
-
-    fn serial_arrivals(&self) -> bool {
-        self.fam.serial_arrivals()
     }
 
     fn candidate(
         &self,
-        sh: &mut Self::Shard,
+        st: &mut Self::State,
         job: &Job,
         t: f64,
         online: &OnlineSet,
     ) -> Option<(usize, f64)> {
-        // Dispatch: argmin over this shard's eligible *online* machines
-        // of λ_ij (lowest index on ties). The pruned path and the
-        // linear scan are bit-identical; see `crate::dispatch` for the
-        // bound soundness argument. Offline machines are tombstoned in
-        // the index and skipped by the scan. `p̂` (global + rack-local
+        // Dispatch: argmin over the eligible *online* machines of λ_ij
+        // (lowest index on ties). The pruned path and the linear scan
+        // are bit-identical; see `crate::dispatch` for the bound
+        // soundness argument. Offline machines are tombstoned in the
+        // index and skipped by the scan. `p̂` (global + rack-local
         // layers) and the eligibility mask are precomputed on the job,
         // so no per-arrival rescan of `job.sizes`. The row's form is
         // matched once per search, not once per leaf: each arm runs the
         // search with its own lookup (a slice read, or a binary search
         // of a sparse row's ids), and the linear scan walks only the
         // finite entries.
-        let (base, len) = (sh.base, sh.len);
-        let best = match job.sizes.form() {
-            RowForm::Dense(row) if sh.dindex.is_some() => {
-                self.pruned(sh, job, t, |li| row[base + li])
-            }
-            RowForm::Sparse(row) if sh.dindex.is_some() => {
-                self.pruned(sh, job, t, |li| row.get(base + li))
+        match job.sizes.form() {
+            RowForm::Dense(row) if st.dindex.is_some() => self.pruned(st, job, t, |mi| row[mi]),
+            RowForm::Sparse(row) if st.dindex.is_some() => {
+                self.pruned(st, job, t, |mi| row.get(mi))
             }
             form => {
                 let (fam, w, id) = (&self.fam, job.weight, job.id);
                 let mut best: Option<(usize, f64)> = None;
-                let mut consider = |li: usize, p: f64| {
-                    if !online.is_online(base + li) {
+                let mut consider = |mi: usize, p: f64| {
+                    if !online.is_online(mi) {
                         return;
                     }
-                    let lam = fam.lambda(&sh.machines[li].pending, p, w, t, id);
+                    let lam = fam.lambda(&st.machines[mi].pending, p, w, t, id);
                     if best.is_none_or(|(_, bl)| lam < bl) {
-                        best = Some((li, lam));
+                        best = Some((mi, lam));
                     }
                 };
                 // Finite entries in increasing machine order, either form.
                 match form {
                     RowForm::Dense(row) => {
-                        for (li, &p) in row[base..base + len].iter().enumerate() {
+                        for (mi, &p) in row.iter().enumerate() {
                             if p.is_finite() {
-                                consider(li, p);
+                                consider(mi, p);
                             }
                         }
                     }
                     RowForm::Sparse(row) => {
-                        for (i, p) in row.range(base, base + len) {
-                            consider(i - base, p);
+                        for (mi, p) in row.pairs() {
+                            consider(mi, p);
                         }
                     }
                 }
                 best
             }
-        };
-        best.map(|(li, lam)| (base + li, lam))
+        }
     }
 
-    fn dispatch(&self, sh: &mut Self::Shard, cx: &mut ShardCtx<'_>, job: &Job, p: &Placement) {
+    fn dispatch(&self, st: &mut Self::State, cx: &mut Ctx<'_>, job: &Job, p: &Placement) {
         let (t, mi, j) = (p.time, p.machine, job.id);
         // λ_j keeps its first-arrival value on capacity-churn
         // re-dispatch (the dual prices the original arrival; the churn
         // is the adversary's doing), while the machine tracks the final
         // placement.
+        let eps = self.fam.eps();
+        let r = st.record(j);
         if !p.redispatch {
-            let eps = self.fam.eps();
-            sh.ops.push(DualOp::Lambda(j, eps / (1.0 + eps) * p.lambda));
+            r.lambda = eps / (1.0 + eps) * p.lambda;
         }
-        sh.ops.push(DualOp::Machine(j, mi as u32));
-        let li = mi - sh.base;
-        sh.machines[li]
+        r.machine = mi as u32;
+        st.machines[mi]
             .pending
             .push(j, job.sizes[mi], job.weight, t);
-        sh.sync(li);
-        self.fam.rules(sh, cx, job, p, li);
-        self.start_next(sh, cx, li, t);
+        st.sync(mi);
+        self.fam.rules(st, cx, job, p);
+        self.start_next(st, cx, mi, t);
     }
 
-    fn note_unplaced(&self, sh: &mut Self::Shard, job: &Job, t: f64) {
+    fn note_unplaced(&self, st: &mut Self::State, job: &Job, t: f64) {
         // No machine can take j (the driver has recorded the standard
         // rejection): it contributes nothing to the dual (λ_j = 0, or
         // the first arrival's λ for a machine-lost job; C̃_j = t), and
         // it (re-)enters no queue.
-        sh.exit(job.id, t, t);
+        st.exit(job.id, t, t);
     }
 
-    fn complete(&self, sh: &mut Self::Shard, cx: &mut ShardCtx<'_>, mi: usize, job: JobId, t: f64) {
-        let li = mi - sh.base;
+    fn complete(&self, st: &mut Self::State, cx: &mut Ctx<'_>, mi: usize, job: JobId, t: f64) {
         // Stale events: the job was rejected mid-run, or crash-killed
         // and re-dispatched (possibly back onto the same machine —
         // hence the completion-time check too).
-        let ms = &mut sh.machines[li];
+        let ms = &mut st.machines[mi];
         if !ms
             .running
             .as_ref()
@@ -635,7 +594,7 @@ impl<F: Family> EventPolicy for FamilyPolicy<F> {
         }
         let r = ms.running.take().expect("matched");
         let machine = MachineId(mi as u32);
-        cx.io.ops.push(LogOp::Complete(
+        cx.log.complete(
             job,
             Execution {
                 machine,
@@ -643,51 +602,44 @@ impl<F: Family> EventPolicy for FamilyPolicy<F> {
                 completion: r.completion,
                 speed: r.speed,
             },
-        ));
-        cx.io.trace.push(DecisionEvent::Complete {
+        );
+        cx.trace.push(DecisionEvent::Complete {
             time: t,
             job,
             machine,
         });
         // Every ledger charge in [r_j, C_j] is in the past now.
-        let finish = sh.settle(cx.jobs, li, job, t);
-        sh.exit(job, t, finish);
-        self.start_next(sh, cx, li, t);
+        let finish = st.settle(cx.jobs, mi, job, t);
+        st.exit(job, t, finish);
+        self.start_next(st, cx, mi, t);
     }
 
     fn capacity_sync(
         &self,
-        sh: &mut Self::Shard,
+        st: &mut Self::State,
         change: CapacityChange,
         mi: usize,
         online: &OnlineSet,
     ) {
-        let FamilyShard {
-            base,
-            len,
-            machines,
-            dindex,
-            ..
-        } = sh;
-        let (base, c) = (*base, &self.config);
-        dispatch::sync_shard_index(
+        let FamilyState {
+            machines, dindex, ..
+        } = st;
+        let c = &self.config;
+        dispatch::sync_index(
             dindex,
             c.capacity_index,
             change,
             mi,
-            base,
-            *len,
             online,
             c.propagation,
             c.kernels,
-            |i| machines[i - base].pending.stats(),
+            |i| machines[i].pending.stats(),
         );
     }
 
     fn evict(
         &self,
-        sh: &mut Self::Shard,
-        _cx: &mut ShardCtx<'_>,
+        st: &mut Self::State,
         change: CapacityChange,
         mi: usize,
         t: f64,
@@ -695,7 +647,7 @@ impl<F: Family> EventPolicy for FamilyPolicy<F> {
     ) {
         // A crash kills the running job at `t` (a drain lets it
         // finish); either way every queued job leaves with the machine.
-        let ms = &mut sh.machines[mi - sh.base];
+        let ms = &mut st.machines[mi];
         if change == CapacityChange::Crash {
             if let Some(run) = ms.running.take() {
                 victims.push((
@@ -714,37 +666,20 @@ impl<F: Family> EventPolicy for FamilyPolicy<F> {
         }
     }
 
-    fn drain(&self, sh: &mut Self::Shard, records: &mut Vec<JobRecord>) {
-        for op in sh.ops.drain(..) {
-            match op {
-                DualOp::Lambda(j, v) => records[j.idx()].lambda = v,
-                DualOp::Machine(j, mi) => records[j.idx()].machine = mi,
-                DualOp::Start(j, start, speed) => {
-                    records[j.idx()].start = start;
-                    records[j.idx()].speed = speed;
-                }
-                DualOp::Exit(j, exit, finish) => {
-                    records[j.idx()].exit = exit;
-                    records[j.idx()].def_finish = finish;
-                }
-            }
+    fn probe(&self, st: &Self::State) -> Probe {
+        Probe {
+            queued: st.machines.iter().map(|ms| ms.pending.queued()).sum(),
+            running: st.machines.iter().filter(|ms| ms.running.is_some()).count(),
+            index: st.dindex.as_ref().map(|ix| ix.index_stats()),
         }
     }
 
-    fn probe(&self, sh: &Self::Shard) -> ShardProbe {
-        ShardProbe {
-            queued: sh.machines.iter().map(|ms| ms.pending.queued()).sum(),
-            running: sh.machines.iter().filter(|ms| ms.running.is_some()).count(),
-            index: sh.dindex.as_ref().map(|ix| ix.index_stats()),
-        }
-    }
-
-    fn probe_machines(&self, sh: &Self::Shard, out: &mut Vec<(usize, usize)>) {
+    fn probe_machines(&self, st: &Self::State, out: &mut Vec<(usize, usize)>) {
         out.extend(
-            sh.machines
+            st.machines
                 .iter()
                 .enumerate()
-                .map(|(li, ms)| (sh.base + li, ms.pending.queued())),
+                .map(|(mi, ms)| (mi, ms.pending.queued())),
         );
     }
 }

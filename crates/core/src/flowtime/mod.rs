@@ -44,14 +44,14 @@ pub mod weighted;
 use osr_dstruct::{NodeStats, TotalF64};
 use osr_model::{FinishedLog, Instance, Job, JobId};
 use osr_sim::{
-    driver::{Placement, ShardCtx},
+    driver::{Ctx, Placement},
     CapacityPlan, DecisionTrace, OnlineScheduler,
 };
 
 use crate::config::SchedulerConfig;
 use crate::dispatch::{self, DispatchIndex};
 use crate::epsilon::Thresholds;
-use crate::family::{reject_pending, reject_running, Family, FamilyPolicy, FamilyShard, JobRecord};
+use crate::family::{reject_pending, reject_running, Family, FamilyPolicy, FamilyState, JobRecord};
 pub use dual::{check_dual_feasibility, DualAudit, FlowDual};
 pub use queue::QueueBackend;
 use queue::{lambda_ij, pend_key, PendKey, PendQueue};
@@ -60,7 +60,7 @@ pub use weighted::{WeightedFlowOutcome, WeightedFlowParams, WeightedFlowSchedule
 /// Parameters of the §2 algorithm.
 ///
 /// The runtime knobs (queue backend, dispatch strategy, capacity-index
-/// mode, propagation, kernels, shards) live in the embedded
+/// mode, propagation, kernels) live in the embedded
 /// [`SchedulerConfig`]; `FlowParams` derefs to it, so
 /// `params.dispatch`, `params.backend` etc. keep reading and writing
 /// as plain fields.
@@ -90,8 +90,8 @@ impl std::ops::DerefMut for FlowParams {
 }
 
 impl FlowParams {
-    /// Standard parameters: both rules on, and the process-default
-    /// runtime knobs ([`SchedulerConfig::default`]).
+    /// Standard parameters: both rules on, and the production runtime
+    /// knobs ([`SchedulerConfig::production`]).
     pub fn new(eps: f64) -> Self {
         FlowParams {
             eps,
@@ -126,9 +126,6 @@ pub struct FlowOutcome {
     /// harnesses must label rows by *this*, not the request
     /// (see [`crate::dispatch::effective_dispatch_index`]).
     pub effective_dispatch: DispatchIndex,
-    /// The shard count the driver actually ran with (requests are
-    /// clamped to one shard per rack; `1` means the serial path).
-    pub effective_shards: usize,
 }
 
 /// The §2 scheduler. Construct via [`FlowScheduler::new`]; run via
@@ -210,18 +207,10 @@ impl FlowScheduler {
         // Preallocate each machine's pending arena for an even share of
         // the jobs (clamped: adversarial instances can pile everything
         // onto one machine, which then grows once past the hint).
-        let policy =
-            FamilyPolicy::new(self.policy((n / m + 1).min(1 << 16)), self.params.config, m);
-        let mut records = vec![JobRecord::EMPTY; n];
-        let (log, trace, effective_shards) = osr_sim::drive(
-            &policy,
-            jobs,
-            m,
-            &self.capacity,
-            self.params.shards,
-            &mut records,
-        );
+        let policy = FamilyPolicy::new(self.policy((n / m + 1).min(1 << 16)), self.params.config);
+        let (log, trace, state) = osr_sim::drive(&policy, jobs, m, &self.capacity);
         let log = log.finish().expect("every job completed or rejected");
+        let records = state.records;
         let field = |f: fn(&JobRecord) -> f64| records.iter().map(f).collect();
         let dual = FlowDual::assemble(
             self.thresholds,
@@ -236,7 +225,6 @@ impl FlowScheduler {
             dual,
             trace,
             effective_dispatch: dispatch::effective_dispatch_index(self.params.dispatch, m),
-            effective_shards,
         }
     }
 }
@@ -290,17 +278,10 @@ impl Family for FlowPolicy {
             .map(|((p, _r, id), _w)| (JobId(id), p.get(), p.get(), 1.0))
     }
 
-    fn rules(
-        &self,
-        sh: &mut FamilyShard<PendQueue>,
-        cx: &mut ShardCtx<'_>,
-        job: &Job,
-        p: &Placement,
-        li: usize,
-    ) {
+    fn rules(&self, st: &mut FamilyState<PendQueue>, cx: &mut Ctx<'_>, job: &Job, p: &Placement) {
         let (t, mi) = (p.time, p.machine);
         // Rule 1: the dispatch counts against the running job.
-        let ms = &mut sh.machines[li];
+        let ms = &mut st.machines[mi];
         if let Some(run) = ms.running.as_mut() {
             run.v += 1.0;
             if self.params.rule1 && run.v >= self.th.rule1_at as f64 {
@@ -311,26 +292,26 @@ impl Family for FlowPolicy {
                 // including k itself ("including j in case it is
                 // rejected"): push the event before finalizing C̃_k.
                 ms.ledger.push(t, run.completion - t);
-                let c_tilde = sh.settle(cx.jobs, li, run.job, t);
-                sh.exit(run.job, t, c_tilde);
+                let c_tilde = st.settle(cx.jobs, mi, run.job, t);
+                st.exit(run.job, t, c_tilde);
             }
         }
 
         // Rule 2: every `1 + ⌈1/ε⌉` dispatches, drop the largest
         // pending job.
-        let ms = &mut sh.machines[li];
+        let ms = &mut st.machines[mi];
         ms.c += 1.0;
         if self.params.rule2 && ms.c >= self.th.rule2_at as f64 {
             ms.c = 0.0;
             if let Some(((p_max, _r, id), _w)) = ms.pending.pop_last() {
-                sh.sync(li);
+                st.sync(mi);
                 let jmax = JobId(id);
                 reject_pending(cx, mi, jmax, t, self.th.rule2_at as f64);
                 // C̃ for a Rule-2 rejection adds the estimated
                 // completion had it stayed: remaining of the running
                 // job + pending work except the triggering arrival +
                 // its own size (§2, definition of C̃_j).
-                let ms = &sh.machines[li];
+                let ms = &st.machines[mi];
                 let rem_running = ms.running.as_ref().map_or(0.0, |r| r.completion - t);
                 let mut pend_sum = ms.pending.total().sum;
                 if jmax != job.id {
@@ -339,8 +320,8 @@ impl Family for FlowPolicy {
                     pend_sum -= job.sizes[mi];
                 }
                 let term = rem_running + pend_sum + p_max.get();
-                let c_tilde = sh.settle(cx.jobs, li, jmax, t) + term;
-                sh.exit(jmax, t, c_tilde);
+                let c_tilde = st.settle(cx.jobs, mi, jmax, t) + term;
+                st.exit(jmax, t, c_tilde);
             }
         }
     }

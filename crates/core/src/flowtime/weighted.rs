@@ -30,12 +30,12 @@
 //! well-behaved heuristic; its value is letting users study the paper's
 //! mechanism on weighted workloads.
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use osr_dstruct::NodeStats;
 use osr_model::{FinishedLog, Instance, Job, JobId};
 use osr_sim::{
-    driver::{Placement, ShardCtx},
+    driver::{Ctx, Placement},
     CapacityPlan, DecisionTrace, OnlineScheduler,
 };
 
@@ -43,8 +43,7 @@ use crate::config::SchedulerConfig;
 use crate::dispatch::{self, DispatchIndex};
 use crate::epsilon::Thresholds;
 use crate::family::{
-    reject_pending, reject_running, DensityQueue, Family, FamilyPolicy, FamilyShard, JobRecord,
-    PendD,
+    reject_pending, reject_running, DensityQueue, Family, FamilyPolicy, FamilyState, PendD,
 };
 
 /// Parameters for the weighted variant.
@@ -52,10 +51,7 @@ use crate::family::{
 /// The runtime knobs live in the embedded [`SchedulerConfig`]
 /// (`params.config`); the struct derefs to it, so `params.dispatch`
 /// etc. keep working as plain field accesses. The `backend` knob is
-/// inert here (the weighted queues are density-sorted `Vec`s), and
-/// because this variant's dispatch reads the global rejection budget,
-/// every arrival is a barrier (`serial_arrivals`) — the `shards` knob
-/// only parallelizes completion drains.
+/// inert here (the weighted queues are density-sorted `Vec`s).
 #[derive(Debug, Clone, Copy)]
 pub struct WeightedFlowParams {
     /// Budget parameter `ε ∈ (0, 1]`; enforced rejected-weight cap is
@@ -79,7 +75,7 @@ impl std::ops::DerefMut for WeightedFlowParams {
 }
 
 impl WeightedFlowParams {
-    /// Standard parameters for `eps` (process-default runtime knobs).
+    /// Standard parameters for `eps` (production runtime knobs).
     pub fn new(eps: f64) -> Self {
         WeightedFlowParams {
             eps,
@@ -99,9 +95,6 @@ pub struct WeightedFlowOutcome {
     /// `Linear` below [`crate::PRUNED_MIN_MACHINES`]; label ablations
     /// by this).
     pub effective_dispatch: DispatchIndex,
-    /// The driver shard count that actually ran (requests clamp to the
-    /// rack count; `1` = the serial oracle path).
-    pub effective_shards: usize,
 }
 
 /// The weighted flow-time scheduler (extension; see module docs).
@@ -138,7 +131,7 @@ impl WeightedFlowScheduler {
     fn policy(&self) -> WeightedPolicy {
         WeightedPolicy {
             eps: self.params.eps,
-            budget: Mutex::new(WeightBudget::default()),
+            budget: RefCell::new(WeightBudget::default()),
         }
     }
 
@@ -146,27 +139,15 @@ impl WeightedFlowScheduler {
     ///
     /// The event loop lives in [`osr_sim::driver`] and the dispatch
     /// search in the flow-family skeleton (`crate::family`); this
-    /// method supplies the weighted rules (`WeightedPolicy`). Because
-    /// dispatch reads the global rejection budget, the policy opts into
-    /// `serial_arrivals` — every arrival is a barrier, and sharding only
-    /// parallelizes completion drains.
+    /// method supplies the weighted rules (`WeightedPolicy`).
     pub fn run(&self, instance: &Instance) -> WeightedFlowOutcome {
         let m = instance.machines();
-        let jobs = instance.jobs();
-        let policy = FamilyPolicy::new(self.policy(), self.params.config, m);
-        let (log, trace, effective_shards) = osr_sim::drive(
-            &policy,
-            jobs,
-            m,
-            &self.capacity,
-            self.params.shards,
-            &mut vec![JobRecord::EMPTY; jobs.len()],
-        );
+        let policy = FamilyPolicy::new(self.policy(), self.params.config);
+        let (log, trace, _) = osr_sim::drive(&policy, instance.jobs(), m, &self.capacity);
         WeightedFlowOutcome {
             log: log.finish().expect("all decided"),
             trace,
             effective_dispatch: dispatch::effective_dispatch_index(self.params.dispatch, m),
-            effective_shards,
         }
     }
 }
@@ -191,14 +172,12 @@ impl WeightBudget {
 
 /// The weighted rules as one algorithm of the flow family: the
 /// unit-speed `λ_ij` over the density-ordered queue, densest-first
-/// starts, and the weighted Rules 1 and 2 under the hard budget. The
-/// budget sits behind a mutex, but it is only touched from `rules` —
-/// and `serial_arrivals` guarantees dispatches run serially in the
-/// driver's phase 2, so the lock is never contended.
-/// [`WeightedFlowScheduler`] and [`crate::WeightedFlowSession`] run it.
+/// starts, and the weighted Rules 1 and 2 under the hard budget, which
+/// `rules` updates as dispatches land. [`WeightedFlowScheduler`] and
+/// [`crate::WeightedFlowSession`] run it.
 pub struct WeightedPolicy {
     eps: f64,
-    budget: Mutex<WeightBudget>,
+    budget: RefCell<WeightBudget>,
 }
 
 impl Family for WeightedPolicy {
@@ -216,10 +195,6 @@ impl Family for WeightedPolicy {
 
     fn queue(&self) -> DensityQueue {
         DensityQueue::new()
-    }
-
-    fn serial_arrivals(&self) -> bool {
-        true
     }
 
     #[inline]
@@ -256,17 +231,16 @@ impl Family for WeightedPolicy {
 
     fn rules(
         &self,
-        sh: &mut FamilyShard<DensityQueue>,
-        cx: &mut ShardCtx<'_>,
+        st: &mut FamilyState<DensityQueue>,
+        cx: &mut Ctx<'_>,
         job: &Job,
         p: &Placement,
-        li: usize,
     ) {
         let (t, mi) = (p.time, p.machine);
         // Re-dispatches skip the arrived-weight accounting — the job's
         // weight was counted at its first arrival, and double-counting
         // would widen the 2ε rejected-weight budget.
-        let mut budget = self.budget.lock().expect("budget lock");
+        let mut budget = self.budget.borrow_mut();
         if !p.redispatch {
             budget.arrived_weight += job.weight;
             budget.dispatched_jobs += 1;
@@ -274,7 +248,7 @@ impl Family for WeightedPolicy {
         let mean_weight = budget.arrived_weight / budget.dispatched_jobs.max(1) as f64;
 
         // Weighted Rule 1.
-        let ms = &mut sh.machines[li];
+        let ms = &mut st.machines[mi];
         if let Some(run) = ms.running.as_mut() {
             run.v += job.weight;
             if run.v > run.w / self.eps && budget.allows(self.eps, run.w) {
@@ -293,7 +267,7 @@ impl Family for WeightedPolicy {
             if let Some(&victim) = ms.pending.items().last() {
                 if budget.allows(self.eps, victim.w) {
                     ms.pending.pop_last();
-                    sh.sync(li);
+                    st.sync(mi);
                     budget.rejected_weight += victim.w;
                     reject_pending(cx, mi, victim.job, t, threshold);
                 }

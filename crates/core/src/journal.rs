@@ -14,8 +14,8 @@
 //! An append-only text file. The first line is a header carrying a
 //! config [`fingerprint`] (algorithm spec + machine count + initial
 //! offline set — deliberately *not* the result-neutral runtime knobs,
-//! so recovery may run with a different `--shards` count, or a
-//! different [`crate::SchedulerConfig`] in tests, and stay byte-exact).
+//! so recovery may run under a different [`crate::SchedulerConfig`]
+//! in tests and stay byte-exact).
 //! Every subsequent line is one event in the serve-script dialect plus
 //! a trailing checksum token, ` #` + a one-letter tag naming the
 //! checksum + its 16 lowercase hex digits:
@@ -66,9 +66,12 @@
 //! dense row still round-trips NaN payloads and `-∞` (the session
 //! rejects such a row). An infinite time would move the session clock
 //! past every later event, and a `NaN` or `-∞` weight is journaled in
-//! a decimal form that could not be read back. A journal that an older
-//! binary wrote may hold such a record (`advance inf`, or an arrival the
-//! session rejected); recovery then fails with `journal record <i>: …`,
+//! a decimal form that could not be read back. An arrival whose release
+//! absorbs its cheapest size (`r + p̂ == r` in `f64`, as at `@1e300`
+//! with size 1) is an error too: it would complete at its own start.
+//! A journal that an older binary wrote may hold such a record
+//! (`advance inf`, or an arrival the session rejected); recovery then
+//! fails with `journal record <i>: …`,
 //! naming the record, instead of resuming a session stuck at `t = ∞`.
 //! Every other record keeps its own checksum, so with that line (and a
 //! snapshot sidecar that counts it) removed by hand, the rest recovers.
@@ -215,9 +218,8 @@ pub fn word_sum64(bytes: &[u8]) -> u64 {
 /// The configuration fingerprint stored in journal headers and
 /// snapshots: algorithm spec, machine-universe size, and the initial
 /// offline set. Runtime knobs are excluded on purpose — they are
-/// result-neutral, so a recovery may run with a different `--shards`
-/// count or [`crate::SchedulerConfig`] and still reproduce the log
-/// byte-exactly.
+/// result-neutral, so a recovery may run under a different
+/// [`crate::SchedulerConfig`] and still reproduce the log byte-exactly.
 pub fn fingerprint(algo_spec: &str, machines: usize, offline: &[usize]) -> u64 {
     let mut s = format!("algo={algo_spec} machines={machines} offline=");
     for (i, m) in offline.iter().enumerate() {
@@ -684,9 +686,10 @@ impl RowTokens {
 /// unparsable token (a decimal that is not finite included), a release
 /// time that is not finite, dense tokens mixed with `m=` or pairs,
 /// pairs without `m=`, a second `m=`, unsorted or repeated ids, an id
-/// at or past the width, and a pair whose size is not finite and
-/// positive. An omitted `@T` leaves the release `NaN`, for
-/// [`EventLine::resolve`] to fill in.
+/// at or past the width, a pair whose size is not finite and
+/// positive, and a release that absorbs the row's cheapest size
+/// ([`osr_model::check_release_keeps_size`]). An omitted `@T` leaves
+/// the release `NaN`, for [`EventLine::resolve`] to fill in and check.
 ///
 /// Runs of `inf` tokens each followed by one space are taken a word at
 /// a time and added to the row in one step; every other token goes
@@ -730,7 +733,17 @@ fn parse_arrive(operands: &str) -> Result<(Arrival, bool), String> {
         weight,
         sizes: row.finish()?,
     };
+    if release.is_some() {
+        check_arrival_time(&arrival)?;
+    }
     Ok((arrival, release.is_some()))
+}
+
+/// Refuses an arrival whose release absorbs its cheapest size (see
+/// [`osr_model::check_release_keeps_size`]), so the event is answered
+/// with an error before it is journaled or applied.
+fn check_arrival_time(a: &Arrival) -> Result<(), String> {
+    osr_model::check_release_keeps_size(a.release, a.sizes.p_hat())
 }
 
 /// Appends the record body of `ev` to `out`; `id` is the arrive id
@@ -797,7 +810,10 @@ impl EventLine {
             Event::Advance { .. } => "advance needs a time".to_string(),
         })?;
         match &mut self.event {
-            Event::Arrive(a) => a.release = t,
+            Event::Arrive(a) => {
+                a.release = t;
+                check_arrival_time(a)?;
+            }
             Event::Capacity { time, .. } | Event::Advance { time } => *time = t,
         }
         Ok(())
@@ -1785,6 +1801,30 @@ mod tests {
         assert!(parse_record("advance 1e300").is_ok());
     }
 
+    /// An arrival whose release absorbs its cheapest size is an error,
+    /// whether it states its time or takes the stream's, in either row
+    /// form; an ineligible row has no size to lose.
+    #[test]
+    fn releases_that_absorb_the_cheapest_size_are_errors() {
+        for bad in [
+            "arrive 0 @1e300 1 1",
+            "arrive 0 @1e300 w=2 m=4 1:1 3:5",
+            "arrive 0 @x7e37e43c8800759c 1 inf",
+        ] {
+            let err = parse_line(bad).unwrap_err();
+            assert!(err.contains("absorbs the cheapest size"), "{bad}: {err}");
+        }
+        let mut untimed = parse_line("arrive 0 w=1 1 1e300").unwrap();
+        assert!(untimed.resolve(Some(1.0)).is_ok());
+        let err = untimed.clone().resolve(Some(1e300)).unwrap_err();
+        assert!(err.contains("absorbs"), "{err}");
+        let mut untimed = parse_line("arrive 0 1 2").unwrap();
+        assert!(untimed.resolve(Some(1e300)).is_err());
+        // A cheapest size that registers at the release passes.
+        assert!(parse_line("arrive 0 @1e300 1e290").is_ok());
+        assert!(parse_line("arrive 0 @1e300 inf inf").is_ok());
+    }
+
     /// A hand-written journal that holds a checksum-valid `advance inf`
     /// record does not recover into a session stuck at `t = ∞`: recovery
     /// fails and names the record.
@@ -1842,6 +1882,14 @@ mod tests {
             release in 0.0f64..1e6,
         ) {
             let sizes: SizeRow = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let mut release = release;
+            if osr_model::check_release_keeps_size(release, sizes.p_hat()).is_err() {
+                // A release that absorbs the cheapest size is refused;
+                // the sizes still round-trip behind a release of 0.
+                let err = parse_record(&encode_arrive(id, release, 2.5, &sizes)).unwrap_err();
+                prop_assert!(err.contains("absorbs the cheapest size"), "{}", err);
+                release = 0.0;
+            }
             let body = encode_arrive(id, release, 2.5, &sizes);
             let Record::Arrive { id: got_id, arrival } = parse_record(&body).unwrap() else {
                 panic!("not an arrive record: {body}");
@@ -1868,7 +1916,9 @@ mod tests {
             let sizes = SizeRow::from(dense.clone());
             let finite = dense.iter().filter(|p| p.is_finite()).count();
             prop_assert_eq!(sizes.as_dense().is_none(), 12 * finite < 8 * width);
-            let body = encode_arrive(id, 1.5, 1.0, &sizes);
+            // Released at 0, so no positive size is absorbed (a
+            // subnormal one at 1.5 would be refused).
+            let body = encode_arrive(id, 0.0, 1.0, &sizes);
             if sizes.as_dense().is_none() {
                 prop_assert!(body.contains(&format!(" m={width}")), "{}", body);
                 prop_assert_eq!(body.matches(':').count(), finite, "{}", body);
@@ -1985,7 +2035,7 @@ arrive 3 @2 w=1 0.1 4 #h8bdab2080b6dd551
 advance 3 #h111adf285e162cdc
 ";
         let fp = fingerprint("flow:0.5", 2, &[]);
-        let oracle = fresh_run_log(vec![0.3, 5.0e-324]);
+        let oracle = fresh_run_log(vec![0.3, 1.0e-15]);
 
         let path = tmp("v1");
         std::fs::write(&path, V1).unwrap();
@@ -1998,7 +2048,7 @@ advance 3 #h111adf285e162cdc
 
         // A hex record after the decimal ones; a second crash and
         // recovery over the mixed file still reproduces the fresh run.
-        js.arrive(3.5, 1.0, vec![0.3, 5.0e-324].into()).unwrap();
+        js.arrive(3.5, 1.0, vec![0.3, 1.0e-15].into()).unwrap();
         drop(js);
         let (js, report, _w) = JournaledSession::recover(sess(2), &path, fp, 0).unwrap();
         assert_eq!(report.records_replayed, 8);

@@ -57,8 +57,7 @@ pub use bounds::{
     flowtime_competitive_bound, flowtime_rejection_budget, immediate_rejection_lower_bound,
 };
 pub use config::{
-    knob_help, parse_ingest_buffer, parse_shards, parse_snap_every, serve_knob_help,
-    set_default_config, KnobSpec, SchedulerConfig, KNOBS, SERVE_KNOBS,
+    parse_ingest_buffer, parse_snap_every, serve_knob_help, KnobSpec, SchedulerConfig, SERVE_KNOBS,
 };
 pub use dispatch::{
     effective_dispatch_index, CapacityIndexMode, DispatchIndex, PRUNED_MIN_MACHINES,
@@ -80,5 +79,3 @@ pub use session::{
 // The index and kernel knob types of `SchedulerConfig`, re-exported so
 // callers can name them without depending on `osr-dstruct`.
 pub use osr_dstruct::{KernelMode, Propagation};
-// The shard count a `--shards` request yields at a machine count.
-pub use osr_sim::effective_shards;

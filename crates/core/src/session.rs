@@ -10,7 +10,8 @@
 //! serves all three algorithms: it owns the algorithm's policy (built once,
 //! like the offline run's) next to the driver, so the weighted
 //! variant's rejection budget and every algorithm's per-job dual
-//! records live as long as the stream.
+//! records (in the driver's policy state) live as long as the
+//! stream.
 //!
 //! # Determinism contract (online = offline)
 //!
@@ -18,10 +19,9 @@
 //! loop's order — capacity changes before arrivals at equal instants,
 //! timestamps non-decreasing — produces a [`FinishedLog`] **byte
 //! identical** (via [`osr_model::io::log_to_string`]) to the offline
-//! `run` over the same instance: epoch boundaries only add flush
-//! points, and flush groups cover disjoint, ordered time ranges, so
-//! the concatenated stable sorts equal one whole-run stable sort (see
-//! [`DriverSession`] docs). The tests below and the `serve-replay` CI
+//! `run` over the same instance: epoch boundaries only add points at
+//! which completions already due are fired (see [`DriverSession`]
+//! docs). The tests below and the `serve-replay` CI
 //! job pin this for all three schedulers.
 //!
 //! Sessions *validate* the stream rather than trusting it: sizes rows
@@ -35,7 +35,7 @@ use osr_model::{
 use osr_sim::{CapacityChange, CapacityEvent, DriverSession, SessionStats, SummaryStats};
 
 use crate::energyflow::EnergyPolicy;
-use crate::family::{Family, FamilyPolicy, FamilyShard, JobRecord};
+use crate::family::{Family, FamilyPolicy, FamilyState};
 use crate::flowtime::weighted::WeightedPolicy;
 use crate::flowtime::FlowPolicy;
 
@@ -51,15 +51,13 @@ pub struct ServeSnapshot {
     pub machines: usize,
     /// Machines currently online.
     pub online: usize,
-    /// Effective shard count of the driver.
-    pub shards: usize,
     /// Arrivals ingested so far.
     pub arrived: usize,
     /// Jobs dispatched but not yet started.
     pub queued: usize,
     /// Jobs currently running.
     pub running: usize,
-    /// Completion events waiting in the shard event queues.
+    /// Completion events waiting in the driver's event queue.
     pub completions_pending: usize,
     /// Jobs completed.
     pub completed: usize,
@@ -85,8 +83,7 @@ pub struct ServeSnapshot {
     pub flow_p95: f64,
     /// 99th-percentile flow time over completed jobs.
     pub flow_p99: f64,
-    /// Merged dispatch-index snapshot across shards (`None` when every
-    /// shard runs the linear scan).
+    /// Dispatch-index snapshot (`None` on the linear scan).
     pub index: Option<osr_dstruct::IndexStats>,
     /// Per-machine pending-queue depths `(global machine index, depth)`
     /// in ascending machine order — the `osr top` load pane's source.
@@ -255,7 +252,6 @@ fn compose_snapshot(stats: SessionStats, log: &ScheduleLog, jobs: &[Job]) -> Ser
         now: stats.now,
         machines: stats.machines,
         online: stats.online,
-        shards: stats.shards,
         arrived: stats.ingested,
         queued: stats.queued,
         running: stats.running,
@@ -302,8 +298,7 @@ pub struct FamilySession<F: Family> {
     jobs: Vec<Job>,
     policy: FamilyPolicy<F>,
     m: usize,
-    driver: DriverSession<FamilyShard<F::Queue>>,
-    records: Vec<JobRecord>,
+    driver: DriverSession<FamilyState<F::Queue>>,
     clock: f64,
 }
 
@@ -336,20 +331,19 @@ impl<F: Family> FamilySession<F> {
         // The offline scheduler's validation (and, for §3, γ).
         let fam = F::open(params)?;
         let online = initial_pool(machines, offline)?;
-        let policy = FamilyPolicy::new(fam, *params, machines);
-        let driver = DriverSession::with_online(&policy, machines, online, params.shards);
+        let policy = FamilyPolicy::new(fam, *params);
+        let driver = DriverSession::with_online(&policy, machines, online);
         Ok(FamilySession {
             jobs: Vec::new(),
             policy,
             m: machines,
             driver,
-            records: Vec::new(),
             clock: 0.0,
         })
     }
 
-    /// Applies one event. An arrival is validated and appended (job
-    /// row plus its record row) but not ingested: its epoch is ingested
+    /// Applies one event. An arrival is validated and appended but not
+    /// ingested: its epoch is ingested
     /// before the next capacity or advance event, or at the end of the
     /// batch. Fails before mutating anything.
     fn apply_one(&mut self, ev: Event) -> Result<(), String> {
@@ -374,7 +368,6 @@ impl<F: Family> FamilySession<F> {
                 let job = Job::weighted(self.jobs.len() as u32, time, a.weight, a.sizes);
                 job.validate(self.m)?;
                 self.jobs.push(job);
-                self.records.push(JobRecord::EMPTY);
             }
             Event::Capacity {
                 change, machine, ..
@@ -392,14 +385,12 @@ impl<F: Family> FamilySession<F> {
                     machine: MachineId(machine as u32),
                     change,
                 };
-                self.driver
-                    .capacity(&self.policy, &self.jobs, ev, &mut self.records);
+                self.driver.capacity(&self.policy, &self.jobs, ev);
             }
             Event::Advance { .. } => {
                 check_clock(self.clock, time, "advance")?;
                 self.ingest();
-                self.driver
-                    .advance(&self.policy, &self.jobs, time, &mut self.records);
+                self.driver.advance(&self.policy, &self.jobs, time);
             }
         }
         self.clock = time;
@@ -408,8 +399,7 @@ impl<F: Family> FamilySession<F> {
 
     /// Ingests every appended-but-uningested arrival as one epoch batch.
     fn ingest(&mut self) {
-        self.driver
-            .ingest_all(&self.policy, &self.jobs, &mut self.records);
+        self.driver.ingest_all(&self.policy, &self.jobs);
     }
 }
 
@@ -456,8 +446,8 @@ impl<F: Family> ServeSession for FamilySession<F> {
     }
 
     fn finish(self: Box<Self>) -> Result<FinishedLog, String> {
-        let mut s = *self;
-        let (log, _trace, _shards) = s.driver.into_finished(&s.policy, &s.jobs, &mut s.records);
+        let s = *self;
+        let (log, _trace, _state) = s.driver.into_finished(&s.policy, &s.jobs);
         log.finish()
     }
 }
@@ -594,7 +584,7 @@ mod tests {
         // Enough machines to clear PRUNED_MIN_MACHINES so the dispatch
         // index (with its drain tombstones) is actually exercised, for
         // all three sessions: the flat scan at m = 12 and the heap
-        // descent at m = 130 (one shard wider than FLAT_MAX_MACHINES).
+        // descent at m = 130 (wider than FLAT_MAX_MACHINES).
         for m in [12usize, 130] {
             let jobs = gen_jobs(80, m, 21);
             let plan = CapacityPlan::new(vec![

@@ -1,25 +1,17 @@
-//! Shard-equivalence proptests: the epoch-sharded event driver must be
-//! **bit-identical** to the serial loop (`shards = 1`) for every
-//! flow-family scheduler, on instances that straddle the 64-machine
-//! rack boundary (m ∈ {63, 64, 65} plus genuinely multi-shard pools),
-//! under elastic-pool churn and restricted affinity masks.
+//! Baseline-equivalence proptests: every flow-family scheduler run
+//! under the production configuration must be **bit-identical** to
+//! the same run under the reference paths ([`baseline`]: eager
+//! ancestor repair, rebuild-from-scratch capacity index, scalar
+//! kernels), on instances that straddle the 64-machine rack boundary
+//! and the flat/heap search crossover (m ∈ {63, 64, 65} plus the heap
+//! pools m ∈ {130, 200}), under elastic-pool churn and restricted
+//! affinity masks.
 //!
-//! The driver's contract (see `crates/sim/README.md`) is that sharding
-//! is a pure execution strategy: cross-shard argmin candidates are
-//! reconciled with the serial tie-break (smaller value, then lower
-//! machine index), capacity barriers and re-dispatch run serially, and
-//! per-job global-array writes commute. These tests check the contract
-//! end to end — schedule logs (fates, executions, redispatch counts)
-//! and the §2 dual vectors must match to the last bit.
-//!
-//! Each comparison straddles the **reference configuration** too: the
-//! serial baseline runs [`baseline`] (eager ancestor repair,
-//! rebuild-from-scratch capacity index, scalar kernels), every sharded
-//! run the production knobs. So shard reconciliation and the
-//! production index and kernel paths are pinned bit-identical to the
-//! reference paths in one stroke — including the eager heap descent on
-//! the dense unrelated m ∈ {130, 200} pools under churn, which the
-//! quick experiment suite reaches only at m = 256.
+//! Schedule logs (fates, executions, redispatch counts), the §2 dual
+//! vectors and the §3 per-job records must match to the last bit. That
+//! includes the eager heap descent on the dense unrelated
+//! m ∈ {130, 200} pools under churn, which the quick experiment suite
+//! reaches only at m = 256.
 
 use osr_core::flowtime::{WeightedFlowParams, WeightedFlowScheduler};
 use osr_core::{
@@ -38,11 +30,11 @@ type JobSpec = (f64, f64, f64, u8, u64);
 type ChurnSpec = (f64, u64, u8);
 
 /// Machine pools that straddle the rack boundary: one rack minus one,
-/// exactly one rack, one rack plus one (the smallest pool where a
-/// second shard can engage), and two genuinely multi-shard sizes.
+/// exactly one rack (the largest flat-search pool), one rack plus one
+/// (the smallest heap-search pool), and two multi-rack sizes.
 const POOLS: [usize; 5] = [63, 64, 65, 130, 200];
 
-/// The serial baseline: `SchedulerConfig::reference()` with the
+/// The baseline: `SchedulerConfig::reference()` with the
 /// production treap queue. The naive queue sums pending sizes left to
 /// right while the treap sums them along its tree, so with three or
 /// more pending jobs their aggregate sums (and the §2 `C̃_j` of a
@@ -161,7 +153,7 @@ fn churn_strategy() -> impl Strategy<Value = ChurnSpec> {
 
 proptest! {
     #[test]
-    fn flow_sharded_matches_serial(
+    fn flow_production_matches_baseline(
         pool in 0usize..POOLS.len(),
         jobs in prop::collection::vec(job_strategy(), 8..48),
         churn in prop::collection::vec(churn_strategy(), 0..8),
@@ -177,24 +169,17 @@ proptest! {
                 .with_capacity(plan.clone())
                 .run(&inst)
         };
-        let serial = run(baseline());
-        prop_assert_eq!(serial.effective_shards, 1);
-        for shards in [2usize, 4] {
-            let out = run(SchedulerConfig { shards, ..SchedulerConfig::production() });
-            prop_assert_eq!(
-                osr_core::effective_shards(shards, m),
-                out.effective_shards
-            );
-            prop_assert_eq!(&out.log, &serial.log, "log diverged at m={} shards={}", m, shards);
-            prop_assert!(bits_eq(&out.dual.lambda, &serial.dual.lambda));
-            prop_assert!(bits_eq(&out.dual.exit, &serial.dual.exit));
-            prop_assert!(bits_eq(&out.dual.c_tilde, &serial.dual.c_tilde));
-            prop_assert_eq!(&out.dual.machine_of, &serial.dual.machine_of);
-        }
+        let base = run(baseline());
+        let out = run(SchedulerConfig::production());
+        prop_assert_eq!(&out.log, &base.log, "log diverged at m={}", m);
+        prop_assert!(bits_eq(&out.dual.lambda, &base.dual.lambda));
+        prop_assert!(bits_eq(&out.dual.exit, &base.dual.exit));
+        prop_assert!(bits_eq(&out.dual.c_tilde, &base.dual.c_tilde));
+        prop_assert_eq!(&out.dual.machine_of, &base.dual.machine_of);
     }
 
     #[test]
-    fn weighted_flow_sharded_matches_serial(
+    fn weighted_flow_production_matches_baseline(
         pool in 0usize..POOLS.len(),
         jobs in prop::collection::vec(job_strategy(), 8..48),
         churn in prop::collection::vec(churn_strategy(), 0..8),
@@ -210,15 +195,13 @@ proptest! {
                 .with_capacity(plan.clone())
                 .run(&inst)
         };
-        let serial = run(baseline());
-        for shards in [2usize, 4] {
-            let out = run(SchedulerConfig { shards, ..SchedulerConfig::production() });
-            prop_assert_eq!(&out.log, &serial.log, "log diverged at m={} shards={}", m, shards);
-        }
+        let base = run(baseline());
+        let out = run(SchedulerConfig::production());
+        prop_assert_eq!(&out.log, &base.log, "log diverged at m={}", m);
     }
 
     #[test]
-    fn energy_flow_sharded_matches_serial(
+    fn energy_flow_production_matches_baseline(
         pool in 0usize..POOLS.len(),
         jobs in prop::collection::vec(job_strategy(), 8..48),
         churn in prop::collection::vec(churn_strategy(), 0..8),
@@ -234,27 +217,24 @@ proptest! {
                 .with_capacity(plan.clone())
                 .run(&inst)
         };
-        let serial = run(baseline());
-        for shards in [2usize, 4] {
-            let out = run(SchedulerConfig { shards, ..SchedulerConfig::production() });
-            prop_assert_eq!(&out.log, &serial.log, "log diverged at m={} shards={}", m, shards);
-            prop_assert_eq!(out.records.len(), serial.records.len());
-            for (a, b) in out.records.iter().zip(&serial.records) {
-                prop_assert_eq!(a.machine, b.machine);
-                prop_assert!(bits_eq(&[a.lambda, a.start, a.speed, a.exit, a.def_finish],
-                                     &[b.lambda, b.start, b.speed, b.exit, b.def_finish]));
-            }
+        let base = run(baseline());
+        let out = run(SchedulerConfig::production());
+        prop_assert_eq!(&out.log, &base.log, "log diverged at m={}", m);
+        prop_assert_eq!(out.records.len(), base.records.len());
+        for (a, b) in out.records.iter().zip(&base.records) {
+            prop_assert_eq!(a.machine, b.machine);
+            prop_assert!(bits_eq(&[a.lambda, a.start, a.speed, a.exit, a.def_finish],
+                                 &[b.lambda, b.start, b.speed, b.exit, b.def_finish]));
         }
     }
 }
 
-/// A loaded dense unrelated stream on a heap-mode pool (one shard
-/// holds more than 64 machines), with churn every few time units:
-/// queues build up, capacity events rebuild the reference index with
-/// busy stats, and later drains must reach every ancestor before the
-/// next descent trusts them. The reference paths (eager repair,
-/// rebuild index, scalar kernels) must match production bit for bit,
-/// serially and on two shards.
+/// A loaded dense unrelated stream on a heap-mode pool (more than 64
+/// machines), with churn every few time units: queues build up,
+/// capacity events rebuild the reference index with busy stats, and
+/// later drains must reach every ancestor before the next descent
+/// trusts them. The reference paths (eager repair, rebuild index,
+/// scalar kernels) must match production bit for bit.
 #[test]
 fn loaded_dense_pools_match_the_reference_paths() {
     for m in [130usize, 200] {
@@ -273,35 +253,30 @@ fn loaded_dense_pools_match_the_reference_paths() {
         for kind in [InstanceKind::FlowTime, InstanceKind::FlowEnergy] {
             let inst = build_instance(m, kind, &jobs);
             let plan = build_plan(m, inst.horizon(), &churn);
-            for shards in [1usize, 2] {
-                let prod = SchedulerConfig {
-                    shards,
-                    ..SchedulerConfig::production()
-                };
-                let flow = |config: SchedulerConfig| {
-                    let mut p = FlowParams::new(0.25);
-                    p.config = config;
-                    let sched = FlowScheduler::new(p).unwrap();
-                    sched.with_capacity(plan.clone()).run(&inst)
-                };
-                let (a, b) = (flow(baseline()), flow(prod));
-                assert_eq!(a.log, b.log, "flow m={m} shards={shards}");
-                assert!(bits_eq(&a.dual.c_tilde, &b.dual.c_tilde));
-                let weighted = |config: SchedulerConfig| {
-                    let mut p = WeightedFlowParams::new(0.25);
-                    p.config = config;
-                    let sched = WeightedFlowScheduler::new(p).unwrap();
-                    sched.with_capacity(plan.clone()).run(&inst).log
-                };
-                assert_eq!(weighted(baseline()), weighted(prod), "wflow m={m}");
-                let energy = |config: SchedulerConfig| {
-                    let mut p = EnergyFlowParams::new(0.5, 3.0);
-                    p.config = config;
-                    let sched = EnergyFlowScheduler::new(p).unwrap();
-                    sched.with_capacity(plan.clone()).run(&inst).log
-                };
-                assert_eq!(energy(baseline()), energy(prod), "energy m={m}");
-            }
+            let prod = SchedulerConfig::production();
+            let flow = |config: SchedulerConfig| {
+                let mut p = FlowParams::new(0.25);
+                p.config = config;
+                let sched = FlowScheduler::new(p).unwrap();
+                sched.with_capacity(plan.clone()).run(&inst)
+            };
+            let (a, b) = (flow(baseline()), flow(prod));
+            assert_eq!(a.log, b.log, "flow m={m}");
+            assert!(bits_eq(&a.dual.c_tilde, &b.dual.c_tilde));
+            let weighted = |config: SchedulerConfig| {
+                let mut p = WeightedFlowParams::new(0.25);
+                p.config = config;
+                let sched = WeightedFlowScheduler::new(p).unwrap();
+                sched.with_capacity(plan.clone()).run(&inst).log
+            };
+            assert_eq!(weighted(baseline()), weighted(prod), "wflow m={m}");
+            let energy = |config: SchedulerConfig| {
+                let mut p = EnergyFlowParams::new(0.5, 3.0);
+                p.config = config;
+                let sched = EnergyFlowScheduler::new(p).unwrap();
+                sched.with_capacity(plan.clone()).run(&inst).log
+            };
+            assert_eq!(energy(baseline()), energy(prod), "energy m={m}");
         }
     }
 }

@@ -4,10 +4,9 @@
 //! replaying the journal (+ snapshot cross-check), and fed the rest of
 //! the stream must finish with a log **byte-identical** to the
 //! uninterrupted run — for all three schedulers, and with the
-//! result-neutral execution knobs (`shards {1,4}` ×
-//! `kernels {chunked,scalar}`) *flipped* between the crashed run and
-//! the recovery, pinning "recovery is replay" and "sharding/kernels are
-//! pure execution strategy" in one stroke.
+//! result-neutral kernel knob (`kernels {chunked,scalar}`) *flipped*
+//! between the crashed run and the recovery, pinning "recovery is
+//! replay" and "kernels are pure execution strategy" in one stroke.
 //!
 //! The streams deliberately include events the session rejects
 //! (wrong-arity size rows, out-of-range capacity targets): write-ahead
@@ -136,31 +135,23 @@ impl Algo {
     }
 }
 
-/// The result-neutral execution-knob grid the contract must hold over.
-const COMBOS: [(usize, KernelMode); 4] = [
-    (1, KernelMode::Scalar),
-    (1, KernelMode::Chunked),
-    (4, KernelMode::Scalar),
-    (4, KernelMode::Chunked),
-];
+/// The result-neutral execution knob the contract must hold over.
+const KERNELS: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Chunked];
 
-fn build(algo: Algo, m: usize, shards: usize, kernels: KernelMode) -> Box<dyn ServeSession> {
+fn build(algo: Algo, m: usize, kernels: KernelMode) -> Box<dyn ServeSession> {
     match algo {
         Algo::Flow => {
             let mut p = FlowParams::new(0.25);
-            p.shards = shards;
             p.kernels = kernels;
             Box::new(FlowSession::new(p, m).expect("valid params"))
         }
         Algo::WFlow => {
             let mut p = WeightedFlowParams::new(0.25);
-            p.shards = shards;
             p.kernels = kernels;
             Box::new(WeightedFlowSession::new(p, m).expect("valid params"))
         }
         Algo::EnergyFlow => {
             let mut p = EnergyFlowParams::new(0.25, 2.0);
-            p.shards = shards;
             p.kernels = kernels;
             Box::new(EnergyFlowSession::new(p, m).expect("valid params"))
         }
@@ -192,7 +183,7 @@ fn feed(sess: &mut dyn ServeSession, events: &[Event], batches: &[usize]) -> usi
 /// The uninterrupted-run oracle: same events, one per call, no journal,
 /// serial scalar execution, finished to bytes.
 fn oracle(algo: Algo, m: usize, events: &[Event]) -> String {
-    let mut sess = build(algo, m, 1, KernelMode::Scalar);
+    let mut sess = build(algo, m, KernelMode::Scalar);
     feed(sess.as_mut(), events, &[1]);
     log_to_string(&sess.finish().expect("oracle finish"))
 }
@@ -232,8 +223,8 @@ fn kill_recover(
     m: usize,
     events: &[Event],
     cut: usize,
-    a: (usize, KernelMode),
-    b: (usize, KernelMode),
+    a: KernelMode,
+    b: KernelMode,
     snap_every: u64,
     torn_tail: bool,
     batches: &[usize],
@@ -245,7 +236,7 @@ fn kill_recover(
     let fp = fingerprint(algo.spec(), m, &[]);
 
     let rejected_before_crash = {
-        let inner = build(algo, m, a.0, a.1);
+        let inner = build(algo, m, a);
         let mut js = JournaledSession::create(inner, &path, fp, snap_every)?;
         feed(&mut js, &events[..cut], batches)
         // Dropped without finish: the crash. Every accepted event was
@@ -262,7 +253,7 @@ fn kill_recover(
             .map_err(|e| e.to_string())?;
     }
 
-    let inner = build(algo, m, b.0, b.1);
+    let inner = build(algo, m, b);
     let (mut js, report, _warnings) = JournaledSession::recover(inner, &path, fp, snap_every)?;
     if report.rejected_replays != rejected_before_crash {
         return Err(format!(
@@ -281,7 +272,7 @@ fn kill_recover(
 
     // The journal now mirrors the complete stream: recovering it again
     // and finishing immediately must reproduce the same bytes.
-    let inner = build(algo, m, a.0, a.1);
+    let inner = build(algo, m, a);
     let (js, report2, _warnings) = JournaledSession::recover(inner, &path, fp, snap_every)?;
     if !report2.snapshot_checked {
         return Err("finish() must leave a snapshot sidecar to cross-check".into());
@@ -302,15 +293,15 @@ proptest! {
     fn kill_recover_diff_is_byte_identical(
         seed in proptest::arbitrary::any::<u64>(),
         cut_frac in 0.0..1.0f64,
-        combo in 0usize..COMBOS.len(),
+        combo in 0usize..KERNELS.len(),
         torn in proptest::arbitrary::any::<bool>(),
         batches in prop::collection::vec(1usize..16, 1..5),
     ) {
-        let m = 65; // one rack plus one: 4 requested shards engage 2
+        let m = 65; // one rack plus one: the smallest heap-mode index
         let events = gen_events(seed, 84, m);
         let cut = 1 + (cut_frac * (events.len() - 2) as f64) as usize;
-        let crash_knobs = COMBOS[combo];
-        let recover_knobs = COMBOS[COMBOS.len() - 1 - combo];
+        let crash_knobs = KERNELS[combo];
+        let recover_knobs = KERNELS[KERNELS.len() - 1 - combo];
         for algo in ALGOS {
             let want = oracle(algo, m, &events);
             let (recovered, replayed) = kill_recover(
@@ -330,24 +321,27 @@ proptest! {
     }
 }
 
-/// Deterministic multi-rack case: m=130 (three shard-able racks), every
-/// knob combo on the recovery side, cuts at the start, middle, and last
-/// event of the stream, with the snapshot cadence tight enough that
-/// several snapshots land before the kill.
+/// Deterministic multi-rack case: m=130 (three racks), both kernel
+/// settings on each side, cuts at the start, middle, and last event of
+/// the stream, with the snapshot cadence tight enough that several
+/// snapshots land before the kill.
 #[test]
 fn kill_recover_diff_across_every_knob_combo_m130() {
     let m = 130;
     let events = gen_events(0xD15A57E12EC0, 96, m);
     for algo in ALGOS {
         let want = oracle(algo, m, &events);
-        for (i, &knobs) in COMBOS.iter().enumerate() {
-            let cut = [1, events.len() / 2, events.len() - 1][i % 3];
+        for (i, cut) in [1, events.len() / 2, events.len() - 1]
+            .into_iter()
+            .enumerate()
+        {
+            let knobs = KERNELS[i % 2];
             let (recovered, replayed) = kill_recover(
                 algo,
                 m,
                 &events,
                 cut,
-                COMBOS[COMBOS.len() - 1 - i],
+                KERNELS[(i + 1) % 2],
                 knobs,
                 5,
                 i % 2 == 1,
@@ -365,7 +359,7 @@ fn kill_recover_diff_across_every_knob_combo_m130() {
 }
 
 /// Recovering under a *different* configuration (fingerprint drift)
-/// must be refused — flipping `shards`/`kernels` is allowed, but
+/// must be refused — flipping `kernels` is allowed, but
 /// the algorithm spec and machine count are load-bearing.
 #[test]
 fn recovery_refuses_a_configuration_change() {
@@ -375,20 +369,15 @@ fn recovery_refuses_a_configuration_change() {
     cleanup(&path);
     let fp = fingerprint(Algo::Flow.spec(), m, &[]);
     {
-        let inner = build(Algo::Flow, m, 1, KernelMode::Scalar);
+        let inner = build(Algo::Flow, m, KernelMode::Scalar);
         let _journal = journal_lock();
         let mut js = JournaledSession::create(inner, &path, fp, 0).unwrap();
         feed(&mut js, &events, &[5]);
     }
     let wrong = fingerprint(Algo::WFlow.spec(), m, &[]);
-    let err = JournaledSession::recover(
-        build(Algo::WFlow, m, 1, KernelMode::Scalar),
-        &path,
-        wrong,
-        0,
-    )
-    .err()
-    .expect("fingerprint drift must refuse recovery");
+    let err = JournaledSession::recover(build(Algo::WFlow, m, KernelMode::Scalar), &path, wrong, 0)
+        .err()
+        .expect("fingerprint drift must refuse recovery");
     assert!(
         err.contains("different configuration"),
         "unhelpful refusal: {err}"
@@ -418,7 +407,7 @@ fn a_mixed_burst_costs_one_fsync() {
     cleanup(&path);
     let fp = fingerprint(Algo::Flow.spec(), m, &[]);
     let _journal = journal_lock();
-    let inner = build(Algo::Flow, m, 1, KernelMode::Scalar);
+    let inner = build(Algo::Flow, m, KernelMode::Scalar);
     let mut js = JournaledSession::create(inner, &path, fp, 0).unwrap();
     failpoint::arm("pre-fsync:2:error").unwrap();
     let first = js.apply(&mut burst);

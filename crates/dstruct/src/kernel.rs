@@ -275,7 +275,7 @@ pub fn intersect_words4(
 
 /// Rebuilds the one-bit-per-word summary layer of a word array:
 /// `summary[k / 64]` bit `k % 64` is set iff `words[k] != 0`. The
-/// caller zeroes `summary` first (the shard-rebase and mask-build
+/// caller zeroes `summary` first (the mask-build
 /// scratch pattern). `Chunked` processes four words per iteration with
 /// branchless bit ORs.
 pub fn summarize_words4(mode: KernelMode, words: &[u64], summary: &mut [u64]) {

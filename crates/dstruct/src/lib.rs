@@ -72,6 +72,5 @@ pub use naive::NaiveAggQueue;
 pub use total::TotalF64;
 pub use tournament::{
     IndexStats, MachineIndex, MachineStats, MaskView, NodeStats, Propagation, SearchMode,
-    ShardMaskScratch,
 };
 pub use treap::AggTreap;

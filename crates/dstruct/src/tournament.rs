@@ -206,50 +206,6 @@ impl MaskView<'_> {
     }
 }
 
-/// Reusable scratch for re-basing a *global* [`MaskView`] onto one
-/// shard's machine range (the epoch-sharded driver partitions machines
-/// into whole 64-machine racks, so a shard's view of a job's
-/// eligibility mask is a word-aligned slice of the global words plus a
-/// locally rebuilt summary layer). One scratch per shard, reused across
-/// every dispatch — no per-arrival allocation once the high-water mark
-/// is reached.
-#[derive(Debug, Clone, Default)]
-pub struct ShardMaskScratch {
-    summary: Vec<u64>,
-}
-
-impl ShardMaskScratch {
-    /// Empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The view of `mask` restricted to global machines
-    /// `[base, base + len)`, re-indexed so local machine `i` is global
-    /// machine `base + i`. `base` must be a multiple of 64 (shards own
-    /// whole racks), so the slice never splits a word. Machines beyond
-    /// the mask's width — including a `base` past the last word — test
-    /// ineligible, matching the global view's padding contract.
-    pub fn rebase<'a>(&'a mut self, mask: MaskView<'a>, base: usize, len: usize) -> MaskView<'a> {
-        match mask {
-            MaskView::All => MaskView::All,
-            MaskView::Words { words, .. } => {
-                debug_assert!(base.is_multiple_of(64), "shard base splits a rack");
-                let first = (base / 64).min(words.len());
-                let last = (base + len).div_ceil(64).min(words.len());
-                let local = &words[first..last];
-                self.summary.clear();
-                self.summary.resize(local.len().div_ceil(64), 0);
-                kernel::summarize_words4(KernelMode::Chunked, local, &mut self.summary);
-                MaskView::Words {
-                    words: local,
-                    summary: &self.summary,
-                }
-            }
-        }
-    }
-}
-
 /// How [`MachineIndex`] locates the argmin internally. Results are
 /// identical either way (same `(value, index)` bit for bit); the modes
 /// trade constant factors, and [`MachineIndex::new`] picks by `m`.
@@ -383,9 +339,7 @@ impl NodeStats {
 /// surfaced by the live ops view (`osr top`): how many searches each
 /// arm answered (the flat/sparse/heap path mix), how much lazy repair
 /// work is queued, and the live/tombstone split of the leaf table.
-/// Counters are cumulative since construction; snapshots from several
-/// shard-local indexes [`merge`](IndexStats::merge) into one pool-wide
-/// view.
+/// Counters are cumulative since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Searches answered by the flat dense leaf pass.
@@ -418,19 +372,6 @@ impl IndexStats {
     #[inline]
     pub fn searches(&self) -> u64 {
         self.flat_searches + self.sparse_searches + self.heap_searches
-    }
-
-    /// Accumulates another index's snapshot into this one (used to
-    /// aggregate per-shard indexes into a pool-wide view).
-    pub fn merge(&mut self, other: &IndexStats) {
-        self.flat_searches += other.flat_searches;
-        self.sparse_searches += other.sparse_searches;
-        self.heap_searches += other.heap_searches;
-        self.heap_evals += other.heap_evals;
-        self.heap_expansions += other.heap_expansions;
-        self.dirty_leaves += other.dirty_leaves;
-        self.live += other.live;
-        self.tombstones += other.tombstones;
     }
 }
 
@@ -1255,43 +1196,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_mask_rebase_slices_whole_racks() {
-        // Global mask over 200 machines: bits 3, 64, 100, 199.
-        let mut words = vec![0u64; 4];
-        for i in [3usize, 64, 100, 199] {
-            words[i / 64] |= 1 << (i % 64);
-        }
-        let summary = vec![0b1111u64];
-        let global = MaskView::Words {
-            words: &words,
-            summary: &summary,
-        };
-        let mut scratch = ShardMaskScratch::new();
-        // Shard of racks 1..3 (machines 64..192): sees 64→0, 100→36.
-        let v = scratch.rebase(global, 64, 128);
-        assert!(v.test(0) && v.test(36));
-        assert!(!v.test(3) && !v.test(64 + 36));
-        assert!(v.any_in_range(0, 64));
-        assert!(!v.any_in_range(64, 64), "rack 2 is empty in this shard");
-        // Final shard (machines 192..200): 199→7.
-        let mut scratch2 = ShardMaskScratch::new();
-        let v = scratch2.rebase(global, 192, 8);
-        assert!(v.test(7));
-        assert!(!v.test(0));
-        // A shard past the mask's width sees nothing (and must not panic).
-        let mut scratch3 = ShardMaskScratch::new();
-        let v = scratch3.rebase(global, 256, 64);
-        assert!(!v.test(0));
-        assert!(!v.any_in_range(0, 64));
-        // All-mask passes through untouched.
-        let mut scratch4 = ShardMaskScratch::new();
-        assert!(matches!(
-            scratch4.rebase(MaskView::All, 64, 128),
-            MaskView::All
-        ));
-    }
-
-    #[test]
     fn aggregates_maintained_bottom_up() {
         for prop in [Propagation::Eager, Propagation::Lazy] {
             let mut ix = MachineIndex::with_config(5, SearchMode::Heap, prop);
@@ -2056,12 +1960,6 @@ mod tests {
             (0, 1, 1)
         );
         assert_eq!(s.dirty_leaves, 0, "heap descent repairs the backlog");
-
-        // Shard snapshots merge componentwise.
-        let mut merged = flat.index_stats();
-        merged.merge(&s);
-        assert_eq!(merged.searches(), 3);
-        assert_eq!(merged.live, 16 + m);
     }
 
     /// `heap_evals` counts exactly the `eval` calls heap descents make:
@@ -2129,16 +2027,6 @@ mod tests {
                 assert!(s.heap_searches > 0 && s.heap_evals >= s.heap_searches);
             }
         }
-        // Merging sums the counter like the others.
-        let mut a = IndexStats {
-            heap_evals: 3,
-            ..IndexStats::default()
-        };
-        a.merge(&IndexStats {
-            heap_evals: 4,
-            ..IndexStats::default()
-        });
-        assert_eq!(a.heap_evals, 7);
     }
 
     /// `heap_expansions` counts exactly the internal nodes heap descents
@@ -2197,16 +2085,6 @@ mod tests {
                 assert!(s.heap_expansions >= s.heap_searches, "m={m}");
             }
         }
-        // Merging sums the counter like the others.
-        let mut a = IndexStats {
-            heap_expansions: 5,
-            ..IndexStats::default()
-        };
-        a.merge(&IndexStats {
-            heap_expansions: 6,
-            ..IndexStats::default()
-        });
-        assert_eq!(a.heap_expansions, 11);
     }
 
     /// A mask with no bits set short-circuits to `None` without work.

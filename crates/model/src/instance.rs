@@ -300,6 +300,23 @@ mod tests {
     }
 
     #[test]
+    fn validation_refuses_a_release_that_absorbs_the_cheapest_size() {
+        let build = |release: f64, sizes: Vec<f64>| {
+            InstanceBuilder::new(2, InstanceKind::FlowTime)
+                .job(0.5, vec![1.0, 2.0])
+                .job(release, sizes)
+                .build()
+        };
+        let err = build(1e300, vec![1.0, 1.0]).unwrap_err().to_string();
+        assert!(err.contains("j1: release 1e300 absorbs"), "{err}");
+        // The check reads the cheapest finite size, so one large size
+        // does not excuse a small one, and an ineligible row passes.
+        assert!(build(1e300, vec![1e290, 1.0]).is_err());
+        assert!(build(1e300, vec![1e290, f64::INFINITY]).is_ok());
+        assert!(build(1e300, vec![f64::INFINITY; 2]).is_ok());
+    }
+
+    #[test]
     fn builder_sort_is_stable_for_ties() {
         let inst = InstanceBuilder::new(1, InstanceKind::FlowTime)
             .job(1.0, vec![10.0])

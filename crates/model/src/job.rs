@@ -62,7 +62,7 @@
 use std::fmt;
 use std::ops::Index;
 
-use crate::time::{valid_magnitude, valid_positive};
+use crate::time::{check_release_keeps_size, valid_magnitude, valid_positive};
 use osr_dstruct::kernel::{self, KernelMode};
 
 /// What every absent entry of a sparse [`SizeRow`] reads as.
@@ -156,14 +156,11 @@ impl<'a> SparseRow<'a> {
         self.ids.binary_search(&(i as u32)).ok()
     }
 
-    /// The stored `(machine, size)` pairs whose machine lies in
-    /// `[lo, hi)`, in increasing machine order.
-    pub fn range(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, f64)> + 'a {
-        let from = self.ids.partition_point(|&i| (i as usize) < lo);
-        let to = self.ids.partition_point(|&i| (i as usize) < hi);
-        self.ids[from..to]
+    /// The stored `(machine, size)` pairs, in increasing machine order.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, f64)> + 'a {
+        self.ids
             .iter()
-            .zip(&self.vals[from..to])
+            .zip(self.vals)
             .map(|(&i, &p)| (i as usize, p))
     }
 }
@@ -273,6 +270,31 @@ impl SizeRow {
         self.stored().filter(|(_, p)| p.is_finite())
     }
 
+    /// The cheapest size `p̂ = min_i p_i`, skipping NaN (`∞` when no
+    /// size is finite). For a valid row, whose sizes are positive or
+    /// `∞`, this is the value [`Job::p_hat`] caches for a job built
+    /// from it.
+    pub fn p_hat(&self) -> f64 {
+        let row = match self.form() {
+            RowForm::Dense(row) => row,
+            RowForm::Sparse(sp) => sp.vals,
+        };
+        // Four independent lanes so the loop vectorizes; `p < m` is
+        // false for NaN and for +∞, so neither is ever taken.
+        let mut lanes = [f64::INFINITY; 4];
+        let chunks = row.chunks_exact(4);
+        let tail = chunks.remainder();
+        for c in chunks {
+            for (m, &p) in lanes.iter_mut().zip(c) {
+                *m = if p < *m { p } else { *m };
+            }
+        }
+        for (m, &p) in lanes.iter_mut().zip(tail) {
+            *m = if p < *m { p } else { *m };
+        }
+        lanes.into_iter().fold(f64::INFINITY, f64::min)
+    }
+
     /// Every entry a row stores, as `(machine, size)` in machine order:
     /// all of a dense row, the pairs of a sparse one (every other entry
     /// of which is `∞`).
@@ -368,7 +390,7 @@ impl fmt::Debug for SizeRow {
             RowForm::Sparse(sp) => f
                 .debug_struct("Sparse")
                 .field("width", &sp.width)
-                .field("finite", &sp.range(0, sp.width).collect::<Vec<_>>())
+                .field("finite", &sp.pairs().collect::<Vec<_>>())
                 .finish(),
         }
     }
@@ -869,7 +891,7 @@ impl Job {
                 .copied()
                 .enumerate()
                 .min_by(|a, b| a.1.total_cmp(&b.1)),
-            RowForm::Sparse(sp) => sp.range(0, sp.width).min_by(|a, b| a.1.total_cmp(&b.1)),
+            RowForm::Sparse(sp) => sp.pairs().min_by(|a, b| a.1.total_cmp(&b.1)),
         };
         MachineId(first_min.map_or(0, |(i, _)| i) as u32)
     }
@@ -919,6 +941,8 @@ impl Job {
                 return Err(format!("{}: non-positive size on m{}", self.id, i));
             }
         }
+        check_release_keeps_size(self.release, self.p_hat)
+            .map_err(|e| format!("{}: {e}", self.id))?;
         if let Some(d) = self.deadline {
             if !d.is_finite() || d <= self.release {
                 return Err(format!(
@@ -1034,6 +1058,21 @@ mod tests {
         assert_eq!(dead.p_hat(), f64::INFINITY);
         assert!(!dead.has_eligible());
         assert_eq!(dead.eligible_count(), 0);
+        // The row computes the same p̂ in either form, whatever lane the
+        // minimum sits in (the tail past the last full quad included),
+        // and skips NaN.
+        for at in 0..11 {
+            let mut sizes = vec![f64::INFINITY; 11];
+            sizes[(at + 3) % 11] = 7.0;
+            sizes[at] = 0.5;
+            let row = SizeRow::from(sizes.clone());
+            assert_eq!(row.p_hat(), 0.5, "at {at}");
+            assert_eq!(Job::new(0, 0.0, sizes).p_hat(), 0.5);
+            assert!(row.as_dense().is_none(), "a restricted row is sparse");
+        }
+        let dense = SizeRow::from(vec![3.0, f64::NAN, 2.5, 4.0, 9.0]);
+        assert_eq!(dense.p_hat(), 2.5);
+        assert_eq!(SizeRow::from(vec![f64::INFINITY; 5]).p_hat(), f64::INFINITY);
     }
 
     #[test]

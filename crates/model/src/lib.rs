@@ -41,4 +41,4 @@ pub use job::{EligMask, Job, JobId, MachineId, RackPHat, RowForm, SizeRow, Spars
 pub use log::{Execution, FinishedLog, JobFate, PartialRun, RejectReason, Rejection, ScheduleLog};
 pub use metrics::{EnergyMetrics, FlowMetrics, Metrics};
 pub use pool::{MaskScratch, OnlineSet};
-pub use time::{approx_eq, approx_ge, approx_le, total_cmp_f64, EPS};
+pub use time::{approx_eq, approx_ge, approx_le, check_release_keeps_size, total_cmp_f64, EPS};

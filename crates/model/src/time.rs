@@ -62,10 +62,41 @@ pub fn valid_positive(x: f64) -> bool {
     x.is_finite() && x > 0.0
 }
 
+/// Checks that a job released at `release` keeps its cheapest size
+/// `p_hat` in `f64`: `release + p_hat` must exceed `release`. Once the
+/// release is about 2^53 times the size, the sum rounds back to the
+/// release, and the job would complete at its own start with flow time
+/// 0. A job eligible nowhere (`p_hat = ∞`) passes: it is rejected at
+/// arrival. So does a `p_hat` that is no valid size (not finite and
+/// positive): the size checks refuse that row. The one check of this
+/// time domain, shared by instance validation and the serve/journal
+/// event parser.
+pub fn check_release_keeps_size(release: f64, p_hat: f64) -> Result<(), String> {
+    if valid_positive(p_hat) && release + p_hat == release {
+        return Err(format!(
+            "release {release:?} absorbs the cheapest size {p_hat:?} (release + size == release in f64)"
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cmp::Ordering;
+
+    #[test]
+    fn releases_that_absorb_the_cheapest_size_are_refused() {
+        assert!(check_release_keeps_size(1.0, 1.0).is_ok());
+        assert!(check_release_keeps_size(1e300, f64::INFINITY).is_ok());
+        assert!(check_release_keeps_size(2f64.powi(52), 1.0).is_ok());
+        let e = check_release_keeps_size(1e300, 1.0).unwrap_err();
+        assert!(e.contains("absorbs"), "{e}");
+        assert!(check_release_keeps_size(2f64.powi(54), 1.0).is_err());
+        // Not a valid size: left to the size checks.
+        assert!(check_release_keeps_size(1e6, -1e-300).is_ok());
+        assert!(check_release_keeps_size(1e6, 0.0).is_ok());
+    }
 
     #[test]
     fn approx_eq_absolute() {

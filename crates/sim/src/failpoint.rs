@@ -11,7 +11,7 @@
 //! |------------------|-------------------------------------------------|
 //! | `mid-batch`      | after a batch is journaled, before it applies   |
 //! | `pre-fsync`      | after journal bytes are written, before fsync   |
-//! | `epoch-barrier`  | the driver's serial barrier between epochs      |
+//! | `epoch-barrier`  | the end of each driver ingest epoch             |
 //! | `snapshot-write` | after the snapshot temp file, before the rename |
 //!
 //! At most one failpoint is armed per process (`name[:nth][:action]`,

@@ -11,12 +11,10 @@
 //!   tie-breaking;
 //! * [`scheduler::OnlineScheduler`] — the trait every policy implements
 //!   (`osr-core` algorithms and `osr-baselines` comparators alike);
-//! * [`driver`] — the generic epoch-sharded event loop all `osr-core`
+//! * [`driver`] — the generic serial event loop all `osr-core`
 //!   schedulers run on via [`driver::EventPolicy`]: one implementation
 //!   of the completions ≤ capacity ≤ arrivals ordering, the re-dispatch
-//!   discipline, and the shared reject accounting, with rack-partitioned
-//!   shard parallelism (`shards = 1` is the byte-identical serial
-//!   oracle);
+//!   discipline, and the shared reject accounting;
 //! * [`failpoint`] — the fault-injection registry crash-recovery tests
 //!   arm to kill or error the consumer at chosen protocol points
 //!   (mid-batch, pre-fsync, the epoch barrier, snapshot write);
@@ -55,10 +53,7 @@ pub mod trace;
 pub mod validate;
 
 pub use capacity::{CapacityChange, CapacityEvent, CapacityPlan, OnlineWindow};
-pub use driver::{
-    drive, effective_shards, DriverSession, EventPolicy, LogOp, SessionStats, ShardCtx, ShardIo,
-    ShardLayout, ShardProbe,
-};
+pub use driver::{drive, Ctx, DriverSession, EventPolicy, Placement, Probe, SessionStats};
 pub use event::EventQueue;
 pub use failpoint::{FailAction, FailHit, KILL_EXIT_CODE};
 pub use gantt::render_gantt;

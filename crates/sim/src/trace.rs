@@ -113,13 +113,6 @@ impl DecisionTrace {
         &self.events
     }
 
-    /// Removes and returns every buffered event (the epoch-sharded
-    /// driver drains per-shard trace buffers into a deterministic
-    /// time-sorted merge at each barrier).
-    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, DecisionEvent> {
-        self.events.drain(..)
-    }
-
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
