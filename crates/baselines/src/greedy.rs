@@ -5,8 +5,10 @@
 //! arrival by a greedy rule, run non-preemptively in a local order,
 //! never give up on a job.
 
-use osr_model::{Execution, FinishedLog, Instance, JobId, MachineId, ScheduleLog};
-use osr_sim::{DecisionEvent, DecisionTrace, EventQueue, OnlineScheduler};
+use osr_model::{FinishedLog, Instance};
+use osr_sim::{DecisionTrace, OnlineScheduler};
+
+use crate::queue::QueuePolicy;
 
 /// How an arriving job picks a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,131 +59,12 @@ impl GreedyScheduler {
 
     /// Runs the baseline, returning the log and the decision trace.
     pub fn run(&self, instance: &Instance) -> (FinishedLog, DecisionTrace) {
-        let m = instance.machines();
-        let n = instance.len();
-        let jobs = instance.jobs();
-        let mut log = ScheduleLog::new(m, n);
-        let mut trace = DecisionTrace::new();
-        let mut completions: EventQueue<(usize, JobId)> = EventQueue::new();
+        self.queue_policy().run(instance)
+    }
 
-        // Per machine: pending (key depends on order), running remaining.
-        struct Mach {
-            // (sort key, id, size); key = size for SPT, release for FIFO.
-            pending: Vec<(f64, JobId, f64)>,
-            running: Option<(JobId, f64, f64)>, // job, start, completion
-        }
-        let mut machines: Vec<Mach> = (0..m)
-            .map(|_| Mach {
-                pending: Vec::new(),
-                running: None,
-            })
-            .collect();
-
-        let queue_volume = |ms: &Mach, t: f64| -> f64 {
-            let pend: f64 = ms.pending.iter().map(|&(_, _, p)| p).sum();
-            let rem = ms.running.map_or(0.0, |(_, _, c)| (c - t).max(0.0));
-            pend + rem
-        };
-
-        let start_next = |mi: usize,
-                          t: f64,
-                          machines: &mut Vec<Mach>,
-                          completions: &mut EventQueue<(usize, JobId)>,
-                          trace: &mut DecisionTrace| {
-            let ms = &mut machines[mi];
-            if ms.running.is_some() || ms.pending.is_empty() {
-                return;
-            }
-            // Pending kept sorted ascending by key; pop the front.
-            let (_, id, p) = ms.pending.remove(0);
-            let completion = t + p;
-            ms.running = Some((id, t, completion));
-            completions.push(completion, (mi, id));
-            trace.push(DecisionEvent::Start {
-                time: t,
-                job: id,
-                machine: MachineId(mi as u32),
-                speed: 1.0,
-            });
-        };
-
-        let mut next_arrival = 0usize;
-        loop {
-            let ta = jobs.get(next_arrival).map(|j| j.release);
-            let tc = completions.peek_time();
-            let do_completion = match (ta, tc) {
-                (None, None) => break,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some(a), Some(c)) => c <= a,
-            };
-
-            if do_completion {
-                let (t, (mi, job)) = completions.pop().expect("peeked");
-                let matches = machines[mi].running.is_some_and(|(j, _, _)| j == job);
-                if !matches {
-                    continue;
-                }
-                let (_, start, completion) = machines[mi].running.take().unwrap();
-                log.complete(
-                    job,
-                    Execution {
-                        machine: MachineId(mi as u32),
-                        start,
-                        completion,
-                        speed: 1.0,
-                    },
-                );
-                trace.push(DecisionEvent::Complete {
-                    time: t,
-                    job,
-                    machine: MachineId(mi as u32),
-                });
-                start_next(mi, t, &mut machines, &mut completions, &mut trace);
-                continue;
-            }
-
-            let job = &jobs[next_arrival];
-            next_arrival += 1;
-            let t = job.release;
-
-            let mut best: Option<(usize, f64)> = None;
-            for (mi, p) in job.sizes.iter_finite() {
-                let score = match self.dispatch {
-                    DispatchRule::EarliestCompletion => queue_volume(&machines[mi], t) + p,
-                    DispatchRule::LeastLoaded => queue_volume(&machines[mi], t) + 1e-9 * p,
-                    DispatchRule::MinSize => p,
-                };
-                if best.is_none_or(|(_, s)| score < s) {
-                    best = Some((mi, score));
-                }
-            }
-            let Some((mi, score)) = best else {
-                osr_sim::reject_ineligible(&mut log, &mut trace, job.id, t);
-                continue;
-            };
-            trace.push(DecisionEvent::Dispatch {
-                time: t,
-                job: job.id,
-                machine: MachineId(mi as u32),
-                lambda: score,
-                candidates: m,
-            });
-            let p = job.sizes[mi];
-            let key = match self.order {
-                LocalOrder::Spt => p,
-                LocalOrder::Fifo => t,
-            };
-            let ms = &mut machines[mi];
-            let pos = ms
-                .pending
-                .partition_point(|&(k, id, _)| (k, id) <= (key, job.id));
-            ms.pending.insert(pos, (key, job.id, p));
-
-            start_next(mi, t, &mut machines, &mut completions, &mut trace);
-        }
-
-        (log.finish().expect("all jobs complete"), trace)
+    /// The baseline as a driver policy.
+    pub(crate) fn queue_policy(&self) -> QueuePolicy {
+        QueuePolicy::new(self.dispatch, self.order)
     }
 }
 
@@ -198,7 +81,7 @@ impl OnlineScheduler for GreedyScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osr_model::{InstanceBuilder, InstanceKind, Metrics};
+    use osr_model::{InstanceBuilder, InstanceKind, JobId, MachineId, Metrics};
     use osr_sim::{validate_log, ValidationConfig};
 
     fn check(inst: &Instance, s: &GreedyScheduler) -> FinishedLog {

@@ -6,10 +6,11 @@
 //! adaptive construction, in contrast with the paper's algorithm whose
 //! Rule 1 rejects *running* jobs in hindsight.
 
-use osr_model::{
-    Execution, FinishedLog, Instance, JobId, MachineId, RejectReason, Rejection, ScheduleLog,
-};
-use osr_sim::{DecisionEvent, DecisionTrace, EventQueue, OnlineScheduler};
+use osr_model::{FinishedLog, Instance};
+use osr_sim::{DecisionTrace, OnlineScheduler};
+
+use crate::greedy::{DispatchRule, LocalOrder};
+use crate::queue::QueuePolicy;
 
 /// Which jobs an [`ImmediateRejectScheduler`] drops at arrival.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,157 +52,16 @@ impl ImmediateRejectScheduler {
 
     /// Runs the policy.
     pub fn run(&self, instance: &Instance) -> (FinishedLog, DecisionTrace) {
-        let m = instance.machines();
-        let n = instance.len();
-        let jobs = instance.jobs();
-        let mut log = ScheduleLog::new(m, n);
-        let mut trace = DecisionTrace::new();
-        let mut completions: EventQueue<(usize, JobId)> = EventQueue::new();
+        self.queue_policy().run(instance)
+    }
 
-        struct Mach {
-            pending: Vec<(f64, JobId, f64)>, // (size key, id, size) — SPT
-            running: Option<(JobId, f64, f64)>,
+    /// The policy as a driver policy: ECT dispatch and SPT order behind
+    /// the arrival gate.
+    pub(crate) fn queue_policy(&self) -> QueuePolicy {
+        QueuePolicy {
+            gate: Some((self.eps, self.policy)),
+            ..QueuePolicy::new(DispatchRule::EarliestCompletion, LocalOrder::Spt)
         }
-        let mut machines: Vec<Mach> = (0..m)
-            .map(|_| Mach {
-                pending: Vec::new(),
-                running: None,
-            })
-            .collect();
-
-        let mut arrivals = 0usize;
-        let mut rejected = 0usize;
-        let mut size_sum = 0.0f64;
-
-        let start_next = |mi: usize,
-                          t: f64,
-                          machines: &mut Vec<Mach>,
-                          completions: &mut EventQueue<(usize, JobId)>,
-                          trace: &mut DecisionTrace| {
-            let ms = &mut machines[mi];
-            if ms.running.is_some() || ms.pending.is_empty() {
-                return;
-            }
-            let (_, id, p) = ms.pending.remove(0);
-            let completion = t + p;
-            ms.running = Some((id, t, completion));
-            completions.push(completion, (mi, id));
-            trace.push(DecisionEvent::Start {
-                time: t,
-                job: id,
-                machine: MachineId(mi as u32),
-                speed: 1.0,
-            });
-        };
-
-        let mut next_arrival = 0usize;
-        loop {
-            let ta = jobs.get(next_arrival).map(|j| j.release);
-            let tc = completions.peek_time();
-            let do_completion = match (ta, tc) {
-                (None, None) => break,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some(a), Some(c)) => c <= a,
-            };
-
-            if do_completion {
-                let (t, (mi, job)) = completions.pop().expect("peeked");
-                let matches = machines[mi].running.is_some_and(|(j, _, _)| j == job);
-                if !matches {
-                    continue;
-                }
-                let (_, start, completion) = machines[mi].running.take().unwrap();
-                log.complete(
-                    job,
-                    Execution {
-                        machine: MachineId(mi as u32),
-                        start,
-                        completion,
-                        speed: 1.0,
-                    },
-                );
-                trace.push(DecisionEvent::Complete {
-                    time: t,
-                    job,
-                    machine: MachineId(mi as u32),
-                });
-                start_next(mi, t, &mut machines, &mut completions, &mut trace);
-                continue;
-            }
-
-            let job = &jobs[next_arrival];
-            next_arrival += 1;
-            let t = job.release;
-            arrivals += 1;
-            let p_min = job.min_size();
-            let mean = if arrivals > 1 {
-                size_sum / (arrivals - 1) as f64
-            } else {
-                0.0
-            };
-            size_sum += p_min;
-
-            // Decide rejection *now or never*.
-            let budget_ok = (rejected + 1) as f64 <= self.eps * arrivals as f64;
-            let wants_reject = match self.policy {
-                ImmediatePolicy::Never => false,
-                ImmediatePolicy::LargerThan { threshold } => p_min > threshold,
-                ImmediatePolicy::AboveMean { factor } => arrivals > 1 && p_min > factor * mean,
-            };
-            if wants_reject && budget_ok {
-                rejected += 1;
-                log.reject(
-                    job.id,
-                    Rejection {
-                        time: t,
-                        reason: RejectReason::Immediate,
-                        partial: None,
-                    },
-                );
-                trace.push(DecisionEvent::Reject {
-                    time: t,
-                    job: job.id,
-                    machine: MachineId(0),
-                    reason: RejectReason::Immediate,
-                    counter: rejected as f64,
-                });
-                continue;
-            }
-
-            // Otherwise dispatch by ECT, serve SPT.
-            let mut best: Option<(usize, f64)> = None;
-            for (mi, p) in job.sizes.iter_finite() {
-                let pend: f64 = machines[mi].pending.iter().map(|&(_, _, q)| q).sum();
-                let rem = machines[mi]
-                    .running
-                    .map_or(0.0, |(_, _, c)| (c - t).max(0.0));
-                let score = pend + rem + p;
-                if best.is_none_or(|(_, s)| score < s) {
-                    best = Some((mi, score));
-                }
-            }
-            let Some((mi, score)) = best else {
-                osr_sim::reject_ineligible(&mut log, &mut trace, job.id, t);
-                continue;
-            };
-            trace.push(DecisionEvent::Dispatch {
-                time: t,
-                job: job.id,
-                machine: MachineId(mi as u32),
-                lambda: score,
-                candidates: m,
-            });
-            let p = job.sizes[mi];
-            let ms = &mut machines[mi];
-            let pos = ms
-                .pending
-                .partition_point(|&(k, id, _)| (k, id) <= (p, job.id));
-            ms.pending.insert(pos, (p, job.id, p));
-            start_next(mi, t, &mut machines, &mut completions, &mut trace);
-        }
-
-        (log.finish().expect("all decided"), trace)
     }
 }
 
@@ -218,7 +78,7 @@ impl OnlineScheduler for ImmediateRejectScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osr_model::{InstanceBuilder, InstanceKind, JobFate};
+    use osr_model::{InstanceBuilder, InstanceKind, JobFate, JobId};
     use osr_sim::{validate_log, ValidationConfig};
 
     #[test]

@@ -12,6 +12,13 @@
 //!   spirit of Lucarelli et al. ESA'16 \[5\]: `(1+ε_s)`-speed machines,
 //!   Rule-1-style rejection only. Used to compare "rejection only"
 //!   (this paper) against "rejection + speed" (prior work).
+//!
+//!   These three are one mechanism (dispatch at arrival by a score over
+//!   per-machine queues, serve each queue in a local order at one
+//!   speed) with two optional rules, an arrival gate and a Rule-1-style
+//!   interrupt. A crate-private `QueuePolicy` holds it once and runs on
+//!   the shared `osr_sim::drive` event loop, like the `osr-core`
+//!   schedulers.
 //! * [`srpt`] — preemptive SRPT on a single machine: the *optimal*
 //!   preemptive flow-time, hence a true lower bound on non-preemptive
 //!   OPT for `m = 1` instances.
@@ -38,6 +45,7 @@ pub mod greedy;
 pub mod immediate;
 pub mod lower_bounds;
 pub mod optimal;
+mod queue;
 pub mod speed_aug;
 pub mod srpt;
 

@@ -12,11 +12,11 @@
 //! its flow-time is a reference point, not a competing feasible
 //! schedule.
 
-use osr_model::{
-    Execution, FinishedLog, Instance, JobId, MachineId, PartialRun, RejectReason, Rejection,
-    ScheduleLog,
-};
-use osr_sim::{DecisionEvent, DecisionTrace, EventQueue, OnlineScheduler};
+use osr_model::{FinishedLog, Instance};
+use osr_sim::{DecisionTrace, OnlineScheduler};
+
+use crate::greedy::{DispatchRule, LocalOrder};
+use crate::queue::QueuePolicy;
 
 /// ESA'16-style baseline: `(1+ε_s)` speed, `ε_r` rejection.
 #[derive(Debug, Clone)]
@@ -41,148 +41,17 @@ impl SpeedAugScheduler {
 
     /// Runs the baseline.
     pub fn run(&self, instance: &Instance) -> (FinishedLog, DecisionTrace) {
-        let speed = 1.0 + self.eps_s;
-        let rule1_at = (1.0 / self.eps_r - 1e-9).ceil().max(1.0) as u64;
-        let m = instance.machines();
-        let n = instance.len();
-        let jobs = instance.jobs();
-        let mut log = ScheduleLog::new(m, n);
-        let mut trace = DecisionTrace::new();
-        let mut completions: EventQueue<(usize, JobId)> = EventQueue::new();
+        self.queue_policy().run(instance)
+    }
 
-        struct Mach {
-            pending: Vec<(f64, JobId, f64)>,         // (size, id, size) — SPT
-            running: Option<(JobId, f64, f64, u64)>, // job, start, completion, v
+    /// The baseline as a driver policy: ECT dispatch and SPT order at
+    /// speed `1+ε_s`, with the Rule-1 threshold `⌈1/ε_r⌉`.
+    pub(crate) fn queue_policy(&self) -> QueuePolicy {
+        QueuePolicy {
+            speed: 1.0 + self.eps_s,
+            rule1_at: Some((1.0 / self.eps_r - 1e-9).ceil().max(1.0) as u64),
+            ..QueuePolicy::new(DispatchRule::EarliestCompletion, LocalOrder::Spt)
         }
-        let mut machines: Vec<Mach> = (0..m)
-            .map(|_| Mach {
-                pending: Vec::new(),
-                running: None,
-            })
-            .collect();
-
-        let start_next = |mi: usize,
-                          t: f64,
-                          machines: &mut Vec<Mach>,
-                          completions: &mut EventQueue<(usize, JobId)>,
-                          trace: &mut DecisionTrace| {
-            let ms = &mut machines[mi];
-            if ms.running.is_some() || ms.pending.is_empty() {
-                return;
-            }
-            let (_, id, p) = ms.pending.remove(0);
-            let completion = t + p / speed;
-            ms.running = Some((id, t, completion, 0));
-            completions.push(completion, (mi, id));
-            trace.push(DecisionEvent::Start {
-                time: t,
-                job: id,
-                machine: MachineId(mi as u32),
-                speed,
-            });
-        };
-
-        let mut next_arrival = 0usize;
-        loop {
-            let ta = jobs.get(next_arrival).map(|j| j.release);
-            let tc = completions.peek_time();
-            let do_completion = match (ta, tc) {
-                (None, None) => break,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some(a), Some(c)) => c <= a,
-            };
-
-            if do_completion {
-                let (t, (mi, job)) = completions.pop().expect("peeked");
-                let matches = machines[mi].running.is_some_and(|(j, _, _, _)| j == job);
-                if !matches {
-                    continue;
-                }
-                let (_, start, completion, _) = machines[mi].running.take().unwrap();
-                log.complete(
-                    job,
-                    Execution {
-                        machine: MachineId(mi as u32),
-                        start,
-                        completion,
-                        speed,
-                    },
-                );
-                trace.push(DecisionEvent::Complete {
-                    time: t,
-                    job,
-                    machine: MachineId(mi as u32),
-                });
-                start_next(mi, t, &mut machines, &mut completions, &mut trace);
-                continue;
-            }
-
-            let job = &jobs[next_arrival];
-            next_arrival += 1;
-            let t = job.release;
-
-            let mut best: Option<(usize, f64)> = None;
-            for (mi, p) in job.sizes.iter_finite() {
-                let pend: f64 = machines[mi].pending.iter().map(|&(_, _, q)| q).sum();
-                let rem = machines[mi]
-                    .running
-                    .map_or(0.0, |(_, _, c, _)| (c - t).max(0.0) * speed);
-                let score = (pend + rem + p) / speed;
-                if best.is_none_or(|(_, s)| score < s) {
-                    best = Some((mi, score));
-                }
-            }
-            let Some((mi, score)) = best else {
-                osr_sim::reject_ineligible(&mut log, &mut trace, job.id, t);
-                continue;
-            };
-            trace.push(DecisionEvent::Dispatch {
-                time: t,
-                job: job.id,
-                machine: MachineId(mi as u32),
-                lambda: score,
-                candidates: m,
-            });
-            let p = job.sizes[mi];
-            let ms = &mut machines[mi];
-            let pos = ms
-                .pending
-                .partition_point(|&(k, id, _)| (k, id) <= (p, job.id));
-            ms.pending.insert(pos, (p, job.id, p));
-
-            // Rule-1-style rejection of the running job.
-            if let Some((_, _, _, v)) = machines[mi].running.as_mut() {
-                *v += 1;
-                if *v >= rule1_at {
-                    let (k, start, _completion, v) = machines[mi].running.take().unwrap();
-                    log.reject(
-                        k,
-                        Rejection {
-                            time: t,
-                            reason: RejectReason::RuleOne,
-                            partial: Some(PartialRun {
-                                machine: MachineId(mi as u32),
-                                start,
-                                end: t,
-                                speed,
-                            }),
-                        },
-                    );
-                    trace.push(DecisionEvent::Reject {
-                        time: t,
-                        job: k,
-                        machine: MachineId(mi as u32),
-                        reason: RejectReason::RuleOne,
-                        counter: v as f64,
-                    });
-                }
-            }
-
-            start_next(mi, t, &mut machines, &mut completions, &mut trace);
-        }
-
-        (log.finish().expect("all decided"), trace)
     }
 }
 
@@ -199,7 +68,7 @@ impl OnlineScheduler for SpeedAugScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use osr_model::{InstanceBuilder, InstanceKind, Metrics};
+    use osr_model::{InstanceBuilder, InstanceKind, JobId, Metrics};
     use osr_sim::{validate_log, ValidationConfig};
 
     #[test]

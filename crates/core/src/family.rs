@@ -28,7 +28,7 @@ use osr_model::{
 };
 use osr_sim::{
     driver::{Ctx, EventPolicy, Placement, Probe},
-    CapacityChange, DecisionEvent,
+    record_rejection, CapacityChange, DecisionEvent,
 };
 
 use crate::config::SchedulerConfig;
@@ -338,45 +338,29 @@ impl<Q: Pending> FamilyState<Q> {
 /// `t` by Rule 1 (or §3's weight rule).
 pub(crate) fn reject_running(cx: &mut Ctx<'_>, mi: usize, run: &Running, t: f64) {
     let machine = MachineId(mi as u32);
-    cx.log.reject(
-        run.job,
-        Rejection {
-            time: t,
-            reason: RejectReason::RuleOne,
-            partial: Some(PartialRun {
-                machine,
-                start: run.start,
-                end: t,
-                speed: run.speed,
-            }),
-        },
-    );
-    cx.trace.push(DecisionEvent::Reject {
-        time: t,
-        job: run.job,
+    let partial = PartialRun {
         machine,
+        start: run.start,
+        end: t,
+        speed: run.speed,
+    };
+    let rejection = Rejection {
+        time: t,
         reason: RejectReason::RuleOne,
-        counter: run.v,
-    });
+        partial: Some(partial),
+    };
+    record_rejection(cx.log, cx.trace, run.job, rejection, machine, run.v);
 }
 
 /// Logs the Rule-2 rejection of pending `job` on machine `mi` at `t`.
 pub(crate) fn reject_pending(cx: &mut Ctx<'_>, mi: usize, job: JobId, t: f64, counter: f64) {
-    cx.log.reject(
-        job,
-        Rejection {
-            time: t,
-            reason: RejectReason::RuleTwo,
-            partial: None,
-        },
-    );
-    cx.trace.push(DecisionEvent::Reject {
+    let rejection = Rejection {
         time: t,
-        job,
-        machine: MachineId(mi as u32),
         reason: RejectReason::RuleTwo,
-        counter,
-    });
+        partial: None,
+    };
+    let machine = MachineId(mi as u32);
+    record_rejection(cx.log, cx.trace, job, rejection, machine, counter);
 }
 
 /// A [`Family`] as the driver's [`EventPolicy`]. The driver owns event
@@ -456,7 +440,7 @@ impl<F: Family> FamilyPolicy<F> {
             v: 0.0,
             w,
         });
-        cx.completions.push(completion, (mi, job));
+        cx.schedule_completion(completion, mi, job);
         let r = st.record(job);
         r.start = t;
         r.speed = speed;

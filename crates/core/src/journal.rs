@@ -44,6 +44,8 @@
 //! finite   := number                 # whose value is finite
 //! number   := "inf" | "x" hex{16} | decimal
 //! decimal  := <any f64::from_str accepts whose value is finite>
+//!                                    # osr_model::parse_decimal, the rule of
+//!                                    # every reader in the workspace
 //! hex      := [0-9a-f]
 //! check    := " #" tag hex{16}
 //! tag      := "w"     # word_sum64 of the body (v3 appends)
@@ -89,7 +91,9 @@
 //! per size where shortest-round-trip decimal formatting costs
 //! 100–180 ns. The release time, the weight and capacity/advance times
 //! stay decimal, one or two per record, so an operator can still read a
-//! journal by time. Because the protocol accepts every one of these
+//! journal by time: the shortest round-trip form, in exponent form
+//! when `|x| ≥ 1e16` or `0 < |x| < 1e-5` (`advance 1e300`, not a
+//! 301-digit number). Because the protocol accepts every one of these
 //! forms, a record body is also a valid serve-script line.
 //!
 //! The checksum exists because a torn tail can truncate a decimal
@@ -347,21 +351,19 @@ fn parse_hex16(hex: &str) -> Option<u64> {
 }
 
 /// Parses one number token of the serve-script dialect, for the
-/// journal and the serve protocol alike: the literal `inf`, then the
-/// bit-exact `x` + 16 lowercase hex digits of [`f64::to_bits`], then a
-/// decimal `f64::from_str` accepts **whose value is finite**. `None`
-/// for anything else: a malformed hex token (a sign, a wrong digit
-/// count, a non-hex digit), and a decimal that is not finite
-/// (`infinity`, `NaN`, or `1e309`, which overflows), so that only the
-/// literal `inf` ever means an ineligible machine.
+/// journal and the serve protocol alike: the bit-exact `x` + 16
+/// lowercase hex digits of [`f64::to_bits`], or else a token under the
+/// workspace's one decimal rule ([`osr_model::parse_decimal`]: the
+/// literal `inf`, or a decimal **whose value is finite**). `None` for
+/// anything else: a malformed hex token (a sign, a wrong digit count, a
+/// non-hex digit), and a decimal that is not finite (`infinity`, `NaN`,
+/// or `1e309`, which overflows), so that only the literal `inf` ever
+/// means an ineligible machine.
 pub fn parse_number(tok: &str) -> Option<f64> {
-    if tok == "inf" {
-        return Some(f64::INFINITY);
-    }
     if let Some(hex) = tok.strip_prefix('x') {
         return parse_hex16(hex).map(f64::from_bits);
     }
-    tok.parse().ok().filter(|v: &f64| v.is_finite())
+    osr_model::parse_decimal(tok)
 }
 
 /// Parses an event time (`@T`, or the operand of `advance`) or a
@@ -499,8 +501,28 @@ fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
     out.extend_from_slice(&digits[at..]);
 }
 
+/// A record's time or weight: the shortest round-trip decimal, written
+/// in exponent form when the plain form would be long (`|x| ≥ 1e16` or
+/// `0 < |x| < 1e-5`), so that `advance 1e300` is not journaled as a
+/// 301-digit number. Values of ordinary magnitude keep the plain form
+/// and their bytes; either form parses back bit-exactly.
+struct Decimal(f64);
+
+impl std::fmt::Display for Decimal {
+    #[inline]
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let a = self.0.abs();
+        if a >= 1e16 || (a > 0.0 && a < 1e-5) {
+            write!(f, "{:e}", self.0)
+        } else {
+            write!(f, "{}", self.0)
+        }
+    }
+}
+
 /// Appends an arrive record body (no checksum suffix) to `out`. The
-/// release and weight are decimal (Rust's shortest round-trip); sizes
+/// release and weight are decimal: the shortest round-trip form, in
+/// exponent form when `|x| ≥ 1e16` or `0 < |x| < 1e-5`; sizes
 /// take the row's own form. A dense row writes one token per machine:
 /// `inf` for an ineligible machine and otherwise `x` + the hex bits of
 /// the `f64`. A sparse row writes `m=<width>` and one `<i>:x<hex>` pair
@@ -515,7 +537,12 @@ pub fn encode_arrive_into(
     weight: f64,
     sizes: &SizeRow,
 ) {
-    let _ = write!(out, "arrive {id} @{release} w={weight}");
+    let _ = write!(
+        out,
+        "arrive {id} @{} w={}",
+        Decimal(release),
+        Decimal(weight)
+    );
     match sizes.form() {
         RowForm::Dense(row) => {
             out.reserve(SIZE_TOKEN_MAX * row.len());
@@ -757,10 +784,10 @@ fn encode_event_into(out: &mut Vec<u8>, id: usize, ev: &Event) {
             machine,
             time,
         } => {
-            let _ = write!(out, "{change} {machine} @{time}");
+            let _ = write!(out, "{change} {machine} @{}", Decimal(*time));
         }
         Event::Advance { time } => {
-            let _ = write!(out, "advance {time}");
+            let _ = write!(out, "advance {}", Decimal(*time));
         }
     }
 }
@@ -1696,6 +1723,48 @@ mod tests {
                 js.capacity(CapacityChange::Join, 1, t).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn extreme_times_and_weights_encode_short_and_round_trip() {
+        for x in [
+            1e300,
+            f64::MAX,
+            1e16,
+            123456789012345680.0,
+            9.99e-6,
+            1e-300,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ] {
+            let mut advance = Vec::new();
+            encode_event_into(&mut advance, 0, &Event::Advance { time: x });
+            let advance = String::from_utf8(advance).unwrap();
+            let capacity = encode_capacity(CapacityChange::Drain, 3, x);
+            // A size of `x` keeps `x + p != x`, so the release stands.
+            let arrive = encode_arrive(0, x, x, &vec![x].into());
+            for rec in [advance, capacity, arrive] {
+                // The arrive record also carries `w=` and an 18-byte size.
+                assert!(
+                    rec.len() < 40 || rec.starts_with("arrive"),
+                    "{x:e}: `{rec}`"
+                );
+                let (_, ev) = parse_record(&rec).unwrap().into_event();
+                assert_eq!(ev.time().to_bits(), x.to_bits(), "{rec}");
+                if let Event::Arrive(a) = ev {
+                    assert_eq!(a.weight.to_bits(), x.to_bits(), "{rec}");
+                }
+            }
+        }
+        // Ordinary magnitudes keep their plain bytes.
+        assert_eq!(
+            encode_capacity(CapacityChange::Join, 1, 1.25),
+            "join 1 @1.25"
+        );
+        assert_eq!(
+            encode_arrive(2, 1e-5, 1e15, &vec![2.0].into()),
+            "arrive 2 @0.00001 w=1000000000000000 x4000000000000000"
+        );
     }
 
     #[test]

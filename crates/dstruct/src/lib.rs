@@ -24,8 +24,6 @@
 //! Contents:
 //!
 //! * [`total::TotalF64`] — `Ord` wrapper over finite-friendly `f64` keys;
-//! * [`fenwick::Fenwick`] — classic binary indexed tree over a fixed index
-//!   space (used for time-slot aggregation in the §4 energy search);
 //! * [`treap::AggTreap`] — arena-allocated randomized balanced BST
 //!   augmented with subtree `(count, weight-sum)` aggregates;
 //! * [`naive::NaiveAggQueue`] — sorted-`Vec` reference implementation with
@@ -59,14 +57,12 @@
 #![allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
 #![warn(missing_docs)]
 
-pub mod fenwick;
 pub mod kernel;
 pub mod naive;
 pub mod total;
 pub mod tournament;
 pub mod treap;
 
-pub use fenwick::Fenwick;
 pub use kernel::KernelMode;
 pub use naive::NaiveAggQueue;
 pub use total::TotalF64;

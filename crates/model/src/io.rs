@@ -126,14 +126,26 @@ fn parse_header(header: &str) -> Result<(InstanceKind, usize), ModelError> {
     }
 }
 
-fn parse_f64(s: &str, line: usize) -> Result<f64, ModelError> {
-    match s {
-        "inf" | "+inf" => Ok(f64::INFINITY),
-        _ => s.parse::<f64>().map_err(|_| ModelError::Parse {
-            line,
-            message: format!("bad number `{s}`"),
-        }),
+/// Parses one decimal number token under the rule every reader of the
+/// workspace shares (instance and log files, imported traces, failure
+/// traces, and the serve protocol and journal): only the literal `inf`
+/// is infinite, and every other token must parse to a finite value.
+/// `None` for anything else, `infinity`, `NaN` and an overflowing
+/// `1e309` included, so that no spelling but `inf` can make a machine
+/// ineligible.
+#[inline]
+pub fn parse_decimal(tok: &str) -> Option<f64> {
+    if tok == "inf" {
+        return Some(f64::INFINITY);
     }
+    tok.parse().ok().filter(|v: &f64| v.is_finite())
+}
+
+fn parse_f64(s: &str, line: usize) -> Result<f64, ModelError> {
+    parse_decimal(s).ok_or_else(|| ModelError::Parse {
+        line,
+        message: format!("bad number `{s}`"),
+    })
 }
 
 /// Formats a float compactly and round-trippably (`inf` for infinity).
@@ -445,10 +457,14 @@ mod tests {
 
     #[test]
     fn bad_number_reported_with_line() {
-        let text = "# osr-instance v1 kind=flowtime m=1\n0,1,-,abc\n";
-        match instance_from_str(text).unwrap_err() {
-            ModelError::Parse { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other}"),
+        // Only the literal `inf` is infinite: `1e309` once overflowed to
+        // `inf` and silently made machine 0 ineligible.
+        for bad in ["abc", "1e309", "NaN", "infinity"] {
+            let text = format!("# osr-instance v1 kind=flowtime m=2\n0,1,-,{bad},5\n");
+            match instance_from_str(&text).unwrap_err() {
+                ModelError::Parse { line, .. } => assert_eq!(line, 2, "{bad}"),
+                other => panic!("{bad}: unexpected error {other}"),
+            }
         }
     }
 

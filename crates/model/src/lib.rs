@@ -37,6 +37,7 @@ pub mod time;
 
 pub use error::ModelError;
 pub use instance::{Instance, InstanceBuilder, InstanceKind};
+pub use io::parse_decimal;
 pub use job::{EligMask, Job, JobId, MachineId, RackPHat, RowForm, SizeRow, SparseRow};
 pub use log::{Execution, FinishedLog, JobFate, PartialRun, RejectReason, Rejection, ScheduleLog};
 pub use metrics::{EnergyMetrics, FlowMetrics, Metrics};

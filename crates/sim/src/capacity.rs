@@ -3,9 +3,9 @@
 //! The paper's model fixes the machine set `M` for the whole horizon.
 //! This module relaxes that for robustness experiments: a
 //! [`CapacityPlan`] is a time-ordered stream of [`CapacityEvent`]s that
-//! machines **join**, **drain**, or **crash** mid-run. Schedulers merge
-//! the stream into their [`EventQueue`](crate::EventQueue) and replay
-//! it alongside arrivals, with these semantics:
+//! machines **join**, **drain**, or **crash** mid-run. The driver
+//! ([`crate::drive`]) replays the stream alongside arrivals and
+//! completions, with these semantics:
 //!
 //! * **Join** — the machine enters the pool at `time` and may receive
 //!   dispatches from then on. A machine whose *first* event is a join
@@ -81,7 +81,7 @@ pub struct OnlineWindow {
 /// A time-ordered capacity-change stream for one simulation run.
 ///
 /// Events at equal times keep their construction order (the same FIFO
-/// discipline as [`EventQueue`](crate::EventQueue)); schedulers apply
+/// discipline as the driver's completion queue); schedulers apply
 /// capacity changes at `t` **before** dispatching arrivals at `t`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CapacityPlan {
@@ -229,9 +229,8 @@ impl CapacityPlan {
                     lineno + 1
                 ));
             };
-            let time: f64 = time
-                .parse()
-                .map_err(|e| format!("line {}: bad time `{time}`: {e}", lineno + 1))?;
+            let time = osr_model::parse_decimal(time)
+                .ok_or_else(|| format!("line {}: bad time `{time}`", lineno + 1))?;
             let machine: u32 = machine
                 .parse()
                 .map_err(|e| format!("line {}: bad machine `{machine}`: {e}", lineno + 1))?;
@@ -362,6 +361,10 @@ mod tests {
         assert!(CapacityPlan::parse("2.0,1,explode").is_err());
         assert!(CapacityPlan::parse("x,1,crash").is_err());
         assert!(CapacityPlan::parse("2.0,1").is_err());
+        for bad in ["1e309", "NaN", "infinity"] {
+            let err = CapacityPlan::parse(&format!("1,0,drain\n{bad},0,join\n")).unwrap_err();
+            assert!(err.starts_with("line 2: bad time"), "{bad}: {err}");
+        }
         assert!(CapacityPlan::new(vec![ev(-1.0, 0, CapacityChange::Join)]).is_err());
         assert!(CapacityPlan::new(vec![ev(f64::NAN, 0, CapacityChange::Join)]).is_err());
     }

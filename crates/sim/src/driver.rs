@@ -4,8 +4,10 @@
 //! event loop: a three-way merge of arrivals, completions, and capacity
 //! events with the invariant ordering **completions ≤ capacity ≤
 //! arrivals** at equal instants, plus the re-dispatch and rejection
-//! bookkeeping around capacity churn. This module holds that loop once,
-//! behind the [`EventPolicy`] trait.
+//! bookkeeping around capacity churn, and the greedy,
+//! immediate-rejection and speed-augmentation baselines of
+//! `osr-baselines` each carried a smaller copy. This module holds that
+//! loop once, behind the [`EventPolicy`] trait.
 //!
 //! The paper's rules are sequential online rules: each arrival takes
 //! one argmin over machines, against queues every earlier event has
@@ -25,12 +27,11 @@
 //! byte. The end of each non-empty epoch is the `epoch-barrier`
 //! fault-injection site.
 
-use osr_model::{
-    Job, JobId, MachineId, OnlineSet, PartialRun, RejectReason, Rejection, ScheduleLog,
-};
+use osr_model::{Job, JobId, MachineId, OnlineSet, PartialRun, ScheduleLog};
 
 use crate::capacity::{CapacityChange, CapacityEvent, CapacityPlan};
 use crate::event::EventQueue;
+use crate::scheduler::{reject_ineligible, reject_machine_lost};
 use crate::trace::{DecisionEvent, DecisionTrace};
 
 /// Mutable driver context handed to policy callbacks alongside the
@@ -40,15 +41,24 @@ pub struct Ctx<'a> {
     pub log: &'a mut ScheduleLog,
     /// The run's decision trace, in time order.
     pub trace: &'a mut DecisionTrace,
-    /// The completion-event queue (push future completions here;
-    /// payload is `(machine index, job)`).
-    pub completions: &'a mut EventQueue<(usize, JobId)>,
+    /// The completion-event queue; policies push through
+    /// [`Ctx::schedule_completion`].
+    completions: &'a mut EventQueue<(usize, JobId)>,
     /// Pool membership. Capacity events change it only between
     /// callbacks, so callbacks may treat it as immutable.
     pub online: &'a OnlineSet,
     /// The run's jobs, indexed by id (every job a callback names has
     /// been ingested, so its row is here).
     pub jobs: &'a [Job],
+}
+
+impl Ctx<'_> {
+    /// Schedules the completion event of `job` on machine index
+    /// `machine` at `t`. Events at equal times fire in push order.
+    #[inline]
+    pub fn schedule_completion(&mut self, t: f64, machine: usize, job: JobId) {
+        self.completions.push(t, (machine, job));
+    }
 }
 
 /// Live queue depths a policy reports to ops surfaces (`osr serve`
@@ -105,6 +115,16 @@ pub trait EventPolicy {
         t: f64,
         online: &OnlineSet,
     ) -> Option<(usize, f64)>;
+
+    /// Admission of a first arrival `job` at `t`, asked before the
+    /// driver's eligibility check and argmin (re-dispatches are not
+    /// asked again). Returning `false` means the policy has itself
+    /// logged and traced the job's rejection, and the driver places
+    /// nothing. The default admits every job.
+    #[inline]
+    fn admit(&self, _state: &mut Self::State, _cx: &mut Ctx<'_>, _job: &Job, _t: f64) -> bool {
+        true
+    }
 
     /// Commits `job` onto the winning machine described by `p`. The
     /// driver has already pushed the `Dispatch` trace event.
@@ -270,7 +290,10 @@ impl<S> DriverSession<S> {
         let first = self.next_arrival;
         while let Some(job) = jobs.get(self.next_arrival).filter(|j| j.release < tk) {
             self.fire_until(policy, jobs, job.release);
-            self.place(policy, jobs, job, job.release, false, None);
+            let (state, mut cx) = self.split(jobs);
+            if policy.admit(state, &mut cx, job, job.release) {
+                self.place(policy, jobs, job, job.release, false, None);
+            }
             self.next_arrival += 1;
         }
         if self.next_arrival == first {
@@ -405,10 +428,9 @@ impl<S> DriverSession<S> {
     }
 
     /// Places `job` at `t`: dispatch to the policy's candidate, or
-    /// record the standard rejection — [`RejectReason::Ineligible`] for
-    /// a job with no eligible machine anywhere,
-    /// [`RejectReason::MachineLost`] (with any interrupted prefix) for a
-    /// job stranded by churn.
+    /// record the standard rejection: [`reject_ineligible`] for a job
+    /// with no eligible machine anywhere, [`reject_machine_lost`] (with
+    /// any interrupted prefix) for a job stranded by churn.
     fn place<P>(
         &mut self,
         policy: &P,
@@ -445,27 +467,11 @@ impl<S> DriverSession<S> {
                 policy.dispatch(state, &mut cx, job, &p);
             }
             None => {
-                let (reason, partial) = if job.has_eligible() {
-                    (RejectReason::MachineLost, lost_partial)
+                if job.has_eligible() {
+                    reject_machine_lost(cx.log, cx.trace, job.id, t, lost_partial);
                 } else {
-                    (RejectReason::Ineligible, None)
-                };
-                let machine = partial.as_ref().map_or(MachineId(0), |p| p.machine);
-                cx.log.reject(
-                    job.id,
-                    Rejection {
-                        time: t,
-                        reason,
-                        partial,
-                    },
-                );
-                cx.trace.push(DecisionEvent::Reject {
-                    time: t,
-                    job: job.id,
-                    machine,
-                    reason,
-                    counter: 0.0,
-                });
+                    reject_ineligible(cx.log, cx.trace, job.id, t);
+                }
                 policy.note_unplaced(state, job, t);
             }
         }

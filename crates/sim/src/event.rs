@@ -38,15 +38,9 @@ impl<P> Ord for Entry<P> {
 /// Lemma 1/Lemma 2, whose constructions reason about the exact order in
 /// which the algorithm observes events.
 #[derive(Debug)]
-pub struct EventQueue<P> {
+pub(crate) struct EventQueue<P> {
     heap: BinaryHeap<Reverse<Entry<P>>>,
     seq: u64,
-}
-
-impl<P> Default for EventQueue<P> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<P> EventQueue<P> {
@@ -58,22 +52,9 @@ impl<P> EventQueue<P> {
         }
     }
 
-    /// Empty queue with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-        }
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedules `payload` at `time`. Panics on NaN times (programming
@@ -94,11 +75,6 @@ impl<P> EventQueue<P> {
     pub fn pop(&mut self) -> Option<(f64, P)> {
         let Reverse(entry) = self.heap.pop()?;
         Some((entry.time, entry.payload))
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -155,13 +131,5 @@ mod tests {
     fn nan_time_panics() {
         let mut q = EventQueue::new();
         q.push(f64::NAN, ());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.push(1.0, ());
-        q.clear();
-        assert!(q.is_empty());
     }
 }

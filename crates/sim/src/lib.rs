@@ -6,15 +6,15 @@
 //! independent correctness layer that makes experiment results
 //! trustworthy:
 //!
-//! * [`event::EventQueue`] — time-ordered queue over
-//!   `std::collections::BinaryHeap` with deterministic FIFO
-//!   tie-breaking;
 //! * [`scheduler::OnlineScheduler`] — the trait every policy implements
 //!   (`osr-core` algorithms and `osr-baselines` comparators alike);
-//! * [`driver`] — the generic serial event loop all `osr-core`
-//!   schedulers run on via [`driver::EventPolicy`]: one implementation
-//!   of the completions ≤ capacity ≤ arrivals ordering, the re-dispatch
-//!   discipline, and the shared reject accounting;
+//! * [`driver`] — the generic serial event loop, over a time-ordered
+//!   completion queue with deterministic FIFO tie-breaking, that the
+//!   three flow-family schedulers of `osr-core` and the greedy,
+//!   immediate-rejection and speed-augmentation baselines of
+//!   `osr-baselines` run on via [`driver::EventPolicy`]: one
+//!   implementation of the completions ≤ capacity ≤ arrivals ordering,
+//!   the re-dispatch discipline, and the shared reject accounting;
 //! * [`failpoint`] — the fault-injection registry crash-recovery tests
 //!   arm to kill or error the consumer at chosen protocol points
 //!   (mid-batch, pre-fsync, the epoch barrier, snapshot write);
@@ -44,7 +44,7 @@
 
 pub mod capacity;
 pub mod driver;
-pub mod event;
+mod event;
 pub mod failpoint;
 pub mod gantt;
 pub mod scheduler;
@@ -54,11 +54,11 @@ pub mod validate;
 
 pub use capacity::{CapacityChange, CapacityEvent, CapacityPlan, OnlineWindow};
 pub use driver::{drive, Ctx, DriverSession, EventPolicy, Placement, Probe, SessionStats};
-pub use event::EventQueue;
 pub use failpoint::{FailAction, FailHit, KILL_EXIT_CODE};
 pub use gantt::render_gantt;
 pub use scheduler::{
-    reject_ineligible, reject_machine_lost, run_validated, OnlineScheduler, SimError,
+    record_rejection, reject_ineligible, reject_machine_lost, run_validated, OnlineScheduler,
+    SimError,
 };
 pub use stats::{MachineUtilization, SummaryStats};
 pub use trace::{DecisionEvent, DecisionTrace};

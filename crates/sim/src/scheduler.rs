@@ -1,5 +1,5 @@
 //! The scheduler trait, the validated execution helper, and the shared
-//! ineligible-job rejection used by every dispatch argmin.
+//! rejection records.
 
 use osr_model::{
     FinishedLog, Instance, JobId, MachineId, Metrics, PartialRun, RejectReason, Rejection,
@@ -9,29 +9,43 @@ use osr_model::{
 use crate::trace::{DecisionEvent, DecisionTrace};
 use crate::validate::{validate_log, ValidationConfig, ValidationError};
 
+/// Records `rejection` of `job`: the log entry, and the trace's
+/// `Reject` event naming `machine` (machine 0 is the conventional "no
+/// machine" sentinel) and the rule's `counter`. Every rejection the
+/// driver, the schedulers and the baselines make is written here.
+#[inline]
+pub fn record_rejection(
+    log: &mut ScheduleLog,
+    trace: &mut DecisionTrace,
+    job: JobId,
+    rejection: Rejection,
+    machine: MachineId,
+    counter: f64,
+) {
+    let (time, reason) = (rejection.time, rejection.reason);
+    log.reject(job, rejection);
+    trace.push(DecisionEvent::Reject {
+        time,
+        job,
+        machine,
+        reason,
+        counter,
+    });
+}
+
 /// Records the standard outcome for a job that is eligible on **no**
 /// machine (`p_ij = ∞` everywhere): rejected at its arrival instant
-/// with [`RejectReason::Ineligible`], no partial run, zero counter. The
-/// trace event uses machine 0 as the conventional "no machine"
-/// sentinel, matching the immediate-rejection baselines. Every
-/// scheduler and baseline funnels its empty-argmin case through here so
-/// the bookkeeping cannot drift between implementations.
+/// with [`RejectReason::Ineligible`], no partial run, zero counter, on
+/// machine 0. The driver and the single-pass schedulers funnel their
+/// empty-argmin case through here so the bookkeeping cannot drift
+/// between implementations.
 pub fn reject_ineligible(log: &mut ScheduleLog, trace: &mut DecisionTrace, job: JobId, t: f64) {
-    log.reject(
-        job,
-        Rejection {
-            time: t,
-            reason: RejectReason::Ineligible,
-            partial: None,
-        },
-    );
-    trace.push(DecisionEvent::Reject {
+    let rejection = Rejection {
         time: t,
-        job,
-        machine: MachineId(0),
         reason: RejectReason::Ineligible,
-        counter: 0.0,
-    });
+        partial: None,
+    };
+    record_rejection(log, trace, job, rejection, MachineId(0), 0.0);
 }
 
 /// Records the standard outcome for a job stranded by capacity churn:
@@ -56,21 +70,12 @@ pub fn reject_machine_lost(
     partial: Option<PartialRun>,
 ) {
     let machine = partial.as_ref().map_or(MachineId(0), |p| p.machine);
-    log.reject(
-        job,
-        Rejection {
-            time: t,
-            reason: RejectReason::MachineLost,
-            partial,
-        },
-    );
-    trace.push(DecisionEvent::Reject {
+    let rejection = Rejection {
         time: t,
-        job,
-        machine,
         reason: RejectReason::MachineLost,
-        counter: 0.0,
-    });
+        partial,
+    };
+    record_rejection(log, trace, job, rejection, machine, 0.0);
 }
 
 /// Errors surfaced by [`run_validated`].

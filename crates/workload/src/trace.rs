@@ -83,7 +83,7 @@ impl TraceImport {
                 _ => {}
             }
             let num = |s: &str| -> Result<f64, ModelError> {
-                s.parse::<f64>().map_err(|_| ModelError::Parse {
+                osr_model::parse_decimal(s).ok_or_else(|| ModelError::Parse {
                     line: lineno,
                     message: format!("bad number `{s}`"),
                 })
@@ -249,10 +249,12 @@ mod tests {
 
     #[test]
     fn bad_numbers_located() {
-        let text = "0 1\n0 abc\n";
-        match TraceImport::identical(1).parse(text).unwrap_err() {
-            ModelError::Parse { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected {other}"),
+        for bad in ["abc", "1e309", "NaN", "infinity"] {
+            let text = format!("0 1\n0 {bad}\n");
+            match TraceImport::identical(1).parse(&text).unwrap_err() {
+                ModelError::Parse { line, .. } => assert_eq!(line, 2, "{bad}"),
+                other => panic!("{bad}: unexpected {other}"),
+            }
         }
     }
 
