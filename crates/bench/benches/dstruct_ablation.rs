@@ -8,8 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use osr_core::dispatch::rebuild_index;
 use osr_core::{DispatchIndex, FlowParams, FlowScheduler, QueueBackend};
 use osr_dstruct::{
-    AggTreap, KernelMode, MachineIndex, MachineStats, MaskView, NaiveAggQueue, NodeStats,
-    Propagation, SearchMode,
+    AggTreap, MachineIndex, MachineStats, MaskView, NaiveAggQueue, NodeStats, Propagation,
+    SearchMode,
 };
 use osr_model::{EligMask, InstanceKind, Job, OnlineSet};
 use osr_workload::{ArrivalSpec, FlowWorkload, MachineSpec};
@@ -470,8 +470,7 @@ fn elastic_resize(c: &mut Criterion) {
     };
     // The whole-pool rebuild, as the schedulers' production index
     // settings would run it.
-    let rebuild =
-        |online: &OnlineSet| rebuild_index(online, Propagation::Lazy, KernelMode::Chunked, stats);
+    let rebuild = |online: &OnlineSet| rebuild_index(online, Propagation::Lazy, stats);
     fn probe(ix: &mut MachineIndex) -> Option<(usize, f64)> {
         // Busy-everywhere bounds: the descent does real comparisons on
         // every level (tombstoned leaves are skipped by the search).
@@ -554,98 +553,6 @@ fn elastic_resize(c: &mut Criterion) {
             (degraded, probe(&mut ix))
         });
     });
-    group.finish();
-}
-
-/// The PR 9 kernel ablation: the chunked `[T;4]` hot-loop kernels
-/// against their scalar twins, isolated from the schedulers, at the
-/// three pool sizes the acceptance gate names. Each pair runs the
-/// *same* inputs through `KernelMode::Chunked` and `KernelMode::Scalar`;
-/// the scalar twin is the bit-exact reference the equivalence suites
-/// pin, so the only degree of freedom here is speed. Expectations
-/// (recorded in BENCH.md "PR 9"): `flat_scan` is the real lane win;
-/// `mask_walk` chunks only the word-math half around the inherently
-/// serial set-bit walk.
-fn kernel_ablation(c: &mut Criterion) {
-    use osr_dstruct::kernel::{
-        bound_min4, intersect_words4, popcount_capped4, summarize_words4, walk_set_bits, LANES,
-    };
-    let mut group = c.benchmark_group("kernel_ablation");
-    for &m in &[64usize, 1_024, 16_384] {
-        let rows: Vec<MachineStats> = (0..m)
-            .map(|i| MachineStats {
-                count: 1 + (i % 3) as u64,
-                wsum: 4.0 + (i % 5) as f64,
-                min_size: 1.0 + (i % 7) as f64 * 0.25,
-            })
-            .collect();
-        let (p, inv_eps) = (2.0f64, 4.0f64);
-        for (label, mode) in [
-            ("chunked", KernelMode::Chunked),
-            ("scalar", KernelMode::Scalar),
-        ] {
-            // 1. The flat bound scan: fused per-leaf dispatch-bound
-            // evaluate + running argmin over the leaf-row table — the
-            // SearchMode::Flat hot loop of `search_masked_rows`.
-            group.bench_function(format!("flat_scan_{label}_m{m}"), |b| {
-                let mut out = Vec::with_capacity(m);
-                b.iter(|| {
-                    bound_min4(
-                        mode,
-                        &rows,
-                        &mut out,
-                        |_, quad, lanes| {
-                            for k in 0..LANES {
-                                let s = &quad[k];
-                                let a = inv_eps * p + p + (s.count as f64) * p;
-                                lanes[k] = a.min(inv_eps * p + (s.min_size + p));
-                            }
-                        },
-                        |_, s| {
-                            let a = inv_eps * p + p + (s.count as f64) * p;
-                            a.min(inv_eps * p + (s.min_size + p))
-                        },
-                    )
-                });
-            });
-
-            // 2. The mask word walk: the sparse-search admission path
-            // exactly as the consumer runs it — EligMask ∩ OnlineSet
-            // intersect (with summary maintenance), the capped
-            // popcount admission test, a summary rebuild of the
-            // surviving mask (the mask-build shape), then the
-            // set-bit candidate walk. The eligibility mask is sparse
-            // (16 machines scattered over the pool, restricted-
-            // assignment shape) because that is the only regime where
-            // the walk runs at all — dense masks fail the capped
-            // popcount and take the heap descent instead. The walk
-            // itself is serial by nature; the chunked variant
-            // vectorizes the word math around it.
-            let words = m.div_ceil(64);
-            let a: Vec<u64> = (0..words)
-                .map(|k| !(1u64 << (k % 64))) // near-full online set
-                .collect();
-            let stride = (m / 16).max(1);
-            let mut bw = vec![0u64; words];
-            for i in (0..m).step_by(stride) {
-                bw[i / 64] |= 1u64 << (i % 64);
-            }
-            group.bench_function(format!("mask_walk_{label}_m{m}"), |b| {
-                let mut out_words = vec![0u64; words];
-                let mut out_summary = vec![0u64; words.div_ceil(64)];
-                b.iter(|| {
-                    out_summary.fill(0);
-                    let any = intersect_words4(mode, &a, &bw, &mut out_words, &mut out_summary);
-                    let sparse = popcount_capped4(mode, &out_words, 64);
-                    out_summary.fill(0);
-                    summarize_words4(mode, &out_words, &mut out_summary);
-                    let mut acc = 0usize;
-                    walk_set_bits(&out_words, |i| acc = acc.wrapping_add(i));
-                    (any, sparse, acc)
-                });
-            });
-        }
-    }
     group.finish();
 }
 
@@ -785,6 +692,6 @@ fn bulk_build(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = backend_ablation, dispatch_m_sweep, dispatch_affinity_m_sweep, masked_descent, update_churn, rack_phat, elastic_resize, kernel_ablation, p_hat_precompute, raw_structures, steady_state_churn, bulk_build
+    targets = backend_ablation, dispatch_m_sweep, dispatch_affinity_m_sweep, masked_descent, update_churn, rack_phat, elastic_resize, p_hat_precompute, raw_structures, steady_state_churn, bulk_build
 }
 criterion_main!(benches);

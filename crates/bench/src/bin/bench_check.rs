@@ -157,25 +157,6 @@ const KEY_RATIOS: &[(&str, &str, &str, &str, Option<f64>)] = &[
         "pruned_m64_g16/2048",
         None,
     ),
-    // PR 9: the chunked `[T;4]` kernel layer vs its scalar twin,
-    // isolated from the schedulers at the acceptance size m = 1024.
-    // `flat_scan` (fused bound eval + argmin) is the lane win the gate
-    // protects; `mask_walk` chunks only the word math around the
-    // serial set-bit walk.
-    (
-        "chunked-vs-scalar flat bound scan (m=1024)",
-        "kernel_ablation",
-        "flat_scan_scalar_m1024",
-        "flat_scan_chunked_m1024",
-        Some(0.50),
-    ),
-    (
-        "chunked-vs-scalar mask word walk (m=1024)",
-        "kernel_ablation",
-        "mask_walk_scalar_m1024",
-        "mask_walk_chunked_m1024",
-        Some(0.50),
-    ),
     // PR 10: the write-ahead journal's durability tax on the serve
     // ingest path — a journal_overhead row, not a speedup gate. The
     // plain/journaled ratio sits **below 1× by construction** (the

@@ -6,8 +6,8 @@
 //! experiment suite is a differential test of the fast paths against
 //! their references: the treap queue against the naive one, lazy
 //! ancestor repair against eager, incremental capacity maintenance
-//! against the rebuild-from-scratch index, the chunked kernels against
-//! the scalar twins, and the pruned index against the linear scan.
+//! against the rebuild-from-scratch index, and the pruned index
+//! against the linear scan.
 //! [`SchedulerConfig::reference`] keeps `Pruned` dispatch, because a
 //! `Linear` run builds no index and would never reach the eager or
 //! rebuild paths; `Linear` is a separate case on top of it.

@@ -10,20 +10,20 @@
 //! * [`SchedulerConfig::production`] — what the CLI, the serve loop and
 //!   the experiment harness run, and what [`SchedulerConfig::default`]
 //!   returns: treap queues, pruned dispatch, lazy ancestor repair,
-//!   incremental capacity maintenance, chunked kernels.
+//!   incremental capacity maintenance.
 //! * [`SchedulerConfig::reference`] — the simplest setting of every
 //!   knob (naive queue, eager repair, the rebuild-from-scratch
-//!   capacity index, scalar kernels). The equivalence suites compare
-//!   production runs against it; `Linear` dispatch is a second
-//!   reference, applied on top of it, because a `Linear` run builds no
-//!   index and would leave the others unexercised.
+//!   capacity index). The equivalence suites compare production runs
+//!   against it; `Linear` dispatch is a second reference, applied on
+//!   top of it, because a `Linear` run builds no index and would leave
+//!   the others unexercised.
 //!
 //! None of these knobs has a CLI flag. The serve-durability vocabulary
 //! ([`SERVE_KNOBS`], [`serve_knob_help`], `parse_*`) that `osr serve`'s
 //! help text and error messages are generated from lives here too, so
 //! the docs cannot drift from the parser.
 
-use osr_dstruct::{KernelMode, Propagation};
+use osr_dstruct::Propagation;
 
 use crate::dispatch::{CapacityIndexMode, DispatchIndex};
 use crate::flowtime::QueueBackend;
@@ -31,8 +31,8 @@ use crate::flowtime::QueueBackend;
 /// The runtime knobs shared by all three schedulers.
 ///
 /// Embedded as the `config` field of every params struct; the params
-/// structs `Deref` to it, so `params.dispatch`, `params.kernels` etc.
-/// keep working as plain field accesses. Every knob is result-neutral
+/// structs `Deref` to it, so `params.dispatch`, `params.propagation`
+/// etc. keep working as plain field accesses. Every knob is result-neutral
 /// (schedules are byte-identical across all settings); see the field
 /// docs for what each one trades.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +49,6 @@ pub struct SchedulerConfig {
     /// Ancestor-propagation mode of the tournament dispatch index
     /// (`Eager` is the reference; `Lazy` batches repairs).
     pub propagation: Propagation,
-    /// Which kernel layer the SoA hot loops run (`Scalar` is the
-    /// bit-exact reference; `Chunked` autovectorizes).
-    pub kernels: KernelMode,
 }
 
 impl Default for SchedulerConfig {
@@ -70,23 +67,21 @@ impl SchedulerConfig {
             dispatch: DispatchIndex::Pruned,
             capacity_index: CapacityIndexMode::Incremental,
             propagation: Propagation::Lazy,
-            kernels: KernelMode::Chunked,
         }
     }
 
     /// The reference configuration the equivalence tests compare
     /// production runs against: the naive pending queue, eager
-    /// ancestor repair, the rebuild-from-scratch capacity index and
-    /// scalar kernels. Dispatch stays `Pruned` so the
-    /// reference index paths actually run (a `Linear` run builds no
-    /// index at all); tests apply `Linear` on top as a separate case.
+    /// ancestor repair and the rebuild-from-scratch capacity index.
+    /// Dispatch stays `Pruned` so the reference index paths actually
+    /// run (a `Linear` run builds no index at all); tests apply
+    /// `Linear` on top as a separate case.
     pub const fn reference() -> Self {
         SchedulerConfig {
             backend: QueueBackend::Naive,
             dispatch: DispatchIndex::Pruned,
             capacity_index: CapacityIndexMode::Rebuild,
             propagation: Propagation::Eager,
-            kernels: KernelMode::Scalar,
         }
     }
 }
@@ -197,12 +192,10 @@ mod tests {
         assert_eq!(r.dispatch, DispatchIndex::Pruned);
         assert_eq!(r.capacity_index, CapacityIndexMode::Rebuild);
         assert_eq!(r.propagation, Propagation::Eager);
-        assert_eq!(r.kernels, KernelMode::Scalar);
         // Every knob but dispatch differs from production.
         assert_ne!(r.backend, p.backend);
         assert_ne!(r.capacity_index, p.capacity_index);
         assert_ne!(r.propagation, p.propagation);
-        assert_ne!(r.kernels, p.kernels);
         assert_eq!(r.dispatch, p.dispatch);
     }
 
@@ -224,8 +217,8 @@ mod tests {
             SchedulerConfig::production()
         );
         let mut p = crate::FlowParams::new(0.5);
-        p.kernels = KernelMode::Scalar;
-        assert_eq!(p.config.kernels, KernelMode::Scalar);
+        p.propagation = Propagation::Eager;
+        assert_eq!(p.config.propagation, Propagation::Eager);
     }
 
     #[test]

@@ -108,7 +108,7 @@
 
 use osr_dstruct::{
     tournament::{SearchMode, FLAT_MAX_MACHINES},
-    KernelMode, MachineIndex, MachineStats, MaskView, Propagation,
+    MachineIndex, MachineStats, MaskView, Propagation,
 };
 use osr_model::{EligMask, Job, OnlineSet, RackPHat};
 use osr_sim::CapacityChange;
@@ -231,11 +231,9 @@ pub enum CapacityIndexMode {
 /// and also constructs every scheduler's initial index (where `stats`
 /// is constantly [`MachineStats::EMPTY`]).
 ///
-/// `prop` selects the index's ancestor-propagation mode and `kern`
-/// its kernel layer (schedulers pass their
-/// [`crate::SchedulerConfig::propagation`] /
-/// [`crate::SchedulerConfig::kernels`]); the search mode keeps
-/// [`MachineIndex::new`]'s auto-selection (flat at or below
+/// `prop` selects the index's ancestor-propagation mode (schedulers
+/// pass their [`crate::SchedulerConfig::propagation`]); the search
+/// mode keeps [`MachineIndex::new`]'s auto-selection (flat at or below
 /// [`FLAT_MAX_MACHINES`] leaves, heap beyond). Machines are visited in
 /// ascending id order; a tombstone can trigger trailing-rack
 /// auto-compaction only on the final id (earlier leaves not yet
@@ -244,7 +242,6 @@ pub enum CapacityIndexMode {
 pub fn rebuild_index(
     online: &OnlineSet,
     prop: Propagation,
-    kern: KernelMode,
     stats: impl Fn(usize) -> MachineStats,
 ) -> MachineIndex {
     let m = online.m();
@@ -253,7 +250,7 @@ pub fn rebuild_index(
     } else {
         SearchMode::Heap
     };
-    let mut ix = MachineIndex::with_kernels(m, mode, prop, kern);
+    let mut ix = MachineIndex::with_config(m, mode, prop);
     for i in 0..m {
         if online.is_online(i) {
             ix.update(i, stats(i));
@@ -267,12 +264,10 @@ pub fn rebuild_index(
 /// Applies one capacity change for `machine` to the index under
 /// `mode`: incremental join/tombstone, or a full rebuild. The victim
 /// machine's queue must already be emptied (drain/crash re-dispatches
-/// it) before the rebuild reads `stats`. `prop` and `kern` are the
-/// propagation and kernel modes a [`CapacityIndexMode::Rebuild`]
-/// reconstruction carries over (the incremental arm mutates in place
-/// and never consults them). A `Linear` run has no index, so this is a
-/// no-op there.
-#[allow(clippy::too_many_arguments)]
+/// it) before the rebuild reads `stats`. `prop` is the propagation
+/// mode a [`CapacityIndexMode::Rebuild`] reconstruction carries over
+/// (the incremental arm mutates in place and never consults it). A
+/// `Linear` run has no index, so this is a no-op there.
 pub fn sync_index(
     dindex: &mut Option<MachineIndex>,
     mode: CapacityIndexMode,
@@ -280,7 +275,6 @@ pub fn sync_index(
     machine: usize,
     online: &OnlineSet,
     prop: Propagation,
-    kern: KernelMode,
     stats: impl Fn(usize) -> MachineStats,
 ) {
     let Some(ix) = dindex.as_mut() else { return };
@@ -291,7 +285,7 @@ pub fn sync_index(
                 ix.tombstone(machine);
             }
         },
-        CapacityIndexMode::Rebuild => *ix = rebuild_index(online, prop, kern, stats),
+        CapacityIndexMode::Rebuild => *ix = rebuild_index(online, prop, stats),
     }
 }
 

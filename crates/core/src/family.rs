@@ -21,7 +21,6 @@
 
 use std::ops::Deref;
 
-use osr_dstruct::kernel::LANES;
 use osr_dstruct::{MachineIndex, MachineStats, NodeStats};
 use osr_model::{
     Execution, Job, JobId, MachineId, OnlineSet, PartialRun, RejectReason, Rejection, RowForm,
@@ -391,27 +390,18 @@ impl<F: Family> FamilyPolicy<F> {
         } = st;
         let ix = dindex.as_mut().expect("pruned search needs an index");
         let (fam, w, id) = (&self.fam, job.weight, job.id);
-        let leaf = |p: f64, s: &MachineStats| {
-            if p.is_finite() {
-                fam.bound(&NodeStats::leaf(*s), p, w)
-            } else {
-                f64::INFINITY
-            }
-        };
         let ph = dispatch::p_hat_view(job);
-        ix.search_masked_rows(
+        ix.search_masked(
             dispatch::mask_view(job.elig()),
             |s, lo, span| fam.bound(s, ph.for_range(lo, span), w),
-            // Leaf-row-slice form of the leaf bound: the same per-lane
-            // expression over an aligned quad of stat rows
-            // (bit-identical by construction), which is what the
-            // chunked flat scan autovectorizes.
-            |lo, rows, out| {
-                for k in 0..LANES {
-                    out[k] = leaf(sizes(lo + k), &rows[k]);
+            |mi, s| {
+                let p = sizes(mi);
+                if p.is_finite() {
+                    fam.bound(&NodeStats::leaf(*s), p, w)
+                } else {
+                    f64::INFINITY
                 }
             },
-            |mi, s| leaf(sizes(mi), s),
             |mi| {
                 let p = sizes(mi);
                 p.is_finite()
@@ -463,10 +453,8 @@ impl<F: Family> EventPolicy for FamilyPolicy<F> {
         // scan is cheaper than any bookkeeping (results are identical
         // either way).
         let c = &self.config;
-        let dindex =
-            (c.dispatch == DispatchIndex::Pruned && machines >= PRUNED_MIN_MACHINES).then(|| {
-                dispatch::rebuild_index(online, c.propagation, c.kernels, |_| MachineStats::EMPTY)
-            });
+        let dindex = (c.dispatch == DispatchIndex::Pruned && machines >= PRUNED_MIN_MACHINES)
+            .then(|| dispatch::rebuild_index(online, c.propagation, |_| MachineStats::EMPTY));
         FamilyState {
             machines: (0..machines)
                 .map(|_| Machine {
@@ -616,7 +604,6 @@ impl<F: Family> EventPolicy for FamilyPolicy<F> {
             mi,
             online,
             c.propagation,
-            c.kernels,
             |i| machines[i].pending.stats(),
         );
     }

@@ -41,7 +41,7 @@ pub mod dual;
 pub mod queue;
 pub mod weighted;
 
-use osr_dstruct::{NodeStats, TotalF64};
+use osr_dstruct::NodeStats;
 use osr_model::{FinishedLog, Instance, Job, JobId};
 use osr_sim::{
     driver::{Ctx, Placement},
@@ -54,13 +54,13 @@ use crate::epsilon::Thresholds;
 use crate::family::{reject_pending, reject_running, Family, FamilyPolicy, FamilyState, JobRecord};
 pub use dual::{check_dual_feasibility, DualAudit, FlowDual};
 pub use queue::QueueBackend;
-use queue::{lambda_ij, pend_key, PendKey, PendQueue};
+use queue::{lambda_ij, pend_key, PendQueue};
 pub use weighted::{WeightedFlowOutcome, WeightedFlowParams, WeightedFlowScheduler};
 
 /// Parameters of the §2 algorithm.
 ///
 /// The runtime knobs (queue backend, dispatch strategy, capacity-index
-/// mode, propagation, kernels) live in the embedded
+/// mode, propagation) live in the embedded
 /// [`SchedulerConfig`]; `FlowParams` derefs to it, so
 /// `params.dispatch`, `params.backend` etc. keep reading and writing
 /// as plain fields.
@@ -340,14 +340,6 @@ impl OnlineScheduler for FlowScheduler {
     fn schedule(&mut self, instance: &Instance) -> FinishedLog {
         self.run(instance).log
     }
-}
-
-/// Key type re-export for tests and benches.
-pub type PendingKey = PendKey;
-
-/// Re-exported for benches that need raw keys.
-pub fn make_pend_key(p: f64, release: f64, id: JobId) -> PendKey {
-    (TotalF64(p), TotalF64(release), id.0)
 }
 
 #[cfg(test)]

@@ -166,7 +166,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use osr_model::{FinishedLog, RowForm, SizeRow};
+use osr_model::{Decimal, FinishedLog, RowForm, SizeRow};
 use osr_sim::failpoint::{self, FailHit};
 use osr_sim::CapacityChange;
 
@@ -499,25 +499,6 @@ fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
         }
     }
     out.extend_from_slice(&digits[at..]);
-}
-
-/// A record's time or weight: the shortest round-trip decimal, written
-/// in exponent form when the plain form would be long (`|x| ≥ 1e16` or
-/// `0 < |x| < 1e-5`), so that `advance 1e300` is not journaled as a
-/// 301-digit number. Values of ordinary magnitude keep the plain form
-/// and their bytes; either form parses back bit-exactly.
-struct Decimal(f64);
-
-impl std::fmt::Display for Decimal {
-    #[inline]
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let a = self.0.abs();
-        if a >= 1e16 || (a > 0.0 && a < 1e-5) {
-            write!(f, "{:e}", self.0)
-        } else {
-            write!(f, "{}", self.0)
-        }
-    }
 }
 
 /// Appends an arrive record body (no checksum suffix) to `out`. The

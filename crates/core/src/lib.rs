@@ -76,6 +76,6 @@ pub use session::{
     Arrival, EnergyFlowSession, Event, FlowSession, ServeSession, ServeSnapshot,
     WeightedFlowSession,
 };
-// The index and kernel knob types of `SchedulerConfig`, re-exported so
-// callers can name them without depending on `osr-dstruct`.
-pub use osr_dstruct::{KernelMode, Propagation};
+// The index knob type of `SchedulerConfig`, re-exported so callers can
+// name it without depending on `osr-dstruct`.
+pub use osr_dstruct::Propagation;

@@ -1,8 +1,8 @@
 //! Baseline-equivalence proptests: every flow-family scheduler run
 //! under the production configuration must be **bit-identical** to
 //! the same run under the reference paths ([`baseline`]: eager
-//! ancestor repair, rebuild-from-scratch capacity index, scalar
-//! kernels), on instances that straddle the 64-machine rack boundary
+//! ancestor repair, rebuild-from-scratch capacity index), on
+//! instances that straddle the 64-machine rack boundary
 //! and the flat/heap search crossover (m ∈ {63, 64, 65} plus the heap
 //! pools m ∈ {130, 200}), under elastic-pool churn and restricted
 //! affinity masks.
@@ -233,8 +233,8 @@ proptest! {
 /// machines), with churn every few time units: queues build up,
 /// capacity events rebuild the reference index with busy stats, and
 /// later drains must reach every ancestor before the next descent
-/// trusts them. The reference paths (eager repair, rebuild index,
-/// scalar kernels) must match production bit for bit.
+/// trusts them. The reference paths (eager repair, rebuild index)
+/// must match production bit for bit.
 #[test]
 fn loaded_dense_pools_match_the_reference_paths() {
     for m in [130usize, 200] {

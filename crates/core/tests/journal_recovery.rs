@@ -4,9 +4,10 @@
 //! replaying the journal (+ snapshot cross-check), and fed the rest of
 //! the stream must finish with a log **byte-identical** to the
 //! uninterrupted run — for all three schedulers, and with the
-//! result-neutral kernel knob (`kernels {chunked,scalar}`) *flipped*
-//! between the crashed run and the recovery, pinning "recovery is
-//! replay" and "kernels are pure execution strategy" in one stroke.
+//! result-neutral index knobs (`propagation {lazy,eager}` and
+//! `capacity_index {incremental,rebuild}`) *flipped* between the
+//! crashed run and the recovery, pinning "recovery is replay" and
+//! "index knobs are pure execution strategy" in one stroke.
 //!
 //! The streams deliberately include events the session rejects
 //! (wrong-arity size rows, out-of-range capacity targets): write-ahead
@@ -20,8 +21,9 @@
 use osr_core::flowtime::WeightedFlowParams;
 use osr_core::journal::parse_record;
 use osr_core::{
-    fingerprint, Arrival, EnergyFlowParams, EnergyFlowSession, Event, FlowParams, FlowSession,
-    JournaledSession, KernelMode, ServeSession, WeightedFlowSession,
+    fingerprint, Arrival, CapacityIndexMode, EnergyFlowParams, EnergyFlowSession, Event,
+    FlowParams, FlowSession, JournaledSession, Propagation, SchedulerConfig, ServeSession,
+    WeightedFlowSession,
 };
 use osr_model::io::log_to_string;
 use osr_sim::{failpoint, CapacityChange};
@@ -135,24 +137,35 @@ impl Algo {
     }
 }
 
-/// The result-neutral execution knob the contract must hold over.
-const KERNELS: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Chunked];
+/// The result-neutral execution knobs the contract must hold over:
+/// production's index settings, and both index references at once.
+/// The queue backend stays `Treap` on both sides, because
+/// `NaiveAggQueue` sums pending sizes in a different order and so
+/// rounds differently.
+const KNOBS: [SchedulerConfig; 2] = [
+    SchedulerConfig::production(),
+    SchedulerConfig {
+        propagation: Propagation::Eager,
+        capacity_index: CapacityIndexMode::Rebuild,
+        ..SchedulerConfig::production()
+    },
+];
 
-fn build(algo: Algo, m: usize, kernels: KernelMode) -> Box<dyn ServeSession> {
+fn build(algo: Algo, m: usize, config: SchedulerConfig) -> Box<dyn ServeSession> {
     match algo {
         Algo::Flow => {
             let mut p = FlowParams::new(0.25);
-            p.kernels = kernels;
+            p.config = config;
             Box::new(FlowSession::new(p, m).expect("valid params"))
         }
         Algo::WFlow => {
             let mut p = WeightedFlowParams::new(0.25);
-            p.kernels = kernels;
+            p.config = config;
             Box::new(WeightedFlowSession::new(p, m).expect("valid params"))
         }
         Algo::EnergyFlow => {
             let mut p = EnergyFlowParams::new(0.25, 2.0);
-            p.kernels = kernels;
+            p.config = config;
             Box::new(EnergyFlowSession::new(p, m).expect("valid params"))
         }
     }
@@ -181,9 +194,9 @@ fn feed(sess: &mut dyn ServeSession, events: &[Event], batches: &[usize]) -> usi
 }
 
 /// The uninterrupted-run oracle: same events, one per call, no journal,
-/// serial scalar execution, finished to bytes.
+/// the reference index knobs, finished to bytes.
 fn oracle(algo: Algo, m: usize, events: &[Event]) -> String {
-    let mut sess = build(algo, m, KernelMode::Scalar);
+    let mut sess = build(algo, m, KNOBS[1]);
     feed(sess.as_mut(), events, &[1]);
     log_to_string(&sess.finish().expect("oracle finish"))
 }
@@ -223,8 +236,8 @@ fn kill_recover(
     m: usize,
     events: &[Event],
     cut: usize,
-    a: KernelMode,
-    b: KernelMode,
+    a: SchedulerConfig,
+    b: SchedulerConfig,
     snap_every: u64,
     torn_tail: bool,
     batches: &[usize],
@@ -293,15 +306,15 @@ proptest! {
     fn kill_recover_diff_is_byte_identical(
         seed in proptest::arbitrary::any::<u64>(),
         cut_frac in 0.0..1.0f64,
-        combo in 0usize..KERNELS.len(),
+        combo in 0usize..KNOBS.len(),
         torn in proptest::arbitrary::any::<bool>(),
         batches in prop::collection::vec(1usize..16, 1..5),
     ) {
         let m = 65; // one rack plus one: the smallest heap-mode index
         let events = gen_events(seed, 84, m);
         let cut = 1 + (cut_frac * (events.len() - 2) as f64) as usize;
-        let crash_knobs = KERNELS[combo];
-        let recover_knobs = KERNELS[KERNELS.len() - 1 - combo];
+        let crash_knobs = KNOBS[combo];
+        let recover_knobs = KNOBS[KNOBS.len() - 1 - combo];
         for algo in ALGOS {
             let want = oracle(algo, m, &events);
             let (recovered, replayed) = kill_recover(
@@ -321,7 +334,7 @@ proptest! {
     }
 }
 
-/// Deterministic multi-rack case: m=130 (three racks), both kernel
+/// Deterministic multi-rack case: m=130 (three racks), both knob
 /// settings on each side, cuts at the start, middle, and last event of
 /// the stream, with the snapshot cadence tight enough that several
 /// snapshots land before the kill.
@@ -335,13 +348,13 @@ fn kill_recover_diff_across_every_knob_combo_m130() {
             .into_iter()
             .enumerate()
         {
-            let knobs = KERNELS[i % 2];
+            let knobs = KNOBS[i % 2];
             let (recovered, replayed) = kill_recover(
                 algo,
                 m,
                 &events,
                 cut,
-                KERNELS[(i + 1) % 2],
+                KNOBS[(i + 1) % 2],
                 knobs,
                 5,
                 i % 2 == 1,
@@ -359,7 +372,7 @@ fn kill_recover_diff_across_every_knob_combo_m130() {
 }
 
 /// Recovering under a *different* configuration (fingerprint drift)
-/// must be refused — flipping `kernels` is allowed, but
+/// must be refused — flipping the index knobs is allowed, but
 /// the algorithm spec and machine count are load-bearing.
 #[test]
 fn recovery_refuses_a_configuration_change() {
@@ -369,13 +382,13 @@ fn recovery_refuses_a_configuration_change() {
     cleanup(&path);
     let fp = fingerprint(Algo::Flow.spec(), m, &[]);
     {
-        let inner = build(Algo::Flow, m, KernelMode::Scalar);
+        let inner = build(Algo::Flow, m, KNOBS[0]);
         let _journal = journal_lock();
         let mut js = JournaledSession::create(inner, &path, fp, 0).unwrap();
         feed(&mut js, &events, &[5]);
     }
     let wrong = fingerprint(Algo::WFlow.spec(), m, &[]);
-    let err = JournaledSession::recover(build(Algo::WFlow, m, KernelMode::Scalar), &path, wrong, 0)
+    let err = JournaledSession::recover(build(Algo::WFlow, m, KNOBS[0]), &path, wrong, 0)
         .err()
         .expect("fingerprint drift must refuse recovery");
     assert!(
@@ -407,7 +420,7 @@ fn a_mixed_burst_costs_one_fsync() {
     cleanup(&path);
     let fp = fingerprint(Algo::Flow.spec(), m, &[]);
     let _journal = journal_lock();
-    let inner = build(Algo::Flow, m, KernelMode::Scalar);
+    let inner = build(Algo::Flow, m, KNOBS[0]);
     let mut js = JournaledSession::create(inner, &path, fp, 0).unwrap();
     failpoint::arm("pre-fsync:2:error").unwrap();
     let first = js.apply(&mut burst);

@@ -43,11 +43,7 @@
 //!   in one batched sweep only when a heap descent actually reads
 //!   them — leaf-only search paths (flat scan, sparse set-bit walk)
 //!   never rebuild the tree at all. See `crates/dstruct/README.md`
-//!   for the search-side vs update-side design tour;
-//! * [`kernel`] — the `[f64; 4]`/`[u64; 4]` chunked kernels under the
-//!   index's flat scan and the mask word math, each with a bit-exact
-//!   scalar twin ([`KernelMode::Scalar`], the reference the chunked
-//!   forms are tested against).
+//!   for the search-side vs update-side design tour.
 
 // Stylistic lints intentionally not followed:
 // - `needless_range_loop`: machine loops index several parallel state
@@ -57,13 +53,11 @@
 #![allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
 #![warn(missing_docs)]
 
-pub mod kernel;
 pub mod naive;
 pub mod total;
 pub mod tournament;
 pub mod treap;
 
-pub use kernel::KernelMode;
 pub use naive::NaiveAggQueue;
 pub use total::TotalF64;
 pub use tournament::{

@@ -130,7 +130,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::kernel::{self, KernelMode, LANES};
 use crate::total::TotalF64;
 
 /// Borrowed view of a per-job machine-eligibility bitmask, as consumed
@@ -419,12 +418,6 @@ pub struct MachineIndex {
     tombstones: usize,
     mode: SearchMode,
     prop: Propagation,
-    /// Which kernel layer the hot loops run ([`KernelMode::Chunked`]
-    /// or the scalar oracle); results are bit-identical either way.
-    kern: KernelMode,
-    /// Reusable per-leaf bound buffer for the chunked flat scan (no
-    /// per-search allocation once warm; empty under the scalar twin).
-    bound_scratch: Vec<f64>,
     /// Searches answered by each arm (see [`IndexStats`]).
     flat_searches: u64,
     sparse_searches: u64,
@@ -438,8 +431,7 @@ pub struct MachineIndex {
 impl MachineIndex {
     /// Index over `m` machines, all starting with empty queues, in the
     /// search mode best for `m` (flat at or below
-    /// [`FLAT_MAX_MACHINES`], heap above), with lazy propagation and
-    /// the chunked kernels.
+    /// [`FLAT_MAX_MACHINES`], heap above), with lazy propagation.
     ///
     /// # Panics
     /// Panics when `m == 0` (instances always have a machine).
@@ -453,7 +445,7 @@ impl MachineIndex {
     }
 
     /// Index over `m` machines with an explicit [`SearchMode`] (lazy
-    /// propagation, chunked kernels) — for the ablation benches and
+    /// propagation) — for the ablation benches and
     /// the crossover-boundary tests; production callers want
     /// [`MachineIndex::new`].
     ///
@@ -463,22 +455,11 @@ impl MachineIndex {
         Self::with_config(m, mode, Propagation::Lazy)
     }
 
-    /// Explicit search mode *and* propagation mode, with the chunked
-    /// kernels.
+    /// Explicit search mode *and* propagation mode.
     ///
     /// # Panics
     /// Panics when `m == 0` (instances always have a machine).
     pub fn with_config(m: usize, mode: SearchMode, prop: Propagation) -> Self {
-        Self::with_kernels(m, mode, prop, KernelMode::Chunked)
-    }
-
-    /// Fully explicit constructor: search mode, propagation mode *and*
-    /// kernel mode (the latter for the kernel ablation benches and the
-    /// chunked-vs-scalar equivalence tests).
-    ///
-    /// # Panics
-    /// Panics when `m == 0` (instances always have a machine).
-    pub fn with_kernels(m: usize, mode: SearchMode, prop: Propagation, kern: KernelMode) -> Self {
         assert!(m > 0, "MachineIndex needs at least one machine");
         let cap = m.next_power_of_two();
         let leaves = vec![MachineStats::EMPTY; m];
@@ -507,8 +488,6 @@ impl MachineIndex {
             tombstones: 0,
             mode,
             prop,
-            kern,
-            bound_scratch: Vec::new(),
             flat_searches: 0,
             sparse_searches: 0,
             heap_searches: 0,
@@ -529,11 +508,6 @@ impl MachineIndex {
     /// The propagation mode in effect.
     pub fn propagation(&self) -> Propagation {
         self.prop
-    }
-
-    /// The kernel mode in effect.
-    pub fn kernels(&self) -> KernelMode {
-        self.kern
     }
 
     /// Number of machines indexed.
@@ -690,7 +664,7 @@ impl MachineIndex {
         // Dirty machines in increasing order → their (leaf-parent)
         // node ids are non-decreasing, so adjacent dedup suffices.
         let cap = self.cap;
-        kernel::walk_set_bits(&self.dirty, |i| {
+        walk_set_bits(&self.dirty, |i| {
             let parent = ((cap + i) / 2) as u32;
             if frontier.last() != Some(&parent) {
                 frontier.push(parent);
@@ -912,46 +886,10 @@ impl MachineIndex {
         mask: MaskView<'_>,
         node_bound: NB,
         leaf_bound: LB,
-        eval: EV,
-    ) -> Option<(usize, f64)>
-    where
-        NB: Fn(&NodeStats, usize, usize) -> f64,
-        LB: Fn(usize, &MachineStats) -> f64,
-        EV: FnMut(usize) -> Option<f64>,
-    {
-        // Generic quad wrapper: evaluates the scalar bound once per
-        // lane. The per-lane expression is the scalar expression, so
-        // bit-identity holds by construction; the schedulers pass
-        // hand-written leaf-row-slice forms instead (see
-        // `osr-core::dispatch`), which autovectorize better.
-        let lb4 = |lo: usize, rows: &[MachineStats; LANES], out: &mut [f64; LANES]| {
-            for k in 0..LANES {
-                out[k] = leaf_bound(lo + k, &rows[k]);
-            }
-        };
-        self.search_masked_rows(mask, node_bound, lb4, &leaf_bound, eval)
-    }
-
-    /// [`MachineIndex::search_masked`] with an explicit *leaf-row-slice*
-    /// bound form: `leaf_bound4` computes four leaves' bounds from an
-    /// aligned quad of [`MachineStats`] rows and must evaluate, lane
-    /// for lane, exactly what `leaf_bound` computes for one row (the
-    /// contract the kernel proptests and the scheduler equivalence
-    /// suites pin). Under [`KernelMode::Chunked`] the flat dense arm
-    /// runs the fused [`kernel::bound_min4`] fill over the leaf table
-    /// before the incumbent pass; under the scalar oracle (and on
-    /// every sparse/heap path) `leaf_bound4` is never called.
-    pub fn search_masked_rows<NB, LB4, LB, EV>(
-        &mut self,
-        mask: MaskView<'_>,
-        node_bound: NB,
-        leaf_bound4: LB4,
-        leaf_bound: LB,
         mut eval: EV,
     ) -> Option<(usize, f64)>
     where
         NB: Fn(&NodeStats, usize, usize) -> f64,
-        LB4: FnMut(usize, &[MachineStats; LANES], &mut [f64; LANES]),
         LB: Fn(usize, &MachineStats) -> f64,
         EV: FnMut(usize) -> Option<f64>,
     {
@@ -1022,39 +960,7 @@ impl MachineIndex {
             // strict-improvement updates — the same visit order and
             // tie-break as the linear scan, minus the exact
             // evaluations the bounds rule out. Reads the leaf table
-            // only; no ancestors exist. Under the chunked kernels the
-            // bound evaluation runs first as one fused
-            // [`kernel::bound_min4`] fill over the whole leaf table
-            // (tombstoned rows are EMPTY, their bounds computed but
-            // never read), then the incumbent pass consumes the
-            // buffered bounds — same values bit for bit, same visit
-            // order, same tie-break.
-            if self.kern == KernelMode::Chunked {
-                let mut scratch = std::mem::take(&mut self.bound_scratch);
-                kernel::bound_min4(
-                    KernelMode::Chunked,
-                    &self.leaves,
-                    &mut scratch,
-                    leaf_bound4,
-                    &leaf_bound,
-                );
-                for idx in 0..self.m {
-                    if self.is_tombstoned(idx) {
-                        continue;
-                    }
-                    let lb = scratch[idx];
-                    if !beats(lb, idx, &best) {
-                        continue;
-                    }
-                    if let Some(val) = eval(idx) {
-                        if beats(val, idx, &best) {
-                            best = Some((val, idx));
-                        }
-                    }
-                }
-                self.bound_scratch = scratch;
-                return best.map(|(v, i)| (i, v));
-            }
+            // only; no ancestors exist.
             for idx in 0..self.m {
                 if self.is_tombstoned(idx) {
                     continue;
@@ -1080,7 +986,14 @@ impl MachineIndex {
             // Only "is the count ≤ the threshold?" matters, so the
             // capped popcount exits as soon as it cannot be — dense
             // masks pay a few words here, not O(m/64).
-            if kernel::popcount_capped4(self.kern, words, FLAT_MAX_MACHINES).is_some() {
+            let sparse = words
+                .iter()
+                .try_fold(0usize, |n, w| {
+                    let n = n + w.count_ones() as usize;
+                    (n <= FLAT_MAX_MACHINES).then_some(n)
+                })
+                .is_some();
+            if sparse {
                 self.sparse_searches += 1;
                 bit_walk!(words);
             }
@@ -1151,6 +1064,18 @@ impl MachineIndex {
             }
         }
         best.map(|(v, i)| (i, v))
+    }
+}
+
+/// Visits every set bit of a word array in increasing bit-index order
+/// (`f(word_index * 64 + bit)`), one `trailing_zeros` per set bit.
+fn walk_set_bits(words: &[u64], mut f: impl FnMut(usize)) {
+    for (k, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(k * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
     }
 }
 
@@ -1497,7 +1422,24 @@ mod tests {
             SearchMode::Heap
         );
         assert_eq!(MachineIndex::new(8).propagation(), Propagation::Lazy);
-        assert_eq!(MachineIndex::new(8).kernels(), KernelMode::Chunked);
+    }
+
+    #[test]
+    fn walk_set_bits_visits_in_increasing_order() {
+        let mut s = 0xAAu64;
+        for words in [1usize, 3, 4, 5, 63, 64, 65, 130] {
+            let random: Vec<u64> = (0..words).map(|_| xorshift(&mut s)).collect();
+            let mut single = vec![0u64; words];
+            single[words - 1] = 1 << 17;
+            for mask in [vec![0u64; words], vec![u64::MAX; words], single, random] {
+                let mut seen = Vec::new();
+                walk_set_bits(&mask, |i| seen.push(i));
+                let want: Vec<usize> = (0..words * 64)
+                    .filter(|&i| (mask[i / 64] >> (i % 64)) & 1 == 1)
+                    .collect();
+                assert_eq!(seen, want, "words={words}");
+            }
+        }
     }
 
     /// Deterministic xorshift for the randomized cross-checks below.

@@ -5,8 +5,8 @@
 //! interleavings of mutations and searches.
 
 use osr_dstruct::{
-    AggTreap, KernelMode, MachineIndex, MachineStats, MaskView, NaiveAggQueue, Propagation,
-    SearchMode, TotalF64,
+    AggTreap, MachineIndex, MachineStats, MaskView, NaiveAggQueue, Propagation, SearchMode,
+    TotalF64,
 };
 use proptest::prelude::*;
 
@@ -176,9 +176,9 @@ proptest! {
         stride in 1usize..=9,
         offset in 0usize..8,
     ) {
-        // Eight live variants (mode × propagation × kernel) plus, at
-        // every search, a from-scratch rebuilt eager index and an
-        // exhaustive linear reference — all ten must agree bit for bit.
+        // Four live variants (mode × propagation) plus, at every
+        // search, a from-scratch rebuilt eager index and an exhaustive
+        // linear reference — all six must agree bit for bit.
         let mut variants: Vec<(String, MachineIndex)> = [
             (SearchMode::Flat, Propagation::Lazy),
             (SearchMode::Flat, Propagation::Eager),
@@ -186,13 +186,11 @@ proptest! {
             (SearchMode::Heap, Propagation::Eager),
         ]
         .into_iter()
-        .flat_map(|(mode, prop)| {
-            [KernelMode::Chunked, KernelMode::Scalar].map(|kern| {
-                (
-                    format!("{mode:?}/{prop:?}/{kern}"),
-                    MachineIndex::with_kernels(m, mode, prop, kern),
-                )
-            })
+        .map(|(mode, prop)| {
+            (
+                format!("{mode:?}/{prop:?}"),
+                MachineIndex::with_config(m, mode, prop),
+            )
         })
         .collect();
         let mut shadow = vec![MachineStats::EMPTY; m];

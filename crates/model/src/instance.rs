@@ -239,13 +239,6 @@ impl InstanceBuilder {
         self
     }
 
-    /// Adds a job identical on all machines (identical-machines shortcut).
-    pub fn identical_job(mut self, release: f64, size: f64) -> Self {
-        let sizes = vec![size; self.machines];
-        self.pending.push((release, 1.0, None, sizes.into()));
-        self
-    }
-
     /// Number of jobs added so far.
     pub fn len(&self) -> usize {
         self.pending.len()

@@ -67,10 +67,11 @@ pub fn read_instance<R: BufRead>(r: R) -> Result<Instance, ModelError> {
             continue;
         }
         let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 3 + machines {
+        // `m=` is read as any `usize`, so the width check must not add.
+        if fields.len().checked_sub(3) != Some(machines) {
             return Err(ModelError::Parse {
                 line: lineno + 1,
-                message: format!("expected {} fields, got {}", 3 + machines, fields.len()),
+                message: format!("expected 3 + {machines} fields, got {}", fields.len()),
             });
         }
         let release = parse_f64(fields[0], lineno + 1)?;
@@ -148,22 +149,35 @@ fn parse_f64(s: &str, line: usize) -> Result<f64, ModelError> {
     })
 }
 
-/// Formats a float compactly and round-trippably (`inf` for infinity).
+/// The decimal writer paired with [`parse_decimal`]: the shortest
+/// round-trip form (Rust's `{}`), written in exponent form when the
+/// plain form would be long (`|x| ≥ 1e16` or `0 < |x| < 1e-5`), so
+/// that `1e300` is not spelled as a 301-digit number. Values of
+/// ordinary magnitude keep the plain form; either form parses back
+/// bit-exactly, and infinity is written `inf`.
+#[derive(Debug, Clone, Copy)]
+pub struct Decimal(pub f64);
+
+impl std::fmt::Display for Decimal {
+    #[inline]
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let a = self.0.abs();
+        if a >= 1e16 || (a > 0.0 && a < 1e-5) {
+            write!(f, "{:e}", self.0)
+        } else {
+            write!(f, "{}", self.0)
+        }
+    }
+}
+
+/// Formats a float compactly and round-trippably: an integer below
+/// `1e15` in magnitude without a fractional part (`-0.0` as `0`), and
+/// anything else as a [`Decimal`] (`inf` for infinity).
 pub fn fmt_f64(x: f64) -> String {
-    if x == f64::INFINITY {
-        "inf".to_string()
-    } else if x == x.trunc() && x.abs() < 1e15 {
+    if x == x.trunc() && x.abs() < 1e15 {
         format!("{}", x as i64)
     } else {
-        // 17 significant digits round-trips f64 exactly.
-        let s = format!("{x:.17e}");
-        // Prefer the shorter plain representation when it round-trips.
-        let plain = format!("{x}");
-        if plain.parse::<f64>() == Ok(x) {
-            plain
-        } else {
-            s
-        }
+        Decimal(x).to_string()
     }
 }
 
@@ -595,5 +609,18 @@ mod tests {
         assert_eq!(fmt_f64(3.0), "3");
         assert_eq!(fmt_f64(f64::INFINITY), "inf");
         assert_eq!(fmt_f64(0.5), "0.5");
+        assert_eq!(fmt_f64(f64::NEG_INFINITY), "-inf");
+        assert_eq!(fmt_f64(f64::NAN), "NaN");
+        for (x, text) in [
+            (1e300, "1e300"),
+            (1e-300, "1e-300"),
+            (-0.0, "0"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (1e16 + 2.0, "1.0000000000000002e16"),
+        ] {
+            assert_eq!(fmt_f64(x), text);
+            // `-0.0` reads back as `0`, equal but not bit-equal.
+            assert_eq!(parse_decimal(text), Some(x), "{text} round-trips");
+        }
     }
 }

@@ -63,7 +63,6 @@ use std::fmt;
 use std::ops::Index;
 
 use crate::time::{check_release_keeps_size, valid_magnitude, valid_positive};
-use osr_dstruct::kernel::{self, KernelMode};
 
 /// What every absent entry of a sparse [`SizeRow`] reads as.
 static INF: f64 = f64::INFINITY;
@@ -510,7 +509,11 @@ fn derive_caches(sizes: RowForm<'_>) -> (f64, EligMask, Option<RackPHat>) {
         EligMask::All
     } else {
         let mut summary = vec![0u64; n_words.div_ceil(64)];
-        kernel::summarize_words4(KernelMode::Chunked, &words, &mut summary);
+        for (k, &w) in words.iter().enumerate() {
+            if w != 0 {
+                summary[k / 64] |= 1 << (k % 64);
+            }
+        }
         EligMask::Words {
             words: words.into_boxed_slice(),
             summary: summary.into_boxed_slice(),
@@ -577,7 +580,7 @@ impl EligMask {
     pub fn count(&self, machines: usize) -> usize {
         match self {
             EligMask::All => machines,
-            EligMask::Words { words, .. } => kernel::popcount_words4(KernelMode::Chunked, words),
+            EligMask::Words { words, .. } => words.iter().map(|w| w.count_ones() as usize).sum(),
         }
     }
 
@@ -696,11 +699,9 @@ impl RackPHat {
         } else {
             let first = (lo / 4096).min(self.block_min.len());
             let last = ((lo + span) / 4096).min(self.block_min.len());
-            // Entries are positive-or-∞ (never NaN, never -0.0), so the
-            // chunked lane regrouping returns the scalar fold's minimum
-            // bit for bit.
-            kernel::min4_with_index(KernelMode::Chunked, &self.block_min[first..last])
-                .map_or(f64::INFINITY, |(v, _)| v)
+            self.block_min[first..last]
+                .iter()
+                .fold(f64::INFINITY, |m, &v| m.min(v))
         }
     }
 }

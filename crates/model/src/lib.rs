@@ -37,9 +37,9 @@ pub mod time;
 
 pub use error::ModelError;
 pub use instance::{Instance, InstanceBuilder, InstanceKind};
-pub use io::parse_decimal;
+pub use io::{parse_decimal, Decimal};
 pub use job::{EligMask, Job, JobId, MachineId, RackPHat, RowForm, SizeRow, SparseRow};
 pub use log::{Execution, FinishedLog, JobFate, PartialRun, RejectReason, Rejection, ScheduleLog};
 pub use metrics::{EnergyMetrics, FlowMetrics, Metrics};
-pub use pool::{MaskScratch, OnlineSet};
+pub use pool::OnlineSet;
 pub use time::{approx_eq, approx_ge, approx_le, check_release_keeps_size, total_cmp_f64, EPS};

@@ -2,34 +2,24 @@
 //!
 //! Capacity churn (machines joining, draining, crashing mid-run —
 //! `osr_sim::capacity`) needs a scheduler-side record of **which
-//! machines are online right now** in the same two-layer word/summary
-//! shape as [`crate::EligMask`], so a job's eligibility mask
-//! can be intersected with pool membership in `O(words)` and handed
-//! straight to the mask-guided tournament search. [`OnlineSet`] is that
-//! record, and it resizes **incrementally**:
+//! machines are online right now**, one bit per machine.
+//! [`OnlineSet`] is that record, and it resizes **incrementally**:
 //!
 //! * **grow-by-rack** — joining a machine beyond the current width
 //!   extends the word array by whole 64-machine words (racks), never
 //!   reallocating per machine;
 //! * **tombstone** — drain/crash clears the machine's bit in place
-//!   (`O(1)` plus a summary-bit update); the words are never compacted,
+//!   (`O(1)`); the words are never compacted,
 //!   because machine ids are indices into every job's `sizes` row and
 //!   cannot be renumbered mid-run.
-//!
-//! The companion scratch buffer ([`MaskScratch`]) holds the
-//! intersection `elig ∩ online` without allocating per dispatch.
-
-use crate::job::EligMask;
 
 /// Which machines of an elastic pool are currently online.
 ///
-/// Bit layout matches [`EligMask::word_layers`]: one bit per machine,
-/// LSB-first within 64-bit words, plus a summary layer with one bit per
-/// word (set iff that word is non-zero).
+/// One bit per machine, LSB-first within 64-bit words (the
+/// [`crate::EligMask`] word layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OnlineSet {
     words: Vec<u64>,
-    summary: Vec<u64>,
     /// Machine-universe width covered by `words` (may be mid-rack).
     m: usize,
     /// Number of online machines.
@@ -41,7 +31,6 @@ impl OnlineSet {
     pub fn all_online(m: usize) -> Self {
         let mut s = OnlineSet {
             words: Vec::new(),
-            summary: Vec::new(),
             m: 0,
             online: 0,
         };
@@ -56,7 +45,6 @@ impl OnlineSet {
     pub fn all_offline(m: usize) -> Self {
         let mut s = OnlineSet {
             words: Vec::new(),
-            summary: Vec::new(),
             m: 0,
             online: 0,
         };
@@ -98,7 +86,6 @@ impl OnlineSet {
         let need_words = new_m.div_ceil(64);
         if need_words > self.words.len() {
             self.words.resize(need_words, 0);
-            self.summary.resize(need_words.div_ceil(64), 0);
         }
         self.m = new_m;
     }
@@ -112,7 +99,6 @@ impl OnlineSet {
             return false;
         }
         self.words[w] |= b;
-        self.summary[w / 64] |= 1u64 << (w % 64);
         self.online += 1;
         true
     }
@@ -123,74 +109,9 @@ impl OnlineSet {
         if !self.is_online(i) {
             return false;
         }
-        let w = i / 64;
-        self.words[w] &= !(1u64 << (i % 64));
-        if self.words[w] == 0 {
-            self.summary[w / 64] &= !(1u64 << (w % 64));
-        }
+        self.words[i / 64] &= !(1u64 << (i % 64));
         self.online -= 1;
         true
-    }
-
-    /// The `(words, summary)` layers, in [`EligMask::word_layers`]
-    /// layout.
-    #[inline]
-    pub fn word_layers(&self) -> (&[u64], &[u64]) {
-        (&self.words, &self.summary)
-    }
-
-    /// Intersects a job's eligibility mask with pool membership into
-    /// `scratch`, returning `true` iff any machine is both eligible and
-    /// online. After a `true` return, `scratch.word_layers()` holds the
-    /// intersection in [`EligMask::word_layers`] layout.
-    ///
-    /// For unrestricted jobs (`EligMask::All`) the intersection *is*
-    /// the online set; callers should prefer borrowing
-    /// [`OnlineSet::word_layers`] directly in that case (this method
-    /// still fills `scratch` correctly, at the cost of a copy).
-    pub fn intersect_elig(&self, elig: &EligMask, scratch: &mut MaskScratch) -> bool {
-        scratch.words.clear();
-        scratch.summary.clear();
-        scratch.summary.resize(self.summary.len(), 0);
-        match elig.word_layers() {
-            None => {
-                scratch.words.extend_from_slice(&self.words);
-                scratch.summary.copy_from_slice(&self.summary);
-                self.online > 0
-            }
-            Some((jw, _)) => {
-                scratch.words.resize(self.words.len(), 0);
-                osr_dstruct::kernel::intersect_words4(
-                    osr_dstruct::KernelMode::Chunked,
-                    jw,
-                    &self.words,
-                    &mut scratch.words,
-                    &mut scratch.summary,
-                )
-            }
-        }
-    }
-}
-
-/// Reusable buffer for `elig ∩ online` intersections (one per
-/// scheduler, reused across every dispatch — no per-arrival
-/// allocation once the high-water mark is reached).
-#[derive(Debug, Clone, Default)]
-pub struct MaskScratch {
-    words: Vec<u64>,
-    summary: Vec<u64>,
-}
-
-impl MaskScratch {
-    /// Empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The `(words, summary)` layers of the last intersection.
-    #[inline]
-    pub fn word_layers(&self) -> (&[u64], &[u64]) {
-        (&self.words, &self.summary)
     }
 }
 
@@ -214,59 +135,18 @@ mod tests {
     #[test]
     fn grow_by_rack_keeps_layers_consistent() {
         let mut s = OnlineSet::all_online(63);
-        assert_eq!(s.word_layers().0.len(), 1);
-        // Joining machine 64 grows by a whole word.
+        // Joining machine 64 grows the pool into a second word.
         assert!(s.set_online(64));
         assert_eq!(s.m(), 65);
-        assert_eq!(s.word_layers().0.len(), 2);
         assert!(s.is_online(64));
         assert!(
             !s.is_online(63),
             "machines revealed by growth start offline"
         );
-        assert_eq!(s.word_layers().1[0] & 0b11, 0b11);
-        // Draining the only machine of word 1 clears its summary bit.
+        assert_eq!(s.online_count(), 64);
         assert!(s.set_offline(64));
-        assert_eq!(s.word_layers().1[0] & 0b10, 0);
-    }
-
-    #[test]
-    fn intersection_with_restricted_mask() {
-        let mut sizes = vec![f64::INFINITY; 130];
-        sizes[3] = 1.0;
-        sizes[70] = 2.0;
-        sizes[129] = 3.0;
-        let elig = EligMask::from_sizes(&sizes);
-        let mut s = OnlineSet::all_online(130);
-        let mut scratch = MaskScratch::new();
-        assert!(s.intersect_elig(&elig, &mut scratch));
-        let (w, sum) = scratch.word_layers();
-        assert_eq!(w[0], 1 << 3);
-        assert_eq!(w[1], 1 << 6);
-        assert_eq!(w[2], 1 << 1);
-        assert_eq!(sum[0] & 0b111, 0b111);
-        // Knock out two of the three eligible machines.
-        s.set_offline(3);
-        s.set_offline(129);
-        assert!(s.intersect_elig(&elig, &mut scratch));
-        let (w, sum) = scratch.word_layers();
-        assert_eq!(w[0], 0);
-        assert_eq!(w[2], 0);
-        assert_eq!(sum[0] & 0b111, 0b010);
-        // Lose the last one: no eligible online machine remains.
-        s.set_offline(70);
-        assert!(!s.intersect_elig(&elig, &mut scratch));
-    }
-
-    #[test]
-    fn intersection_with_unrestricted_mask_copies_the_pool() {
-        let mut s = OnlineSet::all_online(70);
-        s.set_offline(1);
-        let mut scratch = MaskScratch::new();
-        assert!(s.intersect_elig(&EligMask::All, &mut scratch));
-        assert_eq!(scratch.word_layers().0, s.word_layers().0);
-        assert_eq!(scratch.word_layers().1, s.word_layers().1);
-        let empty = OnlineSet::all_offline(70);
-        assert!(!empty.intersect_elig(&EligMask::All, &mut scratch));
+        assert!(!s.is_online(64));
+        assert!(!s.is_online(65), "beyond the width is offline");
+        assert_eq!((s.m(), s.online_count()), (65, 63));
     }
 }

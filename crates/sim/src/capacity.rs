@@ -230,6 +230,7 @@ impl CapacityPlan {
                 ));
             };
             let time = osr_model::parse_decimal(time)
+                .filter(|t| t.is_finite() && *t >= 0.0)
                 .ok_or_else(|| format!("line {}: bad time `{time}`", lineno + 1))?;
             let machine: u32 = machine
                 .parse()
@@ -258,7 +259,8 @@ impl CapacityPlan {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("time,machine,kind\n");
         for e in &self.events {
-            out.push_str(&format!("{},{},{}\n", e.time, e.machine.idx(), e.change));
+            let time = osr_model::Decimal(e.time);
+            out.push_str(&format!("{time},{},{}\n", e.machine.idx(), e.change));
         }
         out
     }
@@ -361,7 +363,7 @@ mod tests {
         assert!(CapacityPlan::parse("2.0,1,explode").is_err());
         assert!(CapacityPlan::parse("x,1,crash").is_err());
         assert!(CapacityPlan::parse("2.0,1").is_err());
-        for bad in ["1e309", "NaN", "infinity"] {
+        for bad in ["1e309", "NaN", "infinity", "inf", "-1"] {
             let err = CapacityPlan::parse(&format!("1,0,drain\n{bad},0,join\n")).unwrap_err();
             assert!(err.starts_with("line 2: bad time"), "{bad}: {err}");
         }

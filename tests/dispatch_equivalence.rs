@@ -15,11 +15,6 @@
 //! mask-guided tournament descent (PR 4) changes the search path on,
 //! so pruned-vs-linear bit-identity stays locked where it matters
 //! most.
-
-//! PR 9 extends every generator pair to straddle the **kernel** toggle
-//! too: the pruned side runs the chunked `[f64;4]` hot-loop kernels,
-//! the linear side the scalar oracle, so a tie-break or summation
-//! regression in either layer breaks bit-identity here.
 //!
 //! A third family generates **dense unrelated** instances past the flat
 //! crossover (m ∈ 65..=300), so the heap descent runs and every
@@ -30,7 +25,7 @@
 //! pattern a sloppy rack bound would break.
 
 use online_sched_rejection::prelude::*;
-use osr_core::{DispatchIndex, KernelMode, PRUNED_MIN_MACHINES};
+use osr_core::{DispatchIndex, PRUNED_MIN_MACHINES};
 use osr_model::RejectReason;
 use proptest::prelude::*;
 
@@ -167,15 +162,9 @@ fn dense_unrelated_instance() -> impl Strategy<Value = Instance> {
     })
 }
 
-fn flow_with(
-    inst: &Instance,
-    eps: f64,
-    dispatch: DispatchIndex,
-    kern: KernelMode,
-) -> osr_core::FlowOutcome {
+fn flow_with(inst: &Instance, eps: f64, dispatch: DispatchIndex) -> osr_core::FlowOutcome {
     let mut params = osr_core::FlowParams::new(eps);
     params.dispatch = dispatch;
-    params.kernels = kern;
     osr_core::FlowScheduler::new(params).unwrap().run(inst)
 }
 
@@ -187,8 +176,8 @@ proptest! {
         inst in tie_heavy_instance(),
         eps in 0.1f64..1.0,
     ) {
-        let a = flow_with(&inst, eps, DispatchIndex::Pruned, KernelMode::Chunked);
-        let b = flow_with(&inst, eps, DispatchIndex::Linear, KernelMode::Scalar);
+        let a = flow_with(&inst, eps, DispatchIndex::Pruned);
+        let b = flow_with(&inst, eps, DispatchIndex::Linear);
         // Same machine choice and λ for every job (machine_of pins the
         // argmin index; lambda pins the value), hence the same schedule
         // and dual solution, bit for bit.
@@ -196,11 +185,6 @@ proptest! {
         prop_assert_eq!(&a.dual.lambda, &b.dual.lambda);
         prop_assert_eq!(&a.dual.c_tilde, &b.dual.c_tilde);
         prop_assert_eq!(&a.log, &b.log);
-        // Isolate the kernel toggle on the index path: same dispatch
-        // strategy, scalar oracle kernels.
-        let c = flow_with(&inst, eps, DispatchIndex::Pruned, KernelMode::Scalar);
-        prop_assert_eq!(&a.dual.lambda, &c.dual.lambda);
-        prop_assert_eq!(&a.log, &c.log);
     }
 
     #[test]
@@ -208,14 +192,12 @@ proptest! {
         inst in eligibility_instance(),
         eps in 0.1f64..1.0,
     ) {
-        let a = flow_with(&inst, eps, DispatchIndex::Pruned, KernelMode::Chunked);
-        let b = flow_with(&inst, eps, DispatchIndex::Linear, KernelMode::Scalar);
+        let a = flow_with(&inst, eps, DispatchIndex::Pruned);
+        let b = flow_with(&inst, eps, DispatchIndex::Linear);
         prop_assert_eq!(&a.dual.machine_of, &b.dual.machine_of);
         prop_assert_eq!(&a.dual.lambda, &b.dual.lambda);
         prop_assert_eq!(&a.dual.c_tilde, &b.dual.c_tilde);
         prop_assert_eq!(&a.log, &b.log);
-        let c = flow_with(&inst, eps, DispatchIndex::Pruned, KernelMode::Scalar);
-        prop_assert_eq!(&a.log, &c.log);
         // Everywhere-ineligible jobs are rejected identically — at
         // arrival, by both strategies — never scheduled, never panicked
         // on.
@@ -235,20 +217,16 @@ proptest! {
     ) {
         let mut wp = osr_core::flowtime::WeightedFlowParams::new(eps);
         wp.dispatch = DispatchIndex::Pruned;
-        wp.kernels = KernelMode::Chunked;
         let mut wl = osr_core::flowtime::WeightedFlowParams::new(eps);
         wl.dispatch = DispatchIndex::Linear;
-        wl.kernels = KernelMode::Scalar;
         let a = osr_core::flowtime::WeightedFlowScheduler::new(wp).unwrap().run(&inst);
         let b = osr_core::flowtime::WeightedFlowScheduler::new(wl).unwrap().run(&inst);
         prop_assert_eq!(a.log, b.log);
 
         let mut ep = osr_core::EnergyFlowParams::new(eps, 2.2);
         ep.dispatch = DispatchIndex::Pruned;
-        ep.kernels = KernelMode::Chunked;
         let mut el = osr_core::EnergyFlowParams::new(eps, 2.2);
         el.dispatch = DispatchIndex::Linear;
-        el.kernels = KernelMode::Scalar;
         let a = osr_core::EnergyFlowScheduler::new(ep).unwrap().run(&inst);
         let b = osr_core::EnergyFlowScheduler::new(el).unwrap().run(&inst);
         prop_assert_eq!(a.log, b.log);
@@ -266,8 +244,8 @@ proptest! {
             let uniform = job.sizes.iter().all(|p| *p == job.sizes[0]);
             prop_assert_eq!(job.rack_p_hat().is_none(), uniform);
         }
-        let a = flow_with(&inst, eps, DispatchIndex::Pruned, KernelMode::Chunked);
-        let b = flow_with(&inst, eps, DispatchIndex::Linear, KernelMode::Scalar);
+        let a = flow_with(&inst, eps, DispatchIndex::Pruned);
+        let b = flow_with(&inst, eps, DispatchIndex::Linear);
         prop_assert_eq!(&a.dual.machine_of, &b.dual.machine_of);
         prop_assert_eq!(&a.dual.lambda, &b.dual.lambda);
         prop_assert_eq!(&a.dual.c_tilde, &b.dual.c_tilde);
@@ -275,20 +253,16 @@ proptest! {
 
         let mut wp = osr_core::flowtime::WeightedFlowParams::new(eps);
         wp.dispatch = DispatchIndex::Pruned;
-        wp.kernels = KernelMode::Chunked;
         let mut wl = osr_core::flowtime::WeightedFlowParams::new(eps);
         wl.dispatch = DispatchIndex::Linear;
-        wl.kernels = KernelMode::Scalar;
         let a = osr_core::flowtime::WeightedFlowScheduler::new(wp).unwrap().run(&inst);
         let b = osr_core::flowtime::WeightedFlowScheduler::new(wl).unwrap().run(&inst);
         prop_assert_eq!(a.log, b.log);
 
         let mut ep = osr_core::EnergyFlowParams::new(eps, 2.2);
         ep.dispatch = DispatchIndex::Pruned;
-        ep.kernels = KernelMode::Chunked;
         let mut el = osr_core::EnergyFlowParams::new(eps, 2.2);
         el.dispatch = DispatchIndex::Linear;
-        el.kernels = KernelMode::Scalar;
         let a = osr_core::EnergyFlowScheduler::new(ep).unwrap().run(&inst);
         let b = osr_core::EnergyFlowScheduler::new(el).unwrap().run(&inst);
         prop_assert_eq!(a.log, b.log);
@@ -308,20 +282,16 @@ proptest! {
 
         let mut wp = osr_core::flowtime::WeightedFlowParams::new(eps);
         wp.dispatch = DispatchIndex::Pruned;
-        wp.kernels = KernelMode::Chunked;
         let mut wl = osr_core::flowtime::WeightedFlowParams::new(eps);
         wl.dispatch = DispatchIndex::Linear;
-        wl.kernels = KernelMode::Scalar;
         let a = osr_core::flowtime::WeightedFlowScheduler::new(wp).unwrap().run(&inst);
         let b = osr_core::flowtime::WeightedFlowScheduler::new(wl).unwrap().run(&inst);
         prop_assert_eq!(a.log, b.log);
 
         let mut ep = osr_core::EnergyFlowParams::new(eps, 2.2);
         ep.dispatch = DispatchIndex::Pruned;
-        ep.kernels = KernelMode::Chunked;
         let mut el = osr_core::EnergyFlowParams::new(eps, 2.2);
         el.dispatch = DispatchIndex::Linear;
-        el.kernels = KernelMode::Scalar;
         let a = osr_core::EnergyFlowScheduler::new(ep).unwrap().run(&inst);
         let b = osr_core::EnergyFlowScheduler::new(el).unwrap().run(&inst);
         prop_assert_eq!(a.log, b.log);
