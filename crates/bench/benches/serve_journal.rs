@@ -10,11 +10,22 @@
 //! (tmpfs vs disk vs container overlay), so the recorded ratio is a
 //! coarse trajectory row, not a precise constant — bench_check gates it
 //! with the widened 50% tolerance and the honest framing in BENCH.md.
+//!
+//! `dense_line_parse` explains the protocol-parse layer of servebench's
+//! `dense-m1024` workload: one arrive line of m = 1 024 sizes from the
+//! same scenario (`poisson-pareto-unrelated`, seed 1), through
+//! [`journal::parse_line`] as `osr serve`'s producer thread reads it.
+//! `decimal` is the line as clients send it (shortest round-trip
+//! decimals); `hex` is the same row as the journal writes it (`x` + 16
+//! hex digits per size), which recovery reads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use osr_core::{
-    fingerprint, Arrival, Event, FlowParams, FlowSession, JournaledSession, ServeSession,
+    fingerprint, journal, Arrival, Event, FlowParams, FlowSession, JournaledSession, ServeSession,
 };
+use osr_model::InstanceKind;
+use osr_sim::CapacityPlan;
+use osr_workload::Scenario;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SplitMix64 — deterministic job sizes.
@@ -84,5 +95,35 @@ fn serve_journal(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, serve_journal);
+/// The first arrive line of the `dense-m1024` scenario at seed 1, in
+/// the decimal form a client sends and the hex form the journal keeps.
+fn dense_lines() -> (String, String) {
+    const M: usize = 1_024;
+    let inst = Scenario::named("poisson-pareto-unrelated", 1, M, 1)
+        .expect("known scenario")
+        .generate(InstanceKind::FlowTime);
+    let (script, _) =
+        osr_workload::serve_script(&inst, &CapacityPlan::empty()).expect("servable instance");
+    let decimal = script
+        .lines()
+        .find(|l| l.starts_with("arrive "))
+        .expect("one arrival")
+        .to_string();
+    let job = &inst.jobs()[0];
+    let hex = journal::encode_arrive(0, job.release, job.weight, &job.sizes);
+    (decimal, hex)
+}
+
+fn dense_line_parse(c: &mut Criterion) {
+    let (decimal, hex) = dense_lines();
+    let mut group = c.benchmark_group("dense_line_parse");
+    for (name, line) in [("decimal_m1024", &decimal), ("hex_m1024", &hex)] {
+        group.bench_function(name, |b| {
+            b.iter(|| journal::parse_line(std::hint::black_box(line)).expect("valid line"))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, serve_journal, dense_line_parse);
 criterion_main!(benches);

@@ -273,7 +273,7 @@ fn parse_weights(spec: &str) -> Result<WeightSpec, String> {
 pub fn cmd_gen(args: &Args) -> Result<String, String> {
     // Trace import path: --from-trace FILE replaces the random models.
     if let Some(path) = args.opt("from-trace") {
-        let machines: usize = args.opt_parse("machines", 1)?;
+        let machines = osr_model::check_machines(args.opt_parse("machines", 1)?)?;
         let seed: u64 = args.opt_parse("seed", 1)?;
         let machine_model = match args.opt("machine-model") {
             Some(spec) => parse_machine_model(spec)?,
@@ -301,7 +301,7 @@ pub fn cmd_gen(args: &Args) -> Result<String, String> {
 
     let kind = parse_kind(args.opt("kind").unwrap_or("flowtime"))?;
     let n: usize = args.opt_parse("n", 100)?;
-    let machines: usize = args.opt_parse("machines", 4)?;
+    let machines = osr_model::check_machines(args.opt_parse("machines", 4)?)?;
     let seed: u64 = args.opt_parse("seed", 1)?;
 
     // A named scenario fixes all three axes; the explicit per-axis
@@ -981,6 +981,27 @@ mod tests {
         ] {
             let err = run("flow:0.25", extra).unwrap_err();
             assert!(err.contains(needle), "{extra}: {err}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `m` past the u32 machine ids is refused by every reader of it
+    /// (`gen --machines`, `serve --machines`, an instance header under
+    /// `run`) before anything is allocated per machine.
+    #[test]
+    fn machine_counts_past_the_u32_ids_are_refused() {
+        let dir = std::env::temp_dir().join(format!("osr-cli-huge-m-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let inst = dir.join("inst.csv");
+        fs::write(&inst, "# osr-instance v1 kind=flowtime m=1000000000000\n").unwrap();
+        for line in [
+            "gen --kind flowtime --n 1 --machines 1000000000000".to_string(),
+            "gen --from-trace missing.csv --machines 1000000000000".to_string(),
+            "serve --algo flow:0.25 --machines 1000000000000 --once".to_string(),
+            format!("run --algo flow:0.25 --input {}", inst.display()),
+        ] {
+            let err = dispatch(&args(&line)).unwrap_err();
+            assert!(err.contains("exceeds the u32 machine ids"), "{line}: {err}");
         }
         fs::remove_dir_all(&dir).ok();
     }

@@ -45,7 +45,9 @@
 //! session cursor, then hands the burst to `ServeSession::apply`, which
 //! under `--journal` encodes the records, writes and fsyncs them, and
 //! applies the events, all on the loop thread. So parsing, the largest
-//! cost of a dense row, runs beside the loop on another core.
+//! cost of a dense row, runs beside the loop on another core. It reads
+//! each size once from the line's bytes (below), so on a 1 024-size
+//! decimal row the producer now costs about as much CPU as the loop.
 //!
 //! A line that is not UTF-8 gets `err line is not UTF-8 (bad byte at
 //! column N)`, a comment line included, and the producer goes on with
@@ -70,7 +72,11 @@
 //! every line, verb included. It walks the line once and takes a run
 //! of `inf ` tokens (each followed by one space, as a restricted row
 //! writes them) eight bytes at a time, so a 16 384-machine line of
-//! almost all `inf` costs about one compare per two machines; any
+//! almost all `inf` costs about one compare per two machines. A run of
+//! other sizes (decimals that start with a digit, and `x`-hex tokens)
+//! is read straight from the bytes into the row: each decimal in one
+//! pass, digits eight per 64-bit word and then one exact Eisel–Lemire
+//! step (`osr_model::decimal_token`), bit-equal to `str::parse`. Any
 //! other token takes the plain token path. Every event time is finite
 //! (`advance inf`, `@nan` and `@1e309` get `err`), only the literal
 //! `inf` means an ineligible machine, and a line with an operand the
@@ -552,6 +558,7 @@ pub fn cmd_serve(args: &Args) -> Result<CmdOutput, String> {
     let machines: usize = machines_tok
         .parse()
         .map_err(|_| format!("bad --machines `{machines_tok}` (want a positive integer)"))?;
+    let machines = osr_model::check_machines(machines)?;
     let offline = match args.opt("offline") {
         Some(s) => parse_offline(s)?,
         None => Vec::new(),

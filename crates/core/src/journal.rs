@@ -59,7 +59,11 @@
 //! `inf` followed by one space, as a dense restricted row is written)
 //! eight or four bytes at a time and adds each run to the row in one
 //! step, so the 16 384 tokens of such a row cost a few microseconds.
-//! A capacity or advance line with a token after its time is an error.
+//! It reads runs of other size tokens (decimals that start with a digit,
+//! and `x`-hex tokens) straight from the bytes, each decimal in one exact
+//! pass ([`osr_model::decimal_token`]), and adds each run to the row in
+//! one step too. A capacity or advance line with a token after its time
+//! is an error.
 //!
 //! **Finite domain.** Event times and weights are finite, and so is a
 //! decimal size. Only the literal `inf` means an ineligible machine:
@@ -339,8 +343,8 @@ const HEX_VALUE: [u8; 256] = {
 /// `u64::from_str_radix`, which also takes a leading `+`, upper case
 /// and shorter strings. Branch-free over the digits: a non-hex byte
 /// sets a high bit in `bad` instead of returning early.
-fn parse_hex16(hex: &str) -> Option<u64> {
-    let digits: &[u8; 16] = hex.as_bytes().try_into().ok()?;
+fn parse_hex16(hex: &[u8]) -> Option<u64> {
+    let digits: &[u8; 16] = hex.try_into().ok()?;
     let (mut bits, mut bad) = (0u64, 0u8);
     for &b in digits {
         let v = HEX_VALUE[b as usize];
@@ -354,14 +358,17 @@ fn parse_hex16(hex: &str) -> Option<u64> {
 /// journal and the serve protocol alike: the bit-exact `x` + 16
 /// lowercase hex digits of [`f64::to_bits`], or else a token under the
 /// workspace's one decimal rule ([`osr_model::parse_decimal`]: the
-/// literal `inf`, or a decimal **whose value is finite**). `None` for
-/// anything else: a malformed hex token (a sign, a wrong digit count, a
-/// non-hex digit), and a decimal that is not finite (`infinity`, `NaN`,
-/// or `1e309`, which overflows), so that only the literal `inf` ever
-/// means an ineligible machine.
+/// literal `inf`, or a decimal **whose value is finite**, read by the
+/// exact SWAR and Eisel–Lemire path with `str::parse` as its fallback).
+/// `None` for anything else: a malformed hex token (a sign, a wrong
+/// digit count, a non-hex digit), and a decimal that is not finite
+/// (`infinity`, `NaN`, or `1e309`, which overflows), so that only the
+/// literal `inf` ever means an ineligible machine. The sizes of an
+/// arrive row are mostly read by [`parse_line`]'s size runs instead,
+/// which apply the same rule to the bytes of the line.
 pub fn parse_number(tok: &str) -> Option<f64> {
     if let Some(hex) = tok.strip_prefix('x') {
-        return parse_hex16(hex).map(f64::from_bits);
+        return parse_hex16(hex.as_bytes()).map(f64::from_bits);
     }
     osr_model::parse_decimal(tok)
 }
@@ -436,6 +443,46 @@ impl<'a> Tokens<'a> {
         }
         (self.at - from) / 4
     }
+
+    /// Takes the run of size tokens at the cursor that read straight
+    /// from the line's bytes, separated by any ASCII whitespace, and
+    /// appends their values to `run`: decimals that start with a digit
+    /// ([`osr_model::decimal_token`], one pass per token) and `x` + 16
+    /// hex digits. The run stops before any other token (an `inf`, an
+    /// operand, a pair, a size with a sign or a malformed one), which
+    /// is left for [`Iterator::next`], so every token reads as it would
+    /// there. At [`DENSE_SWITCH_MIN`] tokens `run` is sized once for
+    /// the rest of the line, at the bytes per token seen so far.
+    fn size_run(&mut self, run: &mut Vec<f64>) {
+        let b = self.line.as_bytes();
+        let from = self.at;
+        loop {
+            self.skip_space();
+            let rest = &b[self.at..];
+            let token = match rest.first() {
+                Some(c) if c.is_ascii_digit() => osr_model::decimal_token(rest),
+                Some(b'x') => hex_token(rest),
+                _ => None,
+            };
+            let Some((size, len)) = token else { return };
+            self.at += len;
+            run.push(size);
+            if run.len() == DENSE_SWITCH_MIN {
+                let more = (b.len() - self.at) * DENSE_SWITCH_MIN / (self.at - from);
+                run.reserve_exact(more + more / 8);
+            }
+        }
+    }
+}
+
+/// Reads an `x` + 16 lowercase hex digit token at the start of `b`
+/// that ends at ASCII whitespace or the end of `b`, and its length.
+fn hex_token(b: &[u8]) -> Option<(f64, usize)> {
+    let (tok, rest) = b.split_first_chunk::<17>()?;
+    let bits = parse_hex16(&tok[1..]).filter(|_| tok[0] == b'x')?;
+    rest.first()
+        .is_none_or(u8::is_ascii_whitespace)
+        .then_some((f64::from_bits(bits), tok.len()))
 }
 
 impl<'a> Iterator for Tokens<'a> {
@@ -623,41 +670,61 @@ impl RowTokens {
         Ok(())
     }
 
-    /// One dense token. Finite sizes are kept as pairs while they are
-    /// few enough for the sparse form, so a restricted row never
-    /// materializes its `∞` entries; past that the row becomes a plain
-    /// vector.
-    fn dense(&mut self, size: f64) -> Result<(), String> {
-        if size == f64::INFINITY {
-            return self.infs(1);
+    /// A run of dense size tokens, taken in one call; `run` is left
+    /// empty. While the row looks sparse its finite sizes are kept as
+    /// pairs, so a restricted row never materializes its `∞` entries.
+    /// At the first size a pair cannot take (one that is not finite and
+    /// positive, or any once [`DENSE_SWITCH_MIN`] tokens are in and the
+    /// pairs would outweigh a dense row) the row becomes a plain vector,
+    /// sized for every token known so far: a run that is the whole row
+    /// so far becomes the vector as it is.
+    fn sizes(&mut self, run: &mut Vec<f64>) -> Result<(), String> {
+        if run.is_empty() {
+            return Ok(());
         }
         if self.sparse {
             return Err(Self::MIXED.into());
         }
-        let i = self.dense_len;
-        self.dense_len += 1;
-        if let Some(row) = &mut self.dense {
-            row.push(size);
-            return Ok(());
-        }
-        let as_pair = size.is_finite()
-            && size > 0.0
-            && i <= u32::MAX as usize
-            && (self.dense_len < DENSE_SWITCH_MIN
-                || 12 * (self.ids.len() + 1) < 8 * self.dense_len);
-        if as_pair {
-            self.ids.push(i as u32);
-            self.vals.push(size);
-        } else {
-            let mut row = vec![f64::INFINITY; i];
+        let start = self.dense_len;
+        self.dense_len += run.len();
+        if self.dense.is_none() {
+            let mut pairs = self.ids.len();
+            let switch = run.iter().enumerate().any(|(k, &size)| {
+                if size == f64::INFINITY {
+                    return false;
+                }
+                let (i, n) = (start + k, start + k + 1);
+                pairs += 1;
+                !(size.is_finite()
+                    && size > 0.0
+                    && i <= u32::MAX as usize
+                    && (n < DENSE_SWITCH_MIN || 12 * pairs < 8 * n))
+            });
+            if !switch {
+                for (i, &size) in (start..).zip(run.iter()) {
+                    if size != f64::INFINITY {
+                        self.ids.push(i as u32);
+                        self.vals.push(size);
+                    }
+                }
+                run.clear();
+                return Ok(());
+            }
+            if start == 0 {
+                self.dense = Some(std::mem::take(run));
+                return Ok(());
+            }
+            let mut row = Vec::with_capacity(start + run.len());
+            row.resize(start, f64::INFINITY);
             for (&k, &p) in self.ids.iter().zip(&self.vals) {
                 row[k as usize] = p;
             }
-            row.push(size);
             self.ids = Vec::new();
             self.vals = Vec::new();
             self.dense = Some(row);
         }
+        let row = self.dense.as_mut().expect("the row switched to dense");
+        row.append(run);
         Ok(())
     }
 
@@ -699,39 +766,48 @@ impl RowTokens {
 /// ([`osr_model::check_release_keeps_size`]). An omitted `@T` leaves
 /// the release `NaN`, for [`EventLine::resolve`] to fill in and check.
 ///
-/// Runs of `inf` tokens each followed by one space are taken a word at
-/// a time and added to the row in one step; every other token goes
-/// through the token path below.
+/// Parsing, the largest cost of a dense row, reads each size once from
+/// the line's bytes. Runs of `inf` tokens each followed by one space
+/// are taken a word at a time, and runs of other sizes (decimals that
+/// start with a digit, and `x`-hex tokens) token by token with no
+/// `&str` in between; each run is added to the row in one step. Every
+/// other token goes through the token path below, which reads it as
+/// [`parse_number`] does.
 fn parse_arrive(operands: &str) -> Result<(Arrival, bool), String> {
-    let num =
-        |tok: &str, what: &str| parse_number(tok).ok_or_else(|| format!("bad {what} `{tok}`"));
     let mut release = None;
     let mut weight = 1.0;
     let mut row = RowTokens::default();
+    let mut run = Vec::new();
     let mut toks = Tokens::new(operands);
     loop {
         let infs = toks.inf_run();
         if infs > 0 {
             row.infs(infs)?;
         }
+        toks.size_run(&mut run);
+        row.sizes(&mut run)?;
         let Some(t) = toks.next() else { break };
-        // An `inf` the run left (one before a tab, a CR or the end of
-        // the line) is still ineligible. Of a dense row that is not
-        // restricted, almost every token is a hex size.
+        // What the runs left: an `inf` before a tab, a CR or the end of
+        // the line (still ineligible), operands, pairs, sizes that do
+        // not start with a digit (`.5`, `+1`) and malformed tokens. The
+        // size run takes every well-formed `x` token, so one left here
+        // is an error, refused before the pair split sees its `:`.
         if t == "inf" {
-            row.dense(f64::INFINITY)?;
+            row.infs(1)?;
         } else if t.starts_with('x') {
-            row.dense(num(t, "size")?)?;
+            return Err(format!("bad size `{t}`"));
         } else if let Some(v) = t.strip_prefix('@') {
             release = Some(parse_finite(v, format_args!("release time"))?);
         } else if let Some(v) = t.strip_prefix("w=") {
             weight = parse_finite(v, format_args!("weight"))?;
         } else if let Some(v) = t.strip_prefix("m=") {
             row.width(v)?;
-        } else if let Some(size) = parse_number(t) {
-            row.dense(size)?;
         } else if let Some((id, size)) = t.split_once(':') {
+            // No number has a `:`, so pairs are told apart first.
             row.pair(id, size)?;
+        } else if let Some(size) = parse_number(t) {
+            run.push(size);
+            row.sizes(&mut run)?;
         } else {
             return Err(format!("bad size `{t}`"));
         }
@@ -865,7 +941,8 @@ pub fn parse_record(body: &str) -> Result<Record, String> {
 /// capacity or advance line with an operand after its time is an error.
 ///
 /// Every token goes through one byte tokenizer that splits on ASCII
-/// whitespace only, and takes a run of `inf ` tokens a word at a time.
+/// whitespace only, takes a run of `inf ` tokens a word at a time, and
+/// reads a run of other sizes straight from the bytes.
 pub fn parse_line(line: &str) -> Result<EventLine, String> {
     let mut toks = Tokens::new(line);
     let cmd = toks.next().ok_or("empty event line")?;
@@ -989,7 +1066,7 @@ fn validate_line(line: &[u8]) -> Option<&str> {
         TAG_FNV => fnv1a,
         _ => return None,
     };
-    let sum = parse_hex16(&suffix[CHECK_SEP.len() + 1..])?;
+    let sum = parse_hex16(&suffix.as_bytes()[CHECK_SEP.len() + 1..])?;
     (sum == checksum(body.as_bytes())).then_some(body)
 }
 
@@ -1100,7 +1177,7 @@ impl Journal {
                             })?
                     }
                 };
-                let fp = parse_hex16(hex)
+                let fp = parse_hex16(hex.as_bytes())
                     .ok_or_else(|| format!("journal {}: bad header fingerprint", path.display()))?;
                 if fp != fingerprint {
                     return Err(format!(
@@ -2281,6 +2358,17 @@ advance 3 #h111adf285e162cdc
             (200, (100..200).collect()),
             (200, (0..100).collect()),
             (6, vec![4]),
+            // Finite runs that cross the 64-token switch: 66 of 100
+            // stay pairs, 67 do not, whether the run leads or trails.
+            (100, (0..66).collect()),
+            (100, (0..67).collect()),
+            (100, (34..100).collect()),
+            (100, (33..100).collect()),
+            (63, (0..63).collect()),
+            (64, (0..64).collect()),
+            (65, (1..65).collect()),
+            (128, (0..64).chain(100..110).collect()),
+            (300, (10..90).chain(200..300).collect()),
         ] {
             let mut row = vec![inf; m];
             for &i in &finite {
@@ -2305,6 +2393,127 @@ advance 3 #h111adf285e162cdc
                 finite.len()
             );
             assert_eq!(got, row);
+        }
+    }
+
+    /// A digit string drawn from `bits`: up to 25 digits with leading
+    /// zeros, maybe a fraction (possibly empty, as in `5.`) and maybe
+    /// an exponent in either case and with any sign.
+    fn digit_string(bits: u64) -> String {
+        let mut z = bits | 1;
+        let mut next = |n: u64| {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            z % n
+        };
+        let mut s = "0".repeat(next(3) as usize);
+        for _ in 0..1 + next(13) {
+            s.push(char::from(b'0' + next(10) as u8));
+        }
+        if next(2) == 1 {
+            s.push('.');
+            for _ in 0..next(11) {
+                s.push(char::from(b'0' + next(10) as u8));
+            }
+        }
+        let x = next(330);
+        match next(5) {
+            2 => s.push_str(&format!("e{x}")),
+            3 => s.push_str(&format!("E+{x}")),
+            4 => s.push_str(&format!("e-{x}")),
+            _ => {}
+        }
+        s
+    }
+
+    /// One size token of a generated dense line: a positive `f64`
+    /// printed by `{}`, `{:e}` or [`Decimal`], or as `x`-hex, an `inf`,
+    /// a random digit string, or now and then a token the readers treat
+    /// specially (`5.`, `.5` and `+1` are sizes only `str::parse`
+    /// reads; `1e309`, `0x1`, a short hex token and a number with bytes
+    /// glued on are errors).
+    fn size_token(kind: u8, bits: u64, inf_share: u8) -> String {
+        let x = f64::from_bits(bits >> 1);
+        let x = if x.is_finite() { x } else { 1.5 };
+        // A size of the dense workload's shape: 17 digits in [1, 4).
+        let y = 1.0 + (bits >> 11) as f64 / (1u64 << 53) as f64 * 3.0;
+        match kind {
+            k if k < 25 * inf_share => "inf".into(),
+            98.. => {
+                const ODD: [&str; 12] = [
+                    "5.",
+                    ".5",
+                    "+1",
+                    "1e309",
+                    "0x1",
+                    "x3ff",
+                    "1.5x",
+                    "12e",
+                    "x3ff0000000000000y",
+                    "inf,",
+                    "",
+                    "",
+                ];
+                match ODD[(bits % 12) as usize] {
+                    "" => format!("{}{:018}", bits % 7 + 1, bits),
+                    odd => odd.into(),
+                }
+            }
+            90.. => digit_string(bits),
+            k => match k % 6 {
+                0 => format!("{x}"),
+                1 => format!("{x:e}"),
+                2 => Decimal(x).to_string(),
+                3 => format!("x{:016x}", y.to_bits()),
+                _ => format!("{y}"),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The run readers lock to a plain reference: split the line
+        /// with `split_ascii_whitespace` and read every token with
+        /// [`parse_number`]. Rows are bit-equal and in the form the
+        /// byte-size rule picks, and errors are the same text.
+        #[test]
+        fn dense_lines_read_as_token_by_token(
+            inf_share in 0u8..4,
+            toks in prop::collection::vec((0u8..100, any::<u64>(), 0u8..4), 0..160),
+            id in 0usize..1000,
+        ) {
+            const SEPS: [&str; 4] = [" ", "  ", "\t", "\r"];
+            let mut line = format!("arrive {id}");
+            let mut tokens = Vec::new();
+            for &(kind, bits, sep) in &toks {
+                let tok = size_token(kind, bits, inf_share);
+                line.push_str(SEPS[sep as usize]);
+                line.push_str(&tok);
+                tokens.push(tok);
+            }
+            if let Some(&(_, _, sep)) = toks.last() {
+                line.push_str(SEPS[sep as usize]);
+            }
+            let split: Vec<&str> = line.split_ascii_whitespace().skip(2).collect();
+            prop_assert_eq!(&split, &tokens);
+            let want: Result<Vec<f64>, String> = split
+                .iter()
+                .map(|t| parse_number(t).ok_or_else(|| format!("bad size `{t}`")))
+                .collect();
+            let got = parse_line(&line).map(|l| match l.event {
+                Event::Arrive(a) => a.sizes,
+                other => panic!("not an arrival: {other:?}"),
+            });
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    let bits = |r: &SizeRow| r.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                    let want = SizeRow::from(want);
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?}", line);
+                    prop_assert_eq!(got.as_dense().is_some(), want.as_dense().is_some());
+                }
+                (got, want) => prop_assert_eq!(got.map(|_| ()), want.map(|_| ()), "{:?}", line),
+            }
         }
     }
 

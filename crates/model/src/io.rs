@@ -13,6 +13,7 @@
 
 use std::io::{BufRead, Write};
 
+use crate::decimal::{parse_decimal, Decimal};
 use crate::error::ModelError;
 use crate::instance::{Instance, InstanceBuilder, InstanceKind};
 
@@ -115,10 +116,10 @@ fn parse_header(header: &str) -> Result<(InstanceKind, usize), ModelError> {
             });
         }
         if let Some(v) = token.strip_prefix("m=") {
-            machines = Some(
-                v.parse::<usize>()
-                    .map_err(|_| err(&format!("bad machine count `{v}`")))?,
-            );
+            let m = v
+                .parse::<usize>()
+                .map_err(|_| err(&format!("bad machine count `{v}`")))?;
+            machines = Some(crate::check_machines(m).map_err(|e| err(&e))?);
         }
     }
     match (kind, machines) {
@@ -127,47 +128,11 @@ fn parse_header(header: &str) -> Result<(InstanceKind, usize), ModelError> {
     }
 }
 
-/// Parses one decimal number token under the rule every reader of the
-/// workspace shares (instance and log files, imported traces, failure
-/// traces, and the serve protocol and journal): only the literal `inf`
-/// is infinite, and every other token must parse to a finite value.
-/// `None` for anything else, `infinity`, `NaN` and an overflowing
-/// `1e309` included, so that no spelling but `inf` can make a machine
-/// ineligible.
-#[inline]
-pub fn parse_decimal(tok: &str) -> Option<f64> {
-    if tok == "inf" {
-        return Some(f64::INFINITY);
-    }
-    tok.parse().ok().filter(|v: &f64| v.is_finite())
-}
-
 fn parse_f64(s: &str, line: usize) -> Result<f64, ModelError> {
     parse_decimal(s).ok_or_else(|| ModelError::Parse {
         line,
         message: format!("bad number `{s}`"),
     })
-}
-
-/// The decimal writer paired with [`parse_decimal`]: the shortest
-/// round-trip form (Rust's `{}`), written in exponent form when the
-/// plain form would be long (`|x| ≥ 1e16` or `0 < |x| < 1e-5`), so
-/// that `1e300` is not spelled as a 301-digit number. Values of
-/// ordinary magnitude keep the plain form; either form parses back
-/// bit-exactly, and infinity is written `inf`.
-#[derive(Debug, Clone, Copy)]
-pub struct Decimal(pub f64);
-
-impl std::fmt::Display for Decimal {
-    #[inline]
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let a = self.0.abs();
-        if a >= 1e16 || (a > 0.0 && a < 1e-5) {
-            write!(f, "{:e}", self.0)
-        } else {
-            write!(f, "{}", self.0)
-        }
-    }
 }
 
 /// Formats a float compactly and round-trippably: an integer below
@@ -242,7 +207,7 @@ pub fn log_to_string(log: &crate::log::FinishedLog) -> String {
 
 /// Parses a log previously written by [`write_log`].
 pub fn read_log<R: BufRead>(r: R) -> Result<crate::log::FinishedLog, ModelError> {
-    use crate::log::{PartialRun, RejectReason, Rejection, ScheduleLog};
+    use crate::log::{JobFate, PartialRun, RejectReason, Rejection, ScheduleLog};
     use crate::{Execution, JobId, MachineId};
 
     let mut lines = r.lines().enumerate();
@@ -272,8 +237,10 @@ pub fn read_log<R: BufRead>(r: R) -> Result<crate::log::FinishedLog, ModelError>
         (Some(m), Some(n)) => (m, n),
         _ => return Err(err1("header must contain m= and n=")),
     };
+    let machines = crate::check_machines(machines).map_err(|e| err1(&e))?;
 
-    let mut log = ScheduleLog::new(machines, n);
+    // Every row as read: (id, redispatch count, fate, line number).
+    let mut rows = Vec::new();
     for (lineno, line) in lines {
         let line = line?;
         let line = line.trim();
@@ -292,30 +259,31 @@ pub fn read_log<R: BufRead>(r: R) -> Result<crate::log::FinishedLog, ModelError>
             line: lineno,
             message: format!("bad job id `{}`", f[0]),
         })?;
-        if f.len() == 12 {
-            let redisp: u32 = f[11].parse().map_err(|_| ModelError::Parse {
+        if id as usize >= n {
+            return Err(ModelError::Parse {
                 line: lineno,
-                message: format!("bad redispatch count `{}`", f[11]),
-            })?;
-            for _ in 0..redisp {
-                log.note_redispatch(JobId(id));
-            }
+                message: format!("job id {id} out of range for n={n}"),
+            });
         }
-        match f[1] {
+        let redisp: u32 = match f.get(11) {
+            Some(v) => v.parse().map_err(|_| ModelError::Parse {
+                line: lineno,
+                message: format!("bad redispatch count `{v}`"),
+            })?,
+            None => 0,
+        };
+        let fate = match f[1] {
             "c" => {
                 let machine: u32 = f[2].parse().map_err(|_| ModelError::Parse {
                     line: lineno,
                     message: format!("bad machine `{}`", f[2]),
                 })?;
-                log.complete(
-                    JobId(id),
-                    Execution {
-                        machine: MachineId(machine),
-                        start: parse_f64(f[3], lineno)?,
-                        completion: parse_f64(f[4], lineno)?,
-                        speed: parse_f64(f[5], lineno)?,
-                    },
-                );
+                JobFate::Completed(Execution {
+                    machine: MachineId(machine),
+                    start: parse_f64(f[3], lineno)?,
+                    completion: parse_f64(f[4], lineno)?,
+                    speed: parse_f64(f[5], lineno)?,
+                })
             }
             "r" => {
                 let reason = match f[6] {
@@ -346,14 +314,11 @@ pub fn read_log<R: BufRead>(r: R) -> Result<crate::log::FinishedLog, ModelError>
                         speed: parse_f64(f[10], lineno)?,
                     })
                 };
-                log.reject(
-                    JobId(id),
-                    Rejection {
-                        time: parse_f64(f[4], lineno)?,
-                        reason,
-                        partial,
-                    },
-                );
+                JobFate::Rejected(Rejection {
+                    time: parse_f64(f[4], lineno)?,
+                    reason,
+                    partial,
+                })
             }
             other => {
                 return Err(ModelError::Parse {
@@ -361,6 +326,32 @@ pub fn read_log<R: BufRead>(r: R) -> Result<crate::log::FinishedLog, ModelError>
                     message: format!("unknown fate kind `{other}`"),
                 })
             }
+        };
+        rows.push((id, redisp, fate, lineno));
+    }
+
+    // Sized from the rows actually read, not from `n=` or the largest
+    // id: a header alone allocates nothing. Sorted by id (stably, so of
+    // a repeated id the later row is refused), the rows must be exactly
+    // the ids `0..n`.
+    rows.sort_by_key(|row| row.0);
+    if let Some(k) = (0..n).find(|&k| rows.get(k).is_none_or(|row| row.0 as usize > k)) {
+        return Err(ModelError::Invalid(format!("job j{k} has no fate")));
+    }
+    let mut log = ScheduleLog::new(machines, n);
+    for (k, (id, redisp, fate, lineno)) in rows.into_iter().enumerate() {
+        if id as usize != k {
+            return Err(ModelError::Parse {
+                line: lineno,
+                message: format!("job j{id} has a second row"),
+            });
+        }
+        for _ in 0..redisp {
+            log.note_redispatch(JobId(id));
+        }
+        match fate {
+            JobFate::Completed(exec) => log.complete(JobId(id), exec),
+            JobFate::Rejected(rej) => log.reject(JobId(id), rej),
         }
     }
     log.finish().map_err(ModelError::Invalid)
@@ -594,6 +585,61 @@ mod tests {
         assert!(log_from_str(bad_kind).is_err());
         let missing_job = "# osr-log v1 m=1 n=2\n0,c,0,0,1,1,-,-,-,-,-\n";
         assert!(log_from_str(missing_job).is_err());
+    }
+
+    /// A log is sized by the rows read, not by `n=`, `m=` or its
+    /// largest id: a huge `n` with too few rows, a lone huge id, an id
+    /// past `n`, a repeated row and an `m` past the machine ids are
+    /// errors, never an allocation or a panic.
+    #[test]
+    fn log_header_counts_allocate_nothing() {
+        let row = "0,c,0,0,1,1,-,-,-,-,-\n";
+        for (text, why) in [
+            (
+                format!("# osr-log v1 m=1 n=1000000000000\n{row}"),
+                "j1 has no fate",
+            ),
+            (
+                "# osr-log v1 m=1 n=1000000000000\n".to_string(),
+                "j0 has no fate",
+            ),
+            (
+                "# osr-log v1 m=1 n=1000000000000\n4000000000,c,0,0,1,1,-,-,-,-,-\n".into(),
+                "j0 has no fate",
+            ),
+            (
+                format!("# osr-log v1 m=1000000000000 n=1\n{row}"),
+                "exceeds the u32",
+            ),
+            (
+                "# osr-log v1 m=1 n=1\n5,c,0,0,1,1,-,-,-,-,-\n".into(),
+                "out of range for n=1",
+            ),
+            (format!("# osr-log v1 m=1 n=2\n{row}{row}"), "second row"),
+            (
+                format!("# osr-log v1 m=1 n=1\n{row}0,r,-,-,1,-,other,-,-,-,-,1\n"),
+                "second row",
+            ),
+        ] {
+            let err = log_from_str(&text).expect_err(&text).to_string();
+            assert!(err.contains(why), "{text}: {err}");
+        }
+        let two = format!("# osr-log v1 m=1 n=2\n1,c,0,1,2,1,-,-,-,-,-\n{row}");
+        assert_eq!(log_from_str(&two).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn instance_machine_count_has_a_domain() {
+        let err = instance_from_str("# osr-instance v1 kind=flowtime m=1000000000000\n")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("exceeds the u32 machine ids"), "{err}");
+        let max = crate::MAX_MACHINES;
+        for m in [max + 1, usize::MAX] {
+            let text = format!("# osr-instance v1 kind=flowtime m={m}\n");
+            assert!(instance_from_str(&text).is_err(), "{text}");
+        }
+        assert_eq!(crate::check_machines(max), Ok(max));
     }
 
     #[test]

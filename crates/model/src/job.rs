@@ -67,15 +67,28 @@ use crate::time::{check_release_keeps_size, valid_magnitude, valid_positive};
 /// What every absent entry of a sparse [`SizeRow`] reads as.
 static INF: f64 = f64::INFINITY;
 
-/// Widest row whose machine ids fit the sparse form's `u32`.
-const MAX_WIDTH: usize = u32::MAX as usize + 1;
+/// The most machines an instance, a session or a size row may have:
+/// every machine id fits the `u32` of a [`MachineId`] and of a sparse
+/// row's ids. The one domain of a machine count `m`.
+pub const MAX_MACHINES: usize = u32::MAX as usize + 1;
+
+/// Refuses a machine count past [`MAX_MACHINES`], so that a reader of
+/// `m` errors before anything is allocated per machine.
+pub fn check_machines(m: usize) -> Result<usize, String> {
+    if m > MAX_MACHINES {
+        return Err(format!(
+            "machine count {m} exceeds the u32 machine ids (at most {MAX_MACHINES})"
+        ));
+    }
+    Ok(m)
+}
 
 /// Whether `finite` stored entries over `width` machines take fewer
 /// bytes sparse (a `u32` id plus an `f64` each) than dense (an `f64`
 /// per machine). The one rule that picks a [`SizeRow`]'s form.
 #[inline]
 fn sparse_is_smaller(finite: usize, width: usize) -> bool {
-    width <= MAX_WIDTH && 12 * finite < 8 * width
+    width <= MAX_MACHINES && 12 * finite < 8 * width
 }
 
 /// Whether a sparse row may store size `p` (see the module docs).
@@ -170,7 +183,7 @@ impl SizeRow {
     /// machine is `∞`. The form follows the byte-size rule, so a pair
     /// list that would be larger than the dense row builds a dense row.
     pub fn from_pairs(width: usize, ids: Vec<u32>, vals: Vec<f64>) -> Result<SizeRow, String> {
-        if width > MAX_WIDTH {
+        if width > MAX_MACHINES {
             return Err(format!("row width {width} exceeds the u32 machine ids"));
         }
         if ids.len() != vals.len() {

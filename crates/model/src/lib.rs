@@ -26,6 +26,7 @@
 
 #![warn(missing_docs)]
 
+pub mod decimal;
 pub mod error;
 pub mod instance;
 pub mod io;
@@ -35,10 +36,13 @@ pub mod metrics;
 pub mod pool;
 pub mod time;
 
+pub use decimal::{decimal_token, parse_decimal, Decimal};
 pub use error::ModelError;
 pub use instance::{Instance, InstanceBuilder, InstanceKind};
-pub use io::{parse_decimal, Decimal};
-pub use job::{EligMask, Job, JobId, MachineId, RackPHat, RowForm, SizeRow, SparseRow};
+pub use job::{
+    check_machines, EligMask, Job, JobId, MachineId, RackPHat, RowForm, SizeRow, SparseRow,
+    MAX_MACHINES,
+};
 pub use log::{Execution, FinishedLog, JobFate, PartialRun, RejectReason, Rejection, ScheduleLog};
 pub use metrics::{EnergyMetrics, FlowMetrics, Metrics};
 pub use pool::OnlineSet;
