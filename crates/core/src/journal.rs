@@ -154,6 +154,36 @@
 //! ignored with a warning; a journal *shorter* than its snapshot claims
 //! is a hard error (fsync'd data went missing).
 //!
+//! # Recovery
+//!
+//! [`Journal::recover`] reads the file into one buffer and validates it
+//! in place, by the per-line rule: a record is valid iff it is
+//! newline-terminated, UTF-8, and its checksum verifies. The buffer is
+//! checked as UTF-8 once, as a whole; a journal this binary wrote always
+//! is, and in one that is not, the lines before the first bad byte are
+//! checked again and each later line on its own. Each newline is found
+//! 32 bytes at a time, and each checksum is computed over the line's
+//! bytes where they lie. The valid bodies come back as ranges of
+//! that buffer ([`RecordBodies`]), not as a copy each. Every line is
+//! validated before any record is applied, so mid-file corruption is
+//! refused with the session untouched.
+//!
+//! [`replay`] then parses the bodies on a second thread, in chunks of a
+//! fixed number of records, and passes the chunks in order through a
+//! bounded channel. The calling thread applies each chunk through
+//! [`ServeSession::apply`] as soon as it arrives, so parsing one chunk
+//! overlaps applying the one before. Only the parse leaves the calling
+//! thread: the session is deterministic and serial. Where the records
+//! are cut into batches changes no result. An `apply` call only adds an
+//! epoch boundary, which adds no decision, and a rejected record leaves
+//! the state untouched wherever its batch ends (the `feed` proptests in
+//! `tests/journal_recovery.rs` cut the same streams at random lengths).
+//! A journal of at most one chunk (128 records) is parsed whole and
+//! applies as one batch. When the applying side stops early (a record
+//! that does not parse, an id that breaks the stream, a snapshot that
+//! disagrees), it hangs up the channel, and the parse thread stops at
+//! its next send.
+//!
 //! # Write-ahead ordering
 //!
 //! [`JournaledSession`] journals a whole batch first, then applies it.
@@ -168,7 +198,9 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 
 use osr_model::{Decimal, FinishedLog, RowForm, SizeRow};
 use osr_sim::failpoint::{self, FailHit};
@@ -1054,20 +1086,99 @@ impl Frames {
     }
 }
 
-/// Splits a complete (newline-stripped) journal line into its body if
-/// the checksum token verifies under the checksum its tag names, so a
-/// file holding v2 records and v3 appends verifies record by record.
-fn validate_line(line: &[u8]) -> Option<&str> {
-    let line = std::str::from_utf8(line).ok()?;
-    let at = line.rfind(CHECK_SEP)?;
+/// The length of the body of a complete (newline-stripped) journal
+/// line, if the checksum token verifies under the checksum its tag
+/// names, so a file holding v2 records and v3 appends verifies record
+/// by record. The line must also be UTF-8 to be valid; [`Journal::recover`]
+/// checks that once for the whole file.
+fn checked_body_len(line: &[u8]) -> Option<usize> {
+    let sep = CHECK_SEP.as_bytes();
+    let at = line.windows(sep.len()).rposition(|w| w == sep)?;
     let (body, suffix) = line.split_at(at);
-    let checksum: fn(&[u8]) -> u64 = match *suffix.as_bytes().get(CHECK_SEP.len())? {
+    let checksum: fn(&[u8]) -> u64 = match *suffix.get(sep.len())? {
         TAG_WORD => word_sum64,
         TAG_FNV => fnv1a,
         _ => return None,
     };
-    let sum = parse_hex16(&suffix.as_bytes()[CHECK_SEP.len() + 1..])?;
-    (sum == checksum(body.as_bytes())).then_some(body)
+    let sum = parse_hex16(&suffix[sep.len() + 1..])?;
+    (sum == checksum(body)).then_some(at)
+}
+
+/// The index of the first `\n` at or after `at`, if any. It reads 32
+/// bytes (four little-endian words) per step, with the word test of
+/// [`token_end`]: XOR with `0x0a…0a` zeroes the newline bytes, and
+/// `(x - 0x01…01) & !x & 0x80…80` flags the zero bytes, the lowest flag
+/// of a word exact. A step whose four words flag nothing is one branch.
+fn newline_at(b: &[u8], at: usize) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    let zeros = |w: &[u8; 8]| {
+        let x = u64::from_le_bytes(*w) ^ (ONES * u64::from(b'\n'));
+        x.wrapping_sub(ONES) & !x & HIGH
+    };
+    let mut blocks = b[at..].chunks_exact(32);
+    let mut from = at;
+    for block in &mut blocks {
+        let (words, _) = block.as_chunks::<8>();
+        let flags = [0, 1, 2, 3].map(|k| zeros(&words[k]));
+        if flags[0] | flags[1] | flags[2] | flags[3] != 0 {
+            let k = flags.iter().position(|&f| f != 0).expect("a flagged word");
+            return Some(from + 8 * k + (flags[k].trailing_zeros() / 8) as usize);
+        }
+        from += 32;
+    }
+    let tail = blocks.remainder();
+    tail.iter().position(|&c| c == b'\n').map(|k| from + k)
+}
+
+/// Splits a journal as read into its longest prefix of whole lines
+/// that is UTF-8 and the rest, which starts with the first line that is
+/// not. A journal that is all UTF-8, as every journal this binary writes
+/// is, is checked once; otherwise the lines before the bad one are
+/// checked a second time to take them as a `String`.
+fn split_utf8(data: Vec<u8>) -> (String, Vec<u8>) {
+    match String::from_utf8(data) {
+        Ok(text) => (text, Vec::new()),
+        Err(e) => {
+            let bad = e.utf8_error().valid_up_to();
+            let mut bytes = e.into_bytes();
+            let cut = bytes[..bad]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |nl| nl + 1);
+            let tail = bytes.split_off(cut);
+            let text = String::from_utf8(bytes).expect("whole lines before the first bad byte");
+            (text, tail)
+        }
+    }
+}
+
+/// The valid record bodies [`Journal::recover`] found, in append order,
+/// as ranges of the one buffer the journal was read into: no body is
+/// copied out of it.
+#[derive(Debug)]
+pub struct RecordBodies {
+    /// The journal's text up to the end of its last valid record.
+    text: String,
+    /// Byte range of each body (checksum token and newline excluded).
+    spans: Vec<Range<usize>>,
+}
+
+impl RecordBodies {
+    /// How many valid records the journal holds.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the journal holds no valid record.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Every body, in append order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.spans.iter().map(|span| &self.text[span.clone()])
+    }
 }
 
 /// Cursor metadata from a `<path>.snap` sidecar.
@@ -1099,8 +1210,8 @@ pub struct Journal {
 pub struct Recovered {
     /// The journal, re-opened for appending past the valid tail.
     pub journal: Journal,
-    /// Valid record bodies, in append order.
-    pub records: Vec<String>,
+    /// Valid record bodies, in append order, for [`replay`].
+    pub records: RecordBodies,
     /// Torn/invalid tail records dropped (and physically truncated).
     pub dropped: usize,
     /// The snapshot sidecar, if present and intact.
@@ -1156,15 +1267,15 @@ impl Journal {
     /// module docs for the exact validity and corruption rules.
     pub fn recover(path: &Path, fingerprint: u64, snap_every: u64) -> Result<Recovered, String> {
         let data = std::fs::read(path).map_err(|e| Self::io_err(path, "read", e))?;
+        let (mut text, tail) = split_utf8(data);
         let mut warnings = Vec::new();
 
         // Header: everything up to the first newline. A file torn
         // inside its own header holds no records — start fresh.
         let mut older_header = false;
-        let (header_end, mut records, mut dropped) = match data.iter().position(|&b| b == b'\n') {
+        let header_end = match text.find('\n') {
             Some(nl) => {
-                let header = std::str::from_utf8(&data[..nl])
-                    .map_err(|_| format!("journal {}: header is not UTF-8", path.display()))?;
+                let header = &text[..nl];
                 let hex = match header.strip_prefix(HEADER_PREFIX) {
                     Some(hex) => hex,
                     None => {
@@ -1187,46 +1298,63 @@ impl Journal {
                         path.display()
                     ));
                 }
-                (nl + 1, Vec::new(), 0usize)
+                nl + 1
+            }
+            // A non-empty tail starts with the first line that is not
+            // UTF-8, so here that line is the header.
+            None if tail.contains(&b'\n') => {
+                return Err(format!("journal {}: header is not UTF-8", path.display()));
             }
             None => {
-                if !data.is_empty() {
+                let len = text.len() + tail.len();
+                if len > 0 {
                     warnings.push(format!(
-                        "journal {}: torn header ({} bytes, no newline) — treating as empty",
+                        "journal {}: torn header ({len} bytes, no newline) — treating as empty",
                         path.display(),
-                        data.len()
                     ));
                 }
-                (0, Vec::new(), 0usize)
+                0
             }
         };
 
         // Record lines: the longest valid prefix survives; invalid
-        // lines are legal only as the tail.
+        // lines are legal only as the tail. Every line of `text` is
+        // UTF-8; a line of `tail` is checked on its own (its first line
+        // never is).
+        let mut spans = Vec::new();
+        let mut dropped = 0usize;
         let mut valid_end = header_end;
-        let mut at = header_end;
-        while at < data.len() {
-            let Some(rel_nl) = data[at..].iter().position(|&b| b == b'\n') else {
-                dropped += 1; // unterminated final fragment
-                break;
-            };
-            let line = &data[at..at + rel_nl];
-            at += rel_nl + 1;
-            match validate_line(line) {
-                Some(body) if dropped == 0 => {
-                    records.push(body.to_string());
-                    valid_end = at;
+        for (bytes, base, utf8) in [(text.as_bytes(), 0, true), (&tail[..], text.len(), false)] {
+            let mut at = header_end.saturating_sub(base);
+            while at < bytes.len() {
+                let Some(nl) = newline_at(bytes, at) else {
+                    dropped += 1; // unterminated final fragment
+                    break;
+                };
+                let line = &bytes[at..nl];
+                let start = base + at;
+                at = nl + 1;
+                let body =
+                    checked_body_len(line).filter(|_| utf8 || std::str::from_utf8(line).is_ok());
+                match body {
+                    Some(len) if dropped == 0 => {
+                        spans.push(start..start + len);
+                        valid_end = base + at;
+                    }
+                    Some(_) => {
+                        return Err(format!(
+                            "journal {}: valid record after an invalid one (offset {}) — \
+                             mid-file corruption, refusing to recover",
+                            path.display(),
+                            base + at
+                        ));
+                    }
+                    None => dropped += 1,
                 }
-                Some(_) => {
-                    return Err(format!(
-                        "journal {}: valid record after an invalid one (offset {at}) — \
-                         mid-file corruption, refusing to recover",
-                        path.display()
-                    ));
-                }
-                None => dropped += 1,
             }
         }
+        text.truncate(valid_end);
+        let records = RecordBodies { text, spans };
 
         // Physically drop the torn tail (and rebuild a torn header)
         // before appending resumes.
@@ -1522,55 +1650,125 @@ pub struct ReplayOutcome {
     pub rejected: usize,
 }
 
+/// Records per chunk that [`replay`]'s parse thread hands to the
+/// applying thread. A journal of up to this many records parses as one
+/// chunk and applies as one batch.
+const REPLAY_CHUNK: usize = 128;
+/// Parsed chunks that may wait for the applying thread.
+const REPLAY_CHUNKS_AHEAD: usize = 2;
+
+/// What the parse thread hands over: one chunk of parsed records, each
+/// with its arrive id, or the error of the first record that did not
+/// parse.
+type ParsedChunk = Result<Vec<(Option<usize>, Event)>, String>;
+
 /// Replays recovered record bodies into a fresh session through
-/// [`ServeSession::apply`]. Each record is parsed once and queued; the
-/// queue is applied when an arrive id breaks density (the previous
-/// arrive with that id was rejected, so the cursor must be exact before
-/// the id can be checked), at the snapshot's high-water record, and at
-/// the end. A rejected record counts once and replay resumes with the
-/// records after it. If `snapshot` is given, the cursor is
-/// cross-checked when replay passes its high-water record.
+/// [`ServeSession::apply`]. A second thread parses the records in
+/// chunks of 128 and passes them on in order through a
+/// bounded channel, while the calling thread applies each chunk as it
+/// arrives, so parsing one chunk overlaps applying the one before. The
+/// queue of records is also applied when an arrive id breaks density
+/// (the previous arrive with that id was rejected, so the cursor must
+/// be exact before the id can be checked), at the snapshot's high-water
+/// record, and at the end. Where the batches are cut changes no result.
+/// A rejected record counts once and replay resumes with the records
+/// after it. If `snapshot` is given, the cursor is cross-checked when
+/// replay passes its high-water record. A record that does not parse
+/// fails replay as `journal record <i>: …`, after the records before
+/// it.
 pub fn replay(
     sess: &mut dyn ServeSession,
-    records: &[String],
+    records: &RecordBodies,
+    snapshot: Option<&Snapshot>,
+) -> Result<ReplayOutcome, String> {
+    replay_in_chunks(sess, records, snapshot, REPLAY_CHUNK)
+}
+
+fn replay_in_chunks(
+    sess: &mut dyn ServeSession,
+    records: &RecordBodies,
+    snapshot: Option<&Snapshot>,
+    chunk: usize,
+) -> Result<ReplayOutcome, String> {
+    std::thread::scope(|scope| {
+        let (tx, rx) = mpsc::sync_channel(REPLAY_CHUNKS_AHEAD);
+        scope.spawn(move || parse_chunks(records, chunk, &tx));
+        // `rx` goes with the applying side, so an early return hangs
+        // up the channel and the parse thread's next send fails.
+        apply_chunks(sess, rx, snapshot)
+    })
+}
+
+/// The parse thread of [`replay`]: parses `records` in order and sends
+/// them in chunks of `chunk`, stopping at the first record that does
+/// not parse (after sending the records before it) or when the
+/// applying side hangs up.
+fn parse_chunks(records: &RecordBodies, chunk: usize, tx: &mpsc::SyncSender<ParsedChunk>) {
+    let mut parsed = Vec::new();
+    for (i, body) in records.iter().enumerate() {
+        match parse_record(body) {
+            Ok(record) => parsed.push(record.into_event()),
+            Err(e) => {
+                let _ = tx.send(Ok(parsed));
+                let _ = tx.send(Err(format!("journal record {i}: {e}")));
+                return;
+            }
+        }
+        if parsed.len() == chunk && tx.send(Ok(std::mem::take(&mut parsed))).is_err() {
+            return;
+        }
+    }
+    if !parsed.is_empty() {
+        let _ = tx.send(Ok(parsed));
+    }
+}
+
+/// The applying side of [`replay`], on the calling thread.
+fn apply_chunks(
+    sess: &mut dyn ServeSession,
+    chunks: mpsc::Receiver<ParsedChunk>,
     snapshot: Option<&Snapshot>,
 ) -> Result<ReplayOutcome, String> {
     let boundary = snapshot.map(|s| s.records as usize);
     let mut rejected = 0;
     let mut queue: Vec<Event> = Vec::new();
     let mut queued_arrivals = 0;
-    let mut parsed = records.iter().enumerate().map(|(i, body)| {
-        parse_record(body)
-            .map(Record::into_event)
-            .map_err(|e| format!("journal record {i}: {e}"))
-    });
-    for i in 0..=records.len() {
-        let next = parsed.next().transpose()?;
-        let density_break =
-            matches!(next, Some((Some(id), _)) if id != sess.cursor().0 + queued_arrivals);
-        if next.is_none() || boundary == Some(i) || density_break {
-            // Each rejection re-runs one the original run produced (state
-            // untouched); `apply` hands back the records after it.
-            while sess.apply(&mut queue).is_err() {
-                rejected += 1;
+    // Each rejection re-runs one the original run produced (state
+    // untouched); `apply` hands back the records after it.
+    let mut flush = |sess: &mut dyn ServeSession, queue: &mut Vec<Event>| {
+        while sess.apply(queue).is_err() {
+            rejected += 1;
+        }
+    };
+    let mut i = 0;
+    for parsed in chunks {
+        for (id, ev) in parsed? {
+            let density_break = id.is_some_and(|id| id != sess.cursor().0 + queued_arrivals);
+            if boundary == Some(i) || density_break {
+                flush(sess, &mut queue);
+                queued_arrivals = 0;
             }
-            queued_arrivals = 0;
-        }
-        if boundary == Some(i) {
-            check_snapshot_cursor(snapshot.expect("boundary set"), sess.cursor(), i)?;
-        }
-        let Some((id, ev)) = next else { break };
-        if let Some(id) = id {
-            if id != sess.cursor().0 + queued_arrivals {
-                return Err(format!(
-                    "journal record {i} carries id {id} but the replay cursor is {} — \
-                     journal does not mirror a single session stream",
-                    sess.cursor().0
-                ));
+            if boundary == Some(i) {
+                check_snapshot_cursor(snapshot.expect("boundary set"), sess.cursor(), i)?;
             }
-            queued_arrivals += 1;
+            if let Some(id) = id {
+                if id != sess.cursor().0 + queued_arrivals {
+                    return Err(format!(
+                        "journal record {i} carries id {id} but the replay cursor is {} — \
+                         journal does not mirror a single session stream",
+                        sess.cursor().0
+                    ));
+                }
+                queued_arrivals += 1;
+            }
+            queue.push(ev);
+            i += 1;
         }
-        queue.push(ev);
+        flush(sess, &mut queue);
+        queued_arrivals = 0;
+    }
+    if boundary == Some(i) {
+        check_snapshot_cursor(snapshot.expect("boundary set"), sess.cursor(), i)?;
     }
     let (next_id, clock) = sess.cursor();
     Ok(ReplayOutcome {
@@ -2243,13 +2441,13 @@ advance 3 #h111adf285e162cdc
         let v2 = "arrive 0 @0.125 w=1 x4004000000000000 inf #h244b938f85f91c16\n";
         for line in [v3.as_str(), v2] {
             let line = line.trim_end().as_bytes();
-            assert!(validate_line(line).is_some());
+            assert!(checked_body_len(line).is_some());
             for at in 0..line.len() {
                 for bit in 0..8 {
                     let mut flipped = line.to_vec();
                     flipped[at] ^= 1 << bit;
                     assert!(
-                        validate_line(&flipped).is_none(),
+                        checked_body_len(&flipped).is_none(),
                         "flip of bit {bit} at byte {at} verified: {}",
                         String::from_utf8_lossy(&flipped)
                     );
@@ -2710,6 +2908,227 @@ advance 3 #h111adf285e162cdc
         assert_eq!(js2.cursor(), cursor);
         assert_eq!(report.records_replayed, 3);
         assert_eq!(report.rejected_replays, 1);
+    }
+
+    /// A hand-written journal of `n` records: `advance` records, except
+    /// that `bad` maps an index to a record body of its own.
+    fn advance_journal(path: &Path, fp: u64, n: usize, bad: &[(usize, &str)]) {
+        let mut text = header_line(fp);
+        for i in 0..n {
+            match bad.iter().find(|(at, _)| *at == i) {
+                Some((_, body)) => text.push_str(&framed(body)),
+                None => text.push_str(&framed(&format!("advance {}", i + 1))),
+            }
+        }
+        std::fs::write(path, text).unwrap();
+    }
+
+    /// A record that does not parse, two chunks in, fails replay under
+    /// its own index after every record before it was applied.
+    #[test]
+    fn an_unparsable_record_chunks_in_fails_under_its_index() {
+        let fp = fingerprint("flow:0.5", 2, &[]);
+        let path = tmp("unparsable");
+        let at = 2 * REPLAY_CHUNK + 3;
+        advance_journal(&path, fp, 3 * REPLAY_CHUNK, &[(at, "advance inf")]);
+        let rec = Journal::recover(&path, fp, 0).unwrap();
+        let mut s = sess(2);
+        let err = replay(s.as_mut(), &rec.records, None).unwrap_err();
+        assert!(err.starts_with(&format!("journal record {at}: ")), "{err}");
+        assert!(err.contains("bad advance time `inf`"), "{err}");
+        assert_eq!(s.cursor(), (0, at as f64), "records before it applied");
+    }
+
+    /// When the applying thread stops early, the parse thread's next
+    /// send fails and it exits: replay returns instead of waiting on a
+    /// full channel.
+    #[test]
+    fn replay_returns_when_it_stops_before_the_parse_thread() {
+        let (done, wait) = mpsc::channel();
+        std::thread::spawn(move || {
+            let fp = fingerprint("flow:0.5", 2, &[]);
+            let path = tmp("early");
+            let n = (REPLAY_CHUNKS_AHEAD + 8) * REPLAY_CHUNK;
+            advance_journal(&path, fp, n, &[(5, "arrive 9 @9 w=1 1 2")]);
+            let rec = Journal::recover(&path, fp, 0).unwrap();
+            let _ = done.send(replay(sess(2).as_mut(), &rec.records, None));
+        });
+        let res = wait
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("replay returned");
+        let err = res.unwrap_err();
+        assert!(err.contains("journal record 5 carries id 9"), "{err}");
+    }
+
+    /// Rejected records whose re-sent id lands in the next chunk count
+    /// the same rejections, and recover the same log, as one batch.
+    #[test]
+    fn rejections_across_chunk_ends_count_as_in_one_batch() {
+        let path = tmp("straddle");
+        let fp = fingerprint("flow:0.5", 2, &[]);
+        let mut js = JournaledSession::create(sess(2), &path, fp, 0).unwrap();
+        let mut rejected = 0;
+        for k in 0..12 {
+            let t = k as f64;
+            js.arrive(t, 1.0, vec![1.0 + k as f64 % 3.0, 2.0].into())
+                .unwrap();
+            // A wrong-arity row and a clock regression, both rejected
+            // and journaled; the next arrive re-sends the row's id.
+            if k % 3 == 1 {
+                assert!(js.arrive(t, 1.0, vec![1.0; 3].into()).is_err());
+                rejected += 1;
+            }
+            if k % 4 == 2 {
+                assert!(js.capacity(CapacityChange::Drain, 1, t - 0.5).is_err());
+                rejected += 1;
+            }
+        }
+        let cursor = js.cursor();
+        let oracle = model_io::log_to_string(&Box::new(js).finish().unwrap());
+        let rec = Journal::recover(&path, fp, 0).unwrap();
+        for chunk in [1, 2, 3, 4, 5, REPLAY_CHUNK, usize::MAX] {
+            let mut s = sess(2);
+            let out = replay_in_chunks(s.as_mut(), &rec.records, None, chunk).unwrap();
+            assert_eq!(out.rejected, rejected, "chunk {chunk}");
+            assert_eq!((out.next_id, out.clock), cursor, "chunk {chunk}");
+            let log = model_io::log_to_string(&s.finish().unwrap());
+            assert_eq!(log, oracle, "chunk {chunk}");
+        }
+    }
+
+    /// A snapshot high-water mark inside a chunk is cross-checked there,
+    /// and a cursor that disagrees still refuses.
+    #[test]
+    fn a_snapshot_mark_inside_a_chunk_cross_checks() {
+        let path = tmp("snap-chunk");
+        let fp = fingerprint("flow:0.5", 2, &[]);
+        let mut js = JournaledSession::create(sess(2), &path, fp, 3).unwrap();
+        feed(&mut js, 6);
+        drop(js);
+        let rec = Journal::recover(&path, fp, 3).unwrap();
+        let snap = rec.snapshot.expect("cadence 3 snapshots");
+        assert_eq!((snap.records, rec.records.len()), (6, 8));
+        let wrong = Snapshot {
+            clock: snap.clock + 1.0,
+            ..snap
+        };
+        for chunk in [4, 5, REPLAY_CHUNK] {
+            replay_in_chunks(sess(2).as_mut(), &rec.records, Some(&snap), chunk).unwrap();
+            let err =
+                replay_in_chunks(sess(2).as_mut(), &rec.records, Some(&wrong), chunk).unwrap_err();
+            assert!(
+                err.contains("snapshot cross-check failed after 6 record(s)"),
+                "chunk {chunk}: {err}"
+            );
+        }
+    }
+
+    /// The per-line validity rule [`Journal::recover`] applies, one line
+    /// at a time: complete, UTF-8, and a checksum that verifies.
+    fn reference_recover(data: &[u8], fp: u64) -> Result<(Vec<String>, usize, usize), String> {
+        let Some(nl) = data.iter().position(|&b| b == b'\n') else {
+            return Ok((Vec::new(), usize::from(!data.is_empty()), 0));
+        };
+        let header =
+            std::str::from_utf8(&data[..nl]).map_err(|_| "header is not UTF-8".to_string())?;
+        let hex = [
+            HEADER_PREFIX,
+            OLDER_HEADER_PREFIXES[0],
+            OLDER_HEADER_PREFIXES[1],
+        ]
+        .iter()
+        .find_map(|p| header.strip_prefix(p))
+        .ok_or_else(|| "bad header".to_string())?;
+        if hex != format!("{fp:016x}") {
+            return Err("fingerprint".to_string());
+        }
+        let (mut bodies, mut dropped, mut valid_end, mut at) = (Vec::new(), 0, nl + 1, nl + 1);
+        while at < data.len() {
+            let Some(k) = data[at..].iter().position(|&b| b == b'\n') else {
+                dropped += 1;
+                break;
+            };
+            let line = &data[at..at + k];
+            at += k + 1;
+            let body = std::str::from_utf8(line)
+                .ok()
+                .and_then(|l| checked_body_len(line).map(|len| &l[..len]));
+            match body {
+                Some(body) if dropped == 0 => {
+                    bodies.push(body.to_string());
+                    valid_end = at;
+                }
+                Some(_) => return Err(format!("(offset {at})")),
+                None => dropped += 1,
+            }
+        }
+        Ok((bodies, dropped, valid_end))
+    }
+
+    /// One journal line: a valid v3 or v2 record, a record with a bad
+    /// checksum, a checksum-valid record that is not UTF-8, a blank
+    /// line, or raw bytes.
+    fn line_piece() -> impl Strategy<Value = Vec<u8>> {
+        let framed_bytes = |body: &[u8]| {
+            let mut line = body.to_vec();
+            push_hex(&mut line, b" #w", word_sum64(body));
+            line.push(b'\n');
+            line
+        };
+        prop_oneof![
+            (0u32..1000).prop_map(|t| framed(&format!("advance {t}")).into_bytes()),
+            Just(b"arrive 0 @0.125 w=1 x4004000000000000 inf #h244b938f85f91c16\n".to_vec()),
+            (0u32..1000).prop_map(|t| {
+                let mut line = framed(&format!("advance {t}")).into_bytes();
+                let at = line.len() - 3;
+                line[at] ^= 1;
+                line
+            }),
+            Just(framed_bytes(b"advance 7 caf\xe9")),
+            Just(framed_bytes("advance 7 café".as_bytes())),
+            Just(b"\n".to_vec()),
+            prop::collection::vec(any::<u8>(), 0..24),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Recovery keeps exactly the records the per-line rule keeps,
+        /// drops and truncates the same tail, and refuses the same
+        /// mid-file corruption, whatever mix of lines, torn fragments
+        /// and non-UTF-8 bytes follows the header.
+        #[test]
+        fn recover_keeps_what_the_per_line_rule_keeps(
+            header in 0u8..3,
+            pieces in prop::collection::vec(line_piece(), 0..8),
+        ) {
+            let fp = fingerprint("flow:0.5", 2, &[]);
+            let path = tmp("rule");
+            let mut data = match header {
+                0 => header_line(fp).into_bytes(),
+                1 => header_line(fp).replacen(" v3 ", " v2 ", 1).into_bytes(),
+                _ => Vec::new(),
+            };
+            for piece in &pieces {
+                data.extend_from_slice(piece);
+            }
+            std::fs::write(&path, &data).unwrap();
+            let got = Journal::recover(&path, fp, 0).map(|rec| {
+                let bodies: Vec<String> = rec.records.iter().map(str::to_string).collect();
+                let len = std::fs::metadata(&path).unwrap().len() as usize;
+                (bodies, rec.dropped, len)
+            });
+            std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+            match (got, reference_recover(&data, fp)) {
+                // A file that keeps no header gets a fresh one.
+                (Ok(got), Ok((bodies, dropped, valid_end))) => {
+                    prop_assert_eq!(got, (bodies, dropped, valid_end.max(header_line(fp).len())));
+                }
+                (Err(e), Err(want)) => prop_assert!(e.contains(&want), "{} vs {}", e, want),
+                (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
+            }
+        }
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub use energymin::{
 pub use epsilon::Thresholds;
 pub use flowtime::{FlowOutcome, FlowParams, FlowScheduler, QueueBackend};
 pub use journal::{
-    fingerprint, Journal, JournaledSession, Record, Recovered, RecoveryReport, ReplayOutcome,
-    Snapshot,
+    fingerprint, Journal, JournaledSession, Record, RecordBodies, Recovered, RecoveryReport,
+    ReplayOutcome, Snapshot,
 };
 pub use session::{
     Arrival, EnergyFlowSession, Event, FlowSession, ServeSession, ServeSnapshot,

@@ -223,7 +223,8 @@ proptest! {
         match Journal::recover(&path, fp(), 0) {
             Ok(rec) => {
                 prop_assert!(rec.records.len() <= written.len());
-                prop_assert_eq!(&rec.records[..], &written[..rec.records.len()]);
+                let got: Vec<&str> = rec.records.iter().collect();
+                prop_assert_eq!(got, &written[..rec.records.len()]);
             }
             Err(e) => prop_assert!(e.starts_with("journal "), "{}", e),
         }

@@ -346,9 +346,7 @@ pub fn read_log<R: BufRead>(r: R) -> Result<crate::log::FinishedLog, ModelError>
                 message: format!("job j{id} has a second row"),
             });
         }
-        for _ in 0..redisp {
-            log.note_redispatch(JobId(id));
-        }
+        log.note_redispatches(JobId(id), redisp);
         match fate {
             JobFate::Completed(exec) => log.complete(JobId(id), exec),
             JobFate::Rejected(rej) => log.reject(JobId(id), rej),
@@ -575,6 +573,19 @@ mod tests {
         let text = "# osr-log v1 m=1 n=1\n0,c,0,0,1,1,-,-,-,-,-\n";
         let log = log_from_str(text).unwrap();
         assert_eq!(log.redispatches(crate::JobId(0)), 0);
+    }
+
+    /// A row's redispatch count is stored in one step, not counted up
+    /// to: the largest count reads at once and writes back unchanged.
+    #[test]
+    fn a_huge_redispatch_count_reads_in_one_step() {
+        let text = format!("# osr-log v1 m=1 n=1\n0,c,0,0,1,1,-,-,-,-,-,{}\n", u32::MAX);
+        let start = std::time::Instant::now();
+        let log = log_from_str(&text).unwrap();
+        let took = start.elapsed();
+        assert!(took.as_millis() < 500, "read took {took:?}");
+        assert_eq!(log.redispatches(crate::JobId(0)), u32::MAX);
+        assert_eq!(log_to_string(&log), text);
     }
 
     #[test]

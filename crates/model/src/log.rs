@@ -199,11 +199,18 @@ impl ScheduleLog {
     /// the job's final fate is known; a job may be re-dispatched
     /// several times if the pool keeps churning underneath it.
     pub fn note_redispatch(&mut self, job: JobId) {
+        self.note_redispatches(job, 1);
+    }
+
+    /// Records `count` re-dispatches of `job` in one step, as a log
+    /// reader does with a row's count (one [`Self::note_redispatch`]
+    /// per unit would make the count a loop bound).
+    pub fn note_redispatches(&mut self, job: JobId, count: u32) {
         assert!(
             self.fates[job.idx()].is_none(),
             "job {job} already has a fate"
         );
-        self.redispatches[job.idx()] += 1;
+        self.redispatches[job.idx()] += count;
     }
 
     /// How many times `job` has been re-dispatched so far.
