@@ -18,10 +18,17 @@
 //! `decimal` is the line as clients send it (shortest round-trip
 //! decimals); `hex` is the same row as the journal writes it (`x` + 16
 //! hex digits per size), which recovery reads.
+//!
+//! `recover_dense` is the restart of servebench's `dense-m1024`
+//! workload in process: [`Journal::recover`] plus [`journal::replay`]
+//! into a fresh `flow:0.25` session, on a journal of the scenario's
+//! first 1 000 arrivals at m = 1 024 (≈18 MB of hex rows). It is a
+//! trajectory row, not a gated ratio.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use osr_core::{
-    fingerprint, journal, Arrival, Event, FlowParams, FlowSession, JournaledSession, ServeSession,
+    fingerprint, journal, Arrival, Event, FlowParams, FlowSession, Journal, JournaledSession,
+    ServeSession,
 };
 use osr_model::InstanceKind;
 use osr_sim::CapacityPlan;
@@ -125,5 +132,44 @@ fn dense_line_parse(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, serve_journal, dense_line_parse);
+/// A journal of the first `n` arrivals of the `dense-m1024` scenario
+/// (seed 1), written as one batch, at `path`; returns its fingerprint.
+fn dense_journal(path: &std::path::Path, n: usize) -> u64 {
+    const M: usize = 1_024;
+    let inst = Scenario::named("poisson-pareto-unrelated", n, M, 1)
+        .expect("known scenario")
+        .generate(InstanceKind::FlowTime);
+    let bodies: Vec<String> = inst
+        .jobs()
+        .iter()
+        .enumerate()
+        .map(|(id, job)| journal::encode_arrive(id, job.release, job.weight, &job.sizes))
+        .collect();
+    let fp = fingerprint("flow:0.25", M, &[]);
+    let mut j = Journal::create(path, fp, 0).expect("fresh journal");
+    j.append_batch(&bodies).expect("append");
+    fp
+}
+
+fn recover_dense(c: &mut Criterion) {
+    const N: usize = 1_000;
+    let dir = std::env::temp_dir().join(format!("osr-bench-recover-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("dense.journal");
+    let fp = dense_journal(&path, N);
+    let mut group = c.benchmark_group("recover_dense");
+    group.bench_function("flow_m1024/1000", |b| {
+        b.iter(|| {
+            let rec = Journal::recover(&path, fp, 0).expect("clean journal");
+            let mut sess = FlowSession::new(FlowParams::new(0.25), 1_024).expect("valid params");
+            journal::replay(&mut sess, &rec.records, None)
+                .expect("replays")
+                .next_id
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(benches, serve_journal, dense_line_parse, recover_dense);
 criterion_main!(benches);

@@ -227,13 +227,6 @@ impl FlowScheduler {
     }
 }
 
-/// Pending-arena preallocation per machine in serve mode. Offline runs
-/// size the hint from `n / m`, but a stream's length is unknown up
-/// front; any value is schedule-neutral (the hint only pre-reserves
-/// arena space — treap shapes depend on the insertion sequence alone),
-/// so serve uses a small constant and lets hot machines grow.
-const SERVE_CAP_HINT: usize = 64;
-
 /// The §2 rules as one algorithm of the flow family: `λ_ij` over the
 /// SPT-ordered queue, SPT starts at unit speed, Rules 1 and 2, and the
 /// `C̃_j` charges. [`FlowScheduler`] and [`crate::FlowSession`] run it.
@@ -250,7 +243,13 @@ impl Family for FlowPolicy {
     const NAME: &'static str = "flow";
 
     fn open(params: FlowParams) -> Result<Self, String> {
-        Ok(FlowScheduler::new(params)?.policy(SERVE_CAP_HINT))
+        // Offline runs size each machine's arena from `n / m`, but a
+        // stream's length is unknown up front: serve queues start empty
+        // and grow on demand. Any hint is schedule-neutral (treap
+        // shapes depend on the insertion sequence alone), and a
+        // reservation per machine would cost session open O(m) page
+        // touches before the first arrival.
+        Ok(FlowScheduler::new(params)?.policy(0))
     }
 
     fn eps(&self) -> f64 {

@@ -156,25 +156,34 @@
 //!
 //! # Recovery
 //!
-//! [`Journal::recover`] reads the file into one buffer and validates it
-//! in place, by the per-line rule: a record is valid iff it is
-//! newline-terminated, UTF-8, and its checksum verifies. The buffer is
-//! checked as UTF-8 once, as a whole; a journal this binary wrote always
-//! is, and in one that is not, the lines before the first bad byte are
-//! checked again and each later line on its own. Each newline is found
-//! 32 bytes at a time, and each checksum is computed over the line's
-//! bytes where they lie. The valid bodies come back as ranges of
-//! that buffer ([`RecordBodies`]), not as a copy each. Every line is
-//! validated before any record is applied, so mid-file corruption is
-//! refused with the session untouched.
+//! [`Journal::recover`] reads the file through one reused block buffer
+//! (1 MiB, grown only for a line longer than that; a partial line is
+//! carried to the buffer's front before the next read) and validates
+//! it line by line, by the per-line rule: a record is valid iff it is
+//! newline-terminated, UTF-8, and its checksum verifies. One pass over
+//! a line's words finds its newline, 32 bytes at a time, and ORs their
+//! high bits; the checksum is then computed over the line while it is
+//! still in cache, and only a line with a high byte takes the UTF-8
+//! check. Recovery keeps no record bytes: the valid records come back
+//! as the byte range of each body in the file and a read handle
+//! ([`RecordBodies`]), so its memory is one range per record plus the
+//! buffer. Every line is validated before any record is applied, so
+//! mid-file corruption is refused with the session untouched.
 //!
-//! [`replay`] then parses the bodies on a second thread, in chunks of a
-//! fixed number of records, and passes the chunks in order through a
-//! bounded channel. The calling thread applies each chunk through
-//! [`ServeSession::apply`] as soon as it arrives, so parsing one chunk
-//! overlaps applying the one before. Only the parse leaves the calling
-//! thread: the session is deterministic and serial. Where the records
-//! are cut into batches changes no result. An `apply` call only adds an
+//! [`replay`] then reads the valid region a second time, on a second
+//! thread and through a block buffer of its own; the valid records lie
+//! back to back, so each line ends where the next begins and this read
+//! needs no newline search. That thread recomputes
+//! each body's checksum over the bytes it has just read, so it parses
+//! only bytes that verify: a record that changed on disk since it was
+//! validated fails as `journal record <i>: …` and is never applied. It
+//! parses the bodies in chunks of a fixed number of records, and
+//! passes the chunks in order through a bounded channel. The calling
+//! thread applies each chunk through [`ServeSession::apply`] as soon as
+//! it arrives, so reading and parsing one chunk overlap applying the
+//! one before. Only the reading and the parse leave the calling thread:
+//! the session is deterministic and serial. Where the records are cut
+//! into batches changes no result. An `apply` call only adds an
 //! epoch boundary, which adds no decision, and a rejected record leaves
 //! the state untouched wherever its batch ends (the `feed` proptests in
 //! `tests/journal_recovery.rs` cut the same streams at random lengths).
@@ -323,8 +332,6 @@ impl Record {
     }
 }
 
-const NIBBLES: &[u8; 16] = b"0123456789abcdef";
-
 /// Bytes of the longest size token, ` x` + 16 hex digits.
 const SIZE_TOKEN_MAX: usize = 18;
 
@@ -359,31 +366,40 @@ fn push_hex(out: &mut Vec<u8>, prefix: &[u8], bits: u64) {
     out.extend_from_slice(&hex16(bits));
 }
 
-/// Digit value of each byte: `0..=15` for `[0-9a-f]`, `0xff` for
-/// every other byte.
-const HEX_VALUE: [u8; 256] = {
-    let mut t = [0xffu8; 256];
-    let mut i = 0;
-    while i < 16 {
-        t[NIBBLES[i] as usize] = i as u8;
-        i += 1;
-    }
-    t
-};
-
 /// Parses exactly 16 lowercase hex digits. Stricter than
 /// `u64::from_str_radix`, which also takes a leading `+`, upper case
-/// and shorter strings. Branch-free over the digits: a non-hex byte
-/// sets a high bit in `bad` instead of returning early.
+/// and shorter strings. Each half is checked and packed as one 64-bit
+/// word ([`hex8`]).
 fn parse_hex16(hex: &[u8]) -> Option<u64> {
-    let digits: &[u8; 16] = hex.try_into().ok()?;
-    let (mut bits, mut bad) = (0u64, 0u8);
-    for &b in digits {
-        let v = HEX_VALUE[b as usize];
-        bad |= v;
-        bits = bits << 4 | (v & 0xf) as u64;
+    let (hi, lo) = <&[u8; 16]>::try_from(hex).ok()?.split_at(8);
+    let half = |h: &[u8]| hex8(h.try_into().expect("8-byte half"));
+    Some(half(hi)? << 32 | half(lo)?)
+}
+
+/// The value of eight lowercase hex digits, most significant first, or
+/// `None` if a byte is not in `[0-9a-f]`; the inverse of one half of
+/// [`hex16`]. The bytes are read as one big-endian word. With each
+/// byte's high bit masked off, adding `0x80 - c` to every byte sets bit
+/// 7 exactly where the byte is at least `c`, and carries into no
+/// neighbour, so four adds test both digit ranges in all eight bytes at
+/// once (a byte with its high bit set is refused apart). Each byte's
+/// nibble value is its low nibble, plus 9 for a letter; the nibbles are
+/// then packed in three shift-and-mask steps.
+fn hex8(digits: [u8; 8]) -> Option<u64> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = ONES * 0x80;
+    let w = u64::from_be_bytes(digits);
+    let low = w & !HIGH;
+    let at_least = |c: u8| (low + ONES * u64::from(0x80 - c)) & HIGH;
+    let digit = at_least(b'0') & !at_least(b'9' + 1);
+    let letter = at_least(b'a') & !at_least(b'f' + 1);
+    if digit | letter != HIGH || w & HIGH != 0 {
+        return None;
     }
-    (bad & 0xf0 == 0).then_some(bits)
+    let n = (w & (ONES * 0x0f)) + (letter >> 7) * 9;
+    let n = (n | n >> 4) & 0x00ff_00ff_00ff_00ff;
+    let n = (n | n >> 8) & 0x0000_ffff_0000_ffff;
+    Some((n | n >> 16) & 0xffff_ffff)
 }
 
 /// Parses one number token of the serve-script dialect, for the
@@ -1087,8 +1103,8 @@ impl Frames {
 /// The length of the body of a complete (newline-stripped) journal
 /// line, if the checksum token verifies under the checksum its tag
 /// names, so a file holding v2 records and v3 appends verifies record
-/// by record. The line must also be UTF-8 to be valid; [`Journal::recover`]
-/// checks that once for the whole file.
+/// by record. The line must also be UTF-8 to be valid, which the
+/// callers check.
 fn checked_body_len(line: &[u8]) -> Option<usize> {
     let sep = CHECK_SEP.as_bytes();
     let at = line.windows(sep.len()).rposition(|w| w == sep)?;
@@ -1102,64 +1118,217 @@ fn checked_body_len(line: &[u8]) -> Option<usize> {
     (sum == checksum(body)).then_some(at)
 }
 
-/// The index of the first `\n` at or after `at`, if any. It reads 32
-/// bytes (four little-endian words) per step, with the word test of
-/// [`token_end`]: XOR with `0x0a…0a` zeroes the newline bytes, and
-/// `(x - 0x01…01) & !x & 0x80…80` flags the zero bytes, the lowest flag
-/// of a word exact. A step whose four words flag nothing is one branch.
-fn newline_at(b: &[u8], at: usize) -> Option<usize> {
+/// The index of the first `\n` at or after `at`, if any, and whether a
+/// byte from `at` up to it (to the end of `b` if there is none) has its
+/// high bit set: a line with none is ASCII, so UTF-8 with no second
+/// pass. It reads 32 bytes (four little-endian words) per step, with
+/// the word test of [`token_end`]: XOR with `0x0a…0a` zeroes the
+/// newline bytes, and `(x - 0x01…01) & !x & 0x80…80` flags the zero
+/// bytes, the lowest flag of a word exact. A step whose four words flag
+/// nothing is one branch, and ORs its words into the high-bit test.
+fn newline_at(b: &[u8], at: usize) -> (Option<usize>, bool) {
     const ONES: u64 = u64::from_le_bytes([0x01; 8]);
-    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
-    let zeros = |w: &[u8; 8]| {
-        let x = u64::from_le_bytes(*w) ^ (ONES * u64::from(b'\n'));
+    const HIGH: u64 = ONES * 0x80;
+    let zeros = |w: u64| {
+        let x = w ^ (ONES * u64::from(b'\n'));
         x.wrapping_sub(ONES) & !x & HIGH
     };
     let mut blocks = b[at..].chunks_exact(32);
-    let mut from = at;
+    let (mut from, mut seen) = (at, 0u64);
     for block in &mut blocks {
         let (words, _) = block.as_chunks::<8>();
-        let flags = [0, 1, 2, 3].map(|k| zeros(&words[k]));
+        let w = [0, 1, 2, 3].map(|k| u64::from_le_bytes(words[k]));
+        let flags = w.map(zeros);
         if flags[0] | flags[1] | flags[2] | flags[3] != 0 {
             let k = flags.iter().position(|&f| f != 0).expect("a flagged word");
-            return Some(from + 8 * k + (flags[k].trailing_zeros() / 8) as usize);
+            let byte = flags[k].trailing_zeros() / 8;
+            // The words before the newline's word, and its bytes below
+            // the newline.
+            let before = w[..k]
+                .iter()
+                .fold(w[k] & ((1 << (8 * byte)) - 1), |a, x| a | x);
+            return (
+                Some(from + 8 * k + byte as usize),
+                (seen | before) & HIGH != 0,
+            );
         }
+        seen |= w[0] | w[1] | w[2] | w[3];
         from += 32;
     }
     let tail = blocks.remainder();
-    tail.iter().position(|&c| c == b'\n').map(|k| from + k)
+    let nl = tail.iter().position(|&c| c == b'\n');
+    let high = seen & HIGH != 0 || !tail[..nl.unwrap_or(tail.len())].is_ascii();
+    (nl.map(|k| from + k), high)
 }
 
-/// Splits a journal as read into its longest prefix of whole lines
-/// that is UTF-8 and the rest, which starts with the first line that is
-/// not. A journal that is all UTF-8, as every journal this binary writes
-/// is, is checked once; otherwise the lines before the bad one are
-/// checked a second time to take them as a `String`.
-fn split_utf8(data: Vec<u8>) -> (String, Vec<u8>) {
-    match String::from_utf8(data) {
-        Ok(text) => (text, Vec::new()),
-        Err(e) => {
-            let bad = e.utf8_error().valid_up_to();
-            let mut bytes = e.into_bytes();
-            let cut = bytes[..bad]
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |nl| nl + 1);
-            let tail = bytes.split_off(cut);
-            let text = String::from_utf8(bytes).expect("whole lines before the first bad byte");
-            (text, tail)
-        }
+/// Bytes a journal is read in at a time. [`Journal::recover`] reads the
+/// whole file through one buffer of this size and [`replay`] reads the
+/// valid records again through another, so neither holds a buffer that
+/// grows with the journal, only one that grows to its longest line.
+const READ_BLOCK: usize = 1 << 20;
+
+/// Reads into `buf` from `offset`, whatever the file's cursor says, so
+/// passes over one open journal never disturb each other.
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+    std::os::unix::fs::FileExt::read_at(file, buf, offset)
+}
+
+/// Reads into `buf` from `offset` (the Windows form of the Unix
+/// `read_at`).
+#[cfg(windows)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+    std::os::windows::fs::FileExt::seek_read(file, buf, offset)
+}
+
+/// One journal line as [`BlockLines`] reads it.
+struct Line<'a> {
+    /// File offset of its first byte.
+    start: u64,
+    /// Its bytes, the newline excluded.
+    bytes: &'a [u8],
+    /// Whether a newline ends it (only a file's last line can lack one).
+    terminated: bool,
+    /// Whether every byte is ASCII, so that it is UTF-8 unchecked.
+    ascii: bool,
+}
+
+impl Line<'_> {
+    /// The file offset just past the line and its newline.
+    fn end(&self) -> u64 {
+        self.start + self.bytes.len() as u64 + u64::from(self.terminated)
     }
 }
 
-/// The valid record bodies [`Journal::recover`] found, in append order,
-/// as ranges of the one buffer the journal was read into: no body is
-/// copied out of it.
+/// The lines of a journal from one file offset up to another (or the
+/// end of the file), read through one reused buffer in positional reads
+/// of up to its size: found by a newline search ([`BlockLines::next`],
+/// for validation) or taken at lengths the caller knows
+/// ([`BlockLines::take`], for the re-read). A line not yet whole at the
+/// end of the buffer is carried to its front before the next read, and
+/// the newline search resumes where it stopped; the buffer doubles only
+/// when a single line is longer than it.
+struct BlockLines<'f> {
+    file: &'f File,
+    buf: Vec<u8>,
+    /// How many bytes of `buf` hold file data.
+    filled: usize,
+    /// Where the next line starts in `buf`.
+    at: usize,
+    /// How far the newline search of that line got.
+    scanned: usize,
+    /// Whether the bytes it passed have a high bit set.
+    high: bool,
+    /// File offset of `buf[0]`.
+    base: u64,
+    /// File offset reading stops at.
+    end: u64,
+    /// Whether everything up to `end` (or the end of the file) is read.
+    eof: bool,
+}
+
+impl<'f> BlockLines<'f> {
+    fn new(file: &'f File, from: u64, end: u64, block: usize) -> Self {
+        BlockLines {
+            file,
+            buf: vec![0; block.max(1)],
+            filled: 0,
+            at: 0,
+            scanned: 0,
+            high: false,
+            base: from,
+            end,
+            eof: false,
+        }
+    }
+
+    /// The next line, or `None` past the last one.
+    fn next(&mut self) -> std::io::Result<Option<Line<'_>>> {
+        let (stop, terminated) = loop {
+            let (nl, high) = newline_at(&self.buf[..self.filled], self.scanned);
+            self.high |= high;
+            if let Some(nl) = nl {
+                break (nl, true);
+            }
+            self.scanned = self.filled;
+            if self.eof {
+                if self.at == self.filled {
+                    return Ok(None);
+                }
+                break (self.filled, false);
+            }
+            self.refill()?;
+        };
+        let (start, ascii) = (self.at, !self.high);
+        self.at = stop + usize::from(terminated);
+        self.scanned = self.at;
+        self.high = false;
+        Ok(Some(Line {
+            start: self.base + start as u64,
+            bytes: &self.buf[start..stop],
+            terminated,
+            ascii,
+        }))
+    }
+
+    /// The next `len` bytes, or `None` if the data ends before them: for
+    /// a pass that already knows where each line ends, so that it needs
+    /// no newline search.
+    fn take(&mut self, len: usize) -> std::io::Result<Option<&[u8]>> {
+        while self.filled - self.at < len {
+            if self.eof {
+                return Ok(None);
+            }
+            self.refill()?;
+        }
+        let start = self.at;
+        self.at += len;
+        self.scanned = self.at;
+        Ok(Some(&self.buf[start..self.at]))
+    }
+
+    /// Carries the partial line to the front of the buffer (doubling
+    /// the buffer if that line fills it) and reads more behind it.
+    fn refill(&mut self) -> std::io::Result<()> {
+        if self.at > 0 {
+            self.buf.copy_within(self.at..self.filled, 0);
+            self.base += self.at as u64;
+            self.filled -= self.at;
+            self.scanned -= self.at;
+            self.at = 0;
+        }
+        if self.filled == self.buf.len() {
+            self.buf.resize(2 * self.buf.len(), 0);
+        }
+        let offset = self.base + self.filled as u64;
+        let left = usize::try_from(self.end.saturating_sub(offset)).unwrap_or(usize::MAX);
+        let room = (self.buf.len() - self.filled).min(left);
+        let n = loop {
+            match read_at(self.file, &mut self.buf[self.filled..][..room], offset) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                read => break read?,
+            }
+        };
+        self.filled += n;
+        self.eof = n == 0;
+        Ok(())
+    }
+}
+
+/// The valid records [`Journal::recover`] found, in append order: the
+/// byte range of each body in the journal and a read handle on it, not
+/// the bytes. [`replay`] reads them again (see [`RecordBodies::bodies`]).
 #[derive(Debug)]
 pub struct RecordBodies {
-    /// The journal's text up to the end of its last valid record.
-    text: String,
-    /// Byte range of each body (checksum token and newline excluded).
-    spans: Vec<Range<usize>>,
+    /// The journal, open for reading.
+    file: File,
+    /// File byte range of each body (checksum token and newline
+    /// excluded); the records lie back to back.
+    spans: Vec<Range<u64>>,
+    /// File offset just past the last valid record.
+    end: u64,
+    /// Bytes per read ([`READ_BLOCK`] outside tests).
+    block: usize,
 }
 
 impl RecordBodies {
@@ -1173,9 +1342,50 @@ impl RecordBodies {
         self.spans.is_empty()
     }
 
-    /// Every body, in append order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
-        self.spans.iter().map(|span| &self.text[span.clone()])
+    /// Every body, read again from the journal and checked again, in
+    /// append order. A record that changed on disk since
+    /// [`Journal::recover`] validated it fails as `journal record <i>: …`.
+    pub fn bodies(&self) -> Result<Vec<String>, String> {
+        let mut out = Vec::with_capacity(self.len());
+        self.each(|body| {
+            out.push(body.to_string());
+            Ok(true)
+        })?;
+        Ok(out)
+    }
+
+    /// Reads the records again, in order, through one block buffer, and
+    /// hands each body to `f` once its line still ends in a newline
+    /// where it did, still verifies under the checksum its tag names
+    /// with the same body length, and is UTF-8. The records lie back to
+    /// back, so each line ends where the next one starts and is read
+    /// with no newline search. Stops early when `f` returns
+    /// `Ok(false)`. A failed read or check, or an error of `f`, is
+    /// `journal record <i>: …`.
+    fn each(&self, mut f: impl FnMut(&str) -> Result<bool, String>) -> Result<(), String> {
+        let Some(first) = self.spans.first() else {
+            return Ok(());
+        };
+        let mut lines = BlockLines::new(&self.file, first.start, self.end, self.block);
+        for (i, span) in self.spans.iter().enumerate() {
+            let named = |e: String| format!("journal record {i}: {e}");
+            let end = self.spans.get(i + 1).map_or(self.end, |next| next.start);
+            let line = lines
+                .take((end - span.start) as usize)
+                .map_err(|e| named(format!("read: {e}")))?;
+            let body = line
+                .and_then(|l| l.strip_suffix(b"\n"))
+                .and_then(|l| {
+                    let len =
+                        checked_body_len(l).filter(|&len| len as u64 == span.end - span.start)?;
+                    std::str::from_utf8(&l[..len]).ok()
+                })
+                .ok_or_else(|| named("changed on disk since recovery validated it".into()))?;
+            if !f(body).map_err(named)? {
+                break;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1208,7 +1418,7 @@ pub struct Journal {
 pub struct Recovered {
     /// The journal, re-opened for appending past the valid tail.
     pub journal: Journal,
-    /// Valid record bodies, in append order, for [`replay`].
+    /// Where the valid records lie, in append order, for [`replay`].
     pub records: RecordBodies,
     /// Torn/invalid tail records dropped (and physically truncated).
     pub dropped: usize,
@@ -1264,16 +1474,29 @@ impl Journal {
     /// truncates) a torn tail, and loads the snapshot sidecar. See the
     /// module docs for the exact validity and corruption rules.
     pub fn recover(path: &Path, fingerprint: u64, snap_every: u64) -> Result<Recovered, String> {
-        let data = std::fs::read(path).map_err(|e| Self::io_err(path, "read", e))?;
-        let (mut text, tail) = split_utf8(data);
+        Self::recover_in_blocks(path, fingerprint, snap_every, READ_BLOCK)
+    }
+
+    /// [`Journal::recover`], reading `block` bytes at a time.
+    fn recover_in_blocks(
+        path: &Path,
+        fingerprint: u64,
+        snap_every: u64,
+        block: usize,
+    ) -> Result<Recovered, String> {
+        let read_err = |e| Self::io_err(path, "read", e);
+        let read = File::open(path).map_err(read_err)?;
+        let mut lines = BlockLines::new(&read, 0, u64::MAX, block);
         let mut warnings = Vec::new();
 
         // Header: everything up to the first newline. A file torn
         // inside its own header holds no records — start fresh.
         let mut older_header = false;
-        let header_end = match text.find('\n') {
-            Some(nl) => {
-                let header = &text[..nl];
+        let mut dropped = 0usize;
+        let header_end = match lines.next().map_err(read_err)? {
+            Some(line) if line.terminated => {
+                let header = std::str::from_utf8(line.bytes)
+                    .map_err(|_| format!("journal {}: header is not UTF-8", path.display()))?;
                 let hex = match header.strip_prefix(HEADER_PREFIX) {
                     Some(hex) => hex,
                     None => {
@@ -1296,63 +1519,57 @@ impl Journal {
                         path.display()
                     ));
                 }
-                nl + 1
+                line.end()
             }
-            // A non-empty tail starts with the first line that is not
-            // UTF-8, so here that line is the header.
-            None if tail.contains(&b'\n') => {
-                return Err(format!("journal {}: header is not UTF-8", path.display()));
-            }
-            None => {
-                let len = text.len() + tail.len();
+            torn => {
+                let len = torn.map_or(0, |line| line.bytes.len());
                 if len > 0 {
                     warnings.push(format!(
                         "journal {}: torn header ({len} bytes, no newline) — treating as empty",
                         path.display(),
                     ));
+                    dropped = 1; // the fragment
                 }
                 0
             }
         };
 
         // Record lines: the longest valid prefix survives; invalid
-        // lines are legal only as the tail. Every line of `text` is
-        // UTF-8; a line of `tail` is checked on its own (its first line
-        // never is).
+        // lines are legal only as the tail. One pass per line finds its
+        // newline and whether it is ASCII; only a line that is not
+        // takes the UTF-8 check.
         let mut spans = Vec::new();
-        let mut dropped = 0usize;
         let mut valid_end = header_end;
-        for (bytes, base, utf8) in [(text.as_bytes(), 0, true), (&tail[..], text.len(), false)] {
-            let mut at = header_end.saturating_sub(base);
-            while at < bytes.len() {
-                let Some(nl) = newline_at(bytes, at) else {
-                    dropped += 1; // unterminated final fragment
-                    break;
-                };
-                let line = &bytes[at..nl];
-                let start = base + at;
-                at = nl + 1;
-                let body =
-                    checked_body_len(line).filter(|_| utf8 || std::str::from_utf8(line).is_ok());
-                match body {
-                    Some(len) if dropped == 0 => {
-                        spans.push(start..start + len);
-                        valid_end = base + at;
-                    }
-                    Some(_) => {
-                        return Err(format!(
-                            "journal {}: valid record after an invalid one (offset {}) — \
-                             mid-file corruption, refusing to recover",
-                            path.display(),
-                            base + at
-                        ));
-                    }
-                    None => dropped += 1,
+        while let Some(line) = lines.next().map_err(read_err)? {
+            if !line.terminated {
+                dropped += 1; // unterminated final fragment
+                break;
+            }
+            let body = checked_body_len(line.bytes)
+                .filter(|_| line.ascii || std::str::from_utf8(line.bytes).is_ok());
+            match body {
+                Some(len) if dropped == 0 => {
+                    spans.push(line.start..line.start + len as u64);
+                    valid_end = line.end();
                 }
+                Some(_) => {
+                    return Err(format!(
+                        "journal {}: valid record after an invalid one (offset {}) — \
+                         mid-file corruption, refusing to recover",
+                        path.display(),
+                        line.end()
+                    ));
+                }
+                None => dropped += 1,
             }
         }
-        text.truncate(valid_end);
-        let records = RecordBodies { text, spans };
+        drop(lines);
+        let records = RecordBodies {
+            file: read,
+            spans,
+            end: valid_end,
+            block,
+        };
 
         // Physically drop the torn tail (and rebuild a torn header)
         // before appending resumes.
@@ -1361,12 +1578,12 @@ impl Journal {
             .append(true)
             .open(path)
             .map_err(|e| Self::io_err(path, "open", e))?;
-        file.set_len(valid_end as u64)
+        file.set_len(valid_end)
             .map_err(|e| Self::io_err(path, "truncate torn tail", e))?;
         let mut journal = Journal {
             path: path.to_path_buf(),
             file,
-            len: valid_end as u64,
+            len: valid_end,
             records: records.len() as u64,
             snap_every,
             fingerprint,
@@ -1661,7 +1878,8 @@ const REPLAY_CHUNKS_AHEAD: usize = 2;
 type ParsedChunk = Result<Vec<(Option<usize>, Event)>, String>;
 
 /// Replays recovered record bodies into a fresh session through
-/// [`ServeSession::apply`]. A second thread parses the records in
+/// [`ServeSession::apply`]. A second thread reads the records again
+/// from the journal, re-checks each checksum, parses the records in
 /// chunks of 128 and passes them on in order through a
 /// bounded channel, while the calling thread applies each chunk as it
 /// arrives, so parsing one chunk overlaps applying the one before. The
@@ -1671,7 +1889,8 @@ type ParsedChunk = Result<Vec<(Option<usize>, Event)>, String>;
 /// record, and at the end. Where the batches are cut changes no result.
 /// A rejected record counts once and replay resumes with the records
 /// after it. If `snapshot` is given, the cursor is cross-checked when
-/// replay passes its high-water record. A record that does not parse
+/// replay passes its high-water record. A record that does not parse,
+/// or that changed on disk since [`Journal::recover`] validated it,
 /// fails replay as `journal record <i>: …`, after the records before
 /// it.
 pub fn replay(
@@ -1697,27 +1916,22 @@ fn replay_in_chunks(
     })
 }
 
-/// The parse thread of [`replay`]: parses `records` in order and sends
-/// them in chunks of `chunk`, stopping at the first record that does
-/// not parse (after sending the records before it) or when the
-/// applying side hangs up.
+/// The parse thread of [`replay`]: reads `records` again in order
+/// ([`RecordBodies`] re-checks each body's checksum before it is
+/// parsed), parses them and sends them in chunks of `chunk`, stopping at
+/// the first record that fails its check or its parse (after sending
+/// the records before it) or when the applying side hangs up.
 fn parse_chunks(records: &RecordBodies, chunk: usize, tx: &mpsc::SyncSender<ParsedChunk>) {
     let mut parsed = Vec::new();
-    for (i, body) in records.iter().enumerate() {
-        match parse_record(body) {
-            Ok(record) => parsed.push(record.into_event()),
-            Err(e) => {
-                let _ = tx.send(Ok(parsed));
-                let _ = tx.send(Err(format!("journal record {i}: {e}")));
-                return;
-            }
-        }
-        if parsed.len() == chunk && tx.send(Ok(std::mem::take(&mut parsed))).is_err() {
-            return;
-        }
-    }
+    let read = records.each(|body| {
+        parsed.push(parse_record(body)?.into_event());
+        Ok(parsed.len() < chunk || tx.send(Ok(std::mem::take(&mut parsed))).is_ok())
+    });
     if !parsed.is_empty() {
         let _ = tx.send(Ok(parsed));
+    }
+    if let Err(e) = read {
+        let _ = tx.send(Err(e));
     }
 }
 
@@ -1944,13 +2158,38 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn tmp(tag: &str) -> PathBuf {
+    /// A journal path in a directory of its own, which is removed, with
+    /// the journal and its sidecars, when the guard drops.
+    struct TmpJournal(PathBuf);
+
+    impl std::ops::Deref for TmpJournal {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TmpJournal {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpJournal {
+        fn drop(&mut self) {
+            if let Some(dir) = self.0.parent() {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    fn tmp(tag: &str) -> TmpJournal {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
         let dir =
             std::env::temp_dir().join(format!("osr-journal-test-{}-{tag}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("events.journal")
+        TmpJournal(dir.join("events.journal"))
     }
 
     fn sess(m: usize) -> Box<dyn ServeSession> {
@@ -2321,6 +2560,62 @@ mod tests {
             let body = format!("arrive 0 @1 w=1 {bad}");
             let err = parse_record(&body).unwrap_err();
             assert!(err.contains("bad size"), "{bad}: {err}");
+        }
+    }
+
+    /// Digit value of each byte for the table decoder below: `0..=15`
+    /// for `[0-9a-f]`, `0xff` for every other byte.
+    const HEX_VALUE: [u8; 256] = {
+        let nibbles = b"0123456789abcdef";
+        let mut t = [0xffu8; 256];
+        let mut i = 0;
+        while i < 16 {
+            t[nibbles[i] as usize] = i as u8;
+            i += 1;
+        }
+        t
+    };
+
+    /// The table decoder that [`parse_hex16`] replaced, kept as its
+    /// oracle: one table lookup per digit, a non-hex byte setting a
+    /// high bit in `bad`.
+    fn table_hex16(hex: &[u8]) -> Option<u64> {
+        let digits: &[u8; 16] = hex.try_into().ok()?;
+        let (mut bits, mut bad) = (0u64, 0u8);
+        for &b in digits {
+            let v = HEX_VALUE[b as usize];
+            bad |= v;
+            bits = bits << 4 | (v & 0xf) as u64;
+        }
+        (bad & 0xf0 == 0).then_some(bits)
+    }
+
+    /// The word-at-a-time hex decoder accepts and refuses exactly what
+    /// the table decoder does: every one of the 256 byte values at each
+    /// of the 16 positions of a few valid tokens, and tokens of other
+    /// lengths.
+    #[test]
+    fn swar_hex_decoder_matches_the_table_decoder() {
+        for token in [
+            *b"0000000000000000",
+            *b"ffffffffffffffff",
+            *b"0123456789abcdef",
+            *b"fedcba9876543210",
+            *b"3ff8000000000000",
+        ] {
+            assert!(parse_hex16(&token).is_some());
+            for at in 0..16 {
+                for b in 0..=u8::MAX {
+                    let mut t = token;
+                    t[at] = b;
+                    assert_eq!(parse_hex16(&t), table_hex16(&t), "byte {b:#04x} at {at}");
+                }
+            }
+        }
+        for len in [0, 1, 8, 15, 17, 32] {
+            let t = vec![b'a'; len];
+            assert_eq!(parse_hex16(&t), None, "{len} digits");
+            assert_eq!(table_hex16(&t), None, "{len} digits");
         }
     }
 
@@ -2941,6 +3236,44 @@ advance 3 #h111adf285e162cdc
         assert_eq!(s.cursor(), (0, at as f64), "records before it applied");
     }
 
+    /// A record rewritten on disk between [`Journal::recover`] and
+    /// [`replay`] (a byte changed in place, or the file cut short) fails
+    /// its re-check under its own index, after every record before it
+    /// was applied; its bytes never reach the session.
+    #[test]
+    fn a_record_changed_after_recovery_fails_replay_under_its_index() {
+        let fp = fingerprint("flow:0.5", 2, &[]);
+        let at = REPLAY_CHUNK + 5;
+        let change: [fn(&mut Vec<u8>, usize); 2] = [
+            // `advance 134` becomes `advance 934`: it still parses, and
+            // its checksum token no longer verifies.
+            |bytes, start| bytes[start + "advance ".len()] = b'9',
+            |bytes, start| bytes.truncate(start + 4),
+        ];
+        for rewrite in change {
+            let path = tmp("changed");
+            advance_journal(&path, fp, 3 * REPLAY_CHUNK, &[]);
+            let rec = Journal::recover(&path, fp, 0).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            let start = rec.records.spans[at].start as usize;
+            assert!(bytes[start..].starts_with(format!("advance {}", at + 1).as_bytes()));
+            rewrite(&mut bytes, start);
+            std::fs::write(&path, bytes).unwrap();
+            let mut s = sess(2);
+            let err = replay(s.as_mut(), &rec.records, None).unwrap_err();
+            assert_eq!(
+                err,
+                format!("journal record {at}: changed on disk since recovery validated it")
+            );
+            assert_eq!(s.cursor(), (0, at as f64), "records before it applied");
+            assert!(rec
+                .records
+                .bodies()
+                .unwrap_err()
+                .starts_with(&format!("journal record {at}: ")));
+        }
+    }
+
     /// When the applying thread stops early, the parse thread's next
     /// send fails and it exits: replay returns instead of waiting on a
     /// full channel.
@@ -3115,20 +3448,27 @@ advance 3 #h111adf285e162cdc
             for piece in &pieces {
                 data.extend_from_slice(piece);
             }
-            std::fs::write(&path, &data).unwrap();
-            let got = Journal::recover(&path, fp, 0).map(|rec| {
-                let bodies: Vec<String> = rec.records.iter().map(str::to_string).collect();
-                let len = std::fs::metadata(&path).unwrap().len() as usize;
-                (bodies, rec.dropped, len)
-            });
-            std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
-            match (got, reference_recover(&data, fp)) {
-                // A file that keeps no header gets a fresh one.
-                (Ok(got), Ok((bodies, dropped, valid_end))) => {
-                    prop_assert_eq!(got, (bodies, dropped, valid_end.max(header_line(fp).len())));
+            // Blocks that cut lines and torn tails anywhere, one a line
+            // outgrows at once, one record long, and the production size.
+            let record = framed("advance 500").len();
+            for block in [1, 7, 64, record, READ_BLOCK] {
+                std::fs::write(&path, &data).unwrap();
+                let got = Journal::recover_in_blocks(&path, fp, 0, block).map(|rec| {
+                    let bodies = rec.records.bodies().unwrap();
+                    let len = std::fs::metadata(&path).unwrap().len() as usize;
+                    (bodies, rec.dropped, len)
+                });
+                match (got, reference_recover(&data, fp)) {
+                    // A file that keeps no header gets a fresh one.
+                    (Ok(got), Ok((bodies, dropped, valid_end))) => {
+                        let want = (bodies, dropped, valid_end.max(header_line(fp).len()));
+                        prop_assert_eq!(got, want, "block {}", block);
+                    }
+                    (Err(e), Err(want)) => {
+                        prop_assert!(e.contains(&want), "block {}: {} vs {}", block, e, want)
+                    }
+                    (got, want) => prop_assert!(false, "block {}: {:?} vs {:?}", block, got, want),
                 }
-                (Err(e), Err(want)) => prop_assert!(e.contains(&want), "{} vs {}", e, want),
-                (got, want) => prop_assert!(false, "{:?} vs {:?}", got, want),
             }
         }
     }

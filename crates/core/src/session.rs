@@ -363,8 +363,10 @@ impl<F: Family> FamilySession<F> {
                         self.m
                     ));
                 }
+                // The constructor derives the caches; deriving them a
+                // second time to compare could not disagree.
                 let job = Job::weighted(self.jobs.len() as u32, time, a.weight, a.sizes);
-                job.validate(self.m)?;
+                job.validate_domain(self.m)?;
                 self.jobs.push(job);
             }
             Event::Capacity {

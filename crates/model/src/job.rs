@@ -930,7 +930,42 @@ impl Job {
     /// [`crate::RejectReason::Ineligible`] instead of the instance
     /// being unrepresentable (which used to abort whole runs arriving
     /// at the dispatch argmin with no candidate).
+    ///
+    /// Runs the domain checks of [`Job::validate_domain`], then derives
+    /// the caches again from `sizes` and refuses a job whose caches
+    /// went stale.
     pub fn validate(&self, machines: usize) -> Result<(), String> {
+        self.validate_domain(machines)?;
+        // The derived caches are pure functions of `sizes`; a mismatch
+        // means `sizes` was mutated behind the constructors' back.
+        let (p_hat, elig, rack) = derive_caches(self.sizes.form());
+        if p_hat.to_bits() != self.p_hat.to_bits() || elig != self.elig {
+            return Err(format!(
+                "{}: stale p̂/eligibility cache (sizes mutated after construction)",
+                self.id
+            ));
+        }
+        // The rack-p̂ layer can go stale *alone*: a mutation that keeps
+        // the eligibility pattern and the global minimum but moves
+        // another finite entry changes only the per-rack minima —
+        // bounds built from the stale rack values would over-prune, so
+        // reject (comparison is bit-exact, see `RackPHat::eq`).
+        if rack != self.rack {
+            return Err(format!(
+                "{}: stale rack-p̂ cache (sizes mutated after construction)",
+                self.id
+            ));
+        }
+        Ok(())
+    }
+
+    /// The domain checks of [`Job::validate`], without re-deriving the
+    /// caches: release, weight, width, stored sizes, a release that
+    /// keeps the cheapest size, the deadline, and the eligibility
+    /// mask's width. Enough for a job just built by a constructor, whose
+    /// caches were derived from its `sizes` a moment before and cannot
+    /// differ from a second derivation.
+    pub fn validate_domain(&self, machines: usize) -> Result<(), String> {
         check_time(self.release)
             .map_err(|e| format!("{}: release {} ({e})", self.id, self.release))?;
         if !valid_positive(self.weight) {
@@ -969,31 +1004,11 @@ impl Job {
         // different width makes `EligMask::test` panic (too narrow) or
         // answer from padding bits (too wide), so the width gets its
         // own check — and its own error — ahead of the staleness
-        // re-derivation below.
+        // re-derivation in `validate`.
         if !self.elig.width_matches(machines) {
             return Err(format!(
                 "{}: eligibility mask width does not match m={machines} \
                  (mask built for a different machine count)",
-                self.id
-            ));
-        }
-        // The derived caches are pure functions of `sizes`; a mismatch
-        // means `sizes` was mutated behind the constructors' back.
-        let (p_hat, elig, rack) = derive_caches(self.sizes.form());
-        if p_hat.to_bits() != self.p_hat.to_bits() || elig != self.elig {
-            return Err(format!(
-                "{}: stale p̂/eligibility cache (sizes mutated after construction)",
-                self.id
-            ));
-        }
-        // The rack-p̂ layer can go stale *alone*: a mutation that keeps
-        // the eligibility pattern and the global minimum but moves
-        // another finite entry changes only the per-rack minima —
-        // bounds built from the stale rack values would over-prune, so
-        // reject (comparison is bit-exact, see `RackPHat::eq`).
-        if rack != self.rack {
-            return Err(format!(
-                "{}: stale rack-p̂ cache (sizes mutated after construction)",
                 self.id
             ));
         }
